@@ -1,14 +1,15 @@
 """Scenario loading and the mission command-line entry point.
 
-Scenario files are YAML with five sections: mission, agents, camera, lidar,
-gimbal, scene.  Unknown keys are rejected; omitted keys take the documented
-defaults.  Angles in scenario files are degrees; internally everything is
-radians.
+Scenario files are YAML with seven sections: mission, agents, camera, lidar,
+gimbal, tracking, scene.  Unknown keys are rejected; omitted keys take the
+field defaults of the config classes.  Angles in scenario files are degrees;
+internally everything is radians.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import sys
@@ -24,46 +25,35 @@ from .world import BoundingBox
 
 log = logging.getLogger("uavinspect")
 
-_MISSION_DEFAULTS = {
-    "duration": None,            # required
-    "tick": 0.1,
-    "voxel_size": 6.0,
-    "horizon": 3,
-    "waypoint_standoff": None,   # defaults to voxel_size downstream
-    "capture_stride": 1,
-    "seed": 0,
-}
 
-_CAMERA_DEFAULTS = {
-    "fov_h_deg": 80.0,
-    "fov_v_deg": 60.0,
-    "range": 30.0,
-    "focal": 1000.0,
-    "pixel_width": 1.0,
-    "exposure": 0.05,
-    "desired_resolution": 0.03,
-    "quality_floor": 0.1,
-}
+def _defaults(cls, *keys: str) -> dict:
+    """Scenario-file defaults read off the field defaults of a config class.
 
-_LIDAR_DEFAULTS = {
-    "range": 50.0,
-    "beams": 16,
-    "azimuth_steps": 360,
-    "servo_period": 8.0,
-}
+    A key ending in ``_deg`` is its radian field in degrees, rounded so that
+    60 degrees reads back as 60.0 rather than 59.99999999999999.  A field
+    without a default (a required value) maps to None.
+    """
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    out = {}
+    for key in keys:
+        if key.endswith("_deg"):
+            out[key] = round(math.degrees(fields[key[:-len("_deg")]]), 9)
+        else:
+            out[key] = None if fields[key] is dataclasses.MISSING else fields[key]
+    return out
 
-_GIMBAL_DEFAULTS = {
-    "inclination_min_deg": -90.0,
-    "inclination_max_deg": 80.0,
-    "azimuth_min_deg": -90.0,
-    "azimuth_max_deg": 90.0,
-}
 
-_TRACKING_DEFAULTS = {
-    "kp": 1.0,
-    "kd": 2.2,
-    "a_max": 4.0,
-}
+# waypoint_standoff None means one voxel, resolved by MissionConfig.standoff
+_MISSION_DEFAULTS = _defaults(MissionConfig, "duration", "tick", "voxel_size", "horizon",
+                              "waypoint_standoff", "capture_stride", "seed")
+_CAMERA_DEFAULTS = _defaults(CameraConfig, "fov_h_deg", "fov_v_deg", "range", "focal",
+                             "pixel_width", "exposure", "desired_resolution",
+                             "quality_floor")
+_LIDAR_DEFAULTS = _defaults(LidarConfig, "range", "beams", "azimuth_steps", "servo_period")
+_GIMBAL_DEFAULTS = _defaults(GimbalLimits, "inclination_min_deg", "inclination_max_deg",
+                             "azimuth_min_deg", "azimuth_max_deg")
+_TRACKING_DEFAULTS = _defaults(TrackingConfig, "kp", "kd", "a_max")
+_AGENT_DEFAULTS = _defaults(AgentSpec, "omega_max")
 
 _AGENT_KEYS = {"kind", "start", "v_max", "omega_max"}
 _SCENE_KEYS = {"solid_boxes", "triangles", "inspection_boxes", "interest_points"}
@@ -157,7 +147,8 @@ def normalize_scenario(raw: dict) -> dict:
             "kind": kind,
             "start": _vec3(node.get("start"), f"{path}.start"),
             "v_max": _number(node["v_max"], f"{path}.v_max") if node.get("v_max") is not None else None,
-            "omega_max": _number(node.get("omega_max", 1.5), f"{path}.omega_max"),
+            "omega_max": _number(node.get("omega_max", _AGENT_DEFAULTS["omega_max"]),
+                                 f"{path}.omega_max"),
         }
         agents.append(entry)
     n_e = sum(1 for a in agents if a["kind"] == "explorer")

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .agents import AgentState
 from .scene import Scene, line_of_sight
 from .world import OccupancyMap, merge_maps
@@ -34,14 +32,6 @@ class NeighborSet:
         return out
 
 
-@dataclass
-class Message:
-    sender: int
-    position: np.ndarray
-    occupancy: OccupancyMap
-    epoch: int = 0
-
-
 def discover_neighbors(states: list[AgentState], scene: Scene) -> NeighborSet:
     """All unobstructed agent pairs; symmetric by construction."""
     peers: dict[int, set[int]] = {s.id: set() for s in states}
@@ -54,24 +44,17 @@ def discover_neighbors(states: list[AgentState], scene: Scene) -> NeighborSet:
     return NeighborSet({k: frozenset(v) for k, v in peers.items()})
 
 
-def exchange_and_merge(states: list[AgentState], neighbors: NeighborSet,
-                       maps: dict[int, OccupancyMap],
-                       epochs: dict[int, int] | None = None) -> dict[int, OccupancyMap]:
+def exchange_and_merge(neighbors: NeighborSet,
+                       maps: dict[int, OccupancyMap]) -> dict[int, OccupancyMap]:
     """One gossip round: each agent merges the pre-round maps of its LoS peers.
 
     Works on a snapshot of all maps, so a chain A-B-C leaves A with A+B and the
     middle agent with all three after a single round.
     """
-    by_id = {s.id: s for s in states}
-    snapshot = {
-        i: Message(i, by_id[i].position.copy(), maps[i],
-                   (epochs or {}).get(i, 0))
-        for i in maps
-    }
     merged: dict[int, OccupancyMap] = {}
     for i in sorted(maps):
         acc = maps[i]
         for j in sorted(neighbors.of(i)):
-            acc = merge_maps(acc, snapshot[j].occupancy)
+            acc = merge_maps(acc, maps[j])
         merged[i] = acc if acc is not maps[i] else maps[i].copy()
     return merged

@@ -1,14 +1,17 @@
 """Mission orchestration.
 
-Each tick runs five serialized stages: sense (LiDAR into per-agent maps),
+Each tick runs six serialized stages: sense (LiDAR into per-agent maps),
 exchange (LoS-gated map gossip), plan (waypoint generation, assignment, and
 receding-horizon path steps), act (claim-arbitrated motion plus gimbal
-pointing), and score (camera observations folded into the ledger).
+pointing), score (camera observations folded into the ledger), and audit
+(voxel trace plus collision and occupied-entry counts).
 
 Stage one of a mission is the survey: explorers fly their sweep routes while
 mapping; photographers hold until they hear from an explorer that has finished
 its route.  Stage two is cooperative inspection, which runs until the mission
-clock expires.  Everything is deterministic for a fixed config and scene.
+clock expires.  Both stages move agents with the same waypoint follower; a
+sweep route is a waypoint path whose goals carry no camera directive.
+Everything is deterministic for a fixed config and scene.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from .agents import (EXPLORER, KINDS, PHOTOGRAPHER, AgentState, GimbalLimits,
                      point_gimbal)
 from .comms import NeighborSet, discover_neighbors, exchange_and_merge
 from .errors import ConfigurationError, OutOfBoundsError, PlanningError
-from .planning import (InspectionPath, dijkstra_path, drhlp_step,
-                       generate_waypoints, mapping_paths, mtsp_assign)
+from .planning import (InspectionPath, Waypoint, drhlp_step, generate_waypoints,
+                       mapping_paths, mtsp_assign)
 from .scene import Scene, scene_occupancy
 from .sensors import CameraConfig, LidarConfig, Observation, lidar_sweep, observe
-from .world import (FREE, UNKNOWN, OccupancyMap, build_graph, build_grid,
-                    carve_free, compute_operational_volume, integrate_points,
-                    save_map, voxel_to_world, world_to_voxel)
+from .world import (FREE, UNKNOWN, OccupancyMap, build_grid, carve_free,
+                    compute_operational_volume, integrate_points, save_map,
+                    voxel_to_world, world_to_voxel)
 
 
 @dataclass(frozen=True)
@@ -77,13 +80,17 @@ class MissionConfig:
             raise ConfigurationError("horizon must be at least 1")
         if self.capture_stride < 1:
             raise ConfigurationError("capture stride must be at least 1")
+        if self.waypoint_standoff is not None and self.waypoint_standoff <= 0:
+            raise ConfigurationError("waypoint standoff must be positive")
         n_e = sum(1 for a in self.agents if a.kind == EXPLORER)
         if n_e not in (1, 2):
             raise ConfigurationError(f"explorer count must be 1 or 2, got {n_e}")
 
     @property
     def standoff(self) -> float:
-        return self.waypoint_standoff if self.waypoint_standoff else self.voxel_size
+        if self.waypoint_standoff is None:
+            return self.voxel_size
+        return self.waypoint_standoff
 
     @property
     def num_explorers(self) -> int:
@@ -203,9 +210,7 @@ class _Runtime:
     occ: OccupancyMap
     voxel: tuple
     phase: int = 1
-    route: list = field(default_factory=list)
-    route_idx: int = 0
-    sigma: InspectionPath | None = None
+    sigma: InspectionPath | None = None     # survey route in phase 1
     cursor: int = 0
     kappa: int = 0
     segment: list = field(default_factory=list)
@@ -230,7 +235,6 @@ class _Mission:
         self.volume = compute_operational_volume(scene.inspection_boxes, starts,
                                                  cfg.voxel_size)
         self.grid = build_grid(self.volume, cfg.voxel_size)
-        self.graph = build_graph(self.grid, OccupancyMap(self.grid))
         self.truth = scene_occupancy(scene, self.grid)
 
         explorer_starts = [np.asarray(a.start, dtype=float)
@@ -253,7 +257,9 @@ class _Mission:
             rt = _Runtime(spec, state, GimbalState(limits=cfg.gimbal),
                           OccupancyMap(self.grid), vox)
             if spec.kind == EXPLORER:
-                rt.route = routes[e_idx]
+                rt.sigma = InspectionPath([
+                    Waypoint(tuple(p.tolist()), None, None, world_to_voxel(self.grid, p))
+                    for p in routes[e_idx]])
                 e_idx += 1
             self.agents.append(rt)
 
@@ -286,9 +292,7 @@ class _Mission:
     def _exchange(self, k: int) -> NeighborSet:
         states = [a.state for a in self.agents]
         neighbors = discover_neighbors(states, self.scene)
-        maps = {a.id: a.occ for a in self.agents}
-        epochs = {a.id: a.kappa for a in self.agents}
-        merged = exchange_and_merge(states, neighbors, maps, epochs)
+        merged = exchange_and_merge(neighbors, {a.id: a.occ for a in self.agents})
         for a in self.agents:
             a.occ = merged[a.id]
         self.connectivity.append((k, tuple(neighbors.edges())))
@@ -304,47 +308,12 @@ class _Mission:
 
     def _enter_phase2(self, a: _Runtime, k: int) -> None:
         a.phase = 2
-        a.need_replan = True
-        a.segment = []
-        a.seg_i = 0
         self.phase_change_ticks[a.id] = k
         self.phase_maps[a.id] = a.occ.copy()
         self.plan_events.append(f"tick {k} agent {a.id} enters inspection stage")
 
     def _reserved(self, a: _Runtime) -> set:
         return {b.voxel for b in self.agents if b.id != a.id}
-
-    def _plan_survey(self, a: _Runtime, k: int) -> bool:
-        """Advance the mapping route; returns True once the route is finished."""
-        reserved = self._reserved(a)
-        while a.route_idx < len(a.route):
-            goal = a.route[a.route_idx]
-            goal_vox = world_to_voxel(self.grid, goal)
-            if a.voxel == goal_vox or a.blocked_replans >= 3:
-                if a.blocked_replans >= 3:
-                    self.plan_events.append(
-                        f"tick {k} agent {a.id} abandons stalled survey point {goal_vox}")
-                a.blocked_replans = 0
-                a.route_idx += 1
-                a.need_replan = True
-                continue
-            if a.need_replan or a.seg_i >= len(a.segment):
-                try:
-                    path = dijkstra_path(self.graph, a.occ, reserved, a.voxel, goal_vox)
-                except PlanningError:
-                    a.segment = []
-                    a.seg_i = 0
-                    return False
-                if not path:
-                    self.plan_events.append(
-                        f"tick {k} agent {a.id} skips unreachable survey point {goal_vox}")
-                    a.route_idx += 1
-                    continue
-                a.segment = path[1:1 + self.cfg.horizon]
-                a.seg_i = 0
-                a.need_replan = False
-            return False
-        return True
 
     def _regenerate(self, a: _Runtime, neighbors: NeighborSet, k: int) -> None:
         waypoints = generate_waypoints(a.occ, self.scene.inspection_boxes,
@@ -359,35 +328,35 @@ class _Mission:
                 positions[j] = by_id[j].state.position
         assignment = mtsp_assign(waypoints, positions)
         a.sigma = assignment[a.id]
-        a.sigma.epoch = a.kappa
         a.cursor = 0
         a.need_replan = True
         sizes = ",".join(f"{i}:{len(p.waypoints)}" for i, p in sorted(assignment.items()))
         self.plan_events.append(
             f"tick {k} agent {a.id} epoch {a.kappa} waypoints {len(waypoints)} split {sizes}")
 
-    def _plan_inspect(self, a: _Runtime, neighbors: NeighborSet, k: int) -> None:
+    def _follow(self, a: _Runtime, neighbors: NeighborSet, k: int) -> None:
+        """Advance along a.sigma by receding-horizon steps.
+
+        A goal is skipped when unreachable and abandoned after three blocked
+        replans.  Finishing the survey route enters the inspection stage in
+        the same tick; finishing an inspection path closes the epoch.  Either
+        way the waypoints are regenerated, at most once per call.
+        """
         reserved = self._reserved(a)
         regenerated = False
         while True:
             if a.sigma is None:
                 if regenerated:
-                    a.segment = []
-                    a.seg_i = 0
                     a.look_dir = None
-                    return
+                    break
                 self._regenerate(a, neighbors, k)
                 regenerated = True
-                if a.sigma is None:
-                    a.segment = []
-                    a.seg_i = 0
-                    a.look_dir = None
-                    return
                 continue
+            goal = "survey point" if a.phase == 1 else "waypoint"
             wps = a.sigma.waypoints
             if a.blocked_replans >= 3 and a.cursor < len(wps):
                 self.plan_events.append(
-                    f"tick {k} agent {a.id} abandons stalled waypoint {wps[a.cursor].voxel}")
+                    f"tick {k} agent {a.id} abandons stalled {goal} {wps[a.cursor].voxel}")
                 a.cursor += 1
                 a.blocked_replans = 0
                 a.need_replan = True
@@ -395,43 +364,34 @@ class _Mission:
             if not (a.need_replan or a.seg_i >= len(a.segment) or at_waypoint):
                 return
             try:
-                step = drhlp_step(a.voxel, a.sigma, a.cursor, self.graph, a.occ,
-                                  reserved, self.cfg.horizon)
+                step = drhlp_step(a.voxel, a.sigma, a.cursor, a.occ, reserved,
+                                  self.cfg.horizon)
             except PlanningError:
-                a.segment = []
-                a.seg_i = 0
-                return
+                break
             for s in step.skipped:
                 self.plan_events.append(
-                    f"tick {k} agent {a.id} skips unreachable waypoint {wps[s].voxel}")
+                    f"tick {k} agent {a.id} skips unreachable {goal} {wps[s].voxel}")
             a.cursor = step.next_index
-            if step.epoch_complete:
-                if len(wps) > 0:
-                    self.plan_events.append(
-                        f"tick {k} agent {a.id} completes epoch {a.kappa}")
-                    a.kappa += 1
-                a.sigma = None
-                a.segment = []
+            if not step.epoch_complete:
+                a.segment = step.segment
                 a.seg_i = 0
-                continue
-            a.segment = step.segment
-            a.seg_i = 0
-            a.look_dir = step.direction
-            a.need_replan = False
-            return
+                a.look_dir = step.direction
+                a.need_replan = False
+                return
+            a.sigma = None
+            if a.phase == 1:
+                self._enter_phase2(a, k)
+            elif wps:
+                self.plan_events.append(f"tick {k} agent {a.id} completes epoch {a.kappa}")
+                a.kappa += 1
+        a.segment = []
+        a.seg_i = 0
 
     def _plan(self, neighbors: NeighborSet, k: int) -> None:
+        # photographers hold still until they enter the inspection stage
         for a in self.agents:
-            if a.phase == 1:
-                if a.spec.kind == EXPLORER:
-                    if self._plan_survey(a, k):
-                        self._enter_phase2(a, k)
-                        self._plan_inspect(a, neighbors, k)
-                else:
-                    a.segment = []
-                    a.seg_i = 0
-            else:
-                self._plan_inspect(a, neighbors, k)
+            if a.phase == 2 or a.spec.kind == EXPLORER:
+                self._follow(a, neighbors, k)
 
     def _act(self, k: int) -> None:
         claims = {a.voxel: a.id for a in self.agents}

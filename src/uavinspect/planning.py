@@ -9,19 +9,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, PlanningError
-from .world import (FACE_STEPS, FREE, OCCUPIED, NavGraph, OccupancyMap,
-                    OperationalVolume, Voxel, voxel_to_world, world_to_voxel)
+from .errors import ConfigurationError, OutOfBoundsError, PlanningError
+from .world import (FACE_STEPS, FREE, OCCUPIED, OccupancyMap, OperationalVolume,
+                    Voxel, voxel_to_world, world_to_voxel)
 
 
 @dataclass(frozen=True)
 class Waypoint:
-    """Inspection pose seed: a free-voxel center plus the unit direction toward
-    the occupied voxel that triggered it."""
+    """Goal of the waypoint follower.  An inspection pose is a free-voxel
+    center plus the unit direction toward the occupied voxel that triggered
+    it; a survey goal is a sweep-route point with neither."""
 
     position: tuple[float, float, float]
-    direction: tuple[float, float, float]
-    source_voxel: Voxel
+    direction: tuple[float, float, float] | None
+    source_voxel: Voxel | None
     voxel: Voxel
 
     @property
@@ -36,11 +37,6 @@ class Waypoint:
 @dataclass
 class InspectionPath:
     waypoints: list[Waypoint]
-    owner: int
-    epoch: int = 0
-
-    def __len__(self) -> int:
-        return len(self.waypoints)
 
 
 def mapping_paths(volume: OperationalVolume, starts, n_explorers: int,
@@ -117,7 +113,7 @@ def generate_waypoints(occ_map: OccupancyMap, boxes, standoff: float) -> list[Wa
             pos = center + normal * standoff
             try:
                 wp_voxel = world_to_voxel(grid, pos)
-            except Exception:
+            except OutOfBoundsError:
                 continue
             if cells[wp_voxel] != FREE:
                 continue
@@ -164,15 +160,16 @@ def mtsp_assign(waypoints: list[Waypoint],
             w_idx = unvisited.pop(pick)
             routes[i].append(waypoints[w_idx])
             tails[i] = coords[w_idx]
-    return {i: InspectionPath(routes[i], owner=i) for i in ids}
+    return {i: InspectionPath(routes[i]) for i in ids}
 
 
-def dijkstra_path(graph: NavGraph, occ_map: OccupancyMap, reserved: set,
+def dijkstra_path(occ_map: OccupancyMap, reserved: set,
                   start: Voxel, goal: Voxel) -> list[Voxel]:
     """Shortest collision-free voxel path from start to goal.
 
     Traversable voxels are the non-occupied cells of the map minus reserved
-    voxels (other agents' current cells).  Ties are broken lexicographically by
+    voxels (other agents' current cells); face-adjacent voxels are joined by
+    edges weighing one voxel size.  Ties are broken lexicographically by
     voxel index so replanning is reproducible.  Returns [] when the goal is
     unreachable; the path includes both endpoints.
     """
@@ -191,7 +188,7 @@ def dijkstra_path(graph: NavGraph, occ_map: OccupancyMap, reserved: set,
     if start == goal:
         return [start]
 
-    weight = graph.edge_weight
+    weight = occ_map.grid.voxel_size
     dist: dict[Voxel, float] = {start: 0.0}
     prev: dict[Voxel, Voxel] = {}
     heap: list[tuple[float, Voxel]] = [(0.0, start)]
@@ -230,15 +227,14 @@ class PlanStep:
 
     segment: list[Voxel]                 # next voxels to execute, at most horizon
     waypoint: Waypoint | None            # current receding waypoint, None when done
-    direction: np.ndarray | None         # camera directive for the receding waypoint
+    direction: np.ndarray | None         # camera directive, None for survey goals
     next_index: int                      # cursor into the inspection path
     epoch_complete: bool
     skipped: list[int] = field(default_factory=list)
 
 
 def drhlp_step(agent_voxel: Voxel, path: InspectionPath, cursor: int,
-               graph: NavGraph, occ_map: OccupancyMap, reserved: set,
-               horizon: int) -> PlanStep:
+               occ_map: OccupancyMap, reserved: set, horizon: int) -> PlanStep:
     """Advance the receding-horizon plan toward the next unvisited waypoint.
 
     Waypoints are marked visited when the agent's voxel matches theirs, and
@@ -254,10 +250,11 @@ def drhlp_step(agent_voxel: Voxel, path: InspectionPath, cursor: int,
         if tuple(agent_voxel) == wp.voxel:
             idx += 1
             continue
-        route = dijkstra_path(graph, occ_map, reserved, tuple(agent_voxel), wp.voxel)
+        route = dijkstra_path(occ_map, reserved, tuple(agent_voxel), wp.voxel)
         if not route:
             skipped.append(idx)
             idx += 1
             continue
-        return PlanStep(route[1:1 + horizon], wp, wp.direction_arr, idx, False, skipped)
+        direction = None if wp.direction is None else wp.direction_arr
+        return PlanStep(route[1:1 + horizon], wp, direction, idx, False, skipped)
     return PlanStep([], None, None, idx, True, skipped)

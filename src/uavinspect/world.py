@@ -1,4 +1,4 @@
-"""Voxel world model: operational volume, occupancy maps, and the navigation graph.
+"""Voxel world model: operational volume, voxel grid, and occupancy maps.
 
 Occupancy is tri-state (unknown / free / occupied) and only ever moves toward
 more knowledge: unknown -> free, unknown -> occupied, free -> occupied.  Maps
@@ -308,53 +308,6 @@ def merge_maps(a: OccupancyMap, b: OccupancyMap) -> OccupancyMap:
     if a.grid != b.grid:
         raise GridMismatchError("cannot merge maps defined on different grids")
     return OccupancyMap(a.grid, np.maximum(a.cells, b.cells))
-
-
-class NavGraph:
-    """Undirected mesh graph over the voxel grid.
-
-    Vertices are voxels; edges join face-adjacent voxels when neither endpoint
-    was occupied at build time, with weight equal to the voxel size.
-    """
-
-    def __init__(self, grid: VoxelGrid, blocked: np.ndarray):
-        self.grid = grid
-        self.blocked = blocked
-
-    @property
-    def edge_weight(self) -> float:
-        return self.grid.voxel_size
-
-    def neighbors(self, voxel) -> list[Voxel]:
-        if self.blocked[tuple(voxel)]:
-            return []
-        out = []
-        dims = self.grid.dims
-        x, y, z = voxel
-        for dx, dy, dz in FACE_STEPS:
-            nx, ny, nz = x + dx, y + dy, z + dz
-            if 0 <= nx < dims[0] and 0 <= ny < dims[1] and 0 <= nz < dims[2]:
-                if not self.blocked[nx, ny, nz]:
-                    out.append((nx, ny, nz))
-        return out
-
-    def degree(self, voxel) -> int:
-        return len(self.neighbors(voxel))
-
-    def num_edges(self) -> int:
-        total = 0
-        free = ~self.blocked
-        for axis in range(3):
-            a = free.take(range(0, self.grid.dims[axis] - 1), axis=axis)
-            b = free.take(range(1, self.grid.dims[axis]), axis=axis)
-            total += int(np.count_nonzero(a & b))
-        return total
-
-
-def build_graph(grid: VoxelGrid, occ_map: OccupancyMap) -> NavGraph:
-    if occ_map.grid != grid:
-        raise GridMismatchError("map is not defined on the given grid")
-    return NavGraph(grid, occ_map.cells == OCCUPIED)
 
 
 def save_map(occ_map: OccupancyMap, path) -> None:

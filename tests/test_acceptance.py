@@ -19,7 +19,7 @@ from uavinspect.planning import dijkstra_path, mtsp_assign, Waypoint
 from uavinspect.scene import Scene, scatter_box_face_points, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, blur_score, resolution_score
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox,
-                              OccupancyMap, VoxelGrid, build_graph, merge_maps)
+                              OccupancyMap, VoxelGrid, merge_maps)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -129,8 +129,7 @@ def test_dijkstra_against_bfs_oracle():
         free_cells = [tuple(v) for v in np.argwhere(m.cells == FREE)]
         idx = rng.choice(len(free_cells), size=2, replace=False)
         start, goal = free_cells[idx[0]], free_cells[idx[1]]
-        graph = build_graph(grid, m)
-        path = dijkstra_path(graph, m, set(), start, goal)
+        path = dijkstra_path(m, set(), start, goal)
         hops = bfs_hops(m.cells, start, goal)
         if hops is None:
             assert path == [], "planner found a path where BFS sees none"

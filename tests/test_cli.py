@@ -46,6 +46,24 @@ def test_minimal_file_gets_documented_defaults(tmp_path):
     assert len(scene.inspection_boxes) == 1
 
 
+def test_defaults_are_the_documented_table():
+    canonical = normalize_scenario(MINIMAL)
+    assert canonical["mission"] == {
+        "duration": 30.0, "tick": 0.1, "voxel_size": 6.0, "horizon": 3,
+        "waypoint_standoff": None, "capture_stride": 1, "seed": 0}
+    assert canonical["agents"][0] == {"kind": "explorer", "start": [3.0, 3.0, 3.0],
+                                      "v_max": None, "omega_max": 1.5}
+    assert canonical["camera"] == {
+        "fov_h_deg": 80.0, "fov_v_deg": 60.0, "range": 30.0, "focal": 1000.0,
+        "pixel_width": 1.0, "exposure": 0.05, "desired_resolution": 0.03,
+        "quality_floor": 0.1}
+    assert canonical["lidar"] == {"range": 50.0, "beams": 16, "azimuth_steps": 360,
+                                  "servo_period": 8.0}
+    assert canonical["gimbal"] == {"inclination_min_deg": -90.0, "inclination_max_deg": 80.0,
+                                   "azimuth_min_deg": -90.0, "azimuth_max_deg": 90.0}
+    assert canonical["tracking"] == {"kp": 1.0, "kd": 2.2, "a_max": 4.0}
+
+
 def test_explorer_count_rule_enforced(tmp_path):
     bad = dict(MINIMAL)
     bad["agents"] = [{"kind": "explorer", "start": [float(i * 10), 0.0, 0.0]}
@@ -160,6 +178,13 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["--scenario", bad])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_main_rejects_a_negative_standoff_before_running(tmp_path, capsys):
+    bad = write_yaml(tmp_path, {**MINIMAL, "mission": {"duration": 30.0,
+                                                       "waypoint_standoff": -3.0}})
+    assert main(["--scenario", bad]) == 2
+    assert "waypoint standoff must be positive" in capsys.readouterr().err
 
 
 def test_main_accepts_all_override_flags(tmp_path):

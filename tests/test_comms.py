@@ -74,7 +74,7 @@ def test_fully_connected_round_makes_maps_identical():
     for i in range(3):
         maps[i].cells[i, 0, 0] = OCCUPIED
     n = discover_neighbors(states, Scene())
-    merged = exchange_and_merge(states, n, maps)
+    merged = exchange_and_merge(n, maps)
     for i in range(3):
         assert np.array_equal(merged[i].cells, merged[0].cells)
         assert merged[i].count(OCCUPIED) == 3
@@ -87,7 +87,7 @@ def test_no_exchange_across_a_cut():
     maps[0].cells[0, 0, 0] = OCCUPIED
     maps[1].cells[1, 0, 0] = FREE
     n = discover_neighbors(states, wall)
-    merged = exchange_and_merge(states, n, maps)
+    merged = exchange_and_merge(n, maps)
     assert np.array_equal(merged[0].cells, maps[0].cells)
     assert np.array_equal(merged[1].cells, maps[1].cells)
 
@@ -102,7 +102,7 @@ def test_single_round_chain_semantics():
         maps[i].cells[i, 0, 0] = OCCUPIED
     n = discover_neighbors(states, scene)
     assert n.of(0) == {1} and n.of(2) == {1}
-    merged = exchange_and_merge(states, n, maps)
+    merged = exchange_and_merge(n, maps)
     assert {tuple(c) for c in merged[1].occupied_voxels()} == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
     assert {tuple(c) for c in merged[0].occupied_voxels()} == {(0, 0, 0), (1, 0, 0)}
     assert {tuple(c) for c in merged[2].occupied_voxels()} == {(1, 0, 0), (2, 0, 0)}
@@ -116,7 +116,7 @@ def test_exchange_never_loses_occupied_cells():
         maps[i].cells[:] = rng.choice([0, 1, 2], size=(5, 5, 1))
     before = {i: set(map(tuple, maps[i].occupied_voxels())) for i in range(4)}
     n = discover_neighbors(states, Scene())
-    merged = exchange_and_merge(states, n, maps)
+    merged = exchange_and_merge(n, maps)
     for i in range(4):
         after = set(map(tuple, merged[i].occupied_voxels()))
         assert before[i] <= after
@@ -132,7 +132,7 @@ def test_chain_consistency_in_diameter_rounds():
 
     rounds = 0
     while rounds < 3:
-        maps = exchange_and_merge(states, n, maps)
+        maps = exchange_and_merge(n, maps)
         rounds += 1
     reference = maps[0].cells
     assert maps[0].count(OCCUPIED) == 4
@@ -144,5 +144,5 @@ def test_chain_consistency_in_diameter_rounds():
     for i in range(4):
         maps2[i].cells[i, 0, 0] = OCCUPIED
     for _ in range(2):
-        maps2 = exchange_and_merge(states, n, maps2)
+        maps2 = exchange_and_merge(n, maps2)
     assert maps2[0].count(OCCUPIED) < 4

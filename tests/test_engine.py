@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -142,6 +143,9 @@ def test_config_rejects_bad_scalars():
         MissionConfig(duration=10.0, agents=agents, tick=-0.1)
     with pytest.raises(ConfigurationError):
         MissionConfig(duration=10.0, agents=agents, horizon=0)
+    for standoff in (0.0, -3.0):
+        with pytest.raises(ConfigurationError, match="standoff"):
+            MissionConfig(duration=10.0, agents=agents, waypoint_standoff=standoff)
     with pytest.raises(ConfigurationError):
         AgentSpec("diver", (0.0, 0.0, 0.0))
 
@@ -212,6 +216,69 @@ def test_epoch_counter_monotone_in_plan_events():
             assert epoch >= per_agent.get(agent, 0)
             per_agent[agent] = epoch
     assert per_agent, "no epochs were planned"
+
+
+# Mission digest and SHA-256 of the joined plan events of each shipped scenario.
+GOLDEN = {
+    "desk_box": ("bdfa5f71d745a0cd5622ca606ccdac482288c5cbf269d29bd55d2821a021f67c",
+                 "2f5964601135af3007d5bceddda7fcd56fd55080621b126c702b64c424b125af"),
+    "twin_pillars": ("5646a53120da5b05415d006929a40eca64c8fb931888a9689598a1bc904ff5d4",
+                     "5f95cb033ea72277214eda4c5fa7f7bb5da19d27c576fa69f588a1bce14b6a8a"),
+    "open_field": ("796fdd88ad0f3dde1b6f7feffadf7ade33be4cfc934c1e471466eafdaf731288",
+                   "4cb37aa2bc5c3d75ac3ebc6889e6ff6fb9759f3ab1fe4fd3c8f1ed80cd37eb7a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_scenarios_match_golden_behaviour(shipped_runs, name):
+    _cfg, _scene, result, _wall = shipped_runs[name]
+    digest, plans = GOLDEN[name]
+    assert result.digest() == digest
+    assert hashlib.sha256("\n".join(result.plan_events).encode()).hexdigest() == plans
+
+
+def _events_of(res, agent):
+    return [e.split(" ", 4)[4] for e in res.plan_events
+            if e.split()[2:4] == ["agent", str(agent)]]
+
+
+def _survey_events(res, agent):
+    """Agent's plan events up to and including its stage change."""
+    events = _events_of(res, agent)
+    return events[:events.index("enters inspection stage") + 1]
+
+
+def test_survey_skips_a_sweep_end_inside_structure():
+    # the sweep line runs along x at y = z = 21; its far end, half a voxel in
+    # from the x = 42 face, lies inside the second box
+    box = BoundingBox((18.0, 18.0, 18.0), (24.0, 24.0, 24.0))
+    scene = Scene(solid_boxes=[box, BoundingBox((36.0, 18.0, 18.0), (42.0, 24.0, 24.0))],
+                  interest_points=scatter_box_face_points(box, 12, seed=5),
+                  inspection_boxes=[BoundingBox((6.0, 6.0, 6.0), (36.0, 36.0, 36.0))])
+    res = run_mission(small_config(duration=13.0), scene)
+    survey = _survey_events(res, 0)
+    assert survey == ["skips unreachable survey point (6, 3, 3)",
+                      "enters inspection stage"]
+    assert 0 in res.phase_change_ticks
+    # the survey never counts as an inspection epoch
+    assert _events_of(res, 0)[len(survey)].startswith("epoch 0 waypoints")
+    assert res.violations == 0
+
+
+def test_survey_abandons_points_it_cannot_see_a_way_to():
+    # a 1 m LiDAR never confirms a neighbouring voxel free, so every step of
+    # the sweep is blocked until the replan budget runs out
+    res = run_mission(small_config(duration=11.0,
+                                   lidar=LidarConfig(range=1.0, beams=8, azimuth_steps=90)),
+                      small_scene())
+    assert _survey_events(res, 0) == [
+        "abandons stalled survey point (0, 3, 3)",
+        "abandons stalled survey point (6, 3, 3)",
+        "abandons stalled survey point (0, 3, 3)",
+        "enters inspection stage",
+    ]
+    assert not any("completes epoch" in e for e in res.plan_events)
+    assert res.phase_change_ticks[0] < res.phase_change_ticks[1]
 
 
 def test_capture_stride_thins_observations():

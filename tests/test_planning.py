@@ -8,7 +8,7 @@ from uavinspect.planning import (InspectionPath, Waypoint, dijkstra_path,
                                  drhlp_step, generate_waypoints, mapping_paths,
                                  mtsp_assign)
 from uavinspect.world import (FREE, OCCUPIED, BoundingBox, OccupancyMap,
-                              OperationalVolume, VoxelGrid, build_graph)
+                              OperationalVolume, VoxelGrid)
 
 
 def free_map(dims, voxel=6.0):
@@ -228,41 +228,36 @@ def bfs_hops(occ_map, reserved, start, goal):
 
 def test_dijkstra_straight_corridor():
     m = free_map((3, 1, 1))
-    g = build_graph(m.grid, m)
-    path = dijkstra_path(g, m, set(), (0, 0, 0), (2, 0, 0))
+    path = dijkstra_path(m, set(), (0, 0, 0), (2, 0, 0))
     assert path == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-    assert (len(path) - 1) * g.edge_weight == 12.0
+    assert (len(path) - 1) * m.grid.voxel_size == 12.0
 
 
 def test_dijkstra_detours_around_center_obstacle():
     m = free_map((3, 3, 1))
     m.cells[1, 1, 0] = OCCUPIED
-    g = build_graph(m.grid, m)
-    path = dijkstra_path(g, m, set(), (0, 1, 0), (2, 1, 0))
+    path = dijkstra_path(m, set(), (0, 1, 0), (2, 1, 0))
     assert len(path) == 5
     assert (1, 1, 0) not in path
 
 
 def test_dijkstra_same_start_and_goal():
     m = free_map((2, 2, 2))
-    g = build_graph(m.grid, m)
-    assert dijkstra_path(g, m, set(), (1, 1, 1), (1, 1, 1)) == [(1, 1, 1)]
+    assert dijkstra_path(m, set(), (1, 1, 1), (1, 1, 1)) == [(1, 1, 1)]
 
 
 def test_dijkstra_respects_reservations():
     m = free_map((3, 1, 1))
-    g = build_graph(m.grid, m)
-    assert dijkstra_path(g, m, {(1, 0, 0)}, (0, 0, 0), (2, 0, 0)) == []
+    assert dijkstra_path(m, {(1, 0, 0)}, (0, 0, 0), (2, 0, 0)) == []
     with pytest.raises(PlanningError):
-        dijkstra_path(g, m, {(0, 0, 0)}, (0, 0, 0), (2, 0, 0))
+        dijkstra_path(m, {(0, 0, 0)}, (0, 0, 0), (2, 0, 0))
 
 
 def test_dijkstra_start_occupied_raises():
     m = free_map((3, 1, 1))
     m.cells[0, 0, 0] = OCCUPIED
-    g = build_graph(m.grid, m)
     with pytest.raises(PlanningError):
-        dijkstra_path(g, m, set(), (0, 0, 0), (2, 0, 0))
+        dijkstra_path(m, set(), (0, 0, 0), (2, 0, 0))
 
 
 def test_dijkstra_matches_bfs_oracle_random_grids():
@@ -271,13 +266,12 @@ def test_dijkstra_matches_bfs_oracle_random_grids():
         m = free_map((8, 8, 8), voxel=6.0)
         blocked = rng.random((8, 8, 8)) < 0.2
         m.cells[blocked] = OCCUPIED
-        g = build_graph(m.grid, m)
         free_cells = [tuple(v) for v in np.argwhere(m.cells == FREE)]
         if len(free_cells) < 2:
             continue
         idx = rng.choice(len(free_cells), size=2, replace=False)
         start, goal = free_cells[idx[0]], free_cells[idx[1]]
-        path = dijkstra_path(g, m, set(), start, goal)
+        path = dijkstra_path(m, set(), start, goal)
         hops = bfs_hops(m, set(), start, goal)
         if hops is None:
             assert path == []
@@ -291,42 +285,48 @@ def test_dijkstra_matches_bfs_oracle_random_grids():
 
 def test_dijkstra_deterministic_tie_breaks():
     m = free_map((5, 5, 1))
-    g = build_graph(m.grid, m)
-    p1 = dijkstra_path(g, m, set(), (0, 0, 0), (4, 4, 0))
-    p2 = dijkstra_path(g, m, set(), (0, 0, 0), (4, 4, 0))
+    p1 = dijkstra_path(m, set(), (0, 0, 0), (4, 4, 0))
+    p2 = dijkstra_path(m, set(), (0, 0, 0), (4, 4, 0))
     assert p1 == p2
 
 
 # --- receding-horizon step ----------------------------------------------------------
 
-def corridor_path(m, owner=0):
+def corridor_path(m):
     """One waypoint at the far end of a 10-voxel corridor."""
     goal = (9, 0, 0)
     center = tuple((np.array(goal) + 0.5) * m.grid.voxel_size)
-    return InspectionPath([Waypoint(center, (1.0, 0.0, 0.0), goal, goal)], owner)
+    return InspectionPath([Waypoint(center, (1.0, 0.0, 0.0), goal, goal)])
 
 
 def test_drhlp_horizon_limits_segment():
     m = free_map((10, 1, 1))
-    g = build_graph(m.grid, m)
     sigma = corridor_path(m)
-    step = drhlp_step((0, 0, 0), sigma, 0, g, m, set(), horizon=3)
+    step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
     assert step.segment == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
     assert not step.epoch_complete
     assert step.waypoint is sigma.waypoints[0]
     # from the fourth voxel the replanned segment continues toward the goal
-    step2 = drhlp_step((3, 0, 0), sigma, step.next_index, g, m, set(), horizon=3)
+    step2 = drhlp_step((3, 0, 0), sigma, step.next_index, m, set(), horizon=3)
     assert step2.segment == [(4, 0, 0), (5, 0, 0), (6, 0, 0)]
+
+
+def test_drhlp_survey_goal_has_no_camera_directive():
+    m = free_map((10, 1, 1))
+    goal = (9, 0, 0)
+    sigma = InspectionPath([Waypoint((57.0, 3.0, 3.0), None, None, goal)])
+    step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
+    assert step.segment == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    assert step.direction is None
 
 
 def test_drhlp_adjacent_waypoint_then_epoch_complete():
     m = free_map((2, 1, 1))
-    g = build_graph(m.grid, m)
     goal = (1, 0, 0)
-    sigma = InspectionPath([Waypoint((9.0, 3.0, 3.0), (1, 0, 0), goal, goal)], 0)
-    step = drhlp_step((0, 0, 0), sigma, 0, g, m, set(), horizon=3)
+    sigma = InspectionPath([Waypoint((9.0, 3.0, 3.0), (1, 0, 0), goal, goal)])
+    step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
     assert step.segment == [(1, 0, 0)]
-    done = drhlp_step((1, 0, 0), sigma, step.next_index, g, m, set(), horizon=3)
+    done = drhlp_step((1, 0, 0), sigma, step.next_index, m, set(), horizon=3)
     assert done.epoch_complete
     assert done.next_index == 1
 
@@ -334,14 +334,13 @@ def test_drhlp_adjacent_waypoint_then_epoch_complete():
 def test_drhlp_skips_unreachable_waypoint():
     m = free_map((4, 1, 1))
     m.cells[1, 0, 0] = OCCUPIED
-    g = build_graph(m.grid, m)
     unreachable = (3, 0, 0)
     reachable = (0, 0, 0)
     sigma = InspectionPath([
         Waypoint((21.0, 3.0, 3.0), (1, 0, 0), unreachable, unreachable),
         Waypoint((3.0, 3.0, 3.0), (1, 0, 0), reachable, reachable),
-    ], 0)
-    step = drhlp_step((0, 0, 0), sigma, 0, g, m, set(), horizon=3)
+    ])
+    step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
     # first waypoint skipped, second is where the agent already stands
     assert step.skipped == [0]
     assert step.epoch_complete
@@ -350,13 +349,12 @@ def test_drhlp_skips_unreachable_waypoint():
 
 def test_drhlp_replans_around_new_blockage():
     m = free_map((5, 2, 1))
-    g = build_graph(m.grid, m)
     goal = (4, 0, 0)
-    sigma = InspectionPath([Waypoint((27.0, 3.0, 3.0), (1, 0, 0), goal, goal)], 0)
-    first = drhlp_step((0, 0, 0), sigma, 0, g, m, set(), horizon=2)
+    sigma = InspectionPath([Waypoint((27.0, 3.0, 3.0), (1, 0, 0), goal, goal)])
+    first = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=2)
     assert first.segment == [(1, 0, 0), (2, 0, 0)]
     # a new obstacle appears mid-route; the next replan detours through y=1
     m.cells[2, 0, 0] = OCCUPIED
-    second = drhlp_step((1, 0, 0), sigma, 0, g, m, set(), horizon=4)
+    second = drhlp_step((1, 0, 0), sigma, 0, m, set(), horizon=4)
     assert (2, 0, 0) not in second.segment
     assert (1, 1, 0) in second.segment or (2, 1, 0) in second.segment

@@ -7,8 +7,7 @@ from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox,
                               OccupancyMap, OperationalVolume, VoxelGrid,
-                              build_graph, build_grid,
-                              compute_operational_volume, integrate_points,
+                              build_grid, compute_operational_volume, integrate_points,
                               load_map, merge_maps, save_map, voxel_to_world,
                               world_to_voxel)
 
@@ -93,61 +92,6 @@ def test_voxel_center_roundtrip_is_exact():
     for voxel in itertools.product(range(5), range(4), range(6)):
         center = voxel_to_world(grid, voxel)
         assert world_to_voxel(grid, center) == voxel
-
-
-# --- navigation graph -----------------------------------------------------
-
-def brute_force_edges(occ_map):
-    """Count face-adjacent free pairs by full enumeration."""
-    dims = occ_map.grid.dims
-    blocked = occ_map.cells == OCCUPIED
-    count = 0
-    for a in itertools.product(range(dims[0]), range(dims[1]), range(dims[2])):
-        for b in itertools.product(range(dims[0]), range(dims[1]), range(dims[2])):
-            if a < b and sum(abs(a[i] - b[i]) for i in range(3)) == 1:
-                if not blocked[a] and not blocked[b]:
-                    count += 1
-    return count
-
-
-def test_graph_single_edge():
-    m = make_map((2, 1, 1))
-    m.cells[:] = FREE
-    g = build_graph(m.grid, m)
-    assert g.num_edges() == 1
-    assert g.edge_weight == 6.0
-
-
-def test_graph_occupied_vertex_is_isolated():
-    m = make_map((3, 1, 1))
-    m.cells[:] = FREE
-    m.cells[1, 0, 0] = OCCUPIED
-    g = build_graph(m.grid, m)
-    assert g.num_edges() == 0
-    assert g.neighbors((1, 0, 0)) == []
-    assert g.degree((0, 0, 0)) == 0
-
-
-def test_graph_3x3x3_free_has_54_edges():
-    m = make_map((3, 3, 3))
-    m.cells[:] = FREE
-    g = build_graph(m.grid, m)
-    assert g.num_edges() == brute_force_edges(m) == 54
-
-
-def test_graph_never_touches_occupied_random_maps():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        m = make_map((4, 4, 4))
-        m.cells[:] = rng.choice(STATES, size=(4, 4, 4))
-        g = build_graph(m.grid, m)
-        assert g.num_edges() == brute_force_edges(m)
-        for voxel in itertools.product(range(4), repeat=3):
-            nbrs = g.neighbors(voxel)
-            if m.cells[voxel] == OCCUPIED:
-                assert nbrs == []
-            for n in nbrs:
-                assert m.cells[n] != OCCUPIED
 
 
 # --- integration of range hits --------------------------------------------
