@@ -19,6 +19,9 @@ _EPS_T = 1e-9           # minimum hit distance, rejects self-intersection at the
 _EPS_BARY = 1e-12       # barycentric slack, keeps triangle edges closed
 _EPS_LOS = 1e-6         # slack when comparing a hit distance against segment length
 _EPS_BACKOFF = 1e-3     # interest points are lifted off their surface by this much
+_BINS = 4               # triangle bins per axis of the mesh's bounding box
+_BIN_PAD = 1e-4         # bin boxes grow by this share of the mesh's largest extent
+_RAY_CHUNK = 512        # rays per narrow-phase round; bounds the pair temporaries
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,13 @@ class Scene:
             self._box_lo = np.zeros((0, 3))
             self._box_hi = np.zeros((0, 3))
 
+        # triangle edges and centroid bins for the two-phase raycaster
+        self._tri_v0 = self.triangles[:, 0]
+        self._tri_e1 = self.triangles[:, 1] - self._tri_v0
+        self._tri_e2 = self.triangles[:, 2] - self._tri_v0
+        (self._bin_lo, self._bin_hi, self._bin_offsets,
+         self._bin_tris) = _bin_triangles(self.triangles)
+
     @property
     def num_points(self) -> int:
         return len(self.point_ids)
@@ -98,52 +108,124 @@ class Scene:
         )
 
 
-def ray_cast_batch(scene: Scene, origins: np.ndarray, dirs: np.ndarray,
-                   max_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-hit distances for a bundle of rays.
+def _bin_triangles(tris: np.ndarray):
+    """Bin triangles by centroid on a fixed grid over their bounding box.
 
-    origins, dirs: (n, 3) with unit directions.  Returns (hit mask, distances);
-    distance is inf where nothing was hit within max_range.
+    Returns, per non-empty bin, the padded box around its triangles, and the
+    bins' members as offsets into one array of triangle indices.  The padding
+    keeps the broad phase conservative for rays that graze a bin face.
     """
-    origins = np.atleast_2d(np.asarray(origins, dtype=float))
+    if not len(tris):
+        return np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(1, dtype=int), np.zeros(0, dtype=int)
+    lo = tris.min(axis=(0, 1))
+    span = tris.max(axis=(0, 1)) - lo
+    cell = np.where(span > 0.0, span / _BINS, 1.0)
+    idx = np.minimum(((tris.mean(axis=1) - lo) / cell).astype(int), _BINS - 1)
+    key = np.ravel_multi_index(idx.T, (_BINS,) * 3)
+    order = np.argsort(key, kind="stable")
+    firsts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    pad = _BIN_PAD * (1.0 + span.max())
+    bin_lo = np.minimum.reduceat(tris.min(axis=1)[order], firsts) - pad
+    bin_hi = np.maximum.reduceat(tris.max(axis=1)[order], firsts) + pad
+    return bin_lo, bin_hi, np.append(firsts, len(tris)), order
+
+
+def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
+                   max_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-hit distances for a bundle of rays from one shared origin.
+
+    origin: (3,); dirs: (n, 3) with unit directions.  Returns (hit mask,
+    distances); distance is inf where nothing was hit within max_range.
+    """
+    origin = np.asarray(origin, dtype=float).reshape(3)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    n = len(dirs)
-    best = np.full(n, np.inf)
+    best = np.full(len(dirs), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs                                        # signed inf where dir is 0
 
     if len(scene._box_lo):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dirs                                    # signed inf where dir is 0
-            t1 = (scene._box_lo[None, :, :] - origins[:, None, :]) * inv[:, None, :]
-            t2 = (scene._box_hi[None, :, :] - origins[:, None, :]) * inv[:, None, :]
-        tn = np.fmin(t1, t2).max(axis=2)
-        tf = np.fmax(t1, t2).min(axis=2)
+        tn, tf = _slabs(scene._box_lo - origin, scene._box_hi - origin, inv, np.fmin, np.fmax)
         ok = (tf >= tn) & (tf > _EPS_T) & (tn <= max_range)
         t = np.where(ok, np.where(tn > _EPS_T, tn, 0.0), np.inf)
         best = np.minimum(best, t.min(axis=1))
 
     if len(scene.triangles):
-        v0 = scene.triangles[:, 0]
-        e1 = scene.triangles[:, 1] - v0
-        e2 = scene.triangles[:, 2] - v0
-        h = np.cross(dirs[:, None, :], e2[None, :, :])
-        a = np.einsum("tk,ntk->nt", e1, h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = 1.0 / a
-        s = origins[:, None, :] - v0[None, :, :]
-        u = f * np.einsum("ntk,ntk->nt", s, h)
-        q = np.cross(s, e1[None, :, :])
-        v = f * np.einsum("nk,ntk->nt", dirs, q)
-        t = f * np.einsum("tk,ntk->nt", e2, q)
-        ok = (
-            (np.abs(a) > _EPS_BARY)
-            & (u >= -_EPS_BARY) & (v >= -_EPS_BARY) & (u + v <= 1.0 + _EPS_BARY)
-            & (t > _EPS_T) & (t <= max_range)
-        )
-        t = np.where(ok, t, np.inf)
-        best = np.minimum(best, t.min(axis=1))
+        s = origin - scene._tri_v0                              # per triangle: one origin
+        q = _cross(s, scene._tri_e1)
+        qe2 = np.einsum("tk,tk->t", scene._tri_e2, q)
+        bin_lo = scene._bin_lo - origin
+        bin_hi = scene._bin_hi - origin
+        for c in range(0, len(dirs), _RAY_CHUNK):
+            rows = slice(c, c + _RAY_CHUNK)
+            ray, tri = _candidate_pairs(scene, bin_lo, bin_hi, inv[rows], max_range)
+            ray, t = _moller_trumbore(scene, s, q, qe2, dirs[rows], ray, tri, max_range)
+            np.minimum.at(best[rows], ray, t)
 
     hit = best <= max_range
     return hit, best
+
+
+def _slabs(lo, hi, inv, near, far):
+    """Entry and exit distances, (rays, boxes), of rays through boxes given
+    relative to the ray origin.
+
+    An axis the ray runs parallel to gives 0 * inf = NaN where the origin lies
+    on a box face.  near/far pick what that does: np.fmin/np.fmax drop the
+    axis, np.minimum/np.maximum make both distances NaN.
+    """
+    tn = tf = None
+    with np.errstate(invalid="ignore"):
+        for k in range(3):
+            t1 = lo[None, :, k] * inv[:, k, None]
+            t2 = hi[None, :, k] * inv[:, k, None]
+            n, f = near(t1, t2), far(t1, t2)
+            tn = n if tn is None else np.maximum(tn, n)
+            tf = f if tf is None else np.minimum(tf, f)
+    return tn, tf
+
+
+def _candidate_pairs(scene: Scene, bin_lo, bin_hi, inv, max_range: float):
+    """(ray, triangle) index pairs whose ray meets the triangle's bin.
+
+    A NaN slab fails every comparison, so it counts as an overlap: the test
+    culls only the bins it can show the ray misses.
+    """
+    tn, tf = _slabs(bin_lo, bin_hi, inv, np.minimum, np.maximum)
+    ray, b = np.nonzero(~((tf < tn) | (tf < 0.0) | (tn > max_range)))
+    counts = np.diff(scene._bin_offsets)[b]
+    firsts = np.cumsum(counts) - counts
+    pos = np.arange(counts.sum()) + np.repeat(scene._bin_offsets[b] - firsts, counts)
+    return np.repeat(ray, counts), scene._bin_tris[pos]
+
+
+def _moller_trumbore(scene: Scene, s, q, qe2, dirs, ray, tri, max_range: float):
+    """Hits (ray index, distance) among candidate pairs, Moller-Trumbore.
+
+    s, q and qe2 depend only on the shared origin and the triangle, so they
+    come per triangle.  Pairs whose ray is parallel to the triangle's plane
+    are dropped before the division.
+    """
+    d = dirs[ray]
+    h = _cross(d, scene._tri_e2[tri])
+    a = np.einsum("pk,pk->p", scene._tri_e1[tri], h)
+    keep = np.abs(a) > _EPS_BARY
+    ray, tri, d, h = ray[keep], tri[keep], d[keep], h[keep]
+    f = 1.0 / a[keep]
+    u = f * np.einsum("pk,pk->p", s[tri], h)
+    v = f * np.einsum("pk,pk->p", d, q[tri])
+    t = f * qe2[tri]
+    ok = ((u >= -_EPS_BARY) & (v >= -_EPS_BARY) & (u + v <= 1.0 + _EPS_BARY)
+          & (t > _EPS_T) & (t <= max_range))
+    return ray[ok], t[ok]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of (..., 3) arrays, same operations, without its axis handling."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
 def ray_cast(scene: Scene, origin, direction, max_range: float) -> RayHit:
@@ -156,7 +238,7 @@ def ray_cast(scene: Scene, origin, direction, max_range: float) -> RayHit:
         raise ConfigurationError("max_range must be positive")
     d = direction / norm
     origin = np.asarray(origin, dtype=float)
-    hit, dist = ray_cast_batch(scene, origin[None, :], d[None, :], max_range)
+    hit, dist = ray_cast_batch(scene, origin, d[None, :], max_range)
     if not hit[0]:
         return RayHit(False, float("inf"), tuple(origin.tolist()))
     p = origin + d * dist[0]
@@ -171,17 +253,17 @@ def line_of_sight(scene: Scene, a, b) -> bool:
     if length < 1e-12:
         return True
     d = (b - a) / length
-    hit, dist = ray_cast_batch(scene, a[None, :], d[None, :], length)
+    hit, dist = ray_cast_batch(scene, a, d[None, :], length)
     return not (hit[0] and dist[0] < length - _EPS_LOS)
 
 
-def _segments_clear(scene: Scene, origins: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Vectorized line_of_sight over many segments; returns a bool mask."""
-    rel = targets - origins
+def _segments_clear(scene: Scene, origin: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Vectorized line_of_sight from one origin to many targets; returns a bool mask."""
+    rel = targets - origin
     lengths = np.linalg.norm(rel, axis=1)
     safe = np.where(lengths > 1e-12, lengths, 1.0)
     dirs = rel / safe[:, None]
-    hit, dist = ray_cast_batch(scene, origins, dirs, float(lengths.max(initial=0.0)) + 1.0)
+    hit, dist = ray_cast_batch(scene, origin, dirs, float(lengths.max(initial=0.0)) + 1.0)
     blocked = hit & (dist < lengths - _EPS_LOS)
     return ~blocked
 
@@ -206,8 +288,7 @@ def visible_point_indices(scene: Scene, apex, candidate_mask: np.ndarray) -> np.
     if len(idx) == 0:
         return idx
     targets = scene.point_positions[idx] + scene.point_normals[idx] * _EPS_BACKOFF
-    origins = np.tile(apex, (len(idx), 1))
-    clear = _segments_clear(scene, origins, targets)
+    clear = _segments_clear(scene, apex, targets)
     return idx[clear]
 
 

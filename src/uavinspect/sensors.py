@@ -269,8 +269,7 @@ def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
     cy, sy = math.cos(agent.yaw), math.sin(agent.yaw)
     rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
     dirs = base @ (rz @ rx).T
-    origins = np.tile(agent.position, (len(dirs), 1))
-    hit, dist = ray_cast_batch(scene, origins, dirs, cfg.range)
+    hit, dist = ray_cast_batch(scene, agent.position, dirs, cfg.range)
     hits = agent.position + dirs[hit] * dist[hit, None]
     misses = agent.position + dirs[~hit] * cfg.range
     return hits, misses

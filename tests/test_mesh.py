@@ -1,11 +1,14 @@
 """Triangle-mesh scenes: raycaster exactness, voxelization and a golden mission."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 
 from uavinspect.engine import AgentSpec, MissionConfig, run_mission
-from uavinspect.scene import InterestPoint, Scene
+from uavinspect.scene import InterestPoint, Scene, ray_cast_batch
+from uavinspect.sensors import _base_directions
 from uavinspect.sensors import CameraConfig, LidarConfig
 from uavinspect.world import BoundingBox
 
@@ -39,6 +42,154 @@ def centroid_points(tris):
     normals = cross / np.linalg.norm(cross, axis=1)[:, None]
     return [InterestPoint(i, tuple(c.tolist()), tuple(n.tolist()))
             for i, (c, n) in enumerate(zip(tris.mean(axis=1), normals))]
+
+
+# --- raycaster against the all-pairs reference -----------------------------------
+
+def dense_ray_cast(scene, origin, dirs, max_range):
+    """Every ray against every primitive: the raycaster before the broad phase.
+
+    The two-phase raycaster must return the same distances, bit for bit.
+    """
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    origins = np.tile(np.asarray(origin, dtype=float), (len(dirs), 1))
+    best = np.full(len(dirs), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if scene.solid_boxes:
+            lo = np.array([b.min_corner for b in scene.solid_boxes], dtype=float)
+            hi = np.array([b.max_corner for b in scene.solid_boxes], dtype=float)
+            inv = 1.0 / dirs
+            t1 = (lo[None, :, :] - origins[:, None, :]) * inv[:, None, :]
+            t2 = (hi[None, :, :] - origins[:, None, :]) * inv[:, None, :]
+            tn = np.fmin(t1, t2).max(axis=2)
+            tf = np.fmax(t1, t2).min(axis=2)
+            ok = (tf >= tn) & (tf > 1e-9) & (tn <= max_range)
+            t = np.where(ok, np.where(tn > 1e-9, tn, 0.0), np.inf)
+            best = np.minimum(best, t.min(axis=1))
+        if len(scene.triangles):
+            v0 = scene.triangles[:, 0]
+            e1 = scene.triangles[:, 1] - v0
+            e2 = scene.triangles[:, 2] - v0
+            h = np.cross(dirs[:, None, :], e2[None, :, :])
+            a = np.einsum("tk,ntk->nt", e1, h)
+            f = 1.0 / a
+            s = origins[:, None, :] - v0[None, :, :]
+            u = f * np.einsum("ntk,ntk->nt", s, h)
+            q = np.cross(s, e1[None, :, :])
+            v = f * np.einsum("nk,ntk->nt", dirs, q)
+            t = f * np.einsum("tk,ntk->nt", e2, q)
+            ok = ((np.abs(a) > 1e-12)
+                  & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12)
+                  & (t > 1e-9) & (t <= max_range))
+            best = np.minimum(best, np.where(ok, t, np.inf).min(axis=1))
+    return best <= max_range, best
+
+
+def unit_rows(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def awkward_directions(rng, count):
+    """Random unit rays plus the six axis rays and rays in each axis plane."""
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    flat = rng.normal(size=(3 * count, 3))
+    for k in range(3):
+        flat[k * count:(k + 1) * count, k] = 0.0
+    return np.vstack([unit_rows(rng.normal(size=(count, 3))), axes, unit_rows(flat)])
+
+
+def assert_matches_dense(scene, origin, dirs, max_range):
+    hit, dist = ray_cast_batch(scene, origin, dirs, max_range)
+    ref_hit, ref_dist = dense_ray_cast(scene, origin, dirs, max_range)
+    assert np.array_equal(hit, ref_hit)
+    assert np.array_equal(dist, ref_dist)      # == on every distance, inf included
+    return dist
+
+
+def test_equals_dense_reference_on_random_soups():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        scale = 10.0 ** rng.uniform(-1, 2)
+        tris = rng.uniform(-scale, scale, (int(rng.integers(1, 80)), 3, 3))
+        if trial % 4 == 0:                      # shells: edges shared between neighbours
+            tris = prism_triangles(tuple(rng.uniform(-5, 5, 2)), scale, 2 * scale,
+                                   sides=int(rng.integers(3, 12)),
+                                   rings=int(rng.integers(1, 6)))
+        scene = Scene(triangles=tris)
+        dirs = awkward_directions(rng, 20)
+        corners = np.vstack([scene._bin_lo, scene._bin_hi])
+        origins = [rng.uniform(-2 * scale, 2 * scale, 3) for _ in range(3)]
+        # origins on bin box planes, at triangle vertices and on bin corners
+        origins += [np.where(rng.random(3) < 0.5, corners[rng.integers(len(corners))],
+                             rng.uniform(-scale, scale, 3)) for _ in range(3)]
+        origins += [tris[rng.integers(len(tris)), rng.integers(3)], corners[0]]
+        for origin in origins:
+            for max_range in (0.5 * scale, 4.0 * scale):
+                assert_matches_dense(scene, origin, dirs, max_range)
+
+
+def test_equals_dense_reference_through_shared_edges_and_vertices():
+    rng = np.random.default_rng(32)
+    tris = prism_triangles((24.0, 24.0), 8.0, 24.0, sides=12, rings=8)
+    scene = Scene(triangles=tris)
+    verts = tris.reshape(-1, 3)
+    targets = np.vstack([verts, (tris + np.roll(tris, 1, axis=1)).reshape(-1, 3) / 2.0])
+    for origin in [(9.0, 9.0, 9.0), (24.0, 24.0, 12.0), (50.0, 30.0, 40.0),
+                   (24.0, 5.0, 24.0), (40.0, 40.0, 3.0)]:
+        dirs = unit_rows(targets - np.asarray(origin))
+        assert_matches_dense(scene, origin, dirs, 60.0)
+    # horizontal rays from every ring height and the cap plane
+    for z in np.linspace(0.0, 24.0, 9):
+        origin = np.array([rng.uniform(0, 48), rng.uniform(0, 48), z])
+        assert_matches_dense(scene, origin, awkward_directions(rng, 30), 60.0)
+
+
+def test_bench_tower_ray_along_a_ring_edge():
+    # this ray runs in the plane z = 9, where two rings of the tower meet; its
+    # first hit is on their shared edge
+    scene = Scene(triangles=prism_triangles((24.0, 24.0), 8.0, 24.0, sides=12, rings=8))
+    dirs = np.array([[math.sqrt(0.5), math.sqrt(0.5), 0.0]])
+    dist = assert_matches_dense(scene, (9.0, 9.0, 9.0), dirs, 40.0)
+    assert round(float(dist[0]), 4) == 13.4858
+
+
+def test_boxes_and_triangles_equal_dense_reference():
+    rng = np.random.default_rng(33)
+    boxes = [BoundingBox(tuple(lo), tuple(lo + rng.uniform(1, 6, 3)))
+             for lo in np.round(rng.uniform(-10, 10, (5, 3)))]
+    scene = Scene(solid_boxes=boxes, triangles=rng.uniform(-12, 12, (30, 3, 3)))
+    dirs = awkward_directions(rng, 40)
+    origins = [rng.uniform(-15, 15, 3) for _ in range(6)]
+    origins += [np.array([b.lo[0], rng.uniform(-10, 10), b.hi[2]]) for b in boxes]
+    for origin in origins:
+        assert_matches_dense(scene, origin, dirs, 40.0)
+
+
+def test_parallel_and_in_plane_rays_raise_no_warning():
+    tri = np.array([[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0)]])
+    scene = Scene(triangles=tri, solid_boxes=[BoundingBox((10, 0, 0), (11, 1, 1))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        above = ray_cast_batch(scene, (-1.0, 1.0, 1.0), [(1.0, 0.0, 0.0)], 50.0)
+        inside = ray_cast_batch(scene, (-1.0, 1.0, 0.0), [(1.0, 0.0, 0.0)], 50.0)
+    assert not above[0][0] and not inside[0][0]
+
+
+def test_one_firing_on_a_thousand_triangles_stays_under_32_mib():
+    tris = prism_triangles((24.0, 24.0), 8.0, 24.0, sides=40, rings=12)
+    assert len(tris) == 1000
+    scene = Scene(triangles=tris)
+    dirs = _base_directions(16, 180, math.radians(15.0))
+    assert len(dirs) == 2880
+    tracemalloc.start()
+    try:
+        hit, _ = ray_cast_batch(scene, (9.0, 9.0, 9.0), dirs, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit.any()
+    assert peak < 32 * 2**20
 
 
 # --- golden mission -------------------------------------------------------------
