@@ -304,30 +304,28 @@ def visible_interest_points(scene: Scene, camera_apex, fov_test) -> list[Interes
 
 # --- ground-truth voxelization (used by the mission safety audit) ---
 
-def _tri_box_overlap(center: np.ndarray, half: float, tri: np.ndarray) -> bool:
-    """Separating-axis test between a triangle and a cube of half-extent half."""
-    v = tri - center
-    e = np.array([v[1] - v[0], v[2] - v[1], v[0] - v[2]])
+def _tri_box_overlap(v: np.ndarray, half: float) -> np.ndarray:
+    """Separating-axis test of triangles against cubes of half-extent half.
 
+    v: (n, 3, 3) triangle vertices relative to each cube's center.  Returns a
+    bool per pair, True where no axis separates the two.
+    """
+    e = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1], v[:, 0] - v[:, 2]], axis=1)
+    overlap = np.ones(len(v), dtype=bool)
     # cross-product axes between box axes and triangle edges
     for i in range(3):
         for j in range(3):
-            axis = np.zeros(3)
             a1, a2 = (j + 1) % 3, (j + 2) % 3
-            axis[a1] = -e[i][a2]
-            axis[a2] = e[i][a1]
-            p = v @ axis
-            r = half * (abs(axis[a1]) + abs(axis[a2]))
-            if p.min() > r or p.max() < -r:
-                return False
+            ax1, ax2 = -e[:, i, a2], e[:, i, a1]
+            p = v[:, :, a1] * ax1[:, None] + v[:, :, a2] * ax2[:, None]
+            r = half * (np.abs(ax1) + np.abs(ax2))
+            overlap &= ~((p.min(axis=1) > r) | (p.max(axis=1) < -r))
     # box face normals
-    if np.any(v.min(axis=0) > half) or np.any(v.max(axis=0) < -half):
-        return False
+    overlap &= ~np.any((v.min(axis=1) > half) | (v.max(axis=1) < -half), axis=1)
     # triangle plane
-    n = np.cross(e[0], e[1])
-    d = float(n @ v[0])
-    r = half * np.abs(n).sum()
-    return abs(d) <= r
+    n = _cross(e[:, 0], e[:, 1])
+    d = np.einsum("nk,nk->n", n, v[:, 0])
+    return overlap & (np.abs(d) <= half * np.abs(n).sum(axis=1))
 
 
 def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
@@ -348,18 +346,21 @@ def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
             continue
         occ[i_lo[0]:i_hi[0], i_lo[1]:i_hi[1], i_lo[2]:i_hi[2]] = True
 
-    half = v / 2.0
-    for tri in scene.triangles:
-        t_lo = np.maximum(np.floor((tri.min(axis=0) - origin) / v - 1e-9).astype(int), 0)
-        t_hi = np.minimum(np.floor((tri.max(axis=0) - origin) / v + 1e-9).astype(int) + 1, dims)
-        for ix in range(t_lo[0], t_hi[0]):
-            for iy in range(t_lo[1], t_hi[1]):
-                for iz in range(t_lo[2], t_hi[2]):
-                    if occ[ix, iy, iz]:
-                        continue
-                    center = origin + (np.array([ix, iy, iz]) + 0.5) * v
-                    if _tri_box_overlap(center, half, tri):
-                        occ[ix, iy, iz] = True
+    # every triangle against each cell of its bounding range
+    tris = scene.triangles
+    t_lo = np.maximum(np.floor((tris.min(axis=1) - origin) / v - 1e-9).astype(int), 0)
+    t_hi = np.minimum(np.floor((tris.max(axis=1) - origin) / v + 1e-9).astype(int) + 1, dims)
+    ext = np.maximum(t_hi - t_lo, 0)
+    counts = ext.prod(axis=1)
+    tri = np.repeat(np.arange(len(tris)), counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    ext = ext[tri]
+    cells = t_lo[tri] + np.stack([k // (ext[:, 1] * ext[:, 2]),
+                                  k // ext[:, 2] % ext[:, 1],
+                                  k % ext[:, 2]], axis=1)
+    center = origin + (cells + 0.5) * v
+    hit = cells[_tri_box_overlap(tris[tri] - center[:, None, :], v / 2.0)]
+    occ[hit[:, 0], hit[:, 1], hit[:, 2]] = True
     return occ
 
 

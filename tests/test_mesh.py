@@ -7,10 +7,9 @@ import warnings
 import numpy as np
 
 from uavinspect.engine import AgentSpec, MissionConfig, run_mission
-from uavinspect.scene import InterestPoint, Scene, ray_cast_batch
-from uavinspect.sensors import _base_directions
-from uavinspect.sensors import CameraConfig, LidarConfig
-from uavinspect.world import BoundingBox
+from uavinspect.scene import InterestPoint, Scene, ray_cast_batch, scene_occupancy
+from uavinspect.sensors import CameraConfig, LidarConfig, _base_directions
+from uavinspect.world import BoundingBox, VoxelGrid
 
 
 def prism_triangles(center, radius, height, sides, rings):
@@ -190,6 +189,71 @@ def test_one_firing_on_a_thousand_triangles_stays_under_32_mib():
         tracemalloc.stop()
     assert hit.any()
     assert peak < 32 * 2**20
+
+
+# --- voxelization against the per-cell loop ----------------------------------------
+
+def loop_tri_box_overlap(center, half, tri):
+    """Separating-axis test of one triangle against one cube, axis by axis."""
+    v = tri - center
+    e = np.array([v[1] - v[0], v[2] - v[1], v[0] - v[2]])
+    for i in range(3):
+        for j in range(3):
+            axis = np.zeros(3)
+            a1, a2 = (j + 1) % 3, (j + 2) % 3
+            axis[a1] = -e[i][a2]
+            axis[a2] = e[i][a1]
+            p = v @ axis
+            r = half * (abs(axis[a1]) + abs(axis[a2]))
+            if p.min() > r or p.max() < -r:
+                return False
+    if np.any(v.min(axis=0) > half) or np.any(v.max(axis=0) < -half):
+        return False
+    n = np.cross(e[0], e[1])
+    return abs(float(n @ v[0])) <= half * np.abs(n).sum()
+
+
+def loop_triangle_occupancy(tris, grid):
+    """Each triangle against every cell of its bounding range, one at a time."""
+    occ = np.zeros(grid.dims, dtype=bool)
+    origin, v, dims = grid.origin_arr, grid.voxel_size, np.asarray(grid.dims)
+    for tri in tris:
+        t_lo = np.maximum(np.floor((tri.min(axis=0) - origin) / v - 1e-9).astype(int), 0)
+        t_hi = np.minimum(np.floor((tri.max(axis=0) - origin) / v + 1e-9).astype(int) + 1, dims)
+        for ix in range(t_lo[0], t_hi[0]):
+            for iy in range(t_lo[1], t_hi[1]):
+                for iz in range(t_lo[2], t_hi[2]):
+                    center = origin + (np.array([ix, iy, iz]) + 0.5) * v
+                    if loop_tri_box_overlap(center, v / 2.0, tri):
+                        occ[ix, iy, iz] = True
+    return occ
+
+
+def test_triangle_voxelization_equals_loop_on_random_soups():
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        grid = VoxelGrid(tuple(rng.uniform(-3, 3, 3)), (7, 6, 5), float(rng.uniform(0.5, 4)))
+        span = grid.voxel_size * np.asarray(grid.dims)
+        tris = grid.origin_arr + rng.uniform(-0.2, 1.2, (25, 3, 3)) * span
+        small = tris[:10].mean(axis=1)[:, None, :] + rng.normal(size=(10, 3, 3)) * grid.voxel_size
+        tris = np.concatenate([tris, small])
+        assert np.array_equal(scene_occupancy(Scene(triangles=tris), grid),
+                              loop_triangle_occupancy(tris, grid))
+
+
+def test_triangle_voxelization_equals_loop_in_voxel_planes():
+    rng = np.random.default_rng(42)
+    grid = VoxelGrid((0.0, 0.0, -6.0), (8, 8, 7), 6.0)
+    # vertices on grid points and triangles flat in a voxel plane of each axis
+    tris = rng.integers(0, 8, (40, 3, 3)).astype(float) * 6.0
+    for k in range(3):
+        flat = rng.uniform(0, 48, (20, 3, 3))
+        flat[:, :, k] = 6.0 * rng.integers(1, 7, 20)[:, None]
+        tris = np.concatenate([tris, flat])
+    tower = prism_triangles((24.0, 24.0), 8.0, 24.0, sides=12, rings=8)
+    for t in (tris, tower):
+        assert np.array_equal(scene_occupancy(Scene(triangles=t), grid),
+                              loop_triangle_occupancy(t, grid))
 
 
 # --- golden mission -------------------------------------------------------------
