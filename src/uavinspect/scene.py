@@ -308,31 +308,44 @@ def _tri_box_overlap(v: np.ndarray, half: float) -> np.ndarray:
     """Separating-axis test of triangles against cubes of half-extent half.
 
     v: (n, 3, 3) triangle vertices relative to each cube's center.  Returns a
-    bool per pair, True where no axis separates the two.
+    bool per pair, True where the triangle meets the cube's interior: an axis
+    along which the two only touch separates them.  A triangle lying in a
+    face of the cube with its normal pointing out of the cube counts as
+    inside, so a mesh in a voxel plane occupies the cells behind it, as a
+    box face does.
     """
     e = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1], v[:, 0] - v[:, 2]], axis=1)
+    n = _cross(e[:, 0], e[:, 1])
+    # (pairs, axis): the triangle lies in the cube's face on that axis, facing out
+    on_face = np.all(v == half * np.sign(n)[:, None, :], axis=1) & (n != 0.0)
+    lies = on_face.any(axis=1)
     overlap = np.ones(len(v), dtype=bool)
-    # cross-product axes between box axes and triangle edges
+    # cross-product axes between box axes and triangle edges; for a triangle
+    # in a face, those off the face's own axis are parallel to its normal
     for i in range(3):
         for j in range(3):
             a1, a2 = (j + 1) % 3, (j + 2) % 3
             ax1, ax2 = -e[:, i, a2], e[:, i, a1]
             p = v[:, :, a1] * ax1[:, None] + v[:, :, a2] * ax2[:, None]
             r = half * (np.abs(ax1) + np.abs(ax2))
-            overlap &= ~((p.min(axis=1) > r) | (p.max(axis=1) < -r))
+            apart = (p.min(axis=1) >= r) | (p.max(axis=1) <= -r)
+            overlap &= ~(apart & (r > 0.0) & (on_face[:, j] | ~lies))
     # box face normals
-    overlap &= ~np.any((v.min(axis=1) > half) | (v.max(axis=1) < -half), axis=1)
-    # triangle plane
-    n = _cross(e[:, 0], e[:, 1])
+    apart = (v.min(axis=1) >= half) | (v.max(axis=1) <= -half)
+    overlap &= ~np.any(apart & ~on_face, axis=1)
+    # triangle plane; a degenerate triangle has none
     d = np.einsum("nk,nk->n", n, v[:, 0])
-    return overlap & (np.abs(d) <= half * np.abs(n).sum(axis=1))
+    r = half * np.abs(n).sum(axis=1)
+    return overlap & ((np.abs(d) < r) | (r == 0.0) | lies)
 
 
 def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
-    """Boolean grid of voxels intersected by scene geometry.
+    """Boolean grid of voxels whose interior scene geometry meets.
 
-    Face-touching contact does not count as overlap, so a box flush against a
-    voxel boundary occupies only its own side.
+    Touching contact does not count as overlap, so a box flush against a
+    voxel boundary occupies only its own side, and a triangle with an edge
+    or a vertex on a voxel face leaves the cell beyond it free.  A triangle
+    lying in a voxel face occupies the cell behind it, opposite its normal.
     """
     occ = np.zeros(grid.dims, dtype=bool)
     origin = grid.origin_arr

@@ -194,23 +194,30 @@ def test_one_firing_on_a_thousand_triangles_stays_under_32_mib():
 # --- voxelization against the per-cell loop ----------------------------------------
 
 def loop_tri_box_overlap(center, half, tri):
-    """Separating-axis test of one triangle against one cube, axis by axis."""
+    """Separating-axis test of one triangle against one cube's interior.
+
+    Touching along an axis separates.  A triangle lying in a face of the cube
+    with its normal pointing away from the cube counts as inside: no axis
+    parallel to that face's normal separates it.
+    """
     v = tri - center
     e = np.array([v[1] - v[0], v[2] - v[1], v[0] - v[2]])
+    n = np.cross(e[0], e[1])
+    face = [k for k in range(3) if n[k] != 0 and np.all(v[:, k] == math.copysign(half, n[k]))]
+    axes = [np.eye(3)[k] for k in range(3)] + [n]
     for i in range(3):
         for j in range(3):
-            axis = np.zeros(3)
-            a1, a2 = (j + 1) % 3, (j + 2) % 3
-            axis[a1] = -e[i][a2]
-            axis[a2] = e[i][a1]
-            p = v @ axis
-            r = half * (abs(axis[a1]) + abs(axis[a2]))
-            if p.min() > r or p.max() < -r:
-                return False
-    if np.any(v.min(axis=0) > half) or np.any(v.max(axis=0) < -half):
-        return False
-    n = np.cross(e[0], e[1])
-    return abs(float(n @ v[0])) <= half * np.abs(n).sum()
+            axes.append(np.cross(e[i], np.eye(3)[j]))
+    for axis in axes:
+        if not np.any(axis):
+            continue
+        if face and np.count_nonzero(np.delete(axis, face[0])) == 0:
+            continue
+        p = v @ axis
+        r = half * np.abs(axis).sum()
+        if p.min() >= r or p.max() <= -r:
+            return False
+    return True
 
 
 def loop_triangle_occupancy(tris, grid):
@@ -231,12 +238,13 @@ def loop_triangle_occupancy(tris, grid):
 
 def test_triangle_voxelization_equals_loop_on_random_soups():
     rng = np.random.default_rng(41)
-    for _ in range(12):
+    for _ in range(8):
         grid = VoxelGrid(tuple(rng.uniform(-3, 3, 3)), (7, 6, 5), float(rng.uniform(0.5, 4)))
         span = grid.voxel_size * np.asarray(grid.dims)
-        tris = grid.origin_arr + rng.uniform(-0.2, 1.2, (25, 3, 3)) * span
-        small = tris[:10].mean(axis=1)[:, None, :] + rng.normal(size=(10, 3, 3)) * grid.voxel_size
-        tris = np.concatenate([tris, small])
+        big = grid.origin_arr + rng.uniform(-0.2, 1.2, (3, 3, 3)) * span
+        centers = grid.origin_arr + rng.uniform(-0.1, 1.1, (30, 1, 3)) * span
+        small = centers + rng.normal(size=(30, 3, 3)) * grid.voxel_size
+        tris = np.concatenate([big, small])
         assert np.array_equal(scene_occupancy(Scene(triangles=tris), grid),
                               loop_triangle_occupancy(tris, grid))
 
@@ -244,16 +252,53 @@ def test_triangle_voxelization_equals_loop_on_random_soups():
 def test_triangle_voxelization_equals_loop_in_voxel_planes():
     rng = np.random.default_rng(42)
     grid = VoxelGrid((0.0, 0.0, -6.0), (8, 8, 7), 6.0)
-    # vertices on grid points and triangles flat in a voxel plane of each axis
-    tris = rng.integers(0, 8, (40, 3, 3)).astype(float) * 6.0
+    # vertices on grid points, and triangles flat in a voxel plane of each axis
+    tris = 6.0 * (rng.integers(0, 6, (40, 1, 3)) + rng.integers(0, 3, (40, 3, 3)))
     for k in range(3):
-        flat = rng.uniform(0, 48, (20, 3, 3))
+        flat = rng.uniform(0, 12, (20, 1, 3)) + rng.uniform(0, 36, (20, 3, 3))
         flat[:, :, k] = 6.0 * rng.integers(1, 7, 20)[:, None]
-        tris = np.concatenate([tris, flat])
+        tris = np.concatenate([tris, flat, flat[:, ::-1]])     # both windings
     tower = prism_triangles((24.0, 24.0), 8.0, 24.0, sides=12, rings=8)
     for t in (tris, tower):
         assert np.array_equal(scene_occupancy(Scene(triangles=t), grid),
                               loop_triangle_occupancy(t, grid))
+
+
+def test_touching_triangles_occupy_only_the_cells_they_enter():
+    grid = VoxelGrid((0.0, 0.0, 0.0), (3, 3, 3), 1.0)
+    # flat in the plane z = 1: the normal picks the cell layer behind it
+    up = np.array([[(0.2, 0.2, 1.0), (0.8, 0.2, 1.0), (0.2, 0.8, 1.0)]])
+    occ = scene_occupancy(Scene(triangles=up), grid)
+    assert np.argwhere(occ).tolist() == [[0, 0, 0]]
+    occ = scene_occupancy(Scene(triangles=up[:, ::-1]), grid)
+    assert np.argwhere(occ).tolist() == [[0, 0, 1]]
+    # standing on the plane z = 1 with one edge: only the cell above
+    wall = np.array([[(0.2, 0.5, 1.0), (0.8, 0.5, 1.0), (0.5, 0.5, 1.7)]])
+    assert np.argwhere(scene_occupancy(Scene(triangles=wall), grid)).tolist() == [[0, 0, 1]]
+    # a closed cube mesh on voxel planes occupies what the same box does
+    lo, hi = np.array([1.0, 0.0, 1.0]), np.array([2.0, 3.0, 3.0])
+    box = Scene(solid_boxes=[BoundingBox(tuple(lo), tuple(hi))])
+    assert np.array_equal(scene_occupancy(Scene(triangles=cube_mesh(lo, hi)), grid),
+                          scene_occupancy(box, grid))
+
+
+def test_tower_cap_leaves_the_cells_above_it_free():
+    # the bench tower's cap and top ring meet the plane z = 24 of a 6 m grid
+    grid = VoxelGrid((0.0, 0.0, -6.0), (8, 8, 8), 6.0)
+    tower = prism_triangles((24.0, 24.0), 8.0, 24.0, sides=12, rings=8)
+    occ = scene_occupancy(Scene(triangles=tower), grid)
+    assert not occ[:, :, 5:].any()
+    assert occ[3:5, 3:5, 4].all()          # the cells under the cap's middle
+    assert occ.sum() == 48
+
+
+def cube_mesh(lo, hi):
+    """The 12 triangles of an axis-aligned box, wound with outward normals."""
+    c = np.array([[lo[0] if i & 1 == 0 else hi[0], lo[1] if i & 2 == 0 else hi[1],
+                   lo[2] if i & 4 == 0 else hi[2]] for i in range(8)])
+    quads = [(0, 2, 3, 1), (4, 5, 7, 6), (0, 1, 5, 4), (2, 6, 7, 3), (0, 4, 6, 2), (1, 3, 7, 5)]
+    return np.array([c[[a, b, d]] for a, b, cc, d in quads] +
+                    [c[[b, cc, d]] for a, b, cc, d in quads])
 
 
 # --- golden mission -------------------------------------------------------------
@@ -278,3 +323,5 @@ def test_prism_mission_matches_golden_digest():
     )
     result = run_mission(cfg, scene)
     assert result.digest() == PRISM_GOLDEN
+    # the cap lies on the plane z = 18; the cells above it are free
+    assert result.violations == 0
