@@ -144,7 +144,8 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
         inv = 1.0 / dirs                                        # signed inf where dir is 0
 
     if len(scene._box_lo):
-        tn, tf = _slabs(scene._box_lo - origin, scene._box_hi - origin, inv, np.fmin, np.fmax)
+        # a NaN slab fails every test: a ray along a box face misses the box
+        tn, tf = _slabs(scene._box_lo - origin, scene._box_hi - origin, inv)
         ok = (tf >= tn) & (tf > _EPS_T) & (tn <= max_range)
         t = np.where(ok, np.where(tn > _EPS_T, tn, 0.0), np.inf)
         best = np.minimum(best, t.min(axis=1))
@@ -165,20 +166,19 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
     return hit, best
 
 
-def _slabs(lo, hi, inv, near, far):
+def _slabs(lo, hi, inv):
     """Entry and exit distances, (rays, boxes), of rays through boxes given
     relative to the ray origin.
 
-    An axis the ray runs parallel to gives 0 * inf = NaN where the origin lies
-    on a box face.  near/far pick what that does: np.fmin/np.fmax drop the
-    axis, np.minimum/np.maximum make both distances NaN.
+    A ray parallel to an axis whose origin lies in a box face gives
+    0 * inf = NaN on that axis, and both distances come out NaN.
     """
     tn = tf = None
     with np.errstate(invalid="ignore"):
         for k in range(3):
             t1 = lo[None, :, k] * inv[:, k, None]
             t2 = hi[None, :, k] * inv[:, k, None]
-            n, f = near(t1, t2), far(t1, t2)
+            n, f = np.minimum(t1, t2), np.maximum(t1, t2)
             tn = n if tn is None else np.maximum(tn, n)
             tf = f if tf is None else np.minimum(tf, f)
     return tn, tf
@@ -190,7 +190,7 @@ def _candidate_pairs(scene: Scene, bin_lo, bin_hi, inv, max_range: float):
     A NaN slab fails every comparison, so it counts as an overlap: the test
     culls only the bins it can show the ray misses.
     """
-    tn, tf = _slabs(bin_lo, bin_hi, inv, np.minimum, np.maximum)
+    tn, tf = _slabs(bin_lo, bin_hi, inv)
     ray, b = np.nonzero(~((tf < tn) | (tf < 0.0) | (tn > max_range)))
     counts = np.diff(scene._bin_offsets)[b]
     firsts = np.cumsum(counts) - counts
