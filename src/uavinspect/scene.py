@@ -359,8 +359,10 @@ def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
             continue
         occ[i_lo[0]:i_hi[0], i_lo[1]:i_hi[1], i_lo[2]:i_hi[2]] = True
 
-    # every triangle against each cell of its bounding range
     tris = scene.triangles
+    if not len(tris):
+        return occ
+    # every triangle against each cell of its bounding range
     t_lo = np.maximum(np.floor((tris.min(axis=1) - origin) / v - 1e-9).astype(int), 0)
     t_hi = np.minimum(np.floor((tris.max(axis=1) - origin) / v + 1e-9).astype(int) + 1, dims)
     ext = np.maximum(t_hi - t_lo, 0)
