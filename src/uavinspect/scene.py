@@ -160,7 +160,7 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
             rows = slice(c, c + _RAY_CHUNK)
             ray, tri = _candidate_pairs(scene, bin_lo, bin_hi, inv[rows], max_range)
             ray, t = _moller_trumbore(scene, s, q, qe2, dirs[rows], ray, tri, max_range)
-            np.minimum.at(best[rows], ray, t)
+            np.minimum.at(best[rows], ray, t)                   # a view: writes into best
 
     hit = best <= max_range
     return hit, best
