@@ -3,12 +3,13 @@ from collections import deque
 import numpy as np
 import pytest
 
-from uavinspect.errors import ConfigurationError, PlanningError
+from uavinspect.errors import ConfigurationError, OutOfBoundsError, PlanningError
 from uavinspect.planning import (InspectionPath, Waypoint, dijkstra_path,
                                  drhlp_step, generate_waypoints, mapping_paths,
                                  mtsp_assign)
-from uavinspect.world import (FREE, OCCUPIED, BoundingBox, OccupancyMap,
-                              OperationalVolume, VoxelGrid)
+from uavinspect.world import (FACE_STEPS, FREE, OCCUPIED, UNKNOWN, BoundingBox,
+                              OccupancyMap, OperationalVolume, VoxelGrid,
+                              voxel_to_world, world_to_voxel)
 
 
 def free_map(dims, voxel=6.0):
@@ -145,6 +146,137 @@ def test_waypoints_deduplicated_and_deterministic():
     assert a == b
     keys = {(w.voxel, tuple(np.round(w.direction_arr, 9))) for w in a}
     assert len(keys) == len(a)
+
+
+def reference_waypoints(occ_map, boxes, standoff):
+    """The per-(voxel, face) loop that generate_waypoints replaced, kept as its oracle."""
+    grid = occ_map.grid
+    if standoff <= 0:
+        raise ConfigurationError("waypoint standoff must be positive")
+    out = []
+    seen = set()
+    occupied = occ_map.occupied_voxels()
+    if len(occupied) == 0 or not boxes:
+        return out
+    centers = grid.origin_arr + (occupied + 0.5) * grid.voxel_size
+    in_box = np.zeros(len(occupied), dtype=bool)
+    for b in boxes:
+        in_box |= np.all((centers >= b.lo) & (centers <= b.hi), axis=1)
+
+    dims = grid.dims
+    cells = occ_map.cells
+    for row, center in zip(occupied[in_box], centers[in_box]):
+        vx = (int(row[0]), int(row[1]), int(row[2]))
+        for step in FACE_STEPS:
+            nb = (vx[0] + step[0], vx[1] + step[1], vx[2] + step[2])
+            if not (0 <= nb[0] < dims[0] and 0 <= nb[1] < dims[1] and 0 <= nb[2] < dims[2]):
+                continue
+            if cells[nb] != FREE:
+                continue
+            normal = np.asarray(step, dtype=float)
+            pos = center + normal * standoff
+            try:
+                wp_voxel = world_to_voxel(grid, pos)
+            except OutOfBoundsError:
+                continue
+            if cells[wp_voxel] != FREE:
+                continue
+            wp_pos = voxel_to_world(grid, wp_voxel)
+            n_hat = center - wp_pos
+            norm = np.linalg.norm(n_hat)
+            if norm < 1e-12:
+                continue
+            n_hat = n_hat / norm
+            key = (wp_voxel, (-step[0], -step[1], -step[2]))
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(Waypoint(tuple(wp_pos.tolist()), tuple(n_hat.tolist()),
+                                vx, wp_voxel))
+    return out
+
+
+def assert_matches_reference(m, boxes, standoff):
+    got = generate_waypoints(m, boxes, standoff)
+    want = reference_waypoints(m, boxes, standoff)
+    assert got == want
+    assert repr(got) == repr(want)      # pins order and scalar types too
+    return got
+
+
+def random_map(rng, dims, voxel, origin, p_occupied):
+    m = OccupancyMap(VoxelGrid(origin, dims, voxel))
+    p_rest = (1.0 - p_occupied) / 3.0
+    m.cells[:] = rng.choice([UNKNOWN, FREE, OCCUPIED], size=dims,
+                            p=[p_rest, 2.0 * p_rest, p_occupied])
+    return m
+
+
+def box_sets(grid):
+    """Inspection-box sets for a grid: everything, overlapping boxes, and a
+    box whose faces pass exactly through voxel centers on every axis."""
+    o = grid.origin_arr
+    v = grid.voxel_size
+    d = np.asarray(grid.dims, dtype=float)
+    center = lambda i: o + (np.asarray(i, dtype=float) + 0.5) * v
+    lower = o + 0.3 * d * v
+    upper = o + 0.7 * d * v
+    return [
+        big_box(),
+        [BoundingBox(tuple(o - v), tuple(upper + 0.1 * v)),
+         BoundingBox(tuple(lower), tuple(o + d * v + v)),
+         BoundingBox(tuple(lower - 0.2 * v), tuple(upper + 0.2 * v))],
+        [BoundingBox(tuple(center(np.zeros(3)) - (d < 2) * v),
+                     tuple(center(np.maximum(d - 2, 1)) + (d < 2) * v))],
+    ]
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 5), (7, 4, 6), (1, 6, 5), (6, 1, 4), (9, 3, 1)])
+@pytest.mark.parametrize("voxel", [1.0, 3.0, 6.0])
+def test_waypoints_match_loop_reference_on_random_maps(dims, voxel):
+    rng = np.random.default_rng([*dims, int(voxel)])
+    for origin, p_occupied in (((0.0, 0.0, 0.0), 0.3), ((-7.25, 3.5, 0.1), 0.15),
+                               ((2.0, -11.0, 5.0), 0.5)):
+        m = random_map(rng, dims, voxel, origin, p_occupied)
+        for boxes in box_sets(m.grid):
+            for standoff in (0.5 * voxel, voxel, 1.5 * voxel, 2 * voxel, 4 * voxel, 7.3):
+                assert_matches_reference(m, boxes, standoff)
+
+
+def test_waypoints_dedup_keeps_first_occurrence():
+    # At x = 1e16 doubles are 2 m apart, so the centers of voxels (0, 0, 0)
+    # and (1, 0, 0) round to the same x and both +y standoffs land in voxel
+    # (0, 1, 0) with the same direction: only the first source is kept.
+    m = OccupancyMap(VoxelGrid((1e16, 0.0, 0.0), (4, 3, 1), 0.5))
+    m.cells[:] = FREE
+    m.cells[0:2, 0, 0] = OCCUPIED
+    boxes = [BoundingBox((-1e17, -1e3, -1e3), (1e17, 1e3, 1e3))]
+    wps = assert_matches_reference(m, boxes, 0.5)
+    assert [(w.source_voxel, w.voxel) for w in wps] == [((0, 0, 0), (0, 1, 0))]
+
+
+def test_waypoints_empty_without_free_cells():
+    rng = np.random.default_rng(71)
+    full = free_map((4, 3, 5), voxel=3.0)
+    full.cells[:] = OCCUPIED
+    no_free = OccupancyMap(VoxelGrid((0, 0, 0), (6, 5, 4), 1.0))
+    no_free.cells[:] = rng.choice([UNKNOWN, OCCUPIED], size=(6, 5, 4))
+    for m in (full, no_free):
+        for boxes in box_sets(m.grid):
+            assert assert_matches_reference(m, boxes, 2 * m.grid.voxel_size) == []
+
+
+def test_waypoint_fields_hold_python_scalars():
+    # plans.log prints Waypoint.voxel; a numpy scalar would print as np.int64(3).
+    rng = np.random.default_rng(73)
+    m = random_map(rng, (6, 6, 6), 3.0, (-1.5, 0.0, 2.25), 0.25)
+    wps = generate_waypoints(m, big_box(), 4.5)
+    assert wps
+    for w in wps:
+        assert all(type(c) is float for c in w.position + w.direction)
+        assert all(type(c) is int for c in w.voxel + w.source_voxel)
+        assert type(w.position) is type(w.direction) is tuple
+        assert type(w.voxel) is type(w.source_voxel) is tuple
 
 
 # --- greedy multi-salesman assignment --------------------------------------------
