@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfBoundsError, PlanningError
-from .world import (FACE_STEPS, FREE, OCCUPIED, OccupancyMap, OperationalVolume,
-                    Voxel, voxel_to_world, world_to_voxel)
+from .errors import ConfigurationError, PlanningError
+from .world import FACE_STEPS, FREE, OCCUPIED, OccupancyMap, OperationalVolume, Voxel
+
+_FACE_STEPS = np.array(FACE_STEPS)
 
 
 @dataclass(frozen=True)
@@ -84,52 +85,51 @@ def generate_waypoints(occ_map: OccupancyMap, boxes, standoff: float) -> list[Wa
     direction yields a candidate at standoff along that face normal from the
     occupied center, snapped to the containing voxel center.  Candidates whose
     voxel is not free (or is off-grid) are dropped.  Duplicates by (voxel,
-    direction) are removed; ordering is deterministic.
+    direction) are removed, keeping the first; the order is occupied-voxel
+    row order, then FACE_STEPS order.  All candidates are filtered in one
+    array pass, with the arithmetic of world_to_voxel and voxel_to_world.
     """
     grid = occ_map.grid
     if standoff <= 0:
         raise ConfigurationError("waypoint standoff must be positive")
-    out: list[Waypoint] = []
-    seen: set[tuple[Voxel, tuple[int, int, int]]] = set()
     occupied = occ_map.occupied_voxels()
     if len(occupied) == 0 or not boxes:
-        return out
-    centers = grid.origin_arr + (occupied + 0.5) * grid.voxel_size
+        return []
+    origin, size = grid.origin_arr, grid.voxel_size
+    centers = origin + (occupied + 0.5) * size
     in_box = np.zeros(len(occupied), dtype=bool)
     for b in boxes:
         in_box |= np.all((centers >= b.lo) & (centers <= b.hi), axis=1)
 
-    dims = grid.dims
+    n_faces = len(FACE_STEPS)
+    n = int(in_box.sum())
+    src = np.repeat(occupied[in_box], n_faces, axis=0)
+    center = np.repeat(centers[in_box], n_faces, axis=0)
+    face = np.tile(np.arange(n_faces), n)
+    step = _FACE_STEPS[face]
+
+    dims = np.asarray(grid.dims)
     cells = occ_map.cells
-    for row, center in zip(occupied[in_box], centers[in_box]):
-        vx = (int(row[0]), int(row[1]), int(row[2]))
-        for step in FACE_STEPS:
-            nb = (vx[0] + step[0], vx[1] + step[1], vx[2] + step[2])
-            if not (0 <= nb[0] < dims[0] and 0 <= nb[1] < dims[1] and 0 <= nb[2] < dims[2]):
-                continue
-            if cells[nb] != FREE:
-                continue
-            normal = np.asarray(step, dtype=float)
-            pos = center + normal * standoff
-            try:
-                wp_voxel = world_to_voxel(grid, pos)
-            except OutOfBoundsError:
-                continue
-            if cells[wp_voxel] != FREE:
-                continue
-            wp_pos = voxel_to_world(grid, wp_voxel)
-            n_hat = center - wp_pos
-            norm = np.linalg.norm(n_hat)
-            if norm < 1e-12:
-                continue
-            n_hat = n_hat / norm
-            key = (wp_voxel, (-step[0], -step[1], -step[2]))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Waypoint(tuple(wp_pos.tolist()), tuple(n_hat.tolist()),
-                                vx, wp_voxel))
-    return out
+    nb = src + step
+    keep = np.flatnonzero(np.all((nb >= 0) & (nb < dims), axis=1))
+    keep = keep[cells[tuple(nb[keep].T)] == FREE]
+    wp_voxel = np.floor((center[keep] + step[keep] * standoff - origin) / size).astype(int)
+    on_grid = np.all((wp_voxel >= 0) & (wp_voxel < dims), axis=1)
+    keep, wp_voxel = keep[on_grid], wp_voxel[on_grid]
+    free = cells[tuple(wp_voxel.T)] == FREE
+    keep, wp_voxel = keep[free], wp_voxel[free]
+    wp_pos = origin + (wp_voxel + 0.5) * size
+    n_hat = center[keep] - wp_pos
+    norm = np.linalg.norm(n_hat, axis=1)
+    apart = norm >= 1e-12
+    keep, wp_voxel, wp_pos = keep[apart], wp_voxel[apart], wp_pos[apart]
+    n_hat = n_hat[apart] / norm[apart, None]
+
+    key = np.ravel_multi_index(tuple(wp_voxel.T), grid.dims) * n_faces + face[keep]
+    first = np.sort(np.unique(key, return_index=True)[1])
+    return [Waypoint(tuple(p), tuple(d), tuple(s), tuple(v))
+            for p, d, s, v in zip(wp_pos[first].tolist(), n_hat[first].tolist(),
+                                  src[keep[first]].tolist(), wp_voxel[first].tolist())]
 
 
 def mtsp_assign(waypoints: list[Waypoint],

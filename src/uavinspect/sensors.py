@@ -27,7 +27,7 @@ import numpy as np
 
 from .agents import AgentState, GimbalState
 from .errors import ConfigurationError, ProjectionError
-from .scene import Scene, ray_cast_batch, visible_point_indices
+from .scene import Scene, _cross, ray_cast_batch, visible_point_indices
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
 
@@ -102,7 +102,7 @@ def camera_basis(axis) -> np.ndarray:
     horiz = np.array([z[1], -z[0], 0.0])
     h = float(np.linalg.norm(horiz))
     x = horiz / h if h > 1e-9 else np.array([1.0, 0.0, 0.0])
-    y = np.cross(z, x)
+    y = _cross(z, x)
     return np.column_stack([x, y, z])
 
 
@@ -213,7 +213,7 @@ def observe(agent: AgentState, gimbal: GimbalState, scene: Scene,
     if len(idx) == 0:
         return []
     v_cam = -(agent.velocity @ basis)
-    qb = _blur_batch(p_cam[idx], np.tile(v_cam, (len(idx), 1)), cfg)
+    qb = _blur_batch(p_cam[idx], v_cam, cfg)
     qr = _resolution_batch(p_cam[idx], cfg)
     q = qb * qr
     out = []

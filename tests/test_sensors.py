@@ -47,6 +47,22 @@ def test_camera_basis_is_orthonormal_and_right_handed():
         assert np.allclose(z, axis)
 
 
+def test_camera_basis_equals_np_cross_reference():
+    def reference(axis):
+        z = np.asarray(axis, dtype=float)
+        z = z / np.linalg.norm(z)
+        horiz = np.array([z[1], -z[0], 0.0])
+        h = float(np.linalg.norm(horiz))
+        x = horiz / h if h > 1e-9 else np.array([1.0, 0.0, 0.0])
+        return np.column_stack([x, np.cross(z, x), z])
+
+    rng = np.random.default_rng(5)
+    axes = list(rng.normal(size=(2000, 3)) * rng.uniform(1e-3, 1e3, (2000, 1)))
+    axes += [(0, 0, 1), (0, 0, -1), (0, 0, 7.5), (1e-12, 0, -1), (0, -1e-10, 3)]
+    for axis in axes:
+        assert np.array_equal(camera_basis(axis), reference(axis))
+
+
 # --- field of view --------------------------------------------------------------
 
 def test_fov_contains_point_on_axis():
