@@ -125,6 +125,7 @@ def generate_waypoints(occ_map: OccupancyMap, boxes, standoff: float) -> list[Wa
     keep, wp_voxel, wp_pos = keep[apart], wp_voxel[apart], wp_pos[apart]
     n_hat = n_hat[apart] / norm[apart, None]
 
+    # One integer per (voxel, direction); return_index gives each key's first row.
     key = np.ravel_multi_index(tuple(wp_voxel.T), grid.dims) * n_faces + face[keep]
     first = np.sort(np.unique(key, return_index=True)[1])
     return [Waypoint(tuple(p), tuple(d), tuple(s), tuple(v))
