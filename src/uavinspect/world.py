@@ -190,39 +190,84 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
     """All voxels each segment crosses from the shared origin up to, but not
     including, its end cell.  Vectorized grid-stepping over every segment at once.
 
-    Returns an (m, 3) int array of cells (duplicates across segments included).
+    Each axis steps only toward its end coordinate and stops once it gets
+    there, so a segment visits exactly L1(end cell - origin cell) cells, all
+    inside the box spanned by its origin cell and its end cell.  Returns an
+    (m, 3) int array of cells (duplicates across segments included), m the
+    sum of those L1 distances.
     """
     n = len(ends)
     if n == 0:
         return np.zeros((0, 3), dtype=np.int64)
     v = grid.voxel_size
     g0 = (origin - grid.origin_arr) / v                      # continuous grid coords
-    d = (ends - origin) / v                                  # grid-space displacement
-    cur = np.tile(np.floor(g0).astype(np.int64), (n, 1))
-    last = end_cells.astype(np.int64)
-    step = np.sign(d).astype(np.int64)
+    start = np.floor(g0).astype(np.int64)
+    rounds = np.abs(end_cells - start).sum(axis=1)
+    order = np.argsort(-rounds, kind="stable")   # longest first: the rays still
+    rounds = rounds[order]                       # stepping are always a prefix
+    last = end_cells[order].astype(np.int64)
+    d = (ends[order] - origin) / v                           # grid-space displacement
+    cur = np.tile(start, (n, 1))
+    step = np.sign(last - cur)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         next_boundary = cur + (step > 0)
         t_max = np.where(step != 0, (next_boundary - g0) / d, np.inf)
         t_delta = np.where(step != 0, np.abs(1.0 / d), np.inf)
 
-    active = np.any(cur != last, axis=1)
-    collected = [cur[active].copy()]     # origin cell, for segments that leave it
-    max_iter = int(np.abs(last - cur).sum(axis=1).max(initial=0)) + 4
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        rows = np.nonzero(active)[0]
+    # stepping[r]: how many rays take an r-th step
+    stepping = np.searchsorted(-rounds, -np.arange(rounds[0] + 2), side="right")
+    collected = [cur[:stepping[1]].copy()]   # origin cell, for segments that leave it
+    for r in range(1, rounds[0] + 1):
+        rows = np.arange(stepping[r])
         ax = np.argmin(t_max[rows], axis=1)
         cur[rows, ax] += step[rows, ax]
         t_max[rows, ax] += t_delta[rows, ax]
-        arrived = np.all(cur[rows] == last[rows], axis=1)
-        collected.append(cur[rows[~arrived]].copy())
-        active[rows[arrived]] = False
-    if not collected:
-        return np.zeros((0, 3), dtype=np.int64)
+        reached = cur[rows, ax] == last[rows, ax]
+        t_max[rows[reached], ax[reached]] = np.inf
+        collected.append(cur[:stepping[r + 1]].copy())
+    assert np.array_equal(cur, last), "grid traversal stopped short of its end cell"
     return np.vstack(collected)
+
+
+def _free_along(occ_map: OccupancyMap, origin: np.ndarray, ends: np.ndarray,
+                end_cells: np.ndarray, *, end_too: bool) -> None:
+    """Mark UNKNOWN cells crossed by the segments from origin to ends FREE,
+    and their end cells too when end_too is set.
+
+    A segment's cells all lie in the box between its origin cell and its end
+    cell, so a segment whose box holds no UNKNOWN cell cannot change the map
+    and is not traversed.  One prefix sum of the UNKNOWN cells answers that
+    per segment in O(1).
+    """
+    grid = occ_map.grid
+    cells = occ_map.cells
+    dims = np.asarray(grid.dims)
+    unknown = np.zeros(dims + 1, dtype=np.int64)
+    unknown[1:, 1:, 1:] = cells == UNKNOWN
+    unknown = unknown.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2).ravel()
+    # end cells lie on the grid, so clipping the origin cell clips every box
+    origin_cell = np.floor((origin - grid.origin_arr) / grid.voxel_size).astype(np.int64)
+    strides = ((dims[1] + 1) * (dims[2] + 1), dims[2] + 1, 1)
+    lo, hi = [], []
+    for e, o, n, s in zip(end_cells.T, origin_cell, dims, strides):
+        lo.append(np.minimum(e, max(o, 0)) * s)
+        hi.append((np.maximum(e, min(o, n - 1)) + 1) * s)
+    (lx, ly, lz), (hx, hy, hz) = lo, hi
+    # unknown cells in each box, from the eight corners of the padded prefix sum
+    hh, lh, hl, ll = hy + hz, ly + hz, hy + lz, ly + lz
+    in_box = (unknown[hx + hh] - unknown[lx + hh] - unknown[hx + lh] - unknown[hx + hl]
+              + unknown[lx + lh] + unknown[lx + hl] + unknown[hx + ll] - unknown[lx + ll])
+    live = in_box > 0
+    if not live.any():
+        return
+    marked = _segment_cells(grid, origin, ends[live], end_cells[live])
+    if end_too:
+        marked = np.vstack([marked, end_cells[live]])
+    marked = marked[np.all((marked >= 0) & (marked < dims), axis=1)]
+    cx, cy, cz = marked[:, 0], marked[:, 1], marked[:, 2]
+    was_unknown = cells[cx, cy, cz] == UNKNOWN
+    cells[cx[was_unknown], cy[was_unknown], cz[was_unknown]] = FREE
 
 
 def integrate_points(occ_map: OccupancyMap, sensor_origin, hits) -> OccupancyMap:
@@ -253,14 +298,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits) -> OccupancyMap
     if not inside.any():
         return occ_map
     hit_cells = cells_f[inside]
-    crossed = _segment_cells(grid, origin, nudged[inside], hit_cells)
-    if len(crossed):
-        ok = np.all((crossed >= 0) & (crossed < dims), axis=1)
-        crossed = crossed[ok]
-    if len(crossed):
-        cx, cy, cz = crossed[:, 0], crossed[:, 1], crossed[:, 2]
-        unknown = occ_map.cells[cx, cy, cz] == UNKNOWN
-        occ_map.cells[cx[unknown], cy[unknown], cz[unknown]] = FREE
+    _free_along(occ_map, origin, nudged[inside], hit_cells, end_too=False)
     occ_map.cells[hit_cells[:, 0], hit_cells[:, 1], hit_cells[:, 2]] = OCCUPIED
     return occ_map
 
@@ -292,14 +330,7 @@ def carve_free(occ_map: OccupancyMap, sensor_origin, endpoints) -> OccupancyMap:
 
     end_cells = np.floor((ends - lo) / v).astype(np.int64)
     end_cells = np.clip(end_cells, 0, dims - 1)
-    crossed = _segment_cells(grid, origin, ends, end_cells)
-    cells = np.vstack([crossed, end_cells]) if len(crossed) else end_cells
-    ok = np.all((cells >= 0) & (cells < dims), axis=1)
-    cells = cells[ok]
-    if len(cells):
-        cx, cy, cz = cells[:, 0], cells[:, 1], cells[:, 2]
-        unknown = occ_map.cells[cx, cy, cz] == UNKNOWN
-        occ_map.cells[cx[unknown], cy[unknown], cz[unknown]] = FREE
+    _free_along(occ_map, origin, ends, end_cells, end_too=True)
     return occ_map
 
 

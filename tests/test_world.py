@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox,
                               OccupancyMap, OperationalVolume, VoxelGrid,
-                              build_grid, compute_operational_volume, integrate_points,
-                              load_map, merge_maps, save_map, voxel_to_world,
-                              world_to_voxel)
+                              _segment_cells, build_grid, carve_free,
+                              compute_operational_volume, integrate_points, load_map,
+                              merge_maps, save_map, voxel_to_world, world_to_voxel)
 
 STATES = (UNKNOWN, FREE, OCCUPIED)
 
@@ -191,6 +193,217 @@ def test_integration_monotone_occupied_superset():
         occupied = {tuple(c) for c in m.occupied_voxels()}
         assert previous <= occupied
         previous = occupied
+
+
+# --- the box guard and the unknown-cell cull --------------------------------
+
+def reference_segment_cells(grid, origin, ends, end_cells):
+    """The stepping loop without the box guard: each axis steps by the sign of
+    its displacement until the segment reaches its end cell or L1 + 4 rounds
+    have run.  Returns the cells and, per segment, whether it arrived."""
+    n = len(ends)
+    if n == 0:
+        return np.zeros((0, 3), dtype=np.int64), np.ones(0, dtype=bool)
+    v = grid.voxel_size
+    g0 = (origin - grid.origin_arr) / v
+    d = (ends - origin) / v
+    cur = np.tile(np.floor(g0).astype(np.int64), (n, 1))
+    last = end_cells.astype(np.int64)
+    step = np.sign(d).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        next_boundary = cur + (step > 0)
+        t_max = np.where(step != 0, (next_boundary - g0) / d, np.inf)
+        t_delta = np.where(step != 0, np.abs(1.0 / d), np.inf)
+    active = np.any(cur != last, axis=1)
+    collected = [cur[active].copy()]
+    max_iter = int(np.abs(last - cur).sum(axis=1).max(initial=0)) + 4
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        ax = np.argmin(t_max[rows], axis=1)
+        cur[rows, ax] += step[rows, ax]
+        t_max[rows, ax] += t_delta[rows, ax]
+        arrived = np.all(cur[rows] == last[rows], axis=1)
+        collected.append(cur[rows[~arrived]].copy())
+        active[rows[arrived]] = False
+    return np.vstack(collected), ~active
+
+
+def _mark_free(occ_map, cells):
+    ok = np.all((cells >= 0) & (cells < np.asarray(occ_map.grid.dims)), axis=1)
+    cx, cy, cz = cells[ok].T
+    unknown = occ_map.cells[cx, cy, cz] == UNKNOWN
+    occ_map.cells[cx[unknown], cy[unknown], cz[unknown]] = FREE
+
+
+def reference_integrate_points(occ_map, sensor_origin, hits):
+    """integrate_points with every ray traversed by the reference loop.
+    Returns the map and, per hit, whether its ray arrived (dropped hits count
+    as arrived)."""
+    hits = np.asarray(hits, dtype=float).reshape(-1, 3)
+    origin = np.asarray(sensor_origin, dtype=float)
+    grid = occ_map.grid
+    v = grid.voxel_size
+    rel = hits - origin
+    lengths = np.linalg.norm(rel, axis=1)
+    dirs = np.zeros_like(rel)
+    moving = lengths > 1e-12
+    dirs[moving] = rel[moving] / lengths[moving, None]
+    nudged = hits + dirs * (1e-6 * v)
+    cells_f = np.floor((nudged - grid.origin_arr) / v).astype(np.int64)
+    inside = np.all((cells_f >= 0) & (cells_f < np.asarray(grid.dims)), axis=1)
+    hit_cells = cells_f[inside]
+    crossed, arrived = reference_segment_cells(grid, origin, nudged[inside], hit_cells)
+    _mark_free(occ_map, crossed)
+    occ_map.cells[hit_cells[:, 0], hit_cells[:, 1], hit_cells[:, 2]] = OCCUPIED
+    all_arrived = np.ones(len(hits), dtype=bool)
+    all_arrived[inside] = arrived
+    return occ_map, all_arrived
+
+
+def reference_carve_free(occ_map, sensor_origin, endpoints):
+    """carve_free with every ray traversed by the reference loop.  Returns the
+    map and, per endpoint, whether its ray arrived."""
+    endpoints = np.asarray(endpoints, dtype=float).reshape(-1, 3)
+    origin = np.asarray(sensor_origin, dtype=float)
+    grid = occ_map.grid
+    v = grid.voxel_size
+    dims = np.asarray(grid.dims)
+    lo = grid.origin_arr
+    hi = lo + dims * v
+    rel = endpoints - origin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - origin) / rel
+        t2 = (hi - origin) / rel
+        t_exit = np.nanmin(np.fmax(t1, t2), axis=1)
+    t = np.clip(np.minimum(1.0, t_exit * (1.0 - 1e-9)), 0.0, 1.0)
+    ends = origin + rel * t[:, None]
+    end_cells = np.clip(np.floor((ends - lo) / v).astype(np.int64), 0, dims - 1)
+    crossed, arrived = reference_segment_cells(grid, origin, ends, end_cells)
+    _mark_free(occ_map, np.vstack([crossed, end_cells]))
+    return occ_map, arrived
+
+
+def partially_known_maps(dims, rng):
+    known = rng.choice((FREE, OCCUPIED), size=dims).astype(np.uint8)
+    single = known.copy()
+    single[tuple(rng.integers(0, dims))] = UNKNOWN
+    yield np.zeros(dims, dtype=np.uint8)
+    yield known
+    yield single
+    for p_unknown in (0.05, 0.3, 0.8):
+        p_known = (1.0 - p_unknown) / 2
+        yield rng.choice(STATES, size=dims, p=(p_unknown, p_known, p_known)).astype(np.uint8)
+
+
+def sensor_origins(grid, rng):
+    v, dims = grid.voxel_size, np.asarray(grid.dims)
+    lo, hi = grid.origin_arr, grid.origin_arr + dims * v
+    on_plane = rng.uniform(lo, hi)
+    on_plane[1] = lo[1] + v * rng.integers(0, dims[1])
+    yield rng.uniform(lo, hi)                          # interior
+    yield on_plane                                     # on a voxel plane
+    yield lo + v * rng.integers(0, dims, 3)            # on a voxel corner
+    yield lo - v * rng.uniform(0.2, 2.0, 3)            # below the grid
+    yield hi + v * rng.uniform(0.0, 2.0, 3)            # above the grid
+
+
+def test_cull_matches_unculled_reference_on_partially_known_maps():
+    rng = np.random.default_rng(17)
+    compared = drawn = 0
+    for grid in (VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0),
+                 VoxelGrid((-4.5, 2.0, 1.0), (5, 6, 4), 3.0)):
+        v, dims = grid.voxel_size, np.asarray(grid.dims)
+        lo, hi = grid.origin_arr, grid.origin_arr + dims * v
+        for cells in partially_known_maps(grid.dims, rng):
+            for origin in sensor_origins(grid, rng):
+                points = rng.uniform(lo - 2 * v, hi + 2 * v, (60, 3))
+                points[::2] = lo + v * np.round((points[::2] - lo) / v * 2) / 2
+                for reference, culled in ((reference_integrate_points, integrate_points),
+                                          (reference_carve_free, carve_free)):
+                    _, arrived = reference(OccupancyMap(grid, cells.copy()), origin, points)
+                    kept = points[arrived]
+                    expected, _ = reference(OccupancyMap(grid, cells.copy()), origin, kept)
+                    got = culled(OccupancyMap(grid, cells.copy()), origin, kept)
+                    assert np.array_equal(got.cells, expected.cells)
+                    compared += len(kept)
+                    drawn += len(points)
+    assert compared > 0.8 * drawn
+
+
+def test_carve_free_frees_only_cells_in_the_ray_box():
+    # the segment never goes below y = 1; the unguarded loop freed (0, 0, 1)
+    # and (0, 0, 2) after its y axis stepped past the end cell's y
+    m = make_map((8, 8, 8), voxel=1.0)
+    carve_free(m, (3.0, 2.0, 1.0), [(0.5, 1.0, 2.0)])
+    freed = {tuple(c) for c in np.argwhere(m.cells == FREE).tolist()}
+    assert (0, 0, 1) not in freed and (0, 0, 2) not in freed
+    assert all(0 <= x <= 3 and 1 <= y <= 2 and 1 <= z <= 2 for x, y, z in freed)
+    assert freed >= crossed_cells_oracle(m.grid, (3.0, 2.0, 1.0), (0.5, 1.0, 2.0))
+
+
+def test_carve_free_stays_in_box_on_random_plane_endpoints():
+    rng = np.random.default_rng(3)
+    grid = VoxelGrid((0, 0, 0), (8, 8, 8), 1.0)
+    for _ in range(3000):
+        origin = rng.uniform(0.5, 7.5, 3)
+        end = np.round(rng.uniform(0.5, 7.5, 3) * 2) / 2   # on voxel planes or mid-voxel
+        m = OccupancyMap(grid)
+        carve_free(m, origin, [end])
+        freed = np.argwhere(m.cells == FREE)
+        a, b = np.floor(origin), np.floor(origin + (end - origin))
+        assert np.all((freed >= np.minimum(a, b)) & (freed <= np.maximum(a, b)))
+        assert {tuple(c) for c in freed.tolist()} >= crossed_cells_oracle(grid, origin, end)
+
+
+def plane_or_float(n, v, upper):
+    """A coordinate on one of the voxel planes 0..upper, or anywhere in [0, n*v)."""
+    return st.one_of(st.integers(0, upper).map(lambda k: k * v),
+                     st.floats(0.0, n * v, exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dims=st.tuples(*[st.integers(1, 9)] * 3), voxel=st.sampled_from([1.0, 3.0, 6.0]),
+       data=st.data())
+def test_traversal_takes_l1_steps_inside_each_box(dims, voxel, data):
+    grid = VoxelGrid((-2.0, 5.0, 1.5), dims, voxel)
+    base = grid.origin_arr
+    origin = base + np.array([data.draw(plane_or_float(n, voxel, n - 1)) for n in dims])
+    ends = base + np.array([[data.draw(plane_or_float(n, voxel, n)) for n in dims]
+                            for _ in range(data.draw(st.integers(1, 6)))])
+    start = np.floor((origin - base) / voxel).astype(np.int64)
+
+    end_cells = np.floor((ends - base) / voxel).astype(np.int64)
+    steps = np.abs(end_cells - start).sum(axis=1)
+    per_ray = []
+    for i in range(len(ends)):
+        cells = _segment_cells(grid, origin, ends[i:i + 1], end_cells[i:i + 1])
+        assert len(cells) == steps[i]
+        assert np.all((cells >= np.minimum(start, end_cells[i]))
+                      & (cells <= np.maximum(start, end_cells[i])))
+        per_ray.append(cells)
+    together = _segment_cells(grid, origin, ends, end_cells)
+    assert (sorted(map(tuple, together.tolist()))
+            == sorted(map(tuple, np.vstack(per_ray).tolist())))
+
+    # the cells each call may change: its rays' boxes, end cells as the call sees them
+    rel = ends - origin
+    lengths = np.linalg.norm(rel, axis=1)[:, None]
+    dirs = np.divide(rel, lengths, out=np.zeros_like(rel), where=lengths > 1e-12)
+    hit_cells = np.floor((ends + dirs * (1e-6 * voxel) - base) / voxel).astype(np.int64)
+    miss_cells = np.clip(np.floor((origin + rel - base) / voxel).astype(np.int64),
+                         0, np.asarray(dims) - 1)
+    idx = np.indices(dims).reshape(3, -1).T
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    before = rng.choice(STATES, size=dims).astype(np.uint8)
+    for update, box_ends in ((integrate_points, hit_cells), (carve_free, miss_cells)):
+        boxed = np.zeros(len(idx), dtype=bool)
+        for e in box_ends:
+            boxed |= np.all((idx >= np.minimum(start, e)) & (idx <= np.maximum(start, e)), axis=1)
+        after = update(OccupancyMap(grid, before.copy()), origin, ends).cells
+        changed = (after != before).reshape(-1)
+        assert not np.any(changed & ~boxed)
 
 
 # --- merging ----------------------------------------------------------------
