@@ -308,11 +308,10 @@ def carve_free(occ_map: OccupancyMap, sensor_origin, endpoints) -> OccupancyMap:
 
     Used for range returns that saw nothing: the whole corridor out to the
     endpoint is evidence of free space, terminal voxel included.  Endpoints
-    beyond the grid are clipped at the boundary.  Occupied cells never revert.
+    beyond the grid are clipped at the boundary, and a ray that never enters
+    the grid is dropped.  Occupied cells never revert.
     """
     endpoints = np.asarray(endpoints, dtype=float).reshape(-1, 3)
-    if len(endpoints) == 0:
-        return occ_map
     origin = np.asarray(sensor_origin, dtype=float)
     grid = occ_map.grid
     v = grid.voxel_size
@@ -324,7 +323,13 @@ def carve_free(occ_map: OccupancyMap, sensor_origin, endpoints) -> OccupancyMap:
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - origin) / rel
         t2 = (hi - origin) / rel
-        t_exit = np.nanmin(np.fmax(t1, t2), axis=1)
+    # NaN, from an origin on a grid face with no motion along it, never decides
+    t_enter = np.fmax.reduce(np.fmin(t1, t2), axis=1)
+    t_exit = np.fmin.reduce(np.fmax(t1, t2), axis=1)
+    enters = (t_enter <= t_exit) & (t_exit >= 0.0) & (t_enter <= 1.0)
+    rel, t_exit = rel[enters], t_exit[enters]
+    if len(rel) == 0:
+        return occ_map
     t = np.clip(np.minimum(1.0, t_exit * (1.0 - 1e-9)), 0.0, 1.0)
     ends = origin + rel * t[:, None]
 

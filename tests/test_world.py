@@ -357,6 +357,22 @@ def test_carve_free_stays_in_box_on_random_plane_endpoints():
         assert {tuple(c) for c in freed.tolist()} >= crossed_cells_oracle(grid, origin, end)
 
 
+def test_carve_free_drops_rays_that_never_enter_the_grid():
+    # both sensors sit outside the grid and look away from it; clipping the
+    # end cell onto the grid freed (0, 0, 0), or stopped the traversal short
+    for origin, end in (((-1.0, 0.5, 0.5), (-5.0, 0.5, 0.5)),
+                        ((0.5, 0.5, -1.0), (0.5, 0.5, -5.0)),
+                        ((-5.0, 0.5, 0.5), (-1.0, 0.5, 0.5))):
+        m = make_map((4, 4, 4), voxel=1.0)
+        carve_free(m, origin, [end])
+        assert m.count(UNKNOWN) == 64
+    # a ray from outside that does enter still frees its cells
+    m = make_map((4, 4, 4), voxel=1.0)
+    carve_free(m, (-1.0, 0.5, 0.5), [(-5.0, 0.5, 0.5), (2.5, 0.5, 0.5)])
+    assert {tuple(c) for c in np.argwhere(m.cells == FREE).tolist()} == {
+        (0, 0, 0), (1, 0, 0), (2, 0, 0)}
+
+
 def plane_or_float(n, v, upper):
     """A coordinate on one of the voxel planes 0..upper, or anywhere in [0, n*v)."""
     return st.one_of(st.integers(0, upper).map(lambda k: k * v),
