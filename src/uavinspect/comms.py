@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .agents import AgentState
 from .scene import Scene, line_of_sight
 from .world import OccupancyMap, merge_maps
@@ -33,14 +35,19 @@ class NeighborSet:
 
 
 def discover_neighbors(states: list[AgentState], scene: Scene) -> NeighborSet:
-    """All unobstructed agent pairs; symmetric by construction."""
+    """All unobstructed agent pairs; symmetric by construction.
+
+    The sight lines of all pairs, each cast from the agent earlier in states,
+    go through one line_of_sight call.
+    """
+    order = np.arange(len(states))
+    first, second = np.nonzero(order[:, None] < order)      # (i, j), i < j, row by row
+    positions = np.array([s.position for s in states], dtype=float).reshape(-1, 3)
+    clear = line_of_sight(scene, positions[first], positions[second])
     peers: dict[int, set[int]] = {s.id: set() for s in states}
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            a, b = states[i], states[j]
-            if line_of_sight(scene, a.position, b.position):
-                peers[a.id].add(b.id)
-                peers[b.id].add(a.id)
+    for i, j in zip(first[clear].tolist(), second[clear].tolist()):
+        peers[states[i].id].add(states[j].id)
+        peers[states[j].id].add(states[i].id)
     return NeighborSet({k: frozenset(v) for k, v in peers.items()})
 
 

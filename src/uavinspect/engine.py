@@ -31,7 +31,7 @@ from .errors import ConfigurationError, OutOfBoundsError, PlanningError
 from .planning import (InspectionPath, Waypoint, drhlp_step, generate_waypoints,
                        mapping_paths, mtsp_assign)
 from .scene import Scene, scene_occupancy
-from .sensors import CameraConfig, LidarConfig, Observation, lidar_sweep, observe
+from .sensors import CameraConfig, LidarConfig, Observations, lidar_sweep, observe
 from .world import (FREE, UNKNOWN, OccupancyMap, build_grid, carve_free,
                     compute_operational_volume, integrate_points, save_map,
                     voxel_to_world, world_to_voxel)
@@ -103,8 +103,10 @@ class ScoreLedger:
     def __init__(self, point_ids, quality_floor: float):
         self.point_ids = np.asarray(point_ids, dtype=int)
         self.floor = float(quality_floor)
-        self._index = {int(p): i for i, p in enumerate(self.point_ids)}
-        if len(self._index) != len(self.point_ids):
+        # rows in id order: update_ledger looks ids up by binary search
+        self._by_id = np.argsort(self.point_ids, kind="stable")
+        self._sorted_ids = self.point_ids[self._by_id]
+        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
             raise ConfigurationError("interest point ids are not unique")
         n = len(self.point_ids)
         self.best_q = np.zeros(n)
@@ -116,29 +118,34 @@ class ScoreLedger:
     def num_points(self) -> int:
         return len(self.point_ids)
 
-    def index_of(self, point_id: int) -> int:
-        try:
-            return self._index[int(point_id)]
-        except KeyError:
-            raise KeyError(f"unknown interest point id {point_id}") from None
-
     def mean_best(self) -> float:
         if self.num_points == 0:
             return 0.0
         return float(self.best_q.mean())
 
 
-def update_ledger(ledger: ScoreLedger, observations: list[Observation]) -> ScoreLedger:
-    """Fold observations into the ledger.  Only qualities strictly above the
-    floor count; the per-point best is a running max."""
-    for o in observations:
-        i = ledger.index_of(o.point_id)
-        if o.q > ledger.floor:
-            ledger.counts[i] += 1
-            if o.q > ledger.best_q[i]:
-                ledger.best_q[i] = o.q
-                ledger.best_q_blur[i] = o.q_blur
-                ledger.best_q_res[i] = o.q_res
+def update_ledger(ledger: ScoreLedger, observations: Observations) -> ScoreLedger:
+    """Fold a batch of observations into the ledger, as if one at a time in
+    batch order.  Only qualities strictly above the floor count, and a
+    point's best is replaced only by a strictly higher quality, so of equal
+    qualities the first in the batch wins."""
+    ids = observations.point_id
+    pos = np.searchsorted(ledger._sorted_ids, ids)
+    known = pos < len(ledger._sorted_ids)
+    known[known] = ledger._sorted_ids[pos[known]] == ids[known]
+    if not known.all():
+        raise KeyError(f"unknown interest point id {ids[~known][0]}")
+    counted = observations.q > ledger.floor
+    rows = ledger._by_id[pos[counted]]
+    q = observations.q[counted]
+    ledger.counts += np.bincount(rows, minlength=ledger.num_points)
+    # per row, the first of its highest qualities: stable sort by row, then -q
+    order = np.lexsort((-q, rows))
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+    win = first[q[first] > ledger.best_q[rows[first]]]
+    ledger.best_q[rows[win]] = q[win]
+    ledger.best_q_blur[rows[win]] = observations.q_blur[counted][win]
+    ledger.best_q_res[rows[win]] = observations.q_res[counted][win]
     return ledger
 
 
@@ -478,12 +485,12 @@ class _Mission:
 
     def _score(self, k: int) -> None:
         if k % self.cfg.capture_stride == 0:
-            for a in self.agents:
-                obs = observe(a.state, a.gimbal, self.scene, self.cfg.camera, k)
-                for o in obs:
-                    self.observations.append(
-                        (k, a.id, o.point_id, o.q_blur, o.q_res, o.q))
-                update_ledger(self.ledger, obs)
+            obs = observe([a.state for a in self.agents], [a.gimbal for a in self.agents],
+                          self.scene, self.cfg.camera, k)
+            self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
+                                         obs.point_id.tolist(), obs.q_blur.tolist(),
+                                         obs.q_res.tolist(), obs.q.tolist()))
+            update_ledger(self.ledger, obs)
         self.score_trace.append(self.ledger.mean_best())
 
     def _audit(self, k: int) -> None:

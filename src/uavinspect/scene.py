@@ -132,34 +132,44 @@ def _bin_triangles(tris: np.ndarray):
 
 def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
                    max_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-hit distances for a bundle of rays from one shared origin.
+    """Nearest-hit distances for a bundle of rays.
 
-    origin: (3,); dirs: (n, 3) with unit directions.  Returns (hit mask,
-    distances); distance is inf where nothing was hit within max_range.
+    origin: (3,), shared by every ray, or (n, 3), one per ray; dirs: (n, 3)
+    with unit directions.  Returns (hit mask, distances); distance is inf
+    where nothing was hit within max_range.
     """
-    origin = np.asarray(origin, dtype=float).reshape(3)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    origins = np.asarray(origin, dtype=float).reshape(-1, 3)
+    if len(origins) not in (1, len(dirs)):
+        raise ConfigurationError(
+            f"{len(origins)} ray origins for {len(dirs)} rays; give one or one per ray")
     best = np.full(len(dirs), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / dirs                                        # signed inf where dir is 0
 
     if len(scene._box_lo):
-        # a NaN slab fails every test: a ray along a box face misses the box
-        tn, tf = _slabs(scene._box_lo - origin, scene._box_hi - origin, inv)
+        # a NaN slab fails every test: a ray along a box face misses the box;
+        # a shared origin stays one row and broadcasts over the rays
+        o = origins[:, None]
+        tn, tf = _slabs(scene._box_lo - o, scene._box_hi - o, inv)
         ok = (tf >= tn) & (tf > _EPS_T) & (tn <= max_range)
         t = np.where(ok, np.where(tn > _EPS_T, tn, 0.0), np.inf)
         best = np.minimum(best, t.min(axis=1))
 
     if len(scene.triangles):
-        s = origin - scene._tri_v0                              # per triangle: one origin
-        q = _cross(s, scene._tri_e1)
-        qe2 = np.einsum("tk,tk->t", scene._tri_e2, q)
-        bin_lo = scene._bin_lo - origin
-        bin_hi = scene._bin_hi - origin
+        per_triangle = None
+        if len(origins) == 1:
+            # Moller-Trumbore's s, q and qe2 depend only on the origin and the
+            # triangle: a shared origin takes them once per triangle
+            s = origins - scene._tri_v0
+            q = _cross(s, scene._tri_e1)
+            per_triangle = s, q, np.einsum("tk,tk->t", scene._tri_e2, q)
         for c in range(0, len(dirs), _RAY_CHUNK):
             rows = slice(c, c + _RAY_CHUNK)
-            ray, tri = _candidate_pairs(scene, bin_lo, bin_hi, inv[rows], max_range)
-            ray, t = _moller_trumbore(scene, s, q, qe2, dirs[rows], ray, tri, max_range)
+            o = origins if len(origins) == 1 else origins[rows]
+            ray, tri = _candidate_pairs(scene, scene._bin_lo - o[:, None],
+                                        scene._bin_hi - o[:, None], inv[rows], max_range)
+            ray, t = _moller_trumbore(scene, o, per_triangle, dirs[rows], ray, tri, max_range)
             np.minimum.at(best[rows], ray, t)                   # a view: writes into best
 
     hit = best <= max_range
@@ -168,7 +178,8 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
 
 def _slabs(lo, hi, inv):
     """Entry and exit distances, (rays, boxes), of rays through boxes given
-    relative to the ray origin.
+    relative to the ray origins: lo and hi are (1, boxes, 3) for a shared
+    origin, (rays, boxes, 3) for one origin per ray.
 
     A ray parallel to an axis whose origin lies in a box face gives
     0 * inf = NaN on that axis, and both distances come out NaN.
@@ -176,8 +187,8 @@ def _slabs(lo, hi, inv):
     tn = tf = None
     with np.errstate(invalid="ignore"):
         for k in range(3):
-            t1 = lo[None, :, k] * inv[:, k, None]
-            t2 = hi[None, :, k] * inv[:, k, None]
+            t1 = lo[:, :, k] * inv[:, k, None]
+            t2 = hi[:, :, k] * inv[:, k, None]
             n, f = np.minimum(t1, t2), np.maximum(t1, t2)
             tn = n if tn is None else np.maximum(tn, n)
             tf = f if tf is None else np.minimum(tf, f)
@@ -198,23 +209,31 @@ def _candidate_pairs(scene: Scene, bin_lo, bin_hi, inv, max_range: float):
     return np.repeat(ray, counts), scene._bin_tris[pos]
 
 
-def _moller_trumbore(scene: Scene, s, q, qe2, dirs, ray, tri, max_range: float):
+def _moller_trumbore(scene: Scene, origins, per_triangle, dirs, ray, tri,
+                     max_range: float):
     """Hits (ray index, distance) among candidate pairs, Moller-Trumbore.
 
-    s, q and qe2 depend only on the shared origin and the triangle, so they
-    come per triangle.  Pairs whose ray is parallel to the triangle's plane
-    are dropped before the division.
+    With one origin per ray, s, q and qe2 come per pair; with a shared
+    origin they are gathered from per_triangle.  A pair whose ray is
+    parallel to the triangle's plane divides by 1 instead of by its
+    near-zero determinant, and is dropped.
     """
     d = dirs[ray]
-    h = _cross(d, scene._tri_e2[tri])
-    a = np.einsum("pk,pk->p", scene._tri_e1[tri], h)
+    e1, e2 = scene._tri_e1[tri], scene._tri_e2[tri]
+    h = _cross(d, e2)
+    a = np.einsum("pk,pk->p", e1, h)
     keep = np.abs(a) > _EPS_BARY
-    ray, tri, d, h = ray[keep], tri[keep], d[keep], h[keep]
-    f = 1.0 / a[keep]
-    u = f * np.einsum("pk,pk->p", s[tri], h)
-    v = f * np.einsum("pk,pk->p", d, q[tri])
-    t = f * qe2[tri]
-    ok = ((u >= -_EPS_BARY) & (v >= -_EPS_BARY) & (u + v <= 1.0 + _EPS_BARY)
+    f = 1.0 / np.where(keep, a, 1.0)
+    if per_triangle is None:
+        s = origins[ray] - scene._tri_v0[tri]
+        q = _cross(s, e1)
+        qe2 = np.einsum("pk,pk->p", e2, q)
+    else:
+        s, q, qe2 = (x[tri] for x in per_triangle)
+    u = f * np.einsum("pk,pk->p", s, h)
+    v = f * np.einsum("pk,pk->p", d, q)
+    t = f * qe2
+    ok = (keep & (u >= -_EPS_BARY) & (v >= -_EPS_BARY) & (u + v <= 1.0 + _EPS_BARY)
           & (t > _EPS_T) & (t <= max_range))
     return ray[ok], t[ok]
 
@@ -245,51 +264,43 @@ def ray_cast(scene: Scene, origin, direction, max_range: float) -> RayHit:
     return RayHit(True, float(dist[0]), tuple(p.tolist()))
 
 
-def line_of_sight(scene: Scene, a, b) -> bool:
-    """True when nothing blocks the open segment between a and b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.linalg.norm(b - a))
-    if length < 1e-12:
-        return True
-    d = (b - a) / length
-    hit, dist = ray_cast_batch(scene, a, d[None, :], length)
-    return not (hit[0] and dist[0] < length - _EPS_LOS)
+def line_of_sight(scene: Scene, starts, ends) -> np.ndarray:
+    """Mask of the segments from starts to ends that nothing blocks.
 
-
-def _segments_clear(scene: Scene, origin: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Vectorized line_of_sight from one origin to many targets; returns a bool mask."""
-    rel = targets - origin
+    starts and ends: (n, 3) arrays, or a (3,) point shared by every segment.
+    Geometry within _EPS_LOS of a segment's far end does not block it, and a
+    segment of zero length is clear.  All segments go through one cast.
+    """
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    rel = np.asarray(ends, dtype=float).reshape(-1, 3) - starts
     lengths = np.linalg.norm(rel, axis=1)
     safe = np.where(lengths > 1e-12, lengths, 1.0)
     dirs = rel / safe[:, None]
-    hit, dist = ray_cast_batch(scene, origin, dirs, float(lengths.max(initial=0.0)) + 1.0)
+    hit, dist = ray_cast_batch(scene, starts, dirs, float(lengths.max(initial=0.0)) + 1.0)
     blocked = hit & (dist < lengths - _EPS_LOS)
     return ~blocked
 
 
-def visible_point_indices(scene: Scene, apex, candidate_mask: np.ndarray) -> np.ndarray:
-    """Indices of interest points that are front-facing and unoccluded from apex.
+def visible_point_indices(scene: Scene, apexes, candidate_mask) -> tuple[np.ndarray, np.ndarray]:
+    """(viewer, point) index pairs of interest points that are front-facing
+    and unoccluded, in viewer order, then point order.
 
-    candidate_mask preselects points (normally the camera frustum test).  Each
-    survivor is checked front-facing (its normal toward the apex) and for a
-    clear segment from the apex to the point backed off along its normal.
+    apexes: (m, 3) viewpoints; candidate_mask: (m, points) preselects points
+    per viewer (normally the camera frustum test).  Each survivor is checked
+    front-facing (its normal toward the apex) and for a clear segment from
+    the apex to the point backed off along its normal; the segments of all
+    viewers go through one line_of_sight call.
     """
-    if scene.num_points == 0:
-        return np.zeros(0, dtype=int)
-    idx = np.nonzero(candidate_mask)[0]
+    viewer, idx = np.nonzero(np.atleast_2d(candidate_mask))
+    apex = np.asarray(apexes, dtype=float).reshape(-1, 3)[viewer]
+    facing = np.einsum("nk,nk->n", scene.point_normals[idx],
+                       apex - scene.point_positions[idx]) > 0.0
+    viewer, idx, apex = viewer[facing], idx[facing], apex[facing]
     if len(idx) == 0:
-        return idx
-    apex = np.asarray(apex, dtype=float)
-    pos = scene.point_positions[idx]
-    nrm = scene.point_normals[idx]
-    facing = np.einsum("nk,nk->n", nrm, apex[None, :] - pos) > 0.0
-    idx = idx[facing]
-    if len(idx) == 0:
-        return idx
+        return viewer, idx
     targets = scene.point_positions[idx] + scene.point_normals[idx] * _EPS_BACKOFF
-    clear = _segments_clear(scene, apex, targets)
-    return idx[clear]
+    clear = line_of_sight(scene, apex, targets)
+    return viewer[clear], idx[clear]
 
 
 def visible_interest_points(scene: Scene, camera_apex, fov_test) -> list[InterestPoint]:
@@ -297,8 +308,8 @@ def visible_interest_points(scene: Scene, camera_apex, fov_test) -> list[Interes
 
     fov_test is a predicate over a world position, supplied by the sensor model.
     """
-    mask = np.array([bool(fov_test(p)) for p in scene.point_positions], dtype=bool)
-    idx = visible_point_indices(scene, camera_apex, mask)
+    mask = np.array([[bool(fov_test(p)) for p in scene.point_positions]], dtype=bool)
+    _, idx = visible_point_indices(scene, camera_apex, mask)
     return [scene.interest_point(i) for i in idx]
 
 

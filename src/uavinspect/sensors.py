@@ -71,13 +71,20 @@ class LidarConfig:
             raise ConfigurationError("servo period must be positive")
 
 
-@dataclass(frozen=True)
-class Observation:
-    point_id: int
-    q_blur: float
-    q_res: float
-    q: float
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """The fleet's camera observations of one tick, index-aligned arrays in
+    agent order, then point order; len() counts the observations."""
+
     timestep: int
+    agent: np.ndarray           # agent ids
+    point_id: np.ndarray
+    q_blur: np.ndarray
+    q_res: np.ndarray
+    q: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.q)
 
 
 def camera_axis(yaw: float, gimbal: GimbalState) -> np.ndarray:
@@ -91,27 +98,35 @@ def camera_axis(yaw: float, gimbal: GimbalState) -> np.ndarray:
 
 
 def camera_basis(axis) -> np.ndarray:
-    """Roll-free camera frame for an optical axis: columns are the world-frame
-    image-right, image-down, and forward directions.
+    """Roll-free camera frames for optical axes (..., 3): (..., 3, 3) arrays
+    whose columns are the world-frame image-right, image-down, and forward
+    directions.
 
     Image-right stays horizontal; for a perfectly vertical axis the world
     x-axis is used as image-right by convention.
     """
     z = np.asarray(axis, dtype=float)
-    z = z / np.linalg.norm(z)
-    horiz = np.array([z[1], -z[0], 0.0])
-    h = float(np.linalg.norm(horiz))
-    x = horiz / h if h > 1e-9 else np.array([1.0, 0.0, 0.0])
+    z = z / _norm(z)[..., None]
+    horiz = np.stack([z[..., 1], -z[..., 0], np.zeros_like(z[..., 0])], axis=-1)
+    h = _norm(horiz)[..., None]
+    level = h > 1e-9
+    x = np.where(level, horiz / np.where(level, h, 1.0), (1.0, 0.0, 0.0))
     y = _cross(z, x)
-    return np.column_stack([x, y, z])
+    return np.stack([x, y, z], axis=-1)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Lengths of vectors (..., 3) by the BLAS dot that np.linalg.norm takes
+    for one vector, so a stack of frames equals the frames built one by one."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def _fov_mask(p_cam: np.ndarray, dists: np.ndarray, cfg: CameraConfig) -> np.ndarray:
-    z = p_cam[:, 2]
+    z = p_cam[..., 2]
     front = z > 0.0
     with np.errstate(invalid="ignore"):
-        ah = np.abs(np.arctan2(p_cam[:, 0], z)) <= cfg.fov_h / 2.0 + _ANG_TOL
-        av = np.abs(np.arctan2(p_cam[:, 1], z)) <= cfg.fov_v / 2.0 + _ANG_TOL
+        ah = np.abs(np.arctan2(p_cam[..., 0], z)) <= cfg.fov_h / 2.0 + _ANG_TOL
+        av = np.abs(np.arctan2(p_cam[..., 1], z)) <= cfg.fov_v / 2.0 + _ANG_TOL
     return front & ah & av & (dists <= cfg.range + _ANG_TOL)
 
 
@@ -190,38 +205,35 @@ def resolution_score(p_cam, cfg: CameraConfig) -> float:
     return float(_resolution_batch(p[None, :], cfg)[0])
 
 
-def observe(agent: AgentState, gimbal: GimbalState, scene: Scene,
-            cfg: CameraConfig, k: int) -> list[Observation]:
-    """Score every interest point currently visible to this agent's camera.
+def observe(states: list[AgentState], gimbals: list[GimbalState], scene: Scene,
+            cfg: CameraConfig, k: int) -> Observations:
+    """Score every interest point each agent's camera currently sees.
 
-    Visibility requires the view pyramid, a front-facing surface normal, and a
-    clear sight line.  The point velocity entering the blur score is the
-    camera-frame image of the (static) point relative to the moving agent.
-    Observations with zero quality are dropped; the quality floor is applied
-    later by the score ledger, not here.
+    states and gimbals are the fleet's, index-aligned.  Visibility requires
+    the view pyramid, a front-facing surface normal, and a clear sight line;
+    the sight lines of the whole fleet go through one visibility call.  The
+    point velocity entering the blur score is the camera-frame image of the
+    (static) point relative to the moving agent.  Observations with zero
+    quality are dropped; the quality floor is applied later by the score
+    ledger, not here.
     """
-    if scene.num_points == 0:
-        return []
-    apex = agent.position
-    axis = camera_axis(agent.yaw, gimbal)
-    basis = camera_basis(axis)
-    rel = scene.point_positions - apex
-    p_cam = rel @ basis
-    dists = np.linalg.norm(rel, axis=1)
-    candidates = _fov_mask(p_cam, dists, cfg)
-    idx = visible_point_indices(scene, apex, candidates)
-    if len(idx) == 0:
-        return []
-    v_cam = -(agent.velocity @ basis)
-    qb = _blur_batch(p_cam[idx], v_cam, cfg)
-    qr = _resolution_batch(p_cam[idx], cfg)
+    apexes = np.array([s.position for s in states], dtype=float).reshape(-1, 3)
+    velocities = np.array([s.velocity for s in states], dtype=float).reshape(-1, 1, 3)
+    bases = camera_basis(np.array([camera_axis(s.yaw, g) for s, g in zip(states, gimbals)])
+                         .reshape(-1, 3))
+    v_cam = -(velocities @ bases)[:, 0]
+    rel = scene.point_positions[None, :, :] - apexes[:, None, :]
+    p_cam = rel @ bases                                         # (agents, points, 3)
+    candidates = _fov_mask(p_cam, np.linalg.norm(rel, axis=2), cfg)
+    agent, idx = visible_point_indices(scene, apexes, candidates)
+    p_cam = p_cam[agent, idx]
+    qb = _blur_batch(p_cam, v_cam[agent], cfg)
+    qr = _resolution_batch(p_cam, cfg)
     q = qb * qr
-    out = []
-    for j, i in enumerate(idx):
-        if q[j] > 0.0:
-            out.append(Observation(int(scene.point_ids[i]), float(qb[j]),
-                                   float(qr[j]), float(q[j]), k))
-    return out
+    keep = q > 0.0
+    ids = np.array([s.id for s in states], dtype=int)
+    return Observations(k, ids[agent[keep]], scene.point_ids[idx[keep]],
+                        qb[keep], qr[keep], q[keep])
 
 
 def servo_angle(t: float, cfg: LidarConfig) -> float:

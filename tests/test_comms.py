@@ -5,6 +5,8 @@ from uavinspect.comms import discover_neighbors, exchange_and_merge
 from uavinspect.scene import Scene
 from uavinspect.world import FREE, OCCUPIED, BoundingBox, OccupancyMap, VoxelGrid
 
+from test_scene import reference_line_of_sight
+
 
 def agents_at(*positions):
     return [AgentState(i, "photographer", np.array(p, dtype=float))
@@ -66,6 +68,34 @@ def test_chain_topology_is_a_chain():
     assert n.of(1) == {0, 2}
     assert n.of(2) == {1, 3}
     assert n.of(3) == {2}
+
+
+def reference_neighbors(states, scene):
+    """Each agent pair cast on its own: the oracle for discover_neighbors."""
+    peers = {s.id: set() for s in states}
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            a, b = states[i], states[j]
+            if reference_line_of_sight(scene, a.position, b.position):
+                peers[a.id].add(b.id)
+                peers[b.id].add(a.id)
+    return peers
+
+
+def test_neighbors_equal_pairwise_reference():
+    rng = np.random.default_rng(59)
+    tris = rng.uniform(-8, 8, (12, 3, 3))
+    scenes = [chain_scene(), Scene(solid_boxes=chain_scene().solid_boxes, triangles=tris),
+              Scene(triangles=tris)]
+    for scene in scenes:
+        for n in (0, 1, 2, 3, 6, 9):
+            for _ in range(15):
+                pos = rng.uniform(-6, 8, (n, 3))
+                pos[::3, 2] = 0.5                               # level pairs
+                pos[1::4, 1] = scene._box_lo[0, 1] if len(scene._box_lo) else 0.0
+                states = [AgentState(2 * i + 5, "photographer", p) for i, p in enumerate(pos)]
+                got = discover_neighbors(states, scene)
+                assert {s.id: set(got.of(s.id)) for s in states} == reference_neighbors(states, scene)
 
 
 def test_fully_connected_round_makes_maps_identical():

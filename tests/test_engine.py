@@ -4,20 +4,44 @@ import math
 import numpy as np
 import pytest
 
-from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger,
+from uavinspect.comms import NeighborSet
+from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                average_quality_trace, inspection_score,
                                intensity_heatmap, run_mission, update_ledger,
                                write_outputs)
 from uavinspect.errors import ConfigurationError
 from uavinspect.scene import InterestPoint, Scene, scatter_box_face_points
-from uavinspect.sensors import CameraConfig, LidarConfig, Observation
+from uavinspect.sensors import CameraConfig, LidarConfig, Observations
 from uavinspect.world import BoundingBox, load_map
 
 
-def obs(pid, q, qb=None, qr=None, k=0):
+def obs(pid, q, qb=None, qr=None):
+    """One observation as (point id, q_blur, q_res, q)."""
     qb = q if qb is None else qb
     qr = 1.0 if qr is None else qr
-    return Observation(pid, qb, qr, q, k)
+    return (pid, qb, qr, q)
+
+
+def frame(*observations, k=0):
+    """A batch of observations, all by agent 0, in the given order."""
+    rows = np.array([o[1:] for o in observations], dtype=float).reshape(-1, 3)
+    return Observations(k, np.zeros(len(rows), dtype=int),
+                        np.array([o[0] for o in observations], dtype=int),
+                        rows[:, 0], rows[:, 1], rows[:, 2])
+
+
+def reference_update_ledger(ledger, observations):
+    """The ledger fold one observation at a time: the oracle for update_ledger."""
+    index = {int(p): i for i, p in enumerate(ledger.point_ids)}
+    for pid, qb, qr, q in observations:
+        i = index[pid]
+        if q > ledger.floor:
+            ledger.counts[i] += 1
+            if q > ledger.best_q[i]:
+                ledger.best_q[i] = q
+                ledger.best_q_blur[i] = qb
+                ledger.best_q_res[i] = qr
+    return ledger
 
 
 def small_scene(num_points=12, seed=5):
@@ -44,32 +68,32 @@ def small_config(duration=60.0, **kw):
 
 def test_ledger_keeps_the_best_quality():
     led = ScoreLedger([0, 1], quality_floor=0.1)
-    update_ledger(led, [obs(0, 0.5)])
-    update_ledger(led, [obs(0, 0.3)])
+    update_ledger(led, frame(obs(0, 0.5)))
+    update_ledger(led, frame(obs(0, 0.3)))
     assert led.best_q[0] == 0.5
     assert led.counts[0] == 2
 
 
 def test_ledger_takes_max_over_agents_within_a_tick():
     led = ScoreLedger([0], quality_floor=0.1)
-    update_ledger(led, [obs(0, 0.5), obs(0, 0.8)])
+    update_ledger(led, frame(obs(0, 0.5), obs(0, 0.8)))
     assert led.best_q[0] == 0.8
 
 
 def test_ledger_floor_is_strict():
     led = ScoreLedger([0], quality_floor=0.3)
-    update_ledger(led, [obs(0, 0.3)])
+    update_ledger(led, frame(obs(0, 0.3)))
     assert led.best_q[0] == 0.0
     assert led.counts[0] == 0
-    update_ledger(led, [obs(0, 0.300001)])
+    update_ledger(led, frame(obs(0, 0.300001)))
     assert led.counts[0] == 1
 
 
 def test_ledger_tracks_component_scores_of_best_frame():
     led = ScoreLedger([0], quality_floor=0.0)
-    update_ledger(led, [obs(0, 0.4, qb=0.8, qr=0.5)])
-    update_ledger(led, [obs(0, 0.6, qb=0.6, qr=1.0)])
-    update_ledger(led, [obs(0, 0.5, qb=0.5, qr=1.0)])
+    update_ledger(led, frame(obs(0, 0.4, qb=0.8, qr=0.5)))
+    update_ledger(led, frame(obs(0, 0.6, qb=0.6, qr=1.0)))
+    update_ledger(led, frame(obs(0, 0.5, qb=0.5, qr=1.0)))
     assert led.best_q[0] == 0.6
     assert led.best_q_blur[0] == 0.6
     assert led.best_q_res[0] == 1.0
@@ -78,7 +102,7 @@ def test_ledger_tracks_component_scores_of_best_frame():
 def test_ledger_rejects_unknown_point():
     led = ScoreLedger([0, 1], quality_floor=0.1)
     with pytest.raises(KeyError):
-        update_ledger(led, [obs(7, 0.5)])
+        update_ledger(led, frame(obs(7, 0.5)))
 
 
 def test_ledger_rejects_duplicate_ids():
@@ -88,7 +112,7 @@ def test_ledger_rejects_duplicate_ids():
 
 def test_inspection_score_sums_best():
     led = ScoreLedger([0, 1, 2], quality_floor=0.0)
-    update_ledger(led, [obs(0, 1.0), obs(1, 0.5)])
+    update_ledger(led, frame(obs(0, 1.0), obs(1, 0.5)))
     assert inspection_score(led) == pytest.approx(1.5)
     assert inspection_score(ScoreLedger([], 0.1)) == 0.0
 
@@ -101,22 +125,53 @@ def test_score_matches_log_replay_on_random_streams():
         led = ScoreLedger(range(n), quality_floor=floor)
         log = []
         for k in range(40):
-            frame = []
+            batch = []
             for pid in rng.integers(0, n, size=rng.integers(0, 6)):
                 q = float(rng.uniform(0, 1))
-                frame.append(obs(int(pid), q, k=k))
+                batch.append(obs(int(pid), q))
                 log.append((int(pid), q))
-            update_ledger(led, frame)
+            update_ledger(led, frame(*batch, k=k))
         best = [max([q for p, q in log if p == pid and q > floor], default=0.0)
                 for pid in range(n)]
         assert inspection_score(led) == math.fsum(best)
+
+
+def test_ledger_tie_goes_to_the_first_observation():
+    led = ScoreLedger([0], quality_floor=0.1)
+    update_ledger(led, frame(obs(0, 0.5, qb=0.5, qr=1.0), obs(0, 0.5, qb=1.0, qr=0.5)))
+    assert (led.best_q_blur[0], led.best_q_res[0], led.counts[0]) == (0.5, 1.0, 2)
+    # an equal quality in a later batch does not replace the best either
+    update_ledger(led, frame(obs(0, 0.5, qb=1.0, qr=0.5)))
+    assert (led.best_q_blur[0], led.best_q_res[0], led.counts[0]) == (0.5, 1.0, 3)
+
+
+def test_ledger_fold_equals_sequential_reference():
+    rng = np.random.default_rng(89)
+    levels = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])     # few values: many ties
+    for trial in range(60):
+        n = int(rng.integers(1, 12))
+        ids = rng.permutation(np.arange(0, 5 * n, 5))       # unsorted, non-contiguous
+        floor = float(rng.choice(levels[:4]))
+        led = ScoreLedger(ids, quality_floor=floor)
+        ref = ScoreLedger(ids, quality_floor=floor)
+        for k in range(20):
+            size = int(rng.integers(0, 3 * n))
+            q = rng.choice(levels, size) if trial % 2 else rng.uniform(0, 1, size)
+            q[rng.random(size) < 0.2] = floor                 # exactly at the floor
+            batch = [(int(p), float(b), float(r), float(x))
+                     for p, b, r, x in zip(rng.choice(ids, size), rng.random(size),
+                                           rng.random(size), q)]
+            update_ledger(led, frame(*batch, k=k))
+            reference_update_ledger(ref, batch)
+            for field in ("best_q", "best_q_blur", "best_q_res", "counts"):
+                assert np.array_equal(getattr(led, field), getattr(ref, field)), field
 
 
 def test_heatmap_counts_and_unobserved_points():
     scene = Scene(interest_points=[InterestPoint(0, (0, 0, 0), (1, 0, 0)),
                                    InterestPoint(1, (1, 0, 0), (1, 0, 0))])
     led = ScoreLedger([0, 1], quality_floor=0.1)
-    update_ledger(led, [obs(0, 0.5), obs(0, 0.7), obs(0, 0.05)])
+    update_ledger(led, frame(obs(0, 0.5), obs(0, 0.7), obs(0, 0.05)))
     rows = intensity_heatmap(led, scene)
     assert rows[0][:1] == (0,) and rows[0][4] == 2 and rows[0][5] == 0.7
     assert rows[1][4] == 0 and rows[1][5] == 0.0
@@ -279,6 +334,18 @@ def test_survey_abandons_points_it_cannot_see_a_way_to():
     ]
     assert not any("completes epoch" in e for e in res.plan_events)
     assert res.phase_change_ticks[0] < res.phase_change_ticks[1]
+
+
+def test_survey_goal_underfoot_keeps_the_blocked_replan_count():
+    # pins today's rule: reaching a survey goal by standing on it advances the
+    # route but, unlike entering a new voxel, does not reset blocked_replans
+    mission = _Mission(small_config(), small_scene())
+    a = mission.agents[0]
+    a.voxel = a.sigma.waypoints[0].voxel
+    a.blocked_replans = 2
+    mission._follow(a, NeighborSet({}), 0)
+    assert a.cursor == 1 and a.segment
+    assert a.blocked_replans == 2
 
 
 def test_capture_stride_thins_observations():

@@ -5,8 +5,10 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 
 from uavinspect.engine import AgentSpec, MissionConfig, run_mission
+from uavinspect.errors import ConfigurationError
 from uavinspect.scene import InterestPoint, Scene, ray_cast_batch, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, _base_directions
 from uavinspect.world import BoundingBox, VoxelGrid
@@ -163,6 +165,49 @@ def test_boxes_and_triangles_equal_dense_reference():
     origins += [np.array([b.lo[0], rng.uniform(-10, 10), b.hi[2]]) for b in boxes]
     for origin in origins:
         assert_matches_dense(scene, origin, dirs, 40.0)
+
+
+def test_multi_origin_cast_equals_one_call_per_origin():
+    rng = np.random.default_rng(34)
+    tower = prism_triangles((0.0, 0.0), 4.0, 8.0, sides=8, rings=3)
+    boxes = [BoundingBox((-10.0, -10.0, -2.0), (-6.0, -4.0, 3.0)),
+             BoundingBox((5.0, -3.0, 0.0), (7.0, 9.0, 4.0))]
+    scenes = [Scene(solid_boxes=boxes), Scene(triangles=tower),
+              Scene(solid_boxes=boxes, triangles=tower),
+              Scene(triangles=rng.uniform(-8, 8, (40, 3, 3)))]
+    for scene in scenes:
+        corners = np.vstack([scene._box_lo, scene._box_hi, scene._bin_lo, scene._bin_hi])
+        origins = [rng.uniform(-12, 12, 3) for _ in range(4)]
+        # on box faces and corners, on bin planes, at a triangle vertex
+        origins += [np.where(rng.random(3) < 0.5, corners[rng.integers(len(corners))],
+                             rng.uniform(-12, 12, 3)) for _ in range(6)]
+        origins += [corners[0], corners[-1]]
+        if len(scene.triangles):
+            origins.append(scene.triangles[3, 1])
+        # a bundle per origin, over 512 rays in all so that the cast takes
+        # several rounds, each with rays of several origins
+        bundles = [awkward_directions(rng, 20) for _ in origins]
+        each = np.vstack([np.tile(o, (len(d), 1)) for o, d in zip(origins, bundles)])
+        dirs = np.vstack(bundles)
+        perm = rng.permutation(len(dirs))
+        assert len(dirs) > 2 * 512
+        for max_range in (3.0, 30.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                hit, dist = ray_cast_batch(scene, each[perm], dirs[perm], max_range)
+                row = 0
+                for o, d in zip(origins, bundles):
+                    ref_hit, ref_dist = ray_cast_batch(scene, o, d, max_range)
+                    rows = np.argsort(perm)[row:row + len(d)]
+                    assert np.array_equal(hit[rows], ref_hit)
+                    assert np.array_equal(dist[rows], ref_dist)
+                    row += len(d)
+            assert hit.any() and not hit.all()
+
+
+def test_cast_rejects_a_mismatched_origin_count():
+    with pytest.raises(ConfigurationError):
+        ray_cast_batch(Scene(), np.zeros((2, 3)), np.eye(3), 10.0)
 
 
 def test_parallel_and_in_plane_rays_raise_no_warning():

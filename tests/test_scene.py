@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from uavinspect.errors import ConfigurationError
 from uavinspect.scene import (InterestPoint, Scene, line_of_sight,
-                              ray_cast, scatter_box_face_points,
+                              ray_cast, ray_cast_batch, scatter_box_face_points,
                               scene_occupancy, visible_interest_points)
 from uavinspect.world import BoundingBox, VoxelGrid
 
@@ -128,14 +129,13 @@ def test_ray_distance_never_exceeds_max_range_and_is_subset_monotone():
 def test_los_empty_scene_everywhere():
     empty = Scene()
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, b = rng.uniform(-50, 50, (2, 3))
-        assert line_of_sight(empty, a, b)
+    pairs = rng.uniform(-50, 50, (20, 2, 3))
+    assert line_of_sight(empty, pairs[:, 0], pairs[:, 1]).all()
 
 
 def test_los_blocked_by_wall():
-    assert not line_of_sight(wall_scene(), (0, 0, 0), (20, 0, 0))
-    assert line_of_sight(wall_scene(), (0, 0, 0), (5, 0, 0))
+    got = line_of_sight(wall_scene(), [(0, 0, 0), (0, 0, 0)], [(20, 0, 0), (5, 0, 0)])
+    assert got.tolist() == [False, True]
 
 
 def test_los_symmetric_1000_random_pairs():
@@ -144,10 +144,62 @@ def test_los_symmetric_1000_random_pairs():
         BoundingBox((4, -1, -1), (6, 9, 9)),
     ])
     rng = np.random.default_rng(23)
-    for _ in range(1000):
-        a = rng.uniform(-12, 12, 3)
-        b = rng.uniform(-12, 12, 3)
-        assert line_of_sight(scene, a, b) == line_of_sight(scene, b, a)
+    pairs = rng.uniform(-12, 12, (1000, 2, 3))
+    a, b = pairs[:, 0], pairs[:, 1]
+    assert np.array_equal(line_of_sight(scene, a, b), line_of_sight(scene, b, a))
+
+
+def reference_line_of_sight(scene, a, b):
+    """One segment per cast, its length by np.linalg.norm of one vector: the
+    pairwise oracle for line_of_sight."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    length = float(np.linalg.norm(b - a))
+    if length < 1e-12:
+        return True
+    d = (b - a) / length
+    hit, dist = ray_cast_batch(scene, a, d[None, :], length)
+    return not (hit[0] and dist[0] < length - 1e-6)
+
+
+def awkward_segments(scene, rng, count):
+    """Random segments plus ones that graze the scene: ends on box faces,
+    corners and triangle vertices, segments lying in box faces, starts
+    inside boxes, and coincident ends."""
+    lo = scene._box_lo
+    hi = scene._box_hi
+    corners = np.vstack([lo, hi, scene.triangles.reshape(-1, 3)])
+    starts = rng.uniform(-15, 15, (count, 3))
+    ends = rng.uniform(-15, 15, (count, 3))
+    k = rng.integers(0, 3, count)
+    box = rng.integers(0, len(lo), count)
+    on_face = ends.copy()
+    on_face[np.arange(count), k] = np.where(rng.random(count) < 0.5, lo[box, k], hi[box, k])
+    in_face = on_face.copy()
+    other = (k + 1) % 3
+    in_face[np.arange(count), other] = rng.uniform(lo[box, other], hi[box, other])
+    along = in_face.copy()
+    along[np.arange(count), (k + 2) % 3] = rng.uniform(-15, 15, count)
+    inside = rng.uniform(lo[box], hi[box])
+    pick = corners[rng.integers(0, len(corners), (count, 2))]
+    return (np.vstack([starts, starts, in_face, inside, pick[:, 0], starts, on_face]),
+            np.vstack([ends, on_face, along, ends, pick[:, 1], starts, on_face]))
+
+
+def test_array_los_equals_pairwise_reference():
+    rng = np.random.default_rng(29)
+    for trial in range(12):
+        lo = np.round(rng.uniform(-10, 8, (4, 3)))
+        boxes = [BoundingBox(tuple(l), tuple(l + np.round(rng.uniform(1, 6, 3))))
+                 for l in lo]
+        tris = rng.uniform(-12, 12, (int(rng.integers(0, 30)), 3, 3))
+        scene = Scene(solid_boxes=boxes, triangles=tris if trial % 3 else None)
+        a, b = awkward_segments(scene, rng, 150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = line_of_sight(scene, a, b)
+        assert got.tolist() == [reference_line_of_sight(scene, p, q) for p, q in zip(a, b)]
+    assert line_of_sight(scene, np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
 
 
 # --- interest point visibility ----------------------------------------------

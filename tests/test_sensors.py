@@ -1,13 +1,14 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from uavinspect.agents import AgentState, GimbalState
 from uavinspect.errors import ConfigurationError, ProjectionError
-from uavinspect.scene import InterestPoint, Scene
-from uavinspect.sensors import (CameraConfig, LidarConfig,
-                                blur_score, camera_axis, camera_basis,
+from uavinspect.scene import InterestPoint, Scene, ray_cast_batch, scatter_box_face_points
+from uavinspect.sensors import (CameraConfig, LidarConfig, _blur_batch, _fov_mask,
+                                _resolution_batch, blur_score, camera_axis, camera_basis,
                                 fov_contains, lidar_scan, observe, project,
                                 resolution_score, servo_angle)
 from uavinspect.world import BoundingBox
@@ -47,20 +48,25 @@ def test_camera_basis_is_orthonormal_and_right_handed():
         assert np.allclose(z, axis)
 
 
-def test_camera_basis_equals_np_cross_reference():
-    def reference(axis):
-        z = np.asarray(axis, dtype=float)
-        z = z / np.linalg.norm(z)
-        horiz = np.array([z[1], -z[0], 0.0])
-        h = float(np.linalg.norm(horiz))
-        x = horiz / h if h > 1e-9 else np.array([1.0, 0.0, 0.0])
-        return np.column_stack([x, np.cross(z, x), z])
+def reference_basis(axis):
+    """The camera frame of one axis, by np.linalg.norm and np.cross."""
+    z = np.asarray(axis, dtype=float)
+    z = z / np.linalg.norm(z)
+    horiz = np.array([z[1], -z[0], 0.0])
+    h = float(np.linalg.norm(horiz))
+    x = horiz / h if h > 1e-9 else np.array([1.0, 0.0, 0.0])
+    return np.column_stack([x, np.cross(z, x), z])
 
+
+def test_camera_basis_equals_np_cross_reference():
     rng = np.random.default_rng(5)
     axes = list(rng.normal(size=(2000, 3)) * rng.uniform(1e-3, 1e3, (2000, 1)))
     axes += [(0, 0, 1), (0, 0, -1), (0, 0, 7.5), (1e-12, 0, -1), (0, -1e-10, 3)]
     for axis in axes:
-        assert np.array_equal(camera_basis(axis), reference(axis))
+        assert np.array_equal(camera_basis(axis), reference_basis(axis))
+    # a stack of axes gives the frames one by one
+    stacked = camera_basis(np.array(axes))
+    assert all(np.array_equal(b, reference_basis(a)) for b, a in zip(stacked, axes))
 
 
 # --- field of view --------------------------------------------------------------
@@ -182,9 +188,65 @@ def on_axis_scene(distance, normal=(-1.0, 0.0, 0.0)):
     return Scene(interest_points=[InterestPoint(0, (distance, 0.0, 0.0), normal)])
 
 
+@dataclass(frozen=True)
+class Observation:
+    """One scored point, as the per-agent reference reports it."""
+
+    point_id: int
+    q_blur: float
+    q_res: float
+    q: float
+    timestep: int
+
+
+def reference_visible(scene, apex, candidate_mask):
+    """Visible candidates of one viewpoint, its sight lines cast from the one
+    shared apex: the oracle for the fleet's visibility call."""
+    idx = np.nonzero(candidate_mask)[0]
+    apex = np.asarray(apex, dtype=float)
+    facing = np.einsum("nk,nk->n", scene.point_normals[idx],
+                       apex[None, :] - scene.point_positions[idx]) > 0.0
+    idx = idx[facing]
+    if len(idx) == 0:
+        return idx
+    rel = scene.point_positions[idx] + scene.point_normals[idx] * 1e-3 - apex
+    lengths = np.linalg.norm(rel, axis=1)
+    safe = np.where(lengths > 1e-12, lengths, 1.0)
+    hit, dist = ray_cast_batch(scene, apex, rel / safe[:, None],
+                               float(lengths.max(initial=0.0)) + 1.0)
+    return idx[~(hit & (dist < lengths - 1e-6))]
+
+
+def reference_observe(a, gimbal, scene, cfg, k):
+    """observe for one agent at a time: the oracle for the fleet's observe."""
+    if scene.num_points == 0:
+        return []
+    basis = reference_basis(camera_axis(a.yaw, gimbal))
+    rel = scene.point_positions - a.position
+    p_cam = rel @ basis
+    candidates = _fov_mask(p_cam, np.linalg.norm(rel, axis=1), cfg)
+    idx = reference_visible(scene, a.position, candidates)
+    if len(idx) == 0:
+        return []
+    v_cam = -(a.velocity @ basis)
+    qb = _blur_batch(p_cam[idx], v_cam, cfg)
+    qr = _resolution_batch(p_cam[idx], cfg)
+    q = qb * qr
+    return [Observation(int(scene.point_ids[i]), float(qb[j]), float(qr[j]), float(q[j]), k)
+            for j, i in enumerate(idx) if q[j] > 0.0]
+
+
+def observe_one(a, gimbal, scene, cfg, k):
+    """observe for a fleet of one, as Observation rows."""
+    obs = observe([a], [gimbal], scene, cfg, k)
+    assert obs.agent.tolist() == [a.id] * len(obs)
+    return [Observation(*row, obs.timestep) for row in zip(
+        obs.point_id.tolist(), obs.q_blur.tolist(), obs.q_res.tolist(), obs.q.tolist())]
+
+
 def test_hovering_agent_perfect_observation():
     c = cam(focal=1000.0, desired_resolution=0.04)
-    obs = observe(agent(), GimbalState(), on_axis_scene(20.0), c, k=3)
+    obs = observe_one(agent(), GimbalState(), on_axis_scene(20.0), c, k=3)
     assert len(obs) == 1
     assert obs[0].point_id == 0
     assert obs[0].q == 1.0
@@ -194,7 +256,7 @@ def test_hovering_agent_perfect_observation():
 
 def test_lateral_motion_composes_blur_and_resolution():
     c = cam(exposure=0.1, focal=1000.0, desired_resolution=0.04)
-    obs = observe(agent(vel=(0, 1.0, 0)), GimbalState(), on_axis_scene(10.0), c, k=0)
+    obs = observe_one(agent(vel=(0, 1.0, 0)), GimbalState(), on_axis_scene(10.0), c, k=0)
     assert len(obs) == 1
     expected_res = resolution_score((0, 0, 10.0), c)
     assert obs[0].q_blur == pytest.approx(0.1, abs=1e-12)
@@ -204,7 +266,7 @@ def test_lateral_motion_composes_blur_and_resolution():
 def test_point_outside_fov_absent():
     c = cam()
     scene = Scene(interest_points=[InterestPoint(0, (0.0, 50.0, 0.0), (0.0, -1.0, 0.0))])
-    assert observe(agent(), GimbalState(), scene, c, k=0) == []
+    assert observe_one(agent(), GimbalState(), scene, c, k=0) == []
 
 
 def test_occluded_point_absent():
@@ -213,7 +275,7 @@ def test_occluded_point_absent():
         solid_boxes=[BoundingBox((5, -2, -2), (6, 2, 2))],
         interest_points=[InterestPoint(0, (20.0, 0.0, 0.0), (-1.0, 0.0, 0.0))],
     )
-    assert observe(agent(), GimbalState(), scene, c, k=0) == []
+    assert observe_one(agent(), GimbalState(), scene, c, k=0) == []
 
 
 def test_observe_subset_of_points_and_deterministic():
@@ -227,8 +289,8 @@ def test_observe_subset_of_points_and_deterministic():
                   interest_points=pts)
     a = agent(vel=(0.4, -0.2, 0.1), yaw=0.3)
     g = GimbalState(inclination=-0.2, azimuth=0.4)
-    o1 = observe(a, g, scene, cam(), k=7)
-    o2 = observe(a, g, scene, cam(), k=7)
+    o1 = observe_one(a, g, scene, cam(), k=7)
+    o2 = observe_one(a, g, scene, cam(), k=7)
     assert o1 == o2
     ids = {o.point_id for o in o1}
     assert ids <= set(range(60))
@@ -268,11 +330,59 @@ def test_observe_agrees_with_public_fov_predicate():
         if qb * qr > 0.0:
             expected[p.id] = (qb, qr)
 
-    got = {o.point_id: (o.q_blur, o.q_res) for o in observe(a, g, scene, c, k=0)}
+    got = {o.point_id: (o.q_blur, o.q_res) for o in observe_one(a, g, scene, c, k=0)}
     assert got.keys() == expected.keys()
     for pid in got:
         assert got[pid][0] == pytest.approx(expected[pid][0], abs=1e-12)
         assert got[pid][1] == pytest.approx(expected[pid][1], abs=1e-12)
+
+
+def fleet_scene(rng):
+    """Boxes, a triangle wedge, points on the box faces and loose points."""
+    boxes = [BoundingBox((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)),
+             BoundingBox((9.0, -2.0, -6.0), (11.0, 6.0, 2.0))]
+    pts = scatter_box_face_points(boxes[0], 120, seed=int(rng.integers(1000)))
+    for i in range(60):
+        n = rng.normal(size=3)
+        pts.append(InterestPoint(200 + i, tuple(rng.uniform(-15, 15, 3)),
+                                 tuple(n / np.linalg.norm(n))))
+    wedge = np.array([[(-12.0, -8.0, -3.0), (-12.0, 8.0, -3.0), (-6.0, 0.0, 6.0)],
+                      [(-12.0, 8.0, -3.0), (-12.0, -8.0, -3.0), (-14.0, 0.0, 5.0)]])
+    return Scene(solid_boxes=boxes, triangles=wedge, interest_points=pts)
+
+
+@pytest.mark.parametrize("n_agents", [1, 3, 6])
+def test_fleet_observe_equals_per_agent_reference(n_agents):
+    rng = np.random.default_rng(60 + n_agents)
+    c = cam(exposure=0.02, range=40.0)
+    total = 0
+    for trial in range(10):
+        scene = fleet_scene(rng)
+        states, gimbals = [], []
+        for i in range(n_agents):
+            pos = rng.uniform(-25, 25, 3)
+            look = -pos + rng.normal(size=3)                  # roughly at the boxes
+            states.append(AgentState(3 * i + 1, "photographer", pos,
+                                     math.atan2(look[1], look[0]), rng.normal(size=3)))
+            gimbals.append(GimbalState(inclination=float(rng.uniform(-0.8, 0.5)),
+                                       azimuth=float(rng.uniform(-0.4, 0.4))))
+        got = observe(states, gimbals, scene, c, k=trial)
+        expected = [(s.id, o) for s, g in zip(states, gimbals)
+                    for o in reference_observe(s, g, scene, c, trial)]
+        assert len(got) == len(expected) and got.timestep == trial
+        assert got.agent.tolist() == [aid for aid, _ in expected]
+        assert got.point_id.tolist() == [o.point_id for _, o in expected]
+        assert got.q_blur.tolist() == [o.q_blur for _, o in expected]
+        assert got.q_res.tolist() == [o.q_res for _, o in expected]
+        assert got.q.tolist() == [o.q for _, o in expected]
+        total += len(got)
+    assert total > 100 * n_agents
+
+
+def test_observe_without_points_or_agents_is_empty():
+    a, g = agent(), GimbalState()
+    assert len(observe([a], [g], Scene(), cam(), k=0)) == 0
+    assert len(observe([], [], on_axis_scene(10.0), cam(), k=0)) == 0
 
 
 # --- servo and lidar ------------------------------------------------------------------------
