@@ -3,14 +3,14 @@
 __version__ = "0.1.0"
 
 from .engine import (AgentSpec, MissionConfig, MissionResult, ScoreLedger,
-                     average_quality_trace, inspection_score, intensity_heatmap,
-                     run_mission, update_ledger, write_outputs)
+                     inspection_score, intensity_heatmap, run_mission,
+                     update_ledger, write_outputs)
 from .scene import InterestPoint, Scene
-from .world import BoundingBox, OccupancyMap, OperationalVolume, VoxelGrid
+from .world import BoundingBox, OccupancyMap, VoxelGrid
 
 __all__ = [
     "AgentSpec", "BoundingBox", "InterestPoint", "MissionConfig",
-    "MissionResult", "OccupancyMap", "OperationalVolume", "Scene",
-    "ScoreLedger", "VoxelGrid", "average_quality_trace", "inspection_score",
-    "intensity_heatmap", "run_mission", "update_ledger", "write_outputs",
+    "MissionResult", "OccupancyMap", "Scene", "ScoreLedger", "VoxelGrid",
+    "inspection_score", "intensity_heatmap", "run_mission", "update_ledger",
+    "write_outputs",
 ]

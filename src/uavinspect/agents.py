@@ -19,6 +19,11 @@ EXPLORER = "explorer"
 PHOTOGRAPHER = "photographer"
 KINDS = (EXPLORER, PHOTOGRAPHER)
 
+# PD yaw-tracking gains and yaw-acceleration limit (rad/s^2)
+_YAW_KP = 1.0
+_YAW_KD = 2.2
+_ALPHA_MAX = 2.0
+
 
 @dataclass
 class AgentState:
@@ -83,9 +88,6 @@ class TrackingConfig:
     kp: float = 1.0
     kd: float = 2.2
     a_max: float = 4.0
-    yaw_kp: float = 1.0
-    yaw_kd: float = 2.2
-    alpha_max: float = 2.0
 
 
 def step_dynamics(state: AgentState, u: ControlInput, dt: float) -> AgentState:
@@ -138,11 +140,11 @@ def track_segment(state: AgentState, target, cfg: TrackingConfig,
         acc = acc * (cfg.a_max / mag)
 
     if desired_yaw is None:
-        yaw_acc = -cfg.yaw_kd * state.yaw_rate
+        yaw_acc = -_YAW_KD * state.yaw_rate
     else:
         err = wrap_angle(desired_yaw - state.yaw)
-        yaw_acc = cfg.yaw_kp * err - cfg.yaw_kd * state.yaw_rate
-    yaw_acc = min(max(yaw_acc, -cfg.alpha_max), cfg.alpha_max)
+        yaw_acc = _YAW_KP * err - _YAW_KD * state.yaw_rate
+    yaw_acc = min(max(yaw_acc, -_ALPHA_MAX), _ALPHA_MAX)
     return ControlInput(tuple(acc.tolist()), float(yaw_acc))
 
 

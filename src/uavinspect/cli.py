@@ -43,9 +43,11 @@ def _defaults(cls, *keys: str) -> dict:
     return out
 
 
-# waypoint_standoff None means one voxel, resolved by MissionConfig.standoff
-_MISSION_DEFAULTS = _defaults(MissionConfig, "duration", "tick", "voxel_size", "horizon",
-                              "waypoint_standoff", "capture_stride", "seed")
+# waypoint_standoff None means one voxel, resolved by MissionConfig.standoff;
+# seed is the fallback seed of the interest-point scatter, not a config field
+_MISSION_DEFAULTS = {**_defaults(MissionConfig, "duration", "tick", "voxel_size", "horizon",
+                                 "waypoint_standoff", "capture_stride"),
+                     "seed": 0}
 _CAMERA_DEFAULTS = _defaults(CameraConfig, "fov_h_deg", "fov_v_deg", "range", "focal",
                              "pixel_width", "exposure", "desired_resolution",
                              "quality_floor")
@@ -230,57 +232,29 @@ def normalize_scenario(raw: dict) -> dict:
     }
 
 
+def _config(cls, section: dict, **fields):
+    """A config class built from its canonical section plus the given fields.
+
+    A key ending in ``_deg`` sets its radian field, the inverse of _defaults.
+    """
+    for key, value in section.items():
+        if key.endswith("_deg"):
+            key, value = key[:-len("_deg")], math.radians(value)
+        fields[key] = value
+    return cls(**fields)
+
+
 def scenario_from_dict(canonical: dict) -> tuple[MissionConfig, Scene]:
     """Build the mission config and ground-truth scene from a canonical dict."""
     m = canonical["mission"]
-    cam = canonical["camera"]
-    lid = canonical["lidar"]
-    gim = canonical["gimbal"]
-    trk = canonical["tracking"]
-
-    camera = CameraConfig(
-        fov_h=math.radians(cam["fov_h_deg"]),
-        fov_v=math.radians(cam["fov_v_deg"]),
-        range=cam["range"],
-        focal=cam["focal"],
-        pixel_width=cam["pixel_width"],
-        exposure=cam["exposure"],
-        desired_resolution=cam["desired_resolution"],
-        quality_floor=cam["quality_floor"],
-    )
-    lidar = LidarConfig(
-        range=lid["range"],
-        beams=lid["beams"],
-        azimuth_steps=lid["azimuth_steps"],
-        servo_period=lid["servo_period"],
-    )
-    gimbal = GimbalLimits(
-        inclination_min=math.radians(gim["inclination_min_deg"]),
-        inclination_max=math.radians(gim["inclination_max_deg"]),
-        azimuth_min=math.radians(gim["azimuth_min_deg"]),
-        azimuth_max=math.radians(gim["azimuth_max_deg"]),
-    )
-    tracking = TrackingConfig(kp=trk["kp"], kd=trk["kd"], a_max=trk["a_max"])
-
-    agents = tuple(
-        AgentSpec(kind=a["kind"], start=tuple(a["start"]),
-                  v_max=a["v_max"], omega_max=a["omega_max"])
-        for a in canonical["agents"]
-    )
-    cfg = MissionConfig(
-        duration=m["duration"],
-        agents=agents,
-        tick=m["tick"],
-        voxel_size=m["voxel_size"],
-        horizon=m["horizon"],
-        waypoint_standoff=m["waypoint_standoff"],
-        capture_stride=m["capture_stride"],
-        seed=m["seed"],
-        camera=camera,
-        lidar=lidar,
-        gimbal=gimbal,
-        tracking=tracking,
-    )
+    agents = tuple(_config(AgentSpec, {**a, "start": tuple(a["start"])})
+                   for a in canonical["agents"])
+    cfg = _config(MissionConfig, {k: v for k, v in m.items() if k != "seed"},
+                  agents=agents,
+                  camera=_config(CameraConfig, canonical["camera"]),
+                  lidar=_config(LidarConfig, canonical["lidar"]),
+                  gimbal=_config(GimbalLimits, canonical["gimbal"]),
+                  tracking=_config(TrackingConfig, canonical["tracking"]))
 
     sc = canonical["scene"]
     solid = [BoundingBox(tuple(b["min"]), tuple(b["max"])) for b in sc["solid_boxes"]]
@@ -319,11 +293,6 @@ def load_scenario_dict(path: str) -> dict:
 def parse_scenario(path: str) -> tuple[MissionConfig, Scene]:
     """Load, validate, and build a scenario file."""
     return scenario_from_dict(load_scenario_dict(path))
-
-
-def serialize_scenario(canonical: dict) -> str:
-    """Canonical YAML text for a normalized scenario; reparsing reproduces it."""
-    return yaml.safe_dump(canonical, sort_keys=True)
 
 
 def main(argv=None) -> int:

@@ -58,10 +58,5 @@ def exchange_and_merge(neighbors: NeighborSet,
     Works on a snapshot of all maps, so a chain A-B-C leaves A with A+B and the
     middle agent with all three after a single round.
     """
-    merged: dict[int, OccupancyMap] = {}
-    for i in sorted(maps):
-        acc = maps[i]
-        for j in sorted(neighbors.of(i)):
-            acc = merge_maps(acc, maps[j])
-        merged[i] = acc if acc is not maps[i] else maps[i].copy()
-    return merged
+    return {i: merge_maps(maps[i], *(maps[j] for j in sorted(neighbors.of(i))))
+            for i in sorted(maps)}

@@ -36,6 +36,8 @@ from .world import (FREE, UNKNOWN, OccupancyMap, build_grid, carve_free,
                     compute_operational_volume, integrate_points, save_map,
                     voxel_to_world, world_to_voxel)
 
+_BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
+
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -64,8 +66,6 @@ class MissionConfig:
     horizon: int = 3
     waypoint_standoff: float | None = None     # defaults to one voxel
     capture_stride: int = 1
-    blocked_replan_ticks: int = 12
-    seed: int = 0
     camera: CameraConfig = CameraConfig()
     lidar: LidarConfig = LidarConfig()
     gimbal: GimbalLimits = GimbalLimits()
@@ -91,10 +91,6 @@ class MissionConfig:
         if self.waypoint_standoff is None:
             return self.voxel_size
         return self.waypoint_standoff
-
-    @property
-    def num_explorers(self) -> int:
-        return sum(1 for a in self.agents if a.kind == EXPLORER)
 
 
 class ScoreLedger:
@@ -202,11 +198,6 @@ class MissionResult:
         return h.hexdigest()
 
 
-def average_quality_trace(result: MissionResult) -> np.ndarray:
-    """Per-tick mean of the ledger's best quality over all interest points."""
-    return np.asarray(result.score_trace, dtype=float)
-
-
 @dataclass
 class _Runtime:
     """Mutable per-agent bookkeeping owned by the tick loop."""
@@ -246,8 +237,7 @@ class _Mission:
 
         explorer_starts = [np.asarray(a.start, dtype=float)
                            for a in cfg.agents if a.kind == EXPLORER]
-        routes = mapping_paths(self.volume, explorer_starts, cfg.num_explorers,
-                               margin=cfg.voxel_size / 2.0)
+        routes = mapping_paths(self.volume, explorer_starts, margin=cfg.voxel_size / 2.0)
 
         self.agents: list[_Runtime] = []
         used_voxels = set()
@@ -420,7 +410,7 @@ class _Mission:
                         a.blocked = 0
                     else:
                         a.blocked += 1
-                        if a.blocked >= self.cfg.blocked_replan_ticks:
+                        if a.blocked >= _BLOCKED_REPLAN_TICKS:
                             a.need_replan = True
                             a.blocked = 0
                             a.blocked_replans += 1

@@ -13,9 +13,5 @@ class GridMismatchError(ValueError):
     """Two occupancy maps do not share the same grid."""
 
 
-class ProjectionError(ValueError):
-    """Pinhole projection requested for a point at or behind the image plane."""
-
-
 class PlanningError(RuntimeError):
     """Path planning was invoked from an invalid start state."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, PlanningError
-from .world import FACE_STEPS, FREE, OCCUPIED, OccupancyMap, OperationalVolume, Voxel
+from .world import FACE_STEPS, FREE, OCCUPIED, BoundingBox, OccupancyMap, Voxel
 
 _FACE_STEPS = np.array(FACE_STEPS)
 
@@ -27,10 +27,6 @@ class Waypoint:
     voxel: Voxel
 
     @property
-    def position_arr(self) -> np.ndarray:
-        return np.asarray(self.position, dtype=float)
-
-    @property
     def direction_arr(self) -> np.ndarray:
         return np.asarray(self.direction, dtype=float)
 
@@ -40,28 +36,28 @@ class InspectionPath:
     waypoints: list[Waypoint]
 
 
-def mapping_paths(volume: OperationalVolume, starts, n_explorers: int,
+def mapping_paths(volume: BoundingBox, starts,
                   margin: float = 0.0) -> list[list[np.ndarray]]:
     """Straight out-and-back survey passes along the volume's longest axis.
 
-    The cross-section perpendicular to the longest axis is split into one band
-    per explorer along the next-longest axis; each pass runs through its band
-    center at the middle of the remaining axis.  Passes are returned as
-    waypoint lists ordered so each explorer starts from its nearer end, pulled
-    inward from the volume faces by margin.
+    There is one explorer per start.  The cross-section perpendicular to the
+    longest axis is split into one band per explorer along the next-longest
+    axis; each pass runs through its band center at the middle of the
+    remaining axis.  Passes are returned as waypoint lists ordered so each
+    explorer starts from its nearer end, pulled inward from the volume faces
+    by margin.
     """
-    if n_explorers < 1:
+    bands = len(starts)
+    if bands < 1:
         raise ConfigurationError("need at least one explorer for mapping paths")
-    if len(starts) < n_explorers:
-        raise ConfigurationError("fewer start positions than explorers")
-    ext = volume.extent
+    lo, hi = volume.lo, volume.hi
+    ext = hi - lo
     order = sorted(range(3), key=lambda a: (-ext[a], a))
     long_axis, band_axis, mid_axis = order
-    lo, hi = volume.lo_arr, volume.hi_arr
 
     paths = []
-    band_width = ext[band_axis] / n_explorers
-    for i in range(n_explorers):
+    band_width = ext[band_axis] / bands
+    for i in range(bands):
         a = np.zeros(3)
         b = np.zeros(3)
         a[long_axis] = lo[long_axis] + margin
@@ -227,7 +223,6 @@ class PlanStep:
     """Result of one receding-horizon planning step."""
 
     segment: list[Voxel]                 # next voxels to execute, at most horizon
-    waypoint: Waypoint | None            # current receding waypoint, None when done
     direction: np.ndarray | None         # camera directive, None for survey goals
     next_index: int                      # cursor into the inspection path
     epoch_complete: bool
@@ -257,5 +252,5 @@ def drhlp_step(agent_voxel: Voxel, path: InspectionPath, cursor: int,
             idx += 1
             continue
         direction = None if wp.direction is None else wp.direction_arr
-        return PlanStep(route[1:1 + horizon], wp, direction, idx, False, skipped)
-    return PlanStep([], None, None, idx, True, skipped)
+        return PlanStep(route[1:1 + horizon], direction, idx, False, skipped)
+    return PlanStep([], None, idx, True, skipped)

@@ -1,8 +1,8 @@
 """Ground-truth world geometry: solid boxes, triangle meshes, interest points.
 
 The scene is immutable after construction and safe for concurrent reads.  All
-raycasting goes through one vectorized core so single-ray queries, LiDAR
-bundles, and occlusion checks share identical intersection semantics.
+raycasting goes through one vectorized core so LiDAR bundles and occlusion
+checks share identical intersection semantics.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ class InterestPoint:
     id: int
     position: tuple[float, float, float]
     normal: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class RayHit:
-    hit: bool
-    distance: float
-    point: tuple[float, float, float]
 
 
 class Scene:
@@ -99,13 +92,6 @@ class Scene:
     @property
     def num_points(self) -> int:
         return len(self.point_ids)
-
-    def interest_point(self, idx: int) -> InterestPoint:
-        return InterestPoint(
-            int(self.point_ids[idx]),
-            tuple(self.point_positions[idx].tolist()),
-            tuple(self.point_normals[idx].tolist()),
-        )
 
 
 def _bin_triangles(tris: np.ndarray):
@@ -247,23 +233,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def ray_cast(scene: Scene, origin, direction, max_range: float) -> RayHit:
-    """Nearest intersection of a single ray with the scene within max_range."""
-    direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm < 1e-12:
-        raise ConfigurationError("ray direction must be non-zero")
-    if max_range <= 0:
-        raise ConfigurationError("max_range must be positive")
-    d = direction / norm
-    origin = np.asarray(origin, dtype=float)
-    hit, dist = ray_cast_batch(scene, origin, d[None, :], max_range)
-    if not hit[0]:
-        return RayHit(False, float("inf"), tuple(origin.tolist()))
-    p = origin + d * dist[0]
-    return RayHit(True, float(dist[0]), tuple(p.tolist()))
-
-
 def line_of_sight(scene: Scene, starts, ends) -> np.ndarray:
     """Mask of the segments from starts to ends that nothing blocks.
 
@@ -301,16 +270,6 @@ def visible_point_indices(scene: Scene, apexes, candidate_mask) -> tuple[np.ndar
     targets = scene.point_positions[idx] + scene.point_normals[idx] * _EPS_BACKOFF
     clear = line_of_sight(scene, apex, targets)
     return viewer[clear], idx[clear]
-
-
-def visible_interest_points(scene: Scene, camera_apex, fov_test) -> list[InterestPoint]:
-    """Interest points inside the field of view, front-facing, and unoccluded.
-
-    fov_test is a predicate over a world position, supplied by the sensor model.
-    """
-    mask = np.array([[bool(fov_test(p)) for p in scene.point_positions]], dtype=bool)
-    _, idx = visible_point_indices(scene, camera_apex, mask)
-    return [scene.interest_point(i) for i in idx]
 
 
 # --- ground-truth voxelization (used by the mission safety audit) ---

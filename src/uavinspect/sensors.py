@@ -14,7 +14,9 @@ two scores in [0, 1]:
   pixel displacement; the score is desired_resolution over the worse of the
   two, capped at 1.
 
-The observation quality is the product of the two.
+Projection is the pinhole u = focal * x / z, v = focal * y / z; a point at
+or behind the image plane scores zero on both.  The observation quality is
+the product of the two scores.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ from functools import lru_cache
 import numpy as np
 
 from .agents import AgentState, GimbalState
-from .errors import ConfigurationError, ProjectionError
+from .errors import ConfigurationError
 from .scene import Scene, _cross, ray_cast_batch, visible_point_indices
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
+# LiDAR servo pitch stops, and the beams' elevation spread either side of level
+_SERVO_MIN = math.radians(-90.0)
+_SERVO_MAX = math.radians(90.0)
+_VERTICAL_APERTURE = math.radians(15.0)
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,6 @@ class LidarConfig:
     beams: int = 16
     azimuth_steps: int = 360
     servo_period: float = 8.0
-    servo_min: float = math.radians(-90.0)
-    servo_max: float = math.radians(90.0)
-    vertical_aperture: float = math.radians(15.0)
 
     def __post_init__(self):
         if self.range <= 0:
@@ -130,24 +133,6 @@ def _fov_mask(p_cam: np.ndarray, dists: np.ndarray, cfg: CameraConfig) -> np.nda
     return front & ah & av & (dists <= cfg.range + _ANG_TOL)
 
 
-def fov_contains(apex, optical_axis, cfg: CameraConfig, p) -> bool:
-    """True when p lies inside the camera's view pyramid (boundaries included)."""
-    axis = np.asarray(optical_axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-6:
-        raise ConfigurationError("optical axis must be a unit vector")
-    rel = np.asarray(p, dtype=float) - np.asarray(apex, dtype=float)
-    p_cam = rel @ camera_basis(axis)
-    return bool(_fov_mask(p_cam[None, :], np.array([np.linalg.norm(rel)]), cfg)[0])
-
-
-def project(p_cam, focal: float) -> tuple[float, float]:
-    """Pinhole projection u = f*x/z, v = f*y/z of a camera-frame point."""
-    x, y, z = (float(c) for c in p_cam)
-    if z <= 0.0:
-        raise ProjectionError(f"cannot project point at depth {z}")
-    return focal * x / z, focal * y / z
-
-
 def _blur_batch(p_cam: np.ndarray, v_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
     p0 = p_cam
     p1 = p_cam + v_cam * cfg.exposure
@@ -173,13 +158,6 @@ def _blur_batch(p_cam: np.ndarray, v_cam: np.ndarray, cfg: CameraConfig) -> np.n
     return q
 
 
-def blur_score(p_cam, v_cam, cfg: CameraConfig) -> float:
-    """Motion-blur score of one camera-frame point with camera-frame velocity."""
-    p = np.asarray(p_cam, dtype=float)[None, :]
-    v = np.asarray(v_cam, dtype=float)[None, :]
-    return float(_blur_batch(p, v, cfg)[0])
-
-
 def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
     z = p_cam[:, 2]
     q = np.zeros(len(p_cam))
@@ -195,14 +173,6 @@ def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
         r_vert = cfg.pixel_width / np.abs(v4 - v3)
         q[ok] = np.minimum(cfg.desired_resolution / np.maximum(r_horz, r_vert), 1.0)
     return q
-
-
-def resolution_score(p_cam, cfg: CameraConfig) -> float:
-    """Ground-sample-distance score of one camera-frame point."""
-    p = np.asarray(p_cam, dtype=float)
-    if p[2] <= 0.0:
-        raise ProjectionError(f"cannot score point at depth {p[2]}")
-    return float(_resolution_batch(p[None, :], cfg)[0])
 
 
 def observe(states: list[AgentState], gimbals: list[GimbalState], scene: Scene,
@@ -243,10 +213,10 @@ def servo_angle(t: float, cfg: LidarConfig) -> float:
         raise ConfigurationError("time must be non-negative")
     half = cfg.servo_period / 2.0
     s = math.fmod(t, cfg.servo_period)
-    span = cfg.servo_max - cfg.servo_min
+    span = _SERVO_MAX - _SERVO_MIN
     if s <= half:
-        return cfg.servo_min + span * (s / half)
-    return cfg.servo_max - span * ((s - half) / half)
+        return _SERVO_MIN + span * (s / half)
+    return _SERVO_MAX - span * ((s - half) / half)
 
 
 @lru_cache(maxsize=8)
@@ -274,7 +244,7 @@ def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
     servo angle.  Rays that see nothing report their maximum-range endpoint so
     the mapper can clear the corridor they crossed.  Noise-free.
     """
-    base = _base_directions(cfg.beams, cfg.azimuth_steps, cfg.vertical_aperture)
+    base = _base_directions(cfg.beams, cfg.azimuth_steps, _VERTICAL_APERTURE)
     s = servo_angle(t, cfg)
     cs, ss = math.cos(s), math.sin(s)
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cs, -ss], [0.0, ss, cs]])
@@ -285,8 +255,3 @@ def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
     hits = agent.position + dirs[hit] * dist[hit, None]
     misses = agent.position + dirs[~hit] * cfg.range
     return hits, misses
-
-
-def lidar_scan(agent: AgentState, scene: Scene, cfg: LidarConfig, t: float) -> np.ndarray:
-    """Point cloud of nearest-surface hits for one full sensor firing at time t."""
-    return lidar_sweep(agent, scene, cfg, t)[0]

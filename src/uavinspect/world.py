@@ -1,8 +1,8 @@
-"""Voxel world model: operational volume, voxel grid, and occupancy maps.
+"""Voxel world model: bounding boxes, voxel grid, and occupancy maps.
 
 Occupancy is tri-state (unknown / free / occupied) and only ever moves toward
 more knowledge: unknown -> free, unknown -> occupied, free -> occupied.  Maps
-are value-like; merging two maps takes the per-cell join with occupied winning
+are value-like; merging maps takes the per-cell join with occupied winning
 over free winning over unknown.
 """
 
@@ -56,30 +56,6 @@ class BoundingBox:
 
 
 @dataclass(frozen=True)
-class OperationalVolume:
-    """Cuboid flight volume enclosing the inspection boxes and all start positions."""
-
-    lo: tuple[float, float, float]
-    hi: tuple[float, float, float]
-
-    def __post_init__(self):
-        if not np.all(self.lo_arr <= self.hi_arr):
-            raise ConfigurationError(f"invalid volume {self.lo}..{self.hi}")
-
-    @property
-    def lo_arr(self) -> np.ndarray:
-        return np.asarray(self.lo, dtype=float)
-
-    @property
-    def hi_arr(self) -> np.ndarray:
-        return np.asarray(self.hi, dtype=float)
-
-    @property
-    def extent(self) -> np.ndarray:
-        return self.hi_arr - self.lo_arr
-
-
-@dataclass(frozen=True)
 class VoxelGrid:
     """Uniform cubic-voxel discretization of an operational volume."""
 
@@ -106,7 +82,7 @@ class VoxelGrid:
         return all(0 <= voxel[a] < self.dims[a] for a in range(3))
 
 
-def compute_operational_volume(boxes, positions, voxel_size: float) -> OperationalVolume:
+def compute_operational_volume(boxes, positions, voxel_size: float) -> BoundingBox:
     """Smallest cuboid containing every box and position, padded by one voxel per face.
 
     The padding keeps start voxels and boundary-adjacent structure faces from
@@ -123,16 +99,16 @@ def compute_operational_volume(boxes, positions, voxel_size: float) -> Operation
     pts = np.vstack(pts)
     lo = pts.min(axis=0) - voxel_size
     hi = pts.max(axis=0) + voxel_size
-    return OperationalVolume(tuple(lo.tolist()), tuple(hi.tolist()))
+    return BoundingBox(tuple(lo.tolist()), tuple(hi.tolist()))
 
 
-def build_grid(volume: OperationalVolume, voxel_size: float) -> VoxelGrid:
+def build_grid(volume: BoundingBox, voxel_size: float) -> VoxelGrid:
     """Divide the volume into cubic voxels; dims round up so the volume is covered."""
     if voxel_size <= 0:
         raise ConfigurationError("voxel size must be positive")
-    dims = np.ceil((volume.extent - 1e-9) / voxel_size).astype(int)
+    dims = np.ceil((volume.hi - volume.lo - 1e-9) / voxel_size).astype(int)
     dims = np.maximum(dims, 1)
-    return VoxelGrid(tuple(volume.lo_arr.tolist()), tuple(int(d) for d in dims), float(voxel_size))
+    return VoxelGrid(tuple(volume.lo.tolist()), tuple(int(d) for d in dims), float(voxel_size))
 
 
 def world_to_voxel(grid: VoxelGrid, p) -> Voxel:
@@ -172,17 +148,9 @@ class OccupancyMap:
     def copy(self) -> "OccupancyMap":
         return OccupancyMap(self.grid, self.cells.copy())
 
-    def state(self, voxel) -> int:
-        if not self.grid.in_bounds(voxel):
-            raise OutOfBoundsError(f"voxel {tuple(voxel)} outside grid")
-        return int(self.cells[tuple(voxel)])
-
     def occupied_voxels(self) -> np.ndarray:
         """(n, 3) int array of occupied voxel indices in lexicographic order."""
         return np.argwhere(self.cells == OCCUPIED)
-
-    def count(self, state: int) -> int:
-        return int(np.count_nonzero(self.cells == state))
 
 
 def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
@@ -339,11 +307,17 @@ def carve_free(occ_map: OccupancyMap, sensor_origin, endpoints) -> OccupancyMap:
     return occ_map
 
 
-def merge_maps(a: OccupancyMap, b: OccupancyMap) -> OccupancyMap:
-    """Per-cell join of two maps: occupied > free > unknown."""
-    if a.grid != b.grid:
-        raise GridMismatchError("cannot merge maps defined on different grids")
-    return OccupancyMap(a.grid, np.maximum(a.cells, b.cells))
+def merge_maps(first: OccupancyMap, *others: OccupancyMap) -> OccupancyMap:
+    """Per-cell join of maps into a new map: occupied > free > unknown.
+
+    The others fold in place into one copy of first's cells.
+    """
+    cells = first.cells.copy()
+    for other in others:
+        if other.grid != first.grid:
+            raise GridMismatchError("cannot merge maps defined on different grids")
+        np.maximum(cells, other.cells, out=cells)
+    return OccupancyMap(first.grid, cells)
 
 
 def save_map(occ_map: OccupancyMap, path) -> None:

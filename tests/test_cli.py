@@ -1,13 +1,16 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 import yaml
 
+from uavinspect.agents import GimbalLimits, TrackingConfig
 from uavinspect.cli import (load_scenario_dict, main, normalize_scenario,
-                            parse_scenario, scenario_from_dict,
-                            serialize_scenario)
+                            parse_scenario, scenario_from_dict)
+from uavinspect.engine import AgentSpec, MissionConfig
 from uavinspect.errors import ConfigurationError
+from uavinspect.sensors import CameraConfig, LidarConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -64,6 +67,69 @@ def test_defaults_are_the_documented_table():
     assert canonical["tracking"] == {"kp": 1.0, "kd": 2.2, "a_max": 4.0}
 
 
+# scenario sections built into a config class, each also a MissionConfig field
+SECTIONS = {"camera": CameraConfig, "lidar": LidarConfig, "gimbal": GimbalLimits,
+            "tracking": TrackingConfig}
+
+# a value other than the default for every scenario key
+NON_DEFAULT = {
+    "mission": {"duration": 12.5, "tick": 0.25, "voxel_size": 4.0, "horizon": 5,
+                "waypoint_standoff": 9.0, "capture_stride": 2, "seed": 3},
+    "camera": {"fov_h_deg": 70.0, "fov_v_deg": 50.0, "range": 25.0, "focal": 900.0,
+               "pixel_width": 1.5, "exposure": 0.02, "desired_resolution": 0.05,
+               "quality_floor": 0.2},
+    "lidar": {"range": 40.0, "beams": 8, "azimuth_steps": 90, "servo_period": 6.0},
+    "gimbal": {"inclination_min_deg": -80.0, "inclination_max_deg": 70.0,
+               "azimuth_min_deg": -60.0, "azimuth_max_deg": 45.0},
+    "tracking": {"kp": 1.5, "kd": 2.5, "a_max": 3.0},
+    "agents": [{"kind": "photographer", "start": [4.0, 5.0, 6.0], "v_max": 3.5,
+                "omega_max": 1.2},
+               {"kind": "explorer", "start": [3.0, 3.0, 3.0]}],
+}
+
+
+def field_of(key):
+    """The config field a scenario key sets: a _deg key sets its radian field."""
+    return key[:-len("_deg")] if key.endswith("_deg") else key
+
+
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_every_config_field_is_a_scenario_key():
+    canonical = normalize_scenario(MINIMAL)
+    for name, cls in SECTIONS.items():
+        assert {field_of(k) for k in canonical[name]} == field_names(cls), name
+    assert set(canonical["agents"][0]) == field_names(AgentSpec)
+    # mission.seed seeds the interest-point scatter; it is not a config field
+    scalar = field_names(MissionConfig) - {"agents", *SECTIONS}
+    assert set(canonical["mission"]) - {"seed"} == scalar
+
+
+def test_every_scenario_key_reaches_its_field():
+    defaults = normalize_scenario(MINIMAL)
+    raw = {**MINIMAL, **NON_DEFAULT}
+    for name in ("mission", *SECTIONS):
+        assert NON_DEFAULT[name].keys() == defaults[name].keys(), name
+        for key, value in NON_DEFAULT[name].items():
+            assert value != defaults[name][key], f"{name}.{key}"
+    agent = NON_DEFAULT["agents"][0]
+    assert agent.keys() == defaults["agents"][0].keys()
+    assert all(agent[k] != defaults["agents"][0][k] for k in agent)
+
+    cfg, scene = scenario_from_dict(normalize_scenario(raw))
+    for name in SECTIONS:
+        built = getattr(cfg, name)
+        for key, value in NON_DEFAULT[name].items():
+            want = math.radians(value) if key.endswith("_deg") else value
+            assert getattr(built, field_of(key)) == want, f"{name}.{key}"
+    for key, value in NON_DEFAULT["mission"].items():
+        if key != "seed":
+            assert getattr(cfg, key) == value, f"mission.{key}"
+    assert cfg.agents[0] == AgentSpec("photographer", (4.0, 5.0, 6.0), 3.5, 1.2)
+
+
 def test_explorer_count_rule_enforced(tmp_path):
     bad = dict(MINIMAL)
     bad["agents"] = [{"kind": "explorer", "start": [float(i * 10), 0.0, 0.0]}
@@ -112,7 +178,7 @@ def test_normalize_is_idempotent_and_serialization_roundtrips(tmp_path):
     for name in ("desk_box.yaml", "twin_pillars.yaml", "open_field.yaml"):
         canonical = load_scenario_dict(str(SCENARIOS / name))
         assert normalize_scenario(canonical) == canonical
-        text = serialize_scenario(canonical)
+        text = yaml.safe_dump(canonical, sort_keys=True)
         again = normalize_scenario(yaml.safe_load(text))
         assert again == canonical
 

@@ -6,9 +6,8 @@ import pytest
 
 from uavinspect.comms import NeighborSet
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
-                               average_quality_trace, inspection_score,
-                               intensity_heatmap, run_mission, update_ledger,
-                               write_outputs)
+                               inspection_score, intensity_heatmap, run_mission,
+                               update_ledger, write_outputs)
 from uavinspect.errors import ConfigurationError
 from uavinspect.scene import InterestPoint, Scene, scatter_box_face_points
 from uavinspect.sensors import CameraConfig, LidarConfig, Observations
@@ -230,7 +229,7 @@ def test_small_mission_observes_everything_and_respects_bound():
     assert res.q_total <= res.ledger.num_points + 1e-9
     assert int((res.ledger.best_q > 0).sum()) == 12
     assert res.violations == 0
-    trace = average_quality_trace(res)
+    trace = res.score_trace
     first_scored = min((k for k, _aid, _pid, _qb, _qr, q in res.observations
                         if q > res.ledger.floor), default=res.num_ticks)
     assert all(t == 0.0 for t in trace[:first_scored])

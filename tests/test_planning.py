@@ -8,7 +8,7 @@ from uavinspect.planning import (InspectionPath, Waypoint, dijkstra_path,
                                  drhlp_step, generate_waypoints, mapping_paths,
                                  mtsp_assign)
 from uavinspect.world import (FACE_STEPS, FREE, OCCUPIED, UNKNOWN, BoundingBox,
-                              OccupancyMap, OperationalVolume, VoxelGrid,
+                              OccupancyMap, VoxelGrid,
                               voxel_to_world, world_to_voxel)
 
 
@@ -26,8 +26,8 @@ def wp(pos, direction=(1.0, 0.0, 0.0), voxel=(0, 0, 0)):
 # --- survey sweep paths ------------------------------------------------------
 
 def test_two_band_sweeps_along_longest_axis():
-    vol = OperationalVolume((0, 0, 0), (140, 60, 60))
-    paths = mapping_paths(vol, [(0, 10, 30), (0, 50, 30)], 2)
+    vol = BoundingBox((0, 0, 0), (140, 60, 60))
+    paths = mapping_paths(vol, [(0, 10, 30), (0, 50, 30)])
     assert len(paths) == 2
     for path, band_y in zip(paths, (15.0, 45.0)):
         assert len(path) == 3
@@ -37,33 +37,31 @@ def test_two_band_sweeps_along_longest_axis():
 
 
 def test_single_explorer_center_line():
-    vol = OperationalVolume((0, 0, 0), (10, 4, 4))
-    (path,) = mapping_paths(vol, [(9.5, 0, 0)], 1)
+    vol = BoundingBox((0, 0, 0), (10, 4, 4))
+    (path,) = mapping_paths(vol, [(9.5, 0, 0)])
     # nearer endpoint comes first
     assert np.allclose(path[0], (10, 2, 2))
     assert np.allclose(path[1], (0, 2, 2))
 
 
 def test_vertical_volume_gives_vertical_pass():
-    vol = OperationalVolume((0, 0, 0), (4, 4, 20))
-    (path,) = mapping_paths(vol, [(2, 2, 1)], 1)
+    vol = BoundingBox((0, 0, 0), (4, 4, 20))
+    (path,) = mapping_paths(vol, [(2, 2, 1)])
     assert np.allclose(path[0], (2, 2, 0))
     assert np.allclose(path[1], (2, 2, 20))
 
 
 def test_margin_pulls_endpoints_inward():
-    vol = OperationalVolume((0, 0, 0), (60, 12, 12))
-    (path,) = mapping_paths(vol, [(0, 0, 0)], 1, margin=3.0)
+    vol = BoundingBox((0, 0, 0), (60, 12, 12))
+    (path,) = mapping_paths(vol, [(0, 0, 0)], margin=3.0)
     assert np.allclose(path[0], (3, 6, 6))
     assert np.allclose(path[1], (57, 6, 6))
 
 
 def test_mapping_paths_rejects_bad_explorer_count():
-    vol = OperationalVolume((0, 0, 0), (10, 10, 10))
+    vol = BoundingBox((0, 0, 0), (10, 10, 10))
     with pytest.raises(ConfigurationError):
-        mapping_paths(vol, [], 0)
-    with pytest.raises(ConfigurationError):
-        mapping_paths(vol, [(0, 0, 0)], 2)
+        mapping_paths(vol, [])
 
 
 # --- waypoint generation -------------------------------------------------------
@@ -82,7 +80,7 @@ def test_isolated_occupied_voxel_yields_six_waypoints():
         n = w.direction_arr
         assert np.linalg.norm(n) == pytest.approx(1.0)
         # direction points from the waypoint back at the occupied center
-        assert np.allclose(w.position_arr + n * 6.0, center)
+        assert np.allclose(np.add(w.position, n * 6.0), center)
         assert sorted(np.abs(n)) == pytest.approx([0.0, 0.0, 1.0])
         assert m.cells[w.voxel] == FREE
         assert w.source_voxel == (2, 2, 2)
@@ -134,7 +132,7 @@ def test_waypoint_standoff_snaps_to_voxel_centers():
     wps = generate_waypoints(m, big_box(), standoff=12.0)
     assert len(wps) == 6
     for w in wps:
-        assert np.allclose(w.position_arr + w.direction_arr * 12.0,
+        assert np.allclose(np.add(w.position, w.direction_arr * 12.0),
                            [21.0, 21.0, 21.0])
 
 
@@ -294,7 +292,7 @@ def test_mtsp_single_agent_is_nearest_neighbor_tour():
     pts = rng.uniform(0, 50, (12, 3))
     wps = [wp(p) for p in pts]
     out = mtsp_assign(wps, {0: np.zeros(3)})
-    tour = [w.position_arr for w in out[0].waypoints]
+    tour = [w.position for w in out[0].waypoints]
     assert len(tour) == 12
     # replay the greedy rule independently
     remaining = list(range(12))
@@ -305,7 +303,7 @@ def test_mtsp_single_agent_is_nearest_neighbor_tour():
         pick = remaining.pop(int(np.argmin(dists)))
         expected.append(pick)
         cur = pts[pick]
-    assert [tuple(t) for t in tour] == [tuple(pts[i]) for i in expected]
+    assert tour == [tuple(pts[i]) for i in expected]
 
 
 def test_mtsp_no_waypoints_gives_empty_paths():
@@ -437,7 +435,7 @@ def test_drhlp_horizon_limits_segment():
     step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
     assert step.segment == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
     assert not step.epoch_complete
-    assert step.waypoint is sigma.waypoints[0]
+    assert step.next_index == 0
     # from the fourth voxel the replanned segment continues toward the goal
     step2 = drhlp_step((3, 0, 0), sigma, step.next_index, m, set(), horizon=3)
     assert step2.segment == [(4, 0, 0), (5, 0, 0), (6, 0, 0)]

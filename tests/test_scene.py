@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (InterestPoint, Scene, line_of_sight,
-                              ray_cast, ray_cast_batch, scatter_box_face_points,
-                              scene_occupancy, visible_interest_points)
+from uavinspect.scene import (InterestPoint, Scene, line_of_sight, ray_cast_batch,
+                              scatter_box_face_points, scene_occupancy,
+                              visible_point_indices)
 from uavinspect.world import BoundingBox, VoxelGrid
 
 
@@ -73,20 +73,15 @@ def brute_force_distance(scene, origin, direction, max_range):
 # --- ray casting ------------------------------------------------------------
 
 def test_ray_hits_wall_at_distance_10():
-    hit = ray_cast(wall_scene(), (0, 0, 0), (1, 0, 0), 50.0)
-    assert hit.hit
-    assert hit.distance == pytest.approx(10.0, abs=1e-9)
-    assert hit.point == pytest.approx((10.0, 0.0, 0.0), abs=1e-9)
+    hit, dist = ray_cast_batch(wall_scene(), (0, 0, 0), [(1, 0, 0)], 50.0)
+    assert hit.tolist() == [True]
+    assert dist[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_ray_beyond_range_misses():
-    hit = ray_cast(wall_scene(), (0, 0, 0), (1, 0, 0), 5.0)
-    assert not hit.hit
-
-
-def test_ray_zero_direction_rejected():
-    with pytest.raises(ConfigurationError):
-        ray_cast(wall_scene(), (0, 0, 0), (0, 0, 0), 10.0)
+    hit, dist = ray_cast_batch(wall_scene(), (0, 0, 0), [(1, 0, 0)], 5.0)
+    assert hit.tolist() == [False]
+    assert dist[0] == math.inf
 
 
 def test_ray_cast_against_brute_force_oracle():
@@ -101,12 +96,12 @@ def test_ray_cast_against_brute_force_oracle():
         origin = rng.uniform(-15, 15, 3)
         d = unit(rng.normal(size=3))
         expected = brute_force_distance(scene, origin, d, 40.0)
-        got = ray_cast(scene, origin, d, 40.0)
+        (hit,), (dist,) = ray_cast_batch(scene, origin, [d], 40.0)
         if expected is None:
-            assert not got.hit
+            assert not hit
         else:
-            assert got.hit
-            assert got.distance == pytest.approx(expected, abs=1e-9)
+            assert hit
+            assert dist == pytest.approx(expected, abs=1e-9)
 
 
 def test_ray_distance_never_exceeds_max_range_and_is_subset_monotone():
@@ -117,11 +112,11 @@ def test_ray_distance_never_exceeds_max_range_and_is_subset_monotone():
     for _ in range(200):
         origin = rng.uniform(-4, 1, 3) * np.array([1, 1, 1])
         d = unit(rng.normal(size=3))
-        a = ray_cast(small, origin, d, 20.0)
-        b = ray_cast(bigger, origin, d, 20.0)
-        if a.hit:
-            assert a.distance <= 20.0 + 1e-12
-            assert b.hit and b.distance <= a.distance + 1e-12
+        (a_hit,), (a_dist,) = ray_cast_batch(small, origin, [d], 20.0)
+        (b_hit,), (b_dist,) = ray_cast_batch(bigger, origin, [d], 20.0)
+        if a_hit:
+            assert a_dist <= 20.0 + 1e-12
+            assert b_hit and b_dist <= a_dist + 1e-12
 
 
 # --- line of sight ----------------------------------------------------------
@@ -204,24 +199,25 @@ def test_array_los_equals_pairwise_reference():
 
 # --- interest point visibility ----------------------------------------------
 
-def within_range(apex, limit):
-    apex = np.asarray(apex, dtype=float)
-    return lambda p: float(np.linalg.norm(np.asarray(p) - apex)) <= limit
+def within_range(scene, apex, limit):
+    """Candidate mask of one viewer: the points within limit of apex."""
+    return np.linalg.norm(scene.point_positions - apex, axis=1)[None, :] <= limit
 
 
 def test_point_directly_ahead_is_visible():
     pts = [InterestPoint(0, (5.0, 0.0, 0.0), (-1.0, 0.0, 0.0))]
     scene = Scene(interest_points=pts)
-    seen = visible_interest_points(scene, (0, 0, 0), within_range((0, 0, 0), 50))
-    assert [p.id for p in seen] == [0]
+    viewer, idx = visible_point_indices(scene, [(0, 0, 0)], within_range(scene, (0, 0, 0), 50))
+    assert viewer.tolist() == [0]
+    assert scene.point_ids[idx].tolist() == [0]
 
 
 def test_point_behind_wall_is_hidden():
     pts = [InterestPoint(0, (20.0, 0.0, 0.0), (-1.0, 0.0, 0.0))]
     scene = Scene(solid_boxes=[BoundingBox((10, -50, -50), (11, 50, 50))],
                   interest_points=pts)
-    seen = visible_interest_points(scene, (0, 0, 0), within_range((0, 0, 0), 50))
-    assert seen == []
+    _, idx = visible_point_indices(scene, [(0, 0, 0)], within_range(scene, (0, 0, 0), 50))
+    assert len(idx) == 0
 
 
 def test_cube_far_side_points_are_hidden():
@@ -236,8 +232,8 @@ def test_cube_far_side_points_are_hidden():
         InterestPoint(5, (15.0, 0.0, 5.0), (0, 0, 1)),
     ]
     scene = Scene(solid_boxes=[cube], interest_points=faces)
-    seen = visible_interest_points(scene, (0, 0, 0), within_range((0, 0, 0), 100))
-    assert [p.id for p in seen] == [0]
+    _, idx = visible_point_indices(scene, [(0, 0, 0)], within_range(scene, (0, 0, 0), 100))
+    assert scene.point_ids[idx].tolist() == [0]
 
 
 def test_visible_points_subset_and_deterministic():
@@ -247,10 +243,11 @@ def test_visible_points_subset_and_deterministic():
     scene = Scene(solid_boxes=[BoundingBox((-3, -3, -3), (3, 3, 3))],
                   interest_points=pts)
     apex = (8.0, 8.0, 8.0)
-    a = visible_interest_points(scene, apex, within_range(apex, 15))
-    b = visible_interest_points(scene, apex, within_range(apex, 15))
-    assert a == b
-    assert {p.id for p in a} <= {p.id for p in pts}
+    mask = within_range(scene, apex, 15)
+    _, a = visible_point_indices(scene, [apex], mask)
+    _, b = visible_point_indices(scene, [apex], mask)
+    assert a.tolist() == b.tolist()
+    assert set(a.tolist()) <= set(np.flatnonzero(mask[0]).tolist())
 
 
 def test_zero_normal_rejected():

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from uavinspect.agents import AgentState, GimbalState
-from uavinspect.errors import ConfigurationError, ProjectionError
-from uavinspect.scene import InterestPoint, Scene, ray_cast_batch, scatter_box_face_points
+from uavinspect.errors import ConfigurationError
+from uavinspect.scene import (InterestPoint, Scene, ray_cast_batch, scatter_box_face_points,
+                              visible_point_indices)
 from uavinspect.sensors import (CameraConfig, LidarConfig, _blur_batch, _fov_mask,
-                                _resolution_batch, blur_score, camera_axis, camera_basis,
-                                fov_contains, lidar_scan, observe, project,
-                                resolution_score, servo_angle)
+                                _resolution_batch, camera_axis, camera_basis, lidar_sweep,
+                                observe, servo_angle)
 from uavinspect.world import BoundingBox
 
 
@@ -71,73 +71,65 @@ def test_camera_basis_equals_np_cross_reference():
 
 # --- field of view --------------------------------------------------------------
 
+# The camera sits at the origin and looks along world +x, so a point's offset
+# from the apex is the point itself; @ LEVEL takes it into the camera frame.
+LEVEL = camera_basis((1.0, 0.0, 0.0))
+
+
 def test_fov_contains_point_on_axis():
     c = cam()
-    assert fov_contains((0, 0, 0), (1, 0, 0), c, (c.range / 2, 0, 0))
+    rel = np.array([[c.range / 2, 0.0, 0.0]])
+    assert _fov_mask(rel @ LEVEL, np.linalg.norm(rel, axis=1), c).tolist() == [True]
 
 
 def test_fov_rejects_point_behind_apex():
-    assert not fov_contains((0, 0, 0), (1, 0, 0), cam(), (-5, 0, 0))
+    rel = np.array([[-5.0, 0.0, 0.0]])
+    assert _fov_mask(rel @ LEVEL, np.linalg.norm(rel, axis=1), cam()).tolist() == [False]
 
 
 def test_fov_rejects_point_beyond_range():
     c = cam(range=10.0)
-    assert not fov_contains((0, 0, 0), (1, 0, 0), c, (11.0, 0, 0))
+    rel = np.array([[11.0, 0.0, 0.0]])
+    assert _fov_mask(rel @ LEVEL, np.linalg.norm(rel, axis=1), c).tolist() == [False]
 
 
 def test_fov_boundary_is_closed():
     c = cam(fov_h=math.radians(80), fov_v=math.radians(60))
-    # exactly on the horizontal half-angle: offset along world -y (image right)
     z = 10.0
     off = math.tan(math.radians(40.0)) * z
-    assert fov_contains((0, 0, 0), (1, 0, 0), c, (z, -off, 0))
-    # just beyond is rejected
-    assert not fov_contains((0, 0, 0), (1, 0, 0), c, (z, -off * 1.001, 0))
-    # vertical half-angle, image down is world -z for a level camera
     off_v = math.tan(math.radians(30.0)) * z
-    assert fov_contains((0, 0, 0), (1, 0, 0), c, (z, 0, -off_v))
-    assert not fov_contains((0, 0, 0), (1, 0, 0), c, (z, 0, -off_v * 1.001))
-
-
-def test_fov_requires_unit_axis():
-    with pytest.raises(ConfigurationError):
-        fov_contains((0, 0, 0), (3, 0, 0), cam(), (1, 0, 0))
-
-
-# --- projection -------------------------------------------------------------------
-
-def test_project_examples():
-    assert project((0, 0, 10), 1000.0) == pytest.approx((0.0, 0.0))
-    assert project((1, 0, 10), 1000.0) == pytest.approx((100.0, 0.0))
-    assert project((0.5, -0.25, 5), 800.0) == pytest.approx((80.0, -40.0))
-
-
-def test_project_behind_plane_raises():
-    with pytest.raises(ProjectionError):
-        project((1, 1, 0), 1000.0)
-    with pytest.raises(ProjectionError):
-        project((1, 1, -2), 1000.0)
+    rel = np.array([
+        (z, -off, 0.0),             # exactly on the horizontal half-angle, world -y is image right
+        (z, -off * 1.001, 0.0),     # just beyond is rejected
+        (z, 0.0, -off_v),           # vertical half-angle, image down is world -z when level
+        (z, 0.0, -off_v * 1.001),
+    ])
+    got = _fov_mask(rel @ LEVEL, np.linalg.norm(rel, axis=1), c)
+    assert got.tolist() == [True, False, True, False]
 
 
 # --- blur ----------------------------------------------------------------------------
 
 def test_blur_static_point_is_perfect():
-    assert blur_score((0, 0, 10), (0, 0, 0), cam()) == 1.0
+    assert _blur_batch(np.array([[0.0, 0.0, 10.0]]), np.zeros((1, 3)), cam()).tolist() == [1.0]
 
 
 def test_blur_ten_pixel_smear():
     c = cam(exposure=0.1, focal=1000.0)
-    assert blur_score((0, 0, 10), (1, 0, 0), c) == pytest.approx(0.1, abs=1e-12)
+    q = _blur_batch(np.array([[0.0, 0.0, 10.0]]), np.array([[1.0, 0.0, 0.0]]), c)
+    assert q.tolist() == pytest.approx([0.1], abs=1e-12)
 
 
 def test_blur_subpixel_motion_caps_at_one():
     c = cam(exposure=0.1, focal=1000.0)
-    assert blur_score((0, 0, 10), (0.05, 0, 0), c) == 1.0
+    q = _blur_batch(np.array([[0.0, 0.0, 10.0]]), np.array([[0.05, 0.0, 0.0]]), c)
+    assert q.tolist() == [1.0]
 
 
 def test_blur_crossing_image_plane_scores_zero():
     c = cam(exposure=0.1)
-    assert blur_score((0, 0, 0.4), (0, 0, -5.0), c) == 0.0
+    q = _blur_batch(np.array([[0.0, 0.0, 0.4]]), np.array([[0.0, 0.0, -5.0]]), c)
+    assert q.tolist() == [0.0]
 
 
 def test_blur_leaving_frustum_scores_zero():
@@ -145,13 +137,16 @@ def test_blur_leaving_frustum_scores_zero():
     # starts just inside the horizontal edge, races outward
     z = 5.0
     x = math.tan(math.radians(39.9)) * z
-    assert blur_score((x, 0, z), (50.0, 0, 0), c) == 0.0
+    q = _blur_batch(np.array([[x, 0.0, z]]), np.array([[50.0, 0.0, 0.0]]), c)
+    assert q.tolist() == [0.0]
 
 
 def test_blur_non_increasing_in_speed():
     c = cam()
     speeds = np.linspace(0, 12, 1000)
-    scores = [blur_score((0.5, -0.2, 12.0), (s, 0.3 * s, 0), c) for s in speeds]
+    p_cam = np.tile([0.5, -0.2, 12.0], (len(speeds), 1))
+    v_cam = np.outer(speeds, [1.0, 0.3, 0.0])
+    scores = _blur_batch(p_cam, v_cam, c).tolist()
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
     assert all(0.0 <= s <= 1.0 for s in scores)
 
@@ -160,24 +155,26 @@ def test_blur_non_increasing_in_speed():
 
 def test_resolution_examples():
     c = cam(focal=1000.0, desired_resolution=0.04)
-    assert resolution_score((0, 0, 20.0), c) == 1.0          # 0.02 m/px, capped
-    assert resolution_score((0, 0, 80.0), c) == pytest.approx(0.5, abs=1e-12)
+    q = _resolution_batch(np.array([[0.0, 0.0, 20.0], [0.0, 0.0, 80.0]]), c)
+    assert q[0] == 1.0                                      # 0.02 m/px, capped
+    assert q[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_resolution_near_zero_depth_caps_at_one():
     c = cam(desired_resolution=0.04)
-    assert resolution_score((0, 0, 1e-6), c) == 1.0
+    assert _resolution_batch(np.array([[0.0, 0.0, 1e-6]]), c).tolist() == [1.0]
 
 
-def test_resolution_behind_plane_raises():
-    with pytest.raises(ProjectionError):
-        resolution_score((1, 1, -3), cam())
+def test_resolution_behind_plane_scores_zero():
+    q = _resolution_batch(np.array([[1.0, 1.0, -3.0], [1.0, 1.0, 0.0]]), cam())
+    assert q.tolist() == [0.0, 0.0]
 
 
 def test_resolution_non_increasing_in_depth():
     c = cam()
     depths = np.linspace(0.5, 120, 1000)
-    scores = [resolution_score((0.3, -0.1, z), c) for z in depths]
+    p_cam = np.column_stack([np.full_like(depths, 0.3), np.full_like(depths, -0.1), depths])
+    scores = _resolution_batch(p_cam, c).tolist()
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
     assert all(0.0 <= s <= 1.0 for s in scores)
 
@@ -258,7 +255,7 @@ def test_lateral_motion_composes_blur_and_resolution():
     c = cam(exposure=0.1, focal=1000.0, desired_resolution=0.04)
     obs = observe_one(agent(vel=(0, 1.0, 0)), GimbalState(), on_axis_scene(10.0), c, k=0)
     assert len(obs) == 1
-    expected_res = resolution_score((0, 0, 10.0), c)
+    expected_res = _resolution_batch(np.array([[0.0, 0.0, 10.0]]), c)[0]
     assert obs[0].q_blur == pytest.approx(0.1, abs=1e-12)
     assert obs[0].q == pytest.approx(0.1 * expected_res, abs=1e-12)
 
@@ -301,10 +298,8 @@ def test_observe_subset_of_points_and_deterministic():
 
 
 def test_observe_agrees_with_public_fov_predicate():
-    # the vectorized pipeline inside observe must match composing the public
-    # pieces: frustum predicate + visibility filter + scalar scores
-    from uavinspect.scene import visible_interest_points
-
+    # the vectorized pipeline inside observe must match composing its pieces
+    # by hand, one point at a time: frustum mask, visibility, scores
     rng = np.random.default_rng(43)
     pts = []
     for i in range(50):
@@ -317,18 +312,18 @@ def test_observe_agrees_with_public_fov_predicate():
     g = GimbalState(inclination=-0.3, azimuth=0.2)
     c = cam()
 
-    axis = camera_axis(a.yaw, g)
-    basis = camera_basis(axis)
-    vis = visible_interest_points(
-        scene, a.position, lambda p: fov_contains(a.position, axis, c, p))
+    basis = camera_basis(camera_axis(a.yaw, g))
+    v_cam = -(a.velocity @ basis)
+    rel = scene.point_positions - a.position
+    in_view = np.array([_fov_mask(r @ basis, np.linalg.norm(r), c) for r in rel])
+    _, visible = visible_point_indices(scene, [a.position], in_view[None, :])
     expected = {}
-    for p in vis:
-        p_cam = (np.asarray(p.position) - a.position) @ basis
-        v_cam = -(a.velocity @ basis)
-        qb = blur_score(p_cam, v_cam, c)
-        qr = resolution_score(p_cam, c)
+    for i in visible:
+        p_cam = (rel[i] @ basis)[None, :]
+        qb = _blur_batch(p_cam, v_cam[None, :], c)[0]
+        qr = _resolution_batch(p_cam, c)[0]
         if qb * qr > 0.0:
-            expected[p.id] = (qb, qr)
+            expected[int(scene.point_ids[i])] = (qb, qr)
 
     got = {o.point_id: (o.q_blur, o.q_res) for o in observe_one(a, g, scene, c, k=0)}
     assert got.keys() == expected.keys()
@@ -410,13 +405,13 @@ def closed_room(half=10.0, thickness=1.0):
 
 def test_lidar_empty_scene_returns_empty_cloud():
     cfg = LidarConfig(beams=4, azimuth_steps=24)
-    pts = lidar_scan(agent(), Scene(), cfg, t=0.0)
+    pts = lidar_sweep(agent(), Scene(), cfg, t=0.0)[0]
     assert pts.shape == (0, 3)
 
 
 def test_lidar_inside_closed_room_every_ray_hits():
     cfg = LidarConfig(range=50.0, beams=6, azimuth_steps=36)
-    pts = lidar_scan(agent(), closed_room(10.0), cfg, t=1.7)
+    pts = lidar_sweep(agent(), closed_room(10.0), cfg, t=1.7)[0]
     assert len(pts) == cfg.beams * cfg.azimuth_steps
     dists = np.linalg.norm(pts, axis=1)
     assert np.all(dists <= 10.0 * math.sqrt(3.0) + 1e-9)
@@ -428,8 +423,8 @@ def test_lidar_inside_closed_room_every_ray_hits():
 def test_lidar_overhead_slab_needs_servo_pitch():
     cfg = LidarConfig(range=50.0, beams=5, azimuth_steps=36, servo_period=8.0)
     slab = Scene(solid_boxes=[BoundingBox((-1, -1, 5), (1, 1, 6))])
-    level = lidar_scan(agent(), slab, cfg, t=2.0)       # servo at 0 degrees
-    pitched = lidar_scan(agent(), slab, cfg, t=4.0)     # servo at +90 degrees
+    level = lidar_sweep(agent(), slab, cfg, t=2.0)[0]       # servo at 0 degrees
+    pitched = lidar_sweep(agent(), slab, cfg, t=4.0)[0]     # servo at +90 degrees
     assert len(level) == 0
     assert len(pitched) > 0
     assert np.all(pitched[:, 2] >= 5.0 - 1e-9)
@@ -437,5 +432,5 @@ def test_lidar_overhead_slab_needs_servo_pitch():
 
 def test_lidar_hits_within_range_limit():
     cfg = LidarConfig(range=9.0, beams=4, azimuth_steps=24)
-    pts = lidar_scan(agent(), closed_room(10.0), cfg, t=0.0)
+    pts = lidar_sweep(agent(), closed_room(10.0), cfg, t=0.0)[0]
     assert np.all(np.linalg.norm(pts, axis=1) <= 9.0 + 1e-9)

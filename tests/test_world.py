@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox,
-                              OccupancyMap, OperationalVolume, VoxelGrid,
+                              OccupancyMap, VoxelGrid,
                               _segment_cells, build_grid, carve_free,
                               compute_operational_volume, integrate_points, load_map,
                               merge_maps, save_map, voxel_to_world, world_to_voxel)
@@ -26,21 +26,21 @@ def make_map(dims, voxel=6.0, origin=(0.0, 0.0, 0.0)):
 def test_volume_is_padded_min_max_of_boxes_and_positions():
     boxes = [BoundingBox((0, 0, 0), (10, 10, 10))]
     vol = compute_operational_volume(boxes, [(-5.0, 2.0, 3.0)], voxel_size=6.0)
-    assert vol.lo == (-11.0, -6.0, -6.0)
-    assert vol.hi == (16.0, 16.0, 16.0)
+    assert vol.min_corner == (-11.0, -6.0, -6.0)
+    assert vol.max_corner == (16.0, 16.0, 16.0)
 
 
 def test_volume_positions_inside_boxes_change_nothing():
     boxes = [BoundingBox((0, 0, 0), (1, 1, 1))]
     vol = compute_operational_volume(boxes, [(0.5, 0.5, 0.5)], voxel_size=2.0)
-    assert vol.lo == (-2.0, -2.0, -2.0)
-    assert vol.hi == (3.0, 3.0, 3.0)
+    assert vol.min_corner == (-2.0, -2.0, -2.0)
+    assert vol.max_corner == (3.0, 3.0, 3.0)
 
 
 def test_volume_scenario_scale():
     boxes = [BoundingBox((0, 0, 0), (140, 60, 60))]
     vol = compute_operational_volume(boxes, [(5.0, 5.0, 5.0)], voxel_size=6.0)
-    assert np.allclose(vol.extent, [140 + 12, 60 + 12, 60 + 12])
+    assert np.allclose(vol.hi - vol.lo, [140 + 12, 60 + 12, 60 + 12])
 
 
 def test_volume_rejects_empty_inputs():
@@ -53,17 +53,17 @@ def test_volume_rejects_empty_inputs():
 # --- grid -----------------------------------------------------------------
 
 def test_grid_dims_exact_division():
-    vol = OperationalVolume((0, 0, 0), (12, 12, 6))
+    vol = BoundingBox((0, 0, 0), (12, 12, 6))
     assert build_grid(vol, 6.0).dims == (2, 2, 1)
 
 
 def test_grid_dims_round_up():
-    vol = OperationalVolume((0, 0, 0), (13, 12, 6))
+    vol = BoundingBox((0, 0, 0), (13, 12, 6))
     assert build_grid(vol, 6.0).dims == (3, 2, 1)
 
 
 def test_grid_rejects_bad_voxel_size():
-    vol = OperationalVolume((0, 0, 0), (12, 12, 6))
+    vol = BoundingBox((0, 0, 0), (12, 12, 6))
     with pytest.raises(ConfigurationError):
         build_grid(vol, 0.0)
     with pytest.raises(ConfigurationError):
@@ -131,17 +131,17 @@ def crossed_cells_oracle(grid, origin, end):
 def test_single_hit_marks_voxel_occupied():
     m = make_map((4, 4, 4), voxel=1.0)
     integrate_points(m, (0.5, 0.5, 0.5), [(2.5, 1.5, 0.5)])
-    assert m.state((2, 1, 0)) == OCCUPIED
+    assert m.cells[2, 1, 0] == OCCUPIED
 
 
 def test_ray_marks_crossed_voxels_free_then_hit_occupied():
     m = make_map((6, 1, 1), voxel=1.0)
     integrate_points(m, (0.5, 0.5, 0.5), [(3.5, 0.5, 0.5)])
-    assert m.state((0, 0, 0)) == FREE
-    assert m.state((1, 0, 0)) == FREE
-    assert m.state((2, 0, 0)) == FREE
-    assert m.state((3, 0, 0)) == OCCUPIED
-    assert m.state((4, 0, 0)) == UNKNOWN
+    assert m.cells[0, 0, 0] == FREE
+    assert m.cells[1, 0, 0] == FREE
+    assert m.cells[2, 0, 0] == FREE
+    assert m.cells[3, 0, 0] == OCCUPIED
+    assert m.cells[4, 0, 0] == UNKNOWN
 
 
 def test_empty_hits_leave_map_unchanged():
@@ -154,18 +154,18 @@ def test_empty_hits_leave_map_unchanged():
 def test_hits_outside_grid_are_dropped():
     m = make_map((2, 2, 2), voxel=1.0)
     integrate_points(m, (0.5, 0.5, 0.5), [(10.0, 0.5, 0.5)])
-    assert m.count(OCCUPIED) == 0
+    assert np.count_nonzero(m.cells == OCCUPIED) == 0
 
 
 def test_boundary_hits_attach_to_the_surface_side():
     # wall voxel index 2 spans [12, 18); rays from both sides hit its faces
     m = make_map((8, 1, 1), voxel=6.0, origin=(0, 0, 0))
     integrate_points(m, (3.0, 3.0, 3.0), [(12.0, 3.0, 3.0)])
-    assert m.state((2, 0, 0)) == OCCUPIED
+    assert m.cells[2, 0, 0] == OCCUPIED
     m2 = make_map((8, 1, 1), voxel=6.0, origin=(0, 0, 0))
     integrate_points(m2, (21.0, 3.0, 3.0), [(18.0, 3.0, 3.0)])
-    assert m2.state((2, 0, 0)) == OCCUPIED
-    assert m2.state((3, 0, 0)) == FREE
+    assert m2.cells[2, 0, 0] == OCCUPIED
+    assert m2.cells[3, 0, 0] == FREE
 
 
 def test_traversal_matches_slab_oracle_on_random_rays():
@@ -365,7 +365,7 @@ def test_carve_free_drops_rays_that_never_enter_the_grid():
                         ((-5.0, 0.5, 0.5), (-1.0, 0.5, 0.5))):
         m = make_map((4, 4, 4), voxel=1.0)
         carve_free(m, origin, [end])
-        assert m.count(UNKNOWN) == 64
+        assert np.count_nonzero(m.cells == UNKNOWN) == 64
     # a ray from outside that does enter still frees its cells
     m = make_map((4, 4, 4), voxel=1.0)
     carve_free(m, (-1.0, 0.5, 0.5), [(-5.0, 0.5, 0.5), (2.5, 0.5, 0.5)])
@@ -434,7 +434,7 @@ def test_merge_examples():
     b = make_map((1, 1, 1))
     a.cells[0, 0, 0] = FREE
     b.cells[0, 0, 0] = OCCUPIED
-    assert merge_maps(a, b).state((0, 0, 0)) == OCCUPIED
+    assert merge_maps(a, b).cells[0, 0, 0] == OCCUPIED
 
 
 def test_merge_state_table_exhaustive():
@@ -444,7 +444,7 @@ def test_merge_state_table_exhaustive():
         b = make_map((1, 1, 1))
         a.cells[0, 0, 0] = x
         b.cells[0, 0, 0] = y
-        return merge_maps(a, b).state((0, 0, 0))
+        return merge_maps(a, b).cells[0, 0, 0]
 
     for x in STATES:
         assert join(x, x) == x
@@ -471,6 +471,26 @@ def test_merge_rejects_grid_mismatch():
     b = make_map((2, 2, 3))
     with pytest.raises(GridMismatchError):
         merge_maps(a, b)
+    with pytest.raises(GridMismatchError):
+        merge_maps(a, make_map((2, 2, 2)), b, make_map((2, 2, 2)))
+
+
+def test_nary_merge_equals_pairwise_fold():
+    rng = np.random.default_rng(17)
+    for n in range(1, 6):
+        for _ in range(10):
+            maps = [make_map((4, 3, 5)) for _ in range(n)]
+            for m in maps:
+                m.cells[:] = rng.choice(STATES, size=(4, 3, 5))
+            before = [m.cells.copy() for m in maps]
+            merged = merge_maps(*maps)
+            fold = maps[0]
+            for m in maps[1:]:
+                fold = merge_maps(fold, m)
+            assert np.array_equal(merged.cells, fold.cells)
+            assert merged.grid == maps[0].grid
+            assert merged.cells is not maps[0].cells
+            assert all(np.array_equal(m.cells, b) for m, b in zip(maps, before))
 
 
 # --- serialization ----------------------------------------------------------
