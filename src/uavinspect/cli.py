@@ -317,6 +317,10 @@ def main(argv=None) -> int:
         canonical = load_scenario_dict(args.scenario)
         if args.seed is not None:
             canonical["mission"]["seed"] = args.seed
+            scatter = canonical["scene"]["interest_points"]["scatter"]
+            if all(rule["seed"] is not None for rule in scatter):
+                print(f"warning: --seed {args.seed} changes nothing: no interest-point "
+                      "scatter rule takes its seed from mission.seed", file=sys.stderr)
         if args.duration is not None:
             canonical["mission"]["duration"] = args.duration
         if args.voxel_size is not None:

@@ -32,9 +32,8 @@ from .planning import (InspectionPath, Waypoint, drhlp_step, generate_waypoints,
                        mapping_paths, mtsp_assign)
 from .scene import Scene, scene_occupancy
 from .sensors import CameraConfig, LidarConfig, Observations, lidar_sweep, observe
-from .world import (FREE, UNKNOWN, OccupancyMap, build_grid, carve_free,
-                    compute_operational_volume, integrate_points, save_map,
-                    voxel_to_world, world_to_voxel)
+from .world import (FREE, UNKNOWN, OccupancyMap, build_grid, compute_operational_volume,
+                    integrate_points, save_map, voxel_to_world, world_to_voxel)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
 
@@ -106,8 +105,6 @@ class ScoreLedger:
             raise ConfigurationError("interest point ids are not unique")
         n = len(self.point_ids)
         self.best_q = np.zeros(n)
-        self.best_q_blur = np.zeros(n)
-        self.best_q_res = np.zeros(n)
         self.counts = np.zeros(n, dtype=int)
 
     @property
@@ -121,10 +118,8 @@ class ScoreLedger:
 
 
 def update_ledger(ledger: ScoreLedger, observations: Observations) -> ScoreLedger:
-    """Fold a batch of observations into the ledger, as if one at a time in
-    batch order.  Only qualities strictly above the floor count, and a
-    point's best is replaced only by a strictly higher quality, so of equal
-    qualities the first in the batch wins."""
+    """Fold a batch of observations into the ledger: only qualities strictly
+    above the floor count, and a point's best is the highest of them."""
     ids = observations.point_id
     pos = np.searchsorted(ledger._sorted_ids, ids)
     known = pos < len(ledger._sorted_ids)
@@ -133,15 +128,8 @@ def update_ledger(ledger: ScoreLedger, observations: Observations) -> ScoreLedge
         raise KeyError(f"unknown interest point id {ids[~known][0]}")
     counted = observations.q > ledger.floor
     rows = ledger._by_id[pos[counted]]
-    q = observations.q[counted]
     ledger.counts += np.bincount(rows, minlength=ledger.num_points)
-    # per row, the first of its highest qualities: stable sort by row, then -q
-    order = np.lexsort((-q, rows))
-    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
-    win = first[q[first] > ledger.best_q[rows[first]]]
-    ledger.best_q[rows[win]] = q[win]
-    ledger.best_q_blur[rows[win]] = observations.q_blur[counted][win]
-    ledger.best_q_res[rows[win]] = observations.q_res[counted][win]
+    np.maximum.at(ledger.best_q, rows, observations.q[counted])
     return ledger
 
 
@@ -278,10 +266,7 @@ class _Mission:
         for a in self.agents:
             if a.spec.kind == EXPLORER:
                 hits, misses = lidar_sweep(a.state, self.scene, self.cfg.lidar, t)
-                if len(hits):
-                    integrate_points(a.occ, a.state.position, hits)
-                if len(misses):
-                    carve_free(a.occ, a.state.position, misses)
+                integrate_points(a.occ, a.state.position, hits, misses)
             # an agent's own voxel is evidently traversable
             if a.occ.cells[a.voxel] == UNKNOWN:
                 a.occ.cells[a.voxel] = FREE
@@ -476,7 +461,7 @@ class _Mission:
     def _score(self, k: int) -> None:
         if k % self.cfg.capture_stride == 0:
             obs = observe([a.state for a in self.agents], [a.gimbal for a in self.agents],
-                          self.scene, self.cfg.camera, k)
+                          self.scene, self.cfg.camera)
             self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
                                          obs.point_id.tolist(), obs.q_blur.tolist(),
                                          obs.q_res.tolist(), obs.q.tolist()))

@@ -117,30 +117,35 @@ def _bin_triangles(tris: np.ndarray):
 
 
 def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
-                   max_range: float) -> tuple[np.ndarray, np.ndarray]:
+                   max_range) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-hit distances for a bundle of rays.
 
     origin: (3,), shared by every ray, or (n, 3), one per ray; dirs: (n, 3)
-    with unit directions.  Returns (hit mask, distances); distance is inf
-    where nothing was hit within max_range.
+    with unit directions; max_range: one range for every ray, or (n,), one
+    per ray.  Returns (hit mask, distances); distance is inf where nothing
+    was hit within the ray's range.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     origins = np.asarray(origin, dtype=float).reshape(-1, 3)
     if len(origins) not in (1, len(dirs)):
         raise ConfigurationError(
             f"{len(origins)} ray origins for {len(dirs)} rays; give one or one per ray")
+    max_range = np.asarray(max_range, dtype=float)
+    if max_range.shape not in ((), (len(dirs),)):
+        raise ConfigurationError(
+            f"max_range of shape {max_range.shape} for {len(dirs)} rays; give one or one per ray")
+    max_range = np.broadcast_to(max_range, len(dirs))
     best = np.full(len(dirs), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs                                        # signed inf where dir is 0
+        inv_t = 1.0 / np.ascontiguousarray(dirs.T)              # signed inf where dir is 0
 
     if len(scene._box_lo):
-        # a NaN slab fails every test: a ray along a box face misses the box;
-        # a shared origin stays one row and broadcasts over the rays
-        o = origins[:, None]
-        tn, tf = _slabs(scene._box_lo - o, scene._box_hi - o, inv)
+        # a NaN slab fails every test: a ray along a box face misses the box
+        tn, tf = _slabs(scene._box_lo, scene._box_hi, origins, inv_t)
         ok = (tf >= tn) & (tf > _EPS_T) & (tn <= max_range)
-        t = np.where(ok, np.where(tn > _EPS_T, tn, 0.0), np.inf)
-        best = np.minimum(best, t.min(axis=1))
+        np.copyto(tn, 0.0, where=tn <= _EPS_T)
+        np.copyto(tn, np.inf, where=~ok)
+        best = tn.min(axis=0)
 
     if len(scene.triangles):
         per_triangle = None
@@ -153,56 +158,58 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
         for c in range(0, len(dirs), _RAY_CHUNK):
             rows = slice(c, c + _RAY_CHUNK)
             o = origins if len(origins) == 1 else origins[rows]
-            ray, tri = _candidate_pairs(scene, scene._bin_lo - o[:, None],
-                                        scene._bin_hi - o[:, None], inv[rows], max_range)
-            ray, t = _moller_trumbore(scene, o, per_triangle, dirs[rows], ray, tri, max_range)
+            ray, tri = _candidate_pairs(scene, o, inv_t[:, rows], max_range[rows])
+            ray, t = _moller_trumbore(scene, o, per_triangle, dirs[rows], ray, tri,
+                                      max_range[rows])
             np.minimum.at(best[rows], ray, t)                   # a view: writes into best
 
     hit = best <= max_range
     return hit, best
 
 
-def _slabs(lo, hi, inv):
-    """Entry and exit distances, (rays, boxes), of rays through boxes given
-    relative to the ray origins: lo and hi are (1, boxes, 3) for a shared
-    origin, (rays, boxes, 3) for one origin per ray.
+def _slabs(lo, hi, origins, inv_t):
+    """Entry and exit distances, (boxes, rays), of rays through boxes.
 
+    lo, hi: (boxes, 3) corners; origins: (1, 3), shared by every ray, or
+    (rays, 3); inv_t: (3, rays), the reciprocal ray directions by axis.
     A ray parallel to an axis whose origin lies in a box face gives
     0 * inf = NaN on that axis, and both distances come out NaN.
     """
     tn = tf = None
     with np.errstate(invalid="ignore"):
         for k in range(3):
-            t1 = lo[:, :, k] * inv[:, k, None]
-            t2 = hi[:, :, k] * inv[:, k, None]
-            n, f = np.minimum(t1, t2), np.maximum(t1, t2)
-            tn = n if tn is None else np.maximum(tn, n)
-            tf = f if tf is None else np.minimum(tf, f)
+            o = origins[:, k]
+            t1 = (lo[:, k, None] - o) * inv_t[k]
+            t2 = (hi[:, k, None] - o) * inv_t[k]
+            if tn is None:
+                tn, tf = np.minimum(t1, t2), np.maximum(t1, t2)
+            else:
+                np.maximum(tn, np.minimum(t1, t2), out=tn)
+                np.minimum(tf, np.maximum(t1, t2, out=t1), out=tf)
     return tn, tf
 
 
-def _candidate_pairs(scene: Scene, bin_lo, bin_hi, inv, max_range: float):
+def _candidate_pairs(scene: Scene, origins, inv_t, max_range):
     """(ray, triangle) index pairs whose ray meets the triangle's bin.
 
     A NaN slab fails every comparison, so it counts as an overlap: the test
     culls only the bins it can show the ray misses.
     """
-    tn, tf = _slabs(bin_lo, bin_hi, inv)
-    ray, b = np.nonzero(~((tf < tn) | (tf < 0.0) | (tn > max_range)))
+    tn, tf = _slabs(scene._bin_lo, scene._bin_hi, origins, inv_t)
+    b, ray = np.nonzero(~((tf < tn) | (tf < 0.0) | (tn > max_range)))
     counts = np.diff(scene._bin_offsets)[b]
     firsts = np.cumsum(counts) - counts
     pos = np.arange(counts.sum()) + np.repeat(scene._bin_offsets[b] - firsts, counts)
     return np.repeat(ray, counts), scene._bin_tris[pos]
 
 
-def _moller_trumbore(scene: Scene, origins, per_triangle, dirs, ray, tri,
-                     max_range: float):
+def _moller_trumbore(scene: Scene, origins, per_triangle, dirs, ray, tri, max_range):
     """Hits (ray index, distance) among candidate pairs, Moller-Trumbore.
 
     With one origin per ray, s, q and qe2 come per pair; with a shared
     origin they are gathered from per_triangle.  A pair whose ray is
     parallel to the triangle's plane divides by 1 instead of by its
-    near-zero determinant, and is dropped.
+    near-zero determinant, and is dropped.  max_range: (rays,).
     """
     d = dirs[ray]
     e1, e2 = scene._tri_e1[tri], scene._tri_e2[tri]
@@ -220,7 +227,7 @@ def _moller_trumbore(scene: Scene, origins, per_triangle, dirs, ray, tri,
     v = f * np.einsum("pk,pk->p", d, q)
     t = f * qe2
     ok = (keep & (u >= -_EPS_BARY) & (v >= -_EPS_BARY) & (u + v <= 1.0 + _EPS_BARY)
-          & (t > _EPS_T) & (t <= max_range))
+          & (t > _EPS_T) & (t <= max_range[ray]))
     return ray[ok], t[ok]
 
 
@@ -245,7 +252,7 @@ def line_of_sight(scene: Scene, starts, ends) -> np.ndarray:
     lengths = np.linalg.norm(rel, axis=1)
     safe = np.where(lengths > 1e-12, lengths, 1.0)
     dirs = rel / safe[:, None]
-    hit, dist = ray_cast_batch(scene, starts, dirs, float(lengths.max(initial=0.0)) + 1.0)
+    hit, dist = ray_cast_batch(scene, starts, dirs, lengths + 1.0)
     blocked = hit & (dist < lengths - _EPS_LOS)
     return ~blocked
 

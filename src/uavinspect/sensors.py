@@ -79,7 +79,6 @@ class Observations:
     """The fleet's camera observations of one tick, index-aligned arrays in
     agent order, then point order; len() counts the observations."""
 
-    timestep: int
     agent: np.ndarray           # agent ids
     point_id: np.ndarray
     q_blur: np.ndarray
@@ -176,7 +175,7 @@ def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
 
 
 def observe(states: list[AgentState], gimbals: list[GimbalState], scene: Scene,
-            cfg: CameraConfig, k: int) -> Observations:
+            cfg: CameraConfig) -> Observations:
     """Score every interest point each agent's camera currently sees.
 
     states and gimbals are the fleet's, index-aligned.  Visibility requires
@@ -202,7 +201,7 @@ def observe(states: list[AgentState], gimbals: list[GimbalState], scene: Scene,
     q = qb * qr
     keep = q > 0.0
     ids = np.array([s.id for s in states], dtype=int)
-    return Observations(k, ids[agent[keep]], scene.point_ids[idx[keep]],
+    return Observations(ids[agent[keep]], scene.point_ids[idx[keep]],
                         qb[keep], qr[keep], q[keep])
 
 

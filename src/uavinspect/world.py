@@ -198,113 +198,107 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
     return np.vstack(collected)
 
 
-def _free_along(occ_map: OccupancyMap, origin: np.ndarray, ends: np.ndarray,
-                end_cells: np.ndarray, *, end_too: bool) -> None:
-    """Mark UNKNOWN cells crossed by the segments from origin to ends FREE,
-    and their end cells too when end_too is set.
+def _holds_unknown(unknown: np.ndarray, dims: np.ndarray, origin_cell: np.ndarray,
+                   end_cells: np.ndarray) -> np.ndarray:
+    """Per segment, whether the box between its origin cell and its end cell
+    holds an UNKNOWN cell.
 
-    A segment's cells all lie in the box between its origin cell and its end
-    cell, so a segment whose box holds no UNKNOWN cell cannot change the map
-    and is not traversed.  One prefix sum of the UNKNOWN cells answers that
-    per segment in O(1).
+    unknown is the flattened, padded 3-D prefix sum of the UNKNOWN cells; the
+    end cells lie on the grid, so clipping the origin cell clips every box.
     """
-    grid = occ_map.grid
-    cells = occ_map.cells
-    dims = np.asarray(grid.dims)
-    unknown = np.zeros(dims + 1, dtype=np.int64)
-    unknown[1:, 1:, 1:] = cells == UNKNOWN
-    unknown = unknown.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2).ravel()
-    # end cells lie on the grid, so clipping the origin cell clips every box
-    origin_cell = np.floor((origin - grid.origin_arr) / grid.voxel_size).astype(np.int64)
     strides = ((dims[1] + 1) * (dims[2] + 1), dims[2] + 1, 1)
     lo, hi = [], []
     for e, o, n, s in zip(end_cells.T, origin_cell, dims, strides):
         lo.append(np.minimum(e, max(o, 0)) * s)
         hi.append((np.maximum(e, min(o, n - 1)) + 1) * s)
     (lx, ly, lz), (hx, hy, hz) = lo, hi
-    # unknown cells in each box, from the eight corners of the padded prefix sum
+    # unknown cells in each box, from the eight corners of the prefix sum
     hh, lh, hl, ll = hy + hz, ly + hz, hy + lz, ly + lz
     in_box = (unknown[hx + hh] - unknown[lx + hh] - unknown[hx + lh] - unknown[hx + hl]
               + unknown[lx + lh] + unknown[lx + hl] + unknown[hx + ll] - unknown[lx + ll])
-    live = in_box > 0
-    if not live.any():
-        return
-    marked = _segment_cells(grid, origin, ends[live], end_cells[live])
-    if end_too:
-        marked = np.vstack([marked, end_cells[live]])
-    marked = marked[np.all((marked >= 0) & (marked < dims), axis=1)]
-    cx, cy, cz = marked[:, 0], marked[:, 1], marked[:, 2]
-    was_unknown = cells[cx, cy, cz] == UNKNOWN
-    cells[cx[was_unknown], cy[was_unknown], cz[was_unknown]] = FREE
+    return in_box > 0
 
 
-def integrate_points(occ_map: OccupancyMap, sensor_origin, hits) -> OccupancyMap:
-    """Fold range hits into the map: hit voxels become occupied, voxels the rays
-    crossed on the way become free unless already occupied.
+def integrate_points(occ_map: OccupancyMap, sensor_origin, hits,
+                     misses=()) -> OccupancyMap:
+    """Fold one range firing into the map: hit voxels become occupied, and
+    the unknown voxels the rays crossed on the way become free, for a miss
+    (a return that saw nothing) its end voxel too.
 
-    Hit points are nudged a hair along the ray before voxelization so that hits
-    landing exactly on a voxel boundary register on the surface's side.  Hits
-    outside the grid are dropped. The map is updated in place and returned.
+    Hit points are nudged a hair along the ray before voxelization so that
+    hits landing exactly on a voxel boundary register on the surface's side;
+    hits outside the grid are dropped.  Misses beyond the grid are clipped at
+    its boundary, and a miss whose ray never enters the grid is dropped.
+    Occupied cells never revert.  The map is updated in place and returned.
+
+    The hit cells are marked first: freeing only ever turns UNKNOWN cells
+    FREE, so they stay occupied.  A segment's cells all lie in the box
+    between its origin cell and its end cell, so a segment whose box holds
+    no UNKNOWN cell cannot change the map and is not traversed; one prefix
+    sum of the UNKNOWN cells answers that per segment in O(1).  A miss is
+    first tested against its box out to its unclipped end cell, which holds
+    the box of its clipped segment, so only the misses that pass are clipped.
     """
-    hits = np.asarray(hits, dtype=float).reshape(-1, 3)
-    if len(hits) == 0:
-        return occ_map
     origin = np.asarray(sensor_origin, dtype=float)
     grid = occ_map.grid
+    cells = occ_map.cells
     v = grid.voxel_size
+    lo = grid.origin_arr
+    dims = np.asarray(grid.dims)
 
+    hits = np.asarray(hits, dtype=float).reshape(-1, 3)
     rel = hits - origin
     lengths = np.linalg.norm(rel, axis=1)
     dirs = np.zeros_like(rel)
     moving = lengths > 1e-12
     dirs[moving] = rel[moving] / lengths[moving, None]
     nudged = hits + dirs * (1e-6 * v)
+    hit_cells = np.floor((nudged - lo) / v).astype(np.int64)
+    inside = np.all((hit_cells >= 0) & (hit_cells < dims), axis=1)
+    nudged, hit_cells = nudged[inside], hit_cells[inside]
+    cells[hit_cells[:, 0], hit_cells[:, 1], hit_cells[:, 2]] = OCCUPIED
 
-    cells_f = np.floor((nudged - grid.origin_arr) / v).astype(np.int64)
-    dims = np.asarray(grid.dims)
-    inside = np.all((cells_f >= 0) & (cells_f < dims), axis=1)
-    if not inside.any():
+    rel = np.asarray(misses, dtype=float).reshape(-1, 3) - origin
+    # the clipped end origin + rel * t, 0 <= t <= 1, lies between the origin
+    # and origin + rel on every axis, in floating point too
+    far_cells = np.clip(np.floor((origin + rel - lo) / v).astype(np.int64), 0, dims - 1)
+    unknown = np.zeros(dims + 1, dtype=np.int64)
+    unknown[1:, 1:, 1:] = cells == UNKNOWN
+    unknown = unknown.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2).ravel()
+    origin_cell = np.floor((origin - lo) / v).astype(np.int64)
+    live = _holds_unknown(unknown, dims, origin_cell, np.vstack([hit_cells, far_cells]))
+    if not live.any():
         return occ_map
-    hit_cells = cells_f[inside]
-    _free_along(occ_map, origin, nudged[inside], hit_cells, end_too=False)
-    occ_map.cells[hit_cells[:, 0], hit_cells[:, 1], hit_cells[:, 2]] = OCCUPIED
-    return occ_map
+    live_hits, rel = live[:len(hit_cells)], rel[live[len(hit_cells):]]
 
-
-def carve_free(occ_map: OccupancyMap, sensor_origin, endpoints) -> OccupancyMap:
-    """Mark voxels crossed by obstruction-free rays as free.
-
-    Used for range returns that saw nothing: the whole corridor out to the
-    endpoint is evidence of free space, terminal voxel included.  Endpoints
-    beyond the grid are clipped at the boundary, and a ray that never enters
-    the grid is dropped.  Occupied cells never revert.
-    """
-    endpoints = np.asarray(endpoints, dtype=float).reshape(-1, 3)
-    origin = np.asarray(sensor_origin, dtype=float)
-    grid = occ_map.grid
-    v = grid.voxel_size
-    dims = np.asarray(grid.dims)
-    lo = grid.origin_arr
-    hi = lo + dims * v
-
-    rel = endpoints - origin
+    # clip the surviving misses to the grid; NaN, from an origin on a grid
+    # face with no motion along it, never decides
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - origin) / rel
-        t2 = (hi - origin) / rel
-    # NaN, from an origin on a grid face with no motion along it, never decides
+        t2 = (lo + dims * v - origin) / rel
     t_enter = np.fmax.reduce(np.fmin(t1, t2), axis=1)
     t_exit = np.fmin.reduce(np.fmax(t1, t2), axis=1)
     enters = (t_enter <= t_exit) & (t_exit >= 0.0) & (t_enter <= 1.0)
     rel, t_exit = rel[enters], t_exit[enters]
-    if len(rel) == 0:
-        return occ_map
     t = np.clip(np.minimum(1.0, t_exit * (1.0 - 1e-9)), 0.0, 1.0)
     ends = origin + rel * t[:, None]
+    end_cells = np.clip(np.floor((ends - lo) / v).astype(np.int64), 0, dims - 1)
+    live_misses = _holds_unknown(unknown, dims, origin_cell, end_cells)
+    ends, end_cells = ends[live_misses], end_cells[live_misses]
 
-    end_cells = np.floor((ends - lo) / v).astype(np.int64)
-    end_cells = np.clip(end_cells, 0, dims - 1)
-    _free_along(occ_map, origin, ends, end_cells, end_too=True)
+    crossed = _segment_cells(grid, origin, np.vstack([nudged[live_hits], ends]),
+                             np.vstack([hit_cells[live_hits], end_cells]))
+    marked = np.vstack([crossed, end_cells])
+    marked = marked[np.all((marked >= 0) & (marked < dims), axis=1)]
+    cx, cy, cz = marked[:, 0], marked[:, 1], marked[:, 2]
+    cells[cx, cy, cz] = np.maximum(cells[cx, cy, cz], FREE)
     return occ_map
+
+
+def carve_free(occ_map: OccupancyMap, sensor_origin, endpoints) -> OccupancyMap:
+    """Mark the voxels crossed by rays that saw nothing free: a firing of
+    misses only, see integrate_points."""
+    return integrate_points(occ_map, sensor_origin, (), endpoints)
 
 
 def merge_maps(first: OccupancyMap, *others: OccupancyMap) -> OccupancyMap:

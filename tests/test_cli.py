@@ -223,14 +223,33 @@ def test_main_runs_and_writes_outputs(tmp_path, capsys):
     assert (out / "observations.csv").exists()
 
 
+def run_desk_box(out, seed):
+    """A short desk_box run, whose interest-point scatter follows the seed."""
+    code = main(["--scenario", str(SCENARIOS / "desk_box.yaml"), "--out", str(out),
+                 "--duration", "3", "--seed", str(seed), "--log-level", "warning"])
+    assert code == 0
+    return out
+
+
 def test_main_same_seed_byte_identical_outputs(tmp_path):
-    _, out1 = run_main(tmp_path / "a", "--seed", "7")
-    _, out2 = run_main(tmp_path / "b", "--seed", "7")
+    out1 = run_desk_box(tmp_path / "a", 7)
+    out2 = run_desk_box(tmp_path / "b", 7)
     files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
     files2 = sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
     assert files1 == files2
     for rel in files1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+    other = run_desk_box(tmp_path / "c", 8)
+    assert ((other / "observations.csv").read_bytes()
+            != (out1 / "observations.csv").read_bytes())
+
+
+def test_main_warns_when_no_scatter_follows_the_seed(tmp_path, capsys):
+    code, _ = run_main(tmp_path, "--seed", "5")
+    assert code == 0
+    assert "warning: --seed 5 changes nothing" in capsys.readouterr().err
+    run_desk_box(tmp_path / "desk", 5)
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_main_duration_flag_overrides_file(tmp_path):

@@ -21,10 +21,10 @@ def obs(pid, q, qb=None, qr=None):
     return (pid, qb, qr, q)
 
 
-def frame(*observations, k=0):
+def frame(*observations):
     """A batch of observations, all by agent 0, in the given order."""
     rows = np.array([o[1:] for o in observations], dtype=float).reshape(-1, 3)
-    return Observations(k, np.zeros(len(rows), dtype=int),
+    return Observations(np.zeros(len(rows), dtype=int),
                         np.array([o[0] for o in observations], dtype=int),
                         rows[:, 0], rows[:, 1], rows[:, 2])
 
@@ -38,8 +38,6 @@ def reference_update_ledger(ledger, observations):
             ledger.counts[i] += 1
             if q > ledger.best_q[i]:
                 ledger.best_q[i] = q
-                ledger.best_q_blur[i] = qb
-                ledger.best_q_res[i] = qr
     return ledger
 
 
@@ -94,8 +92,6 @@ def test_ledger_tracks_component_scores_of_best_frame():
     update_ledger(led, frame(obs(0, 0.6, qb=0.6, qr=1.0)))
     update_ledger(led, frame(obs(0, 0.5, qb=0.5, qr=1.0)))
     assert led.best_q[0] == 0.6
-    assert led.best_q_blur[0] == 0.6
-    assert led.best_q_res[0] == 1.0
 
 
 def test_ledger_rejects_unknown_point():
@@ -123,13 +119,13 @@ def test_score_matches_log_replay_on_random_streams():
         floor = float(rng.uniform(0, 0.4))
         led = ScoreLedger(range(n), quality_floor=floor)
         log = []
-        for k in range(40):
+        for _ in range(40):
             batch = []
             for pid in rng.integers(0, n, size=rng.integers(0, 6)):
                 q = float(rng.uniform(0, 1))
                 batch.append(obs(int(pid), q))
                 log.append((int(pid), q))
-            update_ledger(led, frame(*batch, k=k))
+            update_ledger(led, frame(*batch))
         best = [max([q for p, q in log if p == pid and q > floor], default=0.0)
                 for pid in range(n)]
         assert inspection_score(led) == math.fsum(best)
@@ -138,10 +134,10 @@ def test_score_matches_log_replay_on_random_streams():
 def test_ledger_tie_goes_to_the_first_observation():
     led = ScoreLedger([0], quality_floor=0.1)
     update_ledger(led, frame(obs(0, 0.5, qb=0.5, qr=1.0), obs(0, 0.5, qb=1.0, qr=0.5)))
-    assert (led.best_q_blur[0], led.best_q_res[0], led.counts[0]) == (0.5, 1.0, 2)
-    # an equal quality in a later batch does not replace the best either
+    assert (led.best_q[0], led.counts[0]) == (0.5, 2)
+    # an equal quality in a later batch leaves the best as it is
     update_ledger(led, frame(obs(0, 0.5, qb=1.0, qr=0.5)))
-    assert (led.best_q_blur[0], led.best_q_res[0], led.counts[0]) == (0.5, 1.0, 3)
+    assert (led.best_q[0], led.counts[0]) == (0.5, 3)
 
 
 def test_ledger_fold_equals_sequential_reference():
@@ -153,16 +149,16 @@ def test_ledger_fold_equals_sequential_reference():
         floor = float(rng.choice(levels[:4]))
         led = ScoreLedger(ids, quality_floor=floor)
         ref = ScoreLedger(ids, quality_floor=floor)
-        for k in range(20):
+        for _ in range(20):
             size = int(rng.integers(0, 3 * n))
             q = rng.choice(levels, size) if trial % 2 else rng.uniform(0, 1, size)
             q[rng.random(size) < 0.2] = floor                 # exactly at the floor
             batch = [(int(p), float(b), float(r), float(x))
                      for p, b, r, x in zip(rng.choice(ids, size), rng.random(size),
                                            rng.random(size), q)]
-            update_ledger(led, frame(*batch, k=k))
+            update_ledger(led, frame(*batch))
             reference_update_ledger(ref, batch)
-            for field in ("best_q", "best_q_blur", "best_q_res", "counts"):
+            for field in ("best_q", "counts"):
                 assert np.array_equal(getattr(led, field), getattr(ref, field)), field
 
 

@@ -205,6 +205,25 @@ def test_multi_origin_cast_equals_one_call_per_origin():
             assert hit.any() and not hit.all()
 
 
+def test_per_ray_range_equals_one_scalar_call_per_ray():
+    rng = np.random.default_rng(35)
+    tower = prism_triangles((0.0, 0.0), 4.0, 8.0, sides=8, rings=3)
+    boxes = [BoundingBox((-10.0, -10.0, -2.0), (-6.0, -4.0, 3.0)),
+             BoundingBox((5.0, -3.0, 0.0), (7.0, 9.0, 4.0))]
+    scene = Scene(solid_boxes=boxes, triangles=tower)
+    dirs = awkward_directions(rng, 150)                 # over 512 rays: several rounds
+    ranges = rng.uniform(0.0, 25.0, len(dirs))
+    for origins in (rng.uniform(-12, 12, 3), rng.uniform(-12, 12, (len(dirs), 3))):
+        hit, dist = ray_cast_batch(scene, origins, dirs, ranges)
+        each = np.broadcast_to(origins, dirs.shape)
+        for i in range(len(dirs)):
+            (ref_hit,), (ref_dist,) = ray_cast_batch(scene, each[i], dirs[i:i + 1], ranges[i])
+            assert hit[i] == ref_hit and dist[i] == ref_dist
+        assert hit.any() and not hit.all()
+    with pytest.raises(ConfigurationError):
+        ray_cast_batch(scene, origins, dirs, ranges[1:])
+
+
 def test_cast_rejects_a_mismatched_origin_count():
     with pytest.raises(ConfigurationError):
         ray_cast_batch(Scene(), np.zeros((2, 3)), np.eye(3), 10.0)

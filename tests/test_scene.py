@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (InterestPoint, Scene, line_of_sight, ray_cast_batch,
+from uavinspect.scene import (InterestPoint, Scene, _slabs, line_of_sight, ray_cast_batch,
                               scatter_box_face_points, scene_occupancy,
                               visible_point_indices)
 from uavinspect.world import BoundingBox, VoxelGrid
@@ -117,6 +117,73 @@ def test_ray_distance_never_exceeds_max_range_and_is_subset_monotone():
         if a_hit:
             assert a_dist <= 20.0 + 1e-12
             assert b_hit and b_dist <= a_dist + 1e-12
+
+
+# --- box slabs against the (rays, boxes) layout ------------------------------
+
+def reference_slabs(lo, hi, inv):
+    """The slab test in (rays, boxes) layout, on boxes given relative to the
+    ray origins: lo and hi are (1, boxes, 3) for a shared origin, (rays,
+    boxes, 3) for one origin per ray."""
+    tn = tf = None
+    with np.errstate(invalid="ignore"):
+        for k in range(3):
+            t1 = lo[:, :, k] * inv[:, k, None]
+            t2 = hi[:, :, k] * inv[:, k, None]
+            n, f = np.minimum(t1, t2), np.maximum(t1, t2)
+            tn = n if tn is None else np.maximum(tn, n)
+            tf = f if tf is None else np.minimum(tf, f)
+    return tn, tf
+
+
+def reference_box_cast(scene, origins, dirs, max_range):
+    """Nearest box hits by the (rays, boxes) slab test."""
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / dirs
+    o = origins.reshape(-1, 3)[:, None]
+    tn, tf = reference_slabs(scene._box_lo - o, scene._box_hi - o, inv)
+    ok = (tf >= tn) & (tf > 1e-9) & (tn <= max_range)
+    best = np.where(ok, np.where(tn > 1e-9, tn, 0.0), np.inf).min(axis=1)
+    return best <= max_range, best
+
+
+def face_rays(scene, rng, count):
+    """Origins on box faces, edges and corners, with rays along the faces and
+    the axes, plus random ones."""
+    lo, hi = scene._box_lo, scene._box_hi
+    box = rng.integers(0, len(lo), count)
+    pick = rng.integers(0, 3, (count, 3))              # per axis: low face, high face, inside
+    inside = rng.uniform(lo[box], hi[box])
+    origins = np.where(pick == 0, lo[box], np.where(pick == 1, hi[box], inside))
+    origins[::7] += rng.uniform(-3, 3, (len(origins[::7]), 3))
+    dirs = rng.normal(size=(count, 3))
+    dirs[rng.random((count, 3)) < 0.3] = 0.0            # along faces and axes
+    dirs[np.all(dirs == 0.0, axis=1), 0] = -1.0
+    return origins, dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def test_box_slabs_equal_the_rays_by_boxes_reference():
+    rng = np.random.default_rng(24)
+    nans = 0
+    for _ in range(20):
+        lo = np.round(rng.uniform(-10, 8, (int(rng.integers(1, 9)), 3)))
+        boxes = [BoundingBox(tuple(l), tuple(l + np.round(rng.uniform(1, 6, 3)))) for l in lo]
+        scene = Scene(solid_boxes=boxes)
+        origins, dirs = face_rays(scene, rng, 300)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / dirs
+        for o in (origins[:1], origins):                 # shared, then one per ray
+            rel = o[:, None]
+            ref_tn, ref_tf = reference_slabs(scene._box_lo - rel, scene._box_hi - rel, inv)
+            tn, tf = _slabs(scene._box_lo, scene._box_hi, o, np.ascontiguousarray(inv.T))
+            assert np.array_equal(tn, ref_tn.T, equal_nan=True)
+            assert np.array_equal(tf, ref_tf.T, equal_nan=True)
+            nans += np.count_nonzero(np.isnan(tn))
+            for max_range in (2.0, 30.0):
+                hit, dist = ray_cast_batch(scene, o, dirs, max_range)
+                ref_hit, ref_dist = reference_box_cast(scene, o, dirs, max_range)
+                assert np.array_equal(hit, ref_hit) and np.array_equal(dist, ref_dist)
+    assert nans > 100                                    # rays along box faces
 
 
 # --- line of sight ----------------------------------------------------------

@@ -193,7 +193,6 @@ class Observation:
     q_blur: float
     q_res: float
     q: float
-    timestep: int
 
 
 def reference_visible(scene, apex, candidate_mask):
@@ -214,7 +213,7 @@ def reference_visible(scene, apex, candidate_mask):
     return idx[~(hit & (dist < lengths - 1e-6))]
 
 
-def reference_observe(a, gimbal, scene, cfg, k):
+def reference_observe(a, gimbal, scene, cfg):
     """observe for one agent at a time: the oracle for the fleet's observe."""
     if scene.num_points == 0:
         return []
@@ -229,31 +228,30 @@ def reference_observe(a, gimbal, scene, cfg, k):
     qb = _blur_batch(p_cam[idx], v_cam, cfg)
     qr = _resolution_batch(p_cam[idx], cfg)
     q = qb * qr
-    return [Observation(int(scene.point_ids[i]), float(qb[j]), float(qr[j]), float(q[j]), k)
+    return [Observation(int(scene.point_ids[i]), float(qb[j]), float(qr[j]), float(q[j]))
             for j, i in enumerate(idx) if q[j] > 0.0]
 
 
-def observe_one(a, gimbal, scene, cfg, k):
+def observe_one(a, gimbal, scene, cfg):
     """observe for a fleet of one, as Observation rows."""
-    obs = observe([a], [gimbal], scene, cfg, k)
+    obs = observe([a], [gimbal], scene, cfg)
     assert obs.agent.tolist() == [a.id] * len(obs)
-    return [Observation(*row, obs.timestep) for row in zip(
+    return [Observation(*row) for row in zip(
         obs.point_id.tolist(), obs.q_blur.tolist(), obs.q_res.tolist(), obs.q.tolist())]
 
 
 def test_hovering_agent_perfect_observation():
     c = cam(focal=1000.0, desired_resolution=0.04)
-    obs = observe_one(agent(), GimbalState(), on_axis_scene(20.0), c, k=3)
+    obs = observe_one(agent(), GimbalState(), on_axis_scene(20.0), c)
     assert len(obs) == 1
     assert obs[0].point_id == 0
     assert obs[0].q == 1.0
     assert obs[0].q_blur == 1.0 and obs[0].q_res == 1.0
-    assert obs[0].timestep == 3
 
 
 def test_lateral_motion_composes_blur_and_resolution():
     c = cam(exposure=0.1, focal=1000.0, desired_resolution=0.04)
-    obs = observe_one(agent(vel=(0, 1.0, 0)), GimbalState(), on_axis_scene(10.0), c, k=0)
+    obs = observe_one(agent(vel=(0, 1.0, 0)), GimbalState(), on_axis_scene(10.0), c)
     assert len(obs) == 1
     expected_res = _resolution_batch(np.array([[0.0, 0.0, 10.0]]), c)[0]
     assert obs[0].q_blur == pytest.approx(0.1, abs=1e-12)
@@ -263,7 +261,7 @@ def test_lateral_motion_composes_blur_and_resolution():
 def test_point_outside_fov_absent():
     c = cam()
     scene = Scene(interest_points=[InterestPoint(0, (0.0, 50.0, 0.0), (0.0, -1.0, 0.0))])
-    assert observe_one(agent(), GimbalState(), scene, c, k=0) == []
+    assert observe_one(agent(), GimbalState(), scene, c) == []
 
 
 def test_occluded_point_absent():
@@ -272,7 +270,7 @@ def test_occluded_point_absent():
         solid_boxes=[BoundingBox((5, -2, -2), (6, 2, 2))],
         interest_points=[InterestPoint(0, (20.0, 0.0, 0.0), (-1.0, 0.0, 0.0))],
     )
-    assert observe_one(agent(), GimbalState(), scene, c, k=0) == []
+    assert observe_one(agent(), GimbalState(), scene, c) == []
 
 
 def test_observe_subset_of_points_and_deterministic():
@@ -286,8 +284,8 @@ def test_observe_subset_of_points_and_deterministic():
                   interest_points=pts)
     a = agent(vel=(0.4, -0.2, 0.1), yaw=0.3)
     g = GimbalState(inclination=-0.2, azimuth=0.4)
-    o1 = observe_one(a, g, scene, cam(), k=7)
-    o2 = observe_one(a, g, scene, cam(), k=7)
+    o1 = observe_one(a, g, scene, cam())
+    o2 = observe_one(a, g, scene, cam())
     assert o1 == o2
     ids = {o.point_id for o in o1}
     assert ids <= set(range(60))
@@ -325,7 +323,7 @@ def test_observe_agrees_with_public_fov_predicate():
         if qb * qr > 0.0:
             expected[int(scene.point_ids[i])] = (qb, qr)
 
-    got = {o.point_id: (o.q_blur, o.q_res) for o in observe_one(a, g, scene, c, k=0)}
+    got = {o.point_id: (o.q_blur, o.q_res) for o in observe_one(a, g, scene, c)}
     assert got.keys() == expected.keys()
     for pid in got:
         assert got[pid][0] == pytest.approx(expected[pid][0], abs=1e-12)
@@ -351,7 +349,7 @@ def test_fleet_observe_equals_per_agent_reference(n_agents):
     rng = np.random.default_rng(60 + n_agents)
     c = cam(exposure=0.02, range=40.0)
     total = 0
-    for trial in range(10):
+    for _ in range(10):
         scene = fleet_scene(rng)
         states, gimbals = [], []
         for i in range(n_agents):
@@ -361,10 +359,10 @@ def test_fleet_observe_equals_per_agent_reference(n_agents):
                                      math.atan2(look[1], look[0]), rng.normal(size=3)))
             gimbals.append(GimbalState(inclination=float(rng.uniform(-0.8, 0.5)),
                                        azimuth=float(rng.uniform(-0.4, 0.4))))
-        got = observe(states, gimbals, scene, c, k=trial)
+        got = observe(states, gimbals, scene, c)
         expected = [(s.id, o) for s, g in zip(states, gimbals)
-                    for o in reference_observe(s, g, scene, c, trial)]
-        assert len(got) == len(expected) and got.timestep == trial
+                    for o in reference_observe(s, g, scene, c)]
+        assert len(got) == len(expected)
         assert got.agent.tolist() == [aid for aid, _ in expected]
         assert got.point_id.tolist() == [o.point_id for _, o in expected]
         assert got.q_blur.tolist() == [o.q_blur for _, o in expected]
@@ -376,8 +374,8 @@ def test_fleet_observe_equals_per_agent_reference(n_agents):
 
 def test_observe_without_points_or_agents_is_empty():
     a, g = agent(), GimbalState()
-    assert len(observe([a], [g], Scene(), cam(), k=0)) == 0
-    assert len(observe([], [], on_axis_scene(10.0), cam(), k=0)) == 0
+    assert len(observe([a], [g], Scene(), cam())) == 0
+    assert len(observe([], [], on_axis_scene(10.0), cam())) == 0
 
 
 # --- servo and lidar ------------------------------------------------------------------------

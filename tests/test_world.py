@@ -262,9 +262,27 @@ def reference_integrate_points(occ_map, sensor_origin, hits):
     return occ_map, all_arrived
 
 
+def enters_grid(lo, hi, origin, end):
+    """Whether the segment from origin to end meets the box lo..hi, clipping
+    its parameter range [0, 1] axis by axis.  A segment with no motion along
+    an axis meets the box only if its origin lies strictly between the two
+    faces on that axis."""
+    t0, t1 = 0.0, 1.0
+    for a in range(3):
+        d = end[a] - origin[a]
+        if d == 0.0:
+            if not lo[a] < origin[a] < hi[a]:
+                return False
+        else:
+            ta, tb = sorted(((lo[a] - origin[a]) / d, (hi[a] - origin[a]) / d))
+            t0, t1 = max(t0, ta), min(t1, tb)
+    return t0 <= t1
+
+
 def reference_carve_free(occ_map, sensor_origin, endpoints):
-    """carve_free with every ray traversed by the reference loop.  Returns the
-    map and, per endpoint, whether its ray arrived."""
+    """carve_free with every ray traversed by the reference loop, and a ray
+    that never enters the grid dropped.  Returns the map and, per endpoint,
+    whether its ray arrived (dropped rays count as arrived)."""
     endpoints = np.asarray(endpoints, dtype=float).reshape(-1, 3)
     origin = np.asarray(sensor_origin, dtype=float)
     grid = occ_map.grid
@@ -272,7 +290,8 @@ def reference_carve_free(occ_map, sensor_origin, endpoints):
     dims = np.asarray(grid.dims)
     lo = grid.origin_arr
     hi = lo + dims * v
-    rel = endpoints - origin
+    enters = np.array([enters_grid(lo, hi, origin, p) for p in endpoints], dtype=bool)
+    rel = endpoints[enters] - origin
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - origin) / rel
         t2 = (hi - origin) / rel
@@ -282,7 +301,9 @@ def reference_carve_free(occ_map, sensor_origin, endpoints):
     end_cells = np.clip(np.floor((ends - lo) / v).astype(np.int64), 0, dims - 1)
     crossed, arrived = reference_segment_cells(grid, origin, ends, end_cells)
     _mark_free(occ_map, np.vstack([crossed, end_cells]))
-    return occ_map, arrived
+    all_arrived = np.ones(len(endpoints), dtype=bool)
+    all_arrived[enters] = arrived
+    return occ_map, all_arrived
 
 
 def partially_known_maps(dims, rng):
@@ -330,6 +351,44 @@ def test_cull_matches_unculled_reference_on_partially_known_maps():
                     compared += len(kept)
                     drawn += len(points)
     assert compared > 0.8 * drawn
+
+
+def test_firing_update_equals_sequential_reference():
+    # one call with hits and misses against the hits, then the misses, each
+    # ray stepped by the reference loop
+    rng = np.random.default_rng(19)
+    compared = drawn = never_enter = hits_off = 0
+    for grid in (VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0),
+                 VoxelGrid((-4.5, 2.0, 1.0), (5, 6, 4), 3.0)):
+        v, dims = grid.voxel_size, np.asarray(grid.dims)
+        lo, hi = grid.origin_arr, grid.origin_arr + dims * v
+        for cells in partially_known_maps(grid.dims, rng):
+            for origin in sensor_origins(grid, rng):
+                near = rng.uniform(lo - 2 * v, hi + 2 * v, (30, 3))
+                near[::2] = lo + v * np.round((near[::2] - lo) / v * 2) / 2
+                # farther hits and misses along the same rays cross the near
+                # hit cells; misses pointing away from the grid's centre never
+                # enter it from an origin outside
+                hits = np.vstack([near, origin + (near[:10] - origin) * 1.7])
+                away = origin + (origin - (lo + hi) / 2) * rng.uniform(0.2, 2.0, (5, 1))
+                misses = np.vstack([origin + (near[10:] - origin) * 2.5,
+                                    rng.uniform(lo - 2 * v, hi + 2 * v, (10, 3)), away])
+                _, hit_ok = reference_integrate_points(OccupancyMap(grid, cells.copy()),
+                                                       origin, hits)
+                _, miss_ok = reference_carve_free(OccupancyMap(grid, cells.copy()),
+                                                  origin, misses)
+                hits, misses = hits[hit_ok], misses[miss_ok]
+                expected, _ = reference_integrate_points(OccupancyMap(grid, cells.copy()),
+                                                         origin, hits)
+                reference_carve_free(expected, origin, misses)
+                got = integrate_points(OccupancyMap(grid, cells.copy()), origin, hits, misses)
+                assert np.array_equal(got.cells, expected.cells)
+                compared += len(hits) + len(misses)
+                drawn += len(hit_ok) + len(miss_ok)
+                never_enter += sum(not enters_grid(lo, hi, origin, p) for p in misses)
+                hits_off += np.count_nonzero(np.any((hits < lo) | (hits >= hi), axis=1))
+    assert compared > 0.8 * drawn
+    assert never_enter > 50 and hits_off > 50
 
 
 def test_carve_free_frees_only_cells_in_the_ray_box():
@@ -413,11 +472,16 @@ def test_traversal_takes_l1_steps_inside_each_box(dims, voxel, data):
     idx = np.indices(dims).reshape(3, -1).T
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     before = rng.choice(STATES, size=dims).astype(np.uint8)
-    for update, box_ends in ((integrate_points, hit_cells), (carve_free, miss_cells)):
+    half = len(ends) // 2
+    for update, box_ends in (
+            (lambda m: integrate_points(m, origin, ends), hit_cells),
+            (lambda m: carve_free(m, origin, ends), miss_cells),
+            (lambda m: integrate_points(m, origin, ends[:half], ends[half:]),
+             np.vstack([hit_cells[:half], miss_cells[half:]]))):
         boxed = np.zeros(len(idx), dtype=bool)
         for e in box_ends:
             boxed |= np.all((idx >= np.minimum(start, e)) & (idx <= np.maximum(start, e)), axis=1)
-        after = update(OccupancyMap(grid, before.copy()), origin, ends).cells
+        after = update(OccupancyMap(grid, before.copy())).cells
         changed = (after != before).reshape(-1)
         assert not np.any(changed & ~boxed)
 
