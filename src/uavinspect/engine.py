@@ -205,6 +205,7 @@ class _Runtime:
     need_replan: bool = True
     blocked: int = 0
     blocked_replans: int = 0
+    barren: np.ndarray | None = None        # cells of the last map that gave no waypoints
 
     @property
     def id(self) -> int:
@@ -298,9 +299,15 @@ class _Mission:
         return {b.voxel for b in self.agents if b.id != a.id}
 
     def _regenerate(self, a: _Runtime, neighbors: NeighborSet, k: int) -> None:
+        # the waypoints depend on the map's cells alone: the grid, the boxes
+        # and the standoff are fixed for the mission
+        if a.barren is not None and np.array_equal(a.occ.cells, a.barren):
+            a.sigma = None
+            return
         waypoints = generate_waypoints(a.occ, self.scene.inspection_boxes,
                                        self.cfg.standoff)
         if not waypoints:
+            a.barren = a.occ.cells.copy()
             a.sigma = None
             return
         by_id = {b.id: b for b in self.agents}

@@ -155,47 +155,52 @@ class OccupancyMap:
 
 def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
                    end_cells: np.ndarray) -> np.ndarray:
-    """All voxels each segment crosses from the shared origin up to, but not
-    including, its end cell.  Vectorized grid-stepping over every segment at once.
+    """All voxels each segment crosses from the origin up to, but not
+    including, its end cell (Amanatides & Woo, 1987), for every segment at once.
 
-    Each axis steps only toward its end coordinate and stops once it gets
-    there, so a segment visits exactly L1(end cell - origin cell) cells, all
-    inside the box spanned by its origin cell and its end cell.  Returns an
-    (m, 3) int array of cells (duplicates across segments included), m the
-    sum of those L1 distances.
+    Each axis steps only toward its end coordinate, |end cell - origin cell|
+    times, so a segment visits exactly L1(end cell - origin cell) cells, all
+    inside the box spanned by its origin cell and its end cell.  The times an
+    axis crosses voxel planes are its first crossing plus |1/d| again and
+    again, summed in sequence as a stepping loop sums them; the segment takes
+    the crossings of all three axes in time order, ties to the lower axis and
+    a NaN time first, as an argmin over the axes picks them.  Returns an (m, 3)
+    int array of cells (duplicates across segments included), m the sum of
+    those L1 distances; a single segment's cells come in path order.
     """
-    n = len(ends)
-    if n == 0:
-        return np.zeros((0, 3), dtype=np.int64)
     v = grid.voxel_size
     g0 = (origin - grid.origin_arr) / v                      # continuous grid coords
     start = np.floor(g0).astype(np.int64)
-    rounds = np.abs(end_cells - start).sum(axis=1)
-    order = np.argsort(-rounds, kind="stable")   # longest first: the rays still
-    rounds = rounds[order]                       # stepping are always a prefix
-    last = end_cells[order].astype(np.int64)
-    d = (ends[order] - origin) / v                           # grid-space displacement
-    cur = np.tile(start, (n, 1))
-    step = np.sign(last - cur)
+    delta = end_cells - start
+    lengths = np.abs(delta).sum(axis=1)
+    moving = lengths > 0
+    delta, lengths = delta[moving], lengths[moving]
+    if len(delta) == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    n, counts, step = len(delta), np.abs(delta), np.sign(delta)
+    m = int(counts.max())
+    d = (ends[moving] - origin) / v                          # grid-space displacement
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        next_boundary = cur + (step > 0)
-        t_max = np.where(step != 0, (next_boundary - g0) / d, np.inf)
-        t_delta = np.where(step != 0, np.abs(1.0 / d), np.inf)
-
-    # stepping[r]: how many rays take an r-th step
-    stepping = np.searchsorted(-rounds, -np.arange(rounds[0] + 2), side="right")
-    collected = [cur[:stepping[1]].copy()]   # origin cell, for segments that leave it
-    for r in range(1, rounds[0] + 1):
-        rows = np.arange(stepping[r])
-        ax = np.argmin(t_max[rows], axis=1)
-        cur[rows, ax] += step[rows, ax]
-        t_max[rows, ax] += t_delta[rows, ax]
-        reached = cur[rows, ax] == last[rows, ax]
-        t_max[rows[reached], ax[reached]] = np.inf
-        collected.append(cur[:stepping[r + 1]].copy())
-    assert np.array_equal(cur, last), "grid traversal stopped short of its end cell"
-    return np.vstack(collected)
+    # times[i, a, j]: when segment i crosses its (j+1)-th plane along axis a
+    times = np.empty((n, 3, m))
+    with np.errstate(divide="ignore", invalid="ignore"):     # an unused axis: x/0, inf - inf
+        times[:, :, 0] = (start + (step > 0) - g0) / d
+        times[:, :, 1:] = np.abs(1.0 / d)[:, :, None]
+        np.add.accumulate(times, axis=2, out=times)
+    times[np.isnan(times)] = -np.inf
+    times[np.arange(m) >= counts[:, :, None]] = np.inf       # padding sorts last
+    order = np.argsort(times.reshape(n, 3 * m), axis=1, kind="stable")
+    axis = (order // m)[np.arange(3 * m) < lengths[:, None]]
+    rows = np.repeat(np.arange(n), lengths)
+    moves = np.zeros((len(axis), 3), dtype=np.int64)
+    moves[np.arange(len(axis)), axis] = step[rows, axis]
+    walked = moves.cumsum(axis=0)                # over all segments, one after another
+    before = walked - moves
+    last = np.cumsum(lengths) - 1
+    base = before[last + 1 - lengths]            # per segment, at its first step
+    assert np.array_equal(walked[last] - base, delta), \
+        "grid traversal stopped short of its end cell"
+    return start + before - base[rows]
 
 
 def _holds_unknown(unknown: np.ndarray, dims: np.ndarray, origin_cell: np.ndarray,
@@ -271,13 +276,17 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits,
         return occ_map
     live_hits, rel = live[:len(hit_cells)], rel[live[len(hit_cells):]]
 
-    # clip the surviving misses to the grid; NaN, from an origin on a grid
-    # face with no motion along it, never decides
+    # clip the surviving misses to the grid; an axis with no motion along it
+    # holds the whole ray if lo <= origin < hi, since boundary planes belong
+    # to the upper voxel, and none of it otherwise
+    hi = lo + dims * v
+    still = rel == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origin) / rel
-        t2 = (lo + dims * v - origin) / rel
-    t_enter = np.fmax.reduce(np.fmin(t1, t2), axis=1)
-    t_exit = np.fmin.reduce(np.fmax(t1, t2), axis=1)
+        t1 = np.where(still, np.where((lo <= origin) & (origin < hi), -np.inf, np.inf),
+                      (lo - origin) / rel)
+        t2 = np.where(still, np.inf, (hi - origin) / rel)
+    t_enter = np.minimum(t1, t2).max(axis=1)
+    t_exit = np.maximum(t1, t2).min(axis=1)
     enters = (t_enter <= t_exit) & (t_exit >= 0.0) & (t_enter <= 1.0)
     rel, t_exit = rel[enters], t_exit[enters]
     t = np.clip(np.minimum(1.0, t_exit * (1.0 - 1e-9)), 0.0, 1.0)

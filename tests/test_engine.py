@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from uavinspect import engine
 from uavinspect.comms import NeighborSet
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                inspection_score, intensity_heatmap, run_mission,
                                update_ledger, write_outputs)
 from uavinspect.errors import ConfigurationError
+from uavinspect.planning import generate_waypoints
 from uavinspect.scene import InterestPoint, Scene, scatter_box_face_points
 from uavinspect.sensors import CameraConfig, LidarConfig, Observations
-from uavinspect.world import BoundingBox, load_map
+from uavinspect.world import FREE, OCCUPIED, BoundingBox, OccupancyMap, load_map
 
 
 def obs(pid, q, qb=None, qr=None):
@@ -341,6 +343,54 @@ def test_survey_goal_underfoot_keeps_the_blocked_replan_count():
     mission._follow(a, NeighborSet({}), 0)
     assert a.cursor == 1 and a.segment
     assert a.blocked_replans == 2
+
+
+def test_no_agent_regenerates_on_a_map_that_gave_no_waypoints(monkeypatch):
+    # at a 30 m standoff every waypoint falls off the grid; before the check,
+    # each agent asked again on the same cells at every tick
+    asked, current = [], []
+    regenerate = _Mission._regenerate
+
+    def tagged(self, a, neighbors, k):
+        current[:] = [a.id]
+        regenerate(self, a, neighbors, k)
+
+    def recording(occ_map, boxes, standoff):
+        waypoints = generate_waypoints(occ_map, boxes, standoff)
+        asked.append((current[0], occ_map.cells.tobytes(), len(waypoints)))
+        return waypoints
+
+    monkeypatch.setattr(_Mission, "_regenerate", tagged)
+    monkeypatch.setattr(engine, "generate_waypoints", recording)
+    run_mission(small_config(duration=60.0, waypoint_standoff=30.0), small_scene())
+    barren = set()
+    for agent, cells, count in asked:
+        assert (agent, cells) not in barren
+        if count == 0:
+            barren.add((agent, cells))
+    assert {agent for agent, _ in barren} == {0, 1}
+
+
+def test_regeneration_asks_again_once_the_map_changes(monkeypatch):
+    mission = _Mission(small_config(), small_scene())
+    asked = []
+
+    def counting(occ_map, boxes, standoff):
+        asked.append(occ_map.cells.copy())
+        return generate_waypoints(occ_map, boxes, standoff)
+
+    monkeypatch.setattr(engine, "generate_waypoints", counting)
+    a = mission.agents[1]
+    a.phase = 2
+    for k in range(3):                   # an all-unknown map gives none
+        mission._regenerate(a, NeighborSet({}), k)
+    assert len(asked) == 1 and a.sigma is None
+    a.occ.cells[a.voxel] = FREE
+    mission._regenerate(a, NeighborSet({}), 3)
+    assert len(asked) == 2 and a.sigma is None
+    a.occ = OccupancyMap(mission.grid, np.where(mission.truth, OCCUPIED, FREE))
+    mission._regenerate(a, NeighborSet({}), 4)
+    assert len(asked) == 3 and a.sigma is not None
 
 
 def test_capture_stride_thins_observations():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,134 @@ def test_integration_monotone_occupied_superset():
         previous = occupied
 
 
+# --- loop-free traversal against the stepping loop --------------------------
+
+def stepping_segment_cells(grid, origin, ends, end_cells):
+    """The grid traversal as a stepping loop, the oracle for _segment_cells:
+    each round every segment still short of its end cell steps along the axis
+    whose next plane crossing comes first (argmin: ties to the lower axis, a
+    NaN first), and an axis stops once it reaches its end coordinate.
+    Returns the cells round by round, each segment's origin cell first."""
+    n = len(ends)
+    if n == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    v = grid.voxel_size
+    g0 = (origin - grid.origin_arr) / v
+    start = np.floor(g0).astype(np.int64)
+    rounds = np.abs(end_cells - start).sum(axis=1)
+    order = np.argsort(-rounds, kind="stable")   # longest first: the rays still
+    rounds = rounds[order]                       # stepping are always a prefix
+    last = end_cells[order].astype(np.int64)
+    d = (ends[order] - origin) / v
+    cur = np.tile(start, (n, 1))
+    step = np.sign(last - cur)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        next_boundary = cur + (step > 0)
+        t_max = np.where(step != 0, (next_boundary - g0) / d, np.inf)
+        t_delta = np.where(step != 0, np.abs(1.0 / d), np.inf)
+    stepping = np.searchsorted(-rounds, -np.arange(rounds[0] + 2), side="right")
+    collected = [cur[:stepping[1]].copy()]
+    for r in range(1, rounds[0] + 1):
+        rows = np.arange(stepping[r])
+        ax = np.argmin(t_max[rows], axis=1)
+        cur[rows, ax] += step[rows, ax]
+        t_max[rows, ax] += t_delta[rows, ax]
+        reached = cur[rows, ax] == last[rows, ax]
+        t_max[rows[reached], ax[reached]] = np.inf
+        collected.append(cur[:stepping[r + 1]].copy())
+    assert np.array_equal(cur, last), "grid traversal stopped short of its end cell"
+    return np.vstack(collected)
+
+
+def as_multiset(cells):
+    return sorted(map(tuple, np.asarray(cells).tolist()))
+
+
+def cells_of(grid, points):
+    return np.floor((points - grid.origin_arr) / grid.voxel_size).astype(np.int64)
+
+
+def assert_traversal_equals_stepping(grid, origin, ends, end_cells=None):
+    """Each segment alone in path order, and all of them as one multiset."""
+    origin = np.asarray(origin, dtype=float)
+    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
+    end_cells = cells_of(grid, ends) if end_cells is None else np.asarray(end_cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(len(ends)):
+            got = _segment_cells(grid, origin, ends[i:i + 1], end_cells[i:i + 1])
+            assert np.array_equal(
+                got, stepping_segment_cells(grid, origin, ends[i:i + 1], end_cells[i:i + 1]))
+        together = _segment_cells(grid, origin, ends, end_cells)
+    assert together.shape == (np.abs(end_cells - cells_of(grid, origin)).sum(), 3)
+    assert as_multiset(together) == as_multiset(
+        stepping_segment_cells(grid, origin, ends, end_cells))
+
+
+def test_traversal_ties_follow_the_lower_axis():
+    grid = VoxelGrid((0.0, 0.0, 0.0), (6, 6, 6), 1.0)
+    # diagonals from a centre and from a corner tie two and three axes at every plane
+    assert_traversal_equals_stepping(grid, (0.5, 0.5, 0.5), [(3.5, 3.5, 0.5)])
+    assert np.array_equal(
+        _segment_cells(grid, np.array([0.5, 0.5, 0.5]), np.array([[2.5, 2.5, 0.5]]),
+                       np.array([[2, 2, 0]])),
+        [[0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 1, 0]])
+    for origin, ends in (((0.5, 0.5, 0.5), [(3.5, 3.5, 3.5), (5.5, 0.5, 5.5)]),
+                         ((1.0, 1.0, 1.0), [(4.0, 4.0, 4.0), (4.0, 1.0, 4.0)]),
+                         ((4.0, 4.0, 4.0), [(1.0, 1.0, 1.0), (1.0, 4.0, 1.0),
+                                            (1.5, 4.0, 0.5)]),
+                         ((3.0, 2.5, 3.0), [(0.0, 2.5, 0.0), (6.0, 5.5, 0.0)])):
+        assert_traversal_equals_stepping(grid, origin, ends)
+
+
+def test_traversal_of_zero_length_and_empty_batches():
+    grid = VoxelGrid((0.0, 0.0, 0.0), (4, 4, 4), 1.0)
+    origin = np.array([1.2, 2.0, 3.0])
+    assert _segment_cells(grid, origin, np.zeros((0, 3)), np.zeros((0, 3), int)).shape == (0, 3)
+    assert_traversal_equals_stepping(grid, origin, [origin, (1.9, 2.7, 3.99), origin])
+    assert_traversal_equals_stepping(grid, origin, [origin, (3.5, 0.5, 0.5), (1.2, 2.0, 3.0)])
+
+
+def test_traversal_takes_a_nan_crossing_first():
+    # an origin on the grid's upper x face, not moving along x, with its end
+    # cell clipped onto the grid: the x crossing time is 0 / 0
+    grid = VoxelGrid((0.0, 0.0, 0.0), (4, 4, 4), 1.0)
+    origin = np.array([4.0, 1.5, 1.5])
+    ends = np.array([[4.0, 3.5, 2.5], [4.0, 0.5, 1.5], [4.0, 1.5, 1.5]])
+    end_cells = np.clip(cells_of(grid, ends), 0, 3)
+    assert_traversal_equals_stepping(grid, origin, ends, end_cells)
+    assert np.array_equal(_segment_cells(grid, origin, ends[:1], end_cells[:1]),
+                          [[4, 1, 1], [3, 1, 1], [3, 2, 1], [3, 2, 2]])
+
+
+def test_traversal_equals_stepping_on_random_rays():
+    rng = np.random.default_rng(23)
+    for grid in (VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0),
+                 VoxelGrid((-4.5, 2.0, 1.0), (5, 6, 4), 3.0)):
+        v, dims = grid.voxel_size, np.asarray(grid.dims)
+        lo, hi = grid.origin_arr, grid.origin_arr + dims * v
+        for _ in range(6):
+            for origin in sensor_origins(grid, rng):
+                ends = rng.uniform(lo - 2 * v, hi + 2 * v, (40, 3))
+                ends[::2] = lo + v * np.round((ends[::2] - lo) / v * 2) / 2
+                ends[::5] = lo + v * np.round((ends[::5] - lo) / v)   # voxel corners
+                ends[1::7] = origin
+                assert_traversal_equals_stepping(grid, origin, ends)
+
+
+def test_long_rays_on_a_fine_grid_equal_the_stepping_loop():
+    # many crossings per axis at a voxel size that is not a power of two:
+    # summing |1/d| one crossing at a time differs from t0 + i * |1/d|
+    rng = np.random.default_rng(29)
+    grid = VoxelGrid((0.0, 0.0, 0.0), (40, 3, 25), 0.7)
+    dims = np.asarray(grid.dims)
+    for _ in range(40):
+        origin = 0.7 * rng.integers(0, dims + 1)
+        ends = 0.7 * rng.integers(0, dims + 1, (30, 3)).astype(float)
+        ends[::3] = rng.uniform(0.0, dims * 0.7, (10, 3))
+        assert_traversal_equals_stepping(grid, origin, ends)
+
+
 # --- the box guard and the unknown-cell cull --------------------------------
 
 def reference_segment_cells(grid, origin, ends, end_cells):
@@ -265,13 +394,13 @@ def reference_integrate_points(occ_map, sensor_origin, hits):
 def enters_grid(lo, hi, origin, end):
     """Whether the segment from origin to end meets the box lo..hi, clipping
     its parameter range [0, 1] axis by axis.  A segment with no motion along
-    an axis meets the box only if its origin lies strictly between the two
-    faces on that axis."""
+    an axis meets the box only if lo <= origin < hi on that axis: boundary
+    planes belong to the upper voxel."""
     t0, t1 = 0.0, 1.0
     for a in range(3):
         d = end[a] - origin[a]
         if d == 0.0:
-            if not lo[a] < origin[a] < hi[a]:
+            if not lo[a] <= origin[a] < hi[a]:
                 return False
         else:
             ta, tb = sorted(((lo[a] - origin[a]) / d, (hi[a] - origin[a]) / d))
@@ -432,6 +561,19 @@ def test_carve_free_drops_rays_that_never_enter_the_grid():
         (0, 0, 0), (1, 0, 0), (2, 0, 0)}
 
 
+def test_carve_free_along_the_grid_lower_face():
+    # the plane x = 0 belongs to the cells of index 0, as in world_to_voxel;
+    # the plane x = 4 belongs to no cell of the grid
+    for origin, end, freed in (((0.0, 0.5, 0.5), (0.0, 3.5, 0.5), 4),
+                               ((0.5, 0.5, 0.5), (0.5, 3.5, 0.5), 4),
+                               ((4.0, 0.5, 0.5), (4.0, 3.5, 0.5), 0),
+                               ((0.5, 0.0, 0.0), (3.5, 0.0, 0.0), 4)):
+        m = make_map((4, 4, 4), voxel=1.0)
+        carve_free(m, origin, [end])
+        assert np.count_nonzero(m.cells == FREE) == freed
+    assert np.argwhere(m.cells == FREE).tolist() == [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]
+
+
 def plane_or_float(n, v, upper):
     """A coordinate on one of the voxel planes 0..upper, or anywhere in [0, n*v)."""
     return st.one_of(st.integers(0, upper).map(lambda k: k * v),
@@ -451,16 +593,12 @@ def test_traversal_takes_l1_steps_inside_each_box(dims, voxel, data):
 
     end_cells = np.floor((ends - base) / voxel).astype(np.int64)
     steps = np.abs(end_cells - start).sum(axis=1)
-    per_ray = []
     for i in range(len(ends)):
         cells = _segment_cells(grid, origin, ends[i:i + 1], end_cells[i:i + 1])
         assert len(cells) == steps[i]
         assert np.all((cells >= np.minimum(start, end_cells[i]))
                       & (cells <= np.maximum(start, end_cells[i])))
-        per_ray.append(cells)
-    together = _segment_cells(grid, origin, ends, end_cells)
-    assert (sorted(map(tuple, together.tolist()))
-            == sorted(map(tuple, np.vstack(per_ray).tolist())))
+    assert_traversal_equals_stepping(grid, origin, ends, end_cells)
 
     # the cells each call may change: its rays' boxes, end cells as the call sees them
     rel = ends - origin
