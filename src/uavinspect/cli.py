@@ -347,6 +347,8 @@ def main(argv=None) -> int:
     print(f"points scored: {scored}/{total}")
     print(f"violations: {result.violations} (same-voxel {result.collisions_same_voxel}, "
           f"occupied-entry {result.occupied_entries})")
+    print(f"structure cells held free: {result.free_structure_cells} (cells x ticks "
+          "over all agent maps)")
     return 0 if result.violations == 0 else 1
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +165,7 @@ class MissionResult:
     voxel_trace: list[tuple]             # (tick, ((agent, voxel), ...))
     collisions_same_voxel: int
     occupied_entries: int
+    free_structure_cells: int            # per tick and agent map; not in the digest
     clamp_events: int
     phase_change_ticks: dict[int, int]
     final_maps: dict[int, OccupancyMap]
@@ -206,6 +209,8 @@ class _Runtime:
     blocked: int = 0
     blocked_replans: int = 0
     barren: np.ndarray | None = None        # cells of the last map that gave no waypoints
+    pose: bytes = b""                       # camera inputs of the last capture
+    rows: list = field(default_factory=list)    # and the Observations fields they gave
 
     @property
     def id(self) -> int:
@@ -223,6 +228,7 @@ class _Mission:
                                                  cfg.voxel_size)
         self.grid = build_grid(self.volume, cfg.voxel_size)
         self.truth = scene_occupancy(scene, self.grid)
+        self.structure = np.flatnonzero(self.truth)
 
         explorer_starts = [np.asarray(a.start, dtype=float)
                            for a in cfg.agents if a.kind == EXPLORER]
@@ -257,6 +263,7 @@ class _Mission:
         self.voxel_trace: list[tuple] = []
         self.collisions = 0
         self.occupied_entries = 0
+        self.free_structure_cells = 0
         self.clamp_events = 0
         self.phase_change_ticks: dict[int, int] = {}
         self.phase_maps: dict[int, OccupancyMap] = {}
@@ -467,8 +474,25 @@ class _Mission:
 
     def _score(self, k: int) -> None:
         if k % self.cfg.capture_stride == 0:
-            obs = observe([a.state for a in self.agents], [a.gimbal for a in self.agents],
+            # an agent's rows depend on its camera inputs and the fixed scene
+            # alone, so only the agents whose pose changed are observed again
+            fresh = []
+            for a in self.agents:
+                s, g = a.state, a.gimbal
+                pose = (s.position.tobytes() + s.velocity.tobytes()
+                        + struct.pack("3d", s.yaw, g.inclination, g.azimuth))
+                if pose != a.pose:
+                    a.pose = pose
+                    fresh.append(a)
+            obs = observe([a.state for a in fresh], [a.gimbal for a in fresh],
                           self.scene, self.cfg.camera)
+            cols = (obs.agent, obs.point_id, obs.q_blur, obs.q_res, obs.q)
+            # agent ids ascend in fleet order, so each agent's rows are one run
+            ends = np.searchsorted(obs.agent, [a.id for a in fresh], side="right").tolist()
+            for a, lo, hi in zip(fresh, [0] + ends, ends):
+                a.rows = [c[lo:hi] for c in cols]
+            if len(fresh) < len(self.agents):
+                obs = Observations(*map(np.concatenate, zip(*(a.rows for a in self.agents))))
             self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
                                          obs.point_id.tolist(), obs.q_blur.tolist(),
                                          obs.q_res.tolist(), obs.q.tolist()))
@@ -485,6 +509,10 @@ class _Mission:
             seen.add(vox)
             if self.truth[vox]:
                 self.occupied_entries += 1
+        # a map that holds a structure cell free lets its agent plan and fly into it
+        for a in self.agents:
+            self.free_structure_cells += int(np.count_nonzero(
+                a.occ.cells.ravel()[self.structure] == FREE))
 
     def run(self) -> MissionResult:
         n_ticks = max(1, int(round(self.cfg.duration / self.cfg.tick)))
@@ -496,6 +524,9 @@ class _Mission:
             self._act(k)
             self._score(k)
             self._audit(k)
+        if self.free_structure_cells:
+            warnings.warn(f"agent maps held structure cells free "
+                          f"{self.free_structure_cells} times (cells x ticks)")
         return MissionResult(
             q_total=inspection_score(self.ledger),
             ledger=self.ledger,
@@ -506,6 +537,7 @@ class _Mission:
             voxel_trace=self.voxel_trace,
             collisions_same_voxel=self.collisions,
             occupied_entries=self.occupied_entries,
+            free_structure_cells=self.free_structure_cells,
             clamp_events=self.clamp_events,
             phase_change_ticks=self.phase_change_ticks,
             final_maps={a.id: a.occ for a in self.agents},
@@ -539,6 +571,7 @@ def write_outputs(result: MissionResult, out_dir: str) -> None:
         f"ticks: {result.num_ticks}",
         f"collisions_same_voxel: {result.collisions_same_voxel}",
         f"occupied_entries: {result.occupied_entries}",
+        f"free_structure_cells: {result.free_structure_cells}",
         f"clamp_events: {result.clamp_events}",
         f"phase_changes: {sorted(result.phase_change_ticks.items())}",
         f"digest: {result.digest()}",

@@ -178,14 +178,18 @@ def observe(states: list[AgentState], gimbals: list[GimbalState], scene: Scene,
             cfg: CameraConfig) -> Observations:
     """Score every interest point each agent's camera currently sees.
 
-    states and gimbals are the fleet's, index-aligned.  Visibility requires
-    the view pyramid, a front-facing surface normal, and a clear sight line;
-    the sight lines of the whole fleet go through one visibility call.  The
+    states and gimbals are index-aligned.  Visibility requires the view
+    pyramid, a front-facing surface normal, and a clear sight line; the sight
+    lines of all the agents go through one visibility call, and an agent's
+    observations do not depend on which other agents share the call.  The
     point velocity entering the blur score is the camera-frame image of the
     (static) point relative to the moving agent.  Observations with zero
     quality are dropped; the quality floor is applied later by the score
     ledger, not here.
     """
+    if scene.num_points == 0 or not states:
+        return Observations(np.zeros(0, dtype=int), scene.point_ids[:0],
+                            np.zeros(0), np.zeros(0), np.zeros(0))
     apexes = np.array([s.position for s in states], dtype=float).reshape(-1, 3)
     velocities = np.array([s.velocity for s in states], dtype=float).reshape(-1, 1, 3)
     bases = camera_basis(np.array([camera_axis(s.yaw, g) for s, g in zip(states, gimbals)])

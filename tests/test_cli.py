@@ -219,6 +219,7 @@ def test_main_runs_and_writes_outputs(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "inspection score Q" in printed
+    assert "structure cells held free: 0 " in printed
     assert (out / "mission_result.txt").exists()
     assert (out / "observations.csv").exists()
 

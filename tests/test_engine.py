@@ -1,10 +1,15 @@
+import dataclasses
 import hashlib
+import importlib.util
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uavinspect import engine
+from test_mesh import prism_mission
+from uavinspect import cli, engine, sensors
 from uavinspect.comms import NeighborSet
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                inspection_score, intensity_heatmap, run_mission,
@@ -287,6 +292,139 @@ def test_shipped_scenarios_match_golden_behaviour(shipped_runs, name):
     digest, plans = GOLDEN[name]
     assert result.digest() == digest
     assert hashlib.sha256("\n".join(result.plan_events).encode()).hexdigest() == plans
+
+
+# The same for the bench workloads at seed 1; unlike the shipped scenarios,
+# they repeat camera poses (fleet_fine: 2,196 of 3,300 captures).
+WORKLOAD_GOLDEN = {
+    "fleet_fine": ("c630bd2a589e120cfa7d5e35d22a55555d89386889d1f09b33a46d295e678ba4",
+                   "6d8743ec0e1cbfde1afc8f65b4f87d04c035cf894e102edd5d2ebdcb4e44e582"),
+    "mesh_tower": ("e8f13c9c75e372897589a173a05353309c2e96a4cd3ccfcdf6a08cca529dec57",
+                   "bc35a43eab540e827cdd7e54885969f5b510fa39c5a17bdb50ad0176578e4a0f"),
+}
+
+
+def bench_workload(name, seed):
+    """A bench workload's config and scene, built as bench/run.py builds it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return cli.scenario_from_dict(cli.normalize_scenario(module.WORKLOADS[name](seed)))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_GOLDEN))
+def test_bench_workloads_match_golden_behaviour(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # mesh_tower maps hold structure free
+        result = run_mission(*bench_workload(name, 1))
+    digest, plans = WORKLOAD_GOLDEN[name]
+    assert result.digest() == digest
+    assert hashlib.sha256("\n".join(result.plan_events).encode()).hexdigest() == plans
+
+
+def facing_mission():
+    """A 10 s survey whose photographer holds still facing the box's x- face."""
+    cfg = small_config(duration=10.0, lidar=LidarConfig(beams=8, azimuth_steps=60),
+                       agents=(AgentSpec("explorer", (9.0, 21.0, 21.0)),
+                               AgentSpec("photographer", (9.0, 15.0, 21.0))))
+    return cfg, small_scene(num_points=10, seed=3)
+
+
+def fleet_rows(mission, k):
+    """The log rows of tick k from one observe call on the whole fleet."""
+    full = sensors.observe([a.state for a in mission.agents],
+                           [a.gimbal for a in mission.agents], mission.scene,
+                           mission.cfg.camera)
+    return list(zip([k] * len(full), full.agent.tolist(), full.point_id.tolist(),
+                    full.q_blur.tolist(), full.q_res.tolist(), full.q.tolist()))
+
+
+@pytest.mark.parametrize("mission", [facing_mission, prism_mission])
+def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
+    # photographers hold still in the survey, so many captures repeat a pose
+    observed, reused = [], []
+    score = _Mission._score
+
+    def recording(states, gimbals, scene, cfg):
+        observed.append([s.id for s in states])
+        return sensors.observe(states, gimbals, scene, cfg)
+
+    def checked(self, k):
+        expected = fleet_rows(self, k)
+        before = len(self.observations)
+        score(self, k)
+        rows = self.observations[before:]
+        assert rows == expected
+        reused.extend(row for row in rows if row[1] not in observed[-1])
+
+    monkeypatch.setattr(engine, "observe", recording)
+    monkeypatch.setattr(_Mission, "_score", checked)
+    cfg, scene = mission()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run_mission(cfg, scene)
+    assert len(observed) == res.num_ticks
+    assert min(len(ids) for ids in observed) < len(cfg.agents)
+    assert reused, "no tick reused an agent's rows"
+    counts = dict.fromkeys(res.ledger.point_ids.tolist(), 0)
+    for _k, _aid, pid, _qb, _qr, q in res.observations:
+        counts[pid] += q > res.ledger.floor
+    assert res.ledger.counts.tolist() == list(counts.values())
+
+
+@pytest.mark.parametrize("change", ["position", "velocity", "yaw", "inclination", "azimuth"])
+def test_each_camera_input_renews_the_rows(change):
+    mission = _Mission(*facing_mission())
+    a = mission.agents[1]
+    mission._score(0)
+    if change in ("inclination", "azimuth"):
+        a.gimbal = dataclasses.replace(a.gimbal, **{change: getattr(a.gimbal, change) + 0.3})
+    elif change == "yaw":
+        a.state.yaw += 0.3
+    elif change == "position":
+        a.state.position[0] -= 25.0             # in place; far enough to lose resolution
+    else:
+        a.state.velocity[1] += 20.0             # in place; fast enough to smear
+    mission._score(1)
+    before = [row[1:] for row in mission.observations if row[0] == 0 and row[1] == a.id]
+    after = [row for row in mission.observations if row[0] == 1]
+    assert before and after == fleet_rows(mission, 1)
+    assert [row[1:] for row in after if row[1] == a.id] != before
+
+
+def solid_cube_scene():
+    """A 3 x 3 x 3-voxel solid cube: its middle cell is out of every sensor's sight."""
+    return Scene(solid_boxes=[BoundingBox((12.0, 12.0, 12.0), (30.0, 30.0, 30.0))],
+                 inspection_boxes=[BoundingBox((6.0, 6.0, 6.0), (36.0, 36.0, 36.0))])
+
+
+def test_audit_counts_structure_cells_a_map_holds_free():
+    mission = _Mission(small_config(), solid_cube_scene())
+    structure = np.argwhere(mission.truth)
+    assert len(structure) == 27
+    explorer, photographer = mission.agents
+    explorer.occ.cells[tuple(structure[:3].T)] = FREE
+    explorer.occ.cells[tuple(structure[3])] = OCCUPIED
+    photographer.occ.cells[~mission.truth] = FREE       # free space held free is sound
+    photographer.occ.cells[tuple(structure[0])] = FREE
+    mission._audit(0)
+    assert mission.free_structure_cells == 4
+    mission._audit(1)
+    assert mission.free_structure_cells == 8
+
+
+def test_free_structure_cells_warn_and_reach_the_summary(tmp_path):
+    mission = _Mission(small_config(duration=0.1), solid_cube_scene())
+    mission.agents[1].occ.cells[mission.truth] = FREE
+    with pytest.warns(UserWarning, match="structure cells free"):
+        res = mission.run()
+    expected = sum(int(np.count_nonzero(m.cells[mission.truth] == FREE))
+                   for m in res.final_maps.values())
+    assert res.free_structure_cells == expected > 0
+    write_outputs(res, str(tmp_path))
+    lines = (tmp_path / "mission_result.txt").read_text().splitlines()
+    assert f"free_structure_cells: {expected}" in lines
 
 
 def _events_of(res, agent):

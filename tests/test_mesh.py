@@ -372,7 +372,8 @@ def cube_mesh(lo, hi):
 PRISM_GOLDEN = "2d51fadcbf4dc9b64194d7a11ab39f25c1ff6fac897c3e0e6e04f7dcf1b18da9"
 
 
-def test_prism_mission_matches_golden_digest():
+def prism_mission():
+    """The golden mission's config and scene: a 56-triangle prism, three agents."""
     tris = prism_triangles((24.0, 24.0), 6.0, 18.0, sides=8, rings=3)
     scene = Scene(triangles=tris, interest_points=centroid_points(tris),
                   inspection_boxes=[BoundingBox((6.0, 6.0, 0.0), (42.0, 42.0, 30.0))])
@@ -385,7 +386,11 @@ def test_prism_mission_matches_golden_digest():
         camera=CameraConfig(exposure=0.01, range=40.0),
         lidar=LidarConfig(beams=8, azimuth_steps=60),
     )
-    result = run_mission(cfg, scene)
+    return cfg, scene
+
+
+def test_prism_mission_matches_golden_digest():
+    result = run_mission(*prism_mission())
     assert result.digest() == PRISM_GOLDEN
     # the cap lies on the plane z = 18; the cells above it are free
     assert result.violations == 0
