@@ -28,7 +28,6 @@ _ALPHA_MAX = 2.0
 @dataclass
 class AgentState:
     id: int
-    kind: str
     position: np.ndarray
     yaw: float = 0.0
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -41,20 +40,8 @@ class AgentState:
         self.velocity = np.asarray(self.velocity, dtype=float).copy()
 
     def copy(self) -> "AgentState":
-        return AgentState(self.id, self.kind, self.position.copy(), self.yaw,
+        return AgentState(self.id, self.position.copy(), self.yaw,
                           self.velocity.copy(), self.yaw_rate, self.v_max, self.omega_max)
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Linear acceleration (m/s^2) and yaw acceleration (rad/s^2)."""
-
-    acceleration: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    yaw_acceleration: float = 0.0
-
-    @property
-    def acc_arr(self) -> np.ndarray:
-        return np.asarray(self.acceleration, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -90,19 +77,20 @@ class TrackingConfig:
     a_max: float = 4.0
 
 
-def step_dynamics(state: AgentState, u: ControlInput, dt: float) -> AgentState:
-    """One explicit-Euler step of the double integrator, then limit clamping.
+def step_dynamics(state: AgentState, acc, yaw_acc: float, dt: float) -> AgentState:
+    """One explicit-Euler step of the double integrator under linear
+    acceleration acc (m/s^2) and yaw acceleration yaw_acc (rad/s^2), then
+    limit clamping.
 
     Position advances with the pre-update velocity, so under constant
     acceleration a from rest the position after n steps is n(n-1)/2 * a * dt^2.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    acc = u.acc_arr
     pos = state.position + state.velocity * dt
-    vel = state.velocity + acc * dt
+    vel = state.velocity + np.asarray(acc, dtype=float) * dt
     yaw = state.yaw + state.yaw_rate * dt
-    yaw_rate = state.yaw_rate + u.yaw_acceleration * dt
+    yaw_rate = state.yaw_rate + yaw_acc * dt
 
     speed = float(np.linalg.norm(vel))
     if speed > state.v_max:
@@ -127,8 +115,9 @@ def wrap_angle(a: float) -> float:
 
 
 def track_segment(state: AgentState, target, cfg: TrackingConfig,
-                  desired_yaw: float | None = None) -> ControlInput:
-    """PD acceleration command toward a fixed target point, saturated at a_max.
+                  desired_yaw: float | None = None) -> tuple[np.ndarray, float]:
+    """PD acceleration command toward a fixed target point, saturated at a_max:
+    (linear acceleration (3,), yaw acceleration).
 
     When desired_yaw is given, a separate PD loop commands yaw acceleration
     toward it; otherwise the yaw rate is damped to zero.
@@ -145,7 +134,7 @@ def track_segment(state: AgentState, target, cfg: TrackingConfig,
         err = wrap_angle(desired_yaw - state.yaw)
         yaw_acc = _YAW_KP * err - _YAW_KD * state.yaw_rate
     yaw_acc = min(max(yaw_acc, -_ALPHA_MAX), _ALPHA_MAX)
-    return ControlInput(tuple(acc.tolist()), float(yaw_acc))
+    return acc, float(yaw_acc)
 
 
 def point_gimbal(gimbal: GimbalState, agent: AgentState, n_hat) -> GimbalState:

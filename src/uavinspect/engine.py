@@ -30,8 +30,7 @@ from .agents import (EXPLORER, KINDS, PHOTOGRAPHER, AgentState, GimbalLimits,
                      point_gimbal)
 from .comms import NeighborSet, discover_neighbors, exchange_and_merge
 from .errors import ConfigurationError, OutOfBoundsError, PlanningError
-from .planning import (InspectionPath, Waypoint, drhlp_step, generate_waypoints,
-                       mapping_paths, mtsp_assign)
+from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
 from .scene import Scene, scene_occupancy
 from .sensors import CameraConfig, LidarConfig, Observations, lidar_sweep, observe
 from .world import (FREE, UNKNOWN, OccupancyMap, build_grid, compute_operational_volume,
@@ -101,8 +100,8 @@ class ScoreLedger:
         self.point_ids = np.asarray(point_ids, dtype=int)
         self.floor = float(quality_floor)
         # rows in id order: update_ledger looks ids up by binary search
-        self._by_id = np.argsort(self.point_ids, kind="stable")
-        self._sorted_ids = self.point_ids[self._by_id]
+        self._id_order = np.argsort(self.point_ids, kind="stable")
+        self._sorted_ids = self.point_ids[self._id_order]
         if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
             raise ConfigurationError("interest point ids are not unique")
         n = len(self.point_ids)
@@ -129,7 +128,7 @@ def update_ledger(ledger: ScoreLedger, observations: Observations) -> ScoreLedge
     if not known.all():
         raise KeyError(f"unknown interest point id {ids[~known][0]}")
     counted = observations.q > ledger.floor
-    rows = ledger._by_id[pos[counted]]
+    rows = ledger._id_order[pos[counted]]
     ledger.counts += np.bincount(rows, minlength=ledger.num_points)
     np.maximum.at(ledger.best_q, rows, observations.q[counted])
     return ledger
@@ -199,13 +198,12 @@ class _Runtime:
     occ: OccupancyMap
     voxel: tuple
     phase: int = 1
-    sigma: InspectionPath | None = None     # survey route in phase 1
+    sigma: list[Waypoint] | None = None     # survey route in phase 1
     cursor: int = 0
     kappa: int = 0
     segment: list = field(default_factory=list)
     seg_i: int = 0
     look_dir: np.ndarray | None = None
-    need_replan: bool = True
     blocked: int = 0
     blocked_replans: int = 0
     barren: np.ndarray | None = None        # cells of the last map that gave no waypoints
@@ -234,11 +232,11 @@ class _Mission:
                            for a in cfg.agents if a.kind == EXPLORER]
         routes = mapping_paths(self.volume, explorer_starts, margin=cfg.voxel_size / 2.0)
 
-        self.agents: list[_Runtime] = []
+        self.agents: list[_Runtime] = []      # agent ids are indices into it
         used_voxels = set()
         e_idx = 0
         for aid, spec in enumerate(cfg.agents):
-            state = AgentState(aid, spec.kind, np.asarray(spec.start, dtype=float),
+            state = AgentState(aid, np.asarray(spec.start, dtype=float),
                                v_max=spec.speed_limit, omega_max=spec.omega_max)
             vox = world_to_voxel(self.grid, state.position)
             if vox in used_voxels:
@@ -249,9 +247,8 @@ class _Mission:
             rt = _Runtime(spec, state, GimbalState(limits=cfg.gimbal),
                           OccupancyMap(self.grid), vox)
             if spec.kind == EXPLORER:
-                rt.sigma = InspectionPath([
-                    Waypoint(tuple(p.tolist()), None, None, world_to_voxel(self.grid, p))
-                    for p in routes[e_idx]])
+                rt.sigma = [Waypoint(tuple(p.tolist()), None, world_to_voxel(self.grid, p))
+                            for p in routes[e_idx]]
                 e_idx += 1
             self.agents.append(rt)
 
@@ -287,11 +284,10 @@ class _Mission:
             a.occ = merged[a.id]
         self.connectivity.append((k, tuple(neighbors.edges())))
 
-        by_id = {a.id: a for a in self.agents}
         for a in self.agents:
             if a.spec.kind == PHOTOGRAPHER and a.phase == 1:
-                heard = any(by_id[j].spec.kind == EXPLORER and by_id[j].phase == 2
-                            for j in neighbors.of(a.id))
+                heard = any(self.agents[j].spec.kind == EXPLORER
+                            and self.agents[j].phase == 2 for j in neighbors.of(a.id))
                 if heard:
                     self._enter_phase2(a, k)
         return neighbors
@@ -317,26 +313,29 @@ class _Mission:
             a.barren = a.occ.cells.copy()
             a.sigma = None
             return
-        by_id = {b.id: b for b in self.agents}
         positions = {a.id: a.state.position}
         for j in neighbors.of(a.id):
-            if by_id[j].phase == 2:
-                positions[j] = by_id[j].state.position
+            if self.agents[j].phase == 2:
+                positions[j] = self.agents[j].state.position
         assignment = mtsp_assign(waypoints, positions)
         a.sigma = assignment[a.id]
         a.cursor = 0
-        a.need_replan = True
-        sizes = ",".join(f"{i}:{len(p.waypoints)}" for i, p in sorted(assignment.items()))
+        a.segment = []
+        sizes = ",".join(f"{i}:{len(p)}" for i, p in sorted(assignment.items()))
         self.plan_events.append(
             f"tick {k} agent {a.id} epoch {a.kappa} waypoints {len(waypoints)} split {sizes}")
 
     def _follow(self, a: _Runtime, neighbors: NeighborSet, k: int) -> None:
         """Advance along a.sigma by receding-horizon steps.
 
-        A goal is skipped when unreachable and abandoned after three blocked
-        replans.  Finishing the survey route enters the inspection stage in
-        the same tick; finishing an inspection path closes the epoch.  Either
-        way the waypoints are regenerated, at most once per call.
+        The agent replans when its segment is used up, when it stands on its
+        goal, or when it has been blocked from its next voxel for 12 ticks:
+        a blocked replan, an abandoned goal and a new assignment each clear
+        the segment.  A goal is skipped when unreachable and abandoned after
+        three blocked replans.  Finishing the survey route enters the
+        inspection stage in the same tick; finishing an inspection path
+        closes the epoch.  Either way the waypoints are regenerated, at most
+        once per call.
         """
         reserved = self._reserved(a)
         regenerated = False
@@ -349,15 +348,15 @@ class _Mission:
                 regenerated = True
                 continue
             goal = "survey point" if a.phase == 1 else "waypoint"
-            wps = a.sigma.waypoints
+            wps = a.sigma
             if a.blocked_replans >= 3 and a.cursor < len(wps):
                 self.plan_events.append(
                     f"tick {k} agent {a.id} abandons stalled {goal} {wps[a.cursor].voxel}")
                 a.cursor += 1
                 a.blocked_replans = 0
-                a.need_replan = True
+                a.segment = []
             at_waypoint = a.cursor < len(wps) and a.voxel == wps[a.cursor].voxel
-            if not (a.need_replan or a.seg_i >= len(a.segment) or at_waypoint):
+            if not (a.seg_i >= len(a.segment) or at_waypoint):
                 return
             try:
                 step = drhlp_step(a.voxel, a.sigma, a.cursor, a.occ, reserved,
@@ -368,11 +367,10 @@ class _Mission:
                 self.plan_events.append(
                     f"tick {k} agent {a.id} skips unreachable {goal} {wps[s].voxel}")
             a.cursor = step.next_index
-            if not step.epoch_complete:
+            if step.segment:
                 a.segment = step.segment
                 a.seg_i = 0
                 a.look_dir = step.direction
-                a.need_replan = False
                 return
             a.sigma = None
             if a.phase == 1:
@@ -410,7 +408,7 @@ class _Mission:
                     else:
                         a.blocked += 1
                         if a.blocked >= _BLOCKED_REPLAN_TICKS:
-                            a.need_replan = True
+                            a.segment = []
                             a.blocked = 0
                             a.blocked_replans += 1
 
@@ -430,8 +428,8 @@ class _Mission:
 
             target_pos = voxel_to_world(self.grid, aim)
             yaw_des = self._desired_yaw(a, target_pos)
-            u = track_segment(a.state, target_pos, self.cfg.tracking, yaw_des)
-            new_state = step_dynamics(a.state, u, self.cfg.tick)
+            acc, yaw_acc = track_segment(a.state, target_pos, self.cfg.tracking, yaw_des)
+            new_state = step_dynamics(a.state, acc, yaw_acc, self.cfg.tick)
 
             accepted = True
             try:

@@ -23,17 +23,7 @@ class Waypoint:
 
     position: tuple[float, float, float]
     direction: tuple[float, float, float] | None
-    source_voxel: Voxel | None
     voxel: Voxel
-
-    @property
-    def direction_arr(self) -> np.ndarray:
-        return np.asarray(self.direction, dtype=float)
-
-
-@dataclass
-class InspectionPath:
-    waypoints: list[Waypoint]
 
 
 def mapping_paths(volume: BoundingBox, starts,
@@ -124,13 +114,13 @@ def generate_waypoints(occ_map: OccupancyMap, boxes, standoff: float) -> list[Wa
     # One integer per (voxel, direction); return_index gives each key's first row.
     key = np.ravel_multi_index(tuple(wp_voxel.T), grid.dims) * n_faces + face[keep]
     first = np.sort(np.unique(key, return_index=True)[1])
-    return [Waypoint(tuple(p), tuple(d), tuple(s), tuple(v))
-            for p, d, s, v in zip(wp_pos[first].tolist(), n_hat[first].tolist(),
-                                  src[keep[first]].tolist(), wp_voxel[first].tolist())]
+    return [Waypoint(tuple(p), tuple(d), tuple(v))
+            for p, d, v in zip(wp_pos[first].tolist(), n_hat[first].tolist(),
+                               wp_voxel[first].tolist())]
 
 
 def mtsp_assign(waypoints: list[Waypoint],
-                positions: dict[int, np.ndarray]) -> dict[int, InspectionPath]:
+                positions: dict[int, np.ndarray]) -> dict[int, list[Waypoint]]:
     """Greedy round-robin nearest-neighbor split of the waypoints over agents.
 
     Every path starts at its agent's position.  Agents take turns in ascending
@@ -157,7 +147,7 @@ def mtsp_assign(waypoints: list[Waypoint],
             w_idx = unvisited.pop(pick)
             routes[i].append(waypoints[w_idx])
             tails[i] = coords[w_idx]
-    return {i: InspectionPath(routes[i]) for i in ids}
+    return routes
 
 
 def dijkstra_path(occ_map: OccupancyMap, reserved: set,
@@ -222,27 +212,28 @@ def dijkstra_path(occ_map: OccupancyMap, reserved: set,
 class PlanStep:
     """Result of one receding-horizon planning step."""
 
-    segment: list[Voxel]                 # next voxels to execute, at most horizon
+    segment: list[Voxel]                 # next voxels to execute; [] ends the path
     direction: np.ndarray | None         # camera directive, None for survey goals
     next_index: int                      # cursor into the inspection path
-    epoch_complete: bool
     skipped: list[int] = field(default_factory=list)
 
 
-def drhlp_step(agent_voxel: Voxel, path: InspectionPath, cursor: int,
+def drhlp_step(agent_voxel: Voxel, path: list[Waypoint], cursor: int,
                occ_map: OccupancyMap, reserved: set, horizon: int) -> PlanStep:
     """Advance the receding-horizon plan toward the next unvisited waypoint.
 
     Waypoints are marked visited when the agent's voxel matches theirs, and
-    skipped when unreachable under the current map and reservations.  When the
-    cursor runs off the end of the path the epoch is complete.
+    skipped when unreachable under the current map and reservations.  A
+    route to a goal has at least two voxels, so the segment holds 1 to
+    horizon voxels while a goal remains, and is empty once the cursor runs
+    off the end of the path: the epoch is complete.
     """
     if horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
     idx = cursor
     skipped: list[int] = []
-    while idx < len(path.waypoints):
-        wp = path.waypoints[idx]
+    while idx < len(path):
+        wp = path[idx]
         if tuple(agent_voxel) == wp.voxel:
             idx += 1
             continue
@@ -251,6 +242,6 @@ def drhlp_step(agent_voxel: Voxel, path: InspectionPath, cursor: int,
             skipped.append(idx)
             idx += 1
             continue
-        direction = None if wp.direction is None else wp.direction_arr
-        return PlanStep(route[1:1 + horizon], direction, idx, False, skipped)
-    return PlanStep([], None, idx, True, skipped)
+        direction = None if wp.direction is None else np.asarray(wp.direction, dtype=float)
+        return PlanStep(route[1:1 + horizon], direction, idx, skipped)
+    return PlanStep([], None, idx, skipped)

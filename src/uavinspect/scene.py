@@ -148,19 +148,11 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
         best = tn.min(axis=0)
 
     if len(scene.triangles):
-        per_triangle = None
-        if len(origins) == 1:
-            # Moller-Trumbore's s, q and qe2 depend only on the origin and the
-            # triangle: a shared origin takes them once per triangle
-            s = origins - scene._tri_v0
-            q = _cross(s, scene._tri_e1)
-            per_triangle = s, q, np.einsum("tk,tk->t", scene._tri_e2, q)
         for c in range(0, len(dirs), _RAY_CHUNK):
             rows = slice(c, c + _RAY_CHUNK)
             o = origins if len(origins) == 1 else origins[rows]
             ray, tri = _candidate_pairs(scene, o, inv_t[:, rows], max_range[rows])
-            ray, t = _moller_trumbore(scene, o, per_triangle, dirs[rows], ray, tri,
-                                      max_range[rows])
+            ray, t = _moller_trumbore(scene, o, dirs[rows], ray, tri, max_range[rows])
             np.minimum.at(best[rows], ray, t)                   # a view: writes into best
 
     hit = best <= max_range
@@ -203,11 +195,10 @@ def _candidate_pairs(scene: Scene, origins, inv_t, max_range):
     return np.repeat(ray, counts), scene._bin_tris[pos]
 
 
-def _moller_trumbore(scene: Scene, origins, per_triangle, dirs, ray, tri, max_range):
+def _moller_trumbore(scene: Scene, origins, dirs, ray, tri, max_range):
     """Hits (ray index, distance) among candidate pairs, Moller-Trumbore.
 
-    With one origin per ray, s, q and qe2 come per pair; with a shared
-    origin they are gathered from per_triangle.  A pair whose ray is
+    origins: (1, 3), shared by every ray, or (rays, 3).  A pair whose ray is
     parallel to the triangle's plane divides by 1 instead of by its
     near-zero determinant, and is dropped.  max_range: (rays,).
     """
@@ -217,15 +208,11 @@ def _moller_trumbore(scene: Scene, origins, per_triangle, dirs, ray, tri, max_ra
     a = np.einsum("pk,pk->p", e1, h)
     keep = np.abs(a) > _EPS_BARY
     f = 1.0 / np.where(keep, a, 1.0)
-    if per_triangle is None:
-        s = origins[ray] - scene._tri_v0[tri]
-        q = _cross(s, e1)
-        qe2 = np.einsum("pk,pk->p", e2, q)
-    else:
-        s, q, qe2 = (x[tri] for x in per_triangle)
+    s = (origins if len(origins) == 1 else origins[ray]) - scene._tri_v0[tri]
+    q = _cross(s, e1)
     u = f * np.einsum("pk,pk->p", s, h)
     v = f * np.einsum("pk,pk->p", d, q)
-    t = f * qe2
+    t = f * np.einsum("pk,pk->p", e2, q)
     ok = (keep & (u >= -_EPS_BARY) & (v >= -_EPS_BARY) & (u + v <= 1.0 + _EPS_BARY)
           & (t > _EPS_T) & (t <= max_range[ray]))
     return ray[ok], t[ok]

@@ -152,13 +152,12 @@ def test_mtsp_partition_and_worked_example():
     start_t = time.perf_counter()
 
     def wp(pos):
-        return Waypoint(tuple(float(c) for c in pos), (1.0, 0.0, 0.0),
-                        (0, 0, 0), (0, 0, 0))
+        return Waypoint(tuple(float(c) for c in pos), (1.0, 0.0, 0.0), (0, 0, 0))
 
     out = mtsp_assign([wp((1, 0, 0)), wp((9, 0, 0)), wp((2, 0, 0))],
                       {1: np.zeros(3), 2: np.array([10.0, 0.0, 0.0])})
-    assert [w.position for w in out[1].waypoints] == [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
-    assert [w.position for w in out[2].waypoints] == [(9.0, 0.0, 0.0)]
+    assert [w.position for w in out[1]] == [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
+    assert [w.position for w in out[2]] == [(9.0, 0.0, 0.0)]
 
     rng = np.random.default_rng(107)
     for _ in range(500):
@@ -169,7 +168,7 @@ def test_mtsp_partition_and_worked_example():
         positions = {int(i): rng.uniform(-100, 100, 3) for i in ids}
         out = mtsp_assign(wps, positions)
         assert set(out) == set(positions)
-        assigned = [w for p in out.values() for w in p.waypoints]
+        assigned = [w for p in out.values() for w in p]
         assert len(assigned) == n_wp
         assert len({id(w) for w in assigned}) == n_wp
     elapsed = time.perf_counter() - start_t

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from uavinspect.agents import (AgentState, ControlInput, GimbalLimits,
-                               GimbalState, TrackingConfig, point_gimbal,
-                               step_dynamics, track_segment, wrap_angle)
+from uavinspect.agents import (AgentState, GimbalLimits, GimbalState,
+                               TrackingConfig, point_gimbal, step_dynamics,
+                               track_segment, wrap_angle)
 
 
 def state(pos=(0, 0, 0), vel=(0, 0, 0), yaw=0.0, yaw_rate=0.0,
           v_max=math.inf, omega_max=math.inf):
-    return AgentState(0, "photographer", np.array(pos, dtype=float), yaw,
+    return AgentState(0, np.array(pos, dtype=float), yaw,
                       np.array(vel, dtype=float), yaw_rate, v_max, omega_max)
 
 
@@ -22,13 +22,13 @@ def add_states(a, b):
 # --- dynamics ---------------------------------------------------------------
 
 def test_zero_state_zero_input_is_fixed_point():
-    x = step_dynamics(state(), ControlInput(), 0.1)
+    x = step_dynamics(state(), (0, 0, 0), 0.0, 0.1)
     assert np.allclose(x.position, 0) and np.allclose(x.velocity, 0)
     assert x.yaw == 0 and x.yaw_rate == 0
 
 
 def test_position_advances_with_previous_velocity():
-    x = step_dynamics(state(vel=(1, 0, 0)), ControlInput(), 0.1)
+    x = step_dynamics(state(vel=(1, 0, 0)), (0, 0, 0), 0.0, 0.1)
     assert np.allclose(x.position, (0.1, 0, 0))
 
 
@@ -37,9 +37,8 @@ def test_constant_acceleration_matches_discrete_closed_form():
     a = np.array([0.3, -0.2, 0.5])
     dt = 0.05
     x = state()
-    u = ControlInput(tuple(a.tolist()), 0.0)
     for n in range(1, 101):
-        x = step_dynamics(x, u, dt)
+        x = step_dynamics(x, a, 0.0, dt)
         expected = n * (n - 1) / 2.0 * a * dt * dt
         assert np.allclose(x.position, expected, atol=1e-9)
     assert np.allclose(x.velocity, 100 * a * dt, atol=1e-9)
@@ -52,14 +51,12 @@ def test_dynamics_superposition_without_clamping():
                    rng.normal(), rng.normal())
         x2 = state(rng.normal(size=3), rng.normal(size=3),
                    rng.normal(), rng.normal())
-        u1 = ControlInput(tuple(rng.normal(size=3)), rng.normal())
-        u2 = ControlInput(tuple(rng.normal(size=3)), rng.normal())
-        u12 = ControlInput(tuple(u1.acc_arr + u2.acc_arr),
-                           u1.yaw_acceleration + u2.yaw_acceleration)
-        lhs = step_dynamics(add_states(x1, x2), u12, 0.1)
-        r1 = step_dynamics(x1, u1, 0.1)
-        r2 = step_dynamics(x2, u2, 0.1)
-        zero = step_dynamics(state(), ControlInput(), 0.1)
+        acc1, yaw_acc1 = rng.normal(size=3), rng.normal()
+        acc2, yaw_acc2 = rng.normal(size=3), rng.normal()
+        lhs = step_dynamics(add_states(x1, x2), acc1 + acc2, yaw_acc1 + yaw_acc2, 0.1)
+        r1 = step_dynamics(x1, acc1, yaw_acc1, 0.1)
+        r2 = step_dynamics(x2, acc2, yaw_acc2, 0.1)
+        zero = step_dynamics(state(), (0, 0, 0), 0.0, 0.1)
         assert np.allclose(lhs.position, r1.position + r2.position - zero.position, atol=1e-12)
         assert np.allclose(lhs.velocity, r1.velocity + r2.velocity - zero.velocity, atol=1e-12)
         assert lhs.yaw == pytest.approx(r1.yaw + r2.yaw - zero.yaw, abs=1e-12)
@@ -68,28 +65,28 @@ def test_dynamics_superposition_without_clamping():
 
 def test_speed_and_yaw_rate_clamped():
     x = state(vel=(3.9, 0, 0), v_max=4.0, omega_max=1.0)
-    x = step_dynamics(x, ControlInput((10.0, 0, 0), 5.0), 0.5)
+    x = step_dynamics(x, (10.0, 0, 0), 5.0, 0.5)
     assert np.linalg.norm(x.velocity) == pytest.approx(4.0)
     assert abs(x.yaw_rate) == pytest.approx(1.0)
 
 
 def test_dt_must_be_positive():
     with pytest.raises(ValueError):
-        step_dynamics(state(), ControlInput(), 0.0)
+        step_dynamics(state(), (0, 0, 0), 0.0, 0.0)
 
 
 # --- tracking -----------------------------------------------------------------
 
 def test_tracking_at_target_commands_nothing():
-    u = track_segment(state(pos=(5, 5, 5)), (5, 5, 5), TrackingConfig())
-    assert np.allclose(u.acc_arr, 0, atol=1e-12)
+    acc, _ = track_segment(state(pos=(5, 5, 5)), (5, 5, 5), TrackingConfig())
+    assert np.allclose(acc, 0, atol=1e-12)
 
 
 def test_tracking_saturates_toward_distant_target():
     cfg = TrackingConfig()
-    u = track_segment(state(), (10, 0, 0), cfg)
-    assert np.linalg.norm(u.acc_arr) == pytest.approx(cfg.a_max)
-    assert u.acc_arr[0] == pytest.approx(cfg.a_max)
+    acc, _ = track_segment(state(), (10, 0, 0), cfg)
+    assert np.linalg.norm(acc) == pytest.approx(cfg.a_max)
+    assert acc[0] == pytest.approx(cfg.a_max)
 
 
 def test_tracking_converges_from_any_start_within_50m():
@@ -100,8 +97,7 @@ def test_tracking_converges_from_any_start_within_50m():
         start = rng.uniform(-50, 50, 3)
         x = state(pos=start, v_max=5.0)
         for _ in range(2000):
-            u = track_segment(x, target, cfg)
-            x = step_dynamics(x, u, 0.1)
+            x = step_dynamics(x, *track_segment(x, target, cfg), 0.1)
             if np.linalg.norm(x.position - target) < 0.1:
                 break
         assert np.linalg.norm(x.position - target) < 0.1
@@ -113,8 +109,7 @@ def test_tracking_distance_eventually_decreasing():
     target = np.zeros(3)
     dists = []
     for _ in range(600):
-        u = track_segment(x, target, cfg)
-        x = step_dynamics(x, u, 0.1)
+        x = step_dynamics(x, *track_segment(x, target, cfg), 0.1)
         dists.append(float(np.linalg.norm(x.position)))
     # after the initial acceleration the range must shrink monotonically
     tail = dists[50:]
@@ -126,8 +121,7 @@ def test_tracking_never_overshoots_by_a_voxel():
     x = state(pos=(-6.0, 0, 0), v_max=5.0)
     worst = -math.inf
     for _ in range(400):
-        u = track_segment(x, (0.0, 0.0, 0.0), cfg)
-        x = step_dynamics(x, u, 0.1)
+        x = step_dynamics(x, *track_segment(x, (0.0, 0.0, 0.0), cfg), 0.1)
         worst = max(worst, float(x.position[0]))
     assert worst < 6.0
     assert abs(x.position[0]) < 0.05
@@ -137,8 +131,7 @@ def test_tracking_yaw_toward_heading():
     cfg = TrackingConfig()
     x = state()
     for _ in range(300):
-        u = track_segment(x, (0, 0, 0), cfg, desired_yaw=math.pi / 2)
-        x = step_dynamics(x, u, 0.1)
+        x = step_dynamics(x, *track_segment(x, (0, 0, 0), cfg, desired_yaw=math.pi / 2), 0.1)
     assert wrap_angle(x.yaw - math.pi / 2) == pytest.approx(0.0, abs=1e-2)
 
 

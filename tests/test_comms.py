@@ -9,7 +9,7 @@ from test_scene import reference_line_of_sight
 
 
 def agents_at(*positions):
-    return [AgentState(i, "photographer", np.array(p, dtype=float))
+    return [AgentState(i, np.array(p, dtype=float))
             for i, p in enumerate(positions)]
 
 
@@ -93,7 +93,7 @@ def test_neighbors_equal_pairwise_reference():
                 pos = rng.uniform(-6, 8, (n, 3))
                 pos[::3, 2] = 0.5                               # level pairs
                 pos[1::4, 1] = scene._box_lo[0, 1] if len(scene._box_lo) else 0.0
-                states = [AgentState(2 * i + 5, "photographer", p) for i, p in enumerate(pos)]
+                states = [AgentState(2 * i + 5, p) for i, p in enumerate(pos)]
                 got = discover_neighbors(states, scene)
                 assert {s.id: set(got.of(s.id)) for s in states} == reference_neighbors(states, scene)
 

@@ -476,7 +476,7 @@ def test_survey_goal_underfoot_keeps_the_blocked_replan_count():
     # route but, unlike entering a new voxel, does not reset blocked_replans
     mission = _Mission(small_config(), small_scene())
     a = mission.agents[0]
-    a.voxel = a.sigma.waypoints[0].voxel
+    a.voxel = a.sigma[0].voxel
     a.blocked_replans = 2
     mission._follow(a, NeighborSet({}), 0)
     assert a.cursor == 1 and a.segment

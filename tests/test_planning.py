@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from uavinspect.errors import ConfigurationError, OutOfBoundsError, PlanningError
-from uavinspect.planning import (InspectionPath, Waypoint, dijkstra_path,
-                                 drhlp_step, generate_waypoints, mapping_paths,
-                                 mtsp_assign)
+from uavinspect.planning import (Waypoint, dijkstra_path, drhlp_step,
+                                 generate_waypoints, mapping_paths, mtsp_assign)
 from uavinspect.world import (FACE_STEPS, FREE, OCCUPIED, UNKNOWN, BoundingBox,
                               OccupancyMap, VoxelGrid,
                               voxel_to_world, world_to_voxel)
@@ -20,7 +19,7 @@ def free_map(dims, voxel=6.0):
 
 
 def wp(pos, direction=(1.0, 0.0, 0.0), voxel=(0, 0, 0)):
-    return Waypoint(tuple(float(c) for c in pos), direction, voxel, voxel)
+    return Waypoint(tuple(float(c) for c in pos), direction, voxel)
 
 
 # --- survey sweep paths ------------------------------------------------------
@@ -70,6 +69,12 @@ def big_box():
     return [BoundingBox((-1000, -1000, -1000), (1000, 1000, 1000))]
 
 
+def source_voxel(m, w, standoff):
+    """The occupied voxel a waypoint inspects: its direction points from the
+    waypoint center at that voxel's center, standoff away."""
+    return world_to_voxel(m.grid, np.add(w.position, np.multiply(w.direction, standoff)))
+
+
 def test_isolated_occupied_voxel_yields_six_waypoints():
     m = free_map((5, 5, 5))
     m.cells[2, 2, 2] = OCCUPIED
@@ -77,13 +82,13 @@ def test_isolated_occupied_voxel_yields_six_waypoints():
     assert len(wps) == 6
     center = np.array([15.0, 15.0, 15.0])
     for w in wps:
-        n = w.direction_arr
+        n = np.asarray(w.direction)
         assert np.linalg.norm(n) == pytest.approx(1.0)
         # direction points from the waypoint back at the occupied center
         assert np.allclose(np.add(w.position, n * 6.0), center)
         assert sorted(np.abs(n)) == pytest.approx([0.0, 0.0, 1.0])
         assert m.cells[w.voxel] == FREE
-        assert w.source_voxel == (2, 2, 2)
+        assert source_voxel(m, w, 6.0) == (2, 2, 2)
 
 
 def test_occupied_voxel_outside_boxes_ignored():
@@ -119,8 +124,8 @@ def test_waypoints_skip_unknown_neighbors_and_blocked_standoff():
     m.cells[2, 2, 2] = 0          # unknown face neighbor: no waypoint that way
     m.cells[5, 2, 2] = OCCUPIED   # blocks the +x standoff cell at distance 2V
     wps = generate_waypoints(m, big_box(), standoff=12.0)
-    directions = {tuple(np.round(w.direction_arr).astype(int)) for w in wps
-                  if w.source_voxel == (3, 2, 2)}
+    directions = {tuple(np.round(w.direction).astype(int)) for w in wps
+                  if source_voxel(m, w, 12.0) == (3, 2, 2)}
     assert (1, 0, 0) not in directions     # -x side blocked by unknown
     assert (-1, 0, 0) not in directions    # +x standoff cell occupied
     assert (0, 1, 0) in directions and (0, 0, 1) in directions
@@ -132,7 +137,7 @@ def test_waypoint_standoff_snaps_to_voxel_centers():
     wps = generate_waypoints(m, big_box(), standoff=12.0)
     assert len(wps) == 6
     for w in wps:
-        assert np.allclose(np.add(w.position, w.direction_arr * 12.0),
+        assert np.allclose(np.add(w.position, np.multiply(w.direction, 12.0)),
                            [21.0, 21.0, 21.0])
 
 
@@ -142,7 +147,7 @@ def test_waypoints_deduplicated_and_deterministic():
     a = generate_waypoints(m, big_box(), standoff=6.0)
     b = generate_waypoints(m, big_box(), standoff=6.0)
     assert a == b
-    keys = {(w.voxel, tuple(np.round(w.direction_arr, 9))) for w in a}
+    keys = {(w.voxel, tuple(np.round(w.direction, 9))) for w in a}
     assert len(keys) == len(a)
 
 
@@ -189,8 +194,7 @@ def reference_waypoints(occ_map, boxes, standoff):
             if key in seen:
                 continue
             seen.add(key)
-            out.append(Waypoint(tuple(wp_pos.tolist()), tuple(n_hat.tolist()),
-                                vx, wp_voxel))
+            out.append(Waypoint(tuple(wp_pos.tolist()), tuple(n_hat.tolist()), wp_voxel))
     return out
 
 
@@ -244,13 +248,14 @@ def test_waypoints_match_loop_reference_on_random_maps(dims, voxel):
 def test_waypoints_dedup_keeps_first_occurrence():
     # At x = 1e16 doubles are 2 m apart, so the centers of voxels (0, 0, 0)
     # and (1, 0, 0) round to the same x and both +y standoffs land in voxel
-    # (0, 1, 0) with the same direction: only the first source is kept.
+    # (0, 1, 0) with the same direction: one waypoint is kept.
     m = OccupancyMap(VoxelGrid((1e16, 0.0, 0.0), (4, 3, 1), 0.5))
     m.cells[:] = FREE
     m.cells[0:2, 0, 0] = OCCUPIED
     boxes = [BoundingBox((-1e17, -1e3, -1e3), (1e17, 1e3, 1e3))]
     wps = assert_matches_reference(m, boxes, 0.5)
-    assert [(w.source_voxel, w.voxel) for w in wps] == [((0, 0, 0), (0, 1, 0))]
+    assert [(w.direction, w.voxel) for w in wps] == [((0.0, -1.0, 0.0), (0, 1, 0))]
+    assert source_voxel(m, wps[0], 0.5) == (0, 0, 0)
 
 
 def test_waypoints_empty_without_free_cells():
@@ -272,9 +277,8 @@ def test_waypoint_fields_hold_python_scalars():
     assert wps
     for w in wps:
         assert all(type(c) is float for c in w.position + w.direction)
-        assert all(type(c) is int for c in w.voxel + w.source_voxel)
-        assert type(w.position) is type(w.direction) is tuple
-        assert type(w.voxel) is type(w.source_voxel) is tuple
+        assert all(type(c) is int for c in w.voxel)
+        assert type(w.position) is type(w.direction) is type(w.voxel) is tuple
 
 
 # --- greedy multi-salesman assignment --------------------------------------------
@@ -283,8 +287,8 @@ def test_mtsp_hand_trace():
     wps = [wp((1, 0, 0)), wp((9, 0, 0)), wp((2, 0, 0))]
     positions = {1: np.array([0.0, 0.0, 0.0]), 2: np.array([10.0, 0.0, 0.0])}
     out = mtsp_assign(wps, positions)
-    assert [w.position for w in out[1].waypoints] == [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
-    assert [w.position for w in out[2].waypoints] == [(9.0, 0.0, 0.0)]
+    assert [w.position for w in out[1]] == [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
+    assert [w.position for w in out[2]] == [(9.0, 0.0, 0.0)]
 
 
 def test_mtsp_single_agent_is_nearest_neighbor_tour():
@@ -292,7 +296,7 @@ def test_mtsp_single_agent_is_nearest_neighbor_tour():
     pts = rng.uniform(0, 50, (12, 3))
     wps = [wp(p) for p in pts]
     out = mtsp_assign(wps, {0: np.zeros(3)})
-    tour = [w.position for w in out[0].waypoints]
+    tour = [w.position for w in out[0]]
     assert len(tour) == 12
     # replay the greedy rule independently
     remaining = list(range(12))
@@ -308,8 +312,8 @@ def test_mtsp_single_agent_is_nearest_neighbor_tour():
 
 def test_mtsp_no_waypoints_gives_empty_paths():
     out = mtsp_assign([], {0: np.zeros(3), 4: np.ones(3)})
-    assert len(out[0].waypoints) == 0
-    assert len(out[4].waypoints) == 0
+    assert out[0] == []
+    assert out[4] == []
 
 
 def test_mtsp_partitions_waypoints_randomized():
@@ -321,7 +325,7 @@ def test_mtsp_partitions_waypoints_randomized():
         positions = {int(i): rng.uniform(-30, 30, 3)
                      for i in rng.choice(100, size=n_agents, replace=False)}
         out = mtsp_assign(wps, positions)
-        assigned = [w for p in out.values() for w in p.waypoints]
+        assigned = [w for p in out.values() for w in p]
         assert len(assigned) == n_wp
         seen = {id(w) for w in assigned}
         assert len(seen) == n_wp
@@ -426,26 +430,34 @@ def corridor_path(m):
     """One waypoint at the far end of a 10-voxel corridor."""
     goal = (9, 0, 0)
     center = tuple((np.array(goal) + 0.5) * m.grid.voxel_size)
-    return InspectionPath([Waypoint(center, (1.0, 0.0, 0.0), goal, goal)])
+    return [Waypoint(center, (1.0, 0.0, 0.0), goal)]
+
+
+def checked_step(agent_voxel, path, cursor, m, reserved, horizon):
+    """drhlp_step, checked to return an empty segment exactly when the
+    cursor has run off the end of the path."""
+    step = drhlp_step(agent_voxel, path, cursor, m, reserved, horizon)
+    assert (step.segment == []) == (step.next_index == len(path))
+    return step
 
 
 def test_drhlp_horizon_limits_segment():
     m = free_map((10, 1, 1))
     sigma = corridor_path(m)
-    step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
+    step = checked_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
     assert step.segment == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
-    assert not step.epoch_complete
+    assert step.segment
     assert step.next_index == 0
     # from the fourth voxel the replanned segment continues toward the goal
-    step2 = drhlp_step((3, 0, 0), sigma, step.next_index, m, set(), horizon=3)
+    step2 = checked_step((3, 0, 0), sigma, step.next_index, m, set(), horizon=3)
     assert step2.segment == [(4, 0, 0), (5, 0, 0), (6, 0, 0)]
 
 
 def test_drhlp_survey_goal_has_no_camera_directive():
     m = free_map((10, 1, 1))
     goal = (9, 0, 0)
-    sigma = InspectionPath([Waypoint((57.0, 3.0, 3.0), None, None, goal)])
-    step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
+    sigma = [Waypoint((57.0, 3.0, 3.0), None, goal)]
+    step = checked_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
     assert step.segment == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
     assert step.direction is None
 
@@ -453,11 +465,11 @@ def test_drhlp_survey_goal_has_no_camera_directive():
 def test_drhlp_adjacent_waypoint_then_epoch_complete():
     m = free_map((2, 1, 1))
     goal = (1, 0, 0)
-    sigma = InspectionPath([Waypoint((9.0, 3.0, 3.0), (1, 0, 0), goal, goal)])
-    step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
+    sigma = [Waypoint((9.0, 3.0, 3.0), (1, 0, 0), goal)]
+    step = checked_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
     assert step.segment == [(1, 0, 0)]
-    done = drhlp_step((1, 0, 0), sigma, step.next_index, m, set(), horizon=3)
-    assert done.epoch_complete
+    done = checked_step((1, 0, 0), sigma, step.next_index, m, set(), horizon=3)
+    assert not done.segment
     assert done.next_index == 1
 
 
@@ -466,25 +478,25 @@ def test_drhlp_skips_unreachable_waypoint():
     m.cells[1, 0, 0] = OCCUPIED
     unreachable = (3, 0, 0)
     reachable = (0, 0, 0)
-    sigma = InspectionPath([
-        Waypoint((21.0, 3.0, 3.0), (1, 0, 0), unreachable, unreachable),
-        Waypoint((3.0, 3.0, 3.0), (1, 0, 0), reachable, reachable),
-    ])
-    step = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
+    sigma = [
+        Waypoint((21.0, 3.0, 3.0), (1, 0, 0), unreachable),
+        Waypoint((3.0, 3.0, 3.0), (1, 0, 0), reachable),
+    ]
+    step = checked_step((0, 0, 0), sigma, 0, m, set(), horizon=3)
     # first waypoint skipped, second is where the agent already stands
     assert step.skipped == [0]
-    assert step.epoch_complete
+    assert not step.segment
     assert step.next_index == 2
 
 
 def test_drhlp_replans_around_new_blockage():
     m = free_map((5, 2, 1))
     goal = (4, 0, 0)
-    sigma = InspectionPath([Waypoint((27.0, 3.0, 3.0), (1, 0, 0), goal, goal)])
-    first = drhlp_step((0, 0, 0), sigma, 0, m, set(), horizon=2)
+    sigma = [Waypoint((27.0, 3.0, 3.0), (1, 0, 0), goal)]
+    first = checked_step((0, 0, 0), sigma, 0, m, set(), horizon=2)
     assert first.segment == [(1, 0, 0), (2, 0, 0)]
     # a new obstacle appears mid-route; the next replan detours through y=1
     m.cells[2, 0, 0] = OCCUPIED
-    second = drhlp_step((1, 0, 0), sigma, 0, m, set(), horizon=4)
+    second = checked_step((1, 0, 0), sigma, 0, m, set(), horizon=4)
     assert (2, 0, 0) not in second.segment
     assert (1, 1, 0) in second.segment or (2, 1, 0) in second.segment

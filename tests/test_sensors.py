@@ -15,7 +15,7 @@ from uavinspect.world import BoundingBox
 
 
 def agent(pos=(0, 0, 0), vel=(0, 0, 0), yaw=0.0):
-    return AgentState(0, "photographer", np.array(pos, dtype=float), yaw,
+    return AgentState(0, np.array(pos, dtype=float), yaw,
                       np.array(vel, dtype=float))
 
 
@@ -355,8 +355,8 @@ def test_fleet_observe_equals_per_agent_reference(n_agents):
         for i in range(n_agents):
             pos = rng.uniform(-25, 25, 3)
             look = -pos + rng.normal(size=3)                  # roughly at the boxes
-            states.append(AgentState(3 * i + 1, "photographer", pos,
-                                     math.atan2(look[1], look[0]), rng.normal(size=3)))
+            states.append(AgentState(3 * i + 1, pos, math.atan2(look[1], look[0]),
+                                     rng.normal(size=3)))
             gimbals.append(GimbalState(inclination=float(rng.uniform(-0.8, 0.5)),
                                        azimuth=float(rng.uniform(-0.4, 0.4))))
         got = observe(states, gimbals, scene, c)
