@@ -1,9 +1,11 @@
 """Scenario loading and the mission command-line entry point.
 
 Scenario files are YAML with seven sections: mission, agents, camera, lidar,
-gimbal, tracking, scene.  Unknown keys are rejected; omitted keys take the
-field defaults of the config classes.  Angles in scenario files are degrees;
-internally everything is radians.
+gimbal, tracking, scene.  One table, ``_SCENARIO``, lists every key with its
+parser and default.  Unknown keys are rejected; an omitted or null key takes
+its default, the field default of its config class, and a key without a
+default is required.  Angles in scenario files are degrees; internally
+everything is radians.
 """
 
 from __future__ import annotations
@@ -13,73 +15,24 @@ import dataclasses
 import logging
 import math
 import sys
+from dataclasses import MISSING
 
 import yaml
 
-from .agents import GimbalLimits, TrackingConfig
-from .engine import (AgentSpec, MissionConfig, run_mission, write_outputs)
+from .agents import KINDS, GimbalLimits, TrackingConfig
+from .engine import AgentSpec, MissionConfig, run_mission, write_outputs
 from .errors import ConfigurationError
-from .scene import InterestPoint, Scene, scatter_box_face_points
+from .scene import FACES, InterestPoint, Scene, scatter_box_face_points
 from .sensors import CameraConfig, LidarConfig
 from .world import BoundingBox
 
 log = logging.getLogger("uavinspect")
 
 
-def _defaults(cls, *keys: str) -> dict:
-    """Scenario-file defaults read off the field defaults of a config class.
-
-    A key ending in ``_deg`` is its radian field in degrees, rounded so that
-    60 degrees reads back as 60.0 rather than 59.99999999999999.  A field
-    without a default (a required value) maps to None.
-    """
-    fields = {f.name: f.default for f in dataclasses.fields(cls)}
-    out = {}
-    for key in keys:
-        if key.endswith("_deg"):
-            out[key] = round(math.degrees(fields[key[:-len("_deg")]]), 9)
-        else:
-            out[key] = None if fields[key] is dataclasses.MISSING else fields[key]
-    return out
-
-
-# waypoint_standoff None means one voxel, resolved by MissionConfig.standoff;
-# seed is the fallback seed of the interest-point scatter, not a config field
-_MISSION_DEFAULTS = {**_defaults(MissionConfig, "duration", "tick", "voxel_size", "horizon",
-                                 "waypoint_standoff", "capture_stride"),
-                     "seed": 0}
-_CAMERA_DEFAULTS = _defaults(CameraConfig, "fov_h_deg", "fov_v_deg", "range", "focal",
-                             "pixel_width", "exposure", "desired_resolution",
-                             "quality_floor")
-_LIDAR_DEFAULTS = _defaults(LidarConfig, "range", "beams", "azimuth_steps", "servo_period")
-_GIMBAL_DEFAULTS = _defaults(GimbalLimits, "inclination_min_deg", "inclination_max_deg",
-                             "azimuth_min_deg", "azimuth_max_deg")
-_TRACKING_DEFAULTS = _defaults(TrackingConfig, "kp", "kd", "a_max")
-_AGENT_DEFAULTS = _defaults(AgentSpec, "omega_max")
-
-_AGENT_KEYS = {"kind", "start", "v_max", "omega_max"}
-_SCENE_KEYS = {"solid_boxes", "triangles", "inspection_boxes", "interest_points"}
-_POINT_KEYS = {"explicit", "scatter"}
-_SCATTER_KEYS = {"min", "max", "count", "seed", "faces"}
-_TOP_KEYS = {"mission", "agents", "camera", "lidar", "gimbal", "tracking", "scene"}
-
-
-def _expect_mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigurationError(f"{path}: expected a mapping, got {type(node).__name__}")
-    return node
-
-
 def _expect_list(node, path: str) -> list:
     if not isinstance(node, list):
         raise ConfigurationError(f"{path}: expected a list, got {type(node).__name__}")
     return node
-
-
-def _check_keys(node: dict, allowed, path: str) -> None:
-    unknown = set(node) - set(allowed)
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
 def _number(value, path: str) -> float:
@@ -94,26 +47,133 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
-def _vec3(value, path: str) -> list[float]:
-    node = _expect_list(value, path)
-    if len(node) != 3:
-        raise ConfigurationError(f"{path}: expected 3 components, got {len(node)}")
-    return [_number(c, f"{path}[{i}]") for i, c in enumerate(node)]
+def _optional(parse):
+    """A parser that keeps None, an unset optional, and parses any other value."""
+    return lambda value, path: None if value is None else parse(value, path)
 
 
-def _section(raw: dict, name: str, defaults: dict, int_keys=()) -> dict:
-    node = _expect_mapping(raw.get(name, {}) or {}, name)
-    _check_keys(node, defaults, name)
+def _kind(value, path: str) -> str:
+    if value not in KINDS:
+        raise ConfigurationError(f"{path} must be {' or '.join(KINDS)}")
+    return value
+
+
+def _faces(value, path: str) -> list[str]:
+    return [str(f) for f in _expect_list(value, path)]
+
+
+def _triple(item):
+    """A parser for a list of exactly three entries, each parsed by ``item``."""
+    def parse(value, path: str) -> list:
+        node = _expect_list(value, path)
+        if len(node) != 3:
+            raise ConfigurationError(f"{path}: expected 3 components, got {len(node)}")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return parse
+
+
+_vec3 = _triple(_number)
+
+
+def _list(item, nonempty: bool = False):
+    """A parser for a list, each entry parsed by ``item``; ``nonempty`` rejects []."""
+    def parse(value, path: str) -> list:
+        node = _expect_list(value or [], path)
+        if nonempty and not node:
+            raise ConfigurationError(f"{path} must be non-empty")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return parse
+
+
+def _record(node, spec: dict, path: str) -> dict:
+    """Check a mapping's keys against ``spec`` and parse each of its values.
+
+    ``spec`` maps each key to ``(parser, default)``.  A missing or null key is
+    parsed from its default, and a key whose default is MISSING is required.
+    ``path`` is the mapping's dotted path in the file, "" for the file itself.
+    """
+    node, where = node or {}, path or "scenario"
+    if not isinstance(node, dict):
+        raise ConfigurationError(f"{where}: expected a mapping, got {type(node).__name__}")
+    unknown = set(node) - set(spec)
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
     out = {}
-    for key, default in defaults.items():
-        if key in node and node[key] is not None:
-            if key in int_keys:
-                out[key] = _integer(node[key], f"{name}.{key}")
-            else:
-                out[key] = _number(node[key], f"{name}.{key}")
-        else:
-            out[key] = default
+    for key, (parse, default) in spec.items():
+        key_path = f"{path}.{key}" if path else key
+        value = node.get(key)
+        if value is None:
+            if default is MISSING:
+                raise ConfigurationError(f"{key_path} is required")
+            value = default
+        out[key] = parse(value, key_path)
     return out
+
+
+def _fields(spec: dict):
+    """A parser for a mapping that ``spec`` describes."""
+    return lambda node, path: _record(node, spec, path)
+
+
+def _points(value, path: str) -> list[dict]:
+    """Explicit interest points; a point without an id takes its list index."""
+    return [_record(p, {"id": (_integer, i), **_POINT}, f"{path}[{i}]")
+            for i, p in enumerate(_expect_list(value or [], path))]
+
+
+# a config field's parser by its annotation, a string in the postponed-annotation modules
+_PARSERS = {"float": _number, "int": _integer, "float | None": _optional(_number)}
+
+
+def _defaults(cls, *keys: str) -> dict:
+    """Spec entries ``key: (parser by annotation, field default)`` of a config class.
+
+    A key ending in ``_deg`` is its radian field in degrees, rounded so that 60
+    degrees reads back as 60.0 rather than 59.99999999999999.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    spec = {}
+    for key in keys:
+        if key.endswith("_deg"):
+            spec[key] = (_number, round(math.degrees(fields[key[:-len("_deg")]].default), 9))
+        else:
+            spec[key] = (_PARSERS[fields[key].type], fields[key].default)
+    return spec
+
+
+_BOX = {"min": (_vec3, MISSING), "max": (_vec3, MISSING)}
+_POINT = {"position": (_vec3, MISSING), "normal": (_vec3, MISSING)}
+
+# Every key of a scenario file, as key -> (parser, default).
+_SCENARIO = {
+    # waypoint_standoff None means one voxel, resolved by MissionConfig.standoff;
+    # seed is the fallback seed of the interest-point scatter, not a config field
+    "mission": (_fields({**_defaults(MissionConfig, "duration", "tick", "voxel_size", "horizon",
+                                     "waypoint_standoff", "capture_stride"),
+                         "seed": (_integer, 0)}), {}),
+    "agents": (_list(_fields({"kind": (_kind, MISSING), "start": (_vec3, MISSING),
+                              **_defaults(AgentSpec, "v_max", "omega_max")}),
+                     nonempty=True), MISSING),
+    "camera": (_fields(_defaults(CameraConfig, "fov_h_deg", "fov_v_deg", "range", "focal",
+                                 "pixel_width", "exposure", "desired_resolution",
+                                 "quality_floor")), {}),
+    "lidar": (_fields(_defaults(LidarConfig, "range", "beams", "azimuth_steps",
+                                "servo_period")), {}),
+    "gimbal": (_fields(_defaults(GimbalLimits, "inclination_min_deg", "inclination_max_deg",
+                                 "azimuth_min_deg", "azimuth_max_deg")), {}),
+    "tracking": (_fields(_defaults(TrackingConfig, "kp", "kd", "a_max")), {}),
+    "scene": (_fields({
+        "solid_boxes": (_list(_fields(_BOX)), []),
+        "triangles": (_list(_triple(_vec3)), []),
+        "inspection_boxes": (_list(_fields(_BOX), nonempty=True), MISSING),
+        "interest_points": (_fields({
+            "explicit": (_points, []),
+            "scatter": (_list(_fields({**_BOX, "count": (_integer, MISSING),
+                                       "seed": (_optional(_integer), None),
+                                       "faces": (_optional(_faces), None)})), []),
+        }), {}),
+    }), {}),
+}
 
 
 def normalize_scenario(raw: dict) -> dict:
@@ -122,114 +182,7 @@ def normalize_scenario(raw: dict) -> dict:
     The result is a canonical plain dict: normalizing it again is a no-op, and
     serializing then reparsing reproduces it exactly.
     """
-    raw = _expect_mapping(raw, "scenario")
-    _check_keys(raw, _TOP_KEYS, "scenario")
-
-    mission = _section(raw, "mission", _MISSION_DEFAULTS,
-                       int_keys=("horizon", "capture_stride", "seed"))
-    if mission["duration"] is None:
-        raise ConfigurationError("mission.duration is required")
-    camera = _section(raw, "camera", _CAMERA_DEFAULTS)
-    lidar = _section(raw, "lidar", _LIDAR_DEFAULTS, int_keys=("beams", "azimuth_steps"))
-    gimbal = _section(raw, "gimbal", _GIMBAL_DEFAULTS)
-    tracking = _section(raw, "tracking", _TRACKING_DEFAULTS)
-
-    agents_node = _expect_list(raw.get("agents"), "agents") if raw.get("agents") else []
-    if not agents_node:
-        raise ConfigurationError("agents: at least one agent is required")
-    agents = []
-    for i, item in enumerate(agents_node):
-        path = f"agents[{i}]"
-        node = _expect_mapping(item, path)
-        _check_keys(node, _AGENT_KEYS, path)
-        kind = node.get("kind")
-        if kind not in ("explorer", "photographer"):
-            raise ConfigurationError(f"{path}.kind must be explorer or photographer")
-        entry = {
-            "kind": kind,
-            "start": _vec3(node.get("start"), f"{path}.start"),
-            "v_max": _number(node["v_max"], f"{path}.v_max") if node.get("v_max") is not None else None,
-            "omega_max": _number(node.get("omega_max", _AGENT_DEFAULTS["omega_max"]),
-                                 f"{path}.omega_max"),
-        }
-        agents.append(entry)
-    n_e = sum(1 for a in agents if a["kind"] == "explorer")
-    if n_e not in (1, 2):
-        raise ConfigurationError(f"agents: explorer count must be 1 or 2, got {n_e}")
-
-    scene_node = _expect_mapping(raw.get("scene", {}) or {}, "scene")
-    _check_keys(scene_node, _SCENE_KEYS, "scene")
-
-    def _boxes(key: str, required: bool) -> list[dict]:
-        items = scene_node.get(key) or []
-        items = _expect_list(items, f"scene.{key}")
-        if required and not items:
-            raise ConfigurationError(f"scene.{key} is required and must be non-empty")
-        out = []
-        for i, b in enumerate(items):
-            path = f"scene.{key}[{i}]"
-            node = _expect_mapping(b, path)
-            _check_keys(node, {"min", "max"}, path)
-            out.append({"min": _vec3(node.get("min"), f"{path}.min"),
-                        "max": _vec3(node.get("max"), f"{path}.max")})
-        return out
-
-    solid = _boxes("solid_boxes", required=False)
-    inspection = _boxes("inspection_boxes", required=True)
-
-    triangles = []
-    for i, tri in enumerate(_expect_list(scene_node.get("triangles") or [], "scene.triangles")):
-        path = f"scene.triangles[{i}]"
-        node = _expect_list(tri, path)
-        if len(node) != 3:
-            raise ConfigurationError(f"{path}: a triangle needs exactly 3 vertices")
-        triangles.append([_vec3(v, f"{path}[{j}]") for j, v in enumerate(node)])
-
-    points_node = _expect_mapping(scene_node.get("interest_points", {}) or {},
-                                  "scene.interest_points")
-    _check_keys(points_node, _POINT_KEYS, "scene.interest_points")
-    explicit = []
-    for i, p in enumerate(_expect_list(points_node.get("explicit") or [],
-                                       "scene.interest_points.explicit")):
-        path = f"scene.interest_points.explicit[{i}]"
-        node = _expect_mapping(p, path)
-        _check_keys(node, {"id", "position", "normal"}, path)
-        explicit.append({
-            "id": _integer(node.get("id", i), f"{path}.id"),
-            "position": _vec3(node.get("position"), f"{path}.position"),
-            "normal": _vec3(node.get("normal"), f"{path}.normal"),
-        })
-    scatter = []
-    for i, s in enumerate(_expect_list(points_node.get("scatter") or [],
-                                       "scene.interest_points.scatter")):
-        path = f"scene.interest_points.scatter[{i}]"
-        node = _expect_mapping(s, path)
-        _check_keys(node, _SCATTER_KEYS, path)
-        faces = node.get("faces")
-        if faces is not None:
-            faces = [str(f) for f in _expect_list(faces, f"{path}.faces")]
-        scatter.append({
-            "min": _vec3(node.get("min"), f"{path}.min"),
-            "max": _vec3(node.get("max"), f"{path}.max"),
-            "count": _integer(node.get("count"), f"{path}.count"),
-            "seed": _integer(node["seed"], f"{path}.seed") if node.get("seed") is not None else None,
-            "faces": faces,
-        })
-
-    return {
-        "mission": mission,
-        "agents": agents,
-        "camera": camera,
-        "lidar": lidar,
-        "gimbal": gimbal,
-        "tracking": tracking,
-        "scene": {
-            "solid_boxes": solid,
-            "triangles": triangles,
-            "inspection_boxes": inspection,
-            "interest_points": {"explicit": explicit, "scatter": scatter},
-        },
-    }
+    return _record(raw, _SCENARIO, "")
 
 
 def _config(cls, section: dict, **fields):
@@ -266,13 +219,10 @@ def scenario_from_dict(canonical: dict) -> tuple[MissionConfig, Scene]:
     ]
     for rule in sc["interest_points"]["scatter"]:
         seed = rule["seed"] if rule["seed"] is not None else m["seed"]
-        faces = tuple(rule["faces"]) if rule["faces"] else ("x-", "x+", "y-", "y+", "z-", "z+")
         box = BoundingBox(tuple(rule["min"]), tuple(rule["max"]))
         points.extend(scatter_box_face_points(box, rule["count"], seed,
-                                              faces=faces, id_offset=len(points)))
-    ids = [p.id for p in points]
-    if len(ids) != len(set(ids)):
-        raise ConfigurationError("interest point ids are not unique")
+                                              faces=rule["faces"] or FACES,
+                                              id_offset=len(points)))
     scene = Scene(solid_boxes=solid,
                   triangles=sc["triangles"] if sc["triangles"] else None,
                   interest_points=points, inspection_boxes=inspection)
@@ -330,13 +280,14 @@ def main(argv=None) -> int:
         if args.quality_floor is not None:
             canonical["camera"]["quality_floor"] = args.quality_floor
         cfg, scene = scenario_from_dict(canonical)
+        log.info("running mission: %.1f s simulated, %d agents, %d interest points",
+                 cfg.duration, len(cfg.agents), scene.num_points)
+        # building the mission rejects more: shared or occupied start voxels, bad voxel sizes
+        result = run_mission(cfg, scene)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    log.info("running mission: %.1f s simulated, %d agents, %d interest points",
-             cfg.duration, len(cfg.agents), scene.num_points)
-    result = run_mission(cfg, scene)
     if args.out:
         write_outputs(result, args.out)
         log.info("artifacts written to %s", args.out)

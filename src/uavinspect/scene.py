@@ -343,8 +343,10 @@ def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
     return occ
 
 
-def scatter_box_face_points(box: BoundingBox, count: int, seed: int,
-                            faces=("x-", "x+", "y-", "y+", "z-", "z+"),
+FACES = ("x-", "x+", "y-", "y+", "z-", "z+")
+
+
+def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES,
                             id_offset: int = 0) -> list[InterestPoint]:
     """Uniformly scatter interest points over selected outer faces of a box.
 

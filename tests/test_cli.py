@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -139,9 +141,10 @@ def test_explorer_count_rule_enforced(tmp_path):
 
 
 def test_missing_inspection_boxes_rejected(tmp_path):
-    bad = {**MINIMAL, "scene": {}}
-    with pytest.raises(ConfigurationError, match="inspection_boxes"):
-        parse_scenario(write_yaml(tmp_path, bad))
+    for scene in ({}, {"inspection_boxes": []}):
+        bad = {**MINIMAL, "scene": scene}
+        with pytest.raises(ConfigurationError, match="inspection_boxes"):
+            parse_scenario(write_yaml(tmp_path, bad))
 
 
 def test_missing_duration_rejected(tmp_path):
@@ -165,6 +168,93 @@ def test_malformed_vectors_rejected(tmp_path):
     bad["agents"] = [{"kind": "explorer", "start": [1.0, 2.0]}]
     with pytest.raises(ConfigurationError, match="3 components"):
         parse_scenario(write_yaml(tmp_path, bad))
+
+
+# MINIMAL with one record of every kind and every scalar section
+FULL = {
+    "mission": {"duration": 30.0},
+    "agents": [{"kind": "explorer", "start": [3.0, 3.0, 3.0]}],
+    "camera": {}, "lidar": {}, "gimbal": {}, "tracking": {},
+    "scene": {
+        "solid_boxes": [{"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}],
+        "triangles": [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+        "inspection_boxes": [{"min": [0.0, 0.0, 0.0], "max": [30.0, 30.0, 30.0]}],
+        "interest_points": {
+            "explicit": [{"id": 5, "position": [12.0, 15.0, 15.0], "normal": [-1.0, 0.0, 0.0]},
+                         {"position": [18.0, 15.0, 15.0], "normal": [1.0, 0.0, 0.0]}],
+            "scatter": [{"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0], "count": 4}],
+        },
+    },
+}
+
+
+# record kind: (where it sits in FULL, its dotted path, a key and a value it
+# rejects, a required key or None, a key whose null takes the given default or
+# None); a triangle is a list, so its keys are vertex indices
+RECORDS = {
+    "agent": (("agents", 0), "agents[0]", ("kind", "pilot"), "start", ("v_max", None)),
+    "solid-box": (("scene", "solid_boxes", 0), "scene.solid_boxes[0]",
+                  ("min", [1.0, 2.0]), "max", None),
+    "inspection-box": (("scene", "inspection_boxes", 0), "scene.inspection_boxes[0]",
+                       ("max", [1.0, 2.0]), "min", None),
+    "triangle": (("scene", "triangles", 0), "scene.triangles[0]", (1, [1.0, 2.0]), 2, None),
+    "explicit-point": (("scene", "interest_points", "explicit", 0),
+                       "scene.interest_points.explicit[0]", ("normal", [0.0, 1.0]),
+                       "position", None),
+    "scatter-rule": (("scene", "interest_points", "scatter", 0),
+                     "scene.interest_points.scatter[0]", ("seed", True), "count",
+                     ("faces", None)),
+    "mission": (("mission",), "mission", ("horizon", 2.5), "duration", ("tick", 0.1)),
+    "camera": (("camera",), "camera", ("range", True), None, ("range", 30.0)),
+    "lidar": (("lidar",), "lidar", ("beams", 8.5), None, ("beams", 16)),
+    "gimbal": (("gimbal",), "gimbal", ("azimuth_max_deg", [90.0]), None,
+               ("azimuth_max_deg", 90.0)),
+    "tracking": (("tracking",), "tracking", ("kp", False), None, ("kp", 1.0)),
+}
+
+
+def at(node, where):
+    for key in where:
+        node = node[key]
+    return node
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_record_rules_name_the_dotted_path(kind):
+    where, path, (bad_key, bad_value), required, null = RECORDS[kind]
+
+    def rejected(edit, pattern):
+        raw = copy.deepcopy(FULL)
+        edit(at(raw, where))
+        with pytest.raises(ConfigurationError, match=pattern):
+            normalize_scenario(raw)
+
+    def named(key):
+        return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+    if isinstance(at(FULL, where), dict):
+        rejected(lambda record: record.update(bogus=1), re.escape(path) + ".*bogus")
+    rejected(lambda record: record.__setitem__(bad_key, bad_value), re.escape(named(bad_key)))
+    if required is not None:
+        # a missing vertex is reported at the triangle, a missing key at the key
+        rejected(lambda record: record.pop(required),
+                 re.escape(path if isinstance(required, int) else named(required)))
+    if null is not None:
+        key, default = null
+        raw = copy.deepcopy(FULL)
+        at(raw, where)[key] = None
+        assert at(normalize_scenario(raw), where)[key] == default
+
+
+def test_explicit_point_without_id_takes_its_index():
+    explicit = normalize_scenario(FULL)["scene"]["interest_points"]["explicit"]
+    assert [p["id"] for p in explicit] == [5, 1]
+
+
+def test_null_omega_max_takes_its_default():
+    raw = copy.deepcopy(FULL)
+    raw["agents"][0]["omega_max"] = None
+    assert normalize_scenario(raw)["agents"][0]["omega_max"] == 1.5
 
 
 def test_yaml_syntax_error_reported(tmp_path):
@@ -271,6 +361,27 @@ def test_main_rejects_a_negative_standoff_before_running(tmp_path, capsys):
                                                        "waypoint_standoff": -3.0}})
     assert main(["--scenario", bad]) == 2
     assert "waypoint standoff must be positive" in capsys.readouterr().err
+
+
+BOX_30 = {"min": [0.0, 0.0, 0.0], "max": [30.0, 30.0, 30.0]}
+
+
+@pytest.mark.parametrize("scenario, flags, message", [
+    ({**MINIMAL, "agents": [{"kind": "explorer", "start": [3.0, 3.0, 3.0]},
+                            {"kind": "photographer", "start": [4.0, 4.0, 4.0]}]},
+     [], "agents share start voxel"),
+    ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30],
+                           "solid_boxes": [{"min": [0.0, 0.0, 0.0], "max": [6.0, 6.0, 6.0]}]}},
+     [], "agent 0 starts inside structure"),
+    ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {"explicit": [
+        {"id": 0, "position": [1.0, 1.0, 1.0], "normal": [1.0, 0.0, 0.0]},
+        {"id": 0, "position": [2.0, 2.0, 2.0], "normal": [1.0, 0.0, 0.0]}]}}},
+     [], "interest point ids are not unique"),
+    (MINIMAL, ["--voxel-size", "-3"], "voxel size must be positive"),
+], ids=["shared-start", "start-in-structure", "duplicate-ids", "negative-voxel"])
+def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
+    assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_main_accepts_all_override_flags(tmp_path):
