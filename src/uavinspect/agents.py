@@ -39,10 +39,6 @@ class AgentState:
         self.position = np.asarray(self.position, dtype=float).copy()
         self.velocity = np.asarray(self.velocity, dtype=float).copy()
 
-    def copy(self) -> "AgentState":
-        return AgentState(self.id, self.position.copy(), self.yaw,
-                          self.velocity.copy(), self.yaw_rate, self.v_max, self.omega_max)
-
 
 @dataclass(frozen=True)
 class GimbalLimits:
@@ -98,12 +94,7 @@ def step_dynamics(state: AgentState, acc, yaw_acc: float, dt: float) -> AgentSta
     if abs(yaw_rate) > state.omega_max:
         yaw_rate = math.copysign(state.omega_max, yaw_rate)
 
-    out = state.copy()
-    out.position = pos
-    out.velocity = vel
-    out.yaw = yaw
-    out.yaw_rate = yaw_rate
-    return out
+    return AgentState(state.id, pos, yaw, vel, yaw_rate, state.v_max, state.omega_max)
 
 
 def wrap_angle(a: float) -> float:

@@ -52,14 +52,20 @@ def _optional(parse):
     return lambda value, path: None if value is None else parse(value, path)
 
 
-def _kind(value, path: str) -> str:
-    if value not in KINDS:
-        raise ConfigurationError(f"{path} must be {' or '.join(KINDS)}")
-    return value
+def _count(value, path: str) -> int:
+    count = _integer(value, path)
+    if count < 0:
+        raise ConfigurationError(f"{path} must be non-negative, got {count}")
+    return count
 
 
-def _faces(value, path: str) -> list[str]:
-    return [str(f) for f in _expect_list(value, path)]
+def _one_of(options: tuple[str, ...]):
+    """A parser that accepts one of ``options`` and nothing else."""
+    def parse(value, path: str) -> str:
+        if value not in options:
+            raise ConfigurationError(f"{path} must be {' or '.join(options)}")
+        return value
+    return parse
 
 
 def _triple(item):
@@ -78,7 +84,7 @@ _vec3 = _triple(_number)
 def _list(item, nonempty: bool = False):
     """A parser for a list, each entry parsed by ``item``; ``nonempty`` rejects []."""
     def parse(value, path: str) -> list:
-        node = _expect_list(value or [], path)
+        node = _expect_list(value, path)
         if nonempty and not node:
             raise ConfigurationError(f"{path} must be non-empty")
         return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
@@ -92,7 +98,7 @@ def _record(node, spec: dict, path: str) -> dict:
     parsed from its default, and a key whose default is MISSING is required.
     ``path`` is the mapping's dotted path in the file, "" for the file itself.
     """
-    node, where = node or {}, path or "scenario"
+    where = path or "scenario"
     if not isinstance(node, dict):
         raise ConfigurationError(f"{where}: expected a mapping, got {type(node).__name__}")
     unknown = set(node) - set(spec)
@@ -118,7 +124,7 @@ def _fields(spec: dict):
 def _points(value, path: str) -> list[dict]:
     """Explicit interest points; a point without an id takes its list index."""
     return [_record(p, {"id": (_integer, i), **_POINT}, f"{path}[{i}]")
-            for i, p in enumerate(_expect_list(value or [], path))]
+            for i, p in enumerate(_expect_list(value, path))]
 
 
 # a config field's parser by its annotation, a string in the postponed-annotation modules
@@ -143,6 +149,8 @@ def _defaults(cls, *keys: str) -> dict:
 
 _BOX = {"min": (_vec3, MISSING), "max": (_vec3, MISSING)}
 _POINT = {"position": (_vec3, MISSING), "normal": (_vec3, MISSING)}
+_SCATTER = {**_BOX, "count": (_count, MISSING), "seed": (_optional(_integer), None),
+            "faces": (_optional(_list(_one_of(FACES), nonempty=True)), None)}
 
 # Every key of a scenario file, as key -> (parser, default).
 _SCENARIO = {
@@ -151,7 +159,7 @@ _SCENARIO = {
     "mission": (_fields({**_defaults(MissionConfig, "duration", "tick", "voxel_size", "horizon",
                                      "waypoint_standoff", "capture_stride"),
                          "seed": (_integer, 0)}), {}),
-    "agents": (_list(_fields({"kind": (_kind, MISSING), "start": (_vec3, MISSING),
+    "agents": (_list(_fields({"kind": (_one_of(KINDS), MISSING), "start": (_vec3, MISSING),
                               **_defaults(AgentSpec, "v_max", "omega_max")}),
                      nonempty=True), MISSING),
     "camera": (_fields(_defaults(CameraConfig, "fov_h_deg", "fov_v_deg", "range", "focal",
@@ -168,9 +176,7 @@ _SCENARIO = {
         "inspection_boxes": (_list(_fields(_BOX), nonempty=True), MISSING),
         "interest_points": (_fields({
             "explicit": (_points, []),
-            "scatter": (_list(_fields({**_BOX, "count": (_integer, MISSING),
-                                       "seed": (_optional(_integer), None),
-                                       "faces": (_optional(_faces), None)})), []),
+            "scatter": (_list(_fields(_SCATTER)), []),
         }), {}),
     }), {}),
 }

@@ -21,14 +21,14 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .agents import (EXPLORER, KINDS, PHOTOGRAPHER, AgentState, GimbalLimits,
                      GimbalState, TrackingConfig, step_dynamics, track_segment,
                      point_gimbal)
-from .comms import NeighborSet, discover_neighbors, exchange_and_merge
+from .comms import discover_neighbors, exchange_and_merge
 from .errors import ConfigurationError, OutOfBoundsError, PlanningError
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
 from .scene import Scene, scene_occupancy
@@ -94,16 +94,12 @@ class MissionConfig:
 
 
 class ScoreLedger:
-    """Best observation quality per interest point over all agents and time."""
+    """Best observation quality per interest point over all agents and time,
+    one row per point in the scene's order."""
 
     def __init__(self, point_ids, quality_floor: float):
         self.point_ids = np.asarray(point_ids, dtype=int)
         self.floor = float(quality_floor)
-        # rows in id order: update_ledger looks ids up by binary search
-        self._id_order = np.argsort(self.point_ids, kind="stable")
-        self._sorted_ids = self.point_ids[self._id_order]
-        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
-            raise ConfigurationError("interest point ids are not unique")
         n = len(self.point_ids)
         self.best_q = np.zeros(n)
         self.counts = np.zeros(n, dtype=int)
@@ -119,16 +115,11 @@ class ScoreLedger:
 
 
 def update_ledger(ledger: ScoreLedger, observations: Observations) -> ScoreLedger:
-    """Fold a batch of observations into the ledger: only qualities strictly
-    above the floor count, and a point's best is the highest of them."""
-    ids = observations.point_id
-    pos = np.searchsorted(ledger._sorted_ids, ids)
-    known = pos < len(ledger._sorted_ids)
-    known[known] = ledger._sorted_ids[pos[known]] == ids[known]
-    if not known.all():
-        raise KeyError(f"unknown interest point id {ids[~known][0]}")
+    """Fold a batch of observations into the ledger row by row: only
+    qualities strictly above the floor count, and a point's best is the
+    highest of them."""
     counted = observations.q > ledger.floor
-    rows = ledger._id_order[pos[counted]]
+    rows = observations.point[counted]
     ledger.counts += np.bincount(rows, minlength=ledger.num_points)
     np.maximum.at(ledger.best_q, rows, observations.q[counted])
     return ledger
@@ -276,21 +267,21 @@ class _Mission:
             if a.occ.cells[a.voxel] == UNKNOWN:
                 a.occ.cells[a.voxel] = FREE
 
-    def _exchange(self, k: int) -> NeighborSet:
-        states = [a.state for a in self.agents]
-        neighbors = discover_neighbors(states, self.scene)
-        merged = exchange_and_merge(neighbors, {a.id: a.occ for a in self.agents})
-        for a in self.agents:
-            a.occ = merged[a.id]
-        self.connectivity.append((k, tuple(neighbors.edges())))
+    def _exchange(self, k: int) -> list[list[int]]:
+        peers = discover_neighbors([a.state for a in self.agents], self.scene)
+        merged = exchange_and_merge(peers, [a.occ for a in self.agents])
+        for a, occ in zip(self.agents, merged):
+            a.occ = occ
+        self.connectivity.append(
+            (k, tuple((i, j) for i, ps in enumerate(peers) for j in ps if i < j)))
 
         for a in self.agents:
             if a.spec.kind == PHOTOGRAPHER and a.phase == 1:
                 heard = any(self.agents[j].spec.kind == EXPLORER
-                            and self.agents[j].phase == 2 for j in neighbors.of(a.id))
+                            and self.agents[j].phase == 2 for j in peers[a.id])
                 if heard:
                     self._enter_phase2(a, k)
-        return neighbors
+        return peers
 
     def _enter_phase2(self, a: _Runtime, k: int) -> None:
         a.phase = 2
@@ -301,7 +292,7 @@ class _Mission:
     def _reserved(self, a: _Runtime) -> set:
         return {b.voxel for b in self.agents if b.id != a.id}
 
-    def _regenerate(self, a: _Runtime, neighbors: NeighborSet, k: int) -> None:
+    def _regenerate(self, a: _Runtime, peers: list[list[int]], k: int) -> None:
         # the waypoints depend on the map's cells alone: the grid, the boxes
         # and the standoff are fixed for the mission
         if a.barren is not None and np.array_equal(a.occ.cells, a.barren):
@@ -314,7 +305,7 @@ class _Mission:
             a.sigma = None
             return
         positions = {a.id: a.state.position}
-        for j in neighbors.of(a.id):
+        for j in peers[a.id]:
             if self.agents[j].phase == 2:
                 positions[j] = self.agents[j].state.position
         assignment = mtsp_assign(waypoints, positions)
@@ -325,7 +316,7 @@ class _Mission:
         self.plan_events.append(
             f"tick {k} agent {a.id} epoch {a.kappa} waypoints {len(waypoints)} split {sizes}")
 
-    def _follow(self, a: _Runtime, neighbors: NeighborSet, k: int) -> None:
+    def _follow(self, a: _Runtime, peers: list[list[int]], k: int) -> None:
         """Advance along a.sigma by receding-horizon steps.
 
         The agent replans when its segment is used up, when it stands on its
@@ -344,7 +335,7 @@ class _Mission:
                 if regenerated:
                     a.look_dir = None
                     break
-                self._regenerate(a, neighbors, k)
+                self._regenerate(a, peers, k)
                 regenerated = True
                 continue
             goal = "survey point" if a.phase == 1 else "waypoint"
@@ -381,11 +372,11 @@ class _Mission:
         a.segment = []
         a.seg_i = 0
 
-    def _plan(self, neighbors: NeighborSet, k: int) -> None:
+    def _plan(self, peers: list[list[int]], k: int) -> None:
         # photographers hold still until they enter the inspection stage
         for a in self.agents:
             if a.phase == 2 or a.spec.kind == EXPLORER:
-                self._follow(a, neighbors, k)
+                self._follow(a, peers, k)
 
     def _act(self, k: int) -> None:
         claims = {a.voxel: a.id for a in self.agents}
@@ -446,11 +437,7 @@ class _Mission:
                     if a.seg_i < len(a.segment) and nv == a.segment[a.seg_i]:
                         a.seg_i += 1
             else:
-                held = a.state.copy()
-                held.velocity = np.zeros(3)
-                held.yaw = new_state.yaw
-                held.yaw_rate = new_state.yaw_rate
-                a.state = held
+                a.state = replace(new_state, position=a.state.position, velocity=np.zeros(3))
                 self.clamp_events += 1
 
             if a.look_dir is not None and a.phase == 2:
@@ -484,16 +471,16 @@ class _Mission:
                     fresh.append(a)
             obs = observe([a.state for a in fresh], [a.gimbal for a in fresh],
                           self.scene, self.cfg.camera)
-            cols = (obs.agent, obs.point_id, obs.q_blur, obs.q_res, obs.q)
+            cols = (obs.agent, obs.point, obs.q_blur, obs.q_res, obs.q)
             # agent ids ascend in fleet order, so each agent's rows are one run
             ends = np.searchsorted(obs.agent, [a.id for a in fresh], side="right").tolist()
             for a, lo, hi in zip(fresh, [0] + ends, ends):
                 a.rows = [c[lo:hi] for c in cols]
-            if len(fresh) < len(self.agents):
-                obs = Observations(*map(np.concatenate, zip(*(a.rows for a in self.agents))))
+            obs = Observations(*map(np.concatenate, zip(*(a.rows for a in self.agents))))
             self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
-                                         obs.point_id.tolist(), obs.q_blur.tolist(),
-                                         obs.q_res.tolist(), obs.q.tolist()))
+                                         self.scene.point_ids[obs.point].tolist(),
+                                         obs.q_blur.tolist(), obs.q_res.tolist(),
+                                         obs.q.tolist()))
             update_ledger(self.ledger, obs)
         self.score_trace.append(self.ledger.mean_best())
 
@@ -517,8 +504,8 @@ class _Mission:
         for k in range(n_ticks):
             t = k * self.cfg.tick
             self._sense(k, t)
-            neighbors = self._exchange(k)
-            self._plan(neighbors, k)
+            peers = self._exchange(k)
+            self._plan(peers, k)
             self._act(k)
             self._score(k)
             self._audit(k)

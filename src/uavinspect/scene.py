@@ -38,7 +38,8 @@ class Scene:
 
     triangles: (t, 3, 3) float array, one row of three vertices per triangle.
     solid_boxes: list of BoundingBox obstacles (the structure geometry).
-    interest point arrays are index-aligned; ids are 0..n-1.
+    interest point arrays are index-aligned, and the package addresses a point
+    by its row; the ids, unique but in any order, label points in the artifacts.
     """
 
     def __init__(self, solid_boxes=None, triangles=None, interest_points=None,
@@ -54,6 +55,9 @@ class Scene:
 
         points = list(interest_points or [])
         self.point_ids = np.array([p.id for p in points], dtype=int)
+        ids = np.sort(self.point_ids)
+        if np.any(ids[1:] == ids[:-1]):
+            raise ConfigurationError("interest point ids are not unique")
         self.point_positions = np.array([p.position for p in points], dtype=float).reshape(-1, 3)
         normals = np.array([p.normal for p in points], dtype=float).reshape(-1, 3)
         if len(normals):

@@ -77,10 +77,11 @@ class LidarConfig:
 @dataclass(frozen=True, eq=False)
 class Observations:
     """The fleet's camera observations of one tick, index-aligned arrays in
-    agent order, then point order; len() counts the observations."""
+    agent order, then point order; len() counts the observations.  A point is
+    its row in the scene's point arrays, not its id."""
 
     agent: np.ndarray           # agent ids
-    point_id: np.ndarray
+    point: np.ndarray           # scene rows
     q_blur: np.ndarray
     q_res: np.ndarray
     q: np.ndarray
@@ -188,7 +189,7 @@ def observe(states: list[AgentState], gimbals: list[GimbalState], scene: Scene,
     ledger, not here.
     """
     if scene.num_points == 0 or not states:
-        return Observations(np.zeros(0, dtype=int), scene.point_ids[:0],
+        return Observations(np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                             np.zeros(0), np.zeros(0), np.zeros(0))
     apexes = np.array([s.position for s in states], dtype=float).reshape(-1, 3)
     velocities = np.array([s.velocity for s in states], dtype=float).reshape(-1, 1, 3)
@@ -205,8 +206,7 @@ def observe(states: list[AgentState], gimbals: list[GimbalState], scene: Scene,
     q = qb * qr
     keep = q > 0.0
     ids = np.array([s.id for s in states], dtype=int)
-    return Observations(ids[agent[keep]], scene.point_ids[idx[keep]],
-                        qb[keep], qr[keep], q[keep])
+    return Observations(ids[agent[keep]], idx[keep], qb[keep], qr[keep], q[keep])
 
 
 def servo_angle(t: float, cfg: LidarConfig) -> float:

@@ -257,6 +257,42 @@ def test_null_omega_max_takes_its_default():
     assert normalize_scenario(raw)["agents"][0]["omega_max"] == 1.5
 
 
+@pytest.mark.parametrize("path, value, kind", [
+    ("camera", 0, "mapping"),
+    ("tracking", [], "mapping"),
+    ("gimbal", "", "mapping"),
+    ("lidar", False, "mapping"),
+    ("scene.triangles", 0, "list"),
+    ("scene.interest_points.scatter", "", "list"),
+    ("scene.interest_points.explicit", 0, "list"),
+])
+def test_falsy_section_or_list_is_rejected_not_omitted(path, value, kind):
+    # only null omits a key; any other value that is not a mapping or list is wrong
+    raw = copy.deepcopy(FULL)
+    *where, key = path.split(".")
+    at(raw, where)[key] = value
+    message = f"{path}: expected a {kind}, got {type(value).__name__}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        normalize_scenario(raw)
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("faces", [1], "faces[0]"),
+    ("faces", ["x-", "top"], "faces[1]"),
+    ("faces", [], "faces must be non-empty"),
+    ("count", -1, "count"),
+])
+def test_scatter_faces_and_count_checked_at_their_path(key, value, path):
+    raw = copy.deepcopy(FULL)
+    raw["scene"]["interest_points"]["scatter"][0][key] = value
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"scene.interest_points.scatter[0].{path}")):
+        normalize_scenario(raw)
+    raw["scene"]["interest_points"]["scatter"][0].update(faces=["x-", "z+"], count=0)
+    rule = normalize_scenario(raw)["scene"]["interest_points"]["scatter"][0]
+    assert (rule["faces"], rule["count"]) == (["x-", "z+"], 0)
+
+
 def test_yaml_syntax_error_reported(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("mission: {duration: [unclosed\n")

@@ -15,7 +15,7 @@ def agents_at(*positions):
 
 def fresh_maps(n, dims=(4, 1, 1)):
     grid = VoxelGrid((0, 0, 0), dims, 1.0)
-    return {i: OccupancyMap(grid) for i in range(n)}
+    return [OccupancyMap(grid) for _ in range(n)]
 
 
 def chain_scene():
@@ -34,19 +34,14 @@ CHAIN_POSITIONS = [(0, 0, 0.5), (2, 1, 0.5), (4, 0, 0.5), (6, 1, 0.5)]
 def test_empty_scene_gives_complete_graph():
     states = agents_at((0, 0, 0), (5, 0, 0), (0, 7, 3))
     n = discover_neighbors(states, Scene())
-    assert n.of(0) == {1, 2}
-    assert n.of(1) == {0, 2}
-    assert n.of(2) == {0, 1}
-    assert n.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert n == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_wall_splits_groups():
     wall = Scene(solid_boxes=[BoundingBox((5, -50, -50), (6, 50, 50))])
     states = agents_at((0, 0, 0), (10, 0, 0), (10, 3, 0))
     n = discover_neighbors(states, wall)
-    assert n.of(0) == frozenset()
-    assert n.of(1) == {2}
-    assert n.of(2) == {1}
+    assert n == [[], [2], [1]]
 
 
 def test_neighbor_symmetry_random_configurations():
@@ -57,29 +52,26 @@ def test_neighbor_symmetry_random_configurations():
         states = agents_at(*rng.uniform(-10, 10, (4, 3)))
         n = discover_neighbors(states, scene)
         for i in range(4):
-            assert i not in n.of(i)
-            for j in n.of(i):
-                assert i in n.of(j)
+            assert i not in n[i]
+            assert n[i] == sorted(set(n[i]))
+            for j in n[i]:
+                assert i in n[j]
 
 
 def test_chain_topology_is_a_chain():
     n = discover_neighbors(agents_at(*CHAIN_POSITIONS), chain_scene())
-    assert n.of(0) == {1}
-    assert n.of(1) == {0, 2}
-    assert n.of(2) == {1, 3}
-    assert n.of(3) == {2}
+    assert n == [[1], [0, 2], [1, 3], [2]]
 
 
 def reference_neighbors(states, scene):
     """Each agent pair cast on its own: the oracle for discover_neighbors."""
-    peers = {s.id: set() for s in states}
+    peers = [[] for _ in states]
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            a, b = states[i], states[j]
-            if reference_line_of_sight(scene, a.position, b.position):
-                peers[a.id].add(b.id)
-                peers[b.id].add(a.id)
-    return peers
+            if reference_line_of_sight(scene, states[i].position, states[j].position):
+                peers[i].append(j)
+                peers[j].append(i)
+    return [sorted(p) for p in peers]
 
 
 def test_neighbors_equal_pairwise_reference():
@@ -93,9 +85,8 @@ def test_neighbors_equal_pairwise_reference():
                 pos = rng.uniform(-6, 8, (n, 3))
                 pos[::3, 2] = 0.5                               # level pairs
                 pos[1::4, 1] = scene._box_lo[0, 1] if len(scene._box_lo) else 0.0
-                states = [AgentState(2 * i + 5, p) for i, p in enumerate(pos)]
-                got = discover_neighbors(states, scene)
-                assert {s.id: set(got.of(s.id)) for s in states} == reference_neighbors(states, scene)
+                states = [AgentState(2 * i + 5, p) for i, p in enumerate(pos)]   # rows, not ids
+                assert discover_neighbors(states, scene) == reference_neighbors(states, scene)
 
 
 def test_fully_connected_round_makes_maps_identical():
@@ -131,7 +122,7 @@ def test_single_round_chain_semantics():
     for i in range(3):
         maps[i].cells[i, 0, 0] = OCCUPIED
     n = discover_neighbors(states, scene)
-    assert n.of(0) == {1} and n.of(2) == {1}
+    assert n[0] == [1] and n[2] == [1]
     merged = exchange_and_merge(n, maps)
     assert {tuple(c) for c in merged[1].occupied_voxels()} == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
     assert {tuple(c) for c in merged[0].occupied_voxels()} == {(0, 0, 0), (1, 0, 0)}

@@ -10,7 +10,7 @@ import pytest
 
 from test_mesh import prism_mission
 from uavinspect import cli, engine, sensors
-from uavinspect.comms import NeighborSet
+from uavinspect.agents import step_dynamics, track_segment
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                inspection_score, intensity_heatmap, run_mission,
                                update_ledger, write_outputs)
@@ -18,14 +18,15 @@ from uavinspect.errors import ConfigurationError
 from uavinspect.planning import generate_waypoints
 from uavinspect.scene import InterestPoint, Scene, scatter_box_face_points
 from uavinspect.sensors import CameraConfig, LidarConfig, Observations
-from uavinspect.world import FREE, OCCUPIED, BoundingBox, OccupancyMap, load_map
+from uavinspect.world import (FREE, OCCUPIED, BoundingBox, OccupancyMap, load_map,
+                              voxel_to_world, world_to_voxel)
 
 
-def obs(pid, q, qb=None, qr=None):
-    """One observation as (point id, q_blur, q_res, q)."""
+def obs(row, q, qb=None, qr=None):
+    """One observation as (point row, q_blur, q_res, q)."""
     qb = q if qb is None else qb
     qr = 1.0 if qr is None else qr
-    return (pid, qb, qr, q)
+    return (row, qb, qr, q)
 
 
 def frame(*observations):
@@ -38,9 +39,7 @@ def frame(*observations):
 
 def reference_update_ledger(ledger, observations):
     """The ledger fold one observation at a time: the oracle for update_ledger."""
-    index = {int(p): i for i, p in enumerate(ledger.point_ids)}
-    for pid, qb, qr, q in observations:
-        i = index[pid]
+    for i, qb, qr, q in observations:
         if q > ledger.floor:
             ledger.counts[i] += 1
             if q > ledger.best_q[i]:
@@ -102,14 +101,12 @@ def test_ledger_tracks_component_scores_of_best_frame():
 
 
 def test_ledger_rejects_unknown_point():
+    # a row outside the scene's points
     led = ScoreLedger([0, 1], quality_floor=0.1)
-    with pytest.raises(KeyError):
-        update_ledger(led, frame(obs(7, 0.5)))
-
-
-def test_ledger_rejects_duplicate_ids():
-    with pytest.raises(ConfigurationError):
-        ScoreLedger([0, 1, 1], quality_floor=0.1)
+    for row in (2, 7, -1):
+        with pytest.raises(ValueError):
+            update_ledger(led, frame(obs(row, 0.5)))
+    assert led.counts.tolist() == [0, 0] and led.best_q.tolist() == [0.0, 0.0]
 
 
 def test_inspection_score_sums_best():
@@ -128,14 +125,36 @@ def test_score_matches_log_replay_on_random_streams():
         log = []
         for _ in range(40):
             batch = []
-            for pid in rng.integers(0, n, size=rng.integers(0, 6)):
+            for row in rng.integers(0, n, size=rng.integers(0, 6)):
                 q = float(rng.uniform(0, 1))
-                batch.append(obs(int(pid), q))
-                log.append((int(pid), q))
+                batch.append(obs(int(row), q))
+                log.append((int(row), q))
             update_ledger(led, frame(*batch))
         best = [max([q for p, q in log if p == pid and q > floor], default=0.0)
                 for pid in range(n)]
         assert inspection_score(led) == math.fsum(best)
+
+
+def test_logs_name_points_by_id_when_ids_are_not_rows():
+    # the shipped missions number their points 0..n-1, where a row logged in
+    # place of its id goes unseen
+    scene = small_scene(num_points=10, seed=1)
+    relabelled = [InterestPoint(1000 - 7 * i, p, n) for i, (p, n) in
+                  enumerate(zip(scene.point_positions.tolist(), scene.point_normals.tolist()))]
+    scene = Scene(solid_boxes=scene.solid_boxes, interest_points=relabelled,
+                  inspection_boxes=scene.inspection_boxes)
+    res = run_mission(small_config(duration=10.0,
+                                   lidar=LidarConfig(beams=8, azimuth_steps=60)), scene)
+    ids = scene.point_ids.tolist()
+    assert ids == [1000 - 7 * i for i in range(10)]
+    assert res.observations and {pid for _, _, pid, *_ in res.observations} <= set(ids)
+    best = dict.fromkeys(ids, 0.0)
+    for _k, _aid, pid, _qb, _qr, q in res.observations:
+        if q > res.ledger.floor:
+            best[pid] = max(best[pid], q)
+    assert res.q_total > 0.0
+    assert math.fsum(best[p] for p in ids) == res.q_total
+    assert [row[0] for row in res.heatmap] == ids
 
 
 def test_ledger_tie_goes_to_the_first_observation():
@@ -152,7 +171,7 @@ def test_ledger_fold_equals_sequential_reference():
     levels = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])     # few values: many ties
     for trial in range(60):
         n = int(rng.integers(1, 12))
-        ids = rng.permutation(np.arange(0, 5 * n, 5))       # unsorted, non-contiguous
+        ids = rng.permutation(np.arange(0, 5 * n, 5))       # labels only: batches hold rows
         floor = float(rng.choice(levels[:4]))
         led = ScoreLedger(ids, quality_floor=floor)
         ref = ScoreLedger(ids, quality_floor=floor)
@@ -161,7 +180,7 @@ def test_ledger_fold_equals_sequential_reference():
             q = rng.choice(levels, size) if trial % 2 else rng.uniform(0, 1, size)
             q[rng.random(size) < 0.2] = floor                 # exactly at the floor
             batch = [(int(p), float(b), float(r), float(x))
-                     for p, b, r, x in zip(rng.choice(ids, size), rng.random(size),
+                     for p, b, r, x in zip(rng.integers(0, n, size), rng.random(size),
                                            rng.random(size), q)]
             update_ledger(led, frame(*batch))
             reference_update_ledger(ref, batch)
@@ -336,7 +355,8 @@ def fleet_rows(mission, k):
     full = sensors.observe([a.state for a in mission.agents],
                            [a.gimbal for a in mission.agents], mission.scene,
                            mission.cfg.camera)
-    return list(zip([k] * len(full), full.agent.tolist(), full.point_id.tolist(),
+    return list(zip([k] * len(full), full.agent.tolist(),
+                    mission.scene.point_ids[full.point].tolist(),
                     full.q_blur.tolist(), full.q_res.tolist(), full.q.tolist()))
 
 
@@ -478,9 +498,30 @@ def test_survey_goal_underfoot_keeps_the_blocked_replan_count():
     a = mission.agents[0]
     a.voxel = a.sigma[0].voxel
     a.blocked_replans = 2
-    mission._follow(a, NeighborSet({}), 0)
+    mission._follow(a, [[], []], 0)
     assert a.cursor == 1 and a.segment
     assert a.blocked_replans == 2
+
+
+def test_a_step_into_an_unclaimed_voxel_is_held():
+    # the held photographer is pushed a whole voxel along x in one tick: the
+    # move is refused, but the yaw update of the same step goes through
+    mission = _Mission(small_config(), small_scene())
+    a = mission.agents[1]
+    a.state = dataclasses.replace(a.state, velocity=np.array([mission.grid.voxel_size / 0.1,
+                                                              0.0, 0.0]), yaw_rate=0.5)
+    before, voxel = a.state, a.voxel
+    target = voxel_to_world(mission.grid, voxel)
+    acc, yaw_acc = track_segment(before, target, mission.cfg.tracking,
+                                 mission._desired_yaw(a, target))
+    stepped = step_dynamics(before, acc, yaw_acc, mission.cfg.tick)
+    assert world_to_voxel(mission.grid, stepped.position) != voxel
+    mission._act(0)
+    assert a.voxel == voxel and mission.clamp_events == 1
+    assert a.state.position.tolist() == before.position.tolist()
+    assert a.state.velocity.tolist() == [0.0, 0.0, 0.0]
+    assert (a.state.yaw, a.state.yaw_rate) == (stepped.yaw, stepped.yaw_rate)
+    assert a.state.yaw != before.yaw
 
 
 def test_no_agent_regenerates_on_a_map_that_gave_no_waypoints(monkeypatch):
@@ -489,9 +530,9 @@ def test_no_agent_regenerates_on_a_map_that_gave_no_waypoints(monkeypatch):
     asked, current = [], []
     regenerate = _Mission._regenerate
 
-    def tagged(self, a, neighbors, k):
+    def tagged(self, a, peers, k):
         current[:] = [a.id]
-        regenerate(self, a, neighbors, k)
+        regenerate(self, a, peers, k)
 
     def recording(occ_map, boxes, standoff):
         waypoints = generate_waypoints(occ_map, boxes, standoff)
@@ -521,13 +562,13 @@ def test_regeneration_asks_again_once_the_map_changes(monkeypatch):
     a = mission.agents[1]
     a.phase = 2
     for k in range(3):                   # an all-unknown map gives none
-        mission._regenerate(a, NeighborSet({}), k)
+        mission._regenerate(a, [[], []], k)
     assert len(asked) == 1 and a.sigma is None
     a.occ.cells[a.voxel] = FREE
-    mission._regenerate(a, NeighborSet({}), 3)
+    mission._regenerate(a, [[], []], 3)
     assert len(asked) == 2 and a.sigma is None
     a.occ = OccupancyMap(mission.grid, np.where(mission.truth, OCCUPIED, FREE))
-    mission._regenerate(a, NeighborSet({}), 4)
+    mission._regenerate(a, [[], []], 4)
     assert len(asked) == 3 and a.sigma is not None
 
 

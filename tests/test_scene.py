@@ -322,6 +322,15 @@ def test_zero_normal_rejected():
         Scene(interest_points=[InterestPoint(0, (0, 0, 0), (0, 0, 0))])
 
 
+def test_scene_rejects_duplicate_ids():
+    def points(*ids):
+        return [InterestPoint(i, (float(j), 0, 0), (1, 0, 0)) for j, i in enumerate(ids)]
+    for ids in ((0, 1, 1), (5, 3, 5)):
+        with pytest.raises(ConfigurationError, match="interest point ids are not unique"):
+            Scene(interest_points=points(*ids))
+    assert Scene(interest_points=points(7, 3, 5)).point_ids.tolist() == [7, 3, 5]
+
+
 def test_points_outside_inspection_boxes_warn():
     pts = [InterestPoint(0, (100.0, 0.0, 0.0), (1, 0, 0))]
     with pytest.warns(UserWarning):

@@ -237,7 +237,8 @@ def observe_one(a, gimbal, scene, cfg):
     obs = observe([a], [gimbal], scene, cfg)
     assert obs.agent.tolist() == [a.id] * len(obs)
     return [Observation(*row) for row in zip(
-        obs.point_id.tolist(), obs.q_blur.tolist(), obs.q_res.tolist(), obs.q.tolist())]
+        scene.point_ids[obs.point].tolist(), obs.q_blur.tolist(), obs.q_res.tolist(),
+        obs.q.tolist())]
 
 
 def test_hovering_agent_perfect_observation():
@@ -364,7 +365,7 @@ def test_fleet_observe_equals_per_agent_reference(n_agents):
                     for o in reference_observe(s, g, scene, c)]
         assert len(got) == len(expected)
         assert got.agent.tolist() == [aid for aid, _ in expected]
-        assert got.point_id.tolist() == [o.point_id for _, o in expected]
+        assert scene.point_ids[got.point].tolist() == [o.point_id for _, o in expected]
         assert got.q_blur.tolist() == [o.q_blur for _, o in expected]
         assert got.q_res.tolist() == [o.q_res for _, o in expected]
         assert got.q.tolist() == [o.q for _, o in expected]
