@@ -32,9 +32,11 @@ from .comms import discover_neighbors, exchange_and_merge
 from .errors import ConfigurationError, OutOfBoundsError, PlanningError
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
 from .scene import Scene, scene_occupancy
-from .sensors import CameraConfig, LidarConfig, Observations, lidar_sweep, observe
-from .world import (FREE, UNKNOWN, OccupancyMap, build_grid, compute_operational_volume,
-                    integrate_points, save_map, voxel_to_world, world_to_voxel)
+from .sensors import (CameraConfig, LidarConfig, Observations, lidar_directions, lidar_sweep,
+                      observe)
+from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, build_grid,
+                    compute_operational_volume, integrate_points, save_map, voxel_to_world,
+                    world_to_voxel)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
 
@@ -156,6 +158,7 @@ class MissionResult:
     collisions_same_voxel: int
     occupied_entries: int
     free_structure_cells: int            # per tick and agent map; not in the digest
+    suppressed_returns: int              # LiDAR hits off the structure cells; not in the digest
     clamp_events: int
     phase_change_ticks: dict[int, int]
     final_maps: dict[int, OccupancyMap]
@@ -198,12 +201,32 @@ class _Runtime:
     blocked: int = 0
     blocked_replans: int = 0
     barren: np.ndarray | None = None        # cells of the last map that gave no waypoints
+    guard: FiringGuard | None = None        # what an explorer's LiDAR can still change
     pose: bytes = b""                       # camera inputs of the last capture
     rows: list = field(default_factory=list)    # and the Observations fields they gave
 
     @property
     def id(self) -> int:
         return self.state.id
+
+
+def _fire(occ: OccupancyMap, guard: FiringGuard, state: AgentState, scene: Scene,
+          lidar: LidarConfig, t: float) -> int:
+    """One LiDAR firing into occ, casting only the rays that can change it.
+
+    A firing on a map that holds no cell it can change is skipped whole;
+    otherwise only the rays whose box holds such a cell are cast (see
+    FiringGuard).  The map ends as if every ray had been cast.  Returns the
+    number of hits of the cast rays that the hit rule suppressed.
+    """
+    if not guard.at(occ, state.position).live:
+        return 0
+    dirs = lidar_directions(state, lidar, t)
+    dirs = dirs[guard.can_change(state.position, dirs, lidar.range)]
+    if not len(dirs):
+        return 0
+    hits, misses = lidar_sweep(state, scene, lidar, dirs)
+    return integrate_points(occ, state.position, hits, misses, guard.truth, guard.unknown)
 
 
 class _Mission:
@@ -238,6 +261,7 @@ class _Mission:
             rt = _Runtime(spec, state, GimbalState(limits=cfg.gimbal),
                           OccupancyMap(self.grid), vox)
             if spec.kind == EXPLORER:
+                rt.guard = FiringGuard(self.grid, self.truth)
                 rt.sigma = [Waypoint(tuple(p.tolist()), None, world_to_voxel(self.grid, p))
                             for p in routes[e_idx]]
                 e_idx += 1
@@ -252,6 +276,7 @@ class _Mission:
         self.collisions = 0
         self.occupied_entries = 0
         self.free_structure_cells = 0
+        self.suppressed_returns = 0
         self.clamp_events = 0
         self.phase_change_ticks: dict[int, int] = {}
         self.phase_maps: dict[int, OccupancyMap] = {}
@@ -261,8 +286,8 @@ class _Mission:
     def _sense(self, k: int, t: float) -> None:
         for a in self.agents:
             if a.spec.kind == EXPLORER:
-                hits, misses = lidar_sweep(a.state, self.scene, self.cfg.lidar, t)
-                integrate_points(a.occ, a.state.position, hits, misses)
+                self.suppressed_returns += _fire(a.occ, a.guard, a.state, self.scene,
+                                                 self.cfg.lidar, t)
             # an agent's own voxel is evidently traversable
             if a.occ.cells[a.voxel] == UNKNOWN:
                 a.occ.cells[a.voxel] = FREE
@@ -512,6 +537,9 @@ class _Mission:
         if self.free_structure_cells:
             warnings.warn(f"agent maps held structure cells free "
                           f"{self.free_structure_cells} times (cells x ticks)")
+        if self.suppressed_returns:
+            warnings.warn(f"{self.suppressed_returns} LiDAR hits fell outside the "
+                          f"structure cells and marked nothing")
         return MissionResult(
             q_total=inspection_score(self.ledger),
             ledger=self.ledger,
@@ -523,6 +551,7 @@ class _Mission:
             collisions_same_voxel=self.collisions,
             occupied_entries=self.occupied_entries,
             free_structure_cells=self.free_structure_cells,
+            suppressed_returns=self.suppressed_returns,
             clamp_events=self.clamp_events,
             phase_change_ticks=self.phase_change_ticks,
             final_maps={a.id: a.occ for a in self.agents},

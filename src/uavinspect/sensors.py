@@ -238,14 +238,12 @@ def _base_directions(beams: int, azimuth_steps: int, aperture: float) -> np.ndar
     return dirs
 
 
-def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
-                t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One full sensor firing at time t: (hit points, endpoints of empty rays).
+def lidar_directions(agent: AgentState, cfg: LidarConfig, t: float) -> np.ndarray:
+    """The unit ray directions of one full sensor firing at time t.
 
     Beams are spread over the sensor's vertical aperture, azimuths cover a full
     revolution, and the whole pattern is pitched about the body x-axis by the
-    servo angle.  Rays that see nothing report their maximum-range endpoint so
-    the mapper can clear the corridor they crossed.  Noise-free.
+    servo angle.
     """
     base = _base_directions(cfg.beams, cfg.azimuth_steps, _VERTICAL_APERTURE)
     s = servo_angle(t, cfg)
@@ -253,7 +251,17 @@ def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cs, -ss], [0.0, ss, cs]])
     cy, sy = math.cos(agent.yaw), math.sin(agent.yaw)
     rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    dirs = base @ (rz @ rx).T
+    return base @ (rz @ rx).T
+
+
+def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
+                dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cast the given rays of a firing: (hit points, endpoints of empty rays).
+
+    Rays that see nothing report their maximum-range endpoint so the mapper
+    can clear the corridor they crossed.  Each ray's result does not depend
+    on which other rays are cast.  Noise-free.
+    """
     hit, dist = ray_cast_batch(scene, agent.position, dirs, cfg.range)
     hits = agent.position + dirs[hit] * dist[hit, None]
     misses = agent.position + dirs[~hit] * cfg.range

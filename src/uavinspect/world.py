@@ -27,6 +27,8 @@ FACE_STEPS = (
 
 Voxel = tuple[int, int, int]
 
+_NUDGE = 1e-6           # a hit moves this share of a voxel along its ray before voxelization
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -203,46 +205,106 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
     return start + before - base[rows]
 
 
-def _holds_unknown(unknown: np.ndarray, dims: np.ndarray, origin_cell: np.ndarray,
-                   end_cells: np.ndarray) -> np.ndarray:
-    """Per segment, whether the box between its origin cell and its end cell
-    holds an UNKNOWN cell.
+def _box_field(mask: np.ndarray, cell) -> np.ndarray:
+    """Per cell e of the grid, whether the box between cell and e holds a
+    cell of mask: an OR swept outward from cell along each axis in turn.
 
-    unknown is the flattened, padded 3-D prefix sum of the UNKNOWN cells; the
-    end cells lie on the grid, so clipping the origin cell clips every box.
+    A segment's cells all lie in the box between its origin cell and its
+    end cell, so one lookup at the end cell of a field from the origin cell
+    tells whether the segment can meet a mask cell.  cell is clipped to the
+    grid, which clips every box whose end cell lies on it.
     """
-    strides = ((dims[1] + 1) * (dims[2] + 1), dims[2] + 1, 1)
-    lo, hi = [], []
-    for e, o, n, s in zip(end_cells.T, origin_cell, dims, strides):
-        lo.append(np.minimum(e, max(o, 0)) * s)
-        hi.append((np.maximum(e, min(o, n - 1)) + 1) * s)
-    (lx, ly, lz), (hx, hy, hz) = lo, hi
-    # unknown cells in each box, from the eight corners of the prefix sum
-    hh, lh, hl, ll = hy + hz, ly + hz, hy + lz, ly + lz
-    in_box = (unknown[hx + hh] - unknown[lx + hh] - unknown[hx + lh] - unknown[hx + hl]
-              + unknown[lx + lh] + unknown[lx + hl] + unknown[hx + ll] - unknown[lx + ll])
-    return in_box > 0
+    field = mask.copy()
+    for axis, c in enumerate(np.clip(cell, 0, np.subtract(mask.shape, 1))):
+        outward = [slice(None)] * 3
+        for part in (slice(c, None), slice(c, None, -1)):
+            outward[axis] = part
+            view = field[tuple(outward)]
+            np.logical_or.accumulate(view, axis=axis, out=view)
+    return field
 
 
-def integrate_points(occ_map: OccupancyMap, sensor_origin, hits,
-                     misses=()) -> OccupancyMap:
+class FiringGuard:
+    """The cells a LiDAR firing can still change on one map, as box fields
+    (see _box_field) from the sensor's cell.
+
+    Under the hit rule of integrate_points a firing changes only UNKNOWN
+    cells, which its rays free and its hits mark, and FREE structure cells
+    (truth), which its hits mark.  unknown is the field of the UNKNOWN
+    cells, and guard that of both kinds; while no structure cell is FREE
+    they are one field.  at() rebuilds them only when the map's cells or
+    the sensor's cell differ from those they were built for, so every
+    writer of the map is seen.
+    """
+
+    def __init__(self, grid: VoxelGrid, truth: np.ndarray):
+        self.grid = grid
+        self.truth = truth
+        self.cells: np.ndarray | None = None
+        self.cell: np.ndarray | None = None
+
+    def at(self, occ_map: OccupancyMap, origin) -> "FiringGuard":
+        grid, cells = self.grid, occ_map.cells
+        cell = np.floor((origin - grid.origin_arr) / grid.voxel_size).astype(np.int64)
+        if (self.cells is not None and np.array_equal(cell, self.cell)
+                and np.array_equal(cells, self.cells)):
+            return self
+        self.cells, self.cell = cells.copy(), cell
+        unknown = cells == UNKNOWN
+        free_structure = (cells == FREE) & self.truth
+        self.live = bool(unknown.any()) or bool(free_structure.any())
+        if self.live:
+            self.unknown = _box_field(unknown, cell)
+            self.guard = (_box_field(unknown | free_structure, cell) if free_structure.any()
+                          else self.unknown)
+        return self
+
+    def can_change(self, origin, dirs: np.ndarray, reach: float) -> np.ndarray:
+        """Per ray from origin along the unit directions dirs, out to reach,
+        whether its box holds a cell the firing can change.
+
+        The box runs from the sensor's cell to the grid-clamped cell at
+        reach, each moving axis lengthened by twice the hit nudge, so it
+        holds every cell the ray can free and the cell its hit can mark.  A
+        ray whose box holds none leaves the map as it is, whatever the other
+        rays of its firing hit.
+        """
+        grid = self.grid
+        v, lo, dims = grid.voxel_size, grid.origin_arr, np.asarray(grid.dims)
+        ends = origin + dirs * reach + np.sign(dirs) * (2 * _NUDGE * v)
+        end_cells = np.clip(np.floor((ends - lo) / v).astype(np.int64), 0, dims - 1)
+        return self.guard[tuple(end_cells.T)]
+
+
+def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, misses=(),
+                     truth: np.ndarray | None = None,
+                     unknown: np.ndarray | None = None) -> int:
     """Fold one range firing into the map: hit voxels become occupied, and
     the unknown voxels the rays crossed on the way become free, for a miss
     (a return that saw nothing) its end voxel too.
 
     Hit points are nudged a hair along the ray before voxelization so that
     hits landing exactly on a voxel boundary register on the surface's side;
-    hits outside the grid are dropped.  Misses beyond the grid are clipped at
-    its boundary, and a miss whose ray never enters the grid is dropped.
-    Occupied cells never revert.  The map is updated in place and returned.
+    hits outside the grid are dropped.  Given truth, the boolean grid of
+    the structure cells, a hit marks its cell only if it is one: a hit that
+    grazes a face's edge or meets a mesh in a voxel plane from behind can
+    land in the cell beyond, and is suppressed, while its ray still frees
+    the cells before it.  Misses beyond the grid are clipped at its
+    boundary, and a miss whose ray never enters the grid is dropped.
+    Occupied cells never revert.  The map is updated in place; returns the
+    number of suppressed hits.
 
     The hit cells are marked first: freeing only ever turns UNKNOWN cells
     FREE, so they stay occupied.  A segment's cells all lie in the box
     between its origin cell and its end cell, so a segment whose box holds
-    no UNKNOWN cell cannot change the map and is not traversed; one prefix
-    sum of the UNKNOWN cells answers that per segment in O(1).  A miss is
+    no UNKNOWN cell cannot change the map and is not traversed; one box
+    field of the UNKNOWN cells from the sensor's cell answers that per
+    segment with one lookup.  unknown may pass that field for the cells
+    before the call (FiringGuard.unknown): the hits only shrink the UNKNOWN
+    cells, so it still holds every box that can change the map.  A miss is
     first tested against its box out to its unclipped end cell, which holds
-    the box of its clipped segment, so only the misses that pass are clipped.
+    the box of its clipped segment, so only the misses that pass are
+    clipped.
     """
     origin = np.asarray(sensor_origin, dtype=float)
     grid = occ_map.grid
@@ -257,23 +319,27 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits,
     dirs = np.zeros_like(rel)
     moving = lengths > 1e-12
     dirs[moving] = rel[moving] / lengths[moving, None]
-    nudged = hits + dirs * (1e-6 * v)
+    nudged = hits + dirs * (_NUDGE * v)
     hit_cells = np.floor((nudged - lo) / v).astype(np.int64)
     inside = np.all((hit_cells >= 0) & (hit_cells < dims), axis=1)
     nudged, hit_cells = nudged[inside], hit_cells[inside]
-    cells[hit_cells[:, 0], hit_cells[:, 1], hit_cells[:, 2]] = OCCUPIED
+    kept = tuple(hit_cells.T)
+    suppressed = 0
+    if truth is not None:
+        structure = truth[kept]
+        suppressed = len(structure) - int(np.count_nonzero(structure))
+        kept = tuple(c[structure] for c in kept)
+    cells[kept] = OCCUPIED
 
     rel = np.asarray(misses, dtype=float).reshape(-1, 3) - origin
     # the clipped end origin + rel * t, 0 <= t <= 1, lies between the origin
     # and origin + rel on every axis, in floating point too
     far_cells = np.clip(np.floor((origin + rel - lo) / v).astype(np.int64), 0, dims - 1)
-    unknown = np.zeros(dims + 1, dtype=np.int64)
-    unknown[1:, 1:, 1:] = cells == UNKNOWN
-    unknown = unknown.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2).ravel()
-    origin_cell = np.floor((origin - lo) / v).astype(np.int64)
-    live = _holds_unknown(unknown, dims, origin_cell, np.vstack([hit_cells, far_cells]))
+    if unknown is None:
+        unknown = _box_field(cells == UNKNOWN, np.floor((origin - lo) / v).astype(np.int64))
+    live = unknown[tuple(np.vstack([hit_cells, far_cells]).T)]
     if not live.any():
-        return occ_map
+        return suppressed
     live_hits, rel = live[:len(hit_cells)], rel[live[len(hit_cells):]]
 
     # clip the surviving misses to the grid; an axis with no motion along it
@@ -292,7 +358,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits,
     t = np.clip(np.minimum(1.0, t_exit * (1.0 - 1e-9)), 0.0, 1.0)
     ends = origin + rel * t[:, None]
     end_cells = np.clip(np.floor((ends - lo) / v).astype(np.int64), 0, dims - 1)
-    live_misses = _holds_unknown(unknown, dims, origin_cell, end_cells)
+    live_misses = unknown[tuple(end_cells.T)]
     ends, end_cells = ends[live_misses], end_cells[live_misses]
 
     crossed = _segment_cells(grid, origin, np.vstack([nudged[live_hits], ends]),
@@ -301,13 +367,14 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits,
     marked = marked[np.all((marked >= 0) & (marked < dims), axis=1)]
     cx, cy, cz = marked[:, 0], marked[:, 1], marked[:, 2]
     cells[cx, cy, cz] = np.maximum(cells[cx, cy, cz], FREE)
-    return occ_map
+    return suppressed
 
 
 def carve_free(occ_map: OccupancyMap, sensor_origin, endpoints) -> OccupancyMap:
     """Mark the voxels crossed by rays that saw nothing free: a firing of
     misses only, see integrate_points."""
-    return integrate_points(occ_map, sensor_origin, (), endpoints)
+    integrate_points(occ_map, sensor_origin, (), endpoints)
+    return occ_map
 
 
 def merge_maps(first: OccupancyMap, *others: OccupancyMap) -> OccupancyMap:

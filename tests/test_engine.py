@@ -311,6 +311,7 @@ def test_shipped_scenarios_match_golden_behaviour(shipped_runs, name):
     digest, plans = GOLDEN[name]
     assert result.digest() == digest
     assert hashlib.sha256("\n".join(result.plan_events).encode()).hexdigest() == plans
+    assert result.suppressed_returns == 0       # the hit rule never acts here
 
 
 # The same for the bench workloads at seed 1; unlike the shipped scenarios,
@@ -334,9 +335,12 @@ def bench_workload(name, seed):
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_GOLDEN))
 def test_bench_workloads_match_golden_behaviour(name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")          # mesh_tower maps hold structure free
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")          # mesh_tower maps hold structure free
         result = run_mission(*bench_workload(name, 1))
+    # the hit rule never acts on a pinned run
+    assert not [w for w in caught if "LiDAR hits" in str(w.message)]
+    assert result.suppressed_returns == 0
     digest, plans = WORKLOAD_GOLDEN[name]
     assert result.digest() == digest
     assert hashlib.sha256("\n".join(result.plan_events).encode()).hexdigest() == plans

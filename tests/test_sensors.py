@@ -9,8 +9,8 @@ from uavinspect.errors import ConfigurationError
 from uavinspect.scene import (InterestPoint, Scene, ray_cast_batch, scatter_box_face_points,
                               visible_point_indices)
 from uavinspect.sensors import (CameraConfig, LidarConfig, _blur_batch, _fov_mask,
-                                _resolution_batch, camera_axis, camera_basis, lidar_sweep,
-                                observe, servo_angle)
+                                _resolution_batch, camera_axis, camera_basis, lidar_directions,
+                                lidar_sweep, observe, servo_angle)
 from uavinspect.world import BoundingBox
 
 
@@ -402,15 +402,19 @@ def closed_room(half=10.0, thickness=1.0):
     ])
 
 
+def fire(a, scene, cfg, t):
+    return lidar_sweep(a, scene, cfg, lidar_directions(a, cfg, t))
+
+
 def test_lidar_empty_scene_returns_empty_cloud():
     cfg = LidarConfig(beams=4, azimuth_steps=24)
-    pts = lidar_sweep(agent(), Scene(), cfg, t=0.0)[0]
+    pts = fire(agent(), Scene(), cfg, t=0.0)[0]
     assert pts.shape == (0, 3)
 
 
 def test_lidar_inside_closed_room_every_ray_hits():
     cfg = LidarConfig(range=50.0, beams=6, azimuth_steps=36)
-    pts = lidar_sweep(agent(), closed_room(10.0), cfg, t=1.7)[0]
+    pts = fire(agent(), closed_room(10.0), cfg, t=1.7)[0]
     assert len(pts) == cfg.beams * cfg.azimuth_steps
     dists = np.linalg.norm(pts, axis=1)
     assert np.all(dists <= 10.0 * math.sqrt(3.0) + 1e-9)
@@ -422,8 +426,8 @@ def test_lidar_inside_closed_room_every_ray_hits():
 def test_lidar_overhead_slab_needs_servo_pitch():
     cfg = LidarConfig(range=50.0, beams=5, azimuth_steps=36, servo_period=8.0)
     slab = Scene(solid_boxes=[BoundingBox((-1, -1, 5), (1, 1, 6))])
-    level = lidar_sweep(agent(), slab, cfg, t=2.0)[0]       # servo at 0 degrees
-    pitched = lidar_sweep(agent(), slab, cfg, t=4.0)[0]     # servo at +90 degrees
+    level = fire(agent(), slab, cfg, t=2.0)[0]       # servo at 0 degrees
+    pitched = fire(agent(), slab, cfg, t=4.0)[0]     # servo at +90 degrees
     assert len(level) == 0
     assert len(pitched) > 0
     assert np.all(pitched[:, 2] >= 5.0 - 1e-9)
@@ -431,5 +435,23 @@ def test_lidar_overhead_slab_needs_servo_pitch():
 
 def test_lidar_hits_within_range_limit():
     cfg = LidarConfig(range=9.0, beams=4, azimuth_steps=24)
-    pts = lidar_sweep(agent(), closed_room(10.0), cfg, t=0.0)[0]
+    pts = fire(agent(), closed_room(10.0), cfg, t=0.0)[0]
     assert np.all(np.linalg.norm(pts, axis=1) <= 9.0 + 1e-9)
+
+
+def test_lidar_rays_cast_apart_equal_the_whole_firing():
+    # the mission casts only some rays of a firing; each must come out as in
+    # the whole firing, bit for bit
+    cfg = LidarConfig(range=30.0, beams=7, azimuth_steps=40)
+    a = agent(pos=(1.5, -2.0, 0.5), yaw=0.7)
+    tris = [[(-8, -8, 6), (8, -8, 6), (0, 9, 7)], [(12, -5, -5), (12, 5, -5), (13, 0, 6)]]
+    scene = Scene(solid_boxes=closed_room(10.0).solid_boxes[:3], triangles=tris)
+    rng = np.random.default_rng(3)
+    for t in (0.0, 1.3, 5.9):
+        dirs = lidar_directions(a, cfg, t)
+        hits, misses = lidar_sweep(a, scene, cfg, dirs)
+        hit, _ = ray_cast_batch(scene, a.position, dirs, cfg.range)
+        for keep in (rng.random(len(dirs)) < 0.3, np.arange(len(dirs)) % 5 == 0):
+            part_hits, part_misses = lidar_sweep(a, scene, cfg, dirs[keep])
+            assert np.array_equal(part_hits, hits[keep[hit]])
+            assert np.array_equal(part_misses, misses[keep[~hit]])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
+from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox,
                               OccupancyMap, VoxelGrid,
                               _segment_cells, build_grid, carve_free,
@@ -167,6 +168,45 @@ def test_boundary_hits_attach_to_the_surface_side():
     integrate_points(m2, (21.0, 3.0, 3.0), [(18.0, 3.0, 3.0)])
     assert m2.cells[2, 0, 0] == OCCUPIED
     assert m2.cells[3, 0, 0] == FREE
+
+
+def cast_and_integrate(scene, grid, origin, target):
+    """Cast one ray from origin toward target and fold its hit into a blank
+    map under the hit rule: (map, suppressed hits, structure cells)."""
+    origin = np.asarray(origin, dtype=float)
+    d = np.asarray(target, dtype=float) - origin
+    d /= np.linalg.norm(d)
+    hit, dist = ray_cast_batch(scene, origin, d[None], 50.0)
+    assert hit[0]
+    truth = scene_occupancy(scene, grid)
+    m = OccupancyMap(grid)
+    suppressed = integrate_points(m, origin, origin + d * dist[0], (), truth)
+    return m, suppressed, truth
+
+
+def test_a_hit_grazing_a_box_edge_marks_no_cell_beyond_it():
+    # the ray meets the cube's top face 1e-7 m short of its +x edge; nudged
+    # along the ray, the hit lands in the empty cell (6, 4, 5) beside it
+    scene = Scene(solid_boxes=[BoundingBox((12.0, 12.0, 12.0), (36.0, 36.0, 36.0))])
+    grid = VoxelGrid((0.0, 0.0, 0.0), (8, 8, 9), 6.0)
+    m, suppressed, truth = cast_and_integrate(scene, grid, (20.0, 24.0, 45.0),
+                                              (36.0 - 1e-7, 24.0, 36.0))
+    assert suppressed == 1 and not truth[6, 4, 5]
+    assert m.cells[6, 4, 5] == UNKNOWN
+    assert not np.any((m.cells == OCCUPIED) & ~truth)
+    assert m.cells[3, 4, 7] == FREE             # the ray still frees the cells before it
+
+
+def test_a_hit_on_a_mesh_in_a_voxel_plane_from_behind_marks_no_cell_in_front():
+    # the triangle in the plane z = 6 faces up and occupies layer z = 0 only;
+    # hit from below, the nudged hit lands in the empty cell (0, 0, 1)
+    scene = Scene(triangles=[[(1.0, 1.0, 6.0), (17.0, 1.0, 6.0), (1.0, 17.0, 6.0)]])
+    grid = VoxelGrid((0.0, 0.0, 0.0), (4, 4, 4), 6.0)
+    m, suppressed, truth = cast_and_integrate(scene, grid, (4.0, 4.0, 3.0), (4.0, 4.0, 9.0))
+    assert truth[:, :, 0].any() and not truth[:, :, 1:].any()
+    assert suppressed == 1
+    assert m.cells[0, 0, 1] == UNKNOWN
+    assert not np.any((m.cells == OCCUPIED) & ~truth)
 
 
 def test_traversal_matches_slab_oracle_on_random_rays():
@@ -475,7 +515,8 @@ def test_cull_matches_unculled_reference_on_partially_known_maps():
                     _, arrived = reference(OccupancyMap(grid, cells.copy()), origin, points)
                     kept = points[arrived]
                     expected, _ = reference(OccupancyMap(grid, cells.copy()), origin, kept)
-                    got = culled(OccupancyMap(grid, cells.copy()), origin, kept)
+                    got = OccupancyMap(grid, cells.copy())
+                    culled(got, origin, kept)
                     assert np.array_equal(got.cells, expected.cells)
                     compared += len(kept)
                     drawn += len(points)
@@ -510,7 +551,8 @@ def test_firing_update_equals_sequential_reference():
                 expected, _ = reference_integrate_points(OccupancyMap(grid, cells.copy()),
                                                          origin, hits)
                 reference_carve_free(expected, origin, misses)
-                got = integrate_points(OccupancyMap(grid, cells.copy()), origin, hits, misses)
+                got = OccupancyMap(grid, cells.copy())
+                integrate_points(got, origin, hits, misses)
                 assert np.array_equal(got.cells, expected.cells)
                 compared += len(hits) + len(misses)
                 drawn += len(hit_ok) + len(miss_ok)
@@ -619,7 +661,8 @@ def test_traversal_takes_l1_steps_inside_each_box(dims, voxel, data):
         boxed = np.zeros(len(idx), dtype=bool)
         for e in box_ends:
             boxed |= np.all((idx >= np.minimum(start, e)) & (idx <= np.maximum(start, e)), axis=1)
-        after = update(OccupancyMap(grid, before.copy())).cells
+        after = before.copy()
+        update(OccupancyMap(grid, after))
         changed = (after != before).reshape(-1)
         assert not np.any(changed & ~boxed)
 
