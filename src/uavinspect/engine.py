@@ -3,8 +3,12 @@
 Each tick runs six serialized stages: sense (LiDAR into per-agent maps),
 exchange (LoS-gated map gossip), plan (waypoint generation, assignment, and
 receding-horizon path steps), act (claim-arbitrated motion plus gimbal
-pointing), score (camera observations folded into the ledger), and audit
-(voxel trace plus collision and occupied-entry counts).
+pointing), capture (each camera pose that changed since its agent's last
+capture, recorded by value), and audit (voxel trace plus collision and
+occupied-entry counts).  Nothing the fleet decides reads the score, so the
+captures are scored after the last tick: their poses go through the camera
+model many at a time, and each capture is then folded, in tick order, into
+the observation log, the ledger and the score trace.
 
 Stage one of a mission is the survey: explorers fly their sweep routes while
 mapping; photographers hold until they hear from an explorer that has finished
@@ -19,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import struct
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -32,13 +35,16 @@ from .comms import discover_neighbors, exchange_and_merge
 from .errors import ConfigurationError, OutOfBoundsError, PlanningError
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
 from .scene import Scene, scene_occupancy
-from .sensors import (CameraConfig, LidarConfig, Observations, lidar_directions, lidar_sweep,
-                      observe)
+from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
+                      lidar_sweep, observe)
 from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, build_grid,
                     compute_operational_volume, integrate_points, save_map, voxel_to_world,
                     world_to_voxel)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
+# (pose, point) pairs per observe call when the captures are scored; bounds
+# the call's temporaries, as scene._RAY_CHUNK bounds a cast's
+_OBSERVE_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -202,12 +208,22 @@ class _Runtime:
     blocked_replans: int = 0
     barren: np.ndarray | None = None        # cells of the last map that gave no waypoints
     guard: FiringGuard | None = None        # what an explorer's LiDAR can still change
-    pose: bytes = b""                       # camera inputs of the last capture
-    rows: list = field(default_factory=list)    # and the Observations fields they gave
 
     @property
     def id(self) -> int:
         return self.state.id
+
+
+@dataclass
+class _Captures:
+    """The camera poses of the capture ticks, recorded by value in the tick
+    loop for scoring after it.  A capture records only the agents whose
+    pose changed since their last capture; the others repeat their rows."""
+
+    last: list[bytes]                                       # each agent's last pose
+    poses: bytearray = field(default_factory=bytearray)     # changed poses, packed; unscored
+    agents: list[int] = field(default_factory=list)         # whose they are
+    sizes: list[int] = field(default_factory=list)          # changed poses per capture
 
 
 def _fire(occ: OccupancyMap, guard: FiringGuard, state: AgentState, scene: Scene,
@@ -226,7 +242,8 @@ def _fire(occ: OccupancyMap, guard: FiringGuard, state: AgentState, scene: Scene
     if not len(dirs):
         return 0
     hits, misses = lidar_sweep(state, scene, lidar, dirs)
-    return integrate_points(occ, state.position, hits, misses, guard.truth, guard.unknown)
+    return integrate_points(occ, state.position, hits[:, 0], hits[:, 1], misses, guard.truth,
+                            guard.unknown)
 
 
 class _Mission:
@@ -267,6 +284,7 @@ class _Mission:
                 e_idx += 1
             self.agents.append(rt)
 
+        self.captures = _Captures([b""] * len(self.agents))
         self.ledger = ScoreLedger(scene.point_ids, cfg.camera.quality_floor)
         self.score_trace: list[float] = []
         self.observations: list[tuple] = []
@@ -482,32 +500,62 @@ class _Mission:
             return math.atan2(rel[1], rel[0])
         return None
 
-    def _score(self, k: int) -> None:
+    def _capture(self, k: int) -> None:
+        # an agent's rows depend on its camera inputs and the fixed scene
+        # alone, so only the poses that changed are recorded to be observed
         if k % self.cfg.capture_stride == 0:
-            # an agent's rows depend on its camera inputs and the fixed scene
-            # alone, so only the agents whose pose changed are observed again
-            fresh = []
+            cap = self.captures
+            n = len(cap.agents)
             for a in self.agents:
-                s, g = a.state, a.gimbal
-                pose = (s.position.tobytes() + s.velocity.tobytes()
-                        + struct.pack("3d", s.yaw, g.inclination, g.azimuth))
-                if pose != a.pose:
-                    a.pose = pose
-                    fresh.append(a)
-            obs = observe([a.state for a in fresh], [a.gimbal for a in fresh],
-                          self.scene, self.cfg.camera)
-            cols = (obs.agent, obs.point, obs.q_blur, obs.q_res, obs.q)
-            # agent ids ascend in fleet order, so each agent's rows are one run
-            ends = np.searchsorted(obs.agent, [a.id for a in fresh], side="right").tolist()
-            for a, lo, hi in zip(fresh, [0] + ends, ends):
-                a.rows = [c[lo:hi] for c in cols]
-            obs = Observations(*map(np.concatenate, zip(*(a.rows for a in self.agents))))
-            self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
-                                         self.scene.point_ids[obs.point].tolist(),
-                                         obs.q_blur.tolist(), obs.q_res.tolist(),
-                                         obs.q.tolist()))
-            update_ledger(self.ledger, obs)
-        self.score_trace.append(self.ledger.mean_best())
+                pose = camera_pose(a.state, a.gimbal)
+                if pose != cap.last[a.id]:
+                    cap.last[a.id] = pose
+                    cap.poses += pose
+                    cap.agents.append(a.id)
+            cap.sizes.append(len(cap.agents) - n)
+
+    def _scored_poses(self):
+        """(agent id, Observations fields) of each recorded pose, in record
+        order.  observe takes many poses per call; a pose's rows do not
+        depend on which poses share the call.  The packed poses leave the
+        record as they are scored, so the record and the observation log
+        do not peak together."""
+        cap = self.captures
+        ids = np.array(cap.agents, dtype=int)
+        step = max(1, _OBSERVE_PAIRS // max(1, self.scene.num_points))
+        size = step * 72                    # 9 doubles a pose, see camera_pose
+        for lo in range(0, len(ids), step):
+            poses = np.frombuffer(bytes(cap.poses[:size])).reshape(-1, 9)    # a copy
+            del cap.poses[:size]
+            obs = observe(poses, self.scene, self.cfg.camera)
+            batch = ids[lo:lo + step]
+            cols = (batch[obs.agent], obs.point, obs.q_blur, obs.q_res, obs.q)
+            ends = np.bincount(obs.agent, minlength=len(batch)).cumsum().tolist()
+            for aid, lo_row, hi_row in zip(batch.tolist(), [0] + ends, ends):
+                yield aid, [c[lo_row:hi_row] for c in cols]
+
+    def _score(self, n_ticks: int) -> None:
+        """Fold the captures into the observation log, the ledger and the
+        score trace in tick order; a tick between captures repeats the last
+        mean.  A capture puts the rows of its changed poses in place of their
+        agents' old ones, so it is folded only once all of them are scored."""
+        scored = self._scored_poses()
+        sizes = iter(self.captures.sizes)
+        rows: list = [None] * len(self.agents)
+        mean = 0.0
+        for k in range(n_ticks):
+            if k % self.cfg.capture_stride == 0:
+                for _ in range(next(sizes)):
+                    aid, fields = next(scored)
+                    rows[aid] = fields
+                obs = Observations(*map(np.concatenate, zip(*rows)))
+                self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
+                                             self.scene.point_ids[obs.point].tolist(),
+                                             obs.q_blur.tolist(), obs.q_res.tolist(),
+                                             obs.q.tolist()))
+                update_ledger(self.ledger, obs)
+                mean = self.ledger.mean_best()
+            self.score_trace.append(mean)
 
     def _audit(self, k: int) -> None:
         row = tuple((a.id, a.voxel) for a in self.agents)
@@ -532,8 +580,9 @@ class _Mission:
             peers = self._exchange(k)
             self._plan(peers, k)
             self._act(k)
-            self._score(k)
+            self._capture(k)
             self._audit(k)
+        self._score(n_ticks)
         if self.free_structure_cells:
             warnings.warn(f"agent maps held structure cells free "
                           f"{self.free_structure_cells} times (cells x ticks)")

@@ -22,6 +22,7 @@ the product of the two scores.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,11 +77,13 @@ class LidarConfig:
 
 @dataclass(frozen=True, eq=False)
 class Observations:
-    """The fleet's camera observations of one tick, index-aligned arrays in
-    agent order, then point order; len() counts the observations.  A point is
-    its row in the scene's point arrays, not its id."""
+    """Camera observations, index-aligned arrays in pose order, then point
+    order; len() counts the observations.  observe names an observation's
+    agent by the row of its pose in the poses it was given, and its point
+    by its row in the scene's point arrays; the caller maps pose rows to
+    agent ids."""
 
-    agent: np.ndarray           # agent ids
+    agent: np.ndarray           # pose rows, or agent ids once mapped
     point: np.ndarray           # scene rows
     q_blur: np.ndarray
     q_res: np.ndarray
@@ -90,9 +93,9 @@ class Observations:
         return len(self.q)
 
 
-def camera_axis(yaw: float, gimbal: GimbalState) -> np.ndarray:
+def camera_axis(yaw: float, inclination: float, azimuth: float) -> np.ndarray:
     """World-frame optical axis for the given body yaw and gimbal angles."""
-    th, ph = gimbal.inclination, gimbal.azimuth
+    th, ph = inclination, azimuth
     bx = math.cos(th) * math.cos(ph)
     by = math.cos(th) * math.sin(ph)
     bz = math.sin(th)
@@ -175,38 +178,45 @@ def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
     return q
 
 
-def observe(states: list[AgentState], gimbals: list[GimbalState], scene: Scene,
-            cfg: CameraConfig) -> Observations:
-    """Score every interest point each agent's camera currently sees.
+def camera_pose(state: AgentState, gimbal: GimbalState) -> bytes:
+    """An agent's camera inputs, packed as the 9 doubles of one pose row of
+    observe: position, velocity, yaw, gimbal inclination and azimuth.  The
+    bytes are a copy: a later edit of the state leaves them as they were."""
+    return (state.position.tobytes() + state.velocity.tobytes()
+            + struct.pack("3d", state.yaw, gimbal.inclination, gimbal.azimuth))
 
-    states and gimbals are index-aligned.  Visibility requires the view
+
+def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
+    """Score every interest point the camera sees from each pose.
+
+    poses: (n, 9) rows of camera inputs as camera_pose packs them;
+    one agent may appear in several rows.  Visibility requires the view
     pyramid, a front-facing surface normal, and a clear sight line; the sight
-    lines of all the agents go through one visibility call, and an agent's
-    observations do not depend on which other agents share the call.  The
+    lines of all the poses go through one visibility call, and a pose's
+    observations do not depend on which other poses share the call.  The
     point velocity entering the blur score is the camera-frame image of the
     (static) point relative to the moving agent.  Observations with zero
     quality are dropped; the quality floor is applied later by the score
     ledger, not here.
     """
-    if scene.num_points == 0 or not states:
+    poses = np.asarray(poses, dtype=float).reshape(-1, 9)
+    if scene.num_points == 0 or not len(poses):
         return Observations(np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                             np.zeros(0), np.zeros(0), np.zeros(0))
-    apexes = np.array([s.position for s in states], dtype=float).reshape(-1, 3)
-    velocities = np.array([s.velocity for s in states], dtype=float).reshape(-1, 1, 3)
-    bases = camera_basis(np.array([camera_axis(s.yaw, g) for s, g in zip(states, gimbals)])
-                         .reshape(-1, 3))
+    apexes = np.ascontiguousarray(poses[:, 0:3])
+    velocities = np.ascontiguousarray(poses[:, None, 3:6])
+    bases = camera_basis(np.array([camera_axis(*p) for p in poses[:, 6:].tolist()]))
     v_cam = -(velocities @ bases)[:, 0]
     rel = scene.point_positions[None, :, :] - apexes[:, None, :]
-    p_cam = rel @ bases                                         # (agents, points, 3)
+    p_cam = rel @ bases                                         # (poses, points, 3)
     candidates = _fov_mask(p_cam, np.linalg.norm(rel, axis=2), cfg)
-    agent, idx = visible_point_indices(scene, apexes, candidates)
-    p_cam = p_cam[agent, idx]
-    qb = _blur_batch(p_cam, v_cam[agent], cfg)
+    row, idx = visible_point_indices(scene, apexes, candidates)
+    p_cam = p_cam[row, idx]
+    qb = _blur_batch(p_cam, v_cam[row], cfg)
     qr = _resolution_batch(p_cam, cfg)
     q = qb * qr
     keep = q > 0.0
-    ids = np.array([s.id for s in states], dtype=int)
-    return Observations(ids[agent[keep]], idx[keep], qb[keep], qr[keep], q[keep])
+    return Observations(row[keep], idx[keep], qb[keep], qr[keep], q[keep])
 
 
 def servo_angle(t: float, cfg: LidarConfig) -> float:
@@ -256,13 +266,17 @@ def lidar_directions(agent: AgentState, cfg: LidarConfig, t: float) -> np.ndarra
 
 def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
                 dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cast the given rays of a firing: (hit points, endpoints of empty rays).
+    """Cast the given rays of a firing: (hits, endpoints of empty rays).
 
-    Rays that see nothing report their maximum-range endpoint so the mapper
-    can clear the corridor they crossed.  Each ray's result does not depend
-    on which other rays are cast.  Noise-free.
+    hits is (n, 2, 3): each hit's point, then the unit direction of its ray,
+    which the mapper nudges the hit along.  Rays that see nothing report
+    their maximum-range endpoint so the mapper can clear the corridor they
+    crossed.  Each ray's result does not depend on which other rays are
+    cast.  Noise-free.
     """
     hit, dist = ray_cast_batch(scene, agent.position, dirs, cfg.range)
-    hits = agent.position + dirs[hit] * dist[hit, None]
+    hits = np.empty((np.count_nonzero(hit), 2, 3))
+    hits[:, 1] = dirs[hit]
+    hits[:, 0] = agent.position + hits[:, 1] * dist[hit, None]
     misses = agent.position + dirs[~hit] * cfg.range
     return hits, misses

@@ -276,21 +276,23 @@ class FiringGuard:
         return self.guard[tuple(end_cells.T)]
 
 
-def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, misses=(),
+def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs, misses=(),
                      truth: np.ndarray | None = None,
                      unknown: np.ndarray | None = None) -> int:
     """Fold one range firing into the map: hit voxels become occupied, and
     the unknown voxels the rays crossed on the way become free, for a miss
     (a return that saw nothing) its end voxel too.
 
-    Hit points are nudged a hair along the ray before voxelization so that
-    hits landing exactly on a voxel boundary register on the surface's side;
-    hits outside the grid are dropped.  Given truth, the boolean grid of
-    the structure cells, a hit marks its cell only if it is one: a hit that
-    grazes a face's edge or meets a mesh in a voxel plane from behind can
-    land in the cell beyond, and is suppressed, while its ray still frees
-    the cells before it.  Misses beyond the grid are clipped at its
-    boundary, and a miss whose ray never enters the grid is dropped.
+    hit_dirs holds the unit direction of each hit's ray.  Hit points are
+    nudged a hair along it before voxelization so that hits landing exactly
+    on a voxel boundary register on the surface's side; a hit within 1e-12
+    of the sensor along its ray stays where it is.  Hits outside the grid
+    are dropped.  Given truth, the boolean grid of the structure cells, a
+    hit marks its cell only if it is one: a hit that grazes a face's edge or
+    meets a mesh in a voxel plane from behind can land in the cell beyond,
+    and is suppressed, while its ray still frees the cells before it.
+    Misses beyond the grid are clipped at its boundary, and a miss whose ray
+    never enters the grid is dropped.
     Occupied cells never revert.  The map is updated in place; returns the
     number of suppressed hits.
 
@@ -314,12 +316,9 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, misses=(),
     dims = np.asarray(grid.dims)
 
     hits = np.asarray(hits, dtype=float).reshape(-1, 3)
-    rel = hits - origin
-    lengths = np.linalg.norm(rel, axis=1)
-    dirs = np.zeros_like(rel)
-    moving = lengths > 1e-12
-    dirs[moving] = rel[moving] / lengths[moving, None]
-    nudged = hits + dirs * (_NUDGE * v)
+    hit_dirs = np.asarray(hit_dirs, dtype=float).reshape(-1, 3)
+    reach = np.einsum("nk,nk->n", hits - origin, hit_dirs)
+    nudged = hits + hit_dirs * np.where(reach > 1e-12, _NUDGE * v, 0.0)[:, None]
     hit_cells = np.floor((nudged - lo) / v).astype(np.int64)
     inside = np.all((hit_cells >= 0) & (hit_cells < dims), axis=1)
     nudged, hit_cells = nudged[inside], hit_cells[inside]
@@ -373,7 +372,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, misses=(),
 def carve_free(occ_map: OccupancyMap, sensor_origin, endpoints) -> OccupancyMap:
     """Mark the voxels crossed by rays that saw nothing free: a firing of
     misses only, see integrate_points."""
-    integrate_points(occ_map, sensor_origin, (), endpoints)
+    integrate_points(occ_map, sensor_origin, (), (), endpoints)
     return occ_map
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from test_mesh import prism_mission
+from test_sensors import poses
 from uavinspect import cli, engine, sensors
 from uavinspect.agents import step_dynamics, track_segment
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
@@ -356,40 +357,48 @@ def facing_mission():
 
 def fleet_rows(mission, k):
     """The log rows of tick k from one observe call on the whole fleet."""
-    full = sensors.observe([a.state for a in mission.agents],
-                           [a.gimbal for a in mission.agents], mission.scene,
-                           mission.cfg.camera)
+    full = sensors.observe(poses([a.state for a in mission.agents],
+                                 [a.gimbal for a in mission.agents]),
+                           mission.scene, mission.cfg.camera)
     return list(zip([k] * len(full), full.agent.tolist(),
                     mission.scene.point_ids[full.point].tolist(),
                     full.q_blur.tolist(), full.q_res.tolist(), full.q.tolist()))
 
 
+def recorded_agents(mission):
+    """The ids of the agents each capture recorded a changed pose for."""
+    agents = iter(mission.captures.agents)
+    return [[next(agents) for _ in range(n)] for n in mission.captures.sizes]
+
+
 @pytest.mark.parametrize("mission", [facing_mission, prism_mission])
 def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
     # photographers hold still in the survey, so many captures repeat a pose
-    observed, reused = [], []
-    score = _Mission._score
-
-    def recording(states, gimbals, scene, cfg):
-        observed.append([s.id for s in states])
-        return sensors.observe(states, gimbals, scene, cfg)
+    expected, calls = [], []
+    capture = _Mission._capture
 
     def checked(self, k):
-        expected = fleet_rows(self, k)
-        before = len(self.observations)
-        score(self, k)
-        rows = self.observations[before:]
-        assert rows == expected
-        reused.extend(row for row in rows if row[1] not in observed[-1])
+        capture(self, k)
+        if k % self.cfg.capture_stride == 0:
+            expected.extend(fleet_rows(self, k))
 
-    monkeypatch.setattr(engine, "observe", recording)
-    monkeypatch.setattr(_Mission, "_score", checked)
+    def counted(*args):
+        calls.append(len(args[0]))
+        return sensors.observe(*args)
+
+    monkeypatch.setattr(_Mission, "_capture", checked)
+    monkeypatch.setattr(engine, "observe", counted)
     cfg, scene = mission()
+    scored = _Mission(cfg, scene)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = run_mission(cfg, scene)
-    assert len(observed) == res.num_ticks
-    assert min(len(ids) for ids in observed) < len(cfg.agents)
+        res = scored.run()
+    assert res.observations == expected
+    recorded = recorded_agents(scored)
+    assert len(recorded) == res.num_ticks
+    assert min(map(len, recorded)) < len(cfg.agents)
+    assert sum(calls) == sum(map(len, recorded)) and len(calls) < res.num_ticks / 10
+    reused = [row for row in res.observations if row[1] not in recorded[row[0]]]
     assert reused, "no tick reused an agent's rows"
     counts = dict.fromkeys(res.ledger.point_ids.tolist(), 0)
     for _k, _aid, pid, _qb, _qr, q in res.observations:
@@ -401,7 +410,8 @@ def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
 def test_each_camera_input_renews_the_rows(change):
     mission = _Mission(*facing_mission())
     a = mission.agents[1]
-    mission._score(0)
+    mission._capture(0)
+    first = fleet_rows(mission, 0)
     if change in ("inclination", "azimuth"):
         a.gimbal = dataclasses.replace(a.gimbal, **{change: getattr(a.gimbal, change) + 0.3})
     elif change == "yaw":
@@ -410,11 +420,142 @@ def test_each_camera_input_renews_the_rows(change):
         a.state.position[0] -= 25.0             # in place; far enough to lose resolution
     else:
         a.state.velocity[1] += 20.0             # in place; fast enough to smear
-    mission._score(1)
-    before = [row[1:] for row in mission.observations if row[0] == 0 and row[1] == a.id]
+    mission._capture(1)
+    assert recorded_agents(mission) == [[0, 1], [1]]
+    second = fleet_rows(mission, 1)
+    mission._score(2)
+    # an in-place edit after a capture leaves that capture's rows as they were
+    assert [row for row in mission.observations if row[0] == 0] == first
+    before = [row[1:] for row in first if row[1] == a.id]
     after = [row for row in mission.observations if row[0] == 1]
-    assert before and after == fleet_rows(mission, 1)
+    assert before and after == second
     assert [row[1:] for row in after if row[1] == a.id] != before
+
+
+# --- whole-mission scoring oracle ------------------------------------------------
+
+class PerTickScoring(_Mission):
+    """The per-tick scorer, the oracle for scoring the captures after the
+    tick loop: each capture tick observes the agents whose pose changed
+    since their last capture, in one call, and folds the fleet's rows at
+    once."""
+
+    def __init__(self, cfg, scene):
+        super().__init__(cfg, scene)
+        self.kept = [(b"", None)] * len(self.agents)    # each agent's last pose and rows
+
+    def _capture(self, k):
+        if k % self.cfg.capture_stride == 0:
+            fresh = [a for a in self.agents
+                     if sensors.camera_pose(a.state, a.gimbal) != self.kept[a.id][0]]
+            obs = sensors.observe(poses([a.state for a in fresh], [a.gimbal for a in fresh]),
+                                  self.scene, self.cfg.camera)
+            for row, a in enumerate(fresh):
+                mine = obs.agent == row
+                self.kept[a.id] = (sensors.camera_pose(a.state, a.gimbal),
+                                   [np.full(np.count_nonzero(mine), a.id), obs.point[mine],
+                                    obs.q_blur[mine], obs.q_res[mine], obs.q[mine]])
+            obs = Observations(*map(np.concatenate, zip(*(rows for _, rows in self.kept))))
+            self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
+                                         self.scene.point_ids[obs.point].tolist(),
+                                         obs.q_blur.tolist(), obs.q_res.tolist(),
+                                         obs.q.tolist()))
+            update_ledger(self.ledger, obs)
+        self.score_trace.append(self.ledger.mean_best())
+
+    def _score(self, n_ticks):
+        pass
+
+
+def jostled(mission_class):
+    """mission_class with every agent's position edited in place after each
+    capture: a capture must keep the pose it saw, not the agent's state."""
+
+    class Jostled(mission_class):
+        def _capture(self, k):
+            super()._capture(k)
+            for a in self.agents:
+                a.state.position += 1e-3 if k % 2 else -1e-3
+
+    return Jostled
+
+
+def shortened(mission, seconds):
+    cfg, scene = mission
+    return dataclasses.replace(cfg, duration=seconds), scene
+
+
+def shipped(name):
+    return cli.parse_scenario(str(Path(__file__).resolve().parent.parent
+                                  / "scenarios" / f"{name}.yaml"))
+
+
+ORACLE_MISSIONS = {
+    "facing": facing_mission,
+    "prism": prism_mission,
+    **{name: (lambda name=name: shortened(bench_workload(name, 1), 15.0))
+       for name in ("desk_box", "mesh_tower", "fleet_fine")},
+    **{name: (lambda name=name: shortened(shipped(name), 20.0))
+       for name in ("desk_box", "twin_pillars", "open_field")},
+    "stride_2": lambda: (small_config(duration=20.0, capture_stride=2), small_scene()),
+    "stride_3": lambda: (small_config(duration=20.0, capture_stride=3), small_scene()),
+    "no_points": lambda: (small_config(duration=10.0),
+                          Scene(inspection_boxes=[BoundingBox((6, 6, 6), (36, 36, 36))])),
+}
+
+
+def score_both(cfg, scene, variant=lambda mission_class: mission_class):
+    """The mission run with its captures scored after the loop and per tick:
+    (scored mission, its result, the per-tick result)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mission = variant(_Mission)(cfg, scene)
+        return mission, mission.run(), variant(PerTickScoring)(cfg, scene).run()
+
+
+def assert_scored_alike(got, expected):
+    assert got.observations == expected.observations
+    assert got.score_trace == expected.score_trace
+    assert got.ledger.best_q.tolist() == expected.ledger.best_q.tolist()
+    assert got.ledger.counts.tolist() == expected.ledger.counts.tolist()
+    assert got.q_total == expected.q_total
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MISSIONS))
+def test_scoring_after_the_loop_equals_per_tick_scoring(name):
+    cfg, scene = ORACLE_MISSIONS[name]()
+    _, got, expected = score_both(cfg, scene)
+    assert_scored_alike(got, expected)
+    assert len(got.score_trace) == got.num_ticks
+    assert scene.num_points == 0 or got.observations
+
+
+def test_scoring_keeps_each_capture_by_value():
+    cfg, scene = facing_mission()
+    _, got, expected = score_both(cfg, scene, jostled)
+    assert_scored_alike(got, expected)
+    _, plain, _ = score_both(cfg, scene)
+    assert got.observations != plain.observations       # the jostle reaches the scores
+
+
+@pytest.mark.parametrize("poses_per_call", [1, 2])
+def test_scoring_equals_per_tick_scoring_at_any_batch_size(monkeypatch, poses_per_call):
+    # at two poses per call the first capture's three poses straddle two calls
+    cfg, scene = prism_mission()
+    monkeypatch.setattr(engine, "_OBSERVE_PAIRS", poses_per_call * scene.num_points)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return sensors.observe(*args)
+
+    monkeypatch.setattr(engine, "observe", counted)
+    mission, got, expected = score_both(cfg, scene)
+    assert_scored_alike(got, expected)
+    assert set(calls[:-1]) == {poses_per_call}
+    ends = np.cumsum(mission.captures.sizes)
+    assert any(lo // poses_per_call != (hi - 1) // poses_per_call
+               for lo, hi in zip(ends - mission.captures.sizes, ends) if hi > lo + 1)
 
 
 def solid_cube_scene():

@@ -32,7 +32,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 def reference_fire(occ, truth, state, scene, lidar, t):
     """The unculled firing: every ray cast, the map updated under the hit rule."""
     hits, misses = lidar_sweep(state, scene, lidar, lidar_directions(state, lidar, t))
-    return integrate_points(occ, state.position, hits, misses, truth)
+    return integrate_points(occ, state.position, hits[:, 0], hits[:, 1], misses, truth)
 
 
 # --- the firing of a mission ---------------------------------------------------

@@ -9,8 +9,8 @@ from uavinspect.errors import ConfigurationError
 from uavinspect.scene import (InterestPoint, Scene, ray_cast_batch, scatter_box_face_points,
                               visible_point_indices)
 from uavinspect.sensors import (CameraConfig, LidarConfig, _blur_batch, _fov_mask,
-                                _resolution_batch, camera_axis, camera_basis, lidar_directions,
-                                lidar_sweep, observe, servo_angle)
+                                _resolution_batch, camera_axis, camera_basis, camera_pose,
+                                lidar_directions, lidar_sweep, observe, servo_angle)
 from uavinspect.world import BoundingBox
 
 
@@ -23,16 +23,20 @@ def cam(**kw):
     return CameraConfig(**kw)
 
 
+def poses(states, gimbals):
+    """The pose rows observe takes for index-aligned states and gimbals."""
+    return np.frombuffer(b"".join(map(camera_pose, states, gimbals))).reshape(-1, 9)
+
+
 # --- camera frame -------------------------------------------------------------
 
 def test_camera_axis_neutral_is_body_forward():
-    assert np.allclose(camera_axis(0.0, GimbalState()), (1, 0, 0))
-    assert np.allclose(camera_axis(math.pi / 2, GimbalState()), (0, 1, 0), atol=1e-12)
+    assert np.allclose(camera_axis(0.0, 0.0, 0.0), (1, 0, 0))
+    assert np.allclose(camera_axis(math.pi / 2, 0.0, 0.0), (0, 1, 0), atol=1e-12)
 
 
 def test_camera_axis_pitched_down():
-    g = GimbalState(inclination=math.radians(-90.0))
-    assert np.allclose(camera_axis(0.3, g), (0, 0, -1), atol=1e-12)
+    assert np.allclose(camera_axis(0.3, math.radians(-90.0), 0.0), (0, 0, -1), atol=1e-12)
 
 
 def test_camera_basis_is_orthonormal_and_right_handed():
@@ -217,7 +221,7 @@ def reference_observe(a, gimbal, scene, cfg):
     """observe for one agent at a time: the oracle for the fleet's observe."""
     if scene.num_points == 0:
         return []
-    basis = reference_basis(camera_axis(a.yaw, gimbal))
+    basis = reference_basis(camera_axis(a.yaw, gimbal.inclination, gimbal.azimuth))
     rel = scene.point_positions - a.position
     p_cam = rel @ basis
     candidates = _fov_mask(p_cam, np.linalg.norm(rel, axis=1), cfg)
@@ -234,8 +238,8 @@ def reference_observe(a, gimbal, scene, cfg):
 
 def observe_one(a, gimbal, scene, cfg):
     """observe for a fleet of one, as Observation rows."""
-    obs = observe([a], [gimbal], scene, cfg)
-    assert obs.agent.tolist() == [a.id] * len(obs)
+    obs = observe(poses([a], [gimbal]), scene, cfg)
+    assert obs.agent.tolist() == [0] * len(obs)
     return [Observation(*row) for row in zip(
         scene.point_ids[obs.point].tolist(), obs.q_blur.tolist(), obs.q_res.tolist(),
         obs.q.tolist())]
@@ -311,7 +315,7 @@ def test_observe_agrees_with_public_fov_predicate():
     g = GimbalState(inclination=-0.3, azimuth=0.2)
     c = cam()
 
-    basis = camera_basis(camera_axis(a.yaw, g))
+    basis = camera_basis(camera_axis(a.yaw, g.inclination, g.azimuth))
     v_cam = -(a.velocity @ basis)
     rel = scene.point_positions - a.position
     in_view = np.array([_fov_mask(r @ basis, np.linalg.norm(r), c) for r in rel])
@@ -360,11 +364,11 @@ def test_fleet_observe_equals_per_agent_reference(n_agents):
                                      rng.normal(size=3)))
             gimbals.append(GimbalState(inclination=float(rng.uniform(-0.8, 0.5)),
                                        azimuth=float(rng.uniform(-0.4, 0.4))))
-        got = observe(states, gimbals, scene, c)
-        expected = [(s.id, o) for s, g in zip(states, gimbals)
+        got = observe(poses(states, gimbals), scene, c)
+        expected = [(row, o) for row, (s, g) in enumerate(zip(states, gimbals))
                     for o in reference_observe(s, g, scene, c)]
         assert len(got) == len(expected)
-        assert got.agent.tolist() == [aid for aid, _ in expected]
+        assert got.agent.tolist() == [row for row, _ in expected]
         assert scene.point_ids[got.point].tolist() == [o.point_id for _, o in expected]
         assert got.q_blur.tolist() == [o.q_blur for _, o in expected]
         assert got.q_res.tolist() == [o.q_res for _, o in expected]
@@ -373,10 +377,40 @@ def test_fleet_observe_equals_per_agent_reference(n_agents):
     assert total > 100 * n_agents
 
 
+def test_one_agent_at_many_poses_in_one_call():
+    # rows address poses, so one call can hold an agent many times, the
+    # same pose included; each row's observations are its pose's alone
+    rng = np.random.default_rng(77)
+    c = cam(exposure=0.02, range=40.0)
+    scene = fleet_scene(rng)
+    states, gimbals = [], []
+    for _ in range(5):
+        pos = rng.uniform(-25, 25, 3)
+        look = -pos + rng.normal(size=3)
+        states.append(AgentState(4, pos, math.atan2(look[1], look[0]), rng.normal(size=3)))
+        gimbals.append(GimbalState(inclination=float(rng.uniform(-0.8, 0.5))))
+    states.insert(2, states[0])
+    gimbals.insert(2, gimbals[0])
+    got = observe(poses(states, gimbals), scene, c)
+    by_row = [[] for _ in states]
+    for row, i, qb, qr, q in zip(got.agent.tolist(), got.point.tolist(), got.q_blur.tolist(),
+                                 got.q_res.tolist(), got.q.tolist()):
+        by_row[row].append(Observation(int(scene.point_ids[i]), qb, qr, q))
+    assert by_row == [observe_one(s, g, scene, c) for s, g in zip(states, gimbals)]
+    assert by_row[2] == by_row[0] and sum(map(len, by_row)) > 50
+
+
+def test_camera_pose_is_a_copy():
+    a, g = agent(pos=(1, 2, 3), vel=(4, 5, 6), yaw=0.5), GimbalState(-0.25, 0.125)
+    pose = camera_pose(a, g)
+    a.position[0] = a.velocity[0] = 9.0
+    assert np.frombuffer(pose).tolist() == [1, 2, 3, 4, 5, 6, 0.5, -0.25, 0.125]
+
+
 def test_observe_without_points_or_agents_is_empty():
     a, g = agent(), GimbalState()
-    assert len(observe([a], [g], Scene(), cam())) == 0
-    assert len(observe([], [], on_axis_scene(10.0), cam())) == 0
+    assert len(observe(poses([a], [g]), Scene(), cam())) == 0
+    assert len(observe(np.zeros((0, 9)), on_axis_scene(10.0), cam())) == 0
 
 
 # --- servo and lidar ------------------------------------------------------------------------
@@ -408,13 +442,13 @@ def fire(a, scene, cfg, t):
 
 def test_lidar_empty_scene_returns_empty_cloud():
     cfg = LidarConfig(beams=4, azimuth_steps=24)
-    pts = fire(agent(), Scene(), cfg, t=0.0)[0]
+    pts = fire(agent(), Scene(), cfg, t=0.0)[0][:, 0]
     assert pts.shape == (0, 3)
 
 
 def test_lidar_inside_closed_room_every_ray_hits():
     cfg = LidarConfig(range=50.0, beams=6, azimuth_steps=36)
-    pts = fire(agent(), closed_room(10.0), cfg, t=1.7)[0]
+    pts = fire(agent(), closed_room(10.0), cfg, t=1.7)[0][:, 0]
     assert len(pts) == cfg.beams * cfg.azimuth_steps
     dists = np.linalg.norm(pts, axis=1)
     assert np.all(dists <= 10.0 * math.sqrt(3.0) + 1e-9)
@@ -426,8 +460,8 @@ def test_lidar_inside_closed_room_every_ray_hits():
 def test_lidar_overhead_slab_needs_servo_pitch():
     cfg = LidarConfig(range=50.0, beams=5, azimuth_steps=36, servo_period=8.0)
     slab = Scene(solid_boxes=[BoundingBox((-1, -1, 5), (1, 1, 6))])
-    level = fire(agent(), slab, cfg, t=2.0)[0]       # servo at 0 degrees
-    pitched = fire(agent(), slab, cfg, t=4.0)[0]     # servo at +90 degrees
+    level = fire(agent(), slab, cfg, t=2.0)[0][:, 0]       # servo at 0 degrees
+    pitched = fire(agent(), slab, cfg, t=4.0)[0][:, 0]     # servo at +90 degrees
     assert len(level) == 0
     assert len(pitched) > 0
     assert np.all(pitched[:, 2] >= 5.0 - 1e-9)
@@ -435,7 +469,7 @@ def test_lidar_overhead_slab_needs_servo_pitch():
 
 def test_lidar_hits_within_range_limit():
     cfg = LidarConfig(range=9.0, beams=4, azimuth_steps=24)
-    pts = fire(agent(), closed_room(10.0), cfg, t=0.0)[0]
+    pts = fire(agent(), closed_room(10.0), cfg, t=0.0)[0][:, 0]
     assert np.all(np.linalg.norm(pts, axis=1) <= 9.0 + 1e-9)
 
 
@@ -450,7 +484,9 @@ def test_lidar_rays_cast_apart_equal_the_whole_firing():
     for t in (0.0, 1.3, 5.9):
         dirs = lidar_directions(a, cfg, t)
         hits, misses = lidar_sweep(a, scene, cfg, dirs)
-        hit, _ = ray_cast_batch(scene, a.position, dirs, cfg.range)
+        hit, dist = ray_cast_batch(scene, a.position, dirs, cfg.range)
+        assert np.array_equal(hits[:, 1], dirs[hit])        # each hit carries its ray
+        assert np.array_equal(hits[:, 0], a.position + dirs[hit] * dist[hit, None])
         for keep in (rng.random(len(dirs)) < 0.3, np.arange(len(dirs)) % 5 == 0):
             part_hits, part_misses = lidar_sweep(a, scene, cfg, dirs[keep])
             assert np.array_equal(part_hits, hits[keep[hit]])

@@ -18,6 +18,14 @@ from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox,
 STATES = (UNKNOWN, FREE, OCCUPIED)
 
 
+def ray_dirs(origin, hits):
+    """The unit direction of each hit's ray from origin; zero for a hit at
+    the origin."""
+    rel = np.asarray(hits, dtype=float).reshape(-1, 3) - np.asarray(origin, dtype=float)
+    lengths = np.linalg.norm(rel, axis=1)[:, None]
+    return np.divide(rel, lengths, out=np.zeros_like(rel), where=lengths > 1e-12)
+
+
 def make_map(dims, voxel=6.0, origin=(0.0, 0.0, 0.0)):
     grid = VoxelGrid(origin, dims, voxel)
     return OccupancyMap(grid)
@@ -132,13 +140,13 @@ def crossed_cells_oracle(grid, origin, end):
 
 def test_single_hit_marks_voxel_occupied():
     m = make_map((4, 4, 4), voxel=1.0)
-    integrate_points(m, (0.5, 0.5, 0.5), [(2.5, 1.5, 0.5)])
+    integrate_points(m, (0.5, 0.5, 0.5), [(2.5, 1.5, 0.5)], ray_dirs((0.5, 0.5, 0.5), [(2.5, 1.5, 0.5)]))
     assert m.cells[2, 1, 0] == OCCUPIED
 
 
 def test_ray_marks_crossed_voxels_free_then_hit_occupied():
     m = make_map((6, 1, 1), voxel=1.0)
-    integrate_points(m, (0.5, 0.5, 0.5), [(3.5, 0.5, 0.5)])
+    integrate_points(m, (0.5, 0.5, 0.5), [(3.5, 0.5, 0.5)], ray_dirs((0.5, 0.5, 0.5), [(3.5, 0.5, 0.5)]))
     assert m.cells[0, 0, 0] == FREE
     assert m.cells[1, 0, 0] == FREE
     assert m.cells[2, 0, 0] == FREE
@@ -149,25 +157,36 @@ def test_ray_marks_crossed_voxels_free_then_hit_occupied():
 def test_empty_hits_leave_map_unchanged():
     m = make_map((3, 3, 3))
     before = m.cells.copy()
-    integrate_points(m, (1, 1, 1), [])
+    integrate_points(m, (1, 1, 1), [], [])
     assert np.array_equal(m.cells, before)
 
 
 def test_hits_outside_grid_are_dropped():
     m = make_map((2, 2, 2), voxel=1.0)
-    integrate_points(m, (0.5, 0.5, 0.5), [(10.0, 0.5, 0.5)])
+    integrate_points(m, (0.5, 0.5, 0.5), [(10.0, 0.5, 0.5)], ray_dirs((0.5, 0.5, 0.5), [(10.0, 0.5, 0.5)]))
     assert np.count_nonzero(m.cells == OCCUPIED) == 0
 
 
 def test_boundary_hits_attach_to_the_surface_side():
     # wall voxel index 2 spans [12, 18); rays from both sides hit its faces
     m = make_map((8, 1, 1), voxel=6.0, origin=(0, 0, 0))
-    integrate_points(m, (3.0, 3.0, 3.0), [(12.0, 3.0, 3.0)])
+    integrate_points(m, (3.0, 3.0, 3.0), [(12.0, 3.0, 3.0)], ray_dirs((3.0, 3.0, 3.0), [(12.0, 3.0, 3.0)]))
     assert m.cells[2, 0, 0] == OCCUPIED
     m2 = make_map((8, 1, 1), voxel=6.0, origin=(0, 0, 0))
-    integrate_points(m2, (21.0, 3.0, 3.0), [(18.0, 3.0, 3.0)])
+    integrate_points(m2, (21.0, 3.0, 3.0), [(18.0, 3.0, 3.0)], ray_dirs((21.0, 3.0, 3.0), [(18.0, 3.0, 3.0)]))
     assert m2.cells[2, 0, 0] == OCCUPIED
     assert m2.cells[3, 0, 0] == FREE
+
+
+def test_a_hit_at_the_sensor_is_not_nudged():
+    # the sensor sits on the plane x = 6 between cells 0 and 1; nudged back
+    # along its ray, a hit there would land in cell 0
+    m = make_map((3, 1, 1), voxel=6.0)
+    integrate_points(m, (6.0, 3.0, 3.0), [(6.0, 3.0, 3.0)], [(-1.0, 0.0, 0.0)])
+    assert m.cells[1, 0, 0] == OCCUPIED and m.cells[0, 0, 0] == UNKNOWN
+    m = make_map((3, 1, 1), voxel=6.0)
+    integrate_points(m, (12.0, 3.0, 3.0), [(6.0, 3.0, 3.0)], [(-1.0, 0.0, 0.0)])
+    assert m.cells[0, 0, 0] == OCCUPIED and m.cells[1, 0, 0] == FREE
 
 
 def cast_and_integrate(scene, grid, origin, target):
@@ -180,7 +199,7 @@ def cast_and_integrate(scene, grid, origin, target):
     assert hit[0]
     truth = scene_occupancy(scene, grid)
     m = OccupancyMap(grid)
-    suppressed = integrate_points(m, origin, origin + d * dist[0], (), truth)
+    suppressed = integrate_points(m, origin, origin + d * dist[0], d, (), truth)
     return m, suppressed, truth
 
 
@@ -216,7 +235,7 @@ def test_traversal_matches_slab_oracle_on_random_rays():
         origin = rng.uniform(0.3, 9.7, 3)
         end = rng.uniform(0.3, 9.7, 3)
         m = OccupancyMap(grid)
-        integrate_points(m, origin, [end])
+        integrate_points(m, origin, [end], ray_dirs(origin, [end]))
         freed = {tuple(c) for c in np.argwhere(m.cells == FREE)}
         expected = crossed_cells_oracle(grid, origin, end)
         assert freed == expected
@@ -230,7 +249,7 @@ def test_integration_monotone_occupied_superset():
     for _ in range(20):
         origin = rng.uniform(0.5, 7.5, 3)
         hits = rng.uniform(0.5, 7.5, (4, 3))
-        integrate_points(m, origin, hits)
+        integrate_points(m, origin, hits, ray_dirs(origin, hits))
         occupied = {tuple(c) for c in m.occupied_voxels()}
         assert previous <= occupied
         previous = occupied
@@ -510,7 +529,8 @@ def test_cull_matches_unculled_reference_on_partially_known_maps():
             for origin in sensor_origins(grid, rng):
                 points = rng.uniform(lo - 2 * v, hi + 2 * v, (60, 3))
                 points[::2] = lo + v * np.round((points[::2] - lo) / v * 2) / 2
-                for reference, culled in ((reference_integrate_points, integrate_points),
+                integrate = (lambda m, o, h: integrate_points(m, o, h, ray_dirs(o, h)))
+                for reference, culled in ((reference_integrate_points, integrate),
                                           (reference_carve_free, carve_free)):
                     _, arrived = reference(OccupancyMap(grid, cells.copy()), origin, points)
                     kept = points[arrived]
@@ -552,7 +572,7 @@ def test_firing_update_equals_sequential_reference():
                                                          origin, hits)
                 reference_carve_free(expected, origin, misses)
                 got = OccupancyMap(grid, cells.copy())
-                integrate_points(got, origin, hits, misses)
+                integrate_points(got, origin, hits, ray_dirs(origin, hits), misses)
                 assert np.array_equal(got.cells, expected.cells)
                 compared += len(hits) + len(misses)
                 drawn += len(hit_ok) + len(miss_ok)
@@ -644,8 +664,7 @@ def test_traversal_takes_l1_steps_inside_each_box(dims, voxel, data):
 
     # the cells each call may change: its rays' boxes, end cells as the call sees them
     rel = ends - origin
-    lengths = np.linalg.norm(rel, axis=1)[:, None]
-    dirs = np.divide(rel, lengths, out=np.zeros_like(rel), where=lengths > 1e-12)
+    dirs = ray_dirs(origin, ends)
     hit_cells = np.floor((ends + dirs * (1e-6 * voxel) - base) / voxel).astype(np.int64)
     miss_cells = np.clip(np.floor((origin + rel - base) / voxel).astype(np.int64),
                          0, np.asarray(dims) - 1)
@@ -654,9 +673,9 @@ def test_traversal_takes_l1_steps_inside_each_box(dims, voxel, data):
     before = rng.choice(STATES, size=dims).astype(np.uint8)
     half = len(ends) // 2
     for update, box_ends in (
-            (lambda m: integrate_points(m, origin, ends), hit_cells),
+            (lambda m: integrate_points(m, origin, ends, dirs), hit_cells),
             (lambda m: carve_free(m, origin, ends), miss_cells),
-            (lambda m: integrate_points(m, origin, ends[:half], ends[half:]),
+            (lambda m: integrate_points(m, origin, ends[:half], dirs[:half], ends[half:]),
              np.vstack([hit_cells[:half], miss_cells[half:]]))):
         boxed = np.zeros(len(idx), dtype=bool)
         for e in box_ends:
