@@ -36,8 +36,10 @@ def _expect_list(node, path: str) -> list:
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
+    # NaN compares false, and an int too large for a float compares above the largest
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -271,20 +273,17 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         canonical = load_scenario_dict(args.scenario)
-        if args.seed is not None:
-            canonical["mission"]["seed"] = args.seed
-            scatter = canonical["scene"]["interest_points"]["scatter"]
-            if all(rule["seed"] is not None for rule in scatter):
-                print(f"warning: --seed {args.seed} changes nothing: no interest-point "
-                      "scatter rule takes its seed from mission.seed", file=sys.stderr)
-        if args.duration is not None:
-            canonical["mission"]["duration"] = args.duration
-        if args.voxel_size is not None:
-            canonical["mission"]["voxel_size"] = args.voxel_size
-        if args.horizon is not None:
-            canonical["mission"]["horizon"] = args.horizon
-        if args.quality_floor is not None:
-            canonical["camera"]["quality_floor"] = args.quality_floor
+        # each override flag is named after its key, and goes through that key's parser
+        for section, key in (("mission", "seed"), ("mission", "duration"),
+                             ("mission", "voxel_size"), ("mission", "horizon"),
+                             ("camera", "quality_floor")):
+            if getattr(args, key) is not None:
+                canonical[section][key] = getattr(args, key)
+        canonical = normalize_scenario(canonical)
+        scatter = canonical["scene"]["interest_points"]["scatter"]
+        if args.seed is not None and all(rule["seed"] is not None for rule in scatter):
+            print(f"warning: --seed {args.seed} changes nothing: no interest-point "
+                  "scatter rule takes its seed from mission.seed", file=sys.stderr)
         cfg, scene = scenario_from_dict(canonical)
         log.info("running mission: %.1f s simulated, %d agents, %d interest points",
                  cfg.duration, len(cfg.agents), scene.num_points)

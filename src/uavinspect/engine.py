@@ -3,12 +3,13 @@
 Each tick runs six serialized stages: sense (LiDAR into per-agent maps),
 exchange (LoS-gated map gossip), plan (waypoint generation, assignment, and
 receding-horizon path steps), act (claim-arbitrated motion plus gimbal
-pointing), capture (each camera pose that changed since its agent's last
-capture, recorded by value), and audit (voxel trace plus collision and
-occupied-entry counts).  Nothing the fleet decides reads the score, so the
-captures are scored after the last tick: their poses go through the camera
-model many at a time, and each capture is then folded, in tick order, into
-the observation log, the ledger and the score trace.
+pointing), capture (every agent's camera pose appended, by value, to the
+pose table), and audit (voxel trace plus collision and occupied-entry
+counts).  Nothing the fleet decides reads the score, so the captures are
+scored after the last tick: each distinct pose of the table goes through
+the camera model once, many poses at a time, and each capture is then
+folded, in tick order, into the observation log, the ledger and the score
+trace.
 
 Stage one of a mission is the survey: explorers fly their sweep routes while
 mapping; photographers hold until they hear from an explorer that has finished
@@ -214,18 +215,6 @@ class _Runtime:
         return self.state.id
 
 
-@dataclass
-class _Captures:
-    """The camera poses of the capture ticks, recorded by value in the tick
-    loop for scoring after it.  A capture records only the agents whose
-    pose changed since their last capture; the others repeat their rows."""
-
-    last: list[bytes]                                       # each agent's last pose
-    poses: bytearray = field(default_factory=bytearray)     # changed poses, packed; unscored
-    agents: list[int] = field(default_factory=list)         # whose they are
-    sizes: list[int] = field(default_factory=list)          # changed poses per capture
-
-
 def _fire(occ: OccupancyMap, guard: FiringGuard, state: AgentState, scene: Scene,
           lidar: LidarConfig, t: float) -> int:
     """One LiDAR firing into occ, casting only the rays that can change it.
@@ -284,7 +273,9 @@ class _Mission:
                 e_idx += 1
             self.agents.append(rt)
 
-        self.captures = _Captures([b""] * len(self.agents))
+        # the pose table: every agent's camera pose at every capture tick, packed
+        # as camera_pose packs it, in fleet order, until _score takes it
+        self.poses = bytearray()
         self.ledger = ScoreLedger(scene.point_ids, cfg.camera.quality_floor)
         self.score_trace: list[float] = []
         self.observations: list[tuple] = []
@@ -501,54 +492,50 @@ class _Mission:
         return None
 
     def _capture(self, k: int) -> None:
-        # an agent's rows depend on its camera inputs and the fixed scene
-        # alone, so only the poses that changed are recorded to be observed
         if k % self.cfg.capture_stride == 0:
-            cap = self.captures
-            n = len(cap.agents)
             for a in self.agents:
-                pose = camera_pose(a.state, a.gimbal)
-                if pose != cap.last[a.id]:
-                    cap.last[a.id] = pose
-                    cap.poses += pose
-                    cap.agents.append(a.id)
-            cap.sizes.append(len(cap.agents) - n)
-
-    def _scored_poses(self):
-        """(agent id, Observations fields) of each recorded pose, in record
-        order.  observe takes many poses per call; a pose's rows do not
-        depend on which poses share the call.  The packed poses leave the
-        record as they are scored, so the record and the observation log
-        do not peak together."""
-        cap = self.captures
-        ids = np.array(cap.agents, dtype=int)
-        step = max(1, _OBSERVE_PAIRS // max(1, self.scene.num_points))
-        size = step * 72                    # 9 doubles a pose, see camera_pose
-        for lo in range(0, len(ids), step):
-            poses = np.frombuffer(bytes(cap.poses[:size])).reshape(-1, 9)    # a copy
-            del cap.poses[:size]
-            obs = observe(poses, self.scene, self.cfg.camera)
-            batch = ids[lo:lo + step]
-            cols = (batch[obs.agent], obs.point, obs.q_blur, obs.q_res, obs.q)
-            ends = np.bincount(obs.agent, minlength=len(batch)).cumsum().tolist()
-            for aid, lo_row, hi_row in zip(batch.tolist(), [0] + ends, ends):
-                yield aid, [c[lo_row:hi_row] for c in cols]
+                self.poses += camera_pose(a.state, a.gimbal)
 
     def _score(self, n_ticks: int) -> None:
-        """Fold the captures into the observation log, the ledger and the
-        score trace in tick order; a tick between captures repeats the last
-        mean.  A capture puts the rows of its changed poses in place of their
-        agents' old ones, so it is folded only once all of them are scored."""
-        scored = self._scored_poses()
-        sizes = iter(self.captures.sizes)
-        rows: list = [None] * len(self.agents)
+        """Observe each distinct pose of the pose table once, then fold the
+        captures into the observation log, the ledger and the score trace in
+        tick order; a tick between captures repeats the last mean.
+
+        A pose's rows depend on its bytes and the fixed scene alone, not on
+        which poses share an observe call, so poses equal byte for byte
+        share their rows wherever they fall in the table.  A capture logs
+        its agents' rows in fleet order, then point order."""
+        # 9 doubles a pose; the table leaves the mission once it is read, so it
+        # and the log do not peak together
+        distinct, which = np.unique(np.frombuffer(self.poses, dtype="V72"),
+                                    return_inverse=True)
+        self.poses = bytearray()
+        step = max(1, _OBSERVE_PAIRS // max(1, self.scene.num_points))
+        # the rows per distinct pose, then the rows' point and scores, packed
+        # column by column as each call returns them, so no call's arrays
+        # outlive it
+        columns = [bytearray() for _ in range(5)]
+        for lo in range(0, len(distinct), step):
+            batch = distinct[lo:lo + step].view(float).reshape(-1, 9)
+            obs = observe(batch, self.scene, self.cfg.camera)
+            for column, values in zip(columns, (np.bincount(obs.agent, minlength=len(batch)),
+                                                obs.point, obs.q_blur, obs.q_res, obs.q)):
+                column += values.data
+        del distinct
+        counts, point = (np.frombuffer(c, dtype=np.intp) for c in columns[:2])
+        q_blur, q_res, q = map(np.frombuffer, columns[2:])
+        starts = counts.cumsum() - counts
+        fleet = np.arange(len(self.agents))
+        captures = iter(which.reshape(-1, len(self.agents)))
         mean = 0.0
         for k in range(n_ticks):
             if k % self.cfg.capture_stride == 0:
-                for _ in range(next(sizes)):
-                    aid, fields = next(scored)
-                    rows[aid] = fields
-                obs = Observations(*map(np.concatenate, zip(*rows)))
+                poses = next(captures)          # distinct poses, in fleet order
+                sizes = counts[poses]
+                ends = sizes.cumsum()           # each agent's pose rows, one run after another
+                rows = np.repeat(starts[poses] - (ends - sizes), sizes) + np.arange(ends[-1])
+                obs = Observations(np.repeat(fleet, sizes), point[rows], q_blur[rows],
+                                   q_res[rows], q[rows])
                 self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
                                              self.scene.point_ids[obs.point].tolist(),
                                              obs.q_blur.tolist(), obs.q_res.tolist(),

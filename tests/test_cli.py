@@ -420,6 +420,39 @@ def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, fl
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, flags, path", [
+    (MINIMAL, ["--duration", "nan"], "mission.duration"),
+    (MINIMAL, ["--duration", "inf"], "mission.duration"),
+    (MINIMAL, ["--voxel-size", "inf"], "mission.voxel_size"),
+    (MINIMAL, ["--quality-floor", "nan"], "camera.quality_floor"),
+    ({**MINIMAL, "mission": {"duration": 30.0, "tick": math.nan}}, [], "mission.tick"),
+    ({**MINIMAL, "camera": {"range": math.inf}}, [], "camera.range"),
+], ids=["duration-nan", "duration-inf", "voxel-size-inf", "quality-floor-nan", "tick-nan",
+        "range-inf"])
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, scenario, flags, path):
+    # a flag goes through its key's parser, so it is rejected at the key's path
+    assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
+    assert f"error: {path}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_a_non_finite_number_is_rejected_at_its_path(value):
+    raw = copy.deepcopy(MINIMAL)
+    raw["agents"][1]["start"][1] = value
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("agents[1].start[1]: expected a finite number")):
+        normalize_scenario(raw)
+    raw["agents"][1]["start"][1] = 10 ** 308        # an int a float can hold
+    assert normalize_scenario(raw)["agents"][1]["start"][1] == 1e308
+
+
+def test_main_rejects_an_inf_in_the_file(tmp_path, capsys):
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(MINIMAL) + "camera: {range: .inf}\n")
+    assert main(["--scenario", str(path)]) == 2
+    assert "error: camera.range: expected a finite number, got inf" in capsys.readouterr().err
+
+
 def test_main_accepts_all_override_flags(tmp_path):
     from uavinspect.world import load_map
     out = tmp_path / "out"

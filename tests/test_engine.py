@@ -11,7 +11,7 @@ import pytest
 from test_mesh import prism_mission
 from test_sensors import poses
 from uavinspect import cli, engine, sensors
-from uavinspect.agents import step_dynamics, track_segment
+from uavinspect.agents import GimbalState, step_dynamics, track_segment
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                inspection_score, intensity_heatmap, run_mission,
                                update_ledger, write_outputs)
@@ -365,16 +365,49 @@ def fleet_rows(mission, k):
                     full.q_blur.tolist(), full.q_res.tolist(), full.q.tolist()))
 
 
-def recorded_agents(mission):
-    """The ids of the agents each capture recorded a changed pose for."""
-    agents = iter(mission.captures.agents)
-    return [[next(agents) for _ in range(n)] for n in mission.captures.sizes]
+def captured_poses(table, n):
+    """A pose table as bytes: per capture, each of the n agents' poses in fleet order."""
+    rows = [table[i:i + 72] for i in range(0, len(table), 72)]
+    return [rows[i:i + n] for i in range(0, len(rows), n)]
+
+
+def recorded_agents(table, n):
+    """The ids of the agents each capture took a changed pose for."""
+    captures = captured_poses(table, n)
+    return [[aid for aid, pose in enumerate(fleet) if c == 0 or pose != captures[c - 1][aid]]
+            for c, fleet in enumerate(captures)]
+
+
+def scored_pose_tables(monkeypatch):
+    """The pose table, as bytes, of each mission scored from now on; the
+    scoring takes it from the mission."""
+    tables = []
+    score = _Mission._score
+
+    def kept(self, n_ticks):
+        tables.append(bytes(self.poses))
+        score(self, n_ticks)
+
+    monkeypatch.setattr(_Mission, "_score", kept)
+    return tables
+
+
+def observed_calls(monkeypatch):
+    """The poses, as bytes, of each observe call the engine makes from now on."""
+    calls = []
+
+    def counted(*args):
+        calls.append([row.tobytes() for row in args[0]])
+        return sensors.observe(*args)
+
+    monkeypatch.setattr(engine, "observe", counted)
+    return calls
 
 
 @pytest.mark.parametrize("mission", [facing_mission, prism_mission])
 def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
     # photographers hold still in the survey, so many captures repeat a pose
-    expected, calls = [], []
+    expected = []
     capture = _Mission._capture
 
     def checked(self, k):
@@ -382,22 +415,23 @@ def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
         if k % self.cfg.capture_stride == 0:
             expected.extend(fleet_rows(self, k))
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return sensors.observe(*args)
-
     monkeypatch.setattr(_Mission, "_capture", checked)
-    monkeypatch.setattr(engine, "observe", counted)
+    calls = observed_calls(monkeypatch)
+    tables = scored_pose_tables(monkeypatch)
     cfg, scene = mission()
-    scored = _Mission(cfg, scene)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = scored.run()
+        res = _Mission(cfg, scene).run()
     assert res.observations == expected
-    recorded = recorded_agents(scored)
+    [table] = tables
+    recorded = recorded_agents(table, len(cfg.agents))
     assert len(recorded) == res.num_ticks
     assert min(map(len, recorded)) < len(cfg.agents)
-    assert sum(calls) == sum(map(len, recorded)) and len(calls) < res.num_ticks / 10
+    # observe saw each distinct pose once, in a few calls
+    seen = [pose for call in calls for pose in call]
+    assert sorted(seen) == sorted({pose for fleet in captured_poses(table, len(cfg.agents))
+                                   for pose in fleet})
+    assert len(seen) <= sum(map(len, recorded)) and len(calls) < res.num_ticks / 10
     reused = [row for row in res.observations if row[1] not in recorded[row[0]]]
     assert reused, "no tick reused an agent's rows"
     counts = dict.fromkeys(res.ledger.point_ids.tolist(), 0)
@@ -421,7 +455,7 @@ def test_each_camera_input_renews_the_rows(change):
     else:
         a.state.velocity[1] += 20.0             # in place; fast enough to smear
     mission._capture(1)
-    assert recorded_agents(mission) == [[0, 1], [1]]
+    assert recorded_agents(bytes(mission.poses), 2) == [[0, 1], [1]]
     second = fleet_rows(mission, 1)
     mission._score(2)
     # an in-place edit after a capture leaves that capture's rows as they were
@@ -430,6 +464,48 @@ def test_each_camera_input_renews_the_rows(change):
     after = [row for row in mission.observations if row[0] == 1]
     assert before and after == second
     assert [row[1:] for row in after if row[1] == a.id] != before
+
+
+def scored_by_hand(monkeypatch, gimbals):
+    """The facing mission captured once per photographer gimbal in gimbals,
+    scored after the captures and per tick: (poses observe saw, the
+    mission scored after the captures, the per-tick mission)."""
+    calls = observed_calls(monkeypatch)
+    missions = _Mission(*facing_mission()), PerTickScoring(*facing_mission())
+    for mission in missions:
+        for k, gimbal in enumerate(gimbals):
+            mission.agents[1].gimbal = gimbal
+            mission._capture(k)
+    missions[0]._score(len(gimbals))
+    return [pose for call in calls for pose in call], *missions
+
+
+def assert_logged_alike(got, expected):
+    assert got.observations == expected.observations
+    assert got.score_trace == expected.score_trace
+    assert got.ledger.best_q.tolist() == expected.ledger.best_q.tolist()
+    assert got.ledger.counts.tolist() == expected.ledger.counts.tolist()
+
+
+def test_a_pose_taken_again_is_observed_once(monkeypatch):
+    a, b = GimbalState(azimuth=0.0), GimbalState(azimuth=0.3)
+    seen, got, expected = scored_by_hand(monkeypatch, [a, b, a])
+    # the explorer holds one pose; the photographer goes A -> B -> A
+    assert len(seen) == len(set(seen)) == 3
+    assert_logged_alike(got, expected)
+    rows = [[row[1:] for row in got.observations if row[0] == k and row[1] == 1]
+            for k in range(3)]
+    assert rows[0] and rows[0] == rows[2] != rows[1]
+
+
+def test_poses_are_told_apart_by_their_bytes(monkeypatch):
+    # 0.0 == -0.0, but their bytes differ: both are observed, as a byte
+    # comparison with the last capture would observe both
+    seen, got, expected = scored_by_hand(
+        monkeypatch, [GimbalState(azimuth=0.0), GimbalState(azimuth=-0.0)])
+    assert len(seen) == len(set(seen)) == 3
+    assert_logged_alike(got, expected)
+    assert got.observations
 
 
 # --- whole-mission scoring oracle ------------------------------------------------
@@ -540,22 +616,18 @@ def test_scoring_keeps_each_capture_by_value():
 
 @pytest.mark.parametrize("poses_per_call", [1, 2])
 def test_scoring_equals_per_tick_scoring_at_any_batch_size(monkeypatch, poses_per_call):
-    # at two poses per call the first capture's three poses straddle two calls
     cfg, scene = prism_mission()
     monkeypatch.setattr(engine, "_OBSERVE_PAIRS", poses_per_call * scene.num_points)
-    calls = []
-
-    def counted(*args):
-        calls.append(len(args[0]))
-        return sensors.observe(*args)
-
-    monkeypatch.setattr(engine, "observe", counted)
-    mission, got, expected = score_both(cfg, scene)
+    calls = observed_calls(monkeypatch)
+    tables = scored_pose_tables(monkeypatch)
+    _, got, expected = score_both(cfg, scene)
     assert_scored_alike(got, expected)
-    assert set(calls[:-1]) == {poses_per_call}
-    ends = np.cumsum(mission.captures.sizes)
-    assert any(lo // poses_per_call != (hi - 1) // poses_per_call
-               for lo, hi in zip(ends - mission.captures.sizes, ends) if hi > lo + 1)
+    assert set(map(len, calls[:-1])) == {poses_per_call}
+    # some capture's rows come from two observe calls
+    call_of = {pose: i for i, call in enumerate(calls) for pose in call}
+    [table] = tables
+    assert any(len({call_of[pose] for pose in fleet}) > 1
+               for fleet in captured_poses(table, len(cfg.agents)))
 
 
 def solid_cube_scene():
