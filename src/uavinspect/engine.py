@@ -7,9 +7,13 @@ pointing), capture (every agent's camera pose appended, by value, to the
 pose table), and audit (voxel trace plus collision and occupied-entry
 counts).  Nothing the fleet decides reads the score, so the captures are
 scored after the last tick: each distinct pose of the table goes through
-the camera model once, many poses at a time, and each capture is then
-folded, in tick order, into the observation log, the ledger and the score
-trace.
+the camera model once, many poses at a time; the observation log gathers
+every capture's rows from them in one pass, and each capture is then folded,
+in tick order, into the ledger and the score trace.
+
+The three per-tick logs (observations, voxel trace, connectivity) are held
+as typed arrays; a reader gets them as row tuples, _ROW_CHUNK rows at a
+time, and the digest hashes the text of the row list a chunk at a time.
 
 Stage one of a mission is the survey: explorers fly their sweep routes while
 mapping; photographers hold until they hear from an explorer that has finished
@@ -25,6 +29,7 @@ import hashlib
 import math
 import os
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,6 +51,9 @@ _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long
 # (pose, point) pairs per observe call when the captures are scored; bounds
 # the call's temporaries, as scene._RAY_CHUNK bounds a cast's
 _OBSERVE_PAIRS = 8192
+# log rows made into tuples at a time wherever a log is read by row; bounds
+# what a reader holds beside the log's arrays
+_ROW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -153,15 +161,99 @@ def intensity_heatmap(ledger: ScoreLedger, scene: Scene) -> list[tuple]:
     return out
 
 
+class _Log:
+    """A per-tick log held as arrays and read as row tuples, _ROW_CHUNK rows
+    at a time; a subclass gives len() and the rows of a slice."""
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def _rows(self, lo: int, hi: int) -> list[tuple]:
+        raise NotImplementedError
+
+    def chunks(self):
+        for lo in range(0, len(self), _ROW_CHUNK):
+            yield self._rows(lo, min(lo + _ROW_CHUNK, len(self)))
+
+    def __iter__(self):
+        for chunk in self.chunks():
+            yield from chunk
+
+    def reprs(self):
+        """The text of repr() of the list of all rows, a chunk at a time."""
+        yield "["
+        for n, chunk in enumerate(self.chunks()):
+            yield (", " if n else "") + repr(chunk)[1:-1]
+        yield "]"
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationLog(_Log):
+    """(tick, agent, point_id, q_blur, q_res, q) rows as six columns, the
+    ids int64 and the scores float64."""
+
+    tick: np.ndarray
+    agent: np.ndarray
+    point_id: np.ndarray
+    q_blur: np.ndarray
+    q_res: np.ndarray
+    q: np.ndarray
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.tick, self.agent, self.point_id, self.q_blur, self.q_res, self.q
+
+    def __len__(self) -> int:
+        return len(self.tick)
+
+    def _rows(self, lo, hi):
+        # tolist() gives Python ints and floats, whose repr the digest pins
+        return list(zip(*(c[lo:hi].tolist() for c in self.columns)))
+
+
+@dataclass(frozen=True, eq=False)
+class VoxelTrace(_Log):
+    """(tick, ((agent, voxel), ...)) rows from every agent's voxel at every
+    tick, an (n_ticks, agents, 3) int array."""
+
+    voxels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.voxels)
+
+    def _rows(self, lo, hi):
+        return [(k, tuple((aid, tuple(v)) for aid, v in enumerate(fleet)))
+                for k, fleet in enumerate(self.voxels[lo:hi].tolist(), lo)]
+
+
+@dataclass(frozen=True, eq=False)
+class ConnectivityLog(_Log):
+    """(tick, ((i, j), ...)) rows: every tick's peer pairs, i < j in
+    ascending order, one run of an (n_edges, 2) int array per tick; tick k
+    holds edges[offsets[k]:offsets[k + 1]]."""
+
+    edges: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def _rows(self, lo, hi):
+        cuts = self.offsets[lo:hi + 1]
+        pairs = list(map(tuple, self.edges[cuts[0]:cuts[-1]].tolist()))
+        cuts = (cuts - cuts[0]).tolist()
+        return [(k, tuple(pairs[a:b])) for k, a, b in zip(range(lo, hi), cuts, cuts[1:])]
+
+
 @dataclass
 class MissionResult:
     q_total: float
     ledger: ScoreLedger
     score_trace: list[float]
-    observations: list[tuple]            # (tick, agent, point_id, q_blur, q_res, q)
-    connectivity: list[tuple]            # (tick, ((i, j), ...))
+    observations: ObservationLog         # rows (tick, agent, point_id, q_blur, q_res, q)
+    connectivity: ConnectivityLog        # rows (tick, ((i, j), ...))
     plan_events: list[str]
-    voxel_trace: list[tuple]             # (tick, ((agent, voxel), ...))
+    voxel_trace: VoxelTrace              # rows (tick, ((agent, voxel), ...))
     collisions_same_voxel: int
     occupied_entries: int
     free_structure_cells: int            # per tick and agent map; not in the digest
@@ -181,9 +273,11 @@ class MissionResult:
         h = hashlib.sha256()
         h.update(repr(self.q_total).encode())
         h.update(repr(self.score_trace).encode())
-        h.update(repr(self.observations).encode())
-        h.update(repr(self.voxel_trace).encode())
-        h.update(repr(self.connectivity).encode())
+        # each log as the bytes of repr() of its list of rows, the form the
+        # pinned digests cover
+        for log in (self.observations, self.voxel_trace, self.connectivity):
+            for text in log.reprs():
+                h.update(text.encode())
         for i in sorted(self.final_maps):
             h.update(self.final_maps[i].cells.tobytes())
         return h.hexdigest()
@@ -278,10 +372,13 @@ class _Mission:
         self.poses = bytearray()
         self.ledger = ScoreLedger(scene.point_ids, cfg.camera.quality_floor)
         self.score_trace: list[float] = []
-        self.observations: list[tuple] = []
-        self.connectivity: list[tuple] = []
+        self.observations: ObservationLog | None = None     # made by _score
+        # every tick's peer pairs, flat, and the number logged after each tick
+        self.edges = array("q")
+        self.edge_offsets = array("q", [0])
         self.plan_events: list[str] = []
-        self.voxel_trace: list[tuple] = []
+        self.n_ticks = max(1, int(round(cfg.duration / cfg.tick)))
+        self.voxels = np.zeros((self.n_ticks, len(self.agents), 3), dtype=int)  # by _audit
         self.collisions = 0
         self.occupied_entries = 0
         self.free_structure_cells = 0
@@ -306,8 +403,8 @@ class _Mission:
         merged = exchange_and_merge(peers, [a.occ for a in self.agents])
         for a, occ in zip(self.agents, merged):
             a.occ = occ
-        self.connectivity.append(
-            (k, tuple((i, j) for i, ps in enumerate(peers) for j in ps if i < j)))
+        self.edges.extend(v for i, ps in enumerate(peers) for j in ps if i < j for v in (i, j))
+        self.edge_offsets.append(len(self.edges) // 2)
 
         for a in self.agents:
             if a.spec.kind == PHOTOGRAPHER and a.phase == 1:
@@ -496,15 +593,15 @@ class _Mission:
             for a in self.agents:
                 self.poses += camera_pose(a.state, a.gimbal)
 
-    def _score(self, n_ticks: int) -> None:
-        """Observe each distinct pose of the pose table once, then fold the
-        captures into the observation log, the ledger and the score trace in
-        tick order; a tick between captures repeats the last mean.
+    def _observe_distinct(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Observe each distinct pose of the pose table once and take the
+        table from the mission.  Returns each captured pose's index among
+        the distinct poses, and the columns count (rows per distinct pose),
+        point, q_blur, q_res and q of the distinct poses' rows.
 
         A pose's rows depend on its bytes and the fixed scene alone, not on
         which poses share an observe call, so poses equal byte for byte
-        share their rows wherever they fall in the table.  A capture logs
-        its agents' rows in fleet order, then point order."""
+        share their rows wherever they fall in the table."""
         # 9 doubles a pose; the table leaves the mission once it is read, so it
         # and the log do not peak together
         distinct, which = np.unique(np.frombuffer(self.poses, dtype="V72"),
@@ -521,47 +618,51 @@ class _Mission:
             for column, values in zip(columns, (np.bincount(obs.agent, minlength=len(batch)),
                                                 obs.point, obs.q_blur, obs.q_res, obs.q)):
                 column += values.data
-        del distinct
-        counts, point = (np.frombuffer(c, dtype=np.intp) for c in columns[:2])
-        q_blur, q_res, q = map(np.frombuffer, columns[2:])
-        starts = counts.cumsum() - counts
-        fleet = np.arange(len(self.agents))
-        captures = iter(which.reshape(-1, len(self.agents)))
+        return which, [np.frombuffer(c, dtype=np.intp) for c in columns[:2]] + [
+            np.frombuffer(c) for c in columns[2:]]
+
+    def _score(self, n_ticks: int) -> None:
+        """Gather the observation log from the rows of the distinct poses,
+        then fold each capture's run of it into the ledger and the score
+        trace in tick order; a tick between captures repeats the last mean.
+        A capture logs its agents' rows in fleet order, then point order."""
+        which, (counts, *columns) = self._observe_distinct()
+        fleet = len(self.agents)
+        sizes = counts[which]                   # rows per agent capture, capture by capture
+        ends = sizes.cumsum()
+        # each agent capture's run of its pose's rows, one run after another
+        starts = (counts.cumsum() - counts)[which]
+        rows = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
+        point, q_blur, q_res, q = (c[rows] for c in columns)
+        del rows, columns, counts               # the distinct poses' rows go before the fold
+        agent = np.repeat(np.tile(np.arange(fleet, dtype=np.int64), len(which) // fleet), sizes)
+        bounds = np.concatenate(([0], ends[fleet - 1::fleet])).tolist()    # per capture
+        captures = iter(zip(bounds, bounds[1:]))
         mean = 0.0
         for k in range(n_ticks):
             if k % self.cfg.capture_stride == 0:
-                poses = next(captures)          # distinct poses, in fleet order
-                sizes = counts[poses]
-                ends = sizes.cumsum()           # each agent's pose rows, one run after another
-                rows = np.repeat(starts[poses] - (ends - sizes), sizes) + np.arange(ends[-1])
-                obs = Observations(np.repeat(fleet, sizes), point[rows], q_blur[rows],
-                                   q_res[rows], q[rows])
-                self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
-                                             self.scene.point_ids[obs.point].tolist(),
-                                             obs.q_blur.tolist(), obs.q_res.tolist(),
-                                             obs.q.tolist()))
-                update_ledger(self.ledger, obs)
+                lo, hi = next(captures)
+                update_ledger(self.ledger, Observations(agent[lo:hi], point[lo:hi],
+                                                        q_blur[lo:hi], q_res[lo:hi], q[lo:hi]))
                 mean = self.ledger.mean_best()
             self.score_trace.append(mean)
+        tick = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64) * self.cfg.capture_stride,
+                         np.diff(bounds))
+        point_id = self.scene.point_ids[point].astype(np.int64, copy=False)
+        self.observations = ObservationLog(tick, agent, point_id, q_blur, q_res, q)
 
     def _audit(self, k: int) -> None:
-        row = tuple((a.id, a.voxel) for a in self.agents)
-        self.voxel_trace.append((k, row))
-        seen = set()
-        for _, vox in row:
-            if vox in seen:
-                self.collisions += 1
-            seen.add(vox)
-            if self.truth[vox]:
-                self.occupied_entries += 1
+        voxels = [a.voxel for a in self.agents]
+        self.voxels[k] = voxels
+        self.collisions += len(voxels) - len(set(voxels))
+        self.occupied_entries += sum(1 for vox in voxels if self.truth[vox])
         # a map that holds a structure cell free lets its agent plan and fly into it
         for a in self.agents:
             self.free_structure_cells += int(np.count_nonzero(
                 a.occ.cells.ravel()[self.structure] == FREE))
 
     def run(self) -> MissionResult:
-        n_ticks = max(1, int(round(self.cfg.duration / self.cfg.tick)))
-        for k in range(n_ticks):
+        for k in range(self.n_ticks):
             t = k * self.cfg.tick
             self._sense(k, t)
             peers = self._exchange(k)
@@ -569,7 +670,7 @@ class _Mission:
             self._act(k)
             self._capture(k)
             self._audit(k)
-        self._score(n_ticks)
+        self._score(self.n_ticks)
         if self.free_structure_cells:
             warnings.warn(f"agent maps held structure cells free "
                           f"{self.free_structure_cells} times (cells x ticks)")
@@ -581,9 +682,11 @@ class _Mission:
             ledger=self.ledger,
             score_trace=self.score_trace,
             observations=self.observations,
-            connectivity=self.connectivity,
+            connectivity=ConnectivityLog(
+                np.frombuffer(self.edges, dtype=np.int64).reshape(-1, 2),
+                np.frombuffer(self.edge_offsets, dtype=np.int64)),
             plan_events=self.plan_events,
-            voxel_trace=self.voxel_trace,
+            voxel_trace=VoxelTrace(self.voxels),
             collisions_same_voxel=self.collisions,
             occupied_entries=self.occupied_entries,
             free_structure_cells=self.free_structure_cells,
@@ -593,7 +696,7 @@ class _Mission:
             final_maps={a.id: a.occ for a in self.agents},
             phase_maps=self.phase_maps,
             heatmap=intensity_heatmap(self.ledger, self.scene),
-            num_ticks=n_ticks,
+            num_ticks=self.n_ticks,
         )
 
 

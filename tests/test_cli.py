@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -369,6 +370,29 @@ def test_main_same_seed_byte_identical_outputs(tmp_path):
     other = run_desk_box(tmp_path / "c", 8)
     assert ((other / "observations.csv").read_bytes()
             != (out1 / "observations.csv").read_bytes())
+
+
+# SHA-256 of every file that `--scenario twin_pillars.yaml --out` writes; the
+# CSVs pin the artifact writer, which the mission digest does not cover
+TWIN_PILLARS_ARTIFACTS = {
+    "connectivity.csv": "6c057f7e8555ff5f2c69cbf9d84cdd829395f8e3ffc5d2011ea92cdbbd181038",
+    "heatmap.csv": "dd161aeeb6b0b76460a6065c41b60328b69962e8d8672a8703b0b59dcb050599",
+    "mission_result.txt": "d5bf7bc5a66338f609c9c63299dd9888080f076d31d44d27528f2e76bce14d95",
+    "observations.csv": "804ad56b5617b5d847a4aab14905e05df98a79f473ac511f1d074415cf16a416",
+    "plans.log": "51773dbfc43a8755ee3aacd8ecb3c6d207690b8a8967e1d7f2c61322f3400647",
+    "score_trace.csv": "aceb5e1de7c482661b070d8dcc5eb0b14cf70b2a96e069fbaefce02591adc87b",
+    **{f"maps/agent{i}_{when}.vox":
+       "6faf5b4dfbdfa7777efda9fb90cf48cb10835adcd9a2a0563626ca79573099d3"
+       for i in range(3) for when in ("stage2", "final")},
+}
+
+
+def test_twin_pillars_artifacts_match_pinned_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--scenario", str(SCENARIOS / "twin_pillars.yaml"), "--out", str(out)]) == 0
+    written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+    assert written == TWIN_PILLARS_ARTIFACTS
 
 
 def test_main_warns_when_no_scatter_follows_the_seed(tmp_path, capsys):

@@ -267,7 +267,7 @@ def test_same_seed_runs_are_bit_identical():
     assert r1.digest() == r2.digest()
     assert r1.q_total == r2.q_total
     assert r1.score_trace == r2.score_trace
-    assert r1.observations == r2.observations
+    assert list(r1.observations) == list(r2.observations)
 
 
 def test_photographers_hold_until_an_explorer_finishes():
@@ -422,7 +422,7 @@ def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = _Mission(cfg, scene).run()
-    assert res.observations == expected
+    assert list(res.observations) == expected
     [table] = tables
     recorded = recorded_agents(table, len(cfg.agents))
     assert len(recorded) == res.num_ticks
@@ -476,12 +476,12 @@ def scored_by_hand(monkeypatch, gimbals):
         for k, gimbal in enumerate(gimbals):
             mission.agents[1].gimbal = gimbal
             mission._capture(k)
-    missions[0]._score(len(gimbals))
+        mission._score(len(gimbals))
     return [pose for call in calls for pose in call], *missions
 
 
 def assert_logged_alike(got, expected):
-    assert got.observations == expected.observations
+    assert list(got.observations) == list(expected.observations)
     assert got.score_trace == expected.score_trace
     assert got.ledger.best_q.tolist() == expected.ledger.best_q.tolist()
     assert got.ledger.counts.tolist() == expected.ledger.counts.tolist()
@@ -513,12 +513,13 @@ def test_poses_are_told_apart_by_their_bytes(monkeypatch):
 class PerTickScoring(_Mission):
     """The per-tick scorer, the oracle for scoring the captures after the
     tick loop: each capture tick observes the agents whose pose changed
-    since their last capture, in one call, and folds the fleet's rows at
-    once."""
+    since their last capture, in one call, and folds and logs the fleet's
+    rows at once."""
 
     def __init__(self, cfg, scene):
         super().__init__(cfg, scene)
         self.kept = [(b"", None)] * len(self.agents)    # each agent's last pose and rows
+        self.logged = []                                # each capture's log columns
 
     def _capture(self, k):
         if k % self.cfg.capture_stride == 0:
@@ -532,15 +533,13 @@ class PerTickScoring(_Mission):
                                    [np.full(np.count_nonzero(mine), a.id), obs.point[mine],
                                     obs.q_blur[mine], obs.q_res[mine], obs.q[mine]])
             obs = Observations(*map(np.concatenate, zip(*(rows for _, rows in self.kept))))
-            self.observations.extend(zip([k] * len(obs), obs.agent.tolist(),
-                                         self.scene.point_ids[obs.point].tolist(),
-                                         obs.q_blur.tolist(), obs.q_res.tolist(),
-                                         obs.q.tolist()))
+            self.logged.append((np.full(len(obs), k), obs.agent,
+                                self.scene.point_ids[obs.point], obs.q_blur, obs.q_res, obs.q))
             update_ledger(self.ledger, obs)
         self.score_trace.append(self.ledger.mean_best())
 
     def _score(self, n_ticks):
-        pass
+        self.observations = engine.ObservationLog(*map(np.concatenate, zip(*self.logged)))
 
 
 def jostled(mission_class):
@@ -590,7 +589,7 @@ def score_both(cfg, scene, variant=lambda mission_class: mission_class):
 
 
 def assert_scored_alike(got, expected):
-    assert got.observations == expected.observations
+    assert list(got.observations) == list(expected.observations)
     assert got.score_trace == expected.score_trace
     assert got.ledger.best_q.tolist() == expected.ledger.best_q.tolist()
     assert got.ledger.counts.tolist() == expected.ledger.counts.tolist()
@@ -611,7 +610,7 @@ def test_scoring_keeps_each_capture_by_value():
     _, got, expected = score_both(cfg, scene, jostled)
     assert_scored_alike(got, expected)
     _, plain, _ = score_both(cfg, scene)
-    assert got.observations != plain.observations       # the jostle reaches the scores
+    assert list(got.observations) != list(plain.observations)   # the jostle reaches the scores
 
 
 @pytest.mark.parametrize("poses_per_call", [1, 2])
@@ -825,3 +824,87 @@ def test_outputs_written_and_reloadable(tmp_path):
         assert np.array_equal(loaded.cells, res.final_maps[aid].cells)
     trace_rows = (out / "score_trace.csv").read_text().strip().splitlines()
     assert len(trace_rows) == 1 + res.num_ticks
+
+
+# --- the mission record as columns ---------------------------------------------------
+
+CHUNK_SIZES = [0, 1, engine._ROW_CHUNK - 1, engine._ROW_CHUNK, engine._ROW_CHUNK + 1]
+# floats whose repr is easy to get wrong: signed zero, the least subnormal,
+# a large integral value and a sum that is not its decimal
+AWKWARD = [-0.0, 5e-324, 1e22, 0.1 + 0.2, 1.0, 0.0]
+
+
+def assert_reads_and_hashes_as(log, rows):
+    """log iterates as the list rows and feeds a hash the bytes of
+    repr(rows), the form the logs took as lists of tuples."""
+    assert len(log) == len(rows)
+    assert list(log) == rows
+    assert "".join(log.reprs()) == repr(rows)
+    h = hashlib.sha256()
+    for text in log.reprs():
+        h.update(text.encode())
+    assert h.hexdigest() == hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def observation_log(rows):
+    columns = list(zip(*rows)) or [()] * 6
+    return engine.ObservationLog(*(np.array(c, dtype=np.int64) for c in columns[:3]),
+                                 *(np.array(c, dtype=np.float64) for c in columns[3:]))
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_observation_log_reads_and_hashes_as_a_row_list(n):
+    rows = [(i // 5, i % 3, 2**31 + 7 * i, AWKWARD[i % 6], AWKWARD[(i + 1) % 6],
+             AWKWARD[(i + 2) % 6]) for i in range(n)]
+    assert_reads_and_hashes_as(observation_log(rows), rows)
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_connectivity_log_reads_and_hashes_as_a_row_list(n):
+    # 0, 1 and 2 edges a tick; a one-edge tick prints ((i, j),), an empty one ()
+    patterns = [(), ((0, 1),), ((0, 2), (1, 2))]
+    rows = [(k, patterns[k % 3]) for k in range(n)]
+    edges = np.array([pair for _k, pairs in rows for pair in pairs], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(pairs) for _k, pairs in rows])
+    log = engine.ConnectivityLog(edges.reshape(-1, 2), offsets)
+    assert_reads_and_hashes_as(log, rows)
+
+
+@pytest.mark.parametrize("agents", [1, 3])
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_voxel_trace_reads_and_hashes_as_a_row_list(n, agents):
+    voxels = np.arange(n * agents * 3).reshape(n, agents, 3) % 11
+    rows = [(k, tuple((aid, tuple(int(c) for c in voxels[k, aid])) for aid in range(agents)))
+            for k in range(n)]
+    assert_reads_and_hashes_as(engine.VoxelTrace(voxels), rows)
+
+
+def test_digest_hashes_the_logs_as_row_lists(monkeypatch):
+    # small chunks split every log of a short mission many times over
+    monkeypatch.setattr(engine, "_ROW_CHUNK", 7)
+    res = run_mission(small_config(duration=10.0, capture_stride=2), small_scene())
+    h = hashlib.sha256()
+    for value in (res.q_total, res.score_trace, list(res.observations),
+                  list(res.voxel_trace), list(res.connectivity)):
+        h.update(repr(value).encode())
+    for i in sorted(res.final_maps):
+        h.update(res.final_maps[i].cells.tobytes())
+    assert len(res.observations) > 7 and len(res.voxel_trace) > 7
+    assert res.digest() == h.hexdigest()
+
+
+def test_mission_record_holds_typed_columns():
+    cfg, scene = shortened(bench_workload("fleet_fine", 1), 5.0)
+    res = run_mission(cfg, scene)
+    log = res.observations
+    assert len(log) > 0
+    assert [c.dtype for c in log.columns] == [np.int64] * 3 + [np.float64] * 3
+    assert sum(c.nbytes for c in log.columns) == 48 * len(log)
+    assert res.voxel_trace.voxels.shape == (res.num_ticks, len(cfg.agents), 3)
+    assert len(res.connectivity) == res.num_ticks
+    # the heatmap keeps its rows: one per interest point, however long the mission
+    for f in dataclasses.fields(res):
+        value = getattr(res, f.name)
+        if f.name != "heatmap":
+            assert not (isinstance(value, list) and any(isinstance(v, tuple) for v in value)), \
+                f.name
