@@ -1,4 +1,4 @@
-"""UAV kinematics, waypoint tracking, and gimbal pointing.
+"""UAV kinematics, waypoint tracking, and gimbal pointing for a whole fleet.
 
 State follows a discrete double integrator in position and yaw:
 
@@ -6,14 +6,23 @@ State follows a discrete double integrator in position and yaw:
   v_{k} = v_{k-1} + dt * u_lin          w_{k}    = w_{k-1} + dt * u_yaw
 
 after which speed and yaw rate are clamped to the platform limits.
+
+The fleet is held as arrays, one row per agent: position and velocity
+(n, 3); yaw, yaw rate, speed and yaw-rate limits, gimbal inclination and
+azimuth (n,).  Each kernel steps every row at once.  Every vector length is
+scene._norm, the dot that np.linalg.norm takes for one vector, and the yaw
+and gimbal trigonometry runs in math on Python floats, so each row comes
+out as it would for that agent alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .scene import _norm
 
 EXPLORER = "explorer"
 PHOTOGRAPHER = "photographer"
@@ -25,43 +34,12 @@ _YAW_KD = 2.2
 _ALPHA_MAX = 2.0
 
 
-@dataclass
-class AgentState:
-    id: int
-    position: np.ndarray
-    yaw: float = 0.0
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    yaw_rate: float = 0.0
-    v_max: float = math.inf
-    omega_max: float = math.inf
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).copy()
-        self.velocity = np.asarray(self.velocity, dtype=float).copy()
-
-
 @dataclass(frozen=True)
 class GimbalLimits:
     inclination_min: float = math.radians(-90.0)
     inclination_max: float = math.radians(80.0)
     azimuth_min: float = math.radians(-90.0)
     azimuth_max: float = math.radians(90.0)
-
-
-@dataclass(frozen=True)
-class GimbalState:
-    """Camera mount angles, body-relative: inclination up/down, azimuth left/right."""
-
-    inclination: float = 0.0
-    azimuth: float = 0.0
-    limits: GimbalLimits = GimbalLimits()
-
-    def __post_init__(self):
-        lim = self.limits
-        object.__setattr__(self, "inclination",
-                           min(max(self.inclination, lim.inclination_min), lim.inclination_max))
-        object.__setattr__(self, "azimuth",
-                           min(max(self.azimuth, lim.azimuth_min), lim.azimuth_max))
 
 
 @dataclass(frozen=True)
@@ -73,28 +51,35 @@ class TrackingConfig:
     a_max: float = 4.0
 
 
-def step_dynamics(state: AgentState, acc, yaw_acc: float, dt: float) -> AgentState:
-    """One explicit-Euler step of the double integrator under linear
-    acceleration acc (m/s^2) and yaw acceleration yaw_acc (rad/s^2), then
-    limit clamping.
+def _capped(v: np.ndarray, limits: list[float]) -> np.ndarray:
+    """v (n, 3) with each row longer than its limit scaled to it in place,
+    as row * (limit / |row|)."""
+    for i, (length, limit) in enumerate(zip(_norm(v).tolist(), limits)):
+        if length > limit:
+            v[i] *= limit / length
+    return v
+
+
+def step_dynamics(position, velocity, yaw, yaw_rate, acc, yaw_acc, v_max, omega_max,
+                  dt: float):
+    """One explicit-Euler step of the double integrator for every agent,
+    under linear accelerations acc (n, 3) (m/s^2) and yaw accelerations
+    yaw_acc (n,) (rad/s^2), then limit clamping: (position, velocity, yaw,
+    yaw rate), new arrays.
 
     Position advances with the pre-update velocity, so under constant
     acceleration a from rest the position after n steps is n(n-1)/2 * a * dt^2.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pos = state.position + state.velocity * dt
-    vel = state.velocity + np.asarray(acc, dtype=float) * dt
-    yaw = state.yaw + state.yaw_rate * dt
-    yaw_rate = state.yaw_rate + yaw_acc * dt
-
-    speed = float(np.linalg.norm(vel))
-    if speed > state.v_max:
-        vel = vel * (state.v_max / speed)
-    if abs(yaw_rate) > state.omega_max:
-        yaw_rate = math.copysign(state.omega_max, yaw_rate)
-
-    return AgentState(state.id, pos, yaw, vel, yaw_rate, state.v_max, state.omega_max)
+    yaw_next, rate_next = [], []
+    for psi, w, u, w_max in zip(yaw.tolist(), yaw_rate.tolist(), yaw_acc.tolist(),
+                                omega_max.tolist()):
+        yaw_next.append(psi + w * dt)
+        w = w + u * dt
+        rate_next.append(math.copysign(w_max, w) if abs(w) > w_max else w)
+    return (position + velocity * dt, _capped(velocity + acc * dt, v_max.tolist()),
+            np.array(yaw_next), np.array(rate_next))
 
 
 def wrap_angle(a: float) -> float:
@@ -105,47 +90,46 @@ def wrap_angle(a: float) -> float:
     return a - math.pi
 
 
-def track_segment(state: AgentState, target, cfg: TrackingConfig,
-                  desired_yaw: float | None = None) -> tuple[np.ndarray, float]:
-    """PD acceleration command toward a fixed target point, saturated at a_max:
-    (linear acceleration (3,), yaw acceleration).
+def track_segment(position, velocity, yaw, yaw_rate, target, cfg: TrackingConfig,
+                  desired_yaw: list[float | None]) -> tuple[np.ndarray, np.ndarray]:
+    """PD acceleration commands toward fixed target points (n, 3), saturated
+    at a_max: (linear accelerations (n, 3), yaw accelerations (n,)).
 
-    When desired_yaw is given, a separate PD loop commands yaw acceleration
-    toward it; otherwise the yaw rate is damped to zero.
+    desired_yaw holds one heading or None per agent.  For a heading, a
+    separate PD loop commands yaw acceleration toward it; for None the yaw
+    rate is damped to zero.
     """
-    target = np.asarray(target, dtype=float)
-    acc = cfg.kp * (target - state.position) - cfg.kd * state.velocity
-    mag = float(np.linalg.norm(acc))
-    if mag > cfg.a_max:
-        acc = acc * (cfg.a_max / mag)
-
-    if desired_yaw is None:
-        yaw_acc = -_YAW_KD * state.yaw_rate
-    else:
-        err = wrap_angle(desired_yaw - state.yaw)
-        yaw_acc = _YAW_KP * err - _YAW_KD * state.yaw_rate
-    yaw_acc = min(max(yaw_acc, -_ALPHA_MAX), _ALPHA_MAX)
-    return acc, float(yaw_acc)
+    acc = _capped(cfg.kp * (target - position) - cfg.kd * velocity, [cfg.a_max] * len(yaw))
+    yaw_acc = []
+    for psi, rate, want in zip(yaw.tolist(), yaw_rate.tolist(), desired_yaw):
+        if want is None:
+            a = -_YAW_KD * rate
+        else:
+            a = _YAW_KP * wrap_angle(want - psi) - _YAW_KD * rate
+        yaw_acc.append(min(max(a, -_ALPHA_MAX), _ALPHA_MAX))
+    return acc, np.array(yaw_acc)
 
 
-def point_gimbal(gimbal: GimbalState, agent: AgentState, n_hat) -> GimbalState:
-    """Aim the camera axis along world direction n_hat, clamped to gimbal limits.
+def point_gimbal(yaw, inclination, azimuth, n_hat,
+                 limits: GimbalLimits) -> tuple[np.ndarray, np.ndarray]:
+    """Aim each camera axis along world direction n_hat (n, 3), clamped to
+    the gimbal limits: (inclination, azimuth), new arrays.
 
-    The direction is rotated into the body frame using the agent yaw; targets
-    outside the mount's envelope snap to the nearest reachable angle.
+    A direction is rotated into the body frame using the agent's yaw;
+    targets outside the mount's envelope snap to the nearest reachable
+    angle.  An agent whose direction has no length keeps its angles.
     """
-    n = np.asarray(n_hat, dtype=float)
-    norm = float(np.linalg.norm(n))
-    if norm < 1e-12:
-        return gimbal
-    n = n / norm
-    c, s = math.cos(agent.yaw), math.sin(agent.yaw)
-    bx = c * n[0] + s * n[1]
-    by = -s * n[0] + c * n[1]
-    bz = n[2]
-    inclination = math.asin(min(max(bz, -1.0), 1.0))
-    if math.hypot(bx, by) < 1e-12:
-        azimuth = 0.0
-    else:
-        azimuth = math.atan2(by, bx)
-    return replace(gimbal, inclination=inclination, azimuth=azimuth)
+    inclination, azimuth = inclination.tolist(), azimuth.tolist()
+    for i, (psi, length, (x, y, z)) in enumerate(zip(yaw.tolist(), _norm(n_hat).tolist(),
+                                                    n_hat.tolist())):
+        if length < 1e-12:
+            continue
+        x, y, z = x / length, y / length, z / length
+        c, s = math.cos(psi), math.sin(psi)
+        bx = c * x + s * y
+        by = -s * x + c * y
+        th = math.asin(min(max(z, -1.0), 1.0))
+        ph = 0.0 if math.hypot(bx, by) < 1e-12 else math.atan2(by, bx)
+        inclination[i] = min(max(th, limits.inclination_min), limits.inclination_max)
+        azimuth[i] = min(max(ph, limits.azimuth_min), limits.azimuth_max)
+    return np.array(inclination), np.array(azimuth)

@@ -10,22 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agents import AgentState
 from .scene import Scene, line_of_sight
 from .world import OccupancyMap, merge_maps
 
 
-def discover_neighbors(states: list[AgentState], scene: Scene) -> list[list[int]]:
-    """Each agent's unobstructed peers; symmetric by construction.
+def discover_neighbors(positions: np.ndarray, scene: Scene) -> list[list[int]]:
+    """Each agent's unobstructed peers, from the fleet's positions (n, 3);
+    symmetric by construction.
 
-    The sight lines of all pairs, each cast from the agent earlier in states,
-    go through one line_of_sight call.
+    The sight lines of all pairs, each cast from the agent of the earlier
+    row, go through one line_of_sight call.
     """
-    order = np.arange(len(states))
+    order = np.arange(len(positions))
     first, second = np.nonzero(order[:, None] < order)      # (i, j), i < j, row by row
-    positions = np.array([s.position for s in states], dtype=float).reshape(-1, 3)
     clear = line_of_sight(scene, positions[first], positions[second])
-    peers: list[list[int]] = [[] for _ in states]
+    peers: list[list[int]] = [[] for _ in positions]
     # row by row, an agent's lower peers arrive before its higher ones: ascending
     for i, j in zip(first[clear].tolist(), second[clear].tolist()):
         peers[i].append(j)

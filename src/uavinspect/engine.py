@@ -30,22 +30,20 @@ import math
 import os
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import (EXPLORER, KINDS, PHOTOGRAPHER, AgentState, GimbalLimits,
-                     GimbalState, TrackingConfig, step_dynamics, track_segment,
-                     point_gimbal)
+from .agents import (EXPLORER, KINDS, PHOTOGRAPHER, GimbalLimits, TrackingConfig,
+                     point_gimbal, step_dynamics, track_segment)
 from .comms import discover_neighbors, exchange_and_merge
-from .errors import ConfigurationError, OutOfBoundsError, PlanningError
+from .errors import ConfigurationError, PlanningError
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
 from .scene import Scene, scene_occupancy
 from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
                       lidar_sweep, observe)
 from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, build_grid,
-                    compute_operational_volume, integrate_points, save_map, voxel_to_world,
-                    world_to_voxel)
+                    compute_operational_volume, integrate_points, save_map, world_to_voxel)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
 # (pose, point) pairs per observe call when the captures are scored; bounds
@@ -285,11 +283,11 @@ class MissionResult:
 
 @dataclass
 class _Runtime:
-    """Mutable per-agent bookkeeping owned by the tick loop."""
+    """Mutable per-agent bookkeeping owned by the tick loop; the agent's
+    kinematic state is its row of the mission's fleet arrays."""
 
+    id: int
     spec: AgentSpec
-    state: AgentState
-    gimbal: GimbalState
     occ: OccupancyMap
     voxel: tuple
     phase: int = 1
@@ -304,28 +302,25 @@ class _Runtime:
     barren: np.ndarray | None = None        # cells of the last map that gave no waypoints
     guard: FiringGuard | None = None        # what an explorer's LiDAR can still change
 
-    @property
-    def id(self) -> int:
-        return self.state.id
 
-
-def _fire(occ: OccupancyMap, guard: FiringGuard, state: AgentState, scene: Scene,
-          lidar: LidarConfig, t: float) -> int:
-    """One LiDAR firing into occ, casting only the rays that can change it.
+def _fire(occ: OccupancyMap, guard: FiringGuard, position: np.ndarray, yaw: float,
+          scene: Scene, lidar: LidarConfig, t: float) -> int:
+    """One LiDAR firing into occ from a sensor at position (3,) and yaw,
+    casting only the rays that can change it.
 
     A firing on a map that holds no cell it can change is skipped whole;
     otherwise only the rays whose box holds such a cell are cast (see
     FiringGuard).  The map ends as if every ray had been cast.  Returns the
     number of hits of the cast rays that the hit rule suppressed.
     """
-    if not guard.at(occ, state.position).live:
+    if not guard.at(occ, position).live:
         return 0
-    dirs = lidar_directions(state, lidar, t)
-    dirs = dirs[guard.can_change(state.position, dirs, lidar.range)]
+    dirs = lidar_directions(yaw, lidar, t)
+    dirs = dirs[guard.can_change(position, dirs, lidar.range)]
     if not len(dirs):
         return 0
-    hits, misses = lidar_sweep(state, scene, lidar, dirs)
-    return integrate_points(occ, state.position, hits[:, 0], hits[:, 1], misses, guard.truth,
+    hits, misses = lidar_sweep(position, scene, lidar, dirs)
+    return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, guard.truth,
                             guard.unknown)
 
 
@@ -346,20 +341,30 @@ class _Mission:
                            for a in cfg.agents if a.kind == EXPLORER]
         routes = mapping_paths(self.volume, explorer_starts, margin=cfg.voxel_size / 2.0)
 
-        self.agents: list[_Runtime] = []      # agent ids are indices into it
+        # the fleet's kinematic state, one row per agent, in fleet order
+        n = len(cfg.agents)
+        self.position = np.array([a.start for a in cfg.agents], dtype=float).reshape(n, 3)
+        self.velocity = np.zeros((n, 3))
+        self.yaw = np.zeros(n)
+        self.yaw_rate = np.zeros(n)
+        self.v_max = np.array([a.speed_limit for a in cfg.agents], dtype=float)
+        self.omega_max = np.array([a.omega_max for a in cfg.agents], dtype=float)
+        # the neutral mount, clamped to the limits as every aimed angle is
+        lim = cfg.gimbal
+        self.inclination = np.full(n, min(max(0.0, lim.inclination_min), lim.inclination_max))
+        self.azimuth = np.full(n, min(max(0.0, lim.azimuth_min), lim.azimuth_max))
+
+        self.agents: list[_Runtime] = []      # agent ids are indices into it and the rows
         used_voxels = set()
         e_idx = 0
         for aid, spec in enumerate(cfg.agents):
-            state = AgentState(aid, np.asarray(spec.start, dtype=float),
-                               v_max=spec.speed_limit, omega_max=spec.omega_max)
-            vox = world_to_voxel(self.grid, state.position)
+            vox = world_to_voxel(self.grid, self.position[aid])
             if vox in used_voxels:
                 raise ConfigurationError(f"agents share start voxel {vox}")
             used_voxels.add(vox)
             if self.truth[vox]:
                 raise ConfigurationError(f"agent {aid} starts inside structure voxel {vox}")
-            rt = _Runtime(spec, state, GimbalState(limits=cfg.gimbal),
-                          OccupancyMap(self.grid), vox)
+            rt = _Runtime(aid, spec, OccupancyMap(self.grid), vox)
             if spec.kind == EXPLORER:
                 rt.guard = FiringGuard(self.grid, self.truth)
                 rt.sigma = [Waypoint(tuple(p.tolist()), None, world_to_voxel(self.grid, p))
@@ -392,14 +397,14 @@ class _Mission:
     def _sense(self, k: int, t: float) -> None:
         for a in self.agents:
             if a.spec.kind == EXPLORER:
-                self.suppressed_returns += _fire(a.occ, a.guard, a.state, self.scene,
-                                                 self.cfg.lidar, t)
+                self.suppressed_returns += _fire(a.occ, a.guard, self.position[a.id],
+                                                 self.yaw[a.id], self.scene, self.cfg.lidar, t)
             # an agent's own voxel is evidently traversable
             if a.occ.cells[a.voxel] == UNKNOWN:
                 a.occ.cells[a.voxel] = FREE
 
     def _exchange(self, k: int) -> list[list[int]]:
-        peers = discover_neighbors([a.state for a in self.agents], self.scene)
+        peers = discover_neighbors(self.position, self.scene)
         merged = exchange_and_merge(peers, [a.occ for a in self.agents])
         for a, occ in zip(self.agents, merged):
             a.occ = occ
@@ -435,10 +440,10 @@ class _Mission:
             a.barren = a.occ.cells.copy()
             a.sigma = None
             return
-        positions = {a.id: a.state.position}
+        positions = {a.id: self.position[a.id]}
         for j in peers[a.id]:
             if self.agents[j].phase == 2:
-                positions[j] = self.agents[j].state.position
+                positions[j] = self.position[j]
         assignment = mtsp_assign(waypoints, positions)
         a.sigma = assignment[a.id]
         a.cursor = 0
@@ -509,89 +514,114 @@ class _Mission:
             if a.phase == 2 or a.spec.kind == EXPLORER:
                 self._follow(a, peers, k)
 
-    def _act(self, k: int) -> None:
-        claims = {a.voxel: a.id for a in self.agents}
-        for a in self.agents:
-            target_voxel = a.voxel
-            if a.seg_i < len(a.segment):
-                want = a.segment[a.seg_i]
-                if want == a.voxel:
-                    a.seg_i += 1
-                    if a.seg_i < len(a.segment):
-                        want = a.segment[a.seg_i]
-                if want != a.voxel:
-                    # enter only voxels no one holds and the local map has
-                    # confirmed free; plans may run through unknown space but
-                    # execution waits at the sensing frontier
-                    if want not in claims and a.occ.cells[want] == FREE:
-                        claims[want] = a.id
-                        target_voxel = want
+    def _claim(self, a: _Runtime, claims: dict) -> tuple[tuple, tuple]:
+        """The voxel a claims this tick, its own when it claims none, and the
+        voxel it aims at; claims maps each claimed voxel to its agent."""
+        target_voxel = a.voxel
+        if a.seg_i < len(a.segment):
+            want = a.segment[a.seg_i]
+            if want == a.voxel:
+                a.seg_i += 1
+                if a.seg_i < len(a.segment):
+                    want = a.segment[a.seg_i]
+            if want != a.voxel:
+                # enter only voxels no one holds and the local map has
+                # confirmed free; plans may run through unknown space but
+                # execution waits at the sensing frontier
+                if want not in claims and a.occ.cells[want] == FREE:
+                    claims[want] = a.id
+                    target_voxel = want
+                    a.blocked = 0
+                else:
+                    a.blocked += 1
+                    if a.blocked >= _BLOCKED_REPLAN_TICKS:
+                        a.segment = []
                         a.blocked = 0
-                    else:
-                        a.blocked += 1
-                        if a.blocked >= _BLOCKED_REPLAN_TICKS:
-                            a.segment = []
-                            a.blocked = 0
-                            a.blocked_replans += 1
+                        a.blocked_replans += 1
 
-            # aim down the straight run of the plan so cruise speed builds up;
-            # only the immediate next voxel is ever claimed
-            aim = target_voxel
-            if target_voxel != a.voxel and a.seg_i < len(a.segment):
-                j = a.seg_i
-                step = tuple(target_voxel[i] - a.voxel[i] for i in range(3))
-                while j + 1 < len(a.segment):
-                    nxt, cur = a.segment[j + 1], a.segment[j]
-                    if tuple(nxt[i] - cur[i] for i in range(3)) == step:
-                        aim = nxt
-                        j += 1
-                    else:
-                        break
+        # aim down the straight run of the plan so cruise speed builds up;
+        # only the immediate next voxel is ever claimed
+        aim = target_voxel
+        if target_voxel != a.voxel and a.seg_i < len(a.segment):
+            (x, y, z), (x0, y0, z0) = target_voxel, a.voxel
+            step = (x - x0, y - y0, z - z0)
+            run = a.segment[a.seg_i:]
+            for cur, nxt in zip(run, run[1:]):
+                if (nxt[0] - cur[0], nxt[1] - cur[1], nxt[2] - cur[2]) != step:
+                    break
+                aim = nxt
+        return target_voxel, aim
 
-            target_pos = voxel_to_world(self.grid, aim)
-            yaw_des = self._desired_yaw(a, target_pos)
-            acc, yaw_acc = track_segment(a.state, target_pos, self.cfg.tracking, yaw_des)
-            new_state = step_dynamics(a.state, acc, yaw_acc, self.cfg.tick)
+    def _act(self, k: int) -> None:
+        """Claim-arbitrated motion plus gimbal pointing for the whole fleet.
 
-            accepted = True
-            try:
-                nv = world_to_voxel(self.grid, new_state.position)
-            except OutOfBoundsError:
-                accepted = False
-            if accepted and not (nv == a.voxel or claims.get(nv) == a.id):
-                accepted = False
-            if accepted:
-                a.state = new_state
-                if nv != a.voxel:
-                    a.voxel = nv
-                    a.blocked_replans = 0
-                    if a.seg_i < len(a.segment) and nv == a.segment[a.seg_i]:
-                        a.seg_i += 1
-            else:
-                a.state = replace(new_state, position=a.state.position, velocity=np.zeros(3))
+        The claim pass runs agent by agent in fleet order, since a claim
+        depends on the claims before it.  An agent's move is then accepted
+        only into its own voxel or the one it claimed, and no later agent can
+        take a voxel already claimed, so the claims can all be made before
+        anyone moves: the whole fleet then tracks its aims, steps and is
+        voxelized at once, and the accept compares voxel tuples.  A refused
+        move keeps the old position with +0.0 velocity; the yaw update goes
+        through.
+        """
+        claims = {a.voxel: a.id for a in self.agents}
+        claimed, aims = zip(*(self._claim(a, claims) for a in self.agents))
+        grid = self.grid
+        # voxel_to_world of every aim, in the same float operations
+        (ox, oy, oz), v = grid.origin, grid.voxel_size
+        target = [(ox + (i + 0.5) * v, oy + (j + 0.5) * v, oz + (k + 0.5) * v)
+                  for i, j, k in aims]
+        desired = [self._desired_yaw(a, (x - px, y - py))
+                   for a, (x, y, _), (px, py, _) in zip(self.agents, target,
+                                                        self.position.tolist())]
+        acc, yaw_acc = track_segment(self.position, self.velocity, self.yaw, self.yaw_rate,
+                                     np.array(target), self.cfg.tracking, desired)
+        position, velocity, self.yaw, self.yaw_rate = step_dynamics(
+            self.position, self.velocity, self.yaw, self.yaw_rate, acc, yaw_acc,
+            self.v_max, self.omega_max, self.cfg.tick)
+
+        # world_to_voxel of every new position; the two voxels an agent may
+        # enter are grid voxels, so a position off the grid is refused too
+        cells = np.floor((position - grid.origin_arr) / grid.voxel_size).astype(int).tolist()
+        for i, (a, cell, want) in enumerate(zip(self.agents, map(tuple, cells), claimed)):
+            if cell == a.voxel:
+                continue
+            if cell != want:
+                # refused: the old position, at rest (+0.0, so that equal
+                # poses stay equal byte for byte)
+                position[i] = self.position[i]
+                velocity[i] = 0.0
                 self.clamp_events += 1
+                continue
+            a.voxel = cell
+            a.blocked_replans = 0
+            if a.seg_i < len(a.segment) and cell == a.segment[a.seg_i]:
+                a.seg_i += 1
+        self.position, self.velocity = position, velocity
 
-            if a.look_dir is not None and a.phase == 2:
-                a.gimbal = point_gimbal(a.gimbal, a.state, a.look_dir)
-            else:
-                forward = np.array([math.cos(a.state.yaw), math.sin(a.state.yaw), 0.0])
-                a.gimbal = point_gimbal(a.gimbal, a.state, forward)
+        looks = [a.look_dir if a.look_dir is not None and a.phase == 2
+                 else (math.cos(psi), math.sin(psi), 0.0)
+                 for a, psi in zip(self.agents, self.yaw.tolist())]
+        self.inclination, self.azimuth = point_gimbal(
+            self.yaw, self.inclination, self.azimuth, np.array(looks, dtype=float),
+            self.cfg.gimbal)
 
-    def _desired_yaw(self, a: _Runtime, target_pos: np.ndarray) -> float | None:
+    def _desired_yaw(self, a: _Runtime, rel: tuple[float, float]) -> float | None:
+        """a's heading command; rel is its aim point less its position, in x
+        and y."""
         if a.phase == 2 and a.look_dir is not None:
             lx, ly = float(a.look_dir[0]), float(a.look_dir[1])
             if math.hypot(lx, ly) > 1e-9:
                 return math.atan2(ly, lx)
             return None
-        rel = target_pos - a.state.position
         if math.hypot(rel[0], rel[1]) > 0.5:
             return math.atan2(rel[1], rel[0])
         return None
 
     def _capture(self, k: int) -> None:
         if k % self.cfg.capture_stride == 0:
-            for a in self.agents:
-                self.poses += camera_pose(a.state, a.gimbal)
+            self.poses += camera_pose(self.position, self.velocity, self.yaw,
+                                      self.inclination, self.azimuth)
 
     def _observe_distinct(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Observe each distinct pose of the pose table once and take the

@@ -140,8 +140,9 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
             f"max_range of shape {max_range.shape} for {len(dirs)} rays; give one or one per ray")
     max_range = np.broadcast_to(max_range, len(dirs))
     best = np.full(len(dirs), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_t = 1.0 / np.ascontiguousarray(dirs.T)              # signed inf where dir is 0
+    # signed inf where a component is 0, or so small that its reciprocal overflows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_t = 1.0 / np.ascontiguousarray(dirs.T)
 
     if len(scene._box_lo):
         # a NaN slab fails every test: a ray along a box face misses the box
@@ -229,6 +230,13 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Lengths of vectors (..., 3) by the BLAS dot that np.linalg.norm takes
+    for one vector, so a stack of vectors gets the lengths it would get one
+    by one; the axis=-1 norm sums differently."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def line_of_sight(scene: Scene, starts, ends) -> np.ndarray:

@@ -22,15 +22,13 @@ the product of the two scores.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .agents import AgentState, GimbalState
 from .errors import ConfigurationError
-from .scene import Scene, _cross, ray_cast_batch, visible_point_indices
+from .scene import Scene, _cross, _norm, ray_cast_batch, visible_point_indices
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
 # LiDAR servo pitch stops, and the beams' elevation spread either side of level
@@ -121,12 +119,6 @@ def camera_basis(axis) -> np.ndarray:
     return np.stack([x, y, z], axis=-1)
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Lengths of vectors (..., 3) by the BLAS dot that np.linalg.norm takes
-    for one vector, so a stack of frames equals the frames built one by one."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
 def _fov_mask(p_cam: np.ndarray, dists: np.ndarray, cfg: CameraConfig) -> np.ndarray:
     z = p_cam[..., 2]
     front = z > 0.0
@@ -178,12 +170,13 @@ def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
     return q
 
 
-def camera_pose(state: AgentState, gimbal: GimbalState) -> bytes:
-    """An agent's camera inputs, packed as the 9 doubles of one pose row of
-    observe: position, velocity, yaw, gimbal inclination and azimuth.  The
-    bytes are a copy: a later edit of the state leaves them as they were."""
-    return (state.position.tobytes() + state.velocity.tobytes()
-            + struct.pack("3d", state.yaw, gimbal.inclination, gimbal.azimuth))
+def camera_pose(position, velocity, yaw, inclination, azimuth) -> bytes:
+    """The fleet's camera inputs, packed as the pose rows of observe, one
+    row of 9 doubles per agent: position, velocity, yaw, gimbal inclination
+    and azimuth.  The bytes are a copy: a later edit of the arrays leaves
+    them as they were."""
+    return np.concatenate((position, velocity, np.array((yaw, inclination, azimuth)).T),
+                          axis=1).tobytes()
 
 
 def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
@@ -248,8 +241,9 @@ def _base_directions(beams: int, azimuth_steps: int, aperture: float) -> np.ndar
     return dirs
 
 
-def lidar_directions(agent: AgentState, cfg: LidarConfig, t: float) -> np.ndarray:
-    """The unit ray directions of one full sensor firing at time t.
+def lidar_directions(yaw: float, cfg: LidarConfig, t: float) -> np.ndarray:
+    """The unit ray directions of one full sensor firing at time t from a
+    body at the given yaw.
 
     Beams are spread over the sensor's vertical aperture, azimuths cover a full
     revolution, and the whole pattern is pitched about the body x-axis by the
@@ -259,14 +253,15 @@ def lidar_directions(agent: AgentState, cfg: LidarConfig, t: float) -> np.ndarra
     s = servo_angle(t, cfg)
     cs, ss = math.cos(s), math.sin(s)
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cs, -ss], [0.0, ss, cs]])
-    cy, sy = math.cos(agent.yaw), math.sin(agent.yaw)
+    cy, sy = math.cos(yaw), math.sin(yaw)
     rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
     return base @ (rz @ rx).T
 
 
-def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
+def lidar_sweep(position, scene: Scene, cfg: LidarConfig,
                 dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cast the given rays of a firing: (hits, endpoints of empty rays).
+    """Cast the given rays of a firing from position (3,): (hits, endpoints
+    of empty rays).
 
     hits is (n, 2, 3): each hit's point, then the unit direction of its ray,
     which the mapper nudges the hit along.  Rays that see nothing report
@@ -274,9 +269,9 @@ def lidar_sweep(agent: AgentState, scene: Scene, cfg: LidarConfig,
     crossed.  Each ray's result does not depend on which other rays are
     cast.  Noise-free.
     """
-    hit, dist = ray_cast_batch(scene, agent.position, dirs, cfg.range)
+    hit, dist = ray_cast_batch(scene, position, dirs, cfg.range)
     hits = np.empty((np.count_nonzero(hit), 2, 3))
     hits[:, 1] = dirs[hit]
-    hits[:, 0] = agent.position + hits[:, 1] * dist[hit, None]
-    misses = agent.position + dirs[~hit] * cfg.range
+    hits[:, 0] = position + hits[:, 1] * dist[hit, None]
+    misses = position + dirs[~hit] * cfg.range
     return hits, misses

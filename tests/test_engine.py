@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_agents import (AgentState, GimbalState, reference_point_gimbal,
+                         reference_step_dynamics, reference_track_segment)
 from test_mesh import prism_mission
-from test_sensors import poses
 from uavinspect import cli, engine, sensors
-from uavinspect.agents import GimbalState, step_dynamics, track_segment
+from uavinspect.agents import TrackingConfig
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                inspection_score, intensity_heatmap, run_mission,
                                update_ledger, write_outputs)
-from uavinspect.errors import ConfigurationError
+from uavinspect.errors import ConfigurationError, OutOfBoundsError
 from uavinspect.planning import generate_waypoints
 from uavinspect.scene import InterestPoint, Scene, scatter_box_face_points
 from uavinspect.sensors import CameraConfig, LidarConfig, Observations
@@ -355,11 +356,15 @@ def facing_mission():
     return cfg, small_scene(num_points=10, seed=3)
 
 
+def fleet_poses(mission):
+    """The fleet's camera poses, one row of 9 doubles per agent."""
+    return np.frombuffer(sensors.camera_pose(mission.position, mission.velocity, mission.yaw,
+                                             mission.inclination, mission.azimuth)).reshape(-1, 9)
+
+
 def fleet_rows(mission, k):
     """The log rows of tick k from one observe call on the whole fleet."""
-    full = sensors.observe(poses([a.state for a in mission.agents],
-                                 [a.gimbal for a in mission.agents]),
-                           mission.scene, mission.cfg.camera)
+    full = sensors.observe(fleet_poses(mission), mission.scene, mission.cfg.camera)
     return list(zip([k] * len(full), full.agent.tolist(),
                     mission.scene.point_ids[full.point].tolist(),
                     full.q_blur.tolist(), full.q_res.tolist(), full.q.tolist()))
@@ -446,14 +451,13 @@ def test_each_camera_input_renews_the_rows(change):
     a = mission.agents[1]
     mission._capture(0)
     first = fleet_rows(mission, 0)
-    if change in ("inclination", "azimuth"):
-        a.gimbal = dataclasses.replace(a.gimbal, **{change: getattr(a.gimbal, change) + 0.3})
-    elif change == "yaw":
-        a.state.yaw += 0.3
+    # each edit is in place
+    if change in ("inclination", "azimuth", "yaw"):
+        getattr(mission, change)[a.id] += 0.3
     elif change == "position":
-        a.state.position[0] -= 25.0             # in place; far enough to lose resolution
+        mission.position[a.id, 0] -= 25.0       # far enough to lose resolution
     else:
-        a.state.velocity[1] += 20.0             # in place; fast enough to smear
+        mission.velocity[a.id, 1] += 20.0       # fast enough to smear
     mission._capture(1)
     assert recorded_agents(bytes(mission.poses), 2) == [[0, 1], [1]]
     second = fleet_rows(mission, 1)
@@ -474,7 +478,7 @@ def scored_by_hand(monkeypatch, gimbals):
     missions = _Mission(*facing_mission()), PerTickScoring(*facing_mission())
     for mission in missions:
         for k, gimbal in enumerate(gimbals):
-            mission.agents[1].gimbal = gimbal
+            mission.inclination[1], mission.azimuth[1] = gimbal.inclination, gimbal.azimuth
             mission._capture(k)
         mission._score(len(gimbals))
     return [pose for call in calls for pose in call], *missions
@@ -523,13 +527,13 @@ class PerTickScoring(_Mission):
 
     def _capture(self, k):
         if k % self.cfg.capture_stride == 0:
-            fresh = [a for a in self.agents
-                     if sensors.camera_pose(a.state, a.gimbal) != self.kept[a.id][0]]
-            obs = sensors.observe(poses([a.state for a in fresh], [a.gimbal for a in fresh]),
+            pose = [row.tobytes() for row in fleet_poses(self)]
+            fresh = [a for a in self.agents if pose[a.id] != self.kept[a.id][0]]
+            obs = sensors.observe(np.frombuffer(b"".join(pose[a.id] for a in fresh)).reshape(-1, 9),
                                   self.scene, self.cfg.camera)
             for row, a in enumerate(fresh):
                 mine = obs.agent == row
-                self.kept[a.id] = (sensors.camera_pose(a.state, a.gimbal),
+                self.kept[a.id] = (pose[a.id],
                                    [np.full(np.count_nonzero(mine), a.id), obs.point[mine],
                                     obs.q_blur[mine], obs.q_res[mine], obs.q[mine]])
             obs = Observations(*map(np.concatenate, zip(*(rows for _, rows in self.kept))))
@@ -544,13 +548,12 @@ class PerTickScoring(_Mission):
 
 def jostled(mission_class):
     """mission_class with every agent's position edited in place after each
-    capture: a capture must keep the pose it saw, not the agent's state."""
+    capture: a capture must keep the pose it saw, not the fleet's arrays."""
 
     class Jostled(mission_class):
         def _capture(self, k):
             super()._capture(k)
-            for a in self.agents:
-                a.state.position += 1e-3 if k % 2 else -1e-3
+            self.position += 1e-3 if k % 2 else -1e-3
 
     return Jostled
 
@@ -576,6 +579,12 @@ ORACLE_MISSIONS = {
     "stride_3": lambda: (small_config(duration=20.0, capture_stride=3), small_scene()),
     "no_points": lambda: (small_config(duration=10.0),
                           Scene(inspection_boxes=[BoundingBox((6, 6, 6), (36, 36, 36))])),
+    # undamped tracking overshoots into voxels no one claimed: moves are held
+    "undamped": lambda: (small_config(
+        duration=30.0, tracking=TrackingConfig(kp=1.0, kd=0.0),
+        agents=(AgentSpec("explorer", (9.0, 21.0, 21.0)), AgentSpec("photographer", (9.0, 9.0, 9.0)),
+                AgentSpec("photographer", (33.0, 9.0, 9.0)),
+                AgentSpec("explorer", (33.0, 33.0, 33.0)))), small_scene()),
 }
 
 
@@ -719,25 +728,143 @@ def test_survey_goal_underfoot_keeps_the_blocked_replan_count():
     assert a.blocked_replans == 2
 
 
+def agent_state(mission, i):
+    """Agent i's row of the fleet arrays, as the reference kernels take it."""
+    return AgentState(i, mission.position[i], float(mission.yaw[i]), mission.velocity[i],
+                      float(mission.yaw_rate[i]), float(mission.v_max[i]),
+                      float(mission.omega_max[i]))
+
+
+def reference_desired_yaw(a, state, target_pos):
+    """_Mission._desired_yaw for one agent, from its state and aim point."""
+    if a.phase == 2 and a.look_dir is not None:
+        lx, ly = float(a.look_dir[0]), float(a.look_dir[1])
+        if math.hypot(lx, ly) > 1e-9:
+            return math.atan2(ly, lx)
+        return None
+    rel = target_pos - state.position
+    if math.hypot(rel[0], rel[1]) > 0.5:
+        return math.atan2(rel[1], rel[0])
+    return None
+
+
 def test_a_step_into_an_unclaimed_voxel_is_held():
-    # the held photographer is pushed a whole voxel along x in one tick: the
-    # move is refused, but the yaw update of the same step goes through
+    # the held photographer is pushed a whole voxel along x in one tick, and
+    # drifts back along y: the move is refused, but the yaw update of the
+    # same step goes through
     mission = _Mission(small_config(), small_scene())
     a = mission.agents[1]
-    a.state = dataclasses.replace(a.state, velocity=np.array([mission.grid.voxel_size / 0.1,
-                                                              0.0, 0.0]), yaw_rate=0.5)
-    before, voxel = a.state, a.voxel
+    mission.velocity[a.id] = (mission.grid.voxel_size / 0.1, -0.5, 0.0)
+    mission.yaw_rate[a.id] = 0.5
+    before, voxel = agent_state(mission, a.id), a.voxel
     target = voxel_to_world(mission.grid, voxel)
-    acc, yaw_acc = track_segment(before, target, mission.cfg.tracking,
-                                 mission._desired_yaw(a, target))
-    stepped = step_dynamics(before, acc, yaw_acc, mission.cfg.tick)
+    acc, yaw_acc = reference_track_segment(before, target, mission.cfg.tracking,
+                                           reference_desired_yaw(a, before, target))
+    stepped = reference_step_dynamics(before, acc, yaw_acc, mission.cfg.tick)
     assert world_to_voxel(mission.grid, stepped.position) != voxel
+    assert stepped.velocity[1] < 0.0
     mission._act(0)
+    after = agent_state(mission, a.id)
     assert a.voxel == voxel and mission.clamp_events == 1
-    assert a.state.position.tolist() == before.position.tolist()
-    assert a.state.velocity.tolist() == [0.0, 0.0, 0.0]
-    assert (a.state.yaw, a.state.yaw_rate) == (stepped.yaw, stepped.yaw_rate)
-    assert a.state.yaw != before.yaw
+    assert after.position.tolist() == before.position.tolist()
+    assert after.velocity.tolist() == [0.0, 0.0, 0.0]
+    assert (after.yaw, after.yaw_rate) == (stepped.yaw, stepped.yaw_rate)
+    assert after.yaw != before.yaw
+    # the held velocity is +0.0, so equal poses stay one pose byte for byte
+    pose = fleet_poses(mission)[a.id]
+    assert pose[3:6].tobytes() == np.zeros(3).tobytes()
+    assert pose[:3].tobytes() == before.position.tobytes()
+
+
+# --- the per-agent act stage: the oracle for the batched one ------------------------
+
+class PerAgentAct(_Mission):
+    """The act stage one agent at a time on the reference kernels, claim,
+    step and accept in turn, reading and writing each agent's row of the
+    fleet arrays."""
+
+    def _act(self, k):
+        claims = {a.voxel: a.id for a in self.agents}
+        for a in self.agents:
+            i = a.id
+            state = agent_state(self, i)
+            gimbal = GimbalState(float(self.inclination[i]), float(self.azimuth[i]),
+                                 self.cfg.gimbal)
+            target_voxel = a.voxel
+            if a.seg_i < len(a.segment):
+                want = a.segment[a.seg_i]
+                if want == a.voxel:
+                    a.seg_i += 1
+                    if a.seg_i < len(a.segment):
+                        want = a.segment[a.seg_i]
+                if want != a.voxel:
+                    if want not in claims and a.occ.cells[want] == FREE:
+                        claims[want] = a.id
+                        target_voxel = want
+                        a.blocked = 0
+                    else:
+                        a.blocked += 1
+                        if a.blocked >= engine._BLOCKED_REPLAN_TICKS:
+                            a.segment = []
+                            a.blocked = 0
+                            a.blocked_replans += 1
+
+            aim = target_voxel
+            if target_voxel != a.voxel and a.seg_i < len(a.segment):
+                j = a.seg_i
+                step = tuple(target_voxel[i] - a.voxel[i] for i in range(3))
+                while j + 1 < len(a.segment):
+                    nxt, cur = a.segment[j + 1], a.segment[j]
+                    if tuple(nxt[i] - cur[i] for i in range(3)) == step:
+                        aim = nxt
+                        j += 1
+                    else:
+                        break
+
+            target_pos = voxel_to_world(self.grid, aim)
+            yaw_des = reference_desired_yaw(a, state, target_pos)
+            acc, yaw_acc = reference_track_segment(state, target_pos, self.cfg.tracking, yaw_des)
+            new_state = reference_step_dynamics(state, acc, yaw_acc, self.cfg.tick)
+
+            accepted = True
+            try:
+                nv = world_to_voxel(self.grid, new_state.position)
+            except OutOfBoundsError:
+                accepted = False
+            if accepted and not (nv == a.voxel or claims.get(nv) == a.id):
+                accepted = False
+            if accepted:
+                state = new_state
+                if nv != a.voxel:
+                    a.voxel = nv
+                    a.blocked_replans = 0
+                    if a.seg_i < len(a.segment) and nv == a.segment[a.seg_i]:
+                        a.seg_i += 1
+            else:
+                state = dataclasses.replace(new_state, position=state.position,
+                                            velocity=np.zeros(3))
+                self.clamp_events += 1
+
+            if a.look_dir is not None and a.phase == 2:
+                gimbal = reference_point_gimbal(gimbal, state, a.look_dir)
+            else:
+                forward = np.array([math.cos(state.yaw), math.sin(state.yaw), 0.0])
+                gimbal = reference_point_gimbal(gimbal, state, forward)
+            self.position[i], self.velocity[i] = state.position, state.velocity
+            self.yaw[i], self.yaw_rate[i] = state.yaw, state.yaw_rate
+            self.inclination[i], self.azimuth[i] = gimbal.inclination, gimbal.azimuth
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MISSIONS))
+def test_batched_act_equals_the_per_agent_act(name):
+    cfg, scene = ORACLE_MISSIONS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got, expected = _Mission(cfg, scene).run(), PerAgentAct(cfg, scene).run()
+    assert got.digest() == expected.digest()
+    assert got.plan_events == expected.plan_events
+    assert got.clamp_events == expected.clamp_events
+    assert name != "undamped" or got.clamp_events > 0
 
 
 def test_no_agent_regenerates_on_a_map_that_gave_no_waypoints(monkeypatch):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from test_engine import bench_workload
 from uavinspect import cli, engine
-from uavinspect.agents import AgentState
 from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
 from uavinspect.scene import Scene, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions, lidar_sweep
@@ -29,10 +28,10 @@ from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def reference_fire(occ, truth, state, scene, lidar, t):
+def reference_fire(occ, truth, position, yaw, scene, lidar, t):
     """The unculled firing: every ray cast, the map updated under the hit rule."""
-    hits, misses = lidar_sweep(state, scene, lidar, lidar_directions(state, lidar, t))
-    return integrate_points(occ, state.position, hits[:, 0], hits[:, 1], misses, truth)
+    hits, misses = lidar_sweep(position, scene, lidar, lidar_directions(yaw, lidar, t))
+    return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, truth)
 
 
 # --- the firing of a mission ---------------------------------------------------
@@ -43,10 +42,10 @@ def checked_run(cfg, scene, monkeypatch, stats):
     rays and the rays cast."""
     cast = engine.lidar_sweep
 
-    def counting(state, scene, lidar, dirs):
+    def counting(position, scene, lidar, dirs):
         stats["cast"] += len(dirs)
         stats["swept"] += 1
-        return cast(state, scene, lidar, dirs)
+        return cast(position, scene, lidar, dirs)
 
     sense = _Mission._sense
 
@@ -56,7 +55,8 @@ def checked_run(cfg, scene, monkeypatch, stats):
             if a.spec.kind == "explorer":
                 occ = a.occ.copy()
                 stats["reference_suppressed"] += reference_fire(
-                    occ, self.truth, a.state, self.scene, self.cfg.lidar, t)
+                    occ, self.truth, self.position[a.id], self.yaw[a.id], self.scene,
+                    self.cfg.lidar, t)
                 if occ.cells[a.voxel] == UNKNOWN:
                     occ.cells[a.voxel] = FREE
                 expected[a.id] = occ
@@ -190,17 +190,17 @@ def firings(draw):
                         azimuth_steps=draw(st.sampled_from([4, 8, 12, 30])))
     t = draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0)))
     yaw = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
-    return grid, scene, truth, cells, AgentState(0, position, yaw=yaw), lidar, t
+    return grid, scene, truth, cells, position, yaw, lidar, t
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(firing=firings())
 def test_culled_firing_equals_the_unculled_firing_on_random_scenes(firing):
-    grid, scene, truth, cells, state, lidar, t = firing
+    grid, scene, truth, cells, position, yaw, lidar, t = firing
     expected = OccupancyMap(grid, cells.copy())
-    suppressed = reference_fire(expected, truth, state, scene, lidar, t)
+    suppressed = reference_fire(expected, truth, position, yaw, scene, lidar, t)
     got = OccupancyMap(grid, cells.copy())
-    got_suppressed = engine._fire(got, FiringGuard(grid, truth), state, scene, lidar, t)
+    got_suppressed = engine._fire(got, FiringGuard(grid, truth), position, yaw, scene, lidar, t)
     assert np.array_equal(got.cells, expected.cells)
     assert got_suppressed <= suppressed
     # the hit rule: no firing marks a cell the structure does not occupy
@@ -216,12 +216,12 @@ def test_a_hit_at_full_range_on_a_voxel_plane_is_cast():
     scene = Scene(solid_boxes=[BoundingBox((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))])
     truth = scene_occupancy(scene, grid)
     cells = np.array([UNKNOWN, FREE, FREE, FREE], dtype=np.uint8).reshape(grid.dims)
-    state = AgentState(0, np.array([7.0, 1.0, 1.0]))
+    position = np.array([7.0, 1.0, 1.0])
     lidar = LidarConfig(range=5.0, beams=1, azimuth_steps=2)
     expected = OccupancyMap(grid, cells.copy())
-    reference_fire(expected, truth, state, scene, lidar, LEVEL)
+    reference_fire(expected, truth, position, 0.0, scene, lidar, LEVEL)
     got = OccupancyMap(grid, cells.copy())
-    engine._fire(got, FiringGuard(grid, truth), state, scene, lidar, LEVEL)
+    engine._fire(got, FiringGuard(grid, truth), position, 0.0, scene, lidar, LEVEL)
     assert expected.cells[0, 0, 0] == OCCUPIED
     assert np.array_equal(got.cells, expected.cells)
 
@@ -232,10 +232,10 @@ def test_a_free_structure_cell_keeps_its_firing():
     scene = Scene(solid_boxes=[BoundingBox((0.0, 0.0, 0.0), (1.0, 2.0, 2.0))])
     truth = scene_occupancy(scene, grid)
     cells = np.full(grid.dims, FREE, dtype=np.uint8)
-    state = AgentState(0, np.array([7.0, 1.0, 1.0]))
+    position = np.array([7.0, 1.0, 1.0])
     lidar = LidarConfig(range=10.0, beams=1, azimuth_steps=2)
     got = OccupancyMap(grid, cells.copy())
-    engine._fire(got, FiringGuard(grid, truth), state, scene, lidar, LEVEL)
+    engine._fire(got, FiringGuard(grid, truth), position, 0.0, scene, lidar, LEVEL)
     assert got.cells[0, 0, 0] == OCCUPIED
 
 

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from test_engine import bench_workload, shipped
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (InterestPoint, Scene, _slabs, line_of_sight, ray_cast_batch,
+from uavinspect.scene import (InterestPoint, Scene, _norm, _slabs, line_of_sight, ray_cast_batch,
                               scatter_box_face_points, scene_occupancy,
                               visible_point_indices)
 from uavinspect.world import BoundingBox, VoxelGrid
@@ -391,3 +392,48 @@ def test_scatter_respects_face_selection():
     for p in pts:
         assert p.position[2] == pytest.approx(4.0)
         assert p.normal == (0.0, 0.0, 1.0)
+
+
+# --- vector lengths and tiny direction components ------------------------------
+
+def test_norm_equals_the_per_vector_numpy_norm_bit_for_bit():
+    # the act kernels and the camera frames take every length from _norm, so
+    # a stack of vectors must get the lengths np.linalg.norm gives one by one;
+    # a host whose BLAS dot breaks this fails here, not in a digest
+    rng = np.random.default_rng(2024)
+    v = rng.normal(size=(200_000, 3)) * 10.0 ** rng.uniform(-6, 6, size=(200_000, 1))
+    v[:1000] *= 10.0 ** rng.uniform(-6, 6, size=(1000, 3))     # mixed scales in a vector
+    v[1000:2000, rng.integers(3, size=1000)] = 0.0
+    v[2000:3000, 0] = -0.0
+    got = _norm(v)
+    expected = np.array([np.linalg.norm(row) for row in v])
+    assert got.tobytes() == expected.tobytes()
+    assert _norm(v.reshape(-1, 50, 3)).tobytes() == expected.tobytes()
+    # the sum the axis=-1 norm takes is not this one
+    assert not np.array_equal(np.linalg.norm(v, axis=-1), expected)
+
+
+@pytest.mark.parametrize("scene_of", [lambda: shipped("desk_box"),
+                                      lambda: bench_workload("mesh_tower", 1)],
+                         ids=["desk_box", "mesh_tower"])
+def test_a_subnormal_direction_component_casts_as_zero(scene_of):
+    # 1 / 5e-324 overflows to the same signed inf that 1 / 0.0 gives
+    cfg, scene = scene_of()
+    rng = np.random.default_rng(9)
+    dirs = rng.normal(size=(3000, 3))
+    dirs[rng.random((3000, 3)) < 0.4] = 0.0
+    dirs[np.all(dirs == 0.0, axis=1), 2] = -1.0
+    dirs[rng.random((3000, 3)) < 0.5] *= -1.0                   # -0.0 as well as 0.0
+    dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    tiny = np.where(dirs == 0.0, np.copysign(5e-324, dirs), dirs)
+    assert np.count_nonzero(tiny != dirs) > 1000
+    hits = 0
+    for start in [a.start for a in cfg.agents]:
+        expected = ray_cast_batch(scene, start, dirs, 50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ray_cast_batch(scene, start, tiny, 50.0)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        hits += np.count_nonzero(got[0])
+    assert hits > 500

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from uavinspect.agents import AgentState, GimbalState
+from test_agents import AgentState, GimbalState
 from uavinspect.errors import ConfigurationError
 from uavinspect.scene import (InterestPoint, Scene, ray_cast_batch, scatter_box_face_points,
                               visible_point_indices)
@@ -25,7 +25,12 @@ def cam(**kw):
 
 def poses(states, gimbals):
     """The pose rows observe takes for index-aligned states and gimbals."""
-    return np.frombuffer(b"".join(map(camera_pose, states, gimbals))).reshape(-1, 9)
+    return np.frombuffer(camera_pose(
+        np.array([s.position for s in states], dtype=float).reshape(-1, 3),
+        np.array([s.velocity for s in states], dtype=float).reshape(-1, 3),
+        np.array([s.yaw for s in states], dtype=float),
+        np.array([g.inclination for g in gimbals], dtype=float),
+        np.array([g.azimuth for g in gimbals], dtype=float))).reshape(-1, 9)
 
 
 # --- camera frame -------------------------------------------------------------
@@ -401,10 +406,14 @@ def test_one_agent_at_many_poses_in_one_call():
 
 
 def test_camera_pose_is_a_copy():
-    a, g = agent(pos=(1, 2, 3), vel=(4, 5, 6), yaw=0.5), GimbalState(-0.25, 0.125)
-    pose = camera_pose(a, g)
-    a.position[0] = a.velocity[0] = 9.0
-    assert np.frombuffer(pose).tolist() == [1, 2, 3, 4, 5, 6, 0.5, -0.25, 0.125]
+    position, velocity = np.array([[1.0, 2, 3], [-1, -2, -3]]), np.array([[4.0, 5, 6], [0, 0, 0]])
+    yaw, inclination, azimuth = np.array([0.5, 1.5]), np.array([-0.25, 0]), np.array([0.125, -0.0])
+    pose = camera_pose(position, velocity, yaw, inclination, azimuth)
+    position[0, 0] = velocity[0, 0] = yaw[0] = inclination[0] = azimuth[1] = 9.0
+    # one row of 9 doubles per agent, in fleet order; -0.0 keeps its sign
+    assert np.frombuffer(pose).tolist() == [1, 2, 3, 4, 5, 6, 0.5, -0.25, 0.125,
+                                            -1, -2, -3, 0, 0, 0, 1.5, 0, 0]
+    assert pose[-8:] == np.float64(-0.0).tobytes()
 
 
 def test_observe_without_points_or_agents_is_empty():
@@ -437,7 +446,7 @@ def closed_room(half=10.0, thickness=1.0):
 
 
 def fire(a, scene, cfg, t):
-    return lidar_sweep(a, scene, cfg, lidar_directions(a, cfg, t))
+    return lidar_sweep(a.position, scene, cfg, lidar_directions(a.yaw, cfg, t))
 
 
 def test_lidar_empty_scene_returns_empty_cloud():
@@ -482,12 +491,12 @@ def test_lidar_rays_cast_apart_equal_the_whole_firing():
     scene = Scene(solid_boxes=closed_room(10.0).solid_boxes[:3], triangles=tris)
     rng = np.random.default_rng(3)
     for t in (0.0, 1.3, 5.9):
-        dirs = lidar_directions(a, cfg, t)
-        hits, misses = lidar_sweep(a, scene, cfg, dirs)
+        dirs = lidar_directions(a.yaw, cfg, t)
+        hits, misses = lidar_sweep(a.position, scene, cfg, dirs)
         hit, dist = ray_cast_batch(scene, a.position, dirs, cfg.range)
         assert np.array_equal(hits[:, 1], dirs[hit])        # each hit carries its ray
         assert np.array_equal(hits[:, 0], a.position + dirs[hit] * dist[hit, None])
         for keep in (rng.random(len(dirs)) < 0.3, np.arange(len(dirs)) % 5 == 0):
-            part_hits, part_misses = lidar_sweep(a, scene, cfg, dirs[keep])
+            part_hits, part_misses = lidar_sweep(a.position, scene, cfg, dirs[keep])
             assert np.array_equal(part_hits, hits[keep[hit]])
             assert np.array_equal(part_misses, misses[keep[~hit]])
