@@ -87,16 +87,15 @@ class MissionConfig:
     tracking: TrackingConfig = TrackingConfig()
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigurationError("mission duration must be positive")
-        if self.tick <= 0:
-            raise ConfigurationError("tick must be positive")
+        for value, what in ((self.duration, "mission duration"), (self.tick, "tick"),
+                            (self.voxel_size, "voxel size"),
+                            (self.waypoint_standoff, "waypoint standoff")):
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"{what} must be positive and finite, got {value}")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be at least 1")
         if self.capture_stride < 1:
             raise ConfigurationError("capture stride must be at least 1")
-        if self.waypoint_standoff is not None and self.waypoint_standoff <= 0:
-            raise ConfigurationError("waypoint standoff must be positive")
         n_e = sum(1 for a in self.agents if a.kind == EXPLORER)
         if n_e not in (1, 2):
             raise ConfigurationError(f"explorer count must be 1 or 2, got {n_e}")

@@ -1,10 +1,9 @@
 """Inspection planning: sweep routes, waypoint generation, greedy multi-agent
-waypoint assignment, and Dijkstra-based receding-horizon path steps.
+waypoint assignment, and breadth-first receding-horizon path steps.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,9 +154,10 @@ def dijkstra_path(occ_map: OccupancyMap, reserved: set,
     """Shortest collision-free voxel path from start to goal.
 
     Traversable voxels are the non-occupied cells of the map minus reserved
-    voxels (other agents' current cells); face-adjacent voxels are joined by
-    edges weighing one voxel size.  Ties are broken lexicographically by
-    voxel index so replanning is reproducible.  Returns [] when the goal is
+    voxels (other agents' current cells); face neighbors are one hop apart.
+    The search is breadth-first: each layer is expanded in lexicographic
+    voxel order, and a voxel's predecessor is the first voxel that reaches
+    it, so replanning is reproducible.  Returns [] when the goal is
     unreachable; the path includes both endpoints.
     """
     start = tuple(start)
@@ -175,31 +175,22 @@ def dijkstra_path(occ_map: OccupancyMap, reserved: set,
     if start == goal:
         return [start]
 
-    weight = occ_map.grid.voxel_size
-    dist: dict[Voxel, float] = {start: 0.0}
-    prev: dict[Voxel, Voxel] = {}
-    heap: list[tuple[float, Voxel]] = [(0.0, start)]
-    settled: set[Voxel] = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == goal:
-            break
-        x, y, z = v
-        for dx, dy, dz in FACE_STEPS:
-            n = (x + dx, y + dy, z + dz)
-            if not (0 <= n[0] < dims[0] and 0 <= n[1] < dims[1] and 0 <= n[2] < dims[2]):
-                continue
-            if n in settled or cells[n] == OCCUPIED or n in reserved:
-                continue
-            nd = d + weight
-            if nd < dist.get(n, float("inf")):
-                dist[n] = nd
+    prev: dict[Voxel, Voxel] = {start: start}
+    layer = [start]
+    while layer and goal not in prev:
+        reached = []
+        for v in sorted(layer):
+            x, y, z = v
+            for dx, dy, dz in FACE_STEPS:
+                n = (x + dx, y + dy, z + dz)
+                if not (0 <= n[0] < dims[0] and 0 <= n[1] < dims[1] and 0 <= n[2] < dims[2]):
+                    continue
+                if n in prev or cells[n] == OCCUPIED or n in reserved:
+                    continue
                 prev[n] = v
-                heapq.heappush(heap, (nd, n))
-    if goal not in settled:
+                reached.append(n)
+        layer = reached
+    if goal not in prev:
         return []
     path = [goal]
     while path[-1] != start:

@@ -8,7 +8,9 @@ over free winning over unknown.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,14 +68,18 @@ class VoxelGrid:
     voxel_size: float
 
     def __post_init__(self):
-        if self.voxel_size <= 0:
-            raise ConfigurationError("voxel size must be positive")
+        if not (self.voxel_size > 0 and math.isfinite(self.voxel_size)):
+            raise ConfigurationError("voxel size must be positive and finite")
+        if not all(math.isfinite(c) for c in self.origin):
+            raise ConfigurationError(f"grid origin must be finite, got {self.origin}")
         if any(d < 1 for d in self.dims):
             raise ConfigurationError(f"grid dims must be positive, got {self.dims}")
 
-    @property
+    @cached_property
     def origin_arr(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=float)
+        arr = np.asarray(self.origin, dtype=float)
+        arr.flags.writeable = False
+        return arr
 
     @property
     def cell_count(self) -> int:
@@ -408,15 +414,17 @@ def save_map(occ_map: OccupancyMap, path) -> None:
 
 def load_map(path) -> OccupancyMap:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline().decode("ascii", "replace").split()
         payload = fh.read()
-    if header[:2] != ["VOXMAP", "1"]:
-        raise ConfigurationError(f"not a VOXMAP file: {path}")
-    origin = tuple(float(x) for x in header[3:6])
-    dims = tuple(int(x) for x in header[7:10])
-    voxel = float(header[11])
-    grid = VoxelGrid(origin, dims, voxel)
+    if (len(header) != 12
+            or header[:3] + header[6::4] != ["VOXMAP", "1", "origin", "dims", "voxel"]):
+        raise ConfigurationError(f"not a VOXMAP 1 file: {path}")
+    try:
+        grid = VoxelGrid(tuple(float(x) for x in header[3:6]),
+                         tuple(int(x) for x in header[7:10]), float(header[11]))
+    except ValueError as exc:
+        raise ConfigurationError(f"malformed VOXMAP header in {path}: {exc}") from None
     cells = np.frombuffer(payload, dtype=np.uint8)
     if cells.size != grid.cell_count:
         raise ConfigurationError(f"payload size {cells.size} != cell count {grid.cell_count}")
-    return OccupancyMap(grid, cells.reshape(dims, order="F").copy())
+    return OccupancyMap(grid, cells.reshape(grid.dims, order="F").copy())

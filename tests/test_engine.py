@@ -228,6 +228,14 @@ def test_config_rejects_bad_scalars():
         AgentSpec("diver", (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("field", ["duration", "tick", "voxel_size", "waypoint_standoff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_scalars(field, value):
+    agents = (AgentSpec("explorer", (0.0, 0.0, 0.0)),)
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        MissionConfig(**{"duration": 10.0, "agents": agents, field: value})
+
+
 def test_agents_sharing_a_start_voxel_rejected():
     cfg = MissionConfig(duration=5.0, agents=(
         AgentSpec("explorer", (9.0, 9.0, 9.0)),

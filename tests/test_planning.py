@@ -1,3 +1,4 @@
+import heapq
 from collections import deque
 
 import numpy as np
@@ -7,7 +8,7 @@ from uavinspect.errors import ConfigurationError, OutOfBoundsError, PlanningErro
 from uavinspect.planning import (Waypoint, dijkstra_path, drhlp_step,
                                  generate_waypoints, mapping_paths, mtsp_assign)
 from uavinspect.world import (FACE_STEPS, FREE, OCCUPIED, UNKNOWN, BoundingBox,
-                              OccupancyMap, VoxelGrid,
+                              OccupancyMap, Voxel, VoxelGrid,
                               voxel_to_world, world_to_voxel)
 
 
@@ -422,6 +423,97 @@ def test_dijkstra_deterministic_tie_breaks():
     p1 = dijkstra_path(m, set(), (0, 0, 0), (4, 4, 0))
     p2 = dijkstra_path(m, set(), (0, 0, 0), (4, 4, 0))
     assert p1 == p2
+
+
+def reference_dijkstra_path(occ_map, reserved, start, goal):
+    """The heap Dijkstra that dijkstra_path replaced: the oracle for its paths."""
+    start = tuple(start)
+    goal = tuple(goal)
+    cells = occ_map.cells
+    if cells[start] == OCCUPIED:
+        raise PlanningError(f"start voxel {start} is occupied")
+    if start in reserved:
+        raise PlanningError(f"start voxel {start} is reserved")
+    dims = occ_map.grid.dims
+    if not occ_map.grid.in_bounds(goal):
+        return []
+    if cells[goal] == OCCUPIED or goal in reserved:
+        return []
+    if start == goal:
+        return [start]
+
+    weight = occ_map.grid.voxel_size
+    dist: dict[Voxel, float] = {start: 0.0}
+    prev: dict[Voxel, Voxel] = {}
+    heap: list[tuple[float, Voxel]] = [(0.0, start)]
+    settled: set[Voxel] = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in settled:
+            continue
+        settled.add(v)
+        if v == goal:
+            break
+        x, y, z = v
+        for dx, dy, dz in FACE_STEPS:
+            n = (x + dx, y + dy, z + dz)
+            if not (0 <= n[0] < dims[0] and 0 <= n[1] < dims[1] and 0 <= n[2] < dims[2]):
+                continue
+            if n in settled or cells[n] == OCCUPIED or n in reserved:
+                continue
+            nd = d + weight
+            if nd < dist.get(n, float("inf")):
+                dist[n] = nd
+                prev[n] = v
+                heapq.heappush(heap, (nd, n))
+    if goal not in settled:
+        return []
+    path = [goal]
+    while path[-1] != start:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def path_outcome(search, occ_map, reserved, start, goal):
+    try:
+        return search(occ_map, reserved, start, goal)
+    except PlanningError as exc:
+        return ("PlanningError", str(exc))
+
+
+def test_dijkstra_paths_equal_heap_reference_random_grids():
+    """Same list, voxel for voxel, as the heap search on mixed random grids,
+    at voxel sizes whose repeated float sums are inexact."""
+    rng = np.random.default_rng(19)
+    seen = {"path": 0, "unreachable": 0, "raises": 0, "same": 0, "off_grid": 0}
+    for _ in range(2400):
+        dims = tuple(int(d) for d in rng.integers(1, 9, size=3))
+        voxel = float(rng.choice([0.1, 0.3, 1.0 / 3.0, 1.5, 6.0]))
+        m = OccupancyMap(VoxelGrid((0.0, 0.0, 0.0), dims, voxel))
+        m.cells[:] = rng.choice([UNKNOWN, FREE, OCCUPIED], size=dims, p=[0.25, 0.5, 0.25])
+        cells = [tuple(int(c) for c in v) for v in np.argwhere(np.ones(dims, dtype=bool))]
+        pick = rng.integers(len(cells), size=5)
+        start = cells[pick[0]]
+        reserved = {cells[i] for i in pick[2:2 + rng.integers(0, 4)]}
+        roll = rng.random()
+        if roll < 0.05:
+            goal = start
+        elif roll < 0.1:
+            goal = tuple(int(c) for c in rng.integers(-1, np.asarray(dims) + 1))
+        else:
+            goal = cells[pick[1]]
+        got = path_outcome(dijkstra_path, m, reserved, start, goal)
+        assert got == path_outcome(reference_dijkstra_path, m, reserved, start, goal)
+        if isinstance(got, tuple):
+            seen["raises"] += 1
+        elif not m.grid.in_bounds(goal):
+            seen["off_grid"] += 1
+        elif goal == start:
+            seen["same"] += 1
+        else:
+            seen["path" if got else "unreachable"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # --- receding-horizon step ----------------------------------------------------------

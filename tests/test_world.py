@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -78,6 +80,33 @@ def test_grid_rejects_bad_voxel_size():
         build_grid(vol, 0.0)
     with pytest.raises(ConfigurationError):
         build_grid(vol, -1.0)
+
+
+@pytest.mark.parametrize("origin, voxel", [
+    ((0.0, 0.0, 0.0), math.nan),
+    ((0.0, 0.0, 0.0), math.inf),
+    ((0.0, 0.0, 0.0), 0.0),
+    ((0.0, 0.0, 0.0), -1.0),
+    ((math.nan, 0.0, 0.0), 1.0),
+    ((0.0, -math.inf, 0.0), 1.0),
+], ids=["nan-voxel", "inf-voxel", "zero-voxel", "negative-voxel", "nan-origin", "inf-origin"])
+def test_grid_rejects_non_finite_or_non_positive_values(origin, voxel):
+    with pytest.raises(ConfigurationError):
+        VoxelGrid(origin, (2, 2, 2), voxel)
+
+
+def test_grid_origin_array_is_built_once_and_read_only():
+    grid = VoxelGrid((-1.0, 2.0, 0.5), (3, 4, 5), 2.5)
+    arr = grid.origin_arr
+    assert grid.origin_arr is arr
+    assert arr.dtype == float and arr.tolist() == [-1.0, 2.0, 0.5]
+    with pytest.raises(ValueError):
+        arr[0] = 9.0
+    same = VoxelGrid((-1.0, 2.0, 0.5), (3, 4, 5), 2.5)
+    assert same == grid and hash(same) == hash(grid)
+    moved = dataclasses.replace(grid, origin=(0.0, 0.0, 0.0))
+    assert moved != grid and moved.origin_arr.tolist() == [0.0, 0.0, 0.0]
+    assert dataclasses.replace(grid) == grid
 
 
 # --- voxel indexing -------------------------------------------------------
@@ -768,6 +797,29 @@ def test_map_dump_roundtrip(tmp_path):
     loaded = load_map(path)
     assert loaded.grid == m.grid
     assert np.array_equal(loaded.cells, m.cells)
+
+
+def test_map_dump_roundtrip_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(14)
+    m = make_map((4, 3, 2), voxel=0.3, origin=(-0.1, 1e-3, 7.25))
+    m.cells[:] = rng.choice(STATES, size=(4, 3, 2))
+    first, second = tmp_path / "first.vox", tmp_path / "second.vox"
+    save_map(m, first)
+    save_map(load_map(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("header", [
+    b"VOXMAP 1 origin 0 0 0 dims 2 2\n",
+    b"VOXMAP 1 origin a 0 0 dims 1 1 1 voxel 1.0\n",
+    b"VOXMAP 1 origin 0 0 0 dims 1 1 1 voxel nan\n",
+    b"\xff\xfe\n",
+], ids=["short", "non-numeric-origin", "nan-voxel", "binary"])
+def test_load_map_rejects_a_malformed_header_naming_the_file(tmp_path, header):
+    path = tmp_path / "bad.vox"
+    path.write_bytes(header + bytes([UNKNOWN]))
+    with pytest.raises(ConfigurationError, match="bad.vox"):
+        load_map(path)
 
 
 def test_map_dump_payload_is_x_fastest(tmp_path):
