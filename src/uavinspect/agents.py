@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .scene import _norm
 
 EXPLORER = "explorer"
@@ -41,6 +42,13 @@ class GimbalLimits:
     azimuth_min: float = math.radians(-90.0)
     azimuth_max: float = math.radians(90.0)
 
+    def __post_init__(self):
+        for angle in ("inclination", "azimuth"):
+            lo, hi = getattr(self, f"{angle}_min"), getattr(self, f"{angle}_max")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ConfigurationError(
+                    f"gimbal {angle} limits must be finite with min <= max, got {lo}..{hi}")
+
 
 @dataclass(frozen=True)
 class TrackingConfig:
@@ -49,6 +57,16 @@ class TrackingConfig:
     kp: float = 1.0
     kd: float = 2.2
     a_max: float = 4.0
+
+    def __post_init__(self):
+        for name in ("kp", "kd"):
+            gain = getattr(self, name)
+            if not (gain >= 0 and math.isfinite(gain)):
+                raise ConfigurationError(
+                    f"tracking {name} must be non-negative and finite, got {gain}")
+        if not (self.a_max > 0 and math.isfinite(self.a_max)):
+            raise ConfigurationError(
+                f"tracking a_max must be positive and finite, got {self.a_max}")
 
 
 def _capped(v: np.ndarray, limits: list[float]) -> np.ndarray:

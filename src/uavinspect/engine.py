@@ -42,7 +42,7 @@ from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, m
 from .scene import Scene, scene_occupancy
 from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
                       lidar_sweep, observe)
-from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, build_grid,
+from .world import (FREE, UNKNOWN, FiringGuard, MapStack, OccupancyMap, build_grid,
                     compute_operational_volume, integrate_points, save_map, world_to_voxel)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
@@ -64,6 +64,11 @@ class AgentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown agent kind {self.kind!r}")
+        if len(self.start) != 3 or not all(math.isfinite(c) for c in self.start):
+            raise ConfigurationError(f"agent start must be 3 finite coordinates, got {self.start}")
+        for value, what in ((self.v_max, "v_max"), (self.omega_max, "omega_max")):
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"agent {what} must be positive and finite, got {value}")
 
     @property
     def speed_limit(self) -> float:
@@ -302,25 +307,50 @@ class _Runtime:
     guard: FiringGuard | None = None        # what an explorer's LiDAR can still change
 
 
-def _fire(occ: OccupancyMap, guard: FiringGuard, position: np.ndarray, yaw: float,
+def _fire(maps: list[OccupancyMap], guards: list[FiringGuard], positions, yaws,
           scene: Scene, lidar: LidarConfig, t: float) -> int:
-    """One LiDAR firing into occ from a sensor at position (3,) and yaw,
-    casting only the rays that can change it.
+    """The LiDAR firings of a tick: explorer i fires into maps[i] from a
+    sensor at positions[i] (3,) with yaws[i], casting only the rays that
+    can change its map.
 
     A firing on a map that holds no cell it can change is skipped whole;
     otherwise only the rays whose box holds such a cell are cast (see
-    FiringGuard).  The map ends as if every ray had been cast.  Returns the
-    number of hits of the cast rays that the hit rule suppressed.
+    FiringGuard).  The rays of every firing go through one sweep, and its
+    hits and misses through one map update on a stack of the firing maps;
+    a firing changes only its own map, so each map ends as if its firing
+    alone had cast every ray.  A lone firing casts from its one shared
+    origin.  Returns the number of hits of the cast rays that the hit rule
+    suppressed.
     """
-    if not guard.at(occ, position).live:
+    firing, bundles = [], []
+    for i, (occ, guard, position, yaw) in enumerate(zip(maps, guards, positions, yaws)):
+        if not guard.at(occ, position).live:
+            continue
+        dirs = lidar_directions(yaw, lidar, t)
+        dirs = dirs[guard.can_change(position, dirs, lidar.range)]
+        if len(dirs):
+            firing.append(i)
+            bundles.append(dirs)
+    if not firing:
         return 0
-    dirs = lidar_directions(yaw, lidar, t)
-    dirs = dirs[guard.can_change(position, dirs, lidar.range)]
-    if not len(dirs):
-        return 0
-    hits, misses = lidar_sweep(position, scene, lidar, dirs)
-    return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, guard.truth,
-                            guard.unknown)
+    dirs = np.concatenate(bundles)
+    origins = np.array([positions[i] for i in firing])
+    # a lone firing casts from its one origin into a stack of one map, which
+    # needs no rows
+    rows = (None if len(firing) == 1
+            else np.repeat(np.arange(len(firing)), [len(b) for b in bundles]))
+    hit = np.empty(len(dirs), dtype=bool)
+    hits, misses = lidar_sweep(origins[0] if rows is None else origins[rows], scene, lidar,
+                               dirs, hit)
+    hit_rows, miss_rows = (None, None) if rows is None else (rows[hit], rows[~hit])
+    stack = MapStack(maps[0].grid, np.array([maps[i].cells for i in firing]))
+    suppressed = integrate_points(stack, origins, hits[:, 0], hits[:, 1], misses,
+                                  guards[firing[0]].truth,
+                                  np.array([guards[i].unknown for i in firing]),
+                                  hit_rows, miss_rows)
+    for i, cells in zip(firing, stack.cells):
+        maps[i].cells[...] = cells
+    return suppressed
 
 
 class _Mission:
@@ -370,6 +400,7 @@ class _Mission:
                             for p in routes[e_idx]]
                 e_idx += 1
             self.agents.append(rt)
+        self.explorers = [a for a in self.agents if a.spec.kind == EXPLORER]
 
         # the pose table: every agent's camera pose at every capture tick, packed
         # as camera_pose packs it, in fleet order, until _score takes it
@@ -394,10 +425,14 @@ class _Mission:
     # --- stage helpers -------------------------------------------------
 
     def _sense(self, k: int, t: float) -> None:
+        # a firing and an own-voxel write each touch only their agent's map,
+        # so all firings can go first
+        explorers = self.explorers
+        self.suppressed_returns += _fire([a.occ for a in explorers], [a.guard for a in explorers],
+                                         [self.position[a.id] for a in explorers],
+                                         [self.yaw[a.id] for a in explorers], self.scene,
+                                         self.cfg.lidar, t)
         for a in self.agents:
-            if a.spec.kind == EXPLORER:
-                self.suppressed_returns += _fire(a.occ, a.guard, self.position[a.id],
-                                                 self.yaw[a.id], self.scene, self.cfg.lidar, t)
             # an agent's own voxel is evidently traversable
             if a.occ.cells[a.voxel] == UNKNOWN:
                 a.occ.cells[a.voxel] = FREE

@@ -163,6 +163,8 @@ def dijkstra_path(occ_map: OccupancyMap, reserved: set,
     start = tuple(start)
     goal = tuple(goal)
     cells = occ_map.cells
+    if not occ_map.grid.in_bounds(start):
+        raise PlanningError(f"start voxel {start} is outside grid dims {occ_map.grid.dims}")
     if cells[start] == OCCUPIED:
         raise PlanningError(f"start voxel {start} is occupied")
     if start in reserved:

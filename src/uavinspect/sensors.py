@@ -51,8 +51,9 @@ class CameraConfig:
     def __post_init__(self):
         for name in ("fov_h", "fov_v", "range", "focal", "pixel_width",
                      "exposure", "desired_resolution"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"camera {name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"camera {name} must be positive and finite, got {value}")
         if not 0.0 <= self.quality_floor <= 1.0:
             raise ConfigurationError("quality_floor must lie in [0, 1]")
 
@@ -65,12 +66,13 @@ class LidarConfig:
     servo_period: float = 8.0
 
     def __post_init__(self):
-        if self.range <= 0:
-            raise ConfigurationError("lidar range must be positive")
+        if not (self.range > 0 and math.isfinite(self.range)):
+            raise ConfigurationError(f"lidar range must be positive and finite, got {self.range}")
         if self.beams < 1 or self.azimuth_steps < 1:
             raise ConfigurationError("lidar needs at least one beam and azimuth step")
-        if self.servo_period <= 0:
-            raise ConfigurationError("servo period must be positive")
+        if not (self.servo_period > 0 and math.isfinite(self.servo_period)):
+            raise ConfigurationError(
+                f"servo period must be positive and finite, got {self.servo_period}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,20 +260,24 @@ def lidar_directions(yaw: float, cfg: LidarConfig, t: float) -> np.ndarray:
     return base @ (rz @ rx).T
 
 
-def lidar_sweep(position, scene: Scene, cfg: LidarConfig,
-                dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cast the given rays of a firing from position (3,): (hits, endpoints
-    of empty rays).
+def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
+                hit_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Cast the given rays of a firing from position, (3,) shared by every
+    ray or (n, 3) one per ray: (hits, endpoints of empty rays).
 
     hits is (n, 2, 3): each hit's point, then the unit direction of its ray,
     which the mapper nudges the hit along.  Rays that see nothing report
     their maximum-range endpoint so the mapper can clear the corridor they
-    crossed.  Each ray's result does not depend on which other rays are
-    cast.  Noise-free.
+    crossed.  Both keep the order of the rays; hit_mask, a boolean array of
+    one entry per ray, receives which rays hit.  Each ray's result does not
+    depend on which other rays are cast.  Noise-free.
     """
     hit, dist = ray_cast_batch(scene, position, dirs, cfg.range)
+    if hit_mask is not None:
+        hit_mask[...] = hit
+    origin = np.asarray(position, dtype=float).reshape(-1, 3)
     hits = np.empty((np.count_nonzero(hit), 2, 3))
     hits[:, 1] = dirs[hit]
-    hits[:, 0] = position + hits[:, 1] * dist[hit, None]
-    misses = position + dirs[~hit] * cfg.range
+    hits[:, 0] = (origin if len(origin) == 1 else origin[hit]) + hits[:, 1] * dist[hit, None]
+    misses = (origin if len(origin) == 1 else origin[~hit]) + dirs[~hit] * cfg.range
     return hits, misses

@@ -146,7 +146,7 @@ class OccupancyMap:
         if cells is None:
             self.cells = np.full(grid.dims, UNKNOWN, dtype=np.uint8)
         else:
-            cells = np.asarray(cells, dtype=np.uint8)
+            cells = np.ascontiguousarray(cells, dtype=np.uint8)
             if cells.shape != tuple(grid.dims):
                 raise GridMismatchError(
                     f"cell array shape {cells.shape} does not match grid dims {grid.dims}"
@@ -161,11 +161,21 @@ class OccupancyMap:
         return np.argwhere(self.cells == OCCUPIED)
 
 
+@dataclass(frozen=True, eq=False)
+class MapStack:
+    """k maps on one grid as one (k, nx, ny, nz) cells array, row r the
+    cells of map r, for integrate_points to fold k firings at once."""
+
+    grid: VoxelGrid
+    cells: np.ndarray
+
+
 def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
                    end_cells: np.ndarray) -> np.ndarray:
-    """All voxels each segment crosses from the origin up to, but not
+    """All voxels each segment crosses from its origin up to, but not
     including, its end cell (Amanatides & Woo, 1987), for every segment at once.
 
+    origin is (3,), shared by every segment, or (n, 3), one per segment.
     Each axis steps only toward its end coordinate, |end cell - origin cell|
     times, so a segment visits exactly L1(end cell - origin cell) cells, all
     inside the box spanned by its origin cell and its end cell.  The times an
@@ -174,15 +184,19 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
     the crossings of all three axes in time order, ties to the lower axis and
     a NaN time first, as an argmin over the axes picks them.  Returns an (m, 3)
     int array of cells (duplicates across segments included), m the sum of
-    those L1 distances; a single segment's cells come in path order.
+    those L1 distances, segment after segment, each segment's cells in path
+    order.
     """
     v = grid.voxel_size
+    origin = np.asarray(origin, dtype=float).reshape(-1, 3)  # (1, 3) when shared
     g0 = (origin - grid.origin_arr) / v                      # continuous grid coords
     start = np.floor(g0).astype(np.int64)
     delta = end_cells - start
     lengths = np.abs(delta).sum(axis=1)
     moving = lengths > 0
     delta, lengths = delta[moving], lengths[moving]
+    if len(origin) > 1:
+        origin, g0, start = origin[moving], g0[moving], start[moving]
     if len(delta) == 0:
         return np.zeros((0, 3), dtype=np.int64)
     n, counts, step = len(delta), np.abs(delta), np.sign(delta)
@@ -203,12 +217,14 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
     moves = np.zeros((len(axis), 3), dtype=np.int64)
     moves[np.arange(len(axis)), axis] = step[rows, axis]
     walked = moves.cumsum(axis=0)                # over all segments, one after another
-    before = walked - moves
     last = np.cumsum(lengths) - 1
-    base = before[last + 1 - lengths]            # per segment, at its first step
-    assert np.array_equal(walked[last] - base, delta), \
+    arrived = walked[last]
+    walked -= moves                              # now the walk before each step
+    base = walked[last + 1 - lengths]            # per segment, at its first step
+    assert np.array_equal(arrived - base, delta), \
         "grid traversal stopped short of its end cell"
-    return start + before - base[rows]
+    walked += (start - base)[rows]
+    return walked
 
 
 def _box_field(mask: np.ndarray, cell) -> np.ndarray:
@@ -282,12 +298,18 @@ class FiringGuard:
         return self.guard[tuple(end_cells.T)]
 
 
-def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs, misses=(),
-                     truth: np.ndarray | None = None,
-                     unknown: np.ndarray | None = None) -> int:
-    """Fold one range firing into the map: hit voxels become occupied, and
-    the unknown voxels the rays crossed on the way become free, for a miss
-    (a return that saw nothing) its end voxel too.
+def integrate_points(occ_map: OccupancyMap | MapStack, sensor_origin, hits, hit_dirs,
+                     misses=(), truth: np.ndarray | None = None,
+                     unknown: np.ndarray | None = None, hit_rows=None, miss_rows=None) -> int:
+    """Fold range firings into maps: hit voxels become occupied, and the
+    unknown voxels the rays crossed on the way become free, for a miss (a
+    return that saw nothing) its end voxel too.
+
+    occ_map is one map, fired from sensor_origin (3,), or a MapStack of k
+    maps on one grid, map r fired from sensor_origin[r] of (k, 3); for k > 1
+    hit_rows and miss_rows name the map row of each hit and each miss.  A
+    firing changes only its own map, and each map ends as if its firing
+    alone had been folded into it.
 
     hit_dirs holds the unit direction of each hit's ray.  Hit points are
     nudged a hair along it before voxelization so that hits landing exactly
@@ -299,7 +321,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs, misse
     and is suppressed, while its ray still frees the cells before it.
     Misses beyond the grid are clipped at its boundary, and a miss whose ray
     never enters the grid is dropped.
-    Occupied cells never revert.  The map is updated in place; returns the
+    Occupied cells never revert.  The maps are updated in place; returns the
     number of suppressed hits.
 
     The hit cells are marked first: freeing only ever turns UNKNOWN cells
@@ -307,45 +329,66 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs, misse
     between its origin cell and its end cell, so a segment whose box holds
     no UNKNOWN cell cannot change the map and is not traversed; one box
     field of the UNKNOWN cells from the sensor's cell answers that per
-    segment with one lookup.  unknown may pass that field for the cells
-    before the call (FiringGuard.unknown): the hits only shrink the UNKNOWN
-    cells, so it still holds every box that can change the map.  A miss is
-    first tested against its box out to its unclipped end cell, which holds
-    the box of its clipped segment, so only the misses that pass are
-    clipped.
+    segment with one lookup.  unknown may pass that field, one per map row,
+    for the cells before the call (FiringGuard.unknown): the hits only
+    shrink the UNKNOWN cells, so it still holds every box that can change
+    the map.  A miss is first tested against its box out to its unclipped
+    end cell, which holds the box of its clipped segment, so only the misses
+    that pass are clipped.  Cells are addressed by flat index into the
+    stack, row after row; a lone map carries no rows.
     """
-    origin = np.asarray(sensor_origin, dtype=float)
     grid = occ_map.grid
-    cells = occ_map.cells
-    v = grid.voxel_size
-    lo = grid.origin_arr
-    dims = np.asarray(grid.dims)
+    v, lo, dims = grid.voxel_size, grid.origin_arr, np.asarray(grid.dims)
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    cells = occ_map.cells.reshape(-1)                   # a view: maps are C-contiguous
+    origins = np.asarray(sensor_origin, dtype=float).reshape(-1, 3)
+    if len(origins) == 1:
+        hit_rows = miss_rows = None
+
+    # a row array per hit, miss or segment, or None for a lone map
+    def kept(rows, mask):
+        return None if rows is None else rows[mask]
+
+    def origin_of(rows):
+        return origins if rows is None else origins[rows]
+
+    def flat(voxels, rows):
+        index = voxels @ strides
+        return index if rows is None else index + rows * grid.cell_count
 
     hits = np.asarray(hits, dtype=float).reshape(-1, 3)
     hit_dirs = np.asarray(hit_dirs, dtype=float).reshape(-1, 3)
-    reach = np.einsum("nk,nk->n", hits - origin, hit_dirs)
+    reach = np.einsum("nk,nk->n", hits - origin_of(hit_rows), hit_dirs)
     nudged = hits + hit_dirs * np.where(reach > 1e-12, _NUDGE * v, 0.0)[:, None]
     hit_cells = np.floor((nudged - lo) / v).astype(np.int64)
     inside = np.all((hit_cells >= 0) & (hit_cells < dims), axis=1)
-    nudged, hit_cells = nudged[inside], hit_cells[inside]
-    kept = tuple(hit_cells.T)
+    nudged, hit_cells, hit_rows = nudged[inside], hit_cells[inside], kept(hit_rows, inside)
+    hit_flat = flat(hit_cells, hit_rows)
+    marked = hit_flat
     suppressed = 0
     if truth is not None:
-        structure = truth[kept]
+        structure = truth[tuple(hit_cells.T)]
         suppressed = len(structure) - int(np.count_nonzero(structure))
-        kept = tuple(c[structure] for c in kept)
-    cells[kept] = OCCUPIED
+        marked = hit_flat[structure]
+    cells[marked] = OCCUPIED
 
-    rel = np.asarray(misses, dtype=float).reshape(-1, 3) - origin
+    rel = np.asarray(misses, dtype=float).reshape(-1, 3) - origin_of(miss_rows)
     # the clipped end origin + rel * t, 0 <= t <= 1, lies between the origin
     # and origin + rel on every axis, in floating point too
-    far_cells = np.clip(np.floor((origin + rel - lo) / v).astype(np.int64), 0, dims - 1)
+    far_cells = np.floor((origin_of(miss_rows) + rel - lo) / v).astype(np.int64)
+    np.maximum(far_cells, 0, out=far_cells)
+    np.minimum(far_cells, dims - 1, out=far_cells)
+    sensor_cells = np.floor((origins - lo) / v).astype(np.int64)
     if unknown is None:
-        unknown = _box_field(cells == UNKNOWN, np.floor((origin - lo) / v).astype(np.int64))
-    live = unknown[tuple(np.vstack([hit_cells, far_cells]).T)]
+        unknown = np.stack([_box_field(c == UNKNOWN, cell) for c, cell in
+                            zip(cells.reshape(len(origins), *grid.dims), sensor_cells)])
+    unknown = unknown.reshape(-1)
+    live = unknown[np.concatenate([hit_flat, flat(far_cells, miss_rows)])]
     if not live.any():
         return suppressed
-    live_hits, rel = live[:len(hit_cells)], rel[live[len(hit_cells):]]
+    live_hits, live_misses = live[:len(hit_flat)], live[len(hit_flat):]
+    rel, miss_rows = rel[live_misses], kept(miss_rows, live_misses)
+    origin = origin_of(miss_rows)
 
     # clip the surviving misses to the grid; an axis with no motion along it
     # holds the whole ray if lo <= origin < hi, since boundary planes belong
@@ -359,19 +402,31 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs, misse
     t_enter = np.minimum(t1, t2).max(axis=1)
     t_exit = np.maximum(t1, t2).min(axis=1)
     enters = (t_enter <= t_exit) & (t_exit >= 0.0) & (t_enter <= 1.0)
-    rel, t_exit = rel[enters], t_exit[enters]
-    t = np.clip(np.minimum(1.0, t_exit * (1.0 - 1e-9)), 0.0, 1.0)
-    ends = origin + rel * t[:, None]
-    end_cells = np.clip(np.floor((ends - lo) / v).astype(np.int64), 0, dims - 1)
-    live_misses = unknown[tuple(end_cells.T)]
-    ends, end_cells = ends[live_misses], end_cells[live_misses]
+    rel, t_exit, miss_rows = rel[enters], t_exit[enters], kept(miss_rows, enters)
+    t = np.minimum(1.0, t_exit * (1.0 - 1e-9))
+    np.maximum(t, 0.0, out=t)
+    ends = origin_of(miss_rows) + rel * t[:, None]
+    end_cells = np.floor((ends - lo) / v).astype(np.int64)
+    np.maximum(end_cells, 0, out=end_cells)
+    np.minimum(end_cells, dims - 1, out=end_cells)
+    end_flat = flat(end_cells, miss_rows)
+    live_misses = unknown[end_flat]
+    ends, end_cells, end_flat = ends[live_misses], end_cells[live_misses], end_flat[live_misses]
+    miss_rows = kept(miss_rows, live_misses)
 
-    crossed = _segment_cells(grid, origin, np.vstack([nudged[live_hits], ends]),
-                             np.vstack([hit_cells[live_hits], end_cells]))
-    marked = np.vstack([crossed, end_cells])
-    marked = marked[np.all((marked >= 0) & (marked < dims), axis=1)]
-    cx, cy, cz = marked[:, 0], marked[:, 1], marked[:, 2]
-    cells[cx, cy, cz] = np.maximum(cells[cx, cy, cz], FREE)
+    rows = None if hit_rows is None else np.concatenate([hit_rows[live_hits], miss_rows])
+    end_cells = np.vstack([hit_cells[live_hits], end_cells])
+    crossed = _segment_cells(grid, origin_of(rows), np.vstack([nudged[live_hits], ends]),
+                             end_cells)
+    if rows is not None:
+        # each segment crosses its L1 distance of cells, all in its map row
+        rows = np.repeat(rows, np.abs(end_cells - sensor_cells[rows]).sum(axis=1))
+    if not np.all((sensor_cells >= 0) & (sensor_cells < dims)):
+        # a segment from a sensor off the grid crosses cells off it too
+        on_grid = np.all((crossed >= 0) & (crossed < dims), axis=1)
+        crossed, rows = crossed[on_grid], kept(rows, on_grid)
+    freed = np.concatenate([flat(crossed, rows), end_flat])
+    cells[freed] = np.maximum(cells[freed], FREE)
     return suppressed
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from uavinspect.agents import (_ALPHA_MAX, _YAW_KD, _YAW_KP, GimbalLimits, TrackingConfig,
                                point_gimbal, step_dynamics, track_segment, wrap_angle)
+from uavinspect.errors import ConfigurationError
 
 
 # --- one agent at a time: the oracles for the fleet kernels -----------------------
@@ -432,3 +433,31 @@ def test_point_gimbal_equals_the_per_agent_reference():
         expected = [reference_point_gimbal(g, s, n) for s, g, n in zip(states, gimbals, looks)]
         assert same_bytes(inc, [g.inclination for g in expected]), trial
         assert same_bytes(az, [g.azimuth for g in expected]), trial
+
+
+# --- configuration ---------------------------------------------------------------
+
+@pytest.mark.parametrize("fields", [
+    {"kp": -1.0}, {"kp": math.nan}, {"kp": math.inf}, {"kd": -0.1}, {"kd": math.nan},
+    {"kd": math.inf}, {"a_max": -4.0}, {"a_max": 0.0}, {"a_max": math.nan},
+    {"a_max": math.inf},
+])
+def test_tracking_config_rejects_bad_gains(fields):
+    with pytest.raises(ConfigurationError, match="tracking"):
+        TrackingConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"inclination_min": math.nan}, {"inclination_max": math.inf},
+    {"azimuth_min": -math.inf}, {"azimuth_max": math.nan},
+    {"inclination_min": 1.0, "inclination_max": 0.5},
+    {"azimuth_min": 0.1, "azimuth_max": -0.1},
+])
+def test_gimbal_limits_reject_non_finite_or_crossed_limits(fields):
+    with pytest.raises(ConfigurationError, match="gimbal"):
+        GimbalLimits(**fields)
+
+
+def test_gains_of_zero_and_equal_limits_are_accepted():
+    TrackingConfig(kp=0.0, kd=0.0)
+    GimbalLimits(inclination_min=0.0, inclination_max=0.0, azimuth_min=0.3, azimuth_max=0.3)

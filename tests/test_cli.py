@@ -423,6 +423,15 @@ def test_main_rejects_a_negative_standoff_before_running(tmp_path, capsys):
     assert "waypoint standoff must be positive" in capsys.readouterr().err
 
 
+def test_main_rejects_negative_limits_before_running(tmp_path, capsys):
+    # these flew a whole mission with every move clamped and exited 0
+    raw = copy.deepcopy(MINIMAL)
+    raw["agents"][0]["v_max"] = -1.0
+    raw["tracking"] = {"a_max": -4.0}
+    assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
+    assert "error: agent v_max must be positive" in capsys.readouterr().err
+
+
 BOX_30 = {"min": [0.0, 0.0, 0.0], "max": [30.0, 30.0, 30.0]}
 
 

@@ -236,6 +236,17 @@ def test_config_rejects_non_finite_scalars(field, value):
         MissionConfig(**{"duration": 10.0, "agents": agents, field: value})
 
 
+@pytest.mark.parametrize("fields", [
+    {"v_max": -1.0}, {"v_max": 0.0}, {"v_max": math.nan}, {"v_max": math.inf},
+    {"omega_max": -1.5}, {"omega_max": 0.0}, {"omega_max": math.nan}, {"omega_max": math.inf},
+    {"start": (0.0, math.nan, 0.0)}, {"start": (math.inf, 0.0, 0.0)}, {"start": (0.0, 0.0)},
+])
+def test_agent_spec_rejects_bad_limits_and_starts(fields):
+    # a negative speed limit let explorers fly with every move clamped, unwarned
+    with pytest.raises(ConfigurationError, match="agent"):
+        AgentSpec(**{"kind": "explorer", "start": (0.0, 0.0, 0.0), **fields})
+
+
 def test_agents_sharing_a_start_voxel_rejected():
     cfg = MissionConfig(duration=5.0, agents=(
         AgentSpec("explorer", (9.0, 9.0, 9.0)),

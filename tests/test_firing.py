@@ -1,9 +1,11 @@
 """The LiDAR firing the mission makes, culled, against the firing of every ray.
 
 The mission skips a firing whose map holds no cell it can change and casts
-only the rays whose box holds one (engine._fire).  The oracle is the
-unculled firing: every ray cast and folded into the map under the same hit
-rule.  The two must leave the same map after every firing.
+only the rays whose box holds one, every explorer's firing of a tick in one
+sweep and one map update (engine._fire).  The oracles are the unculled
+firing, every ray cast and folded into the map under the same hit rule, and
+the culled firing of one explorer at a time.  They must all leave the same
+maps after every firing.
 """
 
 import dataclasses
@@ -34,6 +36,25 @@ def reference_fire(occ, truth, position, yaw, scene, lidar, t):
     return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, truth)
 
 
+def explorer_fire(occ, guard, position, yaw, scene, lidar, t):
+    """One explorer's culled firing on its own: its own sweep and map update."""
+    if not guard.at(occ, position).live:
+        return 0
+    dirs = lidar_directions(yaw, lidar, t)
+    dirs = dirs[guard.can_change(position, dirs, lidar.range)]
+    if not len(dirs):
+        return 0
+    hits, misses = lidar_sweep(position, scene, lidar, dirs)
+    return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, guard.truth,
+                            guard.unknown)
+
+
+def fire_one(occ, guard, position, yaw, scene, lidar, t):
+    """The mission's firing with one explorer."""
+    return engine._fire([occ], [guard], [np.asarray(position, dtype=float)], [yaw], scene,
+                        lidar, t)
+
+
 # --- the firing of a mission ---------------------------------------------------
 
 def checked_run(cfg, scene, monkeypatch, stats):
@@ -42,10 +63,11 @@ def checked_run(cfg, scene, monkeypatch, stats):
     rays and the rays cast."""
     cast = engine.lidar_sweep
 
-    def counting(position, scene, lidar, dirs):
+    def counting(position, scene, lidar, dirs, hit_mask=None):
+        # one sweep casts the firings of several explorers, one origin each
         stats["cast"] += len(dirs)
-        stats["swept"] += 1
-        return cast(position, scene, lidar, dirs)
+        stats["swept"] += len(np.unique(np.reshape(position, (-1, 3)), axis=0))
+        return cast(position, scene, lidar, dirs, hit_mask)
 
     sense = _Mission._sense
 
@@ -162,34 +184,47 @@ def plane_triangle(draw, v, dims):
 
 
 @st.composite
-def firings(draw):
-    """A scene on a small grid, a partly known map, a sensor and a LiDAR."""
+def scenes(draw):
+    """A scene on a small grid, its structure cells and a LiDAR."""
     v = draw(st.sampled_from([2.0, 3.0, 6.0]))
     dims = tuple(draw(st.integers(3, 6)) for _ in range(3))
     grid = VoxelGrid((0.0, 0.0, 0.0), dims, v)
     solid = draw(st.lists(boxes(v, dims), min_size=1, max_size=3))
     tris = [draw(plane_triangle(v, dims))] if draw(st.booleans()) else None
     scene = Scene(solid_boxes=solid, triangles=tris)
-    truth = scene_occupancy(scene, grid)
+    # a sensor at a cell centre, so a range in half voxels ends on a voxel plane
+    reach = draw(st.one_of(st.integers(1, 2 * max(dims)).map(lambda k: (k + 0.5) * v),
+                           st.floats(0.5, 2.0 * max(dims) * v)))
+    lidar = LidarConfig(range=reach, beams=draw(st.sampled_from([1, 2, 5])),
+                        azimuth_steps=draw(st.sampled_from([4, 8, 12, 30])))
+    return grid, scene, scene_occupancy(scene, grid), lidar
 
+
+@st.composite
+def sensors(draw, grid, truth):
+    """A partly known map, and a sensor's position and yaw on the grid."""
     # the map: each cell unknown with some chance, else known; structure cells
     # may be known FREE, as a ray crossing part of the cell leaves them
+    dims, v = grid.dims, grid.voxel_size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_unknown = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
     cells = np.where(truth, rng.choice((FREE, OCCUPIED), size=dims), FREE).astype(np.uint8)
     cells[rng.random(dims) < p_unknown] = UNKNOWN
 
-    # a sensor at a cell centre, so a range in half voxels ends on a voxel plane
     cell = np.array([draw(st.integers(0, n - 1)) for n in dims])
     position = (cell + 0.5) * v
     if draw(st.booleans()):
         position = position + np.array([draw(st.floats(-0.45, 0.45)) for _ in range(3)]) * v
-    reach = draw(st.one_of(st.integers(1, 2 * max(dims)).map(lambda k: (k + 0.5) * v),
-                           st.floats(0.5, 2.0 * max(dims) * v)))
-    lidar = LidarConfig(range=reach, beams=draw(st.sampled_from([1, 2, 5])),
-                        azimuth_steps=draw(st.sampled_from([4, 8, 12, 30])))
-    t = draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0)))
     yaw = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+    return cells, position, yaw
+
+
+@st.composite
+def firings(draw):
+    """A scene on a small grid, a partly known map, a sensor and a LiDAR."""
+    grid, scene, truth, lidar = draw(scenes())
+    cells, position, yaw = draw(sensors(grid, truth))
+    t = draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0)))
     return grid, scene, truth, cells, position, yaw, lidar, t
 
 
@@ -200,11 +235,36 @@ def test_culled_firing_equals_the_unculled_firing_on_random_scenes(firing):
     expected = OccupancyMap(grid, cells.copy())
     suppressed = reference_fire(expected, truth, position, yaw, scene, lidar, t)
     got = OccupancyMap(grid, cells.copy())
-    got_suppressed = engine._fire(got, FiringGuard(grid, truth), position, yaw, scene, lidar, t)
+    got_suppressed = fire_one(got, FiringGuard(grid, truth), position, yaw, scene, lidar, t)
     assert np.array_equal(got.cells, expected.cells)
     assert got_suppressed <= suppressed
     # the hit rule: no firing marks a cell the structure does not occupy
     assert not np.any((got.cells == OCCUPIED) & ~truth)
+
+
+@st.composite
+def fleet_firings(draw):
+    """A scene and the maps and sensors of two explorers firing at one time."""
+    grid, scene, truth, lidar = draw(scenes())
+    fleet = [draw(sensors(grid, truth)) for _ in range(2)]
+    t = draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0)))
+    return grid, scene, truth, fleet, lidar, t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(firing=fleet_firings())
+def test_fleet_firing_equals_the_explorers_firing_apart(firing):
+    grid, scene, truth, fleet, lidar, t = firing
+    expected = [OccupancyMap(grid, cells.copy()) for cells, _, _ in fleet]
+    suppressed = sum(explorer_fire(occ, FiringGuard(grid, truth), position, yaw, scene, lidar, t)
+                     for occ, (_, position, yaw) in zip(expected, fleet))
+    got = [OccupancyMap(grid, cells.copy()) for cells, _, _ in fleet]
+    got_suppressed = engine._fire(got, [FiringGuard(grid, truth) for _ in fleet],
+                                  [position for _, position, _ in fleet],
+                                  [yaw for _, _, yaw in fleet], scene, lidar, t)
+    for occ, want in zip(got, expected):
+        assert np.array_equal(occ.cells, want.cells)
+    assert got_suppressed == suppressed
 
 
 # --- the two ways a firing can change a known map ---------------------------------
@@ -221,7 +281,7 @@ def test_a_hit_at_full_range_on_a_voxel_plane_is_cast():
     expected = OccupancyMap(grid, cells.copy())
     reference_fire(expected, truth, position, 0.0, scene, lidar, LEVEL)
     got = OccupancyMap(grid, cells.copy())
-    engine._fire(got, FiringGuard(grid, truth), position, 0.0, scene, lidar, LEVEL)
+    fire_one(got, FiringGuard(grid, truth), position, 0.0, scene, lidar, LEVEL)
     assert expected.cells[0, 0, 0] == OCCUPIED
     assert np.array_equal(got.cells, expected.cells)
 
@@ -235,7 +295,7 @@ def test_a_free_structure_cell_keeps_its_firing():
     position = np.array([7.0, 1.0, 1.0])
     lidar = LidarConfig(range=10.0, beams=1, azimuth_steps=2)
     got = OccupancyMap(grid, cells.copy())
-    engine._fire(got, FiringGuard(grid, truth), position, 0.0, scene, lidar, LEVEL)
+    fire_one(got, FiringGuard(grid, truth), position, 0.0, scene, lidar, LEVEL)
     assert got.cells[0, 0, 0] == OCCUPIED
 
 

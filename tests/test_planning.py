@@ -395,6 +395,15 @@ def test_dijkstra_start_occupied_raises():
         dijkstra_path(m, set(), (0, 0, 0), (2, 0, 0))
 
 
+@pytest.mark.parametrize("start", [(-1, 0, 0), (0, -1, 0), (0, 0, -1),
+                                   (3, 0, 0), (0, 2, 0), (0, 0, 2)])
+def test_dijkstra_rejects_an_off_grid_start(start):
+    # a negative index used to wrap around to the far end of the grid
+    m = free_map((3, 2, 2))
+    with pytest.raises(PlanningError, match="outside grid"):
+        dijkstra_path(m, set(), start, (2, 0, 0))
+
+
 def test_dijkstra_matches_bfs_oracle_random_grids():
     rng = np.random.default_rng(71)
     for _ in range(30):

@@ -424,6 +424,24 @@ def test_observe_without_points_or_agents_is_empty():
 
 # --- servo and lidar ------------------------------------------------------------------------
 
+@pytest.mark.parametrize("fields", [
+    {"range": math.nan}, {"range": math.inf}, {"range": -1.0},
+    {"servo_period": math.nan}, {"servo_period": math.inf}, {"servo_period": 0.0},
+])
+def test_lidar_config_rejects_non_finite_or_non_positive_values(fields):
+    # a NaN range used to fail deep in the tick loop
+    with pytest.raises(ConfigurationError, match="lidar range|servo period"):
+        LidarConfig(**fields)
+
+
+@pytest.mark.parametrize("name", ["fov_h", "fov_v", "range", "focal", "pixel_width",
+                                  "exposure", "desired_resolution", "quality_floor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_camera_config_rejects_non_finite_fields(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        CameraConfig(**{name: value})
+
+
 def test_servo_triangle_wave():
     cfg = LidarConfig(servo_period=8.0)
     assert servo_angle(0.0, cfg) == pytest.approx(math.radians(-90.0))
@@ -500,3 +518,28 @@ def test_lidar_rays_cast_apart_equal_the_whole_firing():
             part_hits, part_misses = lidar_sweep(a.position, scene, cfg, dirs[keep])
             assert np.array_equal(part_hits, hits[keep[hit]])
             assert np.array_equal(part_misses, misses[keep[~hit]])
+
+
+def test_lidar_sweep_with_one_origin_per_ray_equals_the_sweeps_apart():
+    # the firings of several explorers in one sweep: each ray keeps its own
+    # origin, and hits and misses come out in ray order, bit for bit as the
+    # explorers' own sweeps give them; the mask says which rays hit
+    cfg = LidarConfig(range=30.0, beams=5, azimuth_steps=24)
+    tris = [[(-8, -8, 6), (8, -8, 6), (0, 9, 7)], [(12, -5, -5), (12, 5, -5), (13, 0, 6)]]
+    scene = Scene(solid_boxes=closed_room(10.0).solid_boxes[:3], triangles=tris)
+    fleet = [agent(pos=(1.5, -2.0, 0.5), yaw=0.7), agent(pos=(-4.0, 3.0, -1.0), yaw=-2.1),
+             agent(pos=(6.0, 6.0, 4.0), yaw=3.0)]
+    rng = np.random.default_rng(5)
+    for t in (0.0, 1.3, 5.9):
+        bundles = [lidar_directions(a.yaw, cfg, t) for a in fleet]
+        bundles = [d[rng.random(len(d)) < 0.6] for d in bundles]
+        apart = [lidar_sweep(a.position, scene, cfg, d) for a, d in zip(fleet, bundles)]
+        rows = np.repeat(np.arange(len(fleet)), [len(d) for d in bundles])
+        origins = np.array([a.position for a in fleet])[rows]
+        hit = np.empty(len(rows), dtype=bool)
+        hits, misses = lidar_sweep(origins, scene, cfg, np.vstack(bundles), hit)
+        assert np.array_equal(hits, np.vstack([h for h, _ in apart]))
+        assert np.array_equal(misses, np.vstack([m for _, m in apart]))
+        assert np.array_equal(hit, np.concatenate(
+            [ray_cast_batch(scene, a.position, d, cfg.range)[0] for a, d in zip(fleet, bundles)]))
+        assert 0 < np.count_nonzero(hit) < len(hit)

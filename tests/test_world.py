@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
 from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
-from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox,
-                              OccupancyMap, VoxelGrid,
+from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
+                              MapStack, OccupancyMap, VoxelGrid,
                               _segment_cells, build_grid, carve_free,
                               compute_operational_volume, integrate_points, load_map,
                               merge_maps, save_map, voxel_to_world, world_to_voxel)
@@ -412,6 +412,30 @@ def test_long_rays_on_a_fine_grid_equal_the_stepping_loop():
         assert_traversal_equals_stepping(grid, origin, ends)
 
 
+def test_traversal_with_one_origin_per_segment_equals_the_per_origin_calls():
+    # segment after segment, row for row, whatever origin each one has
+    rng = np.random.default_rng(31)
+    for grid in (VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0),
+                 VoxelGrid((-4.5, 2.0, 1.0), (5, 6, 4), 3.0)):
+        v, dims = grid.voxel_size, np.asarray(grid.dims)
+        lo, hi = grid.origin_arr, grid.origin_arr + dims * v
+        for _ in range(6):
+            origins = np.array(list(sensor_origins(grid, rng)))
+            which = rng.integers(0, len(origins), 60)
+            ends = rng.uniform(lo - 2 * v, hi + 2 * v, (60, 3))
+            ends[::2] = lo + v * np.round((ends[::2] - lo) / v * 2) / 2
+            ends[1::7] = origins[which[1::7]]
+            end_cells = cells_of(grid, ends)
+            got = _segment_cells(grid, origins[which], ends, end_cells)
+            expected = [_segment_cells(grid, origins[i], ends[j:j + 1], end_cells[j:j + 1])
+                        for j, i in enumerate(which)]
+            assert np.array_equal(got, np.vstack(expected))
+            # a shared origin given once, or once per segment, is the same call
+            assert np.array_equal(_segment_cells(grid, origins[0], ends, end_cells),
+                                  _segment_cells(grid, np.tile(origins[0], (60, 1)), ends,
+                                                 end_cells))
+
+
 # --- the box guard and the unknown-cell cull --------------------------------
 
 def reference_segment_cells(grid, origin, ends, end_cells):
@@ -609,6 +633,66 @@ def test_firing_update_equals_sequential_reference():
                 hits_off += np.count_nonzero(np.any((hits < lo) | (hits >= hi), axis=1))
     assert compared > 0.8 * drawn
     assert never_enter > 50 and hits_off > 50
+
+
+def test_stacked_update_equals_one_call_per_map():
+    # k maps on one grid, each fired from its own sensor, some off the grid;
+    # one call on the stack leaves every row as its own single-map call does
+    rng = np.random.default_rng(37)
+    truth_draws = suppressed_total = 0
+    for grid in (VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0),
+                 VoxelGrid((-4.5, 2.0, 1.0), (5, 6, 4), 3.0)):
+        v, dims = grid.voxel_size, np.asarray(grid.dims)
+        lo, hi = grid.origin_arr, grid.origin_arr + dims * v
+        maps = list(partially_known_maps(grid.dims, rng))
+        origins = list(sensor_origins(grid, rng))
+        for _ in range(4):
+            k = int(rng.integers(1, 4))
+            stack = np.stack([maps[i] for i in rng.integers(0, len(maps), k)])
+            sensors = np.array([origins[i] for i in rng.integers(0, len(origins), k)])
+            truth = rng.random(grid.dims) < 0.5 if rng.random() < 0.5 else None
+            truth_draws += truth is not None
+            hit_rows = rng.integers(0, k, 40)
+            miss_rows = rng.integers(0, k, 30)
+            hits = rng.uniform(lo - 2 * v, hi + 2 * v, (40, 3))
+            hits[::2] = lo + v * np.round((hits[::2] - lo) / v * 2) / 2
+            misses = rng.uniform(lo - 2 * v, hi + 2 * v, (30, 3))
+            dirs = np.vstack([ray_dirs(sensors[r], h) for r, h in zip(hit_rows, hits)])
+            expected, suppressed = [], 0
+            for r in range(k):
+                m = OccupancyMap(grid, stack[r].copy())
+                suppressed += integrate_points(m, sensors[r], hits[hit_rows == r],
+                                               dirs[hit_rows == r], misses[miss_rows == r],
+                                               truth)
+                expected.append(m.cells)
+            got = MapStack(grid, stack.copy())
+            assert integrate_points(got, sensors, hits, dirs, misses, truth, None,
+                                    hit_rows, miss_rows) == suppressed
+            assert np.array_equal(got.cells, np.stack(expected))
+            suppressed_total += suppressed
+    assert truth_draws > 0 and suppressed_total > 0
+
+
+def test_stacked_update_takes_the_unknown_field_of_each_row():
+    # the fields the mission passes, one per row from its own sensor cell,
+    # give what the call computes for itself
+    rng = np.random.default_rng(41)
+    grid = VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0)
+    lo, hi = grid.origin_arr, grid.origin_arr + np.asarray(grid.dims)
+    maps = list(partially_known_maps(grid.dims, rng))
+    for a, b in itertools.combinations(range(len(maps)), 2):
+        sensors = rng.uniform(lo, hi, (2, 3))
+        fields = [FiringGuard(grid, np.zeros(grid.dims, bool)).at(OccupancyMap(grid, c), o)
+                  for c, o in zip((maps[a], maps[b]), sensors)]
+        hits = rng.uniform(lo - 2, hi + 2, (20, 3))
+        rows = rng.integers(0, 2, 20)
+        dirs = np.vstack([ray_dirs(sensors[r], h) for r, h in zip(rows, hits)])
+        given, computed = (MapStack(grid, np.stack([maps[a], maps[b]])) for _ in range(2))
+        unknown = np.stack([f.unknown if f.live else np.zeros(grid.dims, bool)
+                            for f in fields])
+        integrate_points(given, sensors, hits, dirs, hits * 2, None, unknown, rows, rows)
+        integrate_points(computed, sensors, hits, dirs, hits * 2, None, None, rows, rows)
+        assert np.array_equal(given.cells, computed.cells)
 
 
 def test_carve_free_frees_only_cells_in_the_ray_box():
