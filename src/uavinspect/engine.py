@@ -43,7 +43,8 @@ from .scene import Scene, scene_occupancy
 from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
                       lidar_sweep, observe)
 from .world import (FREE, UNKNOWN, FiringGuard, MapStack, OccupancyMap, build_grid,
-                    compute_operational_volume, integrate_points, save_map, world_to_voxel)
+                    compute_operational_volume, integrate_points, reach_mask, save_map,
+                    world_to_voxel)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
 # (pose, point) pairs per observe call when the captures are scored; bounds
@@ -365,6 +366,8 @@ class _Mission:
         self.grid = build_grid(self.volume, cfg.voxel_size)
         self.truth = scene_occupancy(scene, self.grid)
         self.structure = np.flatnonzero(self.truth)
+        # the cells a LiDAR ray can change, flooded from the agents' starts
+        self.reach = reach_mask(self.grid, scene.solid_boxes, starts)
 
         explorer_starts = [np.asarray(a.start, dtype=float)
                            for a in cfg.agents if a.kind == EXPLORER]
@@ -395,7 +398,7 @@ class _Mission:
                 raise ConfigurationError(f"agent {aid} starts inside structure voxel {vox}")
             rt = _Runtime(aid, spec, OccupancyMap(self.grid), vox)
             if spec.kind == EXPLORER:
-                rt.guard = FiringGuard(self.grid, self.truth)
+                rt.guard = FiringGuard(self.grid, self.truth, self.reach)
                 rt.sigma = [Waypoint(tuple(p.tolist()), None, world_to_voxel(self.grid, p))
                             for p in routes[e_idx]]
                 e_idx += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .world import BoundingBox, VoxelGrid
+from .world import BoundingBox, VoxelGrid, box_cells
 
 _EPS_T = 1e-9           # minimum hit distance, rejects self-intersection at the origin
 _EPS_BARY = 1e-12       # barycentric slack, keeps triangle edges closed
@@ -170,10 +170,12 @@ def _slabs(lo, hi, origins, inv_t):
     lo, hi: (boxes, 3) corners; origins: (1, 3), shared by every ray, or
     (rays, 3); inv_t: (3, rays), the reciprocal ray directions by axis.
     A ray parallel to an axis whose origin lies in a box face gives
-    0 * inf = NaN on that axis, and both distances come out NaN.
+    0 * inf = NaN on that axis, and both distances come out NaN.  A
+    direction component so small that a distance overflows gives the same
+    signed inf as a component of 0.
     """
     tn = tf = None
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for k in range(3):
             o = origins[:, k]
             t1 = (lo[:, k, None] - o) * inv_t[k]
@@ -328,12 +330,10 @@ def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
     v = grid.voxel_size
     dims = np.asarray(grid.dims)
 
-    for box in scene.solid_boxes:
-        i_lo = np.maximum(np.floor((box.lo - origin) / v + 1e-9).astype(int), 0)
-        i_hi = np.minimum(np.ceil((box.hi - origin) / v - 1e-9).astype(int), dims)
-        if np.any(i_hi <= i_lo):
-            continue
-        occ[i_lo[0]:i_hi[0], i_lo[1]:i_hi[1], i_lo[2]:i_hi[2]] = True
+    i_lo, i_hi = box_cells(grid, scene._box_lo, scene._box_hi, slack=1e-9)[:2]
+    for (a, b, c), (d, e, f) in zip(np.clip(i_lo, 0, dims).tolist(),
+                                    np.clip(i_hi, 0, dims).tolist()):
+        occ[a:d, b:e, c:f] = True
 
     tris = scene.triangles
     if not len(tris):

@@ -119,6 +119,125 @@ def build_grid(volume: BoundingBox, voxel_size: float) -> VoxelGrid:
     return VoxelGrid(tuple(volume.lo.tolist()), tuple(int(d) for d in dims), float(voxel_size))
 
 
+def box_cells(grid: VoxelGrid, lo, hi, slack: float = 0.0) -> tuple[np.ndarray, ...]:
+    """The cells of boxes with corners lo and hi, (..., 3) in meters, as
+    half-open index ranges per axis, not clipped to the grid.
+
+    Returns (over_lo, over_hi, in_lo, in_hi): the cells whose interior a
+    box's interior meets, rounding outward, and the cells the box wholly
+    contains, rounding inward.  A face within slack of a voxel (in voxels)
+    of a voxel plane counts as lying on it.
+    """
+    lo = (np.asarray(lo, dtype=float) - grid.origin_arr) / grid.voxel_size
+    hi = (np.asarray(hi, dtype=float) - grid.origin_arr) / grid.voxel_size
+    return (np.floor(lo + slack).astype(int), np.ceil(hi - slack).astype(int),
+            np.ceil(lo - slack).astype(int), np.floor(hi + slack).astype(int))
+
+
+def _flood(reached: np.ndarray, passable: np.ndarray) -> np.ndarray:
+    """reached grown 26-connected through passable until it stops growing.
+
+    Each grid is padded by one False layer and held as the bits of one
+    integer, in flat order, so that a step along an axis is a shift by the
+    axis's stride: a shift out of a row lands in the padding, which passable
+    clears.
+    """
+    shape = [n + 2 for n in passable.shape]
+    strides = (shape[1] * shape[2], shape[2], 1)
+
+    def bits(a):
+        padded = np.zeros(shape, dtype=bool)            # np.pad costs tens of microseconds
+        padded[1:-1, 1:-1, 1:-1] = a
+        return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+
+    allowed = bits(passable)
+    reached = bits(reached) & allowed
+    while True:
+        grown = reached
+        for s in strides:
+            grown |= (grown << s) | (grown >> s)
+        grown &= allowed
+        if grown == reached:
+            break
+        reached = grown
+    size = shape[0] * shape[1] * shape[2]
+    flat = np.unpackbits(np.frombuffer(reached.to_bytes((size + 7) // 8, "little"), np.uint8),
+                         count=size, bitorder="little")
+    return flat.reshape(shape)[1:-1, 1:-1, 1:-1].astype(bool)
+
+
+@dataclass(frozen=True, eq=False)
+class ReachMask:
+    """The cells a LiDAR ray can change, for sensors in the flood
+    (conservative visibility, Teller & Sequin, 1991).
+
+    Solid boxes are the only geometry with an inside: a ray stops where it
+    enters a box, so none of its points before its hit lies in a box's
+    interior.  A ray that runs exactly along a box's face misses that box,
+    so it can pass between two boxes that share the face.  The flood
+    therefore runs over the half-voxel lattice of the cells' parts: on each
+    axis, element 2k is the voxel plane below cell k and element 2k + 1 the
+    open span above it.  It passes every element that no box's interior
+    wholly holds, so it holds every point of a ray cast from a sensor in it,
+    up to the ray's hit: the elements a ray passes through in turn are
+    neighbours.
+
+    A firing changes the cells its rays cross before their hit, and the
+    cell each hit marks after it moves a hair along its ray; where a ray
+    crosses an edge, grid traversal steps one axis at a time, so it also
+    frees a cell beside the ray.  On each axis these cells lie within one
+    of a point's cell k if the point is in span 2k + 1, and are k - 1 or k
+    if it is on plane 2k.  So cell k counts if the flood holds an element
+    that lies within elements 2k - 1 .. 2k + 3 on each axis.
+
+    lattice is the flood, (2nx, 2ny, 2nz) bool; cells is the mask, (nx, ny,
+    nz) bool.  holds() tells whether a sensor lies in the flood; from
+    elsewhere a ray may change a masked cell.
+    """
+
+    lattice: np.ndarray
+    cells: np.ndarray
+
+    def holds(self, g: np.ndarray, cell: np.ndarray) -> bool:
+        """Whether the point at grid coordinates g, in cell floor(g), lies in
+        the flood."""
+        i, j, k = (2 * cell + (g != cell)).tolist()
+        nx, ny, nz = self.lattice.shape
+        return 0 <= i < nx and 0 <= j < ny and 0 <= k < nz and bool(self.lattice[i, j, k])
+
+
+def reach_mask(grid: VoxelGrid, boxes, starts) -> ReachMask | None:
+    """The ReachMask of solid boxes on the grid, flooded from the start
+    positions; None where no element lies in a box, so every cell counts."""
+    dims = np.asarray(grid.dims)
+    lo = np.array([b.min_corner for b in boxes], dtype=float).reshape(-1, 3)
+    hi = np.array([b.max_corner for b in boxes], dtype=float).reshape(-1, 3)
+    over_lo, over_hi, in_lo, in_hi = box_cells(grid, lo, hi)
+    # per axis, the planes strictly inside a box and the spans it contains
+    inside_lo = np.clip(np.minimum(2 * over_lo + 2, 2 * in_lo + 1), 0, 2 * dims)
+    inside_hi = np.clip(np.maximum(2 * over_hi - 1, 2 * in_hi), 0, 2 * dims)
+    blocked = np.zeros(2 * dims, dtype=bool)
+    for (a, b, c), (d, e, f) in zip(inside_lo.tolist(), inside_hi.tolist()):
+        blocked[a:d, b:e, c:f] = True
+    if not blocked.any():
+        return None
+    g = (np.asarray(starts, dtype=float).reshape(-1, 3) - grid.origin_arr) / grid.voxel_size
+    cell = np.floor(g).astype(int)
+    lattice = np.zeros(2 * dims, dtype=bool)
+    lattice[tuple((2 * cell + (g != cell)).T)] = True
+    lattice = _flood(lattice, ~blocked)
+
+    # per axis, cell k from elements 2k - 1 .. 2k + 3
+    cells = lattice
+    for axis in range(3):
+        pre = (slice(None),) * axis
+        even, odd = cells[pre + (slice(0, None, 2),)], cells[pre + (slice(1, None, 2),)]
+        cells = even | odd
+        cells[pre + (slice(None, -1),)] |= even[pre + (slice(1, None),)] | odd[pre + (slice(1, None),)]
+        cells[pre + (slice(1, None),)] |= odd[pre + (slice(None, -1),)]
+    return ReachMask(lattice, cells)
+
+
 def world_to_voxel(grid: VoxelGrid, p) -> Voxel:
     """Voxel index containing point p.  Boundary planes belong to the upper voxel."""
     p = np.asarray(p, dtype=float)
@@ -252,28 +371,37 @@ class FiringGuard:
 
     Under the hit rule of integrate_points a firing changes only UNKNOWN
     cells, which its rays free and its hits mark, and FREE structure cells
-    (truth), which its hits mark.  unknown is the field of the UNKNOWN
-    cells, and guard that of both kinds; while no structure cell is FREE
-    they are one field.  at() rebuilds them only when the map's cells or
-    the sensor's cell differ from those they were built for, so every
-    writer of the map is seen.
+    (truth), which its hits mark.  Given a ReachMask, a sensor in its flood
+    can change none of the cells it masks, so those leave both kinds.
+    unknown is the field of the UNKNOWN cells, and guard that of both kinds;
+    while no structure cell is FREE they are one field.  at() rebuilds them
+    only when the map's cells, the sensor's cell or whether the mask applies
+    differ from those they were built for, so every writer of the map is
+    seen.
     """
 
-    def __init__(self, grid: VoxelGrid, truth: np.ndarray):
+    def __init__(self, grid: VoxelGrid, truth: np.ndarray, reach: ReachMask | None = None):
         self.grid = grid
         self.truth = truth
+        self.reach = reach
         self.cells: np.ndarray | None = None
         self.cell: np.ndarray | None = None
+        self.masked = False
 
     def at(self, occ_map: OccupancyMap, origin) -> "FiringGuard":
         grid, cells = self.grid, occ_map.cells
-        cell = np.floor((origin - grid.origin_arr) / grid.voxel_size).astype(np.int64)
-        if (self.cells is not None and np.array_equal(cell, self.cell)
-                and np.array_equal(cells, self.cells)):
+        g = (origin - grid.origin_arr) / grid.voxel_size
+        cell = np.floor(g).astype(np.int64)
+        masked = self.reach is not None and self.reach.holds(g, cell)
+        if (self.cells is not None and masked == self.masked
+                and np.array_equal(cell, self.cell) and np.array_equal(cells, self.cells)):
             return self
-        self.cells, self.cell = cells.copy(), cell
+        self.cells, self.cell, self.masked = cells.copy(), cell, masked
         unknown = cells == UNKNOWN
         free_structure = (cells == FREE) & self.truth
+        if masked:
+            unknown &= self.reach.cells
+            free_structure &= self.reach.cells
         self.live = bool(unknown.any()) or bool(free_structure.any())
         if self.live:
             self.unknown = _box_field(unknown, cell)

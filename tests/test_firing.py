@@ -2,10 +2,11 @@
 
 The mission skips a firing whose map holds no cell it can change and casts
 only the rays whose box holds one, every explorer's firing of a tick in one
-sweep and one map update (engine._fire).  The oracles are the unculled
-firing, every ray cast and folded into the map under the same hit rule, and
-the culled firing of one explorer at a time.  They must all leave the same
-maps after every firing.
+sweep and one map update (engine._fire).  A cell counts only if a ray can
+change it (world.ReachMask).  The oracles are the unculled firing, every ray
+cast and folded into the map under the same hit rule, and the culled firing
+of one explorer at a time.  They must all leave the same maps after every
+firing.
 """
 
 import dataclasses
@@ -22,10 +23,10 @@ from hypothesis import strategies as st
 from test_engine import bench_workload
 from uavinspect import cli, engine
 from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
-from uavinspect.scene import Scene, scene_occupancy
+from uavinspect.scene import Scene, scatter_box_face_points, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions, lidar_sweep
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
-                              OccupancyMap, VoxelGrid, integrate_points)
+                              OccupancyMap, VoxelGrid, integrate_points, reach_mask)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -59,8 +60,9 @@ def fire_one(occ, guard, position, yaw, scene, lidar, t):
 
 def checked_run(cfg, scene, monkeypatch, stats):
     """Run a mission, checking every explorer's map against the unculled
-    firing after each sense stage.  stats counts firings, skipped firings,
-    rays and the rays cast."""
+    firing after each sense stage, and that the firing changes no cell the
+    reach mask masks.  stats counts firings, skipped firings, firings from
+    the flood, rays and the rays cast."""
     cast = engine.lidar_sweep
 
     def counting(position, scene, lidar, dirs, hit_mask=None):
@@ -79,6 +81,12 @@ def checked_run(cfg, scene, monkeypatch, stats):
                 stats["reference_suppressed"] += reference_fire(
                     occ, self.truth, self.position[a.id], self.yaw[a.id], self.scene,
                     self.cfg.lidar, t)
+                reach = self.reach
+                g = (self.position[a.id] - self.grid.origin_arr) / self.grid.voxel_size
+                if reach is None or reach.holds(g, np.floor(g).astype(np.int64)):
+                    # a sensor in the flood changes no masked cell
+                    assert reach is None or reach.cells[occ.cells != a.occ.cells].all(), (k, a.id)
+                    stats["in_flood"] += 1
                 if occ.cells[a.voxel] == UNKNOWN:
                     occ.cells[a.voxel] = FREE
                 expected[a.id] = occ
@@ -125,6 +133,7 @@ def test_culled_firings_equal_the_unculled_firing(monkeypatch):
         checked_run(*build(), monkeypatch, stats)
         assert stats["firings"] > 0, name
         assert stats["suppressed"] == stats["reference_suppressed"] == 0, name
+        assert stats["in_flood"] == stats["firings"], name
         total.update(stats)
     # most rays are culled, and twin_pillars skips most of its firings
     assert 0 < total["cast"] < 0.5 * total["rays"]
@@ -235,8 +244,13 @@ def test_culled_firing_equals_the_unculled_firing_on_random_scenes(firing):
     expected = OccupancyMap(grid, cells.copy())
     suppressed = reference_fire(expected, truth, position, yaw, scene, lidar, t)
     got = OccupancyMap(grid, cells.copy())
-    got_suppressed = fire_one(got, FiringGuard(grid, truth), position, yaw, scene, lidar, t)
+    reach = reach_mask(grid, scene.solid_boxes, [position])
+    guard = FiringGuard(grid, truth, reach)
+    got_suppressed = fire_one(got, guard, position, yaw, scene, lidar, t)
     assert np.array_equal(got.cells, expected.cells)
+    if guard.masked:
+        # a sensor in the flood changes no masked cell
+        assert reach.cells[expected.cells != cells].all()
     assert got_suppressed <= suppressed
     # the hit rule: no firing marks a cell the structure does not occupy
     assert not np.any((got.cells == OCCUPIED) & ~truth)
@@ -259,7 +273,8 @@ def test_fleet_firing_equals_the_explorers_firing_apart(firing):
     suppressed = sum(explorer_fire(occ, FiringGuard(grid, truth), position, yaw, scene, lidar, t)
                      for occ, (_, position, yaw) in zip(expected, fleet))
     got = [OccupancyMap(grid, cells.copy()) for cells, _, _ in fleet]
-    got_suppressed = engine._fire(got, [FiringGuard(grid, truth) for _ in fleet],
+    reach = reach_mask(grid, scene.solid_boxes, [position for _, position, _ in fleet])
+    got_suppressed = engine._fire(got, [FiringGuard(grid, truth, reach) for _ in fleet],
                                   [position for _, position, _ in fleet],
                                   [yaw for _, _, yaw in fleet], scene, lidar, t)
     for occ, want in zip(got, expected):
@@ -318,3 +333,149 @@ def test_a_mission_that_suppresses_hits_warns_with_the_count():
     truth = _Mission(cfg, scene).truth
     for occ in result.final_maps.values():
         assert not np.any((occ.cells == OCCUPIED) & ~truth)
+
+
+# --- the cells no ray can reach ---------------------------------------------------
+
+def test_the_desk_box_masks_exactly_its_cavity():
+    mission = _Mission(*workload("desk_box", 1))
+    cavity = np.zeros(mission.grid.dims, dtype=bool)
+    cavity[3:5, 3:5, 3:5] = True
+    assert np.array_equal(~mission.reach.cells, cavity)
+    assert not np.any(mission.truth & cavity)         # air sealed in, not structure
+
+
+def test_a_desk_box_map_known_outside_the_cavity_is_dead():
+    # every cell known but the sealed cavity: no firing can change the map,
+    # and the guard skips every firing without casting
+    mission = _Mission(*workload("desk_box", 1))
+    truth, scene, grid = mission.truth, mission.scene, mission.grid
+    cells = np.where(truth, OCCUPIED, FREE).astype(np.uint8)
+    cells[~mission.reach.cells] = UNKNOWN
+    lidar = mission.cfg.lidar
+    guard = FiringGuard(grid, truth, mission.reach)
+    corners = [3.0, 45.0]
+    positions = [mission.position[0]] + [np.array([x, y, z]) for x in corners
+                                         for y in corners for z in corners]
+    positions += [np.array([24.0, 24.0, 9.0]), np.array([24.0, 24.0, 39.0])]
+    for position in positions:
+        for yaw, t in [(0.0, LEVEL), (0.7, 0.0), (-2.0, 5.3)]:
+            occ = OccupancyMap(grid, cells.copy())
+            assert not guard.at(occ, position).live
+            reference_fire(occ, truth, position, yaw, scene, lidar, t)
+            assert np.array_equal(occ.cells, cells), (position, yaw, t)
+
+
+def test_a_triangle_only_scene_masks_nothing():
+    mission = _Mission(*workload("mesh_tower", 1))
+    assert not mission.scene.solid_boxes
+    assert mission.reach is None
+
+
+def test_a_sensor_outside_the_flood_is_not_masked():
+    # inside the desk cube's wall a sensor is off the flood, so its guard
+    # counts every UNKNOWN cell
+    mission = _Mission(*workload("desk_box", 1))
+    grid, truth = mission.grid, mission.truth
+    cells = np.where(truth, OCCUPIED, FREE).astype(np.uint8)
+    cells[3, 3, 3] = UNKNOWN                               # sealed in the cavity
+    guard = FiringGuard(grid, truth, mission.reach)
+    occ = OccupancyMap(grid, cells)
+    assert not guard.at(occ, np.array([3.0, 24.0, 24.0])).live
+    assert guard.at(occ, np.array([15.0, 24.0, 24.0])).live
+
+
+def test_a_ray_between_two_boxes_that_share_a_face_is_not_masked():
+    # the +x beam runs in the plane z = 12 that the two boxes share, so it
+    # misses both and frees the cells above the plane; cell (3, 1, 2) has
+    # no neighbour that either box leaves open
+    grid = VoxelGrid((0.0, 0.0, 0.0), (6, 4, 4), 6.0)
+    scene = Scene(solid_boxes=[BoundingBox((6.0, 0.0, 0.0), (30.0, 24.0, 12.0)),
+                               BoundingBox((6.0, 0.0, 12.0), (30.0, 24.0, 24.0))])
+    truth = scene_occupancy(scene, grid)
+    position = np.array([3.0, 9.0, 12.0])
+    lidar = LidarConfig(range=27.0, beams=1, azimuth_steps=4)
+    cells = np.where(truth, OCCUPIED, FREE).astype(np.uint8)
+    cells[3, 1, 2] = UNKNOWN
+    expected = OccupancyMap(grid, cells.copy())
+    reference_fire(expected, truth, position, 0.0, scene, lidar, LEVEL)
+    assert expected.cells[3, 1, 2] == FREE
+    reach = reach_mask(grid, scene.solid_boxes, [position])
+    got = OccupancyMap(grid, cells.copy())
+    fire_one(got, FiringGuard(grid, truth, reach), position, 0.0, scene, lidar, LEVEL)
+    assert np.array_equal(got.cells, expected.cells)
+
+
+TICKS = 60
+
+
+@st.composite
+def hollow_missions(draw):
+    """A short mission of one explorer by a hollow box of six walls, 1-2
+    voxels thick and off the voxel planes by fractions of a voxel; some
+    walls have an opening.  The explorer may start in the plane of a wall
+    face, where its +x beam runs along the face at the first firing."""
+    v = draw(st.sampled_from([3.0, 6.0]))
+    share = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+    # per axis: the outer faces, the inner faces and the opening's edges
+    outer_lo, inner_lo, inner_hi, outer_hi = [], [], [], []
+    for _ in range(3):
+        lo = (2 + draw(share)) * v
+        inner = lo + draw(st.sampled_from([1.0, 1.25, 1.5, 2.0])) * v
+        cavity = inner + draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])) * v
+        outer_lo.append(lo)
+        inner_lo.append(inner)
+        inner_hi.append(cavity)
+        outer_hi.append(cavity + draw(st.sampled_from([1.0, 1.5, 2.0])) * v)
+    walls = []
+    for axis in range(3):
+        for lo_face in (True, False):
+            lo, hi = list(outer_lo), list(outer_hi)
+            if lo_face:
+                hi[axis] = inner_lo[axis]
+            else:
+                lo[axis] = inner_hi[axis]
+            walls.append((lo, hi, axis))
+    opened = draw(st.one_of(st.none(), st.integers(0, 5)))
+    boxes = []
+    for n, (lo, hi, axis) in enumerate(walls):
+        if n != opened:
+            boxes.append(BoundingBox(tuple(lo), tuple(hi)))
+            continue
+        # the wall less a hole inside the cavity's face, as four boxes
+        p, q = [a for a in range(3) if a != axis]
+        hole = {}
+        for a in (p, q):
+            span = inner_hi[a] - inner_lo[a]
+            start = inner_lo[a] + draw(st.sampled_from([0.0, 0.25])) * span
+            hole[a] = (start, start + draw(st.sampled_from([0.25, 0.5, 0.75])) * span)
+        for p_lo, p_hi, q_lo, q_hi in [(lo[p], hole[p][0], lo[q], hi[q]),
+                                       (hole[p][1], hi[p], lo[q], hi[q]),
+                                       (hole[p][0], hole[p][1], lo[q], hole[q][0]),
+                                       (hole[p][0], hole[p][1], hole[q][1], hi[q])]:
+            piece_lo, piece_hi = list(lo), list(hi)
+            piece_lo[p], piece_hi[p], piece_lo[q], piece_hi[q] = p_lo, p_hi, q_lo, q_hi
+            boxes.append(BoundingBox(tuple(piece_lo), tuple(piece_hi)))
+    size = (max(outer_hi) // v + 2) * v
+    outer = BoundingBox(tuple(outer_lo), tuple(outer_hi))
+    scene = Scene(solid_boxes=boxes,
+                  interest_points=scatter_box_face_points(outer, 20, draw(st.integers(0, 99))),
+                  inspection_boxes=[BoundingBox((0.0, 0.0, 0.0), (size, size, size))])
+    # y and z: a cell centre, or a face of the hollow box
+    planes = [sorted(set(c[a] for b in boxes for c in (b.min_corner, b.max_corner)))
+              for a in range(3)]
+    start = (0.5 * v,) + tuple(draw(st.sampled_from([(k + 0.5) * v for k in range(3)]
+                                                    + planes[a])) for a in (1, 2))
+    cfg = MissionConfig(duration=TICKS * 0.1, agents=(AgentSpec("explorer", start),),
+                        voxel_size=v, camera=CameraConfig(range=40.0),
+                        lidar=LidarConfig(beams=3, azimuth_steps=draw(st.sampled_from([16, 24]))))
+    return cfg, scene
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(mission=hollow_missions())
+def test_culled_firings_equal_the_unculled_firing_by_hollow_boxes(mission):
+    stats = Counter()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checked_run(*mission, monkeypatch, stats)
+    assert stats["firings"] == stats["in_flood"] == TICKS

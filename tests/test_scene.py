@@ -437,3 +437,24 @@ def test_a_subnormal_direction_component_casts_as_zero(scene_of):
         assert np.array_equal(got[1], expected[1])
         hits += np.count_nonzero(got[0])
     assert hits > 500
+
+
+def test_a_tiny_direction_component_overflows_quietly():
+    # the reciprocal of the least normal float is finite, but the slab
+    # distances it scales overflow to the signed inf of a component of 0;
+    # from an origin off every face plane such a ray casts as that one does
+    cfg, scene = shipped("desk_box")
+    start = cfg.agents[0].start                     # the explorer, off the faces
+    rng = np.random.default_rng(9)
+    dirs = rng.normal(size=(3000, 3))
+    dirs[rng.random((3000, 3)) < 0.4] = 0.0
+    dirs[np.all(dirs == 0.0, axis=1), 2] = -1.0
+    dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    tiny = np.where(dirs == 0.0, 2.2250738585072014e-308, dirs)
+    expected = ray_cast_batch(scene, start, dirs, 50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ray_cast_batch(scene, start, tiny, 50.0)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    assert np.count_nonzero(got[0]) > 500
