@@ -11,6 +11,9 @@ the camera model once, many poses at a time; the observation log gathers
 every capture's rows from them in one pass, and each capture is then folded,
 in tick order, into the ledger and the score trace.
 
+The fleet's maps are one (n, nx, ny, nz) uint8 array, row i agent i's map;
+each agent's map is a view of its row, bound once, so every write shows in it.
+
 The three per-tick logs (observations, voxel trace, connectivity) are held
 as typed arrays; a reader gets them as row tuples, _ROW_CHUNK rows at a
 time, and the digest hashes the text of the row list a chunk at a time.
@@ -42,7 +45,7 @@ from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, m
 from .scene import Scene, scene_occupancy
 from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
                       lidar_sweep, observe)
-from .world import (FREE, UNKNOWN, FiringGuard, MapStack, OccupancyMap, build_grid,
+from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, build_grid,
                     compute_operational_volume, integrate_points, reach_mask, save_map,
                     world_to_voxel)
 
@@ -289,7 +292,8 @@ class MissionResult:
 @dataclass
 class _Runtime:
     """Mutable per-agent bookkeeping owned by the tick loop; the agent's
-    kinematic state is its row of the mission's fleet arrays."""
+    kinematic state is its row of the mission's fleet arrays, and occ a view
+    of its row of the mission's maps."""
 
     id: int
     spec: AgentSpec
@@ -308,35 +312,37 @@ class _Runtime:
     guard: FiringGuard | None = None        # what an explorer's LiDAR can still change
 
 
-def _fire(maps: list[OccupancyMap], guards: list[FiringGuard], positions, yaws,
-          scene: Scene, lidar: LidarConfig, t: float) -> int:
-    """The LiDAR firings of a tick: explorer i fires into maps[i] from a
-    sensor at positions[i] (3,) with yaws[i], casting only the rays that
-    can change its map.
+def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard], positions,
+          yaws, scene: Scene, lidar: LidarConfig, t: float) -> int:
+    """The LiDAR firings of a tick: the explorer of fleet row i, guarded by
+    the guard at its place in guards, fires into row i of the fleet's maps
+    from a sensor at positions[i] (3,) with yaws[i], casting only the rays
+    that can change its map.
 
     A firing on a map that holds no cell it can change is skipped whole;
     otherwise only the rays whose box holds such a cell are cast (see
     FiringGuard).  The rays of every firing go through one sweep, and its
-    hits and misses through one map update on a stack of the firing maps;
-    a firing changes only its own map, so each map ends as if its firing
-    alone had cast every ray.  A lone firing casts from its one shared
-    origin.  Returns the number of hits of the cast rays that the hit rule
-    suppressed.
+    hits and misses through one map update on the firing rows, gathered
+    and written back; a firing changes only its own map, so each map ends
+    as if its firing alone had cast every ray.  A lone firing casts from its
+    one shared origin.  Returns the number of hits of the cast rays that the
+    hit rule suppressed.
     """
-    firing, bundles = [], []
-    for i, (occ, guard, position, yaw) in enumerate(zip(maps, guards, positions, yaws)):
-        if not guard.at(occ, position).live:
+    firing, bundles, unknown = [], [], []
+    for i, guard in zip(explorer_rows, guards):
+        if not guard.at(OccupancyMap(maps.grid, maps.cells[i]), positions[i]).live:
             continue
-        dirs = lidar_directions(yaw, lidar, t)
-        dirs = dirs[guard.can_change(position, dirs, lidar.range)]
+        dirs = lidar_directions(yaws[i], lidar, t)
+        dirs = dirs[guard.can_change(positions[i], dirs, lidar.range)]
         if len(dirs):
             firing.append(i)
             bundles.append(dirs)
+            unknown.append(guard.unknown)
     if not firing:
         return 0
     dirs = np.concatenate(bundles)
-    origins = np.array([positions[i] for i in firing])
-    # a lone firing casts from its one origin into a stack of one map, which
+    origins = positions[firing]
+    # a lone firing casts from its one origin into one gathered row, which
     # needs no rows
     rows = (None if len(firing) == 1
             else np.repeat(np.arange(len(firing)), [len(b) for b in bundles]))
@@ -344,13 +350,10 @@ def _fire(maps: list[OccupancyMap], guards: list[FiringGuard], positions, yaws,
     hits, misses = lidar_sweep(origins[0] if rows is None else origins[rows], scene, lidar,
                                dirs, hit)
     hit_rows, miss_rows = (None, None) if rows is None else (rows[hit], rows[~hit])
-    stack = MapStack(maps[0].grid, np.array([maps[i].cells for i in firing]))
-    suppressed = integrate_points(stack, origins, hits[:, 0], hits[:, 1], misses,
-                                  guards[firing[0]].truth,
-                                  np.array([guards[i].unknown for i in firing]),
-                                  hit_rows, miss_rows)
-    for i, cells in zip(firing, stack.cells):
-        maps[i].cells[...] = cells
+    gathered = OccupancyMap(maps.grid, maps.cells[firing])
+    suppressed = integrate_points(gathered, origins, hits[:, 0], hits[:, 1], misses,
+                                  guards[0].truth, np.array(unknown), hit_rows, miss_rows)
+    maps.cells[firing] = gathered.cells
     return suppressed
 
 
@@ -386,6 +389,8 @@ class _Mission:
         self.inclination = np.full(n, min(max(0.0, lim.inclination_min), lim.inclination_max))
         self.azimuth = np.full(n, min(max(0.0, lim.azimuth_min), lim.azimuth_max))
 
+        # the fleet's maps, row i agent i's; an agent's occ is a view of its row
+        self.maps = OccupancyMap(self.grid, np.full((n, *self.grid.dims), UNKNOWN, np.uint8))
         self.agents: list[_Runtime] = []      # agent ids are indices into it and the rows
         used_voxels = set()
         e_idx = 0
@@ -396,7 +401,7 @@ class _Mission:
             used_voxels.add(vox)
             if self.truth[vox]:
                 raise ConfigurationError(f"agent {aid} starts inside structure voxel {vox}")
-            rt = _Runtime(aid, spec, OccupancyMap(self.grid), vox)
+            rt = _Runtime(aid, spec, OccupancyMap(self.grid, self.maps.cells[aid]), vox)
             if spec.kind == EXPLORER:
                 rt.guard = FiringGuard(self.grid, self.truth, self.reach)
                 rt.sigma = [Waypoint(tuple(p.tolist()), None, world_to_voxel(self.grid, p))
@@ -431,20 +436,19 @@ class _Mission:
         # a firing and an own-voxel write each touch only their agent's map,
         # so all firings can go first
         explorers = self.explorers
-        self.suppressed_returns += _fire([a.occ for a in explorers], [a.guard for a in explorers],
-                                         [self.position[a.id] for a in explorers],
-                                         [self.yaw[a.id] for a in explorers], self.scene,
-                                         self.cfg.lidar, t)
-        for a in self.agents:
-            # an agent's own voxel is evidently traversable
-            if a.occ.cells[a.voxel] == UNKNOWN:
-                a.occ.cells[a.voxel] = FREE
+        self.suppressed_returns += _fire(self.maps, [a.id for a in explorers],
+                                         [a.guard for a in explorers], self.position, self.yaw,
+                                         self.scene, self.cfg.lidar, t)
+        # an agent's own voxel is evidently traversable: UNKNOWN becomes FREE
+        own = (np.arange(len(self.agents)), *np.array([a.voxel for a in self.agents]).T)
+        self.maps.cells[own] = np.maximum(self.maps.cells[own], FREE)
 
     def _exchange(self, k: int) -> list[list[int]]:
         peers = discover_neighbors(self.position, self.scene)
         merged = exchange_and_merge(peers, [a.occ for a in self.agents])
+        # every merge has read the rows as they were before the round
         for a, occ in zip(self.agents, merged):
-            a.occ = occ
+            a.occ.cells[...] = occ.cells
         self.edges.extend(v for i, ps in enumerate(peers) for j in ps if i < j for v in (i, j))
         self.edge_offsets.append(len(self.edges) // 2)
 
@@ -724,9 +728,8 @@ class _Mission:
         self.collisions += len(voxels) - len(set(voxels))
         self.occupied_entries += sum(1 for vox in voxels if self.truth[vox])
         # a map that holds a structure cell free lets its agent plan and fly into it
-        for a in self.agents:
-            self.free_structure_cells += int(np.count_nonzero(
-                a.occ.cells.ravel()[self.structure] == FREE))
+        cells = self.maps.cells.reshape(len(self.agents), -1)
+        self.free_structure_cells += int(np.count_nonzero(cells[:, self.structure] == FREE))
 
     def run(self) -> MissionResult:
         for k in range(self.n_ticks):

@@ -257,7 +257,9 @@ def voxel_to_world(grid: VoxelGrid, voxel) -> np.ndarray:
 class OccupancyMap:
     """Dense tri-state voxel belief over a grid.
 
-    cells is an (nx, ny, nz) uint8 array of UNKNOWN / FREE / OCCUPIED.
+    cells is an (nx, ny, nz) uint8 array of UNKNOWN / FREE / OCCUPIED, or a
+    (k, nx, ny, nz) one of k maps on the grid, row r the cells of map r.  A
+    C-contiguous uint8 array is held as given, so a map can be a view.
     """
 
     def __init__(self, grid: VoxelGrid, cells: np.ndarray | None = None):
@@ -266,7 +268,7 @@ class OccupancyMap:
             self.cells = np.full(grid.dims, UNKNOWN, dtype=np.uint8)
         else:
             cells = np.ascontiguousarray(cells, dtype=np.uint8)
-            if cells.shape != tuple(grid.dims):
+            if cells.shape[-3:] != tuple(grid.dims) or cells.ndim > 4:
                 raise GridMismatchError(
                     f"cell array shape {cells.shape} does not match grid dims {grid.dims}"
                 )
@@ -278,15 +280,6 @@ class OccupancyMap:
     def occupied_voxels(self) -> np.ndarray:
         """(n, 3) int array of occupied voxel indices in lexicographic order."""
         return np.argwhere(self.cells == OCCUPIED)
-
-
-@dataclass(frozen=True, eq=False)
-class MapStack:
-    """k maps on one grid as one (k, nx, ny, nz) cells array, row r the
-    cells of map r, for integrate_points to fold k firings at once."""
-
-    grid: VoxelGrid
-    cells: np.ndarray
 
 
 def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
@@ -426,15 +419,15 @@ class FiringGuard:
         return self.guard[tuple(end_cells.T)]
 
 
-def integrate_points(occ_map: OccupancyMap | MapStack, sensor_origin, hits, hit_dirs,
+def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
                      misses=(), truth: np.ndarray | None = None,
                      unknown: np.ndarray | None = None, hit_rows=None, miss_rows=None) -> int:
     """Fold range firings into maps: hit voxels become occupied, and the
     unknown voxels the rays crossed on the way become free, for a miss (a
     return that saw nothing) its end voxel too.
 
-    occ_map is one map, fired from sensor_origin (3,), or a MapStack of k
-    maps on one grid, map r fired from sensor_origin[r] of (k, 3); for k > 1
+    occ_map is one map, fired from sensor_origin (3,), or k maps as the
+    rows of its cells, map r fired from sensor_origin[r] of (k, 3); for k > 1
     hit_rows and miss_rows name the map row of each hit and each miss.  A
     firing changes only its own map, and each map ends as if its firing
     alone had been folded into it.
@@ -463,7 +456,7 @@ def integrate_points(occ_map: OccupancyMap | MapStack, sensor_origin, hits, hit_
     the map.  A miss is first tested against its box out to its unclipped
     end cell, which holds the box of its clipped segment, so only the misses
     that pass are clipped.  Cells are addressed by flat index into the
-    stack, row after row; a lone map carries no rows.
+    cells, row after row; a lone map carries no rows.
     """
     grid = occ_map.grid
     v, lo, dims = grid.voxel_size, grid.origin_arr, np.asarray(grid.dims)
@@ -610,4 +603,6 @@ def load_map(path) -> OccupancyMap:
     cells = np.frombuffer(payload, dtype=np.uint8)
     if cells.size != grid.cell_count:
         raise ConfigurationError(f"payload size {cells.size} != cell count {grid.cell_count}")
+    if np.any(cells > OCCUPIED):
+        raise ConfigurationError(f"cell state {cells.max()} is not 0, 1 or 2 in {path}")
     return OccupancyMap(grid, cells.reshape(grid.dims, order="F").copy())

@@ -20,7 +20,7 @@ from uavinspect.errors import ConfigurationError, OutOfBoundsError
 from uavinspect.planning import generate_waypoints
 from uavinspect.scene import InterestPoint, Scene, scatter_box_face_points
 from uavinspect.sensors import CameraConfig, LidarConfig, Observations
-from uavinspect.world import (FREE, OCCUPIED, BoundingBox, OccupancyMap, load_map,
+from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, OccupancyMap, load_map,
                               voxel_to_world, world_to_voxel)
 
 
@@ -678,6 +678,49 @@ def test_audit_counts_structure_cells_a_map_holds_free():
     assert mission.free_structure_cells == 8
 
 
+def test_agent_maps_are_rows_of_the_fleet_maps():
+    # each agent's map is a view of its row, bound once: the tick loop writes
+    # through it, and so does anyone else, and the audit reads the array
+    mission = _Mission(small_config(duration=0.5), solid_cube_scene())
+
+    def views():
+        return [np.shares_memory(a.occ.cells, mission.maps.cells) for a in mission.agents]
+
+    assert views() == [True, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mission.run()
+    assert views() == [True, True]
+    center = tuple(np.argwhere(mission.truth)[13])      # out of every sensor's sight
+    photographer = mission.agents[1]
+    assert photographer.occ.cells[center] == mission.maps.cells[1][center] == UNKNOWN
+    count = mission.free_structure_cells
+    mission._audit(0)
+    per_audit = mission.free_structure_cells - count
+    photographer.occ.cells[center] = FREE
+    count = mission.free_structure_cells
+    mission._audit(0)
+    assert mission.free_structure_cells - count == per_audit + 1
+
+
+def test_exchange_merges_snapshots_of_the_fleet_maps():
+    # A-B-C in line of sight pairs (A,B) and (B,C): after one exchange the
+    # middle row holds all three marks, the end rows their pair only
+    from test_comms import CHAIN_POSITIONS, chain_scene     # a cycle at module level
+    scene = Scene(solid_boxes=chain_scene().solid_boxes,
+                  inspection_boxes=[BoundingBox((1.0, -5.0, -1.0), (5.2, 5.0, 2.0))])
+    cfg = MissionConfig(duration=1.0, voxel_size=0.5, agents=(
+        AgentSpec("explorer", CHAIN_POSITIONS[0]),
+        *(AgentSpec("photographer", p) for p in CHAIN_POSITIONS[1:3])))
+    mission = _Mission(cfg, scene)
+    marks = [a.voxel for a in mission.agents]
+    for a, cell in zip(mission.agents, marks):
+        a.occ.cells[cell] = OCCUPIED
+    assert mission._exchange(0) == [[1], [0, 2], [1]]
+    held = [{m for m in marks if row[m] == OCCUPIED} for row in mission.maps.cells]
+    assert held == [set(marks[:2]), set(marks), set(marks[1:])]
+
+
 def test_free_structure_cells_warn_and_reach_the_summary(tmp_path):
     mission = _Mission(small_config(duration=0.1), solid_cube_scene())
     mission.agents[1].occ.cells[mission.truth] = FREE
@@ -929,7 +972,7 @@ def test_regeneration_asks_again_once_the_map_changes(monkeypatch):
     a.occ.cells[a.voxel] = FREE
     mission._regenerate(a, [[], []], 3)
     assert len(asked) == 2 and a.sigma is None
-    a.occ = OccupancyMap(mission.grid, np.where(mission.truth, OCCUPIED, FREE))
+    a.occ.cells[...] = np.where(mission.truth, OCCUPIED, FREE)
     mission._regenerate(a, [[], []], 4)
     assert len(asked) == 3 and a.sigma is not None
 

@@ -51,9 +51,10 @@ def explorer_fire(occ, guard, position, yaw, scene, lidar, t):
 
 
 def fire_one(occ, guard, position, yaw, scene, lidar, t):
-    """The mission's firing with one explorer."""
-    return engine._fire([occ], [guard], [np.asarray(position, dtype=float)], [yaw], scene,
-                        lidar, t)
+    """The mission's firing with one explorer, on a fleet of one map: a view
+    of occ's cells, so the firing writes occ."""
+    return engine._fire(OccupancyMap(occ.grid, occ.cells[None]), [0], [guard],
+                        np.asarray(position, dtype=float).reshape(1, 3), [yaw], scene, lidar, t)
 
 
 # --- the firing of a mission ---------------------------------------------------
@@ -272,13 +273,13 @@ def test_fleet_firing_equals_the_explorers_firing_apart(firing):
     expected = [OccupancyMap(grid, cells.copy()) for cells, _, _ in fleet]
     suppressed = sum(explorer_fire(occ, FiringGuard(grid, truth), position, yaw, scene, lidar, t)
                      for occ, (_, position, yaw) in zip(expected, fleet))
-    got = [OccupancyMap(grid, cells.copy()) for cells, _, _ in fleet]
-    reach = reach_mask(grid, scene.solid_boxes, [position for _, position, _ in fleet])
-    got_suppressed = engine._fire(got, [FiringGuard(grid, truth, reach) for _ in fleet],
-                                  [position for _, position, _ in fleet],
-                                  [yaw for _, _, yaw in fleet], scene, lidar, t)
-    for occ, want in zip(got, expected):
-        assert np.array_equal(occ.cells, want.cells)
+    got = OccupancyMap(grid, np.stack([cells for cells, _, _ in fleet]))
+    positions = np.array([position for _, position, _ in fleet])
+    reach = reach_mask(grid, scene.solid_boxes, positions)
+    got_suppressed = engine._fire(got, [0, 1], [FiringGuard(grid, truth, reach) for _ in fleet],
+                                  positions, [yaw for _, _, yaw in fleet], scene, lidar, t)
+    for cells, want in zip(got.cells, expected):
+        assert np.array_equal(cells, want.cells)
     assert got_suppressed == suppressed
 
 

@@ -12,7 +12,7 @@ from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
 from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
-                              MapStack, OccupancyMap, VoxelGrid,
+                              OccupancyMap, VoxelGrid,
                               _segment_cells, build_grid, carve_free,
                               compute_operational_volume, integrate_points, load_map,
                               merge_maps, save_map, voxel_to_world, world_to_voxel)
@@ -665,7 +665,7 @@ def test_stacked_update_equals_one_call_per_map():
                                                dirs[hit_rows == r], misses[miss_rows == r],
                                                truth)
                 expected.append(m.cells)
-            got = MapStack(grid, stack.copy())
+            got = OccupancyMap(grid, stack.copy())
             assert integrate_points(got, sensors, hits, dirs, misses, truth, None,
                                     hit_rows, miss_rows) == suppressed
             assert np.array_equal(got.cells, np.stack(expected))
@@ -687,7 +687,7 @@ def test_stacked_update_takes_the_unknown_field_of_each_row():
         hits = rng.uniform(lo - 2, hi + 2, (20, 3))
         rows = rng.integers(0, 2, 20)
         dirs = np.vstack([ray_dirs(sensors[r], h) for r, h in zip(rows, hits)])
-        given, computed = (MapStack(grid, np.stack([maps[a], maps[b]])) for _ in range(2))
+        given, computed = (OccupancyMap(grid, np.stack([maps[a], maps[b]])) for _ in range(2))
         unknown = np.stack([f.unknown if f.live else np.zeros(grid.dims, bool)
                             for f in fields])
         integrate_points(given, sensors, hits, dirs, hits * 2, None, unknown, rows, rows)
@@ -902,6 +902,15 @@ def test_map_dump_roundtrip_is_byte_identical(tmp_path):
 def test_load_map_rejects_a_malformed_header_naming_the_file(tmp_path, header):
     path = tmp_path / "bad.vox"
     path.write_bytes(header + bytes([UNKNOWN]))
+    with pytest.raises(ConfigurationError, match="bad.vox"):
+        load_map(path)
+
+
+def test_load_map_rejects_a_cell_state_naming_the_file(tmp_path):
+    # a byte that is no cell state would reach a peer's map through merge_maps
+    path = tmp_path / "bad.vox"
+    path.write_bytes(b"VOXMAP 1 origin 0 0 0 dims 2 2 2 voxel 1.0\n"
+                     + bytes([UNKNOWN, FREE, OCCUPIED, UNKNOWN, FREE, 7, UNKNOWN, FREE]))
     with pytest.raises(ConfigurationError, match="bad.vox"):
         load_map(path)
 
