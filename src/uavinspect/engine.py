@@ -50,6 +50,7 @@ from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, build_grid,
                     world_to_voxel)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
+_BLOCKED_REPLANS = 3            # an agent that replans blocked this often abandons its goal
 # (pose, point) pairs per observe call when the captures are scored; bounds
 # the call's temporaries, as scene._RAY_CHUNK bounds a cast's
 _OBSERVE_PAIRS = 8192
@@ -324,11 +325,12 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     FiringGuard).  The rays of every firing go through one sweep, and its
     hits and misses through one map update on the firing rows, gathered
     and written back; a firing changes only its own map, so each map ends
-    as if its firing alone had cast every ray.  A lone firing casts from its
-    one shared origin.  Returns the number of hits of the cast rays that the
-    hit rule suppressed.
+    as if its firing alone had cast every ray; the update takes each
+    firing's guard field.  A lone firing casts from its one shared origin.
+    Returns the number of hits of the cast rays that the hit rule
+    suppressed.
     """
-    firing, bundles, unknown = [], [], []
+    firing, bundles, fields = [], [], []
     for i, guard in zip(explorer_rows, guards):
         if not guard.at(OccupancyMap(maps.grid, maps.cells[i]), positions[i]).live:
             continue
@@ -337,22 +339,18 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
         if len(dirs):
             firing.append(i)
             bundles.append(dirs)
-            unknown.append(guard.unknown)
+            fields.append(guard.field)
     if not firing:
         return 0
     dirs = np.concatenate(bundles)
     origins = positions[firing]
-    # a lone firing casts from its one origin into one gathered row, which
-    # needs no rows
-    rows = (None if len(firing) == 1
-            else np.repeat(np.arange(len(firing)), [len(b) for b in bundles]))
+    rows = np.repeat(np.arange(len(firing)), [len(b) for b in bundles])
     hit = np.empty(len(dirs), dtype=bool)
-    hits, misses = lidar_sweep(origins[0] if rows is None else origins[rows], scene, lidar,
-                               dirs, hit)
-    hit_rows, miss_rows = (None, None) if rows is None else (rows[hit], rows[~hit])
+    hits, misses = lidar_sweep(origins[0] if len(firing) == 1 else origins[rows], scene,
+                               lidar, dirs, hit)
     gathered = OccupancyMap(maps.grid, maps.cells[firing])
     suppressed = integrate_points(gathered, origins, hits[:, 0], hits[:, 1], misses,
-                                  guards[0].truth, np.array(unknown), hit_rows, miss_rows)
+                                  guards[0].truth, np.array(fields), rows[hit], rows[~hit])
     maps.cells[firing] = gathered.cells
     return suppressed
 
@@ -517,7 +515,7 @@ class _Mission:
                 continue
             goal = "survey point" if a.phase == 1 else "waypoint"
             wps = a.sigma
-            if a.blocked_replans >= 3 and a.cursor < len(wps):
+            if a.blocked_replans >= _BLOCKED_REPLANS and a.cursor < len(wps):
                 self.plan_events.append(
                     f"tick {k} agent {a.id} abandons stalled {goal} {wps[a.cursor].voxel}")
                 a.cursor += 1

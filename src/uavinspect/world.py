@@ -359,18 +359,18 @@ def _box_field(mask: np.ndarray, cell) -> np.ndarray:
 
 
 class FiringGuard:
-    """The cells a LiDAR firing can still change on one map, as box fields
-    (see _box_field) from the sensor's cell.
+    """The cells a LiDAR firing can still change on one map, as one box
+    field (see _box_field) from the sensor's cell.
 
     Under the hit rule of integrate_points a firing changes only UNKNOWN
     cells, which its rays free and its hits mark, and FREE structure cells
     (truth), which its hits mark.  Given a ReachMask, a sensor in its flood
     can change none of the cells it masks, so those leave both kinds.
-    unknown is the field of the UNKNOWN cells, and guard that of both kinds;
-    while no structure cell is FREE they are one field.  at() rebuilds them
-    only when the map's cells, the sensor's cell or whether the mask applies
-    differ from those they were built for, so every writer of the map is
-    seen.
+    field is the field of both kinds; it culls the rays before the cast
+    (can_change) and the segments after it (integrate_points).  at()
+    rebuilds it only when the map's cells, the sensor's cell or whether the
+    mask applies differ from those it was built for, so every writer of the
+    map is seen.
     """
 
     def __init__(self, grid: VoxelGrid, truth: np.ndarray, reach: ReachMask | None = None):
@@ -390,16 +390,12 @@ class FiringGuard:
                 and np.array_equal(cell, self.cell) and np.array_equal(cells, self.cells)):
             return self
         self.cells, self.cell, self.masked = cells.copy(), cell, masked
-        unknown = cells == UNKNOWN
-        free_structure = (cells == FREE) & self.truth
+        changeable = (cells == UNKNOWN) | ((cells == FREE) & self.truth)
         if masked:
-            unknown &= self.reach.cells
-            free_structure &= self.reach.cells
-        self.live = bool(unknown.any()) or bool(free_structure.any())
+            changeable &= self.reach.cells
+        self.live = bool(changeable.any())
         if self.live:
-            self.unknown = _box_field(unknown, cell)
-            self.guard = (_box_field(unknown | free_structure, cell) if free_structure.any()
-                          else self.unknown)
+            self.field = _box_field(changeable, cell)
         return self
 
     def can_change(self, origin, dirs: np.ndarray, reach: float) -> np.ndarray:
@@ -416,12 +412,12 @@ class FiringGuard:
         v, lo, dims = grid.voxel_size, grid.origin_arr, np.asarray(grid.dims)
         ends = origin + dirs * reach + np.sign(dirs) * (2 * _NUDGE * v)
         end_cells = np.clip(np.floor((ends - lo) / v).astype(np.int64), 0, dims - 1)
-        return self.guard[tuple(end_cells.T)]
+        return self.field[tuple(end_cells.T)]
 
 
 def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
                      misses=(), truth: np.ndarray | None = None,
-                     unknown: np.ndarray | None = None, hit_rows=None, miss_rows=None) -> int:
+                     field: np.ndarray | None = None, hit_rows=None, miss_rows=None) -> int:
     """Fold range firings into maps: hit voxels become occupied, and the
     unknown voxels the rays crossed on the way become free, for a miss (a
     return that saw nothing) its end voxel too.
@@ -450,12 +446,12 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     between its origin cell and its end cell, so a segment whose box holds
     no UNKNOWN cell cannot change the map and is not traversed; one box
     field of the UNKNOWN cells from the sensor's cell answers that per
-    segment with one lookup.  unknown may pass that field, one per map row,
-    for the cells before the call (FiringGuard.unknown): the hits only
-    shrink the UNKNOWN cells, so it still holds every box that can change
-    the map.  A miss is first tested against its box out to its unclipped
-    end cell, which holds the box of its clipped segment, so only the misses
-    that pass are clipped.  Cells are addressed by flat index into the
+    segment with one lookup, at a hit's cell or a miss's clipped end cell.
+    field may pass, one per map row, the box field of any cells before the
+    call that hold every UNKNOWN cell the firing can reach
+    (FiringGuard.field): the hits only shrink the UNKNOWN cells, so it still
+    holds every box that can change the map, and a segment it lets through
+    beyond those frees nothing.  Cells are addressed by flat index into the
     cells, row after row; a lone map carries no rows.
     """
     grid = occ_map.grid
@@ -493,27 +489,18 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
         marked = hit_flat[structure]
     cells[marked] = OCCUPIED
 
-    rel = np.asarray(misses, dtype=float).reshape(-1, 3) - origin_of(miss_rows)
-    # the clipped end origin + rel * t, 0 <= t <= 1, lies between the origin
-    # and origin + rel on every axis, in floating point too
-    far_cells = np.floor((origin_of(miss_rows) + rel - lo) / v).astype(np.int64)
-    np.maximum(far_cells, 0, out=far_cells)
-    np.minimum(far_cells, dims - 1, out=far_cells)
     sensor_cells = np.floor((origins - lo) / v).astype(np.int64)
-    if unknown is None:
-        unknown = np.stack([_box_field(c == UNKNOWN, cell) for c, cell in
-                            zip(cells.reshape(len(origins), *grid.dims), sensor_cells)])
-    unknown = unknown.reshape(-1)
-    live = unknown[np.concatenate([hit_flat, flat(far_cells, miss_rows)])]
-    if not live.any():
-        return suppressed
-    live_hits, live_misses = live[:len(hit_flat)], live[len(hit_flat):]
-    rel, miss_rows = rel[live_misses], kept(miss_rows, live_misses)
-    origin = origin_of(miss_rows)
+    if field is None:
+        field = np.stack([_box_field(c == UNKNOWN, cell) for c, cell in
+                          zip(cells.reshape(len(origins), *grid.dims), sensor_cells)])
+    field = field.reshape(-1)
+    live_hits = field[hit_flat]
 
-    # clip the surviving misses to the grid; an axis with no motion along it
-    # holds the whole ray if lo <= origin < hi, since boundary planes belong
-    # to the upper voxel, and none of it otherwise
+    # clip the misses to the grid; an axis with no motion along it holds the
+    # whole ray if lo <= origin < hi, since boundary planes belong to the
+    # upper voxel, and none of it otherwise
+    origin = origin_of(miss_rows)
+    rel = np.asarray(misses, dtype=float).reshape(-1, 3) - origin
     hi = lo + dims * v
     still = rel == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -531,7 +518,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     np.maximum(end_cells, 0, out=end_cells)
     np.minimum(end_cells, dims - 1, out=end_cells)
     end_flat = flat(end_cells, miss_rows)
-    live_misses = unknown[end_flat]
+    live_misses = field[end_flat]
     ends, end_cells, end_flat = ends[live_misses], end_cells[live_misses], end_flat[live_misses]
     miss_rows = kept(miss_rows, live_misses)
 
@@ -602,7 +589,8 @@ def load_map(path) -> OccupancyMap:
         raise ConfigurationError(f"malformed VOXMAP header in {path}: {exc}") from None
     cells = np.frombuffer(payload, dtype=np.uint8)
     if cells.size != grid.cell_count:
-        raise ConfigurationError(f"payload size {cells.size} != cell count {grid.cell_count}")
+        raise ConfigurationError(
+            f"payload size {cells.size} != cell count {grid.cell_count} in {path}")
     if np.any(cells > OCCUPIED):
         raise ConfigurationError(f"cell state {cells.max()} is not 0, 1 or 2 in {path}")
     return OccupancyMap(grid, cells.reshape(grid.dims, order="F").copy())

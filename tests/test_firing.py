@@ -47,7 +47,7 @@ def explorer_fire(occ, guard, position, yaw, scene, lidar, t):
         return 0
     hits, misses = lidar_sweep(position, scene, lidar, dirs)
     return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, guard.truth,
-                            guard.unknown)
+                            guard.field)
 
 
 def fire_one(occ, guard, position, yaw, scene, lidar, t):

@@ -673,26 +673,36 @@ def test_stacked_update_equals_one_call_per_map():
     assert truth_draws > 0 and suppressed_total > 0
 
 
-def test_stacked_update_takes_the_unknown_field_of_each_row():
-    # the fields the mission passes, one per row from its own sensor cell,
-    # give what the call computes for itself
+def test_stacked_update_takes_the_guard_field_of_each_row():
+    # the guards' fields the mission passes, one per row from its own sensor
+    # cell, give what the call computes for itself from the UNKNOWN cells,
+    # though a FREE structure cell makes a guard's field wider
     rng = np.random.default_rng(41)
     grid = VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0)
     lo, hi = grid.origin_arr, grid.origin_arr + np.asarray(grid.dims)
     maps = list(partially_known_maps(grid.dims, rng))
+
+    def fields(truth, cells, sensors):
+        guards = (FiringGuard(grid, truth).at(OccupancyMap(grid, c), o)
+                  for c, o in zip(cells, sensors))
+        return np.stack([g.field if g.live else np.zeros(grid.dims, bool) for g in guards])
+
+    wider = 0
     for a, b in itertools.combinations(range(len(maps)), 2):
         sensors = rng.uniform(lo, hi, (2, 3))
-        fields = [FiringGuard(grid, np.zeros(grid.dims, bool)).at(OccupancyMap(grid, c), o)
-                  for c, o in zip((maps[a], maps[b]), sensors)]
+        truth = rng.random(grid.dims) < 0.3
+        guard_fields = fields(truth, (maps[a], maps[b]), sensors)
+        unknown_fields = fields(np.zeros(grid.dims, bool), (maps[a], maps[b]), sensors)
+        assert np.all(unknown_fields <= guard_fields)
+        wider += bool(np.any(guard_fields & ~unknown_fields))
         hits = rng.uniform(lo - 2, hi + 2, (20, 3))
         rows = rng.integers(0, 2, 20)
         dirs = np.vstack([ray_dirs(sensors[r], h) for r, h in zip(rows, hits)])
         given, computed = (OccupancyMap(grid, np.stack([maps[a], maps[b]])) for _ in range(2))
-        unknown = np.stack([f.unknown if f.live else np.zeros(grid.dims, bool)
-                            for f in fields])
-        integrate_points(given, sensors, hits, dirs, hits * 2, None, unknown, rows, rows)
-        integrate_points(computed, sensors, hits, dirs, hits * 2, None, None, rows, rows)
+        integrate_points(given, sensors, hits, dirs, hits * 2, truth, guard_fields, rows, rows)
+        integrate_points(computed, sensors, hits, dirs, hits * 2, truth, None, rows, rows)
         assert np.array_equal(given.cells, computed.cells)
+    assert wider > 0
 
 
 def test_carve_free_frees_only_cells_in_the_ray_box():
@@ -898,7 +908,8 @@ def test_map_dump_roundtrip_is_byte_identical(tmp_path):
     b"VOXMAP 1 origin a 0 0 dims 1 1 1 voxel 1.0\n",
     b"VOXMAP 1 origin 0 0 0 dims 1 1 1 voxel nan\n",
     b"\xff\xfe\n",
-], ids=["short", "non-numeric-origin", "nan-voxel", "binary"])
+    b"VOXMAP 1 origin 0 0 0 dims 2 2 2 voxel 1.0\n",
+], ids=["short", "non-numeric-origin", "nan-voxel", "binary", "payload-size"])
 def test_load_map_rejects_a_malformed_header_naming_the_file(tmp_path, header):
     path = tmp_path / "bad.vox"
     path.write_bytes(header + bytes([UNKNOWN]))
