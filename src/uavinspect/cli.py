@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import logging
 import math
+import os
 import sys
 from dataclasses import MISSING
 
@@ -239,10 +240,12 @@ def scenario_from_dict(canonical: dict) -> tuple[MissionConfig, Scene]:
 
 def load_scenario_dict(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if raw is None:
         raise ConfigurationError(f"{path} is empty")
     return normalize_scenario(raw)
@@ -285,6 +288,11 @@ def main(argv=None) -> int:
             print(f"warning: --seed {args.seed} changes nothing: no interest-point "
                   "scatter rule takes its seed from mission.seed", file=sys.stderr)
         cfg, scene = scenario_from_dict(canonical)
+        if args.out:
+            try:        # an unwritable --out is rejected before the mission runs
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigurationError(f"cannot write to --out {args.out}: {exc}") from exc
         log.info("running mission: %.1f s simulated, %d agents, %d interest points",
                  cfg.duration, len(cfg.agents), scene.num_points)
         # building the mission rejects more: shared or occupied start voxels, bad voxel sizes

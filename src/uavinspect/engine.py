@@ -310,7 +310,6 @@ class _Runtime:
     blocked: int = 0
     blocked_replans: int = 0
     barren: np.ndarray | None = None        # cells of the last map that gave no waypoints
-    guard: FiringGuard | None = None        # what an explorer's LiDAR can still change
 
 
 def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard], positions,
@@ -390,6 +389,9 @@ class _Mission:
         # the fleet's maps, row i agent i's; an agent's occ is a view of its row
         self.maps = OccupancyMap(self.grid, np.full((n, *self.grid.dims), UNKNOWN, np.uint8))
         self.agents: list[_Runtime] = []      # agent ids are indices into it and the rows
+        # the explorers' rows and the guards of their firings, in fleet order
+        self.explorer_rows: list[int] = []
+        self.guards: list[FiringGuard] = []
         used_voxels = set()
         e_idx = 0
         for aid, spec in enumerate(cfg.agents):
@@ -400,13 +402,16 @@ class _Mission:
             if self.truth[vox]:
                 raise ConfigurationError(f"agent {aid} starts inside structure voxel {vox}")
             rt = _Runtime(aid, spec, OccupancyMap(self.grid, self.maps.cells[aid]), vox)
+            # its own voxel is evidently traversable; it enters only voxels
+            # its map holds FREE, so no later write is needed
+            rt.occ.cells[vox] = FREE
             if spec.kind == EXPLORER:
-                rt.guard = FiringGuard(self.grid, self.truth, self.reach)
+                self.explorer_rows.append(aid)
+                self.guards.append(FiringGuard(self.grid, self.truth, self.reach))
                 rt.sigma = [Waypoint(tuple(p.tolist()), None, world_to_voxel(self.grid, p))
                             for p in routes[e_idx]]
                 e_idx += 1
             self.agents.append(rt)
-        self.explorers = [a for a in self.agents if a.spec.kind == EXPLORER]
 
         # the pose table: every agent's camera pose at every capture tick, packed
         # as camera_pose packs it, in fleet order, until _score takes it
@@ -431,15 +436,8 @@ class _Mission:
     # --- stage helpers -------------------------------------------------
 
     def _sense(self, k: int, t: float) -> None:
-        # a firing and an own-voxel write each touch only their agent's map,
-        # so all firings can go first
-        explorers = self.explorers
-        self.suppressed_returns += _fire(self.maps, [a.id for a in explorers],
-                                         [a.guard for a in explorers], self.position, self.yaw,
-                                         self.scene, self.cfg.lidar, t)
-        # an agent's own voxel is evidently traversable: UNKNOWN becomes FREE
-        own = (np.arange(len(self.agents)), *np.array([a.voxel for a in self.agents]).T)
-        self.maps.cells[own] = np.maximum(self.maps.cells[own], FREE)
+        self.suppressed_returns += _fire(self.maps, self.explorer_rows, self.guards,
+                                         self.position, self.yaw, self.scene, self.cfg.lidar, t)
 
     def _exchange(self, k: int) -> list[list[int]]:
         peers = discover_neighbors(self.position, self.scene)

@@ -442,17 +442,12 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     number of suppressed hits.
 
     The hit cells are marked first: freeing only ever turns UNKNOWN cells
-    FREE, so they stay occupied.  A segment's cells all lie in the box
-    between its origin cell and its end cell, so a segment whose box holds
-    no UNKNOWN cell cannot change the map and is not traversed; one box
-    field of the UNKNOWN cells from the sensor's cell answers that per
-    segment with one lookup, at a hit's cell or a miss's clipped end cell.
-    field may pass, one per map row, the box field of any cells before the
-    call that hold every UNKNOWN cell the firing can reach
-    (FiringGuard.field): the hits only shrink the UNKNOWN cells, so it still
-    holds every box that can change the map, and a segment it lets through
-    beyond those frees nothing.  Cells are addressed by flat index into the
-    cells, row after row; a lone map carries no rows.
+    FREE, so they stay occupied.  field, one per map row, is a box field
+    from the sensor's cell of cells that hold every UNKNOWN cell the firing
+    can reach (FiringGuard.field), looked up at a hit's cell or a miss's
+    clipped end cell; a segment whose box it does not hold frees nothing and
+    is not traversed.  Without field every segment is.  Cells are addressed
+    by flat index into the cells, row after row; a lone map carries no rows.
     """
     grid = occ_map.grid
     v, lo, dims = grid.voxel_size, grid.origin_arr, np.asarray(grid.dims)
@@ -490,10 +485,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     cells[marked] = OCCUPIED
 
     sensor_cells = np.floor((origins - lo) / v).astype(np.int64)
-    if field is None:
-        field = np.stack([_box_field(c == UNKNOWN, cell) for c, cell in
-                          zip(cells.reshape(len(origins), *grid.dims), sensor_cells)])
-    field = field.reshape(-1)
+    field = np.ones(cells.size, dtype=bool) if field is None else field.reshape(-1)
     live_hits = field[hit_flat]
 
     # clip the misses to the grid; an axis with no motion along it holds the

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from uavinspect import cli
 from uavinspect.agents import GimbalLimits, TrackingConfig
 from uavinspect.cli import (load_scenario_dict, main, normalize_scenario,
                             parse_scenario, scenario_from_dict)
@@ -414,6 +415,39 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["--scenario", bad])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def unreadable(tmp_path, kind):
+    """A scenario path that cannot be read as text: missing, a directory, or
+    a file that is not UTF-8."""
+    if kind == "missing":
+        return tmp_path / "missing.yaml"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "binary.yaml"
+    path.write_bytes(b"\xff" * 200)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_main_reports_an_unreadable_scenario(tmp_path, capsys, kind):
+    # each ended in a traceback and exit status 1, the status of a violation
+    path = unreadable(tmp_path, kind)
+    assert main(["--scenario", str(path)]) == 2
+    assert f"error: cannot read {path}: " in capsys.readouterr().err
+
+
+def test_main_rejects_an_unwritable_out_before_running(tmp_path, capsys, monkeypatch):
+    # an --out naming a file failed only after the whole mission had run
+    def never(cfg, scene):
+        raise AssertionError("the mission ran")
+
+    monkeypatch.setattr(cli, "run_mission", never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["--scenario", str(SCENARIOS / "open_field.yaml"), "--out", str(taken)])
+    assert code == 2
+    assert f"error: cannot write to --out {taken}: " in capsys.readouterr().err
 
 
 def test_main_rejects_a_negative_standoff_before_running(tmp_path, capsys):

@@ -703,6 +703,37 @@ def test_agent_maps_are_rows_of_the_fleet_maps():
     assert mission.free_structure_cells - count == per_audit + 1
 
 
+@pytest.mark.parametrize("mission", [
+    lambda: (small_config(), small_scene()),
+    lambda: bench_workload("fleet_fine", 1),
+], ids=["small", "fleet_fine"])
+def test_a_built_mission_knows_each_start_voxel_free(mission):
+    # the one write an agent's own voxel needs is made when its row is bound
+    mission = _Mission(*mission())
+    for a, row in zip(mission.agents, mission.maps.cells):
+        assert np.argwhere(row != UNKNOWN).tolist() == [list(a.voxel)]
+        assert row[a.voxel] == FREE
+
+
+def test_every_agent_stands_in_a_voxel_its_map_knows_free(monkeypatch):
+    # the sense stage writes no own voxel: an agent enters only voxels its
+    # map holds FREE, and a map's cells only rise, so the build's write holds
+    audit = _Mission._audit
+    stood = []
+
+    def checked(self, k):
+        for a, row in zip(self.agents, self.maps.cells):
+            assert row[a.voxel] >= FREE, (k, a.id)
+            stood.append((a.id, a.voxel))
+        audit(self, k)
+
+    monkeypatch.setattr(_Mission, "_audit", checked)
+    result = run_mission(small_config(duration=40.0), small_scene())
+    assert len(stood) == 2 * result.num_ticks
+    # the photographer moves too, after the explorer's survey
+    assert len({voxel for aid, voxel in stood if aid == 1}) > 1
+
+
 def test_exchange_merges_snapshots_of_the_fleet_maps():
     # A-B-C in line of sight pairs (A,B) and (B,C): after one exchange the
     # middle row holds all three marks, the end rows their pair only
@@ -966,10 +997,12 @@ def test_regeneration_asks_again_once_the_map_changes(monkeypatch):
     monkeypatch.setattr(engine, "generate_waypoints", counting)
     a = mission.agents[1]
     a.phase = 2
-    for k in range(3):                   # an all-unknown map gives none
+    for k in range(3):                   # a map that knows only its start voxel gives none
         mission._regenerate(a, [[], []], k)
     assert len(asked) == 1 and a.sigma is None
-    a.occ.cells[a.voxel] = FREE
+    beside = (a.voxel[0] - 1, *a.voxel[1:])
+    assert a.occ.cells[beside] == UNKNOWN
+    a.occ.cells[beside] = FREE
     mission._regenerate(a, [[], []], 3)
     assert len(asked) == 2 and a.sigma is None
     a.occ.cells[...] = np.where(mission.truth, OCCUPIED, FREE)

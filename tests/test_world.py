@@ -571,7 +571,17 @@ def sensor_origins(grid, rng):
     yield hi + v * rng.uniform(0.0, 2.0, 3)            # above the grid
 
 
+def unknown_field(occ_map, origin):
+    """The box field of occ_map's UNKNOWN cells from origin's cell, as a
+    guard with no structure cells builds it; all False when none is left."""
+    guard = FiringGuard(occ_map.grid, np.zeros(occ_map.grid.dims, bool)).at(occ_map, origin)
+    return guard.field if guard.live else np.zeros(occ_map.grid.dims, bool)
+
+
 def test_cull_matches_unculled_reference_on_partially_known_maps():
+    # with no field every segment is stepped; culled by the box field of the
+    # UNKNOWN cells only those that can free one are; both give the map of
+    # the reference loop
     rng = np.random.default_rng(17)
     compared = drawn = 0
     for grid in (VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0),
@@ -582,15 +592,18 @@ def test_cull_matches_unculled_reference_on_partially_known_maps():
             for origin in sensor_origins(grid, rng):
                 points = rng.uniform(lo - 2 * v, hi + 2 * v, (60, 3))
                 points[::2] = lo + v * np.round((points[::2] - lo) / v * 2) / 2
-                integrate = (lambda m, o, h: integrate_points(m, o, h, ray_dirs(o, h)))
-                for reference, culled in ((reference_integrate_points, integrate),
-                                          (reference_carve_free, carve_free)):
+                hit = (lambda m, o, h, f: integrate_points(m, o, h, ray_dirs(o, h), field=f))
+                miss = (lambda m, o, p, f: integrate_points(m, o, (), (), p, field=f))
+                field = unknown_field(OccupancyMap(grid, cells), origin)
+                for reference, fold in ((reference_integrate_points, hit),
+                                        (reference_carve_free, miss)):
                     _, arrived = reference(OccupancyMap(grid, cells.copy()), origin, points)
                     kept = points[arrived]
                     expected, _ = reference(OccupancyMap(grid, cells.copy()), origin, kept)
-                    got = OccupancyMap(grid, cells.copy())
-                    culled(got, origin, kept)
-                    assert np.array_equal(got.cells, expected.cells)
+                    for given in (None, field):
+                        got = OccupancyMap(grid, cells.copy())
+                        fold(got, origin, kept, given)
+                        assert np.array_equal(got.cells, expected.cells)
                     compared += len(kept)
                     drawn += len(points)
     assert compared > 0.8 * drawn
@@ -675,8 +688,9 @@ def test_stacked_update_equals_one_call_per_map():
 
 def test_stacked_update_takes_the_guard_field_of_each_row():
     # the guards' fields the mission passes, one per row from its own sensor
-    # cell, give what the call computes for itself from the UNKNOWN cells,
-    # though a FREE structure cell makes a guard's field wider
+    # cell, give the map of the unculled reference, the call given no field,
+    # which steps every segment; a FREE structure cell makes a guard's field
+    # wider than the UNKNOWN cells'
     rng = np.random.default_rng(41)
     grid = VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0)
     lo, hi = grid.origin_arr, grid.origin_arr + np.asarray(grid.dims)
@@ -698,10 +712,10 @@ def test_stacked_update_takes_the_guard_field_of_each_row():
         hits = rng.uniform(lo - 2, hi + 2, (20, 3))
         rows = rng.integers(0, 2, 20)
         dirs = np.vstack([ray_dirs(sensors[r], h) for r, h in zip(rows, hits)])
-        given, computed = (OccupancyMap(grid, np.stack([maps[a], maps[b]])) for _ in range(2))
+        given, unculled = (OccupancyMap(grid, np.stack([maps[a], maps[b]])) for _ in range(2))
         integrate_points(given, sensors, hits, dirs, hits * 2, truth, guard_fields, rows, rows)
-        integrate_points(computed, sensors, hits, dirs, hits * 2, truth, None, rows, rows)
-        assert np.array_equal(given.cells, computed.cells)
+        integrate_points(unculled, sensors, hits, dirs, hits * 2, truth, None, rows, rows)
+        assert np.array_equal(given.cells, unculled.cells)
     assert wider > 0
 
 
