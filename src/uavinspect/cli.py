@@ -152,7 +152,7 @@ def _defaults(cls, *keys: str) -> dict:
 
 _BOX = {"min": (_vec3, MISSING), "max": (_vec3, MISSING)}
 _POINT = {"position": (_vec3, MISSING), "normal": (_vec3, MISSING)}
-_SCATTER = {**_BOX, "count": (_count, MISSING), "seed": (_optional(_integer), None),
+_SCATTER = {**_BOX, "count": (_count, MISSING), "seed": (_optional(_count), None),
             "faces": (_optional(_list(_one_of(FACES), nonempty=True)), None)}
 
 # Every key of a scenario file, as key -> (parser, default).
@@ -161,7 +161,7 @@ _SCENARIO = {
     # seed is the fallback seed of the interest-point scatter, not a config field
     "mission": (_fields({**_defaults(MissionConfig, "duration", "tick", "voxel_size", "horizon",
                                      "waypoint_standoff", "capture_stride"),
-                         "seed": (_integer, 0)}), {}),
+                         "seed": (_count, 0)}), {}),
     "agents": (_list(_fields({"kind": (_one_of(KINDS), MISSING), "start": (_vec3, MISSING),
                               **_defaults(AgentSpec, "v_max", "omega_max")}),
                      nonempty=True), MISSING),

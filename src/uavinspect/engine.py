@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import warnings
 from array import array
@@ -102,10 +103,9 @@ class MissionConfig:
                             (self.waypoint_standoff, "waypoint standoff")):
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise ConfigurationError(f"{what} must be positive and finite, got {value}")
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be at least 1")
-        if self.capture_stride < 1:
-            raise ConfigurationError("capture stride must be at least 1")
+        for value, name in ((self.horizon, "horizon"), (self.capture_stride, "capture_stride")):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
         n_e = sum(1 for a in self.agents if a.kind == EXPLORER)
         if n_e not in (1, 2):
             raise ConfigurationError(f"explorer count must be 1 or 2, got {n_e}")
@@ -304,8 +304,7 @@ class _Runtime:
     sigma: list[Waypoint] | None = None     # survey route in phase 1
     cursor: int = 0
     kappa: int = 0
-    segment: list = field(default_factory=list)
-    seg_i: int = 0
+    segment: list = field(default_factory=list)     # the voxels of the step not yet entered
     look_dir: np.ndarray | None = None
     blocked: int = 0
     blocked_replans: int = 0
@@ -331,7 +330,7 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     """
     firing, bundles, fields = [], [], []
     for i, guard in zip(explorer_rows, guards):
-        if not guard.at(OccupancyMap(maps.grid, maps.cells[i]), positions[i]).live:
+        if guard.at(OccupancyMap(maps.grid, maps.cells[i]), positions[i]).field is None:
             continue
         dirs = lidar_directions(yaws[i], lidar, t)
         dirs = dirs[guard.can_change(positions[i], dirs, lidar.range)]
@@ -520,7 +519,7 @@ class _Mission:
                 a.blocked_replans = 0
                 a.segment = []
             at_waypoint = a.cursor < len(wps) and a.voxel == wps[a.cursor].voxel
-            if not (a.seg_i >= len(a.segment) or at_waypoint):
+            if a.segment and not at_waypoint:
                 return
             try:
                 step = drhlp_step(a.voxel, a.sigma, a.cursor, a.occ, reserved,
@@ -533,7 +532,6 @@ class _Mission:
             a.cursor = step.next_index
             if step.segment:
                 a.segment = step.segment
-                a.seg_i = 0
                 a.look_dir = step.direction
                 return
             a.sigma = None
@@ -543,7 +541,6 @@ class _Mission:
                 self.plan_events.append(f"tick {k} agent {a.id} completes epoch {a.kappa}")
                 a.kappa += 1
         a.segment = []
-        a.seg_i = 0
 
     def _plan(self, peers: list[list[int]], k: int) -> None:
         # photographers hold still until they enter the inspection stage
@@ -552,42 +549,35 @@ class _Mission:
                 self._follow(a, peers, k)
 
     def _claim(self, a: _Runtime, claims: dict) -> tuple[tuple, tuple]:
-        """The voxel a claims this tick, its own when it claims none, and the
-        voxel it aims at; claims maps each claimed voxel to its agent."""
-        target_voxel = a.voxel
-        if a.seg_i < len(a.segment):
-            want = a.segment[a.seg_i]
-            if want == a.voxel:
-                a.seg_i += 1
-                if a.seg_i < len(a.segment):
-                    want = a.segment[a.seg_i]
-            if want != a.voxel:
-                # enter only voxels no one holds and the local map has
-                # confirmed free; plans may run through unknown space but
-                # execution waits at the sensing frontier
-                if want not in claims and a.occ.cells[want] == FREE:
-                    claims[want] = a.id
-                    target_voxel = want
-                    a.blocked = 0
-                else:
-                    a.blocked += 1
-                    if a.blocked >= _BLOCKED_REPLAN_TICKS:
-                        a.segment = []
-                        a.blocked = 0
-                        a.blocked_replans += 1
+        """The voxel a claims this tick, the first of its segment, or its own
+        when it claims none, and the voxel it aims at; claims maps each
+        claimed voxel to its agent."""
+        if not a.segment:
+            return a.voxel, a.voxel
+        want = a.segment[0]
+        # enter only voxels no one holds and the local map has confirmed
+        # free; plans may run through unknown space but execution waits at
+        # the sensing frontier
+        if want in claims or a.occ.cells[want] != FREE:
+            a.blocked += 1
+            if a.blocked >= _BLOCKED_REPLAN_TICKS:
+                a.segment = []
+                a.blocked = 0
+                a.blocked_replans += 1
+            return a.voxel, a.voxel
+        claims[want] = a.id
+        a.blocked = 0
 
         # aim down the straight run of the plan so cruise speed builds up;
         # only the immediate next voxel is ever claimed
-        aim = target_voxel
-        if target_voxel != a.voxel and a.seg_i < len(a.segment):
-            (x, y, z), (x0, y0, z0) = target_voxel, a.voxel
-            step = (x - x0, y - y0, z - z0)
-            run = a.segment[a.seg_i:]
-            for cur, nxt in zip(run, run[1:]):
-                if (nxt[0] - cur[0], nxt[1] - cur[1], nxt[2] - cur[2]) != step:
-                    break
-                aim = nxt
-        return target_voxel, aim
+        aim = want
+        (x, y, z), (x0, y0, z0) = want, a.voxel
+        step = (x - x0, y - y0, z - z0)
+        for cur, nxt in zip(a.segment, a.segment[1:]):
+            if (nxt[0] - cur[0], nxt[1] - cur[1], nxt[2] - cur[2]) != step:
+                break
+            aim = nxt
+        return want, aim
 
     def _act(self, k: int) -> None:
         """Claim-arbitrated motion plus gimbal pointing for the whole fleet.
@@ -632,11 +622,10 @@ class _Mission:
                 continue
             a.voxel = cell
             a.blocked_replans = 0
-            if a.seg_i < len(a.segment) and cell == a.segment[a.seg_i]:
-                a.seg_i += 1
+            del a.segment[0]
         self.position, self.velocity = position, velocity
 
-        looks = [a.look_dir if a.look_dir is not None and a.phase == 2
+        looks = [a.look_dir if a.look_dir is not None
                  else (math.cos(psi), math.sin(psi), 0.0)
                  for a, psi in zip(self.agents, self.yaw.tolist())]
         self.inclination, self.azimuth = point_gimbal(
@@ -646,7 +635,7 @@ class _Mission:
     def _desired_yaw(self, a: _Runtime, rel: tuple[float, float]) -> float | None:
         """a's heading command; rel is its aim point less its position, in x
         and y."""
-        if a.phase == 2 and a.look_dir is not None:
+        if a.look_dir is not None:
             lx, ly = float(a.look_dir[0]), float(a.look_dir[1])
             if math.hypot(lx, ly) > 1e-9:
                 return math.atan2(ly, lx)

@@ -22,6 +22,7 @@ the product of the two scores.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,8 +69,11 @@ class LidarConfig:
     def __post_init__(self):
         if not (self.range > 0 and math.isfinite(self.range)):
             raise ConfigurationError(f"lidar range must be positive and finite, got {self.range}")
-        if self.beams < 1 or self.azimuth_steps < 1:
-            raise ConfigurationError("lidar needs at least one beam and azimuth step")
+        for name in ("beams", "azimuth_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigurationError(
+                    f"lidar {name} must be an integer of at least 1, got {value!r}")
         if not (self.servo_period > 0 and math.isfinite(self.servo_period)):
             raise ConfigurationError(
                 f"servo period must be positive and finite, got {self.servo_period}")

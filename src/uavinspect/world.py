@@ -366,11 +366,11 @@ class FiringGuard:
     cells, which its rays free and its hits mark, and FREE structure cells
     (truth), which its hits mark.  Given a ReachMask, a sensor in its flood
     can change none of the cells it masks, so those leave both kinds.
-    field is the field of both kinds; it culls the rays before the cast
-    (can_change) and the segments after it (integrate_points).  at()
-    rebuilds it only when the map's cells, the sensor's cell or whether the
-    mask applies differ from those it was built for, so every writer of the
-    map is seen.
+    field is the field of both kinds, None when the map holds neither; it
+    culls the rays before the cast (can_change) and the segments after it
+    (integrate_points).  at() rebuilds it only when the map's cells, the
+    sensor's cell or whether the mask applies differ from those it was
+    built for, so every writer of the map is seen.
     """
 
     def __init__(self, grid: VoxelGrid, truth: np.ndarray, reach: ReachMask | None = None):
@@ -380,6 +380,7 @@ class FiringGuard:
         self.cells: np.ndarray | None = None
         self.cell: np.ndarray | None = None
         self.masked = False
+        self.field: np.ndarray | None = None
 
     def at(self, occ_map: OccupancyMap, origin) -> "FiringGuard":
         grid, cells = self.grid, occ_map.cells
@@ -393,9 +394,7 @@ class FiringGuard:
         changeable = (cells == UNKNOWN) | ((cells == FREE) & self.truth)
         if masked:
             changeable &= self.reach.cells
-        self.live = bool(changeable.any())
-        if self.live:
-            self.field = _box_field(changeable, cell)
+        self.field = _box_field(changeable, cell) if changeable.any() else None
         return self
 
     def can_change(self, origin, dirs: np.ndarray, reach: float) -> np.ndarray:

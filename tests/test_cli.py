@@ -536,3 +536,20 @@ def test_shipped_scenarios_complete_within_budget(shipped_runs):
     budgets = {"desk_box": 120.0, "twin_pillars": 60.0, "open_field": 30.0}
     for name, (_cfg, _scene, _result, wall) in shipped_runs.items():
         assert wall < budgets[name], f"{name} took {wall:.1f}s"
+
+
+SCATTERED = {**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {
+    "scatter": [{"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0], "count": 4}]}}}
+
+
+@pytest.mark.parametrize("scenario, flags, path", [
+    (SCATTERED, ["--seed", "-1"], "mission.seed"),
+    ({**SCATTERED, "mission": {"duration": 30.0, "seed": -1}}, [], "mission.seed"),
+    ({**SCATTERED, "scene": {**SCATTERED["scene"], "interest_points": {"scatter": [
+        {**SCATTERED["scene"]["interest_points"]["scatter"][0], "seed": -1}]}}}, [],
+     "scene.interest_points.scatter[0].seed"),
+], ids=["flag", "mission-seed", "scatter-seed"])
+def test_main_rejects_a_negative_seed(tmp_path, capsys, scenario, flags, path):
+    # numpy's seeding rejected it mid-build, a traceback with exit status 1
+    assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
+    assert f"error: {path} must be non-negative, got -1" in capsys.readouterr().err

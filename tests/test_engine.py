@@ -228,6 +228,24 @@ def test_config_rejects_bad_scalars():
         AgentSpec("diver", (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("field, value", [("capture_stride", 2.0), ("horizon", 2.5),
+                                          ("horizon", True), ("capture_stride", True)])
+def test_config_rejects_non_integer_counts(field, value):
+    # capture_stride=2.0 ran and logged its ticks as floats, horizon=2.5
+    # raised TypeError mid-mission and horizon=True ran as 1
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        dataclasses.replace(small_config(duration=1.0), **{field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = small_config(duration=2.0, capture_stride=2)
+    as_numpy = dataclasses.replace(cfg, horizon=np.int64(3), capture_stride=np.int32(2),
+                                   lidar=LidarConfig(beams=np.int64(8),
+                                                     azimuth_steps=np.int16(90)))
+    scene = small_scene()
+    assert run_mission(as_numpy, scene).digest() == run_mission(cfg, scene).digest()
+
+
 @pytest.mark.parametrize("field", ["duration", "tick", "voxel_size", "waypoint_standoff"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_scalars(field, value):
@@ -734,6 +752,27 @@ def test_every_agent_stands_in_a_voxel_its_map_knows_free(monkeypatch):
     assert len({voxel for aid, voxel in stood if aid == 1}) > 1
 
 
+def test_a_segment_holds_only_the_voxels_still_ahead(monkeypatch):
+    # a plan step is route[1:1 + horizon] of a path from the agent's voxel,
+    # and an accepted move deletes the voxel it enters, so the next voxel
+    # to claim is always the segment's first, a face neighbour
+    act = _Mission._act
+    ahead = []
+
+    def checked(self, k):
+        for a in self.agents:
+            assert a.voxel not in a.segment, (k, a.id)
+            if a.segment:
+                assert sum(abs(p - q) for p, q in zip(a.segment[0], a.voxel)) == 1, (k, a.id)
+                ahead.append(a.id)
+        act(self, k)
+
+    monkeypatch.setattr(_Mission, "_act", checked)
+    # the photographers set out at 42 s
+    run_mission(*shortened(shipped("desk_box"), 60.0))
+    assert set(ahead) == {0, 1, 2}
+
+
 def test_exchange_merges_snapshots_of_the_fleet_maps():
     # A-B-C in line of sight pairs (A,B) and (B,C): after one exchange the
     # middle row holds all three marks, the end rows their pair only
@@ -874,7 +913,9 @@ def test_a_step_into_an_unclaimed_voxel_is_held():
 class PerAgentAct(_Mission):
     """The act stage one agent at a time on the reference kernels, claim,
     step and accept in turn, reading and writing each agent's row of the
-    fleet arrays."""
+    fleet arrays.  An agent's turn walks its segment with its own index,
+    stepping over a voxel equal to the agent's, and deletes the voxels it
+    entered at the end of the turn."""
 
     def _act(self, k):
         claims = {a.voxel: a.id for a in self.agents}
@@ -884,12 +925,13 @@ class PerAgentAct(_Mission):
             gimbal = GimbalState(float(self.inclination[i]), float(self.azimuth[i]),
                                  self.cfg.gimbal)
             target_voxel = a.voxel
-            if a.seg_i < len(a.segment):
-                want = a.segment[a.seg_i]
+            seg_i = 0
+            if seg_i < len(a.segment):
+                want = a.segment[seg_i]
                 if want == a.voxel:
-                    a.seg_i += 1
-                    if a.seg_i < len(a.segment):
-                        want = a.segment[a.seg_i]
+                    seg_i += 1
+                    if seg_i < len(a.segment):
+                        want = a.segment[seg_i]
                 if want != a.voxel:
                     if want not in claims and a.occ.cells[want] == FREE:
                         claims[want] = a.id
@@ -903,8 +945,8 @@ class PerAgentAct(_Mission):
                             a.blocked_replans += 1
 
             aim = target_voxel
-            if target_voxel != a.voxel and a.seg_i < len(a.segment):
-                j = a.seg_i
+            if target_voxel != a.voxel and seg_i < len(a.segment):
+                j = seg_i
                 step = tuple(target_voxel[i] - a.voxel[i] for i in range(3))
                 while j + 1 < len(a.segment):
                     nxt, cur = a.segment[j + 1], a.segment[j]
@@ -931,12 +973,13 @@ class PerAgentAct(_Mission):
                 if nv != a.voxel:
                     a.voxel = nv
                     a.blocked_replans = 0
-                    if a.seg_i < len(a.segment) and nv == a.segment[a.seg_i]:
-                        a.seg_i += 1
+                    if seg_i < len(a.segment) and nv == a.segment[seg_i]:
+                        seg_i += 1
             else:
                 state = dataclasses.replace(new_state, position=state.position,
                                             velocity=np.zeros(3))
                 self.clamp_events += 1
+            del a.segment[:seg_i]
 
             if a.look_dir is not None and a.phase == 2:
                 gimbal = reference_point_gimbal(gimbal, state, a.look_dir)

@@ -39,7 +39,7 @@ def reference_fire(occ, truth, position, yaw, scene, lidar, t):
 
 def explorer_fire(occ, guard, position, yaw, scene, lidar, t):
     """One explorer's culled firing on its own: its own sweep and map update."""
-    if not guard.at(occ, position).live:
+    if guard.at(occ, position).field is None:
         return 0
     dirs = lidar_directions(yaw, lidar, t)
     dirs = dirs[guard.can_change(position, dirs, lidar.range)]
@@ -145,9 +145,9 @@ def test_the_guard_sees_a_map_change_in_place():
     occ = OccupancyMap(grid, np.full(grid.dims, FREE, dtype=np.uint8))
     occ.cells[1, 1, 1] = UNKNOWN
     guard = FiringGuard(grid, np.zeros(grid.dims, dtype=bool))
-    assert guard.at(occ, np.array([3.0, 3.0, 3.0])).live
+    assert guard.at(occ, np.array([3.0, 3.0, 3.0])).field is not None
     occ.cells[1, 1, 1] = FREE
-    assert not guard.at(occ, np.array([3.0, 3.0, 3.0])).live
+    assert guard.at(occ, np.array([3.0, 3.0, 3.0])).field is None
 
 
 # --- random scenes ---------------------------------------------------------------
@@ -360,7 +360,7 @@ def test_a_desk_box_map_known_outside_the_cavity_is_dead():
     for position in positions:
         for yaw, t in [(0.0, LEVEL), (0.7, 0.0), (-2.0, 5.3)]:
             occ = OccupancyMap(grid, cells.copy())
-            assert not guard.at(occ, position).live
+            assert guard.at(occ, position).field is None
             reference_fire(occ, truth, position, yaw, scene, lidar, t)
             assert np.array_equal(occ.cells, cells), (position, yaw, t)
 
@@ -380,8 +380,8 @@ def test_a_sensor_outside_the_flood_is_not_masked():
     cells[3, 3, 3] = UNKNOWN                               # sealed in the cavity
     guard = FiringGuard(grid, truth, mission.reach)
     occ = OccupancyMap(grid, cells)
-    assert not guard.at(occ, np.array([3.0, 24.0, 24.0])).live
-    assert guard.at(occ, np.array([15.0, 24.0, 24.0])).live
+    assert guard.at(occ, np.array([3.0, 24.0, 24.0])).field is None
+    assert guard.at(occ, np.array([15.0, 24.0, 24.0])).field is not None
 
 
 def test_a_ray_between_two_boxes_that_share_a_face_is_not_masked():

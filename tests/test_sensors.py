@@ -434,6 +434,15 @@ def test_lidar_config_rejects_non_finite_or_non_positive_values(fields):
         LidarConfig(**fields)
 
 
+@pytest.mark.parametrize("fields", [{"beams": 2.0}, {"azimuth_steps": 10.5}, {"beams": True},
+                                    {"beams": 0}, {"azimuth_steps": -3}])
+def test_lidar_config_rejects_counts_that_are_not_positive_integers(fields):
+    # a float count raised TypeError mid-mission
+    (name, _), = fields.items()
+    with pytest.raises(ConfigurationError, match=f"lidar {name} must be an integer"):
+        LidarConfig(**fields)
+
+
 @pytest.mark.parametrize("name", ["fov_h", "fov_v", "range", "focal", "pixel_width",
                                   "exposure", "desired_resolution", "quality_floor"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])

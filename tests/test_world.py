@@ -575,7 +575,21 @@ def unknown_field(occ_map, origin):
     """The box field of occ_map's UNKNOWN cells from origin's cell, as a
     guard with no structure cells builds it; all False when none is left."""
     guard = FiringGuard(occ_map.grid, np.zeros(occ_map.grid.dims, bool)).at(occ_map, origin)
-    return guard.field if guard.live else np.zeros(occ_map.grid.dims, bool)
+    return np.zeros(occ_map.grid.dims, bool) if guard.field is None else guard.field
+
+
+def test_a_guard_has_no_field_while_its_map_holds_nothing_changeable():
+    # every at() sets the field: None on a complete map, never the field of
+    # an older one
+    grid = VoxelGrid((0.0, 0.0, 0.0), (3, 3, 3), 1.0)
+    guard = FiringGuard(grid, np.zeros(grid.dims, bool))
+    origin = np.array([0.5, 0.5, 0.5])
+    complete = OccupancyMap(grid, np.full(grid.dims, FREE, np.uint8))
+    assert guard.at(complete, origin).field is None
+    partial = OccupancyMap(grid, complete.cells.copy())
+    partial.cells[2, 2, 2] = UNKNOWN
+    assert guard.at(partial, origin).field[2, 2, 2]
+    assert guard.at(complete, origin).field is None
 
 
 def test_cull_matches_unculled_reference_on_partially_known_maps():
@@ -699,7 +713,8 @@ def test_stacked_update_takes_the_guard_field_of_each_row():
     def fields(truth, cells, sensors):
         guards = (FiringGuard(grid, truth).at(OccupancyMap(grid, c), o)
                   for c, o in zip(cells, sensors))
-        return np.stack([g.field if g.live else np.zeros(grid.dims, bool) for g in guards])
+        return np.stack([np.zeros(grid.dims, bool) if g.field is None else g.field
+                         for g in guards])
 
     wider = 0
     for a, b in itertools.combinations(range(len(maps)), 2):
