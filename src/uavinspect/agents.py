@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_real
 from .scene import _norm
 
 EXPLORER = "explorer"
@@ -45,9 +45,11 @@ class GimbalLimits:
     def __post_init__(self):
         for angle in ("inclination", "azimuth"):
             lo, hi = getattr(self, f"{angle}_min"), getattr(self, f"{angle}_max")
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            check_real(f"gimbal {angle}_min", lo)
+            check_real(f"gimbal {angle}_max", hi)
+            if not lo <= hi:
                 raise ConfigurationError(
-                    f"gimbal {angle} limits must be finite with min <= max, got {lo}..{hi}")
+                    f"gimbal {angle} limits must have min <= max, got {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,8 @@ class TrackingConfig:
 
     def __post_init__(self):
         for name in ("kp", "kd"):
-            gain = getattr(self, name)
-            if not (gain >= 0 and math.isfinite(gain)):
-                raise ConfigurationError(
-                    f"tracking {name} must be non-negative and finite, got {gain}")
-        if not (self.a_max > 0 and math.isfinite(self.a_max)):
-            raise ConfigurationError(
-                f"tracking a_max must be positive and finite, got {self.a_max}")
+            check_real(f"tracking {name}", getattr(self, name), "non-negative")
+        check_real("tracking a_max", self.a_max, "positive")
 
 
 def _capped(v: np.ndarray, limits: list[float]) -> np.ndarray:

@@ -4,27 +4,30 @@ One synchronous exchange round runs per engine tick: every agent merges the
 map snapshots of all peers it can currently see.  Merging is commutative, so
 ordering within a round cannot matter.  Agents are addressed by their row in
 the fleet: peers[i] lists the rows of agent i's peers in ascending order.
+Neighbour discovery casts nothing: it reads a clear mask of the fleet's
+agent pairs, which the engine casts with the tick's LiDAR rays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scene import Scene, line_of_sight
 from .world import OccupancyMap, merge_maps
 
 
-def discover_neighbors(positions: np.ndarray, scene: Scene) -> list[list[int]]:
-    """Each agent's unobstructed peers, from the fleet's positions (n, 3);
-    symmetric by construction.
+def agent_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (first[p], second[p]) of a fleet of n agents, first < second,
+    row by row: the order of the sight lines discover_neighbors reads, each
+    cast from the agent of the earlier row."""
+    order = np.arange(n)
+    return np.nonzero(order[:, None] < order)
 
-    The sight lines of all pairs, each cast from the agent of the earlier
-    row, go through one line_of_sight call.
-    """
-    order = np.arange(len(positions))
-    first, second = np.nonzero(order[:, None] < order)      # (i, j), i < j, row by row
-    clear = line_of_sight(scene, positions[first], positions[second])
-    peers: list[list[int]] = [[] for _ in positions]
+
+def discover_neighbors(n: int, first: np.ndarray, second: np.ndarray,
+                       clear: np.ndarray) -> list[list[int]]:
+    """Each of n agents' unobstructed peers, from clear, which pairs of
+    agent_pairs(n) nothing blocks; symmetric by construction."""
+    peers: list[list[int]] = [[] for _ in range(n)]
     # row by row, an agent's lower peers arrive before its higher ones: ascending
     for i, j in zip(first[clear].tolist(), second[clear].tolist()):
         peers[i].append(j)

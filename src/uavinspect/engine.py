@@ -1,15 +1,17 @@
 """Mission orchestration.
 
-Each tick runs six serialized stages: sense (LiDAR into per-agent maps),
-exchange (LoS-gated map gossip), plan (waypoint generation, assignment, and
-receding-horizon path steps), act (claim-arbitrated motion plus gimbal
-pointing), capture (every agent's camera pose appended, by value, to the
-pose table), and audit (voxel trace plus collision and occupied-entry
-counts).  Nothing the fleet decides reads the score, so the captures are
-scored after the last tick: each distinct pose of the table goes through
-the camera model once, many poses at a time; the observation log gathers
-every capture's rows from them in one pass, and each capture is then folded,
-in tick order, into the ledger and the score trace.
+Each tick runs six serialized stages: sense (LiDAR into per-agent maps,
+with the fleet's sight lines cast in the same sweep as the LiDAR rays),
+exchange (map gossip between the agents those sight lines join), plan
+(waypoint generation, assignment, and receding-horizon path steps), act
+(claim-arbitrated motion plus gimbal pointing), capture (every agent's
+camera pose appended, by value, to the pose table), and audit (voxel trace
+plus collision and occupied-entry counts).  Nothing the fleet decides reads
+the score, so the captures are scored after the last tick: each distinct
+pose of the table goes through the camera model once, many poses at a time;
+the observation log gathers every capture's rows from them in one pass, and
+each capture is then folded, in tick order, into the ledger and the score
+trace.
 
 The fleet's maps are one (n, nx, ny, nz) uint8 array, row i agent i's map;
 each agent's map is a view of its row, bound once, so every write shows in it.
@@ -40,10 +42,10 @@ import numpy as np
 
 from .agents import (EXPLORER, KINDS, PHOTOGRAPHER, GimbalLimits, TrackingConfig,
                      point_gimbal, step_dynamics, track_segment)
-from .comms import discover_neighbors, exchange_and_merge
-from .errors import ConfigurationError, PlanningError
+from .comms import agent_pairs, discover_neighbors, exchange_and_merge
+from .errors import ConfigurationError, PlanningError, check_real
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
-from .scene import Scene, scene_occupancy
+from .scene import Scene, line_of_sight, scene_occupancy
 from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
                       lidar_sweep, observe)
 from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, build_grid,
@@ -70,11 +72,13 @@ class AgentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown agent kind {self.kind!r}")
-        if len(self.start) != 3 or not all(math.isfinite(c) for c in self.start):
+        if len(self.start) != 3:
             raise ConfigurationError(f"agent start must be 3 finite coordinates, got {self.start}")
+        for axis, c in enumerate(self.start):
+            check_real(f"agent start[{axis}]", c)
         for value, what in ((self.v_max, "v_max"), (self.omega_max, "omega_max")):
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(f"agent {what} must be positive and finite, got {value}")
+            if value is not None:
+                check_real(f"agent {what}", value, "positive")
 
     @property
     def speed_limit(self) -> float:
@@ -101,8 +105,8 @@ class MissionConfig:
         for value, what in ((self.duration, "mission duration"), (self.tick, "tick"),
                             (self.voxel_size, "voxel size"),
                             (self.waypoint_standoff, "waypoint standoff")):
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(f"{what} must be positive and finite, got {value}")
+            if value is not None:
+                check_real(what, value, "positive")
         for value, name in ((self.horizon, "horizon"), (self.capture_stride, "capture_stride")):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
@@ -312,21 +316,25 @@ class _Runtime:
 
 
 def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard], positions,
-          yaws, scene: Scene, lidar: LidarConfig, t: float) -> int:
+          yaws, scene: Scene, lidar: LidarConfig, t: float,
+          segments) -> tuple[int, np.ndarray]:
     """The LiDAR firings of a tick: the explorer of fleet row i, guarded by
     the guard at its place in guards, fires into row i of the fleet's maps
     from a sensor at positions[i] (3,) with yaws[i], casting only the rays
-    that can change its map.
+    that can change its map.  The tick's sight lines, segments as (starts,
+    ends), ride in the same cast.
 
     A firing on a map that holds no cell it can change is skipped whole;
     otherwise only the rays whose box holds such a cell are cast (see
-    FiringGuard).  The rays of every firing go through one sweep, and its
-    hits and misses through one map update on the firing rows, gathered
-    and written back; a firing changes only its own map, so each map ends
-    as if its firing alone had cast every ray; the update takes each
-    firing's guard field.  A lone firing casts from its one shared origin.
-    Returns the number of hits of the cast rays that the hit rule
-    suppressed.
+    FiringGuard).  The rays of every firing and the sight lines go through
+    one sweep, and its hits and misses through one map update on the firing
+    rows, gathered and written back; a firing changes only its own map, so
+    each map ends as if its firing alone had cast every ray; the update
+    takes each firing's guard field.  A lone firing casts from its one
+    shared origin when no sight line rides along; on a tick with no firing
+    the sight lines are cast alone, by line_of_sight.  Returns the number of
+    hits of the cast rays that the hit rule suppressed, and which sight
+    lines nothing blocks.
     """
     firing, bundles, fields = [], [], []
     for i, guard in zip(explorer_rows, guards):
@@ -339,18 +347,19 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
             bundles.append(dirs)
             fields.append(guard.field)
     if not firing:
-        return 0
+        return 0, line_of_sight(scene, *segments)
     dirs = np.concatenate(bundles)
     origins = positions[firing]
     rows = np.repeat(np.arange(len(firing)), [len(b) for b in bundles])
     hit = np.empty(len(dirs), dtype=bool)
+    clear = np.empty(len(segments[0]), dtype=bool)
     hits, misses = lidar_sweep(origins[0] if len(firing) == 1 else origins[rows], scene,
-                               lidar, dirs, hit)
+                               lidar, dirs, hit, segments, clear)
     gathered = OccupancyMap(maps.grid, maps.cells[firing])
     suppressed = integrate_points(gathered, origins, hits[:, 0], hits[:, 1], misses,
                                   guards[0].truth, np.array(fields), rows[hit], rows[~hit])
     maps.cells[firing] = gathered.cells
-    return suppressed
+    return suppressed, clear
 
 
 class _Mission:
@@ -384,6 +393,8 @@ class _Mission:
         lim = cfg.gimbal
         self.inclination = np.full(n, min(max(0.0, lim.inclination_min), lim.inclination_max))
         self.azimuth = np.full(n, min(max(0.0, lim.azimuth_min), lim.azimuth_max))
+        # the agent pairs whose sight lines the sense stage casts each tick
+        self.first, self.second = agent_pairs(n)
 
         # the fleet's maps, row i agent i's; an agent's occ is a view of its row
         self.maps = OccupancyMap(self.grid, np.full((n, *self.grid.dims), UNKNOWN, np.uint8))
@@ -434,12 +445,17 @@ class _Mission:
 
     # --- stage helpers -------------------------------------------------
 
-    def _sense(self, k: int, t: float) -> None:
-        self.suppressed_returns += _fire(self.maps, self.explorer_rows, self.guards,
-                                         self.position, self.yaw, self.scene, self.cfg.lidar, t)
+    def _sense(self, k: int, t: float) -> np.ndarray:
+        """Fire the explorers' LiDAR and cast the fleet's sight lines with
+        it; returns which pairs of (first, second) see each other."""
+        suppressed, clear = _fire(self.maps, self.explorer_rows, self.guards, self.position,
+                                  self.yaw, self.scene, self.cfg.lidar, t,
+                                  (self.position[self.first], self.position[self.second]))
+        self.suppressed_returns += suppressed
+        return clear
 
-    def _exchange(self, k: int) -> list[list[int]]:
-        peers = discover_neighbors(self.position, self.scene)
+    def _exchange(self, k: int, clear: np.ndarray) -> list[list[int]]:
+        peers = discover_neighbors(len(self.agents), self.first, self.second, clear)
         merged = exchange_and_merge(peers, [a.occ for a in self.agents])
         # every merge has read the rows as they were before the round
         for a, occ in zip(self.agents, merged):
@@ -719,8 +735,8 @@ class _Mission:
     def run(self) -> MissionResult:
         for k in range(self.n_ticks):
             t = k * self.cfg.tick
-            self._sense(k, t)
-            peers = self._exchange(k)
+            clear = self._sense(k, t)
+            peers = self._exchange(k, clear)
             self._plan(peers, k)
             self._act(k)
             self._capture(k)

@@ -241,21 +241,47 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
+@dataclass(frozen=True, eq=False)
+class SightLines:
+    """Segments from starts to ends as rays, and the one rule that reads
+    their cast: each segment is cast from its start along its unit direction
+    as far as its length plus 1.  Geometry within _EPS_LOS of a segment's far
+    end does not block it, and a segment of zero length is clear."""
+
+    starts: np.ndarray          # (n, 3), or (1, 3) shared by every segment
+    dirs: np.ndarray            # (n, 3) unit directions; 0 for a zero-length segment
+    lengths: np.ndarray         # (n,)
+
+    @classmethod
+    def between(cls, starts, ends) -> "SightLines":
+        """starts and ends: (n, 3) arrays, or a (3,) point shared by every
+        segment."""
+        starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+        rel = np.asarray(ends, dtype=float).reshape(-1, 3) - starts
+        lengths = np.linalg.norm(rel, axis=1)
+        safe = np.where(lengths > 1e-12, lengths, 1.0)
+        return cls(starts, rel / safe[:, None], lengths)
+
+    @property
+    def ranges(self) -> np.ndarray:
+        """The cast range of each segment."""
+        return self.lengths + 1.0
+
+    def clear(self, hit: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        """Which segments nothing blocks, from the cast's hit mask and
+        distances of their rays."""
+        return ~(hit & (dist < self.lengths - _EPS_LOS))
+
+
 def line_of_sight(scene: Scene, starts, ends) -> np.ndarray:
-    """Mask of the segments from starts to ends that nothing blocks.
+    """Mask of the segments from starts to ends that nothing blocks, under
+    the rule of SightLines.
 
     starts and ends: (n, 3) arrays, or a (3,) point shared by every segment.
-    Geometry within _EPS_LOS of a segment's far end does not block it, and a
-    segment of zero length is clear.  All segments go through one cast.
+    All segments go through one cast.
     """
-    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
-    rel = np.asarray(ends, dtype=float).reshape(-1, 3) - starts
-    lengths = np.linalg.norm(rel, axis=1)
-    safe = np.where(lengths > 1e-12, lengths, 1.0)
-    dirs = rel / safe[:, None]
-    hit, dist = ray_cast_batch(scene, starts, dirs, lengths + 1.0)
-    blocked = hit & (dist < lengths - _EPS_LOS)
-    return ~blocked
+    sight = SightLines.between(starts, ends)
+    return sight.clear(*ray_cast_batch(scene, sight.starts, sight.dirs, sight.ranges))
 
 
 def visible_point_indices(scene: Scene, apexes, candidate_mask) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .scene import Scene, _cross, _norm, ray_cast_batch, visible_point_indices
+from .errors import ConfigurationError, check_real
+from .scene import Scene, SightLines, _cross, _norm, ray_cast_batch, visible_point_indices
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
 # LiDAR servo pitch stops, and the beams' elevation spread either side of level
@@ -52,9 +52,8 @@ class CameraConfig:
     def __post_init__(self):
         for name in ("fov_h", "fov_v", "range", "focal", "pixel_width",
                      "exposure", "desired_resolution"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(f"camera {name} must be positive and finite, got {value}")
+            check_real(f"camera {name}", getattr(self, name), "positive")
+        check_real("camera quality_floor", self.quality_floor)
         if not 0.0 <= self.quality_floor <= 1.0:
             raise ConfigurationError("quality_floor must lie in [0, 1]")
 
@@ -67,16 +66,13 @@ class LidarConfig:
     servo_period: float = 8.0
 
     def __post_init__(self):
-        if not (self.range > 0 and math.isfinite(self.range)):
-            raise ConfigurationError(f"lidar range must be positive and finite, got {self.range}")
+        check_real("lidar range", self.range, "positive")
         for name in ("beams", "azimuth_steps"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ConfigurationError(
                     f"lidar {name} must be an integer of at least 1, got {value!r}")
-        if not (self.servo_period > 0 and math.isfinite(self.servo_period)):
-            raise ConfigurationError(
-                f"servo period must be positive and finite, got {self.servo_period}")
+        check_real("lidar servo period", self.servo_period, "positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +261,8 @@ def lidar_directions(yaw: float, cfg: LidarConfig, t: float) -> np.ndarray:
 
 
 def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
-                hit_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                hit_mask: np.ndarray | None = None, segments=None,
+                clear: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cast the given rays of a firing from position, (3,) shared by every
     ray or (n, 3) one per ray: (hits, endpoints of empty rays).
 
@@ -275,11 +272,28 @@ def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
     crossed.  Both keep the order of the rays; hit_mask, a boolean array of
     one entry per ray, receives which rays hit.  Each ray's result does not
     depend on which other rays are cast.  Noise-free.
+
+    segments, (starts, ends) of sight lines, rides in the same cast as rows
+    after the firing's rays, under the rule of scene.SightLines; clear, a
+    boolean array of one entry per segment, receives line_of_sight's mask
+    of them.  With segments to cast, every row has its own origin.
     """
-    hit, dist = ray_cast_batch(scene, position, dirs, cfg.range)
+    n = len(dirs)
+    origin = np.asarray(position, dtype=float).reshape(-1, 3)
+    sight = None if segments is None else SightLines.between(*segments)
+    if sight is None or not len(sight.dirs):
+        hit, dist = ray_cast_batch(scene, position, dirs, cfg.range)
+    else:
+        # the firing's rows, then the sight lines'
+        origins = np.empty((n + len(sight.dirs), 3))
+        origins[:n], origins[n:] = origin, sight.starts
+        ranges = np.empty(len(origins))
+        ranges[:n], ranges[n:] = cfg.range, sight.ranges
+        hit, dist = ray_cast_batch(scene, origins, np.concatenate((dirs, sight.dirs)), ranges)
+        clear[...] = sight.clear(hit[n:], dist[n:])
+        hit, dist = hit[:n], dist[:n]
     if hit_mask is not None:
         hit_mask[...] = hit
-    origin = np.asarray(position, dtype=float).reshape(-1, 3)
     hits = np.empty((np.count_nonzero(hit), 2, 3))
     hits[:, 1] = dirs[hit]
     hits[:, 0] = (origin if len(origin) == 1 else origin[hit]) + hits[:, 1] * dist[hit, None]

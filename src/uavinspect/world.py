@@ -410,7 +410,9 @@ class FiringGuard:
         grid = self.grid
         v, lo, dims = grid.voxel_size, grid.origin_arr, np.asarray(grid.dims)
         ends = origin + dirs * reach + np.sign(dirs) * (2 * _NUDGE * v)
-        end_cells = np.clip(np.floor((ends - lo) / v).astype(np.int64), 0, dims - 1)
+        end_cells = np.floor((ends - lo) / v).astype(np.int64)
+        np.maximum(end_cells, 0, out=end_cells)
+        np.minimum(end_cells, dims - 1, out=end_cells)
         return self.field[tuple(end_cells.T)]
 
 
@@ -445,8 +447,9 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     from the sensor's cell of cells that hold every UNKNOWN cell the firing
     can reach (FiringGuard.field), looked up at a hit's cell or a miss's
     clipped end cell; a segment whose box it does not hold frees nothing and
-    is not traversed.  Without field every segment is.  Cells are addressed
-    by flat index into the cells, row after row; a lone map carries no rows.
+    is not traversed.  Without field every segment is.  When no segment is
+    left, the update ends once the hits are marked.  Cells are addressed by
+    flat index into the cells, row after row; a lone map carries no rows.
     """
     grid = occ_map.grid
     v, lo, dims = grid.voxel_size, grid.origin_arr, np.asarray(grid.dims)
@@ -463,8 +466,8 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     def origin_of(rows):
         return origins if rows is None else origins[rows]
 
-    def flat(voxels, rows):
-        index = voxels @ strides
+    # a flat index within a map row, offset to its row of the cells
+    def flat(index, rows):
         return index if rows is None else index + rows * grid.cell_count
 
     hits = np.asarray(hits, dtype=float).reshape(-1, 3)
@@ -473,12 +476,14 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     nudged = hits + hit_dirs * np.where(reach > 1e-12, _NUDGE * v, 0.0)[:, None]
     hit_cells = np.floor((nudged - lo) / v).astype(np.int64)
     inside = np.all((hit_cells >= 0) & (hit_cells < dims), axis=1)
-    nudged, hit_cells, hit_rows = nudged[inside], hit_cells[inside], kept(hit_rows, inside)
-    hit_flat = flat(hit_cells, hit_rows)
+    if not inside.all():
+        nudged, hit_cells, hit_rows = nudged[inside], hit_cells[inside], kept(hit_rows, inside)
+    hit_index = hit_cells @ strides
+    hit_flat = flat(hit_index, hit_rows)
     marked = hit_flat
     suppressed = 0
     if truth is not None:
-        structure = truth[tuple(hit_cells.T)]
+        structure = truth.reshape(-1)[hit_index]
         suppressed = len(structure) - int(np.count_nonzero(structure))
         marked = hit_flat[structure]
     cells[marked] = OCCUPIED
@@ -493,23 +498,27 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     origin = origin_of(miss_rows)
     rel = np.asarray(misses, dtype=float).reshape(-1, 3) - origin
     hi = lo + dims * v
-    still = rel == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(still, np.where((lo <= origin) & (origin < hi), -np.inf, np.inf),
-                      (lo - origin) / rel)
-        t2 = np.where(still, np.inf, (hi - origin) / rel)
+        t1, t2 = (lo - origin) / rel, (hi - origin) / rel
+    still = rel == 0.0
+    if still.any():
+        t1 = np.where(still, np.where((lo <= origin) & (origin < hi), -np.inf, np.inf), t1)
+        t2 = np.where(still, np.inf, t2)
     t_enter = np.minimum(t1, t2).max(axis=1)
     t_exit = np.maximum(t1, t2).min(axis=1)
     enters = (t_enter <= t_exit) & (t_exit >= 0.0) & (t_enter <= 1.0)
-    rel, t_exit, miss_rows = rel[enters], t_exit[enters], kept(miss_rows, enters)
+    if not enters.all():
+        rel, t_exit, miss_rows = rel[enters], t_exit[enters], kept(miss_rows, enters)
     t = np.minimum(1.0, t_exit * (1.0 - 1e-9))
     np.maximum(t, 0.0, out=t)
     ends = origin_of(miss_rows) + rel * t[:, None]
     end_cells = np.floor((ends - lo) / v).astype(np.int64)
     np.maximum(end_cells, 0, out=end_cells)
     np.minimum(end_cells, dims - 1, out=end_cells)
-    end_flat = flat(end_cells, miss_rows)
+    end_flat = flat(end_cells @ strides, miss_rows)
     live_misses = field[end_flat]
+    if not (live_hits.any() or live_misses.any()):
+        return suppressed                               # no segment to step
     ends, end_cells, end_flat = ends[live_misses], end_cells[live_misses], end_flat[live_misses]
     miss_rows = kept(miss_rows, live_misses)
 
@@ -524,7 +533,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
         # a segment from a sensor off the grid crosses cells off it too
         on_grid = np.all((crossed >= 0) & (crossed < dims), axis=1)
         crossed, rows = crossed[on_grid], kept(rows, on_grid)
-    freed = np.concatenate([flat(crossed, rows), end_flat])
+    freed = np.concatenate([flat(crossed @ strides, rows), end_flat])
     cells[freed] = np.maximum(cells[freed], FREE)
     return suppressed
 

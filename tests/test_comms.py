@@ -1,7 +1,7 @@
 import numpy as np
 
-from uavinspect.comms import discover_neighbors, exchange_and_merge
-from uavinspect.scene import Scene
+from uavinspect.comms import agent_pairs, discover_neighbors, exchange_and_merge
+from uavinspect.scene import Scene, line_of_sight
 from uavinspect.world import FREE, OCCUPIED, BoundingBox, OccupancyMap, VoxelGrid
 
 from test_scene import reference_line_of_sight
@@ -10,6 +10,14 @@ from test_scene import reference_line_of_sight
 def agents_at(*positions):
     """The fleet's position array, one row per agent."""
     return np.array(positions, dtype=float).reshape(-1, 3)
+
+
+def neighbors(positions, scene):
+    """The fleet's peer lists from its agent pairs' sight lines, cast by
+    line_of_sight."""
+    first, second = agent_pairs(len(positions))
+    return discover_neighbors(len(positions), first, second,
+                              line_of_sight(scene, positions[first], positions[second]))
 
 
 def fresh_maps(n, dims=(4, 1, 1)):
@@ -32,14 +40,14 @@ CHAIN_POSITIONS = [(0, 0, 0.5), (2, 1, 0.5), (4, 0, 0.5), (6, 1, 0.5)]
 
 def test_empty_scene_gives_complete_graph():
     positions = agents_at((0, 0, 0), (5, 0, 0), (0, 7, 3))
-    n = discover_neighbors(positions, Scene())
+    n = neighbors(positions, Scene())
     assert n == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_wall_splits_groups():
     wall = Scene(solid_boxes=[BoundingBox((5, -50, -50), (6, 50, 50))])
     positions = agents_at((0, 0, 0), (10, 0, 0), (10, 3, 0))
-    n = discover_neighbors(positions, wall)
+    n = neighbors(positions, wall)
     assert n == [[], [2], [1]]
 
 
@@ -49,7 +57,7 @@ def test_neighbor_symmetry_random_configurations():
     rng = np.random.default_rng(47)
     for _ in range(1000):
         positions = agents_at(*rng.uniform(-10, 10, (4, 3)))
-        n = discover_neighbors(positions, scene)
+        n = neighbors(positions, scene)
         for i in range(4):
             assert i not in n[i]
             assert n[i] == sorted(set(n[i]))
@@ -58,7 +66,7 @@ def test_neighbor_symmetry_random_configurations():
 
 
 def test_chain_topology_is_a_chain():
-    n = discover_neighbors(agents_at(*CHAIN_POSITIONS), chain_scene())
+    n = neighbors(agents_at(*CHAIN_POSITIONS), chain_scene())
     assert n == [[1], [0, 2], [1, 3], [2]]
 
 
@@ -84,7 +92,7 @@ def test_neighbors_equal_pairwise_reference():
                 pos = rng.uniform(-6, 8, (n, 3))
                 pos[::3, 2] = 0.5                               # level pairs
                 pos[1::4, 1] = scene._box_lo[0, 1] if len(scene._box_lo) else 0.0
-                assert discover_neighbors(pos, scene) == reference_neighbors(pos, scene)
+                assert neighbors(pos, scene) == reference_neighbors(pos, scene)
 
 
 def test_fully_connected_round_makes_maps_identical():
@@ -92,7 +100,7 @@ def test_fully_connected_round_makes_maps_identical():
     maps = fresh_maps(3)
     for i in range(3):
         maps[i].cells[i, 0, 0] = OCCUPIED
-    n = discover_neighbors(positions, Scene())
+    n = neighbors(positions, Scene())
     merged = exchange_and_merge(n, maps)
     for i in range(3):
         assert np.array_equal(merged[i].cells, merged[0].cells)
@@ -105,7 +113,7 @@ def test_no_exchange_across_a_cut():
     maps = fresh_maps(2)
     maps[0].cells[0, 0, 0] = OCCUPIED
     maps[1].cells[1, 0, 0] = FREE
-    n = discover_neighbors(positions, wall)
+    n = neighbors(positions, wall)
     merged = exchange_and_merge(n, maps)
     assert np.array_equal(merged[0].cells, maps[0].cells)
     assert np.array_equal(merged[1].cells, maps[1].cells)
@@ -119,7 +127,7 @@ def test_single_round_chain_semantics():
     maps = fresh_maps(3)
     for i in range(3):
         maps[i].cells[i, 0, 0] = OCCUPIED
-    n = discover_neighbors(positions, scene)
+    n = neighbors(positions, scene)
     assert n[0] == [1] and n[2] == [1]
     merged = exchange_and_merge(n, maps)
     assert {tuple(c) for c in merged[1].occupied_voxels()} == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
@@ -134,7 +142,7 @@ def test_exchange_never_loses_occupied_cells():
     for i in range(4):
         maps[i].cells[:] = rng.choice([0, 1, 2], size=(5, 5, 1))
     before = {i: set(map(tuple, maps[i].occupied_voxels())) for i in range(4)}
-    n = discover_neighbors(positions, Scene())
+    n = neighbors(positions, Scene())
     merged = exchange_and_merge(n, maps)
     for i in range(4):
         after = set(map(tuple, merged[i].occupied_voxels()))
@@ -147,7 +155,7 @@ def test_chain_consistency_in_diameter_rounds():
     maps = fresh_maps(4)
     for i in range(4):
         maps[i].cells[i, 0, 0] = OCCUPIED
-    n = discover_neighbors(positions, scene)
+    n = neighbors(positions, scene)
 
     rounds = 0
     while rounds < 3:

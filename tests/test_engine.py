@@ -12,16 +12,17 @@ from test_agents import (AgentState, GimbalState, reference_point_gimbal,
                          reference_step_dynamics, reference_track_segment)
 from test_mesh import prism_mission
 from uavinspect import cli, engine, sensors
-from uavinspect.agents import TrackingConfig
+from uavinspect.agents import GimbalLimits, TrackingConfig
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                inspection_score, intensity_heatmap, run_mission,
                                update_ledger, write_outputs)
 from uavinspect.errors import ConfigurationError, OutOfBoundsError
 from uavinspect.planning import generate_waypoints
-from uavinspect.scene import InterestPoint, Scene, scatter_box_face_points
+from uavinspect.scene import (InterestPoint, Scene, line_of_sight, scatter_box_face_points,
+                              scene_occupancy)
 from uavinspect.sensors import CameraConfig, LidarConfig, Observations
-from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, OccupancyMap, load_map,
-                              voxel_to_world, world_to_voxel)
+from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, OccupancyMap, VoxelGrid,
+                              load_map, voxel_to_world, world_to_voxel)
 
 
 def obs(row, q, qb=None, qr=None):
@@ -235,6 +236,39 @@ def test_config_rejects_non_integer_counts(field, value):
     # raised TypeError mid-mission and horizon=True ran as 1
     with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
         dataclasses.replace(small_config(duration=1.0), **{field: value})
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: LidarConfig(range=True), "lidar range"),
+    (lambda: LidarConfig(servo_period=True), "lidar servo period"),
+    (lambda: CameraConfig(exposure=True), "camera exposure"),
+    (lambda: CameraConfig(quality_floor=True), "camera quality_floor"),
+    (lambda: TrackingConfig(kp=True), "tracking kp"),
+    (lambda: TrackingConfig(a_max=True), "tracking a_max"),
+    (lambda: GimbalLimits(inclination_min=True), "gimbal inclination_min"),
+    (lambda: GimbalLimits(azimuth_max=np.bool_(True)), "gimbal azimuth_max"),
+    (lambda: AgentSpec("explorer", (0.0, 0.0, 0.0), v_max=True), "agent v_max"),
+    (lambda: AgentSpec("explorer", (True, 0.0, 0.0)), r"agent start\[0\]"),
+    (lambda: dataclasses.replace(small_config(), duration=True), "mission duration"),
+    (lambda: dataclasses.replace(small_config(), voxel_size=True), "voxel size"),
+])
+def test_config_rejects_a_bool_for_a_real_field(build, name):
+    # True > 0 and math.isfinite(True) hold, so these used to construct, and
+    # a duration of True ran a 10-tick mission
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        build()
+
+
+def test_config_takes_numpy_floats():
+    cfg = small_config(duration=2.0)
+    as_numpy = dataclasses.replace(
+        cfg, duration=np.float64(2.0), voxel_size=np.float64(6.0),
+        camera=dataclasses.replace(cfg.camera, exposure=np.float64(0.01)),
+        lidar=dataclasses.replace(cfg.lidar, range=np.float64(50.0)),
+        tracking=TrackingConfig(kp=np.float64(1.0)),
+        gimbal=GimbalLimits(inclination_min=np.float64(math.radians(-90.0))))
+    scene = small_scene()
+    assert run_mission(as_numpy, scene).digest() == run_mission(cfg, scene).digest()
 
 
 def test_config_takes_numpy_integer_counts():
@@ -786,9 +820,73 @@ def test_exchange_merges_snapshots_of_the_fleet_maps():
     marks = [a.voxel for a in mission.agents]
     for a, cell in zip(mission.agents, marks):
         a.occ.cells[cell] = OCCUPIED
-    assert mission._exchange(0) == [[1], [0, 2], [1]]
+    clear = line_of_sight(scene, mission.position[mission.first],
+                          mission.position[mission.second])
+    assert mission._exchange(0, clear) == [[1], [0, 2], [1]]
     held = [{m for m in marks if row[m] == OCCUPIED} for row in mission.maps.cells]
     assert held == [set(marks[:2]), set(marks), set(marks[1:])]
+
+
+def random_fleet(rng, scene):
+    """A fleet of 2-6 agents, one or two of them explorers, in distinct
+    voxels off the structure, inside the scene's inspection box [6, 36]^3
+    (so on the 6 m grid from the origin); some coordinates lie on the planes
+    of box faces and triangle vertices, or level with another agent."""
+    truth = scene_occupancy(scene, VoxelGrid((0.0, 0.0, 0.0), (7, 7, 7), 6.0))
+    planes = np.concatenate([scene._box_lo.ravel(), scene._box_hi.ravel(),
+                             scene.triangles.ravel()])
+    positions, taken = [], set()
+    size = int(rng.integers(2, 7))
+    while len(positions) < size:
+        p = rng.uniform(7.0, 35.0, 3)
+        snap = rng.random(3) < 0.3
+        p[snap] = rng.choice(planes, np.count_nonzero(snap))
+        if positions and len(positions) % 3 == 1:
+            p[2] = positions[0][2]
+        voxel = tuple((p // 6.0).astype(int).tolist())
+        if voxel not in taken and not truth[voxel]:
+            taken.add(voxel)
+            positions.append(tuple(p.tolist()))
+    explorers = int(rng.integers(1, 3))
+    return tuple(AgentSpec("explorer" if i < explorers else "photographer", p)
+                 for i, p in enumerate(positions))
+
+
+@pytest.mark.parametrize("geometry", ["boxes", "triangles"])
+def test_each_ticks_peers_equal_the_pairs_cast_apart(geometry, monkeypatch):
+    # the sight lines ride in the tick's LiDAR sweep when an explorer fires,
+    # and are cast alone when none does; either way the peers are those of
+    # each pair cast on its own
+    from test_comms import reference_neighbors              # a cycle at module level
+    rng = np.random.default_rng(71)
+    if geometry == "boxes":
+        shapes = dict(solid_boxes=[BoundingBox((12.0, 12.0, 6.0), (18.0, 30.0, 30.0)),
+                                   BoundingBox((24.0, 6.0, 12.0), (30.0, 18.0, 24.0))])
+    else:
+        # a triangle across half the plane x = 21, and small ones anywhere
+        wall = [[(21.0, 8.0, 8.0), (21.0, 34.0, 8.0), (21.0, 8.0, 34.0)]]
+        shapes = dict(triangles=np.concatenate([wall, rng.uniform(10.0, 32.0, (12, 1, 3))
+                                                + rng.uniform(-5.0, 5.0, (12, 3, 3))]))
+    scene = Scene(**shapes, inspection_boxes=[BoundingBox((6.0, 6.0, 6.0), (36.0, 36.0, 36.0))])
+    sweeps = []
+    sweep = engine.lidar_sweep
+    monkeypatch.setattr(engine, "lidar_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+    blocked = 0
+    for _ in range(20):
+        cfg = MissionConfig(duration=1.0, agents=random_fleet(rng, scene),
+                            lidar=LidarConfig(beams=4, azimuth_steps=24))
+        mission = _Mission(cfg, scene)
+        expected = reference_neighbors(mission.position, scene)
+        n = len(mission.agents)
+        blocked += n * (n - 1) // 2 - sum(map(len, expected)) // 2
+        for k, fires in enumerate((True, False)):
+            if not fires:
+                # every map known: no explorer fires
+                mission.maps.cells[...] = np.where(mission.truth, OCCUPIED, FREE)
+            before = len(sweeps)
+            assert mission._exchange(k, mission._sense(k, k * cfg.tick)) == expected, (n, k)
+            assert (len(sweeps) > before) == fires
+    assert blocked >= 10
 
 
 def test_free_structure_cells_warn_and_reach_the_summary(tmp_path):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from test_engine import bench_workload
 from uavinspect import cli, engine
 from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
-from uavinspect.scene import Scene, scatter_box_face_points, scene_occupancy
+from uavinspect.scene import Scene, line_of_sight, scatter_box_face_points, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions, lidar_sweep
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
                               OccupancyMap, VoxelGrid, integrate_points, reach_mask)
@@ -50,11 +50,15 @@ def explorer_fire(occ, guard, position, yaw, scene, lidar, t):
                             guard.field)
 
 
+NO_SIGHT_LINES = (np.zeros((0, 3)), np.zeros((0, 3)))
+
+
 def fire_one(occ, guard, position, yaw, scene, lidar, t):
     """The mission's firing with one explorer, on a fleet of one map: a view
     of occ's cells, so the firing writes occ."""
     return engine._fire(OccupancyMap(occ.grid, occ.cells[None]), [0], [guard],
-                        np.asarray(position, dtype=float).reshape(1, 3), [yaw], scene, lidar, t)
+                        np.asarray(position, dtype=float).reshape(1, 3), [yaw], scene, lidar, t,
+                        NO_SIGHT_LINES)[0]
 
 
 # --- the firing of a mission ---------------------------------------------------
@@ -66,11 +70,12 @@ def checked_run(cfg, scene, monkeypatch, stats):
     the flood, rays and the rays cast."""
     cast = engine.lidar_sweep
 
-    def counting(position, scene, lidar, dirs, hit_mask=None):
-        # one sweep casts the firings of several explorers, one origin each
+    def counting(position, scene, lidar, dirs, hit_mask=None, segments=None, clear=None):
+        # one sweep casts the firings of several explorers, one origin each;
+        # the sight lines that ride along are neither rays nor origins of a firing
         stats["cast"] += len(dirs)
         stats["swept"] += len(np.unique(np.reshape(position, (-1, 3)), axis=0))
-        return cast(position, scene, lidar, dirs, hit_mask)
+        return cast(position, scene, lidar, dirs, hit_mask, segments, clear)
 
     sense = _Mission._sense
 
@@ -92,10 +97,11 @@ def checked_run(cfg, scene, monkeypatch, stats):
                 stats["firings"] += 1
                 stats["rays"] += self.cfg.lidar.beams * self.cfg.lidar.azimuth_steps
         swept = stats["swept"]
-        sense(self, k, t)
+        clear = sense(self, k, t)
         stats["skipped"] += len(expected) - (stats["swept"] - swept)
         for aid, occ in expected.items():
             assert np.array_equal(self.agents[aid].occ.cells, occ.cells), (k, aid)
+        return clear
 
     monkeypatch.setattr(engine, "lidar_sweep", counting)
     monkeypatch.setattr(_Mission, "_sense", checked)
@@ -274,11 +280,16 @@ def test_fleet_firing_equals_the_explorers_firing_apart(firing):
     got = OccupancyMap(grid, np.stack([cells for cells, _, _ in fleet]))
     positions = np.array([position for _, position, _ in fleet])
     reach = reach_mask(grid, scene.solid_boxes, positions)
-    got_suppressed = engine._fire(got, [0, 1], [FiringGuard(grid, truth, reach) for _ in fleet],
-                                  positions, [yaw for _, _, yaw in fleet], scene, lidar, t)
+    # the pair's sight line rides in the sweep
+    segment = (positions[:1], positions[1:])
+    got_suppressed, clear = engine._fire(got, [0, 1],
+                                         [FiringGuard(grid, truth, reach) for _ in fleet],
+                                         positions, [yaw for _, _, yaw in fleet], scene, lidar, t,
+                                         segment)
     for cells, want in zip(got.cells, expected):
         assert np.array_equal(cells, want.cells)
     assert got_suppressed == suppressed
+    assert clear.tolist() == line_of_sight(scene, *segment).tolist()
 
 
 # --- the two ways a firing can change a known map ---------------------------------

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from test_agents import AgentState, GimbalState
+from test_scene import awkward_segments
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (InterestPoint, Scene, ray_cast_batch, scatter_box_face_points,
-                              visible_point_indices)
+from uavinspect.scene import (_EPS_LOS, InterestPoint, Scene, line_of_sight, ray_cast_batch,
+                              scatter_box_face_points, visible_point_indices)
 from uavinspect.sensors import (CameraConfig, LidarConfig, _blur_batch, _fov_mask,
                                 _resolution_batch, camera_axis, camera_basis, camera_pose,
                                 lidar_directions, lidar_sweep, observe, servo_angle)
@@ -552,3 +553,31 @@ def test_lidar_sweep_with_one_origin_per_ray_equals_the_sweeps_apart():
         assert np.array_equal(hit, np.concatenate(
             [ray_cast_batch(scene, a.position, d, cfg.range)[0] for a, d in zip(fleet, bundles)]))
         assert 0 < np.count_nonzero(hit) < len(hit)
+
+
+def test_sight_lines_in_a_sweep_equal_line_of_sight_alone():
+    # sight lines cast as rows after a firing's rays keep line_of_sight's
+    # mask, each from its own start, and leave the firing's hits and misses
+    # as the firing alone gives them, from a shared origin or one per ray
+    cfg = LidarConfig(range=30.0, beams=5, azimuth_steps=24)
+    tris = [[(-8, -8, 6), (8, -8, 6), (0, 9, 7)], [(12, -5, -5), (12, 5, -5), (13, 0, 6)]]
+    wall = BoundingBox((5.0, -3.0, -3.0), (6.0, 3.0, 3.0))
+    scene = Scene(solid_boxes=closed_room(10.0).solid_boxes[:3] + [wall], triangles=tris)
+    # zero length; ending within _EPS_LOS of the wall's face, and beyond it
+    starts = np.array([(1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    ends = np.array([(1.0, 1.0, 1.0), (5.0 + 0.5 * _EPS_LOS, 0.0, 0.0),
+                     (5.0 + 2.0 * _EPS_LOS, 0.0, 0.0)])
+    assert line_of_sight(scene, starts, ends).tolist() == [True, True, False]
+    rng = np.random.default_rng(61)
+    a, b = awkward_segments(scene, rng, 40)
+    starts, ends = np.vstack([starts, a]), np.vstack([ends, b])
+    expected = line_of_sight(scene, starts, ends)
+    assert 0 < np.count_nonzero(expected) < len(expected)
+    dirs = lidar_directions(0.7, cfg, 1.3)
+    for origin in (np.array([1.5, -2.0, 0.5]), rng.uniform(-9.0, 9.0, (len(dirs), 3))):
+        alone_hits, alone_misses = lidar_sweep(origin, scene, cfg, dirs)
+        hit, clear = np.empty(len(dirs), dtype=bool), np.empty(len(starts), dtype=bool)
+        hits, misses = lidar_sweep(origin, scene, cfg, dirs, hit, (starts, ends), clear)
+        assert np.array_equal(clear, expected)
+        assert np.array_equal(hits, alone_hits) and np.array_equal(misses, alone_misses)
+        assert len(hits) == np.count_nonzero(hit)

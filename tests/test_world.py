@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavinspect import world
 from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
 from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
@@ -732,6 +733,46 @@ def test_stacked_update_takes_the_guard_field_of_each_row():
         integrate_points(unculled, sensors, hits, dirs, hits * 2, truth, None, rows, rows)
         assert np.array_equal(given.cells, unculled.cells)
     assert wider > 0
+
+
+def test_an_update_with_no_live_segment_only_marks_its_hits(monkeypatch):
+    # each row's UNKNOWN cells lie in the grid's far corner, and every hit
+    # and miss ends in a cell whose box from the sensor's cell holds none
+    # of them: the update steps no segment, yet marks the hits, suppresses
+    # the same hits and leaves the maps of the update given no field
+    rng = np.random.default_rng(43)
+    grid = VoxelGrid((0.0, 0.0, 0.0), (7, 5, 6), 1.0)
+    marked = suppressed_total = 0
+    for k in (1, 1, 2, 3, 3):
+        cells = rng.choice((FREE, OCCUPIED), size=(k, *grid.dims)).astype(np.uint8)
+        corner = cells[:, 5:, 3:, 4:]
+        corner[rng.random(corner.shape) < 0.4] = UNKNOWN
+        truth = rng.random(grid.dims) < 0.5
+        sensors = rng.uniform(0.0, 2.0, (k, 3))
+        fields = np.stack([unknown_field(OccupancyMap(grid, c), o) for c, o in zip(cells, sensors)])
+        # hit and miss ends well inside cells that no live segment ends in
+        rows, ends = np.nonzero(~fields.reshape(k, -1))
+        pick = rng.integers(0, len(ends), 40)
+        rows = rows[pick]
+        ends = (np.stack(np.unravel_index(ends[pick], grid.dims), axis=1)
+                + rng.uniform(0.2, 0.8, (40, 3)))
+        dirs = np.vstack([ray_dirs(sensors[r], e) for r, e in zip(rows, ends)])
+        # and hits off the grid, which are dropped
+        hits = np.vstack([ends[:30], [(-3.0, 1.0, 1.0)]])
+        dirs = np.vstack([dirs[:30], ray_dirs(sensors[0], [(-3.0, 1.0, 1.0)])])
+        hit_rows, miss_rows = np.append(rows[:30], 0), rows[30:]
+        unculled = OccupancyMap(grid, cells.copy())
+        suppressed = integrate_points(unculled, sensors, hits, dirs, ends[30:], truth, None,
+                                      hit_rows, miss_rows)
+        got = OccupancyMap(grid, cells.copy())
+        with monkeypatch.context() as patch:
+            patch.setattr(world, "_segment_cells", None)       # a traversal raises
+            assert integrate_points(got, sensors, hits, dirs, ends[30:], truth, fields,
+                                    hit_rows, miss_rows) == suppressed
+        assert np.array_equal(got.cells, unculled.cells)
+        marked += int(np.count_nonzero(got.cells != cells))
+        suppressed_total += suppressed
+    assert marked > 0 and suppressed_total > 0
 
 
 def test_carve_free_frees_only_cells_in_the_ray_box():
