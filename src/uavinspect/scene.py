@@ -55,11 +55,18 @@ class Scene:
 
         points = list(interest_points or [])
         self.point_ids = np.array([p.id for p in points], dtype=int)
-        ids = np.sort(self.point_ids)
-        if np.any(ids[1:] == ids[:-1]):
-            raise ConfigurationError("interest point ids are not unique")
+        _, first = np.unique(self.point_ids, return_index=True)
+        if len(first) < len(points):
+            repeat = np.setdiff1d(np.arange(len(points)), first)[0]
+            raise ConfigurationError(
+                f"interest point ids are not unique: id {self.point_ids[repeat]} repeats")
         self.point_positions = np.array([p.position for p in points], dtype=float).reshape(-1, 3)
         normals = np.array([p.normal for p in points], dtype=float).reshape(-1, 3)
+        for name, values in (("position", self.point_positions), ("normal", normals)):
+            bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+            if len(bad):
+                raise ConfigurationError(
+                    f"interest point {self.point_ids[bad[0]]} has a non-finite {name}")
         if len(normals):
             norms = np.linalg.norm(normals, axis=1)
             if np.any(norms < 1e-12):
@@ -68,13 +75,15 @@ class Scene:
         self.point_normals = normals
 
         if len(points) and self.inspection_boxes:
-            outside = [
-                p.id for p in points
-                if not any(b.contains(p.position) for b in self.inspection_boxes)
-            ]
+            # closed on both faces: a point on a box's face is inside it
+            lo = np.array([b.min_corner for b in self.inspection_boxes], dtype=float)
+            hi = np.array([b.max_corner for b in self.inspection_boxes], dtype=float)
+            pos = self.point_positions[:, None, :]
+            inside = ((lo <= pos) & (pos <= hi)).all(axis=2).any(axis=1)
+            outside = len(points) - np.count_nonzero(inside)
             if outside:
                 warnings.warn(
-                    f"{len(outside)} interest point(s) lie outside every inspection box",
+                    f"{outside} interest point(s) lie outside every inspection box",
                     stacklevel=2,
                 )
 
@@ -388,8 +397,9 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
                             id_offset: int = 0) -> list[InterestPoint]:
     """Uniformly scatter interest points over selected outer faces of a box.
 
-    Sampling is area-weighted across the selected faces and fully determined by
-    the seed.  Normals point outward.
+    Sampling is area-weighted across the selected faces, which must be
+    distinct, and fully determined by the seed.  Normals point outward.  The
+    points take the ids id_offset, id_offset + 1, ... in order.
     """
     if count < 0:
         raise ConfigurationError("scatter count must be non-negative")
@@ -403,21 +413,22 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
         "z-": (2, lo[2], (0.0, 0.0, -1.0), ext[0] * ext[1]),
         "z+": (2, hi[2], (0.0, 0.0, 1.0), ext[0] * ext[1]),
     }
-    for f in faces:
+    for k, f in enumerate(faces):
         if f not in face_defs:
             raise ConfigurationError(f"unknown face name {f!r}")
+        if f in faces[:k]:
+            raise ConfigurationError(f"face {f!r} is repeated in a scatter rule")
     chosen = [face_defs[f] for f in faces]
     areas = np.array([c[3] for c in chosen], dtype=float)
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(chosen), size=count, p=areas / areas.sum())
     uv = rng.random((count, 2))
-    points = []
-    for i in range(count):
-        axis, coord, normal, _ = chosen[picks[i]]
-        other = [a for a in range(3) if a != axis]
-        p = np.zeros(3)
-        p[axis] = coord
-        p[other[0]] = lo[other[0]] + uv[i, 0] * ext[other[0]]
-        p[other[1]] = lo[other[1]] + uv[i, 1] * ext[other[1]]
-        points.append(InterestPoint(id_offset + i, tuple(p.tolist()), normal))
-    return points
+    axis = np.array([c[0] for c in chosen], dtype=int)[picks]
+    rows = np.arange(count)
+    p = np.empty((count, 3))
+    p[rows, axis] = np.array([c[1] for c in chosen], dtype=float)[picks]
+    # the two free axes, in ascending order, take the two uniform draws
+    for j, other in enumerate(((axis == 0).astype(int), 2 - (axis == 2))):
+        p[rows, other] = lo[other] + uv[:, j] * ext[other]
+    return [InterestPoint(id_offset + i, tuple(q), chosen[k][2])
+            for i, (q, k) in enumerate(zip(p.tolist(), picks.tolist()))]

@@ -41,6 +41,10 @@ class BoundingBox:
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
+        if not np.all(np.isfinite((lo, hi))):
+            raise ConfigurationError(
+                f"bounding box corners must be finite, got {self.min_corner}..{self.max_corner}"
+            )
         if not np.all(lo < hi):
             raise ConfigurationError(
                 f"degenerate bounding box {self.min_corner}..{self.max_corner}"
@@ -53,10 +57,6 @@ class BoundingBox:
     @property
     def hi(self) -> np.ndarray:
         return np.asarray(self.max_corner, dtype=float)
-
-    def contains(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
 
 @dataclass(frozen=True)

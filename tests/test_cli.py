@@ -467,6 +467,7 @@ def test_main_rejects_negative_limits_before_running(tmp_path, capsys):
 
 
 BOX_30 = {"min": [0.0, 0.0, 0.0], "max": [30.0, 30.0, 30.0]}
+BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
 
 
 @pytest.mark.parametrize("scenario, flags, message", [
@@ -479,9 +480,18 @@ BOX_30 = {"min": [0.0, 0.0, 0.0], "max": [30.0, 30.0, 30.0]}
     ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {"explicit": [
         {"id": 0, "position": [1.0, 1.0, 1.0], "normal": [1.0, 0.0, 0.0]},
         {"id": 0, "position": [2.0, 2.0, 2.0], "normal": [1.0, 0.0, 0.0]}]}}},
-     [], "interest point ids are not unique"),
+     [], "interest point ids are not unique: id 0 repeats"),
+    # the scatter ids continue from the 1 point before the rule: 1, 2, ...
+    ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {
+        "explicit": [{"id": 1, "position": [1.0, 1.0, 1.0], "normal": [1.0, 0.0, 0.0]}],
+        "scatter": [{**BOX_12_18, "count": 5}]}}},
+     [], "interest point ids are not unique: id 1 repeats"),
+    ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {
+        "scatter": [{**BOX_12_18, "count": 5, "faces": ["x-", "x-", "x+"]}]}}},
+     [], "face 'x-' is repeated in a scatter rule"),
     (MINIMAL, ["--voxel-size", "-3"], "voxel size must be positive"),
-], ids=["shared-start", "start-in-structure", "duplicate-ids", "negative-voxel"])
+], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
+        "repeated-face", "negative-voxel"])
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err

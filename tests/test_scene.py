@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_engine import bench_workload, shipped
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (InterestPoint, Scene, _norm, _slabs, line_of_sight, ray_cast_batch,
-                              scatter_box_face_points, scene_occupancy,
+from uavinspect.scene import (FACES, InterestPoint, Scene, _norm, _slabs, line_of_sight,
+                              ray_cast_batch, scatter_box_face_points, scene_occupancy,
                               visible_point_indices)
 from uavinspect.world import BoundingBox, VoxelGrid
 
@@ -326,10 +328,34 @@ def test_zero_normal_rejected():
 def test_scene_rejects_duplicate_ids():
     def points(*ids):
         return [InterestPoint(i, (float(j), 0, 0), (1, 0, 0)) for j, i in enumerate(ids)]
-    for ids in ((0, 1, 1), (5, 3, 5)):
-        with pytest.raises(ConfigurationError, match="interest point ids are not unique"):
+    for ids, repeat in (((0, 1, 1), 1), ((5, 3, 5), 5), ((4, 9, 2, 9, 4), 9)):
+        with pytest.raises(ConfigurationError,
+                           match=f"interest point ids are not unique: id {repeat} repeats$"):
             Scene(interest_points=points(*ids))
     assert Scene(interest_points=points(7, 3, 5)).point_ids.tolist() == [7, 3, 5]
+
+
+@pytest.mark.parametrize("position, normal, message", [
+    ((math.nan, 0.0, 0.0), (1, 0, 0), "interest point 7 has a non-finite position"),
+    ((0.0, math.inf, 0.0), (1, 0, 0), "interest point 7 has a non-finite position"),
+    ((0.0, 0.0, 0.0), (math.nan, 0, 0), "interest point 7 has a non-finite normal"),
+    ((0.0, 0.0, 0.0), (math.inf, 0, 0), "interest point 7 has a non-finite normal"),
+], ids=["nan-position", "inf-position", "nan-normal", "inf-normal"])
+def test_scene_rejects_non_finite_points(position, normal, message):
+    # a NaN normal came out as [nan, nan, nan], an inf one as [nan, 0, 0]
+    points = [InterestPoint(3, (1.0, 0.0, 0.0), (1, 0, 0)), InterestPoint(7, position, normal)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=message):
+            Scene(interest_points=points)
+
+
+@pytest.mark.parametrize("lo, hi", [((0, 0, 0), (math.inf, 1, 1)),
+                                    ((-math.inf, 0, 0), (1, 1, 1)),
+                                    ((0, math.nan, 0), (1, 1, 1))])
+def test_bounding_box_rejects_non_finite_corners(lo, hi):
+    with pytest.raises(ConfigurationError, match="bounding box corners must be finite"):
+        BoundingBox(lo, hi)
 
 
 def test_points_outside_inspection_boxes_warn():
@@ -384,6 +410,96 @@ def test_scatter_is_deterministic_and_on_surface():
         coord = 10.0 if n[axis] > 0 else 0.0
         assert pos[axis] == pytest.approx(coord)
         assert np.linalg.norm(n) == pytest.approx(1.0)
+
+
+def test_scatter_rejects_a_repeated_face():
+    # [x-, x-, x+] on a cube put two thirds of the points on x-, where the
+    # area weighting of the two faces gives half
+    box = BoundingBox((0, 0, 0), (4, 4, 4))
+    with pytest.raises(ConfigurationError, match="face 'x-' is repeated in a scatter rule"):
+        scatter_box_face_points(box, 3000, seed=1, faces=("x-", "x-", "x+"))
+
+
+def scatter_reference(box, count, seed, faces=FACES, id_offset=0):
+    """The per-point scatter, kept as the oracle of scatter_box_face_points:
+    the same two draws, then each point placed on its own."""
+    lo, hi = box.lo, box.hi
+    ext = hi - lo
+    face_defs = {
+        "x-": (0, lo[0], (-1.0, 0.0, 0.0), ext[1] * ext[2]),
+        "x+": (0, hi[0], (1.0, 0.0, 0.0), ext[1] * ext[2]),
+        "y-": (1, lo[1], (0.0, -1.0, 0.0), ext[0] * ext[2]),
+        "y+": (1, hi[1], (0.0, 1.0, 0.0), ext[0] * ext[2]),
+        "z-": (2, lo[2], (0.0, 0.0, -1.0), ext[0] * ext[1]),
+        "z+": (2, hi[2], (0.0, 0.0, 1.0), ext[0] * ext[1]),
+    }
+    chosen = [face_defs[f] for f in faces]
+    areas = np.array([c[3] for c in chosen], dtype=float)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(chosen), size=count, p=areas / areas.sum())
+    uv = rng.random((count, 2))
+    points = []
+    for i in range(count):
+        axis, coord, normal, _ = chosen[picks[i]]
+        other = [a for a in range(3) if a != axis]
+        p = np.zeros(3)
+        p[axis] = coord
+        p[other[0]] = lo[other[0]] + uv[i, 0] * ext[other[0]]
+        p[other[1]] = lo[other[1]] + uv[i, 1] * ext[other[1]]
+        points.append(InterestPoint(id_offset + i, tuple(p.tolist()), normal))
+    return points
+
+
+def outside_reference(points, boxes) -> int:
+    """Points outside every box, each tested against each box on its own;
+    a box is closed on both faces."""
+    def inside(p, box):
+        p = np.asarray(p, dtype=float)
+        return bool(np.all(p >= box.lo) and np.all(p <= box.hi))
+    return sum(not any(inside(p.position, b) for b in boxes) for p in points)
+
+
+@st.composite
+def scatter_scenes(draw):
+    """Inspection boxes, a scatter rule on one of them or on a box of its
+    own, and explicit points on the boxes' corners, edges and faces, inside
+    and outside them."""
+    coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+    extent = st.one_of(st.integers(1, 4).map(float), st.floats(0.5, 100.0))
+
+    def box():
+        lo = [draw(coord) for _ in range(3)]
+        return BoundingBox(tuple(lo), tuple(a + draw(extent) for a in lo))
+    boxes = [box() for _ in range(draw(st.integers(1, 3)))]
+    scattered = draw(st.sampled_from(boxes)) if draw(st.booleans()) else box()
+    faces = tuple(draw(st.permutations(FACES))[:draw(st.integers(1, 6))])
+    explicit = []
+    for i in range(draw(st.integers(0, 12))):
+        b = draw(st.sampled_from(boxes))
+        # per axis: a face plane, the middle, or just outside
+        p = tuple(draw(st.sampled_from([lo, hi, (lo + hi) / 2, lo - 0.5, hi + 0.5]))
+                  for lo, hi in zip(b.min_corner, b.max_corner))
+        explicit.append(InterestPoint(i, p, (0.0, 0.0, 1.0)))
+    return (boxes, scattered, draw(st.integers(0, 60)), draw(st.integers(0, 2**32 - 1)),
+            faces, explicit)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=scatter_scenes())
+def test_array_scatter_and_box_test_equal_the_per_point_loops(case):
+    boxes, scattered, count, seed, faces, explicit = case
+    got = scatter_box_face_points(scattered, count, seed, faces=faces, id_offset=len(explicit))
+    expected = scatter_reference(scattered, count, seed, faces=faces, id_offset=len(explicit))
+    assert got == expected
+    assert repr(got) == repr(expected)              # -0.0 and 0.0 apart, every digit
+    points = explicit + got
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        Scene(interest_points=points, inspection_boxes=boxes)
+    counts = [int(str(w.message).split()[0]) for w in caught]
+    outside = outside_reference(points, boxes)
+    assert counts == ([outside] if outside else [])
+    assert all("outside every inspection box" in str(w.message) for w in caught)
 
 
 def test_scatter_respects_face_selection():
