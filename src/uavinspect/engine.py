@@ -327,14 +327,14 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     A firing on a map that holds no cell it can change is skipped whole;
     otherwise only the rays whose box holds such a cell are cast (see
     FiringGuard).  The rays of every firing and the sight lines go through
-    one sweep, and its hits and misses through one map update on the firing
-    rows, gathered and written back; a firing changes only its own map, so
-    each map ends as if its firing alone had cast every ray; the update
-    takes each firing's guard field.  A lone firing casts from its one
-    shared origin when no sight line rides along; on a tick with no firing
-    the sight lines are cast alone, by line_of_sight.  Returns the number of
-    hits of the cast rays that the hit rule suppressed, and which sight
-    lines nothing blocks.
+    one sweep, and its hits and misses through one map update that takes
+    each firing's guard field.  A lone firing updates its row in place;
+    two or more update their rows gathered and written back.  A firing
+    changes only its own map, so each map ends as if its firing alone had
+    cast every ray.  A lone firing casts from its one shared origin when no
+    sight line rides along; on a tick with no firing the sight lines are
+    cast alone, by line_of_sight.  Returns the number of hits of the cast
+    rays that the hit rule suppressed, and which sight lines nothing blocks.
     """
     firing, bundles, fields = [], [], []
     for i, guard in zip(explorer_rows, guards):
@@ -348,16 +348,22 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
             fields.append(guard.field)
     if not firing:
         return 0, line_of_sight(scene, *segments)
+    truth = guards[0].truth
+    clear = np.empty(len(segments[0]), dtype=bool)
+    if len(firing) == 1:
+        i = firing[0]
+        hits, misses = lidar_sweep(positions[i], scene, lidar, bundles[0], None, segments, clear)
+        suppressed = integrate_points(OccupancyMap(maps.grid, maps.cells[i]), positions[i],
+                                      hits[:, 0], hits[:, 1], misses, truth, fields[0])
+        return suppressed, clear
     dirs = np.concatenate(bundles)
     origins = positions[firing]
     rows = np.repeat(np.arange(len(firing)), [len(b) for b in bundles])
     hit = np.empty(len(dirs), dtype=bool)
-    clear = np.empty(len(segments[0]), dtype=bool)
-    hits, misses = lidar_sweep(origins[0] if len(firing) == 1 else origins[rows], scene,
-                               lidar, dirs, hit, segments, clear)
+    hits, misses = lidar_sweep(origins[rows], scene, lidar, dirs, hit, segments, clear)
     gathered = OccupancyMap(maps.grid, maps.cells[firing])
     suppressed = integrate_points(gathered, origins, hits[:, 0], hits[:, 1], misses,
-                                  guards[0].truth, np.array(fields), rows[hit], rows[~hit])
+                                  truth, np.array(fields), rows[hit], rows[~hit])
     maps.cells[firing] = gathered.cells
     return suppressed, clear
 

@@ -7,13 +7,14 @@ checks share identical intersection semantics.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .world import BoundingBox, VoxelGrid, box_cells
+from .world import BoundingBox, VoxelGrid, _max3, _min3, box_cells
 
 _EPS_T = 1e-9           # minimum hit distance, rejects self-intersection at the origin
 _EPS_BARY = 1e-12       # barycentric slack, keeps triangle edges closed
@@ -250,6 +251,13 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
+def _length(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of vectors (..., 3), the same sums in the
+    same order, by column."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 @dataclass(frozen=True, eq=False)
 class SightLines:
     """Segments from starts to ends as rays, and the one rule that reads
@@ -267,7 +275,7 @@ class SightLines:
         segment."""
         starts = np.asarray(starts, dtype=float).reshape(-1, 3)
         rel = np.asarray(ends, dtype=float).reshape(-1, 3) - starts
-        lengths = np.linalg.norm(rel, axis=1)
+        lengths = _length(rel)
         safe = np.where(lengths > 1e-12, lengths, 1.0)
         return cls(starts, rel / safe[:, None], lengths)
 
@@ -341,10 +349,11 @@ def _tri_box_overlap(v: np.ndarray, half: float) -> np.ndarray:
             ax1, ax2 = -e[:, i, a2], e[:, i, a1]
             p = v[:, :, a1] * ax1[:, None] + v[:, :, a2] * ax2[:, None]
             r = half * (np.abs(ax1) + np.abs(ax2))
-            apart = (p.min(axis=1) >= r) | (p.max(axis=1) <= -r)
+            apart = (_min3(p) >= r) | (_max3(p) <= -r)
             overlap &= ~(apart & (r > 0.0) & (on_face[:, j] | ~lies))
-    # box face normals
-    apart = (v.min(axis=1) >= half) | (v.max(axis=1) <= -half)
+    # box face normals; the three vertices of each pair as the last axis
+    by_axis = v.transpose(0, 2, 1)
+    apart = (_min3(by_axis) >= half) | (_max3(by_axis) <= -half)
     overlap &= ~np.any(apart & ~on_face, axis=1)
     # triangle plane; a degenerate triangle has none
     d = np.einsum("nk,nk->n", n, v[:, 0])
@@ -398,11 +407,16 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
     """Uniformly scatter interest points over selected outer faces of a box.
 
     Sampling is area-weighted across the selected faces, which must be
-    distinct, and fully determined by the seed.  Normals point outward.  The
-    points take the ids id_offset, id_offset + 1, ... in order.
+    distinct and at least one, and fully determined by the seed.  count and
+    seed are non-negative integers.  Normals point outward.  The points take
+    the ids id_offset, id_offset + 1, ... in order.
     """
-    if count < 0:
-        raise ConfigurationError("scatter count must be non-negative")
+    for name, value in (("count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ConfigurationError(
+                f"scatter {name} must be a non-negative integer, got {value!r}")
+    if not len(faces):
+        raise ConfigurationError("scatter faces must name at least one face")
     lo, hi = box.lo, box.hi
     ext = hi - lo
     face_defs = {

@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, check_real
-from .scene import Scene, SightLines, _cross, _norm, ray_cast_batch, visible_point_indices
+from .scene import (Scene, SightLines, _cross, _length, _norm, ray_cast_batch,
+                    visible_point_indices)
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
 # LiDAR servo pitch stops, and the beams' elevation spread either side of level
@@ -149,7 +150,7 @@ def _blur_batch(p_cam: np.ndarray, v_cam: np.ndarray, cfg: CameraConfig) -> np.n
         score[disp == 0.0] = 1.0
 
         # a point that slides out of the view pyramid mid-exposure scores zero
-        inside = _fov_mask(a1, np.linalg.norm(a1, axis=1), cfg)
+        inside = _fov_mask(a1, _length(a1), cfg)
         score[~inside] = 0.0
         q[ok] = score
     return q
@@ -204,7 +205,7 @@ def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
     v_cam = -(velocities @ bases)[:, 0]
     rel = scene.point_positions[None, :, :] - apexes[:, None, :]
     p_cam = rel @ bases                                         # (poses, points, 3)
-    candidates = _fov_mask(p_cam, np.linalg.norm(rel, axis=2), cfg)
+    candidates = _fov_mask(p_cam, _length(rel), cfg)
     row, idx = visible_point_indices(scene, apexes, candidates)
     p_cam = p_cam[row, idx]
     qb = _blur_batch(p_cam, v_cam[row], cfg)

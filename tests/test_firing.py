@@ -25,7 +25,7 @@ from uavinspect import cli, engine
 from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
 from uavinspect.scene import Scene, line_of_sight, scatter_box_face_points, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions, lidar_sweep
-from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
+from uavinspect.world import (_NUDGE, FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
                               OccupancyMap, VoxelGrid, integrate_points, reach_mask)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -122,8 +122,15 @@ def workload(name, ticks):
     return dataclasses.replace(cfg, duration=ticks * cfg.tick), scene
 
 
+def explorer_last(cfg, scene):
+    """The mission with its fleet in reverse order: the explorer fires into
+    the last row of the maps."""
+    return dataclasses.replace(cfg, agents=cfg.agents[::-1]), scene
+
+
 SHORT_RUNS = {
     "desk_box": lambda: workload("desk_box", 30),
+    "desk_box, explorer last": lambda: explorer_last(*workload("desk_box", 30)),
     "fleet_fine": lambda: workload("fleet_fine", 60),
     "mesh_tower": lambda: workload("mesh_tower", 80),
     "twin_pillars.yaml": lambda: shipped("twin_pillars", 60),
@@ -261,6 +268,48 @@ def test_culled_firing_equals_the_unculled_firing_on_random_scenes(firing):
     assert not np.any((got.cells == OCCUPIED) & ~truth)
 
 
+def reference_can_change(guard, origin, dirs, reach):
+    """FiringGuard.can_change with its end points in metres, floored,
+    clamped and looked up by three index arrays."""
+    grid = guard.grid
+    v, lo, dims = grid.voxel_size, grid.origin_arr, np.asarray(grid.dims)
+    ends = origin + dirs * reach + np.sign(dirs) * (2 * _NUDGE * v)
+    end_cells = np.floor((ends - lo) / v).astype(np.int64)
+    end_cells = np.clip(end_cells, 0, dims - 1)
+    return guard.field[tuple(end_cells.T)]
+
+
+@st.composite
+def plane_firings(draw):
+    """An axis-aligned firing, one level beam at four azimuths along the
+    grid axes, from a sensor with some coordinates on voxel planes, out to a
+    range that from a plane or a cell centre ends on a plane."""
+    grid, scene, truth, lidar = draw(scenes())
+    cells, position, _ = draw(sensors(grid, truth))
+    v = grid.voxel_size
+    # a coordinate as drawn, or on the plane below or above it on the grid
+    position = np.array([draw(st.sampled_from([p, k * v] + [(k + 1) * v] * (k + 1 < n)))
+                         for p, k, n in zip(position.tolist(),
+                                            np.floor(position / v).astype(int).tolist(),
+                                            grid.dims)])
+    reach = draw(st.integers(1, 4 * max(grid.dims))) * v / 2
+    lidar = dataclasses.replace(lidar, range=reach, beams=1, azimuth_steps=4)
+    yaw = draw(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]))
+    return grid, scene, truth, cells, position, yaw, lidar, LEVEL
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(firing=st.one_of(firings(), plane_firings()))
+def test_the_cull_in_grid_units_keeps_every_ray_the_cull_in_metres_keeps(firing):
+    grid, scene, truth, cells, position, yaw, lidar, t = firing
+    guard = FiringGuard(grid, truth, reach_mask(grid, scene.solid_boxes, [position]))
+    if guard.at(OccupancyMap(grid, cells), position).field is None:
+        return
+    dirs = lidar_directions(yaw, lidar, t)
+    kept = guard.can_change(position, dirs, lidar.range)
+    assert kept[reference_can_change(guard, position, dirs, lidar.range)].all()
+
+
 @st.composite
 def fleet_firings(draw):
     """A scene and the maps and sensors of two explorers firing at one time."""
@@ -290,6 +339,29 @@ def test_fleet_firing_equals_the_explorers_firing_apart(firing):
         assert np.array_equal(cells, want.cells)
     assert got_suppressed == suppressed
     assert clear.tolist() == line_of_sight(scene, *segment).tolist()
+
+
+def test_a_lone_firing_writes_only_its_own_row():
+    # the explorer of fleet row 2 fires alone into a fleet of three maps,
+    # with the fleet's sight lines riding along
+    mission = _Mission(*workload("desk_box", 1))
+    grid, truth, scene, lidar = mission.grid, mission.truth, mission.scene, mission.cfg.lidar
+    rng = np.random.default_rng(3)
+    cells = np.where(rng.random((3, *grid.dims)) < 0.3, FREE, UNKNOWN).astype(np.uint8)
+    positions = mission.position[::-1].copy()
+    yaws = [0.4, -1.1, 0.7]
+    expected = OccupancyMap(grid, cells[2].copy())
+    suppressed = explorer_fire(expected, FiringGuard(grid, truth, mission.reach), positions[2],
+                               yaws[2], scene, lidar, 1.3)
+    maps = OccupancyMap(grid, cells.copy())
+    segments = (positions[mission.first], positions[mission.second])
+    got_suppressed, clear = engine._fire(maps, [2], [FiringGuard(grid, truth, mission.reach)],
+                                         positions, yaws, scene, lidar, 1.3, segments)
+    assert np.array_equal(maps.cells[:2], cells[:2])
+    assert not np.array_equal(maps.cells[2], cells[2])
+    assert np.array_equal(maps.cells[2], expected.cells)
+    assert got_suppressed == suppressed
+    assert clear.tolist() == line_of_sight(scene, *segments).tolist()
 
 
 # --- the two ways a firing can change a known map ---------------------------------

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from test_engine import bench_workload, shipped
+from test_world import assert_same, extreme_floats, vector_stacks
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (FACES, InterestPoint, Scene, _norm, _slabs, line_of_sight,
-                              ray_cast_batch, scatter_box_face_points, scene_occupancy,
-                              visible_point_indices)
-from uavinspect.world import BoundingBox, VoxelGrid
+from uavinspect.scene import (FACES, InterestPoint, Scene, SightLines, _norm, _slabs,
+                              line_of_sight, ray_cast_batch, scatter_box_face_points,
+                              scene_occupancy, visible_point_indices)
+from uavinspect.world import BoundingBox, VoxelGrid, _max3, _min3
 
 
 def wall_scene():
@@ -502,6 +504,28 @@ def test_array_scatter_and_box_test_equal_the_per_point_loops(case):
     assert all("outside every inspection box" in str(w.message) for w in caught)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"faces": ()}, "scatter faces must name at least one face"),
+    ({"count": 0, "faces": []}, "scatter faces must name at least one face"),
+    ({"count": True}, "scatter count must be a non-negative integer, got True"),
+    ({"count": 2.5}, "scatter count must be a non-negative integer, got 2.5"),
+    ({"count": 2.0}, "scatter count must be a non-negative integer, got 2.0"),
+    ({"seed": -1}, "scatter seed must be a non-negative integer, got -1"),
+    ({"seed": True}, "scatter seed must be a non-negative integer, got True"),
+], ids=["no-faces", "no-faces-no-points", "bool-count", "fractional-count", "float-count",
+        "negative-seed", "bool-seed"])
+def test_scatter_rejects_a_bad_argument_by_name(kwargs, message):
+    box = BoundingBox((0, 0, 0), (4, 4, 4))
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        scatter_box_face_points(box, **{"count": 5, "seed": 1, **kwargs})
+
+
+def test_scatter_takes_numpy_integers():
+    box = BoundingBox((0, 0, 0), (4, 4, 4))
+    assert (scatter_box_face_points(box, np.int64(5), np.uint8(1))
+            == scatter_box_face_points(box, 5, 1))
+
+
 def test_scatter_respects_face_selection():
     box = BoundingBox((0, 0, 0), (4, 4, 4))
     pts = scatter_box_face_points(box, 30, seed=1, faces=("z+",))
@@ -527,6 +551,38 @@ def test_norm_equals_the_per_vector_numpy_norm_bit_for_bit():
     assert _norm(v.reshape(-1, 50, 3)).tobytes() == expected.tobytes()
     # the sum the axis=-1 norm takes is not this one
     assert not np.array_equal(np.linalg.norm(v, axis=-1), expected)
+
+
+def reference_lengths(rel):
+    """The segment lengths of SightLines.between before the column sum."""
+    return np.linalg.norm(rel, axis=1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ends=vector_stacks())
+def test_sight_line_lengths_equal_the_axis_norm(ends):
+    ends = ends.reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same(SightLines.between(np.zeros(3), ends).lengths, reference_lengths(ends))
+
+
+def reference_vertex_min(v):
+    """The per-axis extremes of _tri_box_overlap's vertices before the
+    column form."""
+    return v.min(axis=1)
+
+
+def reference_vertex_max(v):
+    return v.max(axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(v=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3), st.just(3)),
+                    elements=extreme_floats()))
+def test_vertex_extremes_equal_the_axis_reductions(v):
+    by_axis = v.transpose(0, 2, 1)
+    assert_same(_min3(by_axis), reference_vertex_min(v))
+    assert_same(_max3(by_axis), reference_vertex_max(v))
 
 
 @pytest.mark.parametrize("scene_of", [lambda: shipped("desk_box"),

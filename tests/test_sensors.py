@@ -3,12 +3,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from test_agents import AgentState, GimbalState
 from test_scene import awkward_segments
+from test_world import assert_same, vector_stacks
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (_EPS_LOS, InterestPoint, Scene, line_of_sight, ray_cast_batch,
-                              scatter_box_face_points, visible_point_indices)
+from uavinspect.scene import (_EPS_LOS, InterestPoint, Scene, _length, line_of_sight,
+                              ray_cast_batch, scatter_box_face_points, visible_point_indices)
 from uavinspect.sensors import (CameraConfig, LidarConfig, _blur_batch, _fov_mask,
                                 _resolution_batch, camera_axis, camera_basis, camera_pose,
                                 lidar_directions, lidar_sweep, observe, servo_angle)
@@ -415,6 +417,24 @@ def test_camera_pose_is_a_copy():
     assert np.frombuffer(pose).tolist() == [1, 2, 3, 4, 5, 6, 0.5, -0.25, 0.125,
                                             -1, -2, -3, 0, 0, 0, 1.5, 0, 0]
     assert pose[-8:] == np.float64(-0.0).tobytes()
+
+
+def reference_ranges(rel):
+    """observe's (poses, points) ranges to the points, before the column sum."""
+    return np.linalg.norm(rel, axis=2)
+
+
+def reference_blur_ranges(p_cam):
+    """_blur_batch's ranges to the advanced points, before the column sum."""
+    return np.linalg.norm(p_cam, axis=1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rel=vector_stacks())
+def test_camera_ranges_equal_the_axis_norms(rel):
+    reference = reference_ranges if rel.ndim == 3 else reference_blur_ranges
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same(_length(rel), reference(rel))
 
 
 def test_observe_without_points_or_agents_is_empty():

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uavinspect import world
 from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
 from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
-                              OccupancyMap, VoxelGrid,
+                              OccupancyMap, VoxelGrid, _l1, _max3, _min3, _on_grid,
                               _segment_cells, build_grid, carve_free,
                               compute_operational_volume, integrate_points, load_map,
                               merge_maps, save_map, voxel_to_world, world_to_voxel)
@@ -877,6 +878,76 @@ def test_traversal_takes_l1_steps_inside_each_box(dims, voxel, data):
         update(OccupancyMap(grid, after))
         changed = (after != before).reshape(-1)
         assert not np.any(changed & ~boxed)
+
+
+# --- reductions over the 3 coordinates, by column ---------------------------
+
+# the reductions integrate_points, _segment_cells and _tri_box_overlap ran
+# over the coordinate axis before they were written by column
+
+def reference_min3(a):
+    return a.min(axis=-1)
+
+
+def reference_max3(a):
+    return a.max(axis=-1)
+
+
+def reference_on_grid(cells, dims):
+    return np.all((cells >= 0) & (cells < dims), axis=1)
+
+
+def reference_l1(d):
+    return np.abs(d).sum(axis=1)
+
+
+EXTREMES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -1e-310,
+            1e300, -1e300, 1.0, -1.0)
+
+
+def extreme_floats():
+    """Signed zeros, infinities, NaN, subnormals and magnitudes up to 1e300."""
+    return st.one_of(st.sampled_from(EXTREMES), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def vector_stacks(draw):
+    """(n, 3) and (p, m, 3) arrays: random values over 24 decades, whose
+    sums round differently in another order, some replaced by extreme floats."""
+    shape = draw(st.one_of(st.tuples(st.integers(0, 12), st.just(3)),
+                           st.tuples(st.integers(0, 3), st.integers(0, 5), st.just(3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 12, size=shape)
+    extreme = draw(hnp.arrays(np.float64, shape, elements=extreme_floats()))
+    share = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    return np.where(rng.random(shape) < share, extreme, values)
+
+
+def assert_same(got, want):
+    """Equal by ==, NaN in the same places, of one shape and dtype."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.all((got == want) | nan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=vector_stacks())
+def test_min3_and_max3_equal_the_axis_reductions(a):
+    assert_same(_min3(a), reference_min3(a))
+    assert_same(_max3(a), reference_max3(a))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dims=st.tuples(*[st.integers(1, 9)] * 3),
+       cells=hnp.arrays(np.int64, st.tuples(st.integers(0, 20), st.just(3)),
+                        elements=st.one_of(st.integers(-2, 11),
+                                           st.sampled_from([-2**63, 2**63 - 1]))))
+def test_on_grid_and_l1_equal_the_axis_reductions(dims, cells):
+    assert np.array_equal(_on_grid(cells, dims), reference_on_grid(cells, dims))
+    assert np.array_equal(_on_grid(cells, np.asarray(dims)), reference_on_grid(cells, dims))
+    steps = np.clip(cells, -2**40, 2**40)           # traversal steps, far from overflow
+    assert np.array_equal(_l1(steps), reference_l1(steps))
 
 
 # --- merging ----------------------------------------------------------------
