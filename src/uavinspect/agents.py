@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_real
+from .errors import ConfigurationError, check_fields, ruled
 from .scene import _norm
 
 EXPLORER = "explorer"
@@ -37,16 +37,15 @@ _ALPHA_MAX = 2.0
 
 @dataclass(frozen=True)
 class GimbalLimits:
-    inclination_min: float = math.radians(-90.0)
-    inclination_max: float = math.radians(80.0)
-    azimuth_min: float = math.radians(-90.0)
-    azimuth_max: float = math.radians(90.0)
+    inclination_min: float = ruled("finite", math.radians(-90.0))
+    inclination_max: float = ruled("finite", math.radians(80.0))
+    azimuth_min: float = ruled("finite", math.radians(-90.0))
+    azimuth_max: float = ruled("finite", math.radians(90.0))
 
     def __post_init__(self):
+        check_fields(self, "gimbal")
         for angle in ("inclination", "azimuth"):
             lo, hi = getattr(self, f"{angle}_min"), getattr(self, f"{angle}_max")
-            check_real(f"gimbal {angle}_min", lo)
-            check_real(f"gimbal {angle}_max", hi)
             if not lo <= hi:
                 raise ConfigurationError(
                     f"gimbal {angle} limits must have min <= max, got {lo}..{hi}")
@@ -56,14 +55,12 @@ class GimbalLimits:
 class TrackingConfig:
     """PD waypoint-tracking gains; critically damped at unit mass by default."""
 
-    kp: float = 1.0
-    kd: float = 2.2
-    a_max: float = 4.0
+    kp: float = ruled("non-negative", 1.0)
+    kd: float = ruled("non-negative", 2.2)
+    a_max: float = ruled("positive", 4.0)
 
     def __post_init__(self):
-        for name in ("kp", "kd"):
-            check_real(f"tracking {name}", getattr(self, name), "non-negative")
-        check_real("tracking a_max", self.a_max, "positive")
+        check_fields(self, "tracking")
 
 
 def _capped(v: np.ndarray, limits: list[float]) -> np.ndarray:

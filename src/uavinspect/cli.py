@@ -2,10 +2,11 @@
 
 Scenario files are YAML with seven sections: mission, agents, camera, lidar,
 gimbal, tracking, scene.  One table, ``_SCENARIO``, lists every key with its
-parser and default.  Unknown keys are rejected; an omitted or null key takes
-its default, the field default of its config class, and a key without a
-default is required.  Angles in scenario files are degrees; internally
-everything is radians.
+parser and default; a config section's keys are its class's ruled fields,
+whose rules the class checks when it is built.  Unknown keys are rejected; an
+omitted or null key takes its default, the field default of its config class,
+and a key without a default is required.  Angles in scenario files are
+degrees; internally everything is radians.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import yaml
 
 from .agents import KINDS, GimbalLimits, TrackingConfig
 from .engine import AgentSpec, MissionConfig, run_mission, write_outputs
-from .errors import ConfigurationError
+from .errors import INTEGER_RULES, ConfigurationError
 from .scene import FACES, InterestPoint, Scene, scatter_box_face_points
 from .sensors import CameraConfig, LidarConfig
 from .world import BoundingBox
@@ -130,23 +131,23 @@ def _points(value, path: str) -> list[dict]:
             for i, p in enumerate(_expect_list(value, path))]
 
 
-# a config field's parser by its annotation, a string in the postponed-annotation modules
-_PARSERS = {"float": _number, "int": _integer, "float | None": _optional(_number)}
+# the radian fields a scenario file gives in degrees, each as its name + "_deg"
+_DEGREES = ("fov_h", "fov_v", "inclination_min", "inclination_max", "azimuth_min", "azimuth_max")
 
 
-def _defaults(cls, *keys: str) -> dict:
-    """Spec entries ``key: (parser by annotation, field default)`` of a config class.
-
-    A key ending in ``_deg`` is its radian field in degrees, rounded so that 60
-    degrees reads back as 60.0 rather than 59.99999999999999.
-    """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+def _section(cls) -> dict:
+    """Spec entries ``key: (parser, field default)`` of a config class's ruled
+    fields, whose rules the class checks.  A field of _DEGREES is given in
+    degrees, its default rounded so that 60 degrees reads back as 60.0."""
     spec = {}
-    for key in keys:
-        if key.endswith("_deg"):
-            spec[key] = (_number, round(math.degrees(fields[key[:-len("_deg")]].default), 9))
+    for f in dataclasses.fields(cls):
+        if "rule" not in f.metadata:
+            continue
+        parse = _integer if f.metadata["rule"] in INTEGER_RULES else _number
+        if f.name in _DEGREES:
+            spec[f"{f.name}_deg"] = (parse, round(math.degrees(f.default), 9))
         else:
-            spec[key] = (_PARSERS[fields[key].type], fields[key].default)
+            spec[f.name] = (_optional(parse) if f.default is None else parse, f.default)
     return spec
 
 
@@ -159,20 +160,13 @@ _SCATTER = {**_BOX, "count": (_count, MISSING), "seed": (_optional(_count), None
 _SCENARIO = {
     # waypoint_standoff None means one voxel, resolved by MissionConfig.standoff;
     # seed is the fallback seed of the interest-point scatter, not a config field
-    "mission": (_fields({**_defaults(MissionConfig, "duration", "tick", "voxel_size", "horizon",
-                                     "waypoint_standoff", "capture_stride"),
-                         "seed": (_count, 0)}), {}),
+    "mission": (_fields({**_section(MissionConfig), "seed": (_count, 0)}), {}),
     "agents": (_list(_fields({"kind": (_one_of(KINDS), MISSING), "start": (_vec3, MISSING),
-                              **_defaults(AgentSpec, "v_max", "omega_max")}),
-                     nonempty=True), MISSING),
-    "camera": (_fields(_defaults(CameraConfig, "fov_h_deg", "fov_v_deg", "range", "focal",
-                                 "pixel_width", "exposure", "desired_resolution",
-                                 "quality_floor")), {}),
-    "lidar": (_fields(_defaults(LidarConfig, "range", "beams", "azimuth_steps",
-                                "servo_period")), {}),
-    "gimbal": (_fields(_defaults(GimbalLimits, "inclination_min_deg", "inclination_max_deg",
-                                 "azimuth_min_deg", "azimuth_max_deg")), {}),
-    "tracking": (_fields(_defaults(TrackingConfig, "kp", "kd", "a_max")), {}),
+                              **_section(AgentSpec)}), nonempty=True), MISSING),
+    "camera": (_fields(_section(CameraConfig)), {}),
+    "lidar": (_fields(_section(LidarConfig)), {}),
+    "gimbal": (_fields(_section(GimbalLimits)), {}),
+    "tracking": (_fields(_section(TrackingConfig)), {}),
     "scene": (_fields({
         "solid_boxes": (_list(_fields(_BOX)), []),
         "triangles": (_list(_triple(_vec3)), []),
@@ -197,7 +191,7 @@ def normalize_scenario(raw: dict) -> dict:
 def _config(cls, section: dict, **fields):
     """A config class built from its canonical section plus the given fields.
 
-    A key ending in ``_deg`` sets its radian field, the inverse of _defaults.
+    A key ending in ``_deg`` sets its radian field, the inverse of _section.
     """
     for key, value in section.items():
         if key.endswith("_deg"):

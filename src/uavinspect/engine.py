@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import os
 import warnings
 from array import array
@@ -43,7 +42,7 @@ import numpy as np
 from .agents import (EXPLORER, KINDS, PHOTOGRAPHER, GimbalLimits, TrackingConfig,
                      point_gimbal, step_dynamics, track_segment)
 from .comms import agent_pairs, discover_neighbors, exchange_and_merge
-from .errors import ConfigurationError, PlanningError, check_real
+from .errors import ConfigurationError, PlanningError, check_fields, check_value, ruled
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
 from .scene import Scene, line_of_sight, scene_occupancy
 from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
@@ -66,19 +65,17 @@ _ROW_CHUNK = 4096
 class AgentSpec:
     kind: str
     start: tuple[float, float, float]
-    v_max: float | None = None          # defaults by kind when None
-    omega_max: float = 1.5
+    v_max: float | None = ruled("positive", None)      # defaults by kind when None
+    omega_max: float = ruled("positive", 1.5)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown agent kind {self.kind!r}")
-        if len(self.start) != 3:
+        if not hasattr(self.start, "__len__") or len(self.start) != 3:
             raise ConfigurationError(f"agent start must be 3 finite coordinates, got {self.start}")
         for axis, c in enumerate(self.start):
-            check_real(f"agent start[{axis}]", c)
-        for value, what in ((self.v_max, "v_max"), (self.omega_max, "omega_max")):
-            if value is not None:
-                check_real(f"agent {what}", value, "positive")
+            check_value(f"agent start[{axis}]", c, "finite")
+        check_fields(self, "agent")
 
     @property
     def speed_limit(self) -> float:
@@ -89,27 +86,20 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class MissionConfig:
-    duration: float
+    duration: float = ruled("positive")
     agents: tuple[AgentSpec, ...]
-    tick: float = 0.1
-    voxel_size: float = 6.0
-    horizon: int = 3
-    waypoint_standoff: float | None = None     # defaults to one voxel
-    capture_stride: int = 1
+    tick: float = ruled("positive", 0.1)
+    voxel_size: float = ruled("positive", 6.0)
+    horizon: int = ruled("positive integer", 3)
+    waypoint_standoff: float | None = ruled("positive", None)     # defaults to one voxel
+    capture_stride: int = ruled("positive integer", 1)
     camera: CameraConfig = CameraConfig()
     lidar: LidarConfig = LidarConfig()
     gimbal: GimbalLimits = GimbalLimits()
     tracking: TrackingConfig = TrackingConfig()
 
     def __post_init__(self):
-        for value, what in ((self.duration, "mission duration"), (self.tick, "tick"),
-                            (self.voxel_size, "voxel size"),
-                            (self.waypoint_standoff, "waypoint standoff")):
-            if value is not None:
-                check_real(what, value, "positive")
-        for value, name in ((self.horizon, "horizon"), (self.capture_stride, "capture_stride")):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
+        check_fields(self, "mission")
         n_e = sum(1 for a in self.agents if a.kind == EXPLORER)
         if n_e not in (1, 2):
             raise ConfigurationError(f"explorer count must be 1 or 2, got {n_e}")

@@ -1,12 +1,28 @@
-"""Exception types shared across the package, and the check every config
-class runs on its real-valued fields."""
+"""Exception types shared across the package, and the one check of the
+config rules.
 
-import math
+A config class declares each numeric field's rule once, with ``ruled``, and
+its ``__post_init__`` runs ``check_fields``, so the Python API and a scenario
+file meet the same rule; a failure names ``<section> <field>``.
+"""
+
+import dataclasses
 import numbers
+import sys
 
-# what each rule of check_real asks of a finite value
-_RULES = {"finite": lambda x: True, "positive": lambda x: x > 0,
-          "non-negative": lambda x: x >= 0}
+_MAX = sys.float_info.max       # NaN, ±inf and an int no float can hold all fail x <= _MAX
+
+# each rule: the numbers it takes, the test such a number must pass, and what
+# a failure says the value must be
+_RULES = {
+    "finite": (numbers.Real, lambda x: -_MAX <= x <= _MAX, "finite"),
+    "positive": (numbers.Real, lambda x: 0 < x <= _MAX, "positive and finite"),
+    "non-negative": (numbers.Real, lambda x: 0 <= x <= _MAX, "non-negative and finite"),
+    "unit": (numbers.Real, lambda x: 0 <= x <= 1, "within [0, 1]"),
+    "positive integer": (numbers.Integral, lambda x: x >= 1, "an integer of at least 1"),
+    "non-negative integer": (numbers.Integral, lambda x: x >= 0, "a non-negative integer"),
+}
+INTEGER_RULES = ("positive integer", "non-negative integer")
 
 
 class ConfigurationError(ValueError):
@@ -25,11 +41,23 @@ class PlanningError(RuntimeError):
     """Path planning was invoked from an invalid start state."""
 
 
-def check_real(what: str, value, rule: str = "finite") -> None:
-    """Raise ConfigurationError naming what unless value is a finite real
-    number that keeps rule: "finite", "positive" or "non-negative".  A bool
-    is not a number here; a numpy number is."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not _RULES[rule](value)):
-        qualifier = "" if rule == "finite" else f"{rule} and "
-        raise ConfigurationError(f"{what} must be {qualifier}finite, got {value!r}")
+def ruled(rule: str, default=dataclasses.MISSING) -> dataclasses.Field:
+    """A dataclass field that ``check_fields`` holds to ``rule``."""
+    return dataclasses.field(default=default, metadata={"rule": rule})
+
+
+def check_value(what: str, value, rule: str) -> None:
+    """Raise ConfigurationError naming what unless value keeps rule.  A bool is
+    not a number here; a numpy number is."""
+    kind, keeps, must = _RULES[rule]
+    if isinstance(value, bool) or not isinstance(value, kind) or not keeps(value):
+        raise ConfigurationError(f"{what} must be {must}, got {value!r}")
+
+
+def check_fields(config, section: str) -> None:
+    """Hold every ruled field of a config dataclass to its rule, naming a
+    failure "<section> <field>"; None passes where it is the field's default."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if "rule" in f.metadata and not (value is None and f.default is None):
+            check_value(f"{section} {f.name}", value, f.metadata["rule"])

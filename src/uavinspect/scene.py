@@ -7,13 +7,12 @@ checks share identical intersection semantics.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_value
 from .world import BoundingBox, VoxelGrid, _max3, _min3, box_cells
 
 _EPS_T = 1e-9           # minimum hit distance, rejects self-intersection at the origin
@@ -411,10 +410,8 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
     seed are non-negative integers.  Normals point outward.  The points take
     the ids id_offset, id_offset + 1, ... in order.
     """
-    for name, value in (("count", count), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise ConfigurationError(
-                f"scatter {name} must be a non-negative integer, got {value!r}")
+    check_value("scatter count", count, "non-negative integer")
+    check_value("scatter seed", seed, "non-negative integer")
     if not len(faces):
         raise ConfigurationError("scatter faces must name at least one face")
     lo, hi = box.lo, box.hi

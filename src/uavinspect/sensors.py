@@ -22,13 +22,12 @@ the product of the two scores.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, check_real
+from .errors import ConfigurationError, check_fields, ruled
 from .scene import (Scene, SightLines, _cross, _length, _norm, ray_cast_batch,
                     visible_point_indices)
 
@@ -41,39 +40,28 @@ _VERTICAL_APERTURE = math.radians(15.0)
 
 @dataclass(frozen=True)
 class CameraConfig:
-    fov_h: float = math.radians(80.0)
-    fov_v: float = math.radians(60.0)
-    range: float = 30.0
-    focal: float = 1000.0
-    pixel_width: float = 1.0
-    exposure: float = 0.05
-    desired_resolution: float = 0.03
-    quality_floor: float = 0.1
+    fov_h: float = ruled("positive", math.radians(80.0))
+    fov_v: float = ruled("positive", math.radians(60.0))
+    range: float = ruled("positive", 30.0)
+    focal: float = ruled("positive", 1000.0)
+    pixel_width: float = ruled("positive", 1.0)
+    exposure: float = ruled("positive", 0.05)
+    desired_resolution: float = ruled("positive", 0.03)
+    quality_floor: float = ruled("unit", 0.1)
 
     def __post_init__(self):
-        for name in ("fov_h", "fov_v", "range", "focal", "pixel_width",
-                     "exposure", "desired_resolution"):
-            check_real(f"camera {name}", getattr(self, name), "positive")
-        check_real("camera quality_floor", self.quality_floor)
-        if not 0.0 <= self.quality_floor <= 1.0:
-            raise ConfigurationError("quality_floor must lie in [0, 1]")
+        check_fields(self, "camera")
 
 
 @dataclass(frozen=True)
 class LidarConfig:
-    range: float = 50.0
-    beams: int = 16
-    azimuth_steps: int = 360
-    servo_period: float = 8.0
+    range: float = ruled("positive", 50.0)
+    beams: int = ruled("positive integer", 16)
+    azimuth_steps: int = ruled("positive integer", 360)
+    servo_period: float = ruled("positive", 8.0)
 
     def __post_init__(self):
-        check_real("lidar range", self.range, "positive")
-        for name in ("beams", "azimuth_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigurationError(
-                    f"lidar {name} must be an integer of at least 1, got {value!r}")
-        check_real("lidar servo period", self.servo_period, "positive")
+        check_fields(self, "lidar")
 
 
 @dataclass(frozen=True, eq=False)

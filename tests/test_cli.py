@@ -454,7 +454,7 @@ def test_main_rejects_a_negative_standoff_before_running(tmp_path, capsys):
     bad = write_yaml(tmp_path, {**MINIMAL, "mission": {"duration": 30.0,
                                                        "waypoint_standoff": -3.0}})
     assert main(["--scenario", bad]) == 2
-    assert "waypoint standoff must be positive" in capsys.readouterr().err
+    assert "mission waypoint_standoff must be positive" in capsys.readouterr().err
 
 
 def test_main_rejects_negative_limits_before_running(tmp_path, capsys):
@@ -489,9 +489,12 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {
         "scatter": [{**BOX_12_18, "count": 5, "faces": ["x-", "x-", "x+"]}]}}},
      [], "face 'x-' is repeated in a scatter rule"),
-    (MINIMAL, ["--voxel-size", "-3"], "voxel size must be positive"),
+    (MINIMAL, ["--voxel-size", "-3"], "mission voxel_size must be positive"),
+    # a flag passes its key's type parse, and the config class holds it to its rule
+    (MINIMAL, ["--quality-floor", "1.5"], "camera quality_floor must be within [0, 1], got 1.5"),
+    (MINIMAL, ["--horizon", "0"], "mission horizon must be an integer of at least 1, got 0"),
 ], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
-        "repeated-face", "negative-voxel"])
+        "repeated-face", "negative-voxel", "quality-floor-above-1", "zero-horizon"])
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err

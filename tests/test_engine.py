@@ -240,7 +240,7 @@ def test_config_rejects_non_integer_counts(field, value):
 
 @pytest.mark.parametrize("build, name", [
     (lambda: LidarConfig(range=True), "lidar range"),
-    (lambda: LidarConfig(servo_period=True), "lidar servo period"),
+    (lambda: LidarConfig(servo_period=True), "lidar servo_period"),
     (lambda: CameraConfig(exposure=True), "camera exposure"),
     (lambda: CameraConfig(quality_floor=True), "camera quality_floor"),
     (lambda: TrackingConfig(kp=True), "tracking kp"),
@@ -250,7 +250,7 @@ def test_config_rejects_non_integer_counts(field, value):
     (lambda: AgentSpec("explorer", (0.0, 0.0, 0.0), v_max=True), "agent v_max"),
     (lambda: AgentSpec("explorer", (True, 0.0, 0.0)), r"agent start\[0\]"),
     (lambda: dataclasses.replace(small_config(), duration=True), "mission duration"),
-    (lambda: dataclasses.replace(small_config(), voxel_size=True), "voxel size"),
+    (lambda: dataclasses.replace(small_config(), voxel_size=True), "mission voxel_size"),
 ])
 def test_config_rejects_a_bool_for_a_real_field(build, name):
     # True > 0 and math.isfinite(True) hold, so these used to construct, and
@@ -297,6 +297,71 @@ def test_agent_spec_rejects_bad_limits_and_starts(fields):
     # a negative speed limit let explorers fly with every move clamped, unwarned
     with pytest.raises(ConfigurationError, match="agent"):
         AgentSpec(**{"kind": "explorer", "start": (0.0, 0.0, 0.0), **fields})
+
+
+@pytest.mark.parametrize("build, name", [
+    # None skipped the check, and np.array([None], dtype=float) flew with a
+    # yaw-rate limit of nan, which never clamps
+    (lambda: AgentSpec("explorer", (0.0, 0.0, 0.0), omega_max=None), "agent omega_max"),
+    # math.isfinite raised OverflowError on an int no float can hold
+    (lambda: CameraConfig(range=10 ** 400), "camera range"),
+    (lambda: AgentSpec("explorer", (10 ** 400, 0.0, 0.0)), r"agent start\[0\]"),
+    # len() raised TypeError on a start that is not a sequence
+    (lambda: AgentSpec("explorer", 5.0), "agent start"),
+])
+def test_config_rejects_by_name_what_used_to_slip_through(build, name):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        build()
+
+
+CONFIG_CLASSES = {"agent": AgentSpec, "mission": MissionConfig, "camera": CameraConfig,
+                  "lidar": LidarConfig, "gimbal": GimbalLimits, "tracking": TrackingConfig}
+# the annotations, strings in the config modules, of the fields that hold a number
+NUMERIC = ("float", "int", "float | None")
+# the rules of the six classes, and the integer rules among them
+RULES = {"finite", "positive", "non-negative", "unit", "positive integer"}
+INTEGER = {"positive integer"}
+# each probe value and the rules it breaks; None breaks every rule of a field
+# whose default is not None, and none of a field whose default is None
+PROBES = [
+    (True, RULES), (math.nan, RULES), (math.inf, RULES), (-math.inf, RULES),
+    (10 ** 400, RULES - INTEGER),       # an int no float can hold
+    (0, {"positive", "positive integer"}), (1, set()),
+    (-1.0, RULES - {"finite"}), (0.5, INTEGER),
+]
+
+
+def numeric_fields():
+    return [(section, f) for section, cls in CONFIG_CLASSES.items()
+            for f in dataclasses.fields(cls) if f.type in NUMERIC]
+
+
+def build_config(section, **fields):
+    """The section's config class with fields set over a valid base."""
+    base = {"agent": {"kind": "explorer", "start": (0.0, 0.0, 0.0)},
+            "mission": {"duration": 10.0, "agents": (AgentSpec("explorer", (0.0, 0.0, 0.0)),)}}
+    return CONFIG_CLASSES[section](**{**base.get(section, {}), **fields})
+
+
+def test_every_numeric_config_field_carries_a_rule():
+    # a field added without a rule would go unchecked, and the CLI would not list it
+    for section, cls in CONFIG_CLASSES.items():
+        for f in dataclasses.fields(cls):
+            assert ("rule" in f.metadata) == (f.type in NUMERIC), f"{section} {f.name}"
+            assert f.metadata.get("rule", "finite") in RULES, f"{section} {f.name}"
+
+
+@pytest.mark.parametrize("section, f", numeric_fields(),
+                         ids=[f"{s}.{f.name}" for s, f in numeric_fields()])
+def test_every_numeric_config_field_keeps_its_rule(section, f):
+    rule = f.metadata["rule"]
+    probes = PROBES + [(None, set() if f.default is None else RULES)]
+    for value, breaks in probes:
+        if rule in breaks:
+            with pytest.raises(ConfigurationError, match=f"^{section} {f.name} must be "):
+                build_config(section, **{f.name: value})
+        else:
+            assert getattr(build_config(section, **{f.name: value}), f.name) is value
 
 
 def test_agents_sharing_a_start_voxel_rejected():

@@ -451,7 +451,7 @@ def test_observe_without_points_or_agents_is_empty():
 ])
 def test_lidar_config_rejects_non_finite_or_non_positive_values(fields):
     # a NaN range used to fail deep in the tick loop
-    with pytest.raises(ConfigurationError, match="lidar range|servo period"):
+    with pytest.raises(ConfigurationError, match="lidar range|lidar servo_period"):
         LidarConfig(**fields)
 
 
