@@ -1,9 +1,10 @@
 """Peer-to-peer map exchange, gated purely by line of sight.
 
-One synchronous exchange round runs per engine tick: every agent merges the
-map snapshots of all peers it can currently see.  Merging is commutative, so
-ordering within a round cannot matter.  Agents are addressed by their row in
-the fleet: peers[i] lists the rows of agent i's peers in ascending order.
+One synchronous exchange round runs per engine tick, in place on the fleet's
+maps: every agent merges the map snapshots of all peers it can currently see.
+Merging is commutative and idempotent, so ordering within a round cannot
+matter and an agent with no peer has nothing to merge.  Agents are addressed
+by their row in the fleet: peers[i] lists its peers' rows in ascending order.
 Neighbour discovery casts nothing: it reads a clear mask of the fleet's
 agent pairs, which the engine casts with the tick's LiDAR rays.
 """
@@ -35,11 +36,16 @@ def discover_neighbors(n: int, first: np.ndarray, second: np.ndarray,
     return peers
 
 
-def exchange_and_merge(peers: list[list[int]],
-                       maps: list[OccupancyMap]) -> list[OccupancyMap]:
-    """One gossip round: each agent merges the pre-round maps of its LoS peers.
+def exchange_and_merge(peers: list[list[int]], maps: OccupancyMap) -> None:
+    """One gossip round on the fleet's maps, row i agent i's: each agent with
+    a peer merges its row with its LoS peers' rows, in place.
 
-    Works on a snapshot of all maps, so a chain A-B-C leaves A with A+B and the
-    middle agent with all three after a single round.
+    Every merge reads the rows as they were before the round, so a chain A-B-C
+    leaves A with A+B and the middle agent with all three after a single
+    round.  The row of an agent with no peer is left as it is.
     """
-    return [merge_maps(m, *(maps[j] for j in ps)) for m, ps in zip(maps, peers)]
+    # peers are symmetric, so the rows of the agents with a peer are all the round reads
+    linked = [i for i, ps in enumerate(peers) if ps]
+    before = {i: OccupancyMap(maps.grid, maps.cells[i].copy()) for i in linked}
+    for i in linked:
+        maps.cells[i] = merge_maps(before[i], *(before[j] for j in peers[i])).cells

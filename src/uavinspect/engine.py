@@ -16,9 +16,10 @@ trace.
 The fleet's maps are one (n, nx, ny, nz) uint8 array, row i agent i's map;
 each agent's map is a view of its row, bound once, so every write shows in it.
 
-The three per-tick logs (observations, voxel trace, connectivity) are held
-as typed arrays; a reader gets them as row tuples, _ROW_CHUNK rows at a
-time, and the digest hashes the text of the row list a chunk at a time.
+The three per-tick logs (observations, voxel trace, and connectivity, which
+is the sight lines' clear mask) are held as typed arrays; a reader gets them
+as row tuples, _ROW_CHUNK rows at a time, and the digest hashes the text of
+the row list a chunk at a time.
 
 Stage one of a mission is the survey: explorers fly their sweep routes while
 mapping; photographers hold until they hear from an explorer that has finished
@@ -34,8 +35,8 @@ import hashlib
 import math
 import os
 import warnings
-from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -230,20 +231,20 @@ class VoxelTrace(_Log):
 @dataclass(frozen=True, eq=False)
 class ConnectivityLog(_Log):
     """(tick, ((i, j), ...)) rows: every tick's peer pairs, i < j in
-    ascending order, one run of an (n_edges, 2) int array per tick; tick k
-    holds edges[offsets[k]:offsets[k + 1]]."""
+    ascending order, from an (n_ticks, pairs) bool array; row k says which
+    pairs (first[p], second[p]) of agent_pairs saw each other at tick k."""
 
-    edges: np.ndarray
-    offsets: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    clear: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.clear)
 
     def _rows(self, lo, hi):
-        cuts = self.offsets[lo:hi + 1]
-        pairs = list(map(tuple, self.edges[cuts[0]:cuts[-1]].tolist()))
-        cuts = (cuts - cuts[0]).tolist()
-        return [(k, tuple(pairs[a:b])) for k, a, b in zip(range(lo, hi), cuts, cuts[1:])]
+        pairs = list(zip(self.first.tolist(), self.second.tolist()))
+        return [(k, tuple(compress(pairs, row)))
+                for k, row in enumerate(self.clear[lo:hi].tolist(), lo)]
 
 
 @dataclass
@@ -425,12 +426,10 @@ class _Mission:
         self.ledger = ScoreLedger(scene.point_ids, cfg.camera.quality_floor)
         self.score_trace: list[float] = []
         self.observations: ObservationLog | None = None     # made by _score
-        # every tick's peer pairs, flat, and the number logged after each tick
-        self.edges = array("q")
-        self.edge_offsets = array("q", [0])
         self.plan_events: list[str] = []
         self.n_ticks = max(1, int(round(cfg.duration / cfg.tick)))
         self.voxels = np.zeros((self.n_ticks, len(self.agents), 3), dtype=int)  # by _audit
+        self.sight = np.zeros((self.n_ticks, len(self.first)), dtype=bool)     # by _exchange
         self.collisions = 0
         self.occupied_entries = 0
         self.free_structure_cells = 0
@@ -451,13 +450,9 @@ class _Mission:
         return clear
 
     def _exchange(self, k: int, clear: np.ndarray) -> list[list[int]]:
+        self.sight[k] = clear
         peers = discover_neighbors(len(self.agents), self.first, self.second, clear)
-        merged = exchange_and_merge(peers, [a.occ for a in self.agents])
-        # every merge has read the rows as they were before the round
-        for a, occ in zip(self.agents, merged):
-            a.occ.cells[...] = occ.cells
-        self.edges.extend(v for i, ps in enumerate(peers) for j in ps if i < j for v in (i, j))
-        self.edge_offsets.append(len(self.edges) // 2)
+        exchange_and_merge(peers, self.maps)
 
         for a in self.agents:
             if a.spec.kind == PHOTOGRAPHER and a.phase == 1:
@@ -749,9 +744,7 @@ class _Mission:
             ledger=self.ledger,
             score_trace=self.score_trace,
             observations=self.observations,
-            connectivity=ConnectivityLog(
-                np.frombuffer(self.edges, dtype=np.int64).reshape(-1, 2),
-                np.frombuffer(self.edge_offsets, dtype=np.int64)),
+            connectivity=ConnectivityLog(self.first, self.second, self.sight),
             plan_events=self.plan_events,
             voxel_trace=VoxelTrace(self.voxels),
             collisions_same_voxel=self.collisions,

@@ -13,13 +13,13 @@ import sys
 _MAX = sys.float_info.max       # NaN, ±inf and an int no float can hold all fail x <= _MAX
 
 # each rule: the numbers it takes, the test such a number must pass, and what
-# a failure says the value must be
+# a failure says the value must be; a positive integer must fit numpy's int64
 _RULES = {
     "finite": (numbers.Real, lambda x: -_MAX <= x <= _MAX, "finite"),
     "positive": (numbers.Real, lambda x: 0 < x <= _MAX, "positive and finite"),
     "non-negative": (numbers.Real, lambda x: 0 <= x <= _MAX, "non-negative and finite"),
     "unit": (numbers.Real, lambda x: 0 <= x <= 1, "within [0, 1]"),
-    "positive integer": (numbers.Integral, lambda x: x >= 1, "an integer of at least 1"),
+    "positive integer": (numbers.Integral, lambda x: 0 < x < 2 ** 63, "an integer in [1, 2**63)"),
     "non-negative integer": (numbers.Integral, lambda x: x >= 0, "a non-negative integer"),
 }
 INTEGER_RULES = ("positive integer", "non-negative integer")

@@ -492,9 +492,13 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     (MINIMAL, ["--voxel-size", "-3"], "mission voxel_size must be positive"),
     # a flag passes its key's type parse, and the config class holds it to its rule
     (MINIMAL, ["--quality-floor", "1.5"], "camera quality_floor must be within [0, 1], got 1.5"),
-    (MINIMAL, ["--horizon", "0"], "mission horizon must be an integer of at least 1, got 0"),
+    (MINIMAL, ["--horizon", "0"], "mission horizon must be an integer in [1, 2**63), got 0"),
+    # an int no int64 holds ran the whole mission and raised OverflowError scoring it
+    ({**MINIMAL, "mission": {"duration": 30.0, "capture_stride": 2 ** 63}}, [],
+     "mission capture_stride must be an integer in [1, 2**63), got 9223372036854775808"),
 ], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
-        "repeated-face", "negative-voxel", "quality-floor-above-1", "zero-horizon"])
+        "repeated-face", "negative-voxel", "quality-floor-above-1", "zero-horizon",
+        "capture-stride-past-int64"])
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uavinspect.comms import agent_pairs, discover_neighbors, exchange_and_merge
 from uavinspect.scene import Scene, line_of_sight
-from uavinspect.world import FREE, OCCUPIED, BoundingBox, OccupancyMap, VoxelGrid
+from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, OccupancyMap, VoxelGrid,
+                              merge_maps)
 
 from test_scene import reference_line_of_sight
 
@@ -21,8 +25,20 @@ def neighbors(positions, scene):
 
 
 def fresh_maps(n, dims=(4, 1, 1)):
+    """The fleet's maps of n agents, all unknown: row i is agent i's map."""
     grid = VoxelGrid((0, 0, 0), dims, 1.0)
-    return [OccupancyMap(grid) for _ in range(n)]
+    return OccupancyMap(grid, np.full((n, *dims), UNKNOWN, np.uint8))
+
+
+def row(maps, i):
+    """Agent i's map, a view of its row of the fleet's maps."""
+    return OccupancyMap(maps.grid, maps.cells[i])
+
+
+def reference_exchange(peers, maps):
+    """The gossip round on a list of maps, returning one new map per agent:
+    the oracle for exchange_and_merge."""
+    return [merge_maps(m, *(maps[j] for j in ps)) for m, ps in zip(maps, peers)]
 
 
 def chain_scene():
@@ -99,24 +115,25 @@ def test_fully_connected_round_makes_maps_identical():
     positions = agents_at((0, 0, 0), (1, 0, 0), (2, 0, 0))
     maps = fresh_maps(3)
     for i in range(3):
-        maps[i].cells[i, 0, 0] = OCCUPIED
+        maps.cells[i, i, 0, 0] = OCCUPIED
     n = neighbors(positions, Scene())
-    merged = exchange_and_merge(n, maps)
+    assert exchange_and_merge(n, maps) is None
     for i in range(3):
-        assert np.array_equal(merged[i].cells, merged[0].cells)
-        assert np.count_nonzero(merged[i].cells == OCCUPIED) == 3
+        assert np.array_equal(maps.cells[i], maps.cells[0])
+        assert np.count_nonzero(maps.cells[i] == OCCUPIED) == 3
 
 
 def test_no_exchange_across_a_cut():
     wall = Scene(solid_boxes=[BoundingBox((5, -50, -50), (6, 50, 50))])
     positions = agents_at((0, 0, 0), (10, 0, 0))
     maps = fresh_maps(2)
-    maps[0].cells[0, 0, 0] = OCCUPIED
-    maps[1].cells[1, 0, 0] = FREE
+    maps.cells[0, 0, 0, 0] = OCCUPIED
+    maps.cells[1, 1, 0, 0] = FREE
+    before = maps.cells.copy()
     n = neighbors(positions, wall)
-    merged = exchange_and_merge(n, maps)
-    assert np.array_equal(merged[0].cells, maps[0].cells)
-    assert np.array_equal(merged[1].cells, maps[1].cells)
+    exchange_and_merge(n, maps)
+    assert np.array_equal(maps.cells[0], before[0])
+    assert np.array_equal(maps.cells[1], before[1])
 
 
 def test_single_round_chain_semantics():
@@ -126,13 +143,13 @@ def test_single_round_chain_semantics():
     scene = chain_scene()
     maps = fresh_maps(3)
     for i in range(3):
-        maps[i].cells[i, 0, 0] = OCCUPIED
+        maps.cells[i, i, 0, 0] = OCCUPIED
     n = neighbors(positions, scene)
     assert n[0] == [1] and n[2] == [1]
-    merged = exchange_and_merge(n, maps)
-    assert {tuple(c) for c in merged[1].occupied_voxels()} == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
-    assert {tuple(c) for c in merged[0].occupied_voxels()} == {(0, 0, 0), (1, 0, 0)}
-    assert {tuple(c) for c in merged[2].occupied_voxels()} == {(1, 0, 0), (2, 0, 0)}
+    exchange_and_merge(n, maps)
+    assert {tuple(c) for c in row(maps, 1).occupied_voxels()} == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
+    assert {tuple(c) for c in row(maps, 0).occupied_voxels()} == {(0, 0, 0), (1, 0, 0)}
+    assert {tuple(c) for c in row(maps, 2).occupied_voxels()} == {(1, 0, 0), (2, 0, 0)}
 
 
 def test_exchange_never_loses_occupied_cells():
@@ -140,12 +157,12 @@ def test_exchange_never_loses_occupied_cells():
     positions = agents_at(*rng.uniform(-5, 5, (4, 3)))
     maps = fresh_maps(4, dims=(5, 5, 1))
     for i in range(4):
-        maps[i].cells[:] = rng.choice([0, 1, 2], size=(5, 5, 1))
-    before = {i: set(map(tuple, maps[i].occupied_voxels())) for i in range(4)}
+        maps.cells[i][:] = rng.choice([0, 1, 2], size=(5, 5, 1))
+    before = {i: set(map(tuple, row(maps, i).occupied_voxels())) for i in range(4)}
     n = neighbors(positions, Scene())
-    merged = exchange_and_merge(n, maps)
+    exchange_and_merge(n, maps)
     for i in range(4):
-        after = set(map(tuple, merged[i].occupied_voxels()))
+        after = set(map(tuple, row(maps, i).occupied_voxels()))
         assert before[i] <= after
 
 
@@ -154,22 +171,48 @@ def test_chain_consistency_in_diameter_rounds():
     scene = chain_scene()
     maps = fresh_maps(4)
     for i in range(4):
-        maps[i].cells[i, 0, 0] = OCCUPIED
+        maps.cells[i, i, 0, 0] = OCCUPIED
     n = neighbors(positions, scene)
 
     rounds = 0
     while rounds < 3:
-        maps = exchange_and_merge(n, maps)
+        exchange_and_merge(n, maps)
         rounds += 1
-    reference = maps[0].cells
-    assert np.count_nonzero(maps[0].cells == OCCUPIED) == 4
+    reference = maps.cells[0]
+    assert np.count_nonzero(maps.cells[0] == OCCUPIED) == 4
     for i in range(4):
-        assert np.array_equal(maps[i].cells, reference)
+        assert np.array_equal(maps.cells[i], reference)
 
     # two rounds are not enough for the far ends on a diameter-3 chain
     maps2 = fresh_maps(4)
     for i in range(4):
-        maps2[i].cells[i, 0, 0] = OCCUPIED
+        maps2.cells[i, i, 0, 0] = OCCUPIED
     for _ in range(2):
-        maps2 = exchange_and_merge(n, maps2)
-    assert np.count_nonzero(maps2[0].cells == OCCUPIED) < 4
+        exchange_and_merge(n, maps2)
+    assert np.count_nonzero(maps2.cells[0] == OCCUPIED) < 4
+
+
+@st.composite
+def gossip_rounds(draw):
+    """A fleet of 1-6 agents: its peer lists, from a random clear mask over its
+    agent pairs, and its maps, random cell states on a small grid."""
+    n = draw(st.integers(1, 6))
+    first, second = agent_pairs(n)
+    peers = discover_neighbors(n, first, second, draw(hnp.arrays(bool, len(first))))
+    dims = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    states = st.sampled_from([UNKNOWN, FREE, OCCUPIED])
+    cells = draw(hnp.arrays(np.uint8, (n, *dims), elements=states))
+    return peers, OccupancyMap(VoxelGrid((0, 0, 0), dims, 1.0), cells)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gossip_rounds())
+def test_in_place_round_equals_the_reference_round(round_):
+    peers, maps = round_
+    before = maps.cells.copy()
+    expected = reference_exchange(peers, [OccupancyMap(maps.grid, c.copy()) for c in before])
+    exchange_and_merge(peers, maps)
+    for i, ps in enumerate(peers):
+        assert np.array_equal(maps.cells[i], expected[i].cells)
+        if not ps:
+            assert np.array_equal(maps.cells[i], before[i])

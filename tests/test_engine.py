@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from test_agents import (AgentState, GimbalState, reference_point_gimbal,
 from test_mesh import prism_mission
 from uavinspect import cli, engine, sensors
 from uavinspect.agents import GimbalLimits, TrackingConfig
+from uavinspect.comms import agent_pairs
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                inspection_score, intensity_heatmap, run_mission,
                                update_ledger, write_outputs)
@@ -325,7 +327,8 @@ INTEGER = {"positive integer"}
 # whose default is not None, and none of a field whose default is None
 PROBES = [
     (True, RULES), (math.nan, RULES), (math.inf, RULES), (-math.inf, RULES),
-    (10 ** 400, RULES - INTEGER),       # an int no float can hold
+    (10 ** 400, RULES),                 # an int no float and no int64 can hold
+    (2 ** 63, {"unit", "positive integer"}), (2 ** 63 - 1, {"unit"}),    # int64's edge
     (0, {"positive", "positive integer"}), (1, set()),
     (-1.0, RULES - {"finite"}), (0.5, INTEGER),
 ]
@@ -338,8 +341,10 @@ def numeric_fields():
 
 def build_config(section, **fields):
     """The section's config class with fields set over a valid base."""
+    # the gimbal's maxima lie above every probe of its minima, so min <= max holds
     base = {"agent": {"kind": "explorer", "start": (0.0, 0.0, 0.0)},
-            "mission": {"duration": 10.0, "agents": (AgentSpec("explorer", (0.0, 0.0, 0.0)),)}}
+            "mission": {"duration": 10.0, "agents": (AgentSpec("explorer", (0.0, 0.0, 0.0)),)},
+            "gimbal": {"inclination_max": sys.float_info.max, "azimuth_max": sys.float_info.max}}
     return CONFIG_CLASSES[section](**{**base.get(section, {}), **fields})
 
 
@@ -1287,15 +1292,31 @@ def test_observation_log_reads_and_hashes_as_a_row_list(n):
     assert_reads_and_hashes_as(observation_log(rows), rows)
 
 
+def connectivity_log(agents, rows):
+    """The log of rows from a fleet of agents, each tick's pairs a clear mask
+    over agent_pairs(agents)."""
+    first, second = agent_pairs(agents)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    clear = np.array([[pair in edges for pair in pairs] for _k, edges in rows], dtype=bool)
+    return engine.ConnectivityLog(first, second, clear.reshape(len(rows), len(pairs)))
+
+
 @pytest.mark.parametrize("n", CHUNK_SIZES)
 def test_connectivity_log_reads_and_hashes_as_a_row_list(n):
     # 0, 1 and 2 edges a tick; a one-edge tick prints ((i, j),), an empty one ()
     patterns = [(), ((0, 1),), ((0, 2), (1, 2))]
     rows = [(k, patterns[k % 3]) for k in range(n)]
-    edges = np.array([pair for _k, pairs in rows for pair in pairs], dtype=np.int64)
-    offsets = np.cumsum([0] + [len(pairs) for _k, pairs in rows])
-    log = engine.ConnectivityLog(edges.reshape(-1, 2), offsets)
-    assert_reads_and_hashes_as(log, rows)
+    assert_reads_and_hashes_as(connectivity_log(3, rows), rows)
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_connectivity_log_of_one_agent_or_of_every_pair_clear(n):
+    # a fleet of one has no pairs; four agents with every pair clear have six
+    assert_reads_and_hashes_as(connectivity_log(1, [(k, ()) for k in range(n)]),
+                               [(k, ()) for k in range(n)])
+    patterns = [((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (), ((1, 3),)]
+    rows = [(k, patterns[k % 3]) for k in range(n)]
+    assert_reads_and_hashes_as(connectivity_log(4, rows), rows)
 
 
 @pytest.mark.parametrize("agents", [1, 3])
@@ -1330,6 +1351,9 @@ def test_mission_record_holds_typed_columns():
     assert sum(c.nbytes for c in log.columns) == 48 * len(log)
     assert res.voxel_trace.voxels.shape == (res.num_ticks, len(cfg.agents), 3)
     assert len(res.connectivity) == res.num_ticks
+    pairs = len(cfg.agents) * (len(cfg.agents) - 1) // 2
+    assert res.connectivity.clear.dtype == bool
+    assert res.connectivity.clear.shape == (res.num_ticks, pairs)
     # the heatmap keeps its rows: one per interest point, however long the mission
     for f in dataclasses.fields(res):
         value = getattr(res, f.name)
