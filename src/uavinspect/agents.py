@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields, ruled
+from .errors import ConfigurationError, check_fields, check_value, ruled
 from .scene import _norm
 
 EXPLORER = "explorer"
@@ -82,8 +82,7 @@ def step_dynamics(position, velocity, yaw, yaw_rate, acc, yaw_acc, v_max, omega_
     Position advances with the pre-update velocity, so under constant
     acceleration a from rest the position after n steps is n(n-1)/2 * a * dt^2.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_value("dt", dt, "positive")
     yaw_next, rate_next = [], []
     for psi, w, u, w_max in zip(yaw.tolist(), yaw_rate.tolist(), yaw_acc.tolist(),
                                 omega_max.tolist()):

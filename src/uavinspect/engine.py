@@ -363,24 +363,23 @@ class _Mission:
     def __init__(self, cfg: MissionConfig, scene: Scene):
         self.cfg = cfg
         self.scene = scene
-        starts = [np.asarray(a.start, dtype=float) for a in cfg.agents]
         if not scene.inspection_boxes:
             raise ConfigurationError("scene has no inspection boxes")
-        self.volume = compute_operational_volume(scene.inspection_boxes, starts,
+        # the fleet's kinematic state, one row per agent, in fleet order; its
+        # positions are the starts that the set-up below reads
+        n = len(cfg.agents)
+        self.position = np.array([a.start for a in cfg.agents], dtype=float).reshape(n, 3)
+        self.volume = compute_operational_volume(scene.inspection_boxes, self.position,
                                                  cfg.voxel_size)
         self.grid = build_grid(self.volume, cfg.voxel_size)
         self.truth = scene_occupancy(scene, self.grid)
         self.structure = np.flatnonzero(self.truth)
         # the cells a LiDAR ray can change, flooded from the agents' starts
-        self.reach = reach_mask(self.grid, scene.solid_boxes, starts)
+        self.reach = reach_mask(self.grid, scene.solid_boxes, self.position)
+        explorers = [a.kind == EXPLORER for a in cfg.agents]
+        routes = mapping_paths(self.volume, self.position[explorers],
+                               margin=cfg.voxel_size / 2.0)
 
-        explorer_starts = [np.asarray(a.start, dtype=float)
-                           for a in cfg.agents if a.kind == EXPLORER]
-        routes = mapping_paths(self.volume, explorer_starts, margin=cfg.voxel_size / 2.0)
-
-        # the fleet's kinematic state, one row per agent, in fleet order
-        n = len(cfg.agents)
-        self.position = np.array([a.start for a in cfg.agents], dtype=float).reshape(n, 3)
         self.velocity = np.zeros((n, 3))
         self.yaw = np.zeros(n)
         self.yaw_rate = np.zeros(n)
@@ -600,23 +599,20 @@ class _Mission:
         """
         claims = {a.voxel: a.id for a in self.agents}
         claimed, aims = zip(*(self._claim(a, claims) for a in self.agents))
-        grid = self.grid
-        # voxel_to_world of every aim, in the same float operations
-        (ox, oy, oz), v = grid.origin, grid.voxel_size
-        target = [(ox + (i + 0.5) * v, oy + (j + 0.5) * v, oz + (k + 0.5) * v)
-                  for i, j, k in aims]
+        target = self.grid.centers(aims)
         desired = [self._desired_yaw(a, (x - px, y - py))
-                   for a, (x, y, _), (px, py, _) in zip(self.agents, target,
+                   for a, (x, y, _), (px, py, _) in zip(self.agents, target.tolist(),
                                                         self.position.tolist())]
         acc, yaw_acc = track_segment(self.position, self.velocity, self.yaw, self.yaw_rate,
-                                     np.array(target), self.cfg.tracking, desired)
+                                     target, self.cfg.tracking, desired)
         position, velocity, self.yaw, self.yaw_rate = step_dynamics(
             self.position, self.velocity, self.yaw, self.yaw_rate, acc, yaw_acc,
             self.v_max, self.omega_max, self.cfg.tick)
 
-        # world_to_voxel of every new position; the two voxels an agent may
-        # enter are grid voxels, so a position off the grid is refused too
-        cells = np.floor((position - grid.origin_arr) / grid.voxel_size).astype(int).tolist()
+        # the cells of the new positions, on the grid or off it; the two
+        # voxels an agent may enter are grid voxels, so a position off the
+        # grid is refused too
+        cells = self.grid.cells(position).tolist()
         for i, (a, cell, want) in enumerate(zip(self.agents, map(tuple, cells), claimed)):
             if cell == a.voxel:
                 continue

@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, PlanningError
-from .world import FACE_STEPS, FREE, OCCUPIED, BoundingBox, OccupancyMap, Voxel
+from .errors import ConfigurationError, PlanningError, check_value
+from .world import (FACE_STEPS, FREE, OCCUPIED, BoundingBox, OccupancyMap, Voxel, _length,
+                    _on_grid)
 
 _FACE_STEPS = np.array(FACE_STEPS)
 
@@ -72,16 +73,14 @@ def generate_waypoints(occ_map: OccupancyMap, boxes, standoff: float) -> list[Wa
     voxel is not free (or is off-grid) are dropped.  Duplicates by (voxel,
     direction) are removed, keeping the first; the order is occupied-voxel
     row order, then FACE_STEPS order.  All candidates are filtered in one
-    array pass, with the arithmetic of world_to_voxel and voxel_to_world.
+    array pass, with the grid's own cells and centers.
     """
     grid = occ_map.grid
-    if standoff <= 0:
-        raise ConfigurationError("waypoint standoff must be positive")
+    check_value("waypoint standoff", standoff, "positive")
     occupied = occ_map.occupied_voxels()
     if len(occupied) == 0 or not boxes:
         return []
-    origin, size = grid.origin_arr, grid.voxel_size
-    centers = origin + (occupied + 0.5) * size
+    centers = grid.centers(occupied)
     in_box = np.zeros(len(occupied), dtype=bool)
     for b in boxes:
         in_box |= np.all((centers >= b.lo) & (centers <= b.hi), axis=1)
@@ -96,16 +95,16 @@ def generate_waypoints(occ_map: OccupancyMap, boxes, standoff: float) -> list[Wa
     dims = np.asarray(grid.dims)
     cells = occ_map.cells
     nb = src + step
-    keep = np.flatnonzero(np.all((nb >= 0) & (nb < dims), axis=1))
+    keep = np.flatnonzero(_on_grid(nb, dims))
     keep = keep[cells[tuple(nb[keep].T)] == FREE]
-    wp_voxel = np.floor((center[keep] + step[keep] * standoff - origin) / size).astype(int)
-    on_grid = np.all((wp_voxel >= 0) & (wp_voxel < dims), axis=1)
+    wp_voxel = grid.cells(center[keep] + step[keep] * standoff)
+    on_grid = _on_grid(wp_voxel, dims)
     keep, wp_voxel = keep[on_grid], wp_voxel[on_grid]
     free = cells[tuple(wp_voxel.T)] == FREE
     keep, wp_voxel = keep[free], wp_voxel[free]
-    wp_pos = origin + (wp_voxel + 0.5) * size
+    wp_pos = grid.centers(wp_voxel)
     n_hat = center[keep] - wp_pos
-    norm = np.linalg.norm(n_hat, axis=1)
+    norm = _length(n_hat)
     apart = norm >= 1e-12
     keep, wp_voxel, wp_pos = keep[apart], wp_voxel[apart], wp_pos[apart]
     n_hat = n_hat[apart] / norm[apart, None]
@@ -221,8 +220,7 @@ def drhlp_step(agent_voxel: Voxel, path: list[Waypoint], cursor: int,
     horizon voxels while a goal remains, and is empty once the cursor runs
     off the end of the path: the epoch is complete.
     """
-    if horizon < 1:
-        raise ConfigurationError("horizon must be at least 1")
+    check_value("horizon", horizon, "positive integer")
     idx = cursor
     skipped: list[int] = []
     while idx < len(path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, check_value
-from .world import BoundingBox, VoxelGrid, _max3, _min3, box_cells
+from .world import BoundingBox, VoxelGrid, _length, _max3, _min3, box_cells
 
 _EPS_T = 1e-9           # minimum hit distance, rejects self-intersection at the origin
 _EPS_BARY = 1e-12       # barycentric slack, keeps triangle edges closed
@@ -68,7 +68,7 @@ class Scene:
                 raise ConfigurationError(
                     f"interest point {self.point_ids[bad[0]]} has a non-finite {name}")
         if len(normals):
-            norms = np.linalg.norm(normals, axis=1)
+            norms = _length(normals)
             if np.any(norms < 1e-12):
                 raise ConfigurationError("interest point with zero-length normal")
             normals = normals / norms[:, None]
@@ -250,13 +250,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def _length(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1) of vectors (..., 3), the same sums in the
-    same order, by column."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.sqrt((x * x + y * y) + z * z)
-
-
 @dataclass(frozen=True, eq=False)
 class SightLines:
     """Segments from starts to ends as rays, and the one rule that reads
@@ -369,8 +362,6 @@ def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
     lying in a voxel face occupies the cell behind it, opposite its normal.
     """
     occ = np.zeros(grid.dims, dtype=bool)
-    origin = grid.origin_arr
-    v = grid.voxel_size
     dims = np.asarray(grid.dims)
 
     i_lo, i_hi = box_cells(grid, scene._box_lo, scene._box_hi, slack=1e-9)[:2]
@@ -382,8 +373,8 @@ def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
     if not len(tris):
         return occ
     # every triangle against each cell of its bounding range
-    t_lo = np.maximum(np.floor((tris.min(axis=1) - origin) / v - 1e-9).astype(int), 0)
-    t_hi = np.minimum(np.floor((tris.max(axis=1) - origin) / v + 1e-9).astype(int) + 1, dims)
+    t_lo = np.maximum(np.floor(grid.coords(tris.min(axis=1)) - 1e-9).astype(int), 0)
+    t_hi = np.minimum(np.floor(grid.coords(tris.max(axis=1)) + 1e-9).astype(int) + 1, dims)
     ext = np.maximum(t_hi - t_lo, 0)
     counts = ext.prod(axis=1)
     tri = np.repeat(np.arange(len(tris)), counts)
@@ -392,8 +383,8 @@ def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
     cells = t_lo[tri] + np.stack([k // (ext[:, 1] * ext[:, 2]),
                                   k // ext[:, 2] % ext[:, 1],
                                   k % ext[:, 2]], axis=1)
-    center = origin + (cells + 0.5) * v
-    hit = cells[_tri_box_overlap(tris[tri] - center[:, None, :], v / 2.0)]
+    center = grid.centers(cells)
+    hit = cells[_tri_box_overlap(tris[tri] - center[:, None, :], grid.voxel_size / 2.0)]
     occ[hit[:, 0], hit[:, 1], hit[:, 2]] = True
     return occ
 

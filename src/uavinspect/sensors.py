@@ -27,9 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields, ruled
-from .scene import (Scene, SightLines, _cross, _length, _norm, ray_cast_batch,
-                    visible_point_indices)
+from .errors import check_fields, check_value, ruled
+from .scene import Scene, SightLines, _cross, _norm, ray_cast_batch, visible_point_indices
+from .world import _length
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
 # LiDAR servo pitch stops, and the beams' elevation spread either side of level
@@ -206,8 +206,7 @@ def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
 def servo_angle(t: float, cfg: LidarConfig) -> float:
     """Triangle-wave servo pitch: starts at the lower stop, sweeps to the upper
     stop at half period, and returns."""
-    if t < 0:
-        raise ConfigurationError("time must be non-negative")
+    check_value("time", t, "non-negative")
     half = cfg.servo_period / 2.0
     s = math.fmod(t, cfg.servo_period)
     span = _SERVO_MAX - _SERVO_MIN

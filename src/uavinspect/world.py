@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, OutOfBoundsError
+from .errors import ConfigurationError, GridMismatchError, OutOfBoundsError, check_value
 
 UNKNOWN = 0
 FREE = 1
@@ -61,7 +61,10 @@ class BoundingBox:
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Uniform cubic-voxel discretization of an operational volume."""
+    """Uniform cubic-voxel discretization of an operational volume, and the
+    one map between meters and cells: cell i spans grid coordinates
+    [i, i + 1), so a point on a voxel plane lies in the upper cell.
+    """
 
     origin: tuple[float, float, float]
     dims: tuple[int, int, int]
@@ -89,6 +92,18 @@ class VoxelGrid:
     def in_bounds(self, voxel) -> bool:
         return all(0 <= voxel[a] < self.dims[a] for a in range(3))
 
+    def coords(self, points) -> np.ndarray:
+        """Grid coordinates of points (..., 3) in meters."""
+        return (points - self.origin_arr) / self.voxel_size
+
+    def cells(self, points) -> np.ndarray:
+        """The int64 cells (..., 3) of points in meters, on the grid or off it."""
+        return np.floor(self.coords(points)).astype(np.int64)
+
+    def centers(self, cells) -> np.ndarray:
+        """The centers of cells (..., 3), in meters."""
+        return self.origin_arr + (np.asarray(cells, dtype=float) + 0.5) * self.voxel_size
+
 
 def compute_operational_volume(boxes, positions, voxel_size: float) -> BoundingBox:
     """Smallest cuboid containing every box and position, padded by one voxel per face.
@@ -100,8 +115,7 @@ def compute_operational_volume(boxes, positions, voxel_size: float) -> BoundingB
         raise ConfigurationError("operational volume needs at least one bounding box")
     if positions is None or len(positions) == 0:
         raise ConfigurationError("operational volume needs at least one agent position")
-    if voxel_size <= 0:
-        raise ConfigurationError("voxel size must be positive")
+    check_value("voxel size", voxel_size, "positive")
     pts = [b.lo for b in boxes] + [b.hi for b in boxes]
     pts += [np.asarray(p, dtype=float) for p in positions]
     pts = np.vstack(pts)
@@ -112,8 +126,7 @@ def compute_operational_volume(boxes, positions, voxel_size: float) -> BoundingB
 
 def build_grid(volume: BoundingBox, voxel_size: float) -> VoxelGrid:
     """Divide the volume into cubic voxels; dims round up so the volume is covered."""
-    if voxel_size <= 0:
-        raise ConfigurationError("voxel size must be positive")
+    check_value("voxel size", voxel_size, "positive")
     dims = np.ceil((volume.hi - volume.lo - 1e-9) / voxel_size).astype(int)
     dims = np.maximum(dims, 1)
     return VoxelGrid(tuple(volume.lo.tolist()), tuple(int(d) for d in dims), float(voxel_size))
@@ -128,8 +141,7 @@ def box_cells(grid: VoxelGrid, lo, hi, slack: float = 0.0) -> tuple[np.ndarray, 
     contains, rounding inward.  A face within slack of a voxel (in voxels)
     of a voxel plane counts as lying on it.
     """
-    lo = (np.asarray(lo, dtype=float) - grid.origin_arr) / grid.voxel_size
-    hi = (np.asarray(hi, dtype=float) - grid.origin_arr) / grid.voxel_size
+    lo, hi = grid.coords(lo), grid.coords(hi)
     return (np.floor(lo + slack).astype(int), np.ceil(hi - slack).astype(int),
             np.ceil(lo - slack).astype(int), np.floor(hi + slack).astype(int))
 
@@ -221,8 +233,8 @@ def reach_mask(grid: VoxelGrid, boxes, starts) -> ReachMask | None:
         blocked[a:d, b:e, c:f] = True
     if not blocked.any():
         return None
-    g = (np.asarray(starts, dtype=float).reshape(-1, 3) - grid.origin_arr) / grid.voxel_size
-    cell = np.floor(g).astype(int)
+    starts = np.reshape(starts, (-1, 3))
+    g, cell = grid.coords(starts), grid.cells(starts)
     lattice = np.zeros(2 * dims, dtype=bool)
     lattice[tuple((2 * cell + (g != cell)).T)] = True
     lattice = _flood(lattice, ~blocked)
@@ -241,7 +253,7 @@ def reach_mask(grid: VoxelGrid, boxes, starts) -> ReachMask | None:
 def world_to_voxel(grid: VoxelGrid, p) -> Voxel:
     """Voxel index containing point p.  Boundary planes belong to the upper voxel."""
     p = np.asarray(p, dtype=float)
-    idx = np.floor((p - grid.origin_arr) / grid.voxel_size).astype(int)
+    idx = grid.cells(p)
     if np.any(idx < 0) or np.any(idx >= np.asarray(grid.dims)):
         raise OutOfBoundsError(f"point {p.tolist()} outside grid")
     return (int(idx[0]), int(idx[1]), int(idx[2]))
@@ -251,7 +263,7 @@ def voxel_to_world(grid: VoxelGrid, voxel) -> np.ndarray:
     """Center of the given voxel, in meters."""
     if not grid.in_bounds(voxel):
         raise OutOfBoundsError(f"voxel {tuple(voxel)} outside grid dims {grid.dims}")
-    return grid.origin_arr + (np.asarray(voxel, dtype=float) + 0.5) * grid.voxel_size
+    return grid.centers(voxel)
 
 
 class OccupancyMap:
@@ -296,6 +308,13 @@ def _max3(a: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
 
 
+def _length(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of vectors (..., 3), the same sums in the
+    same order."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def _l1(d: np.ndarray) -> np.ndarray:
     """np.abs(d).sum(axis=1) of (n, 3) int steps."""
     d = np.abs(d)
@@ -325,10 +344,8 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
     those L1 distances, segment after segment, each segment's cells in path
     order.
     """
-    v = grid.voxel_size
     origin = np.asarray(origin, dtype=float).reshape(-1, 3)  # (1, 3) when shared
-    g0 = (origin - grid.origin_arr) / v                      # continuous grid coords
-    start = np.floor(g0).astype(np.int64)
+    g0, start = grid.coords(origin), grid.cells(origin)
     delta = end_cells - start
     lengths = _l1(delta)
     moving = lengths > 0
@@ -339,7 +356,7 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
         return np.zeros((0, 3), dtype=np.int64)
     n, counts, step = len(delta), np.abs(delta), np.sign(delta)
     m = int(counts.max())
-    d = (ends[moving] - origin) / v                          # grid-space displacement
+    d = (ends[moving] - origin) / grid.voxel_size            # grid-space displacement
 
     # times[i, a, j]: when segment i crosses its (j+1)-th plane along axis a
     times = np.empty((n, 3, m))
@@ -409,9 +426,8 @@ class FiringGuard:
         self.field: np.ndarray | None = None
 
     def at(self, occ_map: OccupancyMap, origin) -> "FiringGuard":
-        grid, cells = self.grid, occ_map.cells
-        g = (origin - grid.origin_arr) / grid.voxel_size
-        cell = np.floor(g).astype(np.int64)
+        cells = occ_map.cells
+        g, cell = self.grid.coords(origin), self.grid.cells(origin)
         masked = self.reach is not None and self.reach.holds(g, cell)
         if (self.cells is not None and masked == self.masked
                 and np.array_equal(cell, self.cell) and np.array_equal(cells, self.cells)):
@@ -434,9 +450,8 @@ class FiringGuard:
         rays of its firing hit.  The end points are reckoned in grid units,
         where the pad of a nudge beyond the hit's own dwarfs the rounding.
         """
-        grid = self.grid
-        v, dims = grid.voxel_size, grid.dims
-        ends = dirs * (reach / v) + (origin - grid.origin_arr) / v
+        dims = self.grid.dims
+        ends = dirs * (reach / self.grid.voxel_size) + self.grid.coords(origin)
         ends += np.sign(dirs) * (2 * _NUDGE)
         # clamped to the grid, where truncation is the floor
         np.maximum(ends, 0.0, out=ends)
@@ -503,7 +518,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     hit_dirs = np.asarray(hit_dirs, dtype=float).reshape(-1, 3)
     reach = np.einsum("nk,nk->n", hits - origin_of(hit_rows), hit_dirs)
     nudged = hits + hit_dirs * np.where(reach > 1e-12, _NUDGE * v, 0.0)[:, None]
-    hit_cells = np.floor((nudged - lo) / v).astype(np.int64)
+    hit_cells = grid.cells(nudged)
     inside = _on_grid(hit_cells, dims)
     if not inside.all():
         nudged, hit_cells, hit_rows = nudged[inside], hit_cells[inside], kept(hit_rows, inside)
@@ -517,7 +532,6 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
         marked = hit_flat[structure]
     cells[marked] = OCCUPIED
 
-    sensor_cells = np.floor((origins - lo) / v).astype(np.int64)
     field = np.ones(cells.size, dtype=bool) if field is None else field.reshape(-1)
     live_hits = field[hit_flat]
 
@@ -541,7 +555,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     t = np.minimum(1.0, t_exit * (1.0 - 1e-9))
     np.maximum(t, 0.0, out=t)
     ends = origin_of(miss_rows) + rel * t[:, None]
-    end_cells = np.floor((ends - lo) / v).astype(np.int64)
+    end_cells = grid.cells(ends)
     np.maximum(end_cells, 0, out=end_cells)
     np.minimum(end_cells, dims - 1, out=end_cells)
     end_flat = flat(end_cells @ strides, miss_rows)
@@ -555,6 +569,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     end_cells = np.vstack([hit_cells[live_hits], end_cells])
     crossed = _segment_cells(grid, origin_of(rows), np.vstack([nudged[live_hits], ends]),
                              end_cells)
+    sensor_cells = grid.cells(origins)
     if rows is not None:
         # each segment crosses its L1 distance of cells, all in its map row
         rows = np.repeat(rows, _l1(end_cells - sensor_cells[rows]))

@@ -9,12 +9,12 @@ from test_agents import AgentState, GimbalState
 from test_scene import awkward_segments
 from test_world import assert_same, vector_stacks
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (_EPS_LOS, InterestPoint, Scene, _length, line_of_sight,
-                              ray_cast_batch, scatter_box_face_points, visible_point_indices)
+from uavinspect.scene import (_EPS_LOS, InterestPoint, Scene, line_of_sight, ray_cast_batch,
+                              scatter_box_face_points, visible_point_indices)
 from uavinspect.sensors import (CameraConfig, LidarConfig, _blur_batch, _fov_mask,
                                 _resolution_batch, camera_axis, camera_basis, camera_pose,
                                 lidar_directions, lidar_sweep, observe, servo_angle)
-from uavinspect.world import BoundingBox
+from uavinspect.world import BoundingBox, _length
 
 
 def agent(pos=(0, 0, 0), vel=(0, 0, 0), yaw=0.0):

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uavinspect import world
+from uavinspect.agents import step_dynamics
 from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
+from uavinspect.planning import drhlp_step, generate_waypoints
 from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
+from uavinspect.sensors import LidarConfig, servo_angle
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
                               OccupancyMap, VoxelGrid, _l1, _max3, _min3, _on_grid,
                               _segment_cells, build_grid, carve_free,
@@ -97,6 +100,36 @@ def test_grid_rejects_non_finite_or_non_positive_values(origin, voxel):
         VoxelGrid(origin, (2, 2, 2), voxel)
 
 
+def step_dynamics_with_dt(dt):
+    zeros = np.zeros(1)
+    return step_dynamics(np.zeros((1, 3)), np.zeros((1, 3)), zeros, zeros, np.zeros((1, 3)),
+                         zeros, np.ones(1), np.ones(1), dt)
+
+
+# each library function's numeric argument, held to its config field's rule
+NUMERIC_ARGUMENTS = {
+    "compute_operational_volume": lambda x: compute_operational_volume(
+        [BoundingBox((0, 0, 0), (1, 1, 1))], [(0, 0, 0)], x),
+    "build_grid": lambda x: build_grid(BoundingBox((0, 0, 0), (12, 12, 6)), x),
+    "generate_waypoints": lambda x: generate_waypoints(make_map((2, 2, 2)), [], x),
+    "step_dynamics": step_dynamics_with_dt,
+    "servo_angle": lambda x: servo_angle(x, LidarConfig()),
+    "drhlp_step": lambda x: drhlp_step((0, 0, 0), [], 0, make_map((2, 2, 2)), set(), x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, -1, True],
+                         ids=["nan", "inf", "zero", "negative", "bool"])
+@pytest.mark.parametrize("function", sorted(NUMERIC_ARGUMENTS))
+def test_numeric_arguments_reject_what_their_config_rule_rejects(function, value):
+    if (function, value) == ("servo_angle", 0):
+        # the time's rule is non-negative: 0 is the lower stop
+        assert servo_angle(0, LidarConfig()) == math.radians(-90.0)
+        return
+    with pytest.raises(ConfigurationError, match="must be"):
+        NUMERIC_ARGUMENTS[function](value)
+
+
 def test_grid_origin_array_is_built_once_and_read_only():
     grid = VoxelGrid((-1.0, 2.0, 0.5), (3, 4, 5), 2.5)
     arr = grid.origin_arr
@@ -135,6 +168,56 @@ def test_voxel_center_roundtrip_is_exact():
     for voxel in itertools.product(range(5), range(4), range(6)):
         center = voxel_to_world(grid, voxel)
         assert world_to_voxel(grid, center) == voxel
+
+
+@st.composite
+def grids_and_points(draw):
+    """A grid, its origin possibly negative and its voxel from 0.1 to 7, and
+    (n, 3) points on its voxel planes, one ulp either side of them, or
+    anywhere near the grid, on it or off it."""
+    grid = VoxelGrid(tuple(draw(st.lists(st.floats(-60.0, 60.0), min_size=3, max_size=3))),
+                     (4, 5, 6), draw(st.floats(0.1, 7.0)))
+    n = draw(st.integers(1, 8))
+    planes = grid.origin_arr + draw(hnp.arrays(np.int64, (n, 3),
+                                               elements=st.integers(-3, 9))) * grid.voxel_size
+    anywhere = grid.origin_arr + draw(hnp.arrays(np.float64, (n, 3),
+                                                 elements=st.floats(-3.0, 9.0))) * grid.voxel_size
+    return grid, np.vstack([planes, np.nextafter(planes, np.inf),
+                            np.nextafter(planes, -np.inf), anywhere])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=grids_and_points(), cells=hnp.arrays(np.int64, (6, 3), elements=st.integers(-20, 30)))
+def test_grid_coords_cells_and_centers(case, cells):
+    grid, points = case
+    o, v = grid.origin_arr, grid.voxel_size
+    g = grid.coords(points)
+    got = grid.cells(points)
+    assert got.dtype == np.int64 and np.array_equal(got, np.floor(g))
+    # a point on a voxel plane, in grid coordinates, lies in the upper cell
+    on_plane = g == np.round(g)
+    assert np.array_equal(got[on_plane], g[on_plane])
+    for p, cell in zip(points, got.tolist()):
+        if grid.in_bounds(cell):
+            assert world_to_voxel(grid, p) == tuple(cell)
+        else:
+            with pytest.raises(OutOfBoundsError):
+                world_to_voxel(grid, p)
+        assert grid.cells(p).tolist() == cell
+    assert np.array_equal(grid.cells(grid.centers(cells)), cells)
+
+    # the expressions each method replaces, bit for bit
+    assert_same(g, (np.asarray(points, dtype=float) - o) / v)
+    assert_same(grid.coords(points.tolist()), (points - o) / v)
+    assert np.array_equal(got, np.floor((points - o) / v).astype(int))
+    assert_same(grid.centers(cells), o + (cells + 0.5) * v)
+    (ox, oy, oz) = grid.origin
+    assert grid.centers(tuple(map(tuple, cells.tolist()))).tolist() == [
+        [ox + (i + 0.5) * v, oy + (j + 0.5) * v, oz + (k + 0.5) * v]
+        for i, j, k in cells.tolist()]
+    for cell in cells.tolist():
+        if grid.in_bounds(cell):
+            assert_same(voxel_to_world(grid, cell), o + (np.asarray(cell, dtype=float) + 0.5) * v)
 
 
 # --- integration of range hits --------------------------------------------
