@@ -48,7 +48,7 @@ from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, m
 from .scene import Scene, line_of_sight, scene_occupancy
 from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
                       lidar_sweep, observe)
-from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, build_grid,
+from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, _kept, _rows, build_grid,
                     compute_operational_volume, integrate_points, reach_mask, save_map,
                     world_to_voxel)
 
@@ -332,7 +332,7 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
         if guard.at(OccupancyMap(maps.grid, maps.cells[i]), positions[i]).field is None:
             continue
         dirs = lidar_directions(yaws[i], lidar, t)
-        dirs = dirs[guard.can_change(positions[i], dirs, lidar.range)]
+        dirs = _kept(guard.can_change(positions[i], dirs, lidar.range), dirs)
         if len(dirs):
             firing.append(i)
             bundles.append(dirs)
@@ -348,10 +348,10 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
                                       hits[:, 0], hits[:, 1], misses, truth, fields[0])
         return suppressed, clear
     dirs = np.concatenate(bundles)
-    origins = positions[firing]
+    origins = _rows(positions, firing)
     rows = np.repeat(np.arange(len(firing)), [len(b) for b in bundles])
     hit = np.empty(len(dirs), dtype=bool)
-    hits, misses = lidar_sweep(origins[rows], scene, lidar, dirs, hit, segments, clear)
+    hits, misses = lidar_sweep(_rows(origins, rows), scene, lidar, dirs, hit, segments, clear)
     gathered = OccupancyMap(maps.grid, maps.cells[firing])
     suppressed = integrate_points(gathered, origins, hits[:, 0], hits[:, 1], misses,
                                   truth, np.array(fields), rows[hit], rows[~hit])

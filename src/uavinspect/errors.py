@@ -50,7 +50,13 @@ def check_value(what: str, value, rule: str) -> None:
     """Raise ConfigurationError naming what unless value keeps rule.  A bool is
     not a number here; a numpy number is."""
     kind, keeps, must = _RULES[rule]
-    if isinstance(value, bool) or not isinstance(value, kind) or not keeps(value):
+    # an exact int or float skips the isinstance test against the abc, which
+    # costs most of a check; every other type takes it
+    if type(value) is int or (type(value) is float and kind is numbers.Real):
+        number = True
+    else:
+        number = not isinstance(value, bool) and isinstance(value, kind)
+    if not (number and keeps(value)):
         raise ConfigurationError(f"{what} must be {must}, got {value!r}")
 
 

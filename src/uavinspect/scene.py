@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, check_value
-from .world import BoundingBox, VoxelGrid, _length, _max3, _min3, box_cells
+from .world import BoundingBox, VoxelGrid, _kept, _length, _max3, _min3, _rows, box_cells
 
 _EPS_T = 1e-9           # minimum hit distance, rejects self-intersection at the origin
 _EPS_BARY = 1e-12       # barycentric slack, keeps triangle edges closed
@@ -97,10 +97,12 @@ class Scene:
 
         # triangle edges and centroid bins for the two-phase raycaster
         self._tri_v0 = self.triangles[:, 0]
-        self._tri_e1 = self.triangles[:, 1] - self._tri_v0
-        self._tri_e2 = self.triangles[:, 2] - self._tri_v0
+        # edge 2, then edge 1, the right operands of Moller-Trumbore's crosses
+        self._tri_edges = np.stack((self.triangles[:, 2] - self._tri_v0,
+                                    self.triangles[:, 1] - self._tri_v0))
         (self._bin_lo, self._bin_hi, self._bin_offsets,
          self._bin_tris) = _bin_triangles(self.triangles)
+        self._bin_counts = np.diff(self._bin_offsets)
 
     @property
     def num_points(self) -> int:
@@ -147,7 +149,8 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
     if max_range.shape not in ((), (len(dirs),)):
         raise ConfigurationError(
             f"max_range of shape {max_range.shape} for {len(dirs)} rays; give one or one per ray")
-    max_range = np.broadcast_to(max_range, len(dirs))
+    if max_range.ndim == 0:
+        max_range = np.full(len(dirs), max_range)
     best = np.full(len(dirs), np.inf)
     # signed inf where a component is 0, or so small that its reciprocal overflows
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -205,7 +208,7 @@ def _candidate_pairs(scene: Scene, origins, inv_t, max_range):
     """
     tn, tf = _slabs(scene._bin_lo, scene._bin_hi, origins, inv_t)
     b, ray = np.nonzero(~((tf < tn) | (tf < 0.0) | (tn > max_range)))
-    counts = np.diff(scene._bin_offsets)[b]
+    counts = scene._bin_counts[b]
     firsts = np.cumsum(counts) - counts
     pos = np.arange(counts.sum()) + np.repeat(scene._bin_offsets[b] - firsts, counts)
     return np.repeat(ray, counts), scene._bin_tris[pos]
@@ -218,14 +221,18 @@ def _moller_trumbore(scene: Scene, origins, dirs, ray, tri, max_range):
     parallel to the triangle's plane divides by 1 instead of by its
     near-zero determinant, and is dropped.  max_range: (rays,).
     """
-    d = dirs[ray]
-    e1, e2 = scene._tri_e1[tri], scene._tri_e2[tri]
-    h = _cross(d, e2)
+    # both crosses in one call: d x e2, then s x e1
+    left = np.empty((2, len(ray), 3))
+    d, s = left
+    dirs.take(ray, axis=0, out=d)
+    np.subtract(origins if len(origins) == 1 else _rows(origins, ray),
+                _rows(scene._tri_v0, tri), out=s)
+    right = scene._tri_edges.take(tri, axis=1)
+    e2, e1 = right
+    h, q = _cross(left, right)
     a = np.einsum("pk,pk->p", e1, h)
     keep = np.abs(a) > _EPS_BARY
     f = 1.0 / np.where(keep, a, 1.0)
-    s = (origins if len(origins) == 1 else origins[ray]) - scene._tri_v0[tri]
-    q = _cross(s, e1)
     u = f * np.einsum("pk,pk->p", s, h)
     v = f * np.einsum("pk,pk->p", d, q)
     t = f * np.einsum("pk,pk->p", e2, q)
@@ -304,13 +311,13 @@ def visible_point_indices(scene: Scene, apexes, candidate_mask) -> tuple[np.ndar
     viewers go through one line_of_sight call.
     """
     viewer, idx = np.nonzero(np.atleast_2d(candidate_mask))
-    apex = np.asarray(apexes, dtype=float).reshape(-1, 3)[viewer]
-    facing = np.einsum("nk,nk->n", scene.point_normals[idx],
-                       apex - scene.point_positions[idx]) > 0.0
-    viewer, idx, apex = viewer[facing], idx[facing], apex[facing]
+    apex = _rows(np.asarray(apexes, dtype=float).reshape(-1, 3), viewer)
+    point, normal = _rows(scene.point_positions, idx), _rows(scene.point_normals, idx)
+    facing = np.einsum("nk,nk->n", normal, apex - point) > 0.0
+    viewer, idx, apex = viewer[facing], idx[facing], _kept(facing, apex)
     if len(idx) == 0:
         return viewer, idx
-    targets = scene.point_positions[idx] + scene.point_normals[idx] * _EPS_BACKOFF
+    targets = _kept(facing, point) + _kept(facing, normal) * _EPS_BACKOFF
     clear = line_of_sight(scene, apex, targets)
     return viewer[clear], idx[clear]
 

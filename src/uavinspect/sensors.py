@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import check_fields, check_value, ruled
 from .scene import Scene, SightLines, _cross, _norm, ray_cast_batch, visible_point_indices
-from .world import _length
+from .world import _kept, _length, _rows
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
 # LiDAR servo pitch stops, and the beams' elevation spread either side of level
@@ -127,7 +127,7 @@ def _blur_batch(p_cam: np.ndarray, v_cam: np.ndarray, cfg: CameraConfig) -> np.n
 
     q = np.zeros(len(p0))
     if ok.any():
-        a0, a1 = p0[ok], p1[ok]
+        a0, a1 = _kept(ok, p0), _kept(ok, p1)
         u0 = cfg.focal * a0[:, 0] / a0[:, 2]
         v0 = cfg.focal * a0[:, 1] / a0[:, 2]
         u1 = cfg.focal * a1[:, 0] / a1[:, 2]
@@ -149,7 +149,7 @@ def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
     q = np.zeros(len(p_cam))
     ok = z > _ANG_TOL
     if ok.any():
-        p = p_cam[ok]
+        p = _kept(ok, p_cam)
         zz = p[:, 2]
         u3 = cfg.focal * p[:, 0] / zz
         u4 = cfg.focal * (p[:, 0] + 1.0) / zz
@@ -195,8 +195,8 @@ def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
     p_cam = rel @ bases                                         # (poses, points, 3)
     candidates = _fov_mask(p_cam, _length(rel), cfg)
     row, idx = visible_point_indices(scene, apexes, candidates)
-    p_cam = p_cam[row, idx]
-    qb = _blur_batch(p_cam, v_cam[row], cfg)
+    p_cam = _rows(p_cam.reshape(-1, 3), row * scene.num_points + idx)
+    qb = _blur_batch(p_cam, _rows(v_cam, row), cfg)
     qr = _resolution_batch(p_cam, cfg)
     q = qb * qr
     keep = q > 0.0
@@ -282,8 +282,10 @@ def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
         hit, dist = hit[:n], dist[:n]
     if hit_mask is not None:
         hit_mask[...] = hit
+    miss = ~hit
     hits = np.empty((np.count_nonzero(hit), 2, 3))
-    hits[:, 1] = dirs[hit]
-    hits[:, 0] = (origin if len(origin) == 1 else origin[hit]) + hits[:, 1] * dist[hit, None]
-    misses = (origin if len(origin) == 1 else origin[~hit]) + dirs[~hit] * cfg.range
+    hits[:, 1] = _kept(hit, dirs)
+    hits[:, 0] = ((origin if len(origin) == 1 else _kept(hit, origin))
+                  + hits[:, 1] * _kept(hit, dist)[:, None])
+    misses = (origin if len(origin) == 1 else _kept(miss, origin)) + _kept(miss, dirs) * cfg.range
     return hits, misses

@@ -97,7 +97,10 @@ class VoxelGrid:
         return (points - self.origin_arr) / self.voxel_size
 
     def cells(self, points) -> np.ndarray:
-        """The int64 cells (..., 3) of points in meters, on the grid or off it."""
+        """The int64 cells (..., 3) of points in meters, on the grid or off it.
+        Coordinates are not checked for being finite, which keeps the check
+        off the tick path: NaN or ±inf casts to a meaningless cell, with
+        numpy's RuntimeWarning.  world_to_voxel checks."""
         return np.floor(self.coords(points)).astype(np.int64)
 
     def centers(self, cells) -> np.ndarray:
@@ -253,6 +256,8 @@ def reach_mask(grid: VoxelGrid, boxes, starts) -> ReachMask | None:
 def world_to_voxel(grid: VoxelGrid, p) -> Voxel:
     """Voxel index containing point p.  Boundary planes belong to the upper voxel."""
     p = np.asarray(p, dtype=float)
+    if not all(map(math.isfinite, p.tolist())):
+        raise OutOfBoundsError(f"point {p.tolist()} is not finite")
     idx = grid.cells(p)
     if np.any(idx < 0) or np.any(idx >= np.asarray(grid.dims)):
         raise OutOfBoundsError(f"point {p.tolist()} outside grid")
@@ -292,6 +297,23 @@ class OccupancyMap:
     def occupied_voxels(self) -> np.ndarray:
         """(n, 3) int array of occupied voxel indices in lexicographic order."""
         return np.argwhere(self.cells == OCCUPIED)
+
+
+# Row gathers of (n, ...) arrays by take and compress: numpy's advanced
+# indexing of rows costs three to four times as much.  Each gives the rows
+# of the index it replaces; compress reads a mask that is too short as False
+# where indexing raises, so _kept checks the length.
+
+def _rows(a: np.ndarray, index) -> np.ndarray:
+    """a[index] for integer row indices."""
+    return a.take(index, axis=0)
+
+
+def _kept(mask: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a[mask] for a boolean mask of one entry per row of a."""
+    if len(mask) != len(a):
+        raise IndexError(f"boolean mask of {len(mask)} entries for {len(a)} rows")
+    return a.compress(mask, axis=0)
 
 
 # Reductions over the 3 coordinates of (..., 3) arrays, by column: numpy's
@@ -349,14 +371,14 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
     delta = end_cells - start
     lengths = _l1(delta)
     moving = lengths > 0
-    delta, lengths = delta[moving], lengths[moving]
+    delta, lengths = _kept(moving, delta), lengths[moving]
     if len(origin) > 1:
-        origin, g0, start = origin[moving], g0[moving], start[moving]
+        origin, g0, start = _kept(moving, origin), _kept(moving, g0), _kept(moving, start)
     if len(delta) == 0:
         return np.zeros((0, 3), dtype=np.int64)
     n, counts, step = len(delta), np.abs(delta), np.sign(delta)
     m = int(counts.max())
-    d = (ends[moving] - origin) / grid.voxel_size            # grid-space displacement
+    d = (_kept(moving, ends) - origin) / grid.voxel_size     # grid-space displacement
 
     # times[i, a, j]: when segment i crosses its (j+1)-th plane along axis a
     times = np.empty((n, 3, m))
@@ -373,12 +395,12 @@ def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
     moves[np.arange(len(axis)), axis] = step[rows, axis]
     walked = moves.cumsum(axis=0)                # over all segments, one after another
     last = np.cumsum(lengths) - 1
-    arrived = walked[last]
+    arrived = _rows(walked, last)
     walked -= moves                              # now the walk before each step
-    base = walked[last + 1 - lengths]            # per segment, at its first step
+    base = _rows(walked, last + 1 - lengths)     # per segment, at its first step
     assert np.array_equal(arrived - base, delta), \
         "grid traversal stopped short of its end cell"
-    walked += (start - base)[rows]
+    walked += _rows(start - base, rows)
     return walked
 
 
@@ -504,11 +526,11 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
         hit_rows = miss_rows = None
 
     # a row array per hit, miss or segment, or None for a lone map
-    def kept(rows, mask):
+    def rows_where(rows, mask):
         return None if rows is None else rows[mask]
 
     def origin_of(rows):
-        return origins if rows is None else origins[rows]
+        return origins if rows is None else _rows(origins, rows)
 
     # a flat index within a map row, offset to its row of the cells
     def flat(index, rows):
@@ -521,7 +543,8 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     hit_cells = grid.cells(nudged)
     inside = _on_grid(hit_cells, dims)
     if not inside.all():
-        nudged, hit_cells, hit_rows = nudged[inside], hit_cells[inside], kept(hit_rows, inside)
+        nudged, hit_cells = _kept(inside, nudged), _kept(inside, hit_cells)
+        hit_rows = rows_where(hit_rows, inside)
     hit_index = hit_cells @ strides
     hit_flat = flat(hit_index, hit_rows)
     marked = hit_flat
@@ -551,7 +574,8 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     t_exit = _min3(np.maximum(t1, t2))
     enters = (t_enter <= t_exit) & (t_exit >= 0.0) & (t_enter <= 1.0)
     if not enters.all():
-        rel, t_exit, miss_rows = rel[enters], t_exit[enters], kept(miss_rows, enters)
+        rel, t_exit = _kept(enters, rel), t_exit[enters]
+        miss_rows = rows_where(miss_rows, enters)
     t = np.minimum(1.0, t_exit * (1.0 - 1e-9))
     np.maximum(t, 0.0, out=t)
     ends = origin_of(miss_rows) + rel * t[:, None]
@@ -562,21 +586,22 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     live_misses = field[end_flat]
     if not (live_hits.any() or live_misses.any()):
         return suppressed                               # no segment to step
-    ends, end_cells, end_flat = ends[live_misses], end_cells[live_misses], end_flat[live_misses]
-    miss_rows = kept(miss_rows, live_misses)
+    ends, end_cells = _kept(live_misses, ends), _kept(live_misses, end_cells)
+    end_flat = end_flat[live_misses]
+    miss_rows = rows_where(miss_rows, live_misses)
 
     rows = None if hit_rows is None else np.concatenate([hit_rows[live_hits], miss_rows])
-    end_cells = np.vstack([hit_cells[live_hits], end_cells])
-    crossed = _segment_cells(grid, origin_of(rows), np.vstack([nudged[live_hits], ends]),
+    end_cells = np.vstack([_kept(live_hits, hit_cells), end_cells])
+    crossed = _segment_cells(grid, origin_of(rows), np.vstack([_kept(live_hits, nudged), ends]),
                              end_cells)
     sensor_cells = grid.cells(origins)
     if rows is not None:
         # each segment crosses its L1 distance of cells, all in its map row
-        rows = np.repeat(rows, _l1(end_cells - sensor_cells[rows]))
+        rows = np.repeat(rows, _l1(end_cells - _rows(sensor_cells, rows)))
     if not np.all((sensor_cells >= 0) & (sensor_cells < dims)):
         # a segment from a sensor off the grid crosses cells off it too
         on_grid = _on_grid(crossed, dims)
-        crossed, rows = crossed[on_grid], kept(rows, on_grid)
+        crossed, rows = _kept(on_grid, crossed), rows_where(rows, on_grid)
     freed = np.concatenate([flat(crossed @ strides, rows), end_flat])
     cells[freed] = np.maximum(cells[freed], FREE)
     return suppressed

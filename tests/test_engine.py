@@ -331,6 +331,12 @@ PROBES = [
     (2 ** 63, {"unit", "positive integer"}), (2 ** 63 - 1, {"unit"}),    # int64's edge
     (0, {"positive", "positive integer"}), (1, set()),
     (-1.0, RULES - {"finite"}), (0.5, INTEGER),
+    # numpy scalars: not exact ints or floats, so check_value tests them
+    # against the numbers abcs, with the verdicts of their Python values
+    (np.bool_(True), RULES), (np.float64(math.nan), RULES), (np.float64(math.inf), RULES),
+    (np.float64(-math.inf), RULES), (np.uint64(2 ** 63), {"unit", "positive integer"}),
+    (np.int64(2 ** 63 - 1), {"unit"}), (np.int64(0), {"positive", "positive integer"}),
+    (np.int32(1), set()), (np.float64(-1.0), RULES - {"finite"}), (np.float64(0.5), INTEGER),
 ]
 
 

@@ -17,8 +17,8 @@ from uavinspect.planning import drhlp_step, generate_waypoints
 from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
 from uavinspect.sensors import LidarConfig, servo_angle
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
-                              OccupancyMap, VoxelGrid, _l1, _max3, _min3, _on_grid,
-                              _segment_cells, build_grid, carve_free,
+                              OccupancyMap, VoxelGrid, _kept, _l1, _max3, _min3, _on_grid,
+                              _rows, _segment_cells, build_grid, carve_free,
                               compute_operational_volume, integrate_points, load_map,
                               merge_maps, save_map, voxel_to_world, world_to_voxel)
 
@@ -161,6 +161,15 @@ def test_world_to_voxel_out_of_bounds():
         world_to_voxel(grid, (12.0, 0, 0))
     with pytest.raises(OutOfBoundsError):
         voxel_to_world(grid, (2, 0, 0))
+
+
+@pytest.mark.parametrize("p", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                               (0.0, 0.0, -math.inf)])
+def test_world_to_voxel_names_a_non_finite_point(p):
+    # under the error::RuntimeWarning filter, so the int64 cast is never reached
+    grid = VoxelGrid((0, 0, 0), (2, 2, 2), 6.0)
+    with pytest.raises(OutOfBoundsError, match="is not finite"):
+        world_to_voxel(grid, p)
 
 
 def test_voxel_center_roundtrip_is_exact():
@@ -1031,6 +1040,59 @@ def test_on_grid_and_l1_equal_the_axis_reductions(dims, cells):
     assert np.array_equal(_on_grid(cells, np.asarray(dims)), reference_on_grid(cells, dims))
     steps = np.clip(cells, -2**40, 2**40)           # traversal steps, far from overflow
     assert np.array_equal(_l1(steps), reference_l1(steps))
+
+
+# --- row gathers by take and compress ---------------------------------------
+
+ROW_ARRAYS = {
+    "empty": np.zeros((0, 3)),
+    "float": np.arange(21.0).reshape(7, 3) - 10.5,
+    "int64": np.arange(-10, 11, dtype=np.int64).reshape(7, 3),
+    "non-contiguous": (np.arange(42.0).reshape(7, 6) * 0.5)[:, ::2],
+    "rows of rows": np.arange(56.0).reshape(7, 2, 4),
+}
+
+
+@pytest.mark.parametrize("name", ROW_ARRAYS)
+def test_row_gathers_equal_advanced_indexing(name):
+    a = ROW_ARRAYS[name]
+    n = len(a)
+    rng = np.random.default_rng(3)
+    indices = [np.zeros(0, dtype=np.int64)]
+    if n:       # reversed, random with repeats, negative
+        indices += [np.arange(n)[::-1], rng.integers(0, n, 12), np.array([-1, 0, -1])]
+    for index in indices:
+        got, want = _rows(a, index), a[index]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), rng.random(n) < 0.5,
+             np.arange(n) % 2 == 1]
+    for mask in masks:
+        got, want = _kept(mask, a), a[mask]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_kept_raises_on_a_mask_of_the_wrong_length():
+    # compress alone reads the missing entries of a short mask as False
+    a = ROW_ARRAYS["float"]
+    for n in (len(a) - 1, len(a) + 1):
+        with pytest.raises(IndexError):
+            a[np.ones(n, dtype=bool)]
+        with pytest.raises(IndexError):
+            _kept(np.ones(n, dtype=bool), a)
+    # indexing takes an empty mask as no rows; _kept holds it to the length too
+    with pytest.raises(IndexError):
+        _kept(np.zeros(0, dtype=bool), a)
+
+
+def test_rows_raises_on_an_index_past_the_rows():
+    a = ROW_ARRAYS["float"]
+    for index in ([len(a)], [-len(a) - 1]):
+        with pytest.raises(IndexError):
+            a[index]
+        with pytest.raises(IndexError):
+            _rows(a, index)
 
 
 # --- merging ----------------------------------------------------------------
