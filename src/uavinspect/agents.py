@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields, check_value, ruled
+from .errors import ConfigurationError, check_fields, check_value, ruled, widened
 from .scene import _norm
 
 EXPLORER = "explorer"
@@ -46,7 +46,7 @@ class GimbalLimits:
         check_fields(self, "gimbal")
         for angle in ("inclination", "azimuth"):
             lo, hi = getattr(self, f"{angle}_min"), getattr(self, f"{angle}_max")
-            if not lo <= hi:
+            if not widened(lo) <= widened(hi):
                 raise ConfigurationError(
                     f"gimbal {angle} limits must have min <= max, got {lo}..{hi}")
 

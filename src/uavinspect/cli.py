@@ -72,13 +72,27 @@ def _one_of(options: tuple[str, ...]):
     return parse
 
 
+def _each(item, node: list, path: str) -> list:
+    """Each entry of node parsed by ``item`` under the path ``path[i]``.
+
+    A parse does not depend on its path, which only names a failure, so the
+    entries are parsed first without one, and again with theirs only when
+    one fails.
+    """
+    try:
+        return [item(v, "") for v in node]
+    except ConfigurationError:
+        pass
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
+
+
 def _triple(item):
     """A parser for a list of exactly three entries, each parsed by ``item``."""
     def parse(value, path: str) -> list:
         node = _expect_list(value, path)
         if len(node) != 3:
             raise ConfigurationError(f"{path}: expected 3 components, got {len(node)}")
-        return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
+        return _each(item, node, path)
     return parse
 
 
@@ -91,7 +105,7 @@ def _list(item, nonempty: bool = False):
         node = _expect_list(value, path)
         if nonempty and not node:
             raise ConfigurationError(f"{path} must be non-empty")
-        return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
+        return _each(item, node, path)
     return parse
 
 
@@ -125,12 +139,6 @@ def _fields(spec: dict):
     return lambda node, path: _record(node, spec, path)
 
 
-def _points(value, path: str) -> list[dict]:
-    """Explicit interest points; a point without an id takes its list index."""
-    return [_record(p, {"id": (_integer, i), **_POINT}, f"{path}[{i}]")
-            for i, p in enumerate(_expect_list(value, path))]
-
-
 # the radian fields a scenario file gives in degrees, each as its name + "_deg"
 _DEGREES = ("fov_h", "fov_v", "inclination_min", "inclination_max", "azimuth_min", "azimuth_max")
 
@@ -155,6 +163,17 @@ _BOX = {"min": (_vec3, MISSING), "max": (_vec3, MISSING)}
 _POINT = {"position": (_vec3, MISSING), "normal": (_vec3, MISSING)}
 _SCATTER = {**_BOX, "count": (_count, MISSING), "seed": (_optional(_count), None),
             "faces": (_optional(_list(_one_of(FACES), nonempty=True)), None)}
+_EXPLICIT = _list(_fields({"id": (_optional(_integer), None), **_POINT}))
+
+
+def _points(value, path: str) -> list[dict]:
+    """Explicit interest points; a point without an id takes its list index."""
+    points = _EXPLICIT(value, path)
+    for i, p in enumerate(points):
+        if p["id"] is None:
+            p["id"] = i
+    return points
+
 
 # Every key of a scenario file, as key -> (parser, default).
 _SCENARIO = {

@@ -10,6 +10,8 @@ import dataclasses
 import numbers
 import sys
 
+import numpy as np
+
 _MAX = sys.float_info.max       # NaN, ±inf and an int no float can hold all fail x <= _MAX
 
 # each rule: the numbers it takes, the test such a number must pass, and what
@@ -46,9 +48,17 @@ def ruled(rule: str, default=dataclasses.MISSING) -> dataclasses.Field:
     return dataclasses.field(default=default, metadata={"rule": rule})
 
 
+def widened(value):
+    """value, or a numpy float's float64 value: a float16 or float32 compared
+    with a Python float casts that float to its own width, where
+    sys.float_info.max is inf."""
+    return float(value) if isinstance(value, np.floating) else value
+
+
 def check_value(what: str, value, rule: str) -> None:
     """Raise ConfigurationError naming what unless value keeps rule.  A bool is
-    not a number here; a numpy number is."""
+    not a number here; a numpy number is, and a numpy float keeps a rule as
+    its float64 value does."""
     kind, keeps, must = _RULES[rule]
     # an exact int or float skips the isinstance test against the abc, which
     # costs most of a check; every other type takes it
@@ -56,7 +66,7 @@ def check_value(what: str, value, rule: str) -> None:
         number = True
     else:
         number = not isinstance(value, bool) and isinstance(value, kind)
-    if not (number and keeps(value)):
+    if not (number and keeps(widened(value))):
         raise ConfigurationError(f"{what} must be {must}, got {value!r}")
 
 

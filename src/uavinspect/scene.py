@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,8 @@ _EPS_BACKOFF = 1e-3     # interest points are lifted off their surface by this m
 _BINS = 4               # triangle bins per axis of the mesh's bounding box
 _BIN_PAD = 1e-4         # bin boxes grow by this share of the mesh's largest extent
 _RAY_CHUNK = 512        # rays per narrow-phase round; bounds the pair temporaries
+_EXPOSED_CHUNK = 1 << 16  # (point, vertex) pairs per round of Scene.exposed
+_CORNERS = np.indices((2, 2, 2)).reshape(3, -1).T == 1    # a box's 8 corners: hi where True
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,28 @@ class Scene:
     @property
     def num_points(self) -> int:
         return len(self.point_ids)
+
+    @cached_property
+    def exposed(self) -> np.ndarray:
+        """Per interest point: no primitive rises more than _EPS_BACKOFF / 2
+        above the point's tangent plane, so nothing can block a sight line
+        from at least _EPS_BACKOFF above that plane (visible_point_indices).
+
+        A triangle or a box rises as far as its highest vertex, the largest
+        n . (v - p); computed on first use, by columns, a bounded number of
+        (point, vertex) pairs at a time.
+        """
+        boxes = np.where(_CORNERS[:, None, :], self._box_hi, self._box_lo)
+        verts = np.vstack([self.triangles.reshape(-1, 3), boxes.reshape(-1, 3)]).T
+        n, p = self.point_normals, self.point_positions
+        base = n[:, 0] * p[:, 0] + n[:, 1] * p[:, 1] + n[:, 2] * p[:, 2]
+        top = np.full(len(p), -np.inf)
+        step = max(1, _EXPOSED_CHUNK // max(1, verts.shape[1]))
+        for c in range(0, len(p) if verts.size else 0, step):
+            m = n[c:c + step, :, None]
+            np.max(m[:, 0] * verts[0] + m[:, 1] * verts[1] + m[:, 2] * verts[2],
+                   axis=1, out=top[c:c + step])
+        return top - base <= _EPS_BACKOFF / 2
 
 
 def _bin_triangles(tris: np.ndarray):
@@ -307,18 +332,23 @@ def visible_point_indices(scene: Scene, apexes, candidate_mask) -> tuple[np.ndar
     apexes: (m, 3) viewpoints; candidate_mask: (m, points) preselects points
     per viewer (normally the camera frustum test).  Each survivor is checked
     front-facing (its normal toward the apex) and for a clear segment from
-    the apex to the point backed off along its normal; the segments of all
-    viewers go through one line_of_sight call.
+    the apex to the point backed off along its normal.  A segment to an
+    exposed point (Scene.exposed) from at least _EPS_BACKOFF above its
+    tangent plane stays that high, so no primitive meets it short of its
+    end plus _EPS_BACKOFF / 2, and it is clear without a cast; the segments
+    of all other pairs go through one line_of_sight call.
     """
     viewer, idx = np.nonzero(np.atleast_2d(candidate_mask))
     apex = _rows(np.asarray(apexes, dtype=float).reshape(-1, 3), viewer)
     point, normal = _rows(scene.point_positions, idx), _rows(scene.point_normals, idx)
-    facing = np.einsum("nk,nk->n", normal, apex - point) > 0.0
-    viewer, idx, apex = viewer[facing], idx[facing], _kept(facing, apex)
-    if len(idx) == 0:
-        return viewer, idx
-    targets = _kept(facing, point) + _kept(facing, normal) * _EPS_BACKOFF
-    clear = line_of_sight(scene, apex, targets)
+    height = np.einsum("nk,nk->n", normal, apex - point)
+    facing = height > 0.0
+    if not facing.any():
+        return viewer[facing], idx[facing]
+    cast = facing & ~(_rows(scene.exposed, idx) & (height >= _EPS_BACKOFF))
+    clear = facing & ~cast
+    clear[cast] = line_of_sight(scene, _kept(cast, apex),
+                                _kept(cast, point) + _kept(cast, normal) * _EPS_BACKOFF)
     return viewer[clear], idx[clear]
 
 

@@ -337,6 +337,14 @@ PROBES = [
     (np.float64(-math.inf), RULES), (np.uint64(2 ** 63), {"unit", "positive integer"}),
     (np.int64(2 ** 63 - 1), {"unit"}), (np.int64(0), {"positive", "positive integer"}),
     (np.int32(1), set()), (np.float64(-1.0), RULES - {"finite"}), (np.float64(0.5), INTEGER),
+    # every float width: each keeps a rule as its float64 value does, where a
+    # float16 or float32 compared with the float64 maximum would cast it to inf
+    *[(width(value), RULES) for width in (np.float16, np.float32, np.float64)
+      for value in (math.inf, -math.inf, math.nan)],
+    *[(np.finfo(width).max, {"unit"} | INTEGER) for width in (np.float16, np.float32, np.float64)],
+    (sys.float_info.max, {"unit"} | INTEGER),
+    (-10 ** 400, RULES),                # past every float's range, on both sides
+    (np.uint64(2 ** 64 - 1), {"unit", "positive integer"}), (np.int32(70000), {"unit"}),
 ]
 
 

@@ -10,8 +10,9 @@ from hypothesis.extra import numpy as hnp
 from test_engine import bench_workload, shipped
 from test_world import assert_same, extreme_floats, vector_stacks
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (FACES, InterestPoint, Scene, SightLines, _norm, _slabs,
-                              line_of_sight, ray_cast_batch, scatter_box_face_points,
+from uavinspect import scene as scene_module
+from uavinspect.scene import (_EPS_BACKOFF, FACES, InterestPoint, Scene, SightLines, _norm,
+                              _slabs, line_of_sight, ray_cast_batch, scatter_box_face_points,
                               scene_occupancy, visible_point_indices)
 from uavinspect.world import BoundingBox, VoxelGrid, _max3, _min3
 
@@ -320,6 +321,157 @@ def test_visible_points_subset_and_deterministic():
     _, b = visible_point_indices(scene, [apex], mask)
     assert a.tolist() == b.tolist()
     assert set(a.tolist()) <= set(np.flatnonzero(mask[0]).tolist())
+
+
+def reference_visible_point_indices(scene, apexes, candidate_mask):
+    """visible_point_indices casting the sight line of every facing pair: the
+    oracle of its exposure cull."""
+    viewer, idx = np.nonzero(np.atleast_2d(candidate_mask))
+    apex = np.asarray(apexes, dtype=float).reshape(-1, 3)[viewer]
+    point, normal = scene.point_positions[idx], scene.point_normals[idx]
+    facing = np.einsum("nk,nk->n", normal, apex - point) > 0.0
+    viewer, idx, apex = viewer[facing], idx[facing], apex[facing]
+    if len(idx) == 0:
+        return viewer, idx
+    clear = line_of_sight(scene, apex, point[facing] + normal[facing] * _EPS_BACKOFF)
+    return viewer[clear], idx[clear]
+
+
+def reference_exposed(scene):
+    """Scene.exposed primitive by primitive: a triangle rises to its highest
+    vertex, a box to its support along the normal."""
+    flags = []
+    for p, n in zip(scene.point_positions, scene.point_normals):
+        rise = [max(float(n @ (v - p)) for v in tri) for tri in scene.triangles]
+        rise += [sum(max(n[k] * box.lo[k], n[k] * box.hi[k]) for k in range(3)) - float(n @ p)
+                 for box in scene.solid_boxes]
+        flags.append(max(rise, default=-math.inf) <= _EPS_BACKOFF / 2)
+    return flags
+
+
+def _tessellated_plane(rng, cells):
+    """Triangles of a tilted square, cells x cells quads of two triangles,
+    each vertex on the plane up to rounding."""
+    sx, sy = rng.uniform(-0.5, 0.5, 2)
+    xy = np.linspace(-10.0, 10.0, cells + 1)
+    tris = []
+    for x0, x1 in zip(xy[:-1], xy[1:]):
+        for y0, y1 in zip(xy[:-1], xy[1:]):
+            a, b, c, d = ((x, y, sx * x + sy * y + 1.0)
+                          for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+            tris += [(a, b, c), (a, c, d)]
+    return np.array(tris)
+
+
+@st.composite
+def visibility_cases(draw):
+    """A box set, a triangle soup, or a tessellated plane of coplanar
+    neighbours with occluders over it; interest points on their surfaces,
+    normals tilted a little and rounded to 6 decimals; and viewers anywhere,
+    inside boxes, or at heights in (0, 2 * _EPS_BACKOFF] above a point's
+    tangent plane, looking along it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["boxes", "soup", "plane"]))
+    lo = np.round(rng.uniform(-8, 6, (draw(st.integers(int(kind == "boxes"), 4)), 3)))
+    hi = lo + np.round(rng.uniform(1, 6, lo.shape))
+    if kind == "plane":
+        tris = _tessellated_plane(rng, draw(st.integers(1, 4)))
+        lo[:, 2] += 12.0                        # boxes and triangles above the plane
+        hi[:, 2] += 12.0
+        tris = np.vstack([tris, rng.uniform(-10, 10, (draw(st.integers(0, 3)), 3, 3))
+                          + (0.0, 0.0, 12.0)])
+    else:
+        tris = rng.uniform(-10, 10, (draw(st.integers(1, 12)) if kind == "soup" else 0, 3, 3))
+    boxes = [BoundingBox(tuple(a), tuple(b)) for a, b in zip(lo, hi)]
+
+    positions, normals = [], []
+    for _ in range(draw(st.integers(1, 16))):
+        if len(tris) and (not boxes or rng.random() < 0.5):
+            v0, v1, v2 = tris[rng.integers(len(tris))]
+            u, v = rng.random(2)
+            if u + v > 1.0:
+                u, v = 1.0 - u, 1.0 - v
+            positions.append(v0 + u * (v1 - v0) + v * (v2 - v0))
+            normals.append(np.cross(v1 - v0, v2 - v0) * rng.choice([-1.0, 1.0]))
+        else:
+            b = rng.integers(len(boxes))
+            k, side = rng.integers(3), rng.integers(2)
+            p = rng.uniform(lo[b], hi[b])
+            p[k] = (lo[b], hi[b])[side][k]
+            positions.append(p)
+            normals.append(np.eye(3)[k] * (2 * side - 1))
+    tilt = draw(st.sampled_from([0.0, 1e-6, 1e-5, 1e-4, 1e-2]))
+    normals = [unit(n) + rng.normal(scale=tilt, size=3) for n in normals]
+    normals = [np.round(unit(n), 6) for n in normals]
+    points = [InterestPoint(i, tuple(p), tuple(n))
+              for i, (p, n) in enumerate(zip(positions, normals))]
+    scene = Scene(solid_boxes=boxes, triangles=tris if len(tris) else None,
+                  interest_points=points)
+
+    apexes = []
+    heights = st.one_of(st.sampled_from([_EPS_BACKOFF, np.nextafter(_EPS_BACKOFF, 0.0),
+                                         _EPS_BACKOFF / 2, 2 * _EPS_BACKOFF]),
+                        st.floats(0.0, 2 * _EPS_BACKOFF, exclude_min=True))
+    for _ in range(draw(st.integers(1, 5))):
+        where = draw(st.sampled_from(["anywhere", "grazing", "inside"]))
+        if where == "grazing":
+            j = rng.integers(scene.num_points)
+            p, n = scene.point_positions[j], scene.point_normals[j]
+            along = rng.normal(size=3)
+            along -= (along @ n) * n
+            apexes.append(p + n * draw(heights) + along * rng.uniform(0, 3))
+        elif where == "inside" and boxes:
+            b = rng.integers(len(boxes))
+            apexes.append(rng.uniform(lo[b], hi[b]))
+        else:
+            apexes.append(rng.uniform(-15, 15, 3))
+    mask = rng.random((len(apexes), scene.num_points)) < draw(st.sampled_from([1.0, 0.5]))
+    return scene, np.array(apexes), mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=visibility_cases())
+def test_exposure_cull_equals_casting_every_pair(case):
+    scene, apexes, mask = case
+    assert scene.exposed.tolist() == reference_exposed(scene)
+    got = visible_point_indices(scene, apexes, mask)
+    expected = reference_visible_point_indices(scene, apexes, mask)
+    assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+
+
+def test_every_mesh_tower_point_is_exposed():
+    # a convex tower: no triangle rises above a point's tangent plane
+    for seed in (1, 7):
+        _, scene = bench_workload("mesh_tower", seed)
+        assert scene.exposed.all()
+
+
+def test_a_point_facing_a_wall_is_not_exposed():
+    # the wall's near face is x = 10; a normal tilted by 1e-5 toward +y lifts
+    # the face's far edge, 50 m away, 5e-4 above the tangent plane
+    pts = [InterestPoint(0, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+           InterestPoint(1, (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+           InterestPoint(2, (10.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+           InterestPoint(3, (10.0, 0.0, 0.0), (-1.0, 0.9e-5, 0.0)),
+           InterestPoint(4, (10.0, 0.0, 0.0), (-1.0, 1.1e-5, 0.0))]
+    scene = Scene(solid_boxes=wall_scene().solid_boxes, interest_points=pts)
+    assert scene.exposed.tolist() == [False, True, True, True, False]
+    assert Scene(interest_points=pts).exposed.all()     # nothing to hide behind
+
+
+def test_exposure_does_not_depend_on_the_chunk(monkeypatch):
+    # mesh_tower's points against the tower lifted 0.5 m: its cap then rises
+    # above the cap's points, and its sides stay in their planes
+    _, tower = bench_workload("mesh_tower", 1)
+    points = [InterestPoint(i, tuple(p), tuple(n)) for i, (p, n)
+              in enumerate(zip(tower.point_positions.tolist(), tower.point_normals.tolist()))]
+    lifted = tower.triangles + (0.0, 0.0, 0.5)
+    expected = reference_exposed(Scene(triangles=lifted, interest_points=points))
+    assert 0 < sum(expected) < len(expected)
+    # 612 vertices: one point a round, two, eight, and all of them in one
+    for chunk in (1, 1300, 5000, 10 ** 9):
+        monkeypatch.setattr(scene_module, "_EXPOSED_CHUNK", chunk)
+        assert Scene(triangles=lifted, interest_points=points).exposed.tolist() == expected
 
 
 def test_zero_normal_rejected():
