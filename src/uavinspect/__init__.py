@@ -5,12 +5,12 @@ __version__ = "0.1.0"
 from .engine import (AgentSpec, MissionConfig, MissionResult, ScoreLedger,
                      inspection_score, intensity_heatmap, run_mission,
                      update_ledger, write_outputs)
-from .scene import InterestPoint, Scene
+from .scene import Scene
 from .world import BoundingBox, OccupancyMap, VoxelGrid
 
 __all__ = [
-    "AgentSpec", "BoundingBox", "InterestPoint", "MissionConfig",
-    "MissionResult", "OccupancyMap", "Scene", "ScoreLedger", "VoxelGrid",
+    "AgentSpec", "BoundingBox", "MissionConfig", "MissionResult",
+    "OccupancyMap", "Scene", "ScoreLedger", "VoxelGrid",
     "inspection_score", "intensity_heatmap", "run_mission", "update_ledger",
     "write_outputs",
 ]

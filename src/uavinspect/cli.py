@@ -18,13 +18,15 @@ import math
 import os
 import sys
 from dataclasses import MISSING
+from itertools import chain, repeat
 
+import numpy as np
 import yaml
 
 from .agents import KINDS, GimbalLimits, TrackingConfig
 from .engine import AgentSpec, MissionConfig, run_mission, write_outputs
 from .errors import INTEGER_RULES, ConfigurationError
-from .scene import FACES, InterestPoint, Scene, scatter_box_face_points
+from .scene import FACES, Scene, scatter_box_face_points
 from .sensors import CameraConfig, LidarConfig
 from .world import BoundingBox
 
@@ -96,9 +98,6 @@ def _triple(item):
     return parse
 
 
-_vec3 = _triple(_number)
-
-
 def _list(item, nonempty: bool = False):
     """A parser for a list, each entry parsed by ``item``; ``nonempty`` rejects []."""
     def parse(value, path: str) -> list:
@@ -107,6 +106,72 @@ def _list(item, nonempty: bool = False):
             raise ConfigurationError(f"{path} must be non-empty")
         return _each(item, node, path)
     return parse
+
+
+# --- numeric blocks: one check per list of numbers, not one call per number ---
+
+_PLAIN = {float, int}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _floats(entries: list) -> list[float] | None:
+    """The entries as a new list of floats, when _number would take every
+    one; None when any is not a plain float or int, or is not finite, and
+    then _number judges them one by one.
+
+    One pass reads the entries' types, one converts the ints, one sum tests
+    finiteness: a NaN or an inf makes the sum NaN or inf, and so does an
+    overflow of finite entries, which the fallback then accepts.
+    """
+    types = set(map(type, entries))
+    if not types <= _PLAIN:
+        return None
+    if int in types:
+        try:
+            entries = list(map(float, entries))
+        except OverflowError:
+            return None
+        # an int just past the largest float converts to it; _number rejects it
+        if entries and not (-_FLOAT_MAX < min(entries) and max(entries) < _FLOAT_MAX):
+            return None
+    else:
+        entries = list(entries)
+    return entries if math.isfinite(sum(entries)) else None
+
+
+def _vectors(node, depth: int = 1) -> list | None:
+    """node, a list of lists of 3 ... nested ``depth`` deep with numbers at
+    the bottom, as a new list of floats of the same nesting, when each level
+    is plain lists of exactly 3 and _floats takes the numbers; else None."""
+    if type(node) is not list:
+        return None
+    flat = node
+    for _ in range(depth):
+        if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {3}):
+            return None
+        flat = list(chain.from_iterable(flat))
+    numbers = _floats(flat)
+    if numbers is None:
+        return None
+    for _ in range(depth):
+        rows = iter(numbers)
+        numbers = list(map(list, zip(rows, rows, rows)))
+    return numbers
+
+
+def _block(fast, slow):
+    """A parser that takes ``fast(value)`` unless it is None, and otherwise
+    parses by ``slow``, entry by entry, whose error names the first bad one.
+    The fast parse must give what ``slow`` gives wherever it is not None."""
+    def parse(value, path: str):
+        out = fast(value)
+        return out if out is not None else slow(value, path)
+    return parse
+
+
+_vec3 = _block(lambda value: _floats(value) if type(value) is list and len(value) == 3 else None,
+               _triple(_number))
+_triangles = _block(lambda value: _vectors(value, depth=2), _list(_triple(_vec3)))
 
 
 def _record(node, spec: dict, path: str) -> dict:
@@ -121,7 +186,8 @@ def _record(node, spec: dict, path: str) -> dict:
         raise ConfigurationError(f"{where}: expected a mapping, got {type(node).__name__}")
     unknown = set(node) - set(spec)
     if unknown:
-        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
+        # by repr, so that keys of mixed types, an int and a str, sort too
+        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown, key=repr)}")
     out = {}
     for key, (parse, default) in spec.items():
         key_path = f"{path}.{key}" if path else key
@@ -164,15 +230,38 @@ _POINT = {"position": (_vec3, MISSING), "normal": (_vec3, MISSING)}
 _SCATTER = {**_BOX, "count": (_count, MISSING), "seed": (_optional(_count), None),
             "faces": (_optional(_list(_one_of(FACES), nonempty=True)), None)}
 _EXPLICIT = _list(_fields({"id": (_optional(_integer), None), **_POINT}))
+_EXPLICIT_KEYS = {"id", *_POINT}
 
 
-def _points(value, path: str) -> list[dict]:
+def _points_block(node) -> list[dict] | None:
+    """The explicit points with every position and every normal checked as
+    one block, when each point is a plain dict of known keys with a plain
+    int id or none; None when any entry is not, for _points_each."""
+    if type(node) is not list or not set(map(type, node)) <= {dict}:
+        return None
+    if not set(chain.from_iterable(node)) <= _EXPLICIT_KEYS:
+        return None
+    ids = list(map(dict.get, node, repeat("id")))
+    if not set(map(type, ids)) <= {int, type(None)}:
+        return None
+    positions = _vectors(list(map(dict.get, node, repeat("position"))))
+    normals = _vectors(list(map(dict.get, node, repeat("normal"))))
+    if positions is None or normals is None:
+        return None
+    return [{"id": i if pid is None else pid, "position": p, "normal": n}
+            for i, (pid, p, n) in enumerate(zip(ids, positions, normals))]
+
+
+def _points_each(value, path: str) -> list[dict]:
     """Explicit interest points; a point without an id takes its list index."""
     points = _EXPLICIT(value, path)
     for i, p in enumerate(points):
         if p["id"] is None:
             p["id"] = i
     return points
+
+
+_points = _block(_points_block, _points_each)
 
 
 # Every key of a scenario file, as key -> (parser, default).
@@ -188,7 +277,7 @@ _SCENARIO = {
     "tracking": (_fields(_section(TrackingConfig)), {}),
     "scene": (_fields({
         "solid_boxes": (_list(_fields(_BOX)), []),
-        "triangles": (_list(_triple(_vec3)), []),
+        "triangles": (_triangles, []),
         "inspection_boxes": (_list(_fields(_BOX), nonempty=True), MISSING),
         "interest_points": (_fields({
             "explicit": (_points, []),
@@ -235,20 +324,27 @@ def scenario_from_dict(canonical: dict) -> tuple[MissionConfig, Scene]:
     solid = [BoundingBox(tuple(b["min"]), tuple(b["max"])) for b in sc["solid_boxes"]]
     inspection = [BoundingBox(tuple(b["min"]), tuple(b["max"]))
                   for b in sc["inspection_boxes"]]
-    points: list[InterestPoint] = [
-        InterestPoint(p["id"], tuple(p["position"]), tuple(p["normal"]))
-        for p in sc["interest_points"]["explicit"]
-    ]
+    explicit = sc["interest_points"]["explicit"]
+    parts = [(np.array([p["id"] for p in explicit], dtype=int),
+              _array(p["position"] for p in explicit),
+              _array(p["normal"] for p in explicit))]
+    count = len(explicit)
     for rule in sc["interest_points"]["scatter"]:
         seed = rule["seed"] if rule["seed"] is not None else m["seed"]
         box = BoundingBox(tuple(rule["min"]), tuple(rule["max"]))
-        points.extend(scatter_box_face_points(box, rule["count"], seed,
-                                              faces=rule["faces"] or FACES,
-                                              id_offset=len(points)))
+        parts.append(scatter_box_face_points(box, rule["count"], seed,
+                                             faces=rule["faces"] or FACES, id_offset=count))
+        count += rule["count"]
     scene = Scene(solid_boxes=solid,
-                  triangles=sc["triangles"] if sc["triangles"] else None,
-                  interest_points=points, inspection_boxes=inspection)
+                  triangles=_array(chain.from_iterable(sc["triangles"])).reshape(-1, 3, 3),
+                  interest_points=[np.concatenate(column) for column in zip(*parts)],
+                  inspection_boxes=inspection)
     return cfg, scene
+
+
+def _array(vectors) -> np.ndarray:
+    """An (n, 3) float array of canonical 3-vectors, read as one flat list."""
+    return np.array(list(chain.from_iterable(vectors)), dtype=float).reshape(-1, 3)
 
 
 def load_scenario_dict(path: str) -> dict:

@@ -36,7 +36,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -379,6 +379,15 @@ class _Mission:
         explorers = [a.kind == EXPLORER for a in cfg.agents]
         routes = mapping_paths(self.volume, self.position[explorers],
                                margin=cfg.voxel_size / 2.0)
+        # every survey goal's cell in one call and one bounds check; a goal
+        # off the grid is named by world_to_voxel
+        survey = np.concatenate(routes)
+        cells = self.grid.cells(survey)
+        if not ((cells >= 0) & (cells < self.grid.dims)).all():
+            for p in survey:
+                world_to_voxel(self.grid, p)
+        goals = iter([Waypoint(tuple(p), None, tuple(c))
+                      for p, c in zip(survey.tolist(), cells.tolist())])
 
         self.velocity = np.zeros((n, 3))
         self.yaw = np.zeros(n)
@@ -414,8 +423,7 @@ class _Mission:
             if spec.kind == EXPLORER:
                 self.explorer_rows.append(aid)
                 self.guards.append(FiringGuard(self.grid, self.truth, self.reach))
-                rt.sigma = [Waypoint(tuple(p.tolist()), None, world_to_voxel(self.grid, p))
-                            for p in routes[e_idx]]
+                rt.sigma = list(islice(goals, len(routes[e_idx])))
                 e_idx += 1
             self.agents.append(rt)
 

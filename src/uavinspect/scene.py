@@ -27,22 +27,16 @@ _EXPOSED_CHUNK = 1 << 16  # (point, vertex) pairs per round of Scene.exposed
 _CORNERS = np.indices((2, 2, 2)).reshape(3, -1).T == 1    # a box's 8 corners: hi where True
 
 
-@dataclass(frozen=True)
-class InterestPoint:
-    """Scored surface point with its outward normal."""
-
-    id: int
-    position: tuple[float, float, float]
-    normal: tuple[float, float, float]
-
-
 class Scene:
     """Static inspection world.
 
     triangles: (t, 3, 3) float array, one row of three vertices per triangle.
     solid_boxes: list of BoundingBox obstacles (the structure geometry).
-    interest point arrays are index-aligned, and the package addresses a point
-    by its row; the ids, unique but in any order, label points in the artifacts.
+    interest_points: (ids, positions, normals) arrays of shapes (n,), (n, 3)
+    and (n, 3), kept as point_ids, point_positions and point_normals, the
+    normals scaled to unit length.  The three are index-aligned, and the
+    package addresses a point by its row; the ids, unique but in any order,
+    label points in the artifacts.
     """
 
     def __init__(self, solid_boxes=None, triangles=None, interest_points=None,
@@ -56,15 +50,16 @@ class Scene:
         self.triangles = tris.reshape(-1, 3, 3)
         self.inspection_boxes: list[BoundingBox] = list(inspection_boxes or [])
 
-        points = list(interest_points or [])
-        self.point_ids = np.array([p.id for p in points], dtype=int)
+        ids, positions, normals = interest_points if interest_points is not None else ((),) * 3
+        self.point_ids = np.array(ids, dtype=int).reshape(-1)
+        n = len(self.point_ids)
+        self.point_positions = _point_rows(positions, n, "position")
+        normals = _point_rows(normals, n, "normal")
         _, first = np.unique(self.point_ids, return_index=True)
-        if len(first) < len(points):
-            repeat = np.setdiff1d(np.arange(len(points)), first)[0]
+        if len(first) < n:
+            repeat = np.setdiff1d(np.arange(n), first)[0]
             raise ConfigurationError(
                 f"interest point ids are not unique: id {self.point_ids[repeat]} repeats")
-        self.point_positions = np.array([p.position for p in points], dtype=float).reshape(-1, 3)
-        normals = np.array([p.normal for p in points], dtype=float).reshape(-1, 3)
         for name, values in (("position", self.point_positions), ("normal", normals)):
             bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
             if len(bad):
@@ -77,13 +72,13 @@ class Scene:
             normals = normals / norms[:, None]
         self.point_normals = normals
 
-        if len(points) and self.inspection_boxes:
+        if n and self.inspection_boxes:
             # closed on both faces: a point on a box's face is inside it
             lo = np.array([b.min_corner for b in self.inspection_boxes], dtype=float)
             hi = np.array([b.max_corner for b in self.inspection_boxes], dtype=float)
             pos = self.point_positions[:, None, :]
             inside = ((lo <= pos) & (pos <= hi)).all(axis=2).any(axis=1)
-            outside = len(points) - np.count_nonzero(inside)
+            outside = n - np.count_nonzero(inside)
             if outside:
                 warnings.warn(
                     f"{outside} interest point(s) lie outside every inspection box",
@@ -132,6 +127,17 @@ class Scene:
             np.max(m[:, 0] * verts[0] + m[:, 1] * verts[1] + m[:, 2] * verts[2],
                    axis=1, out=top[c:c + step])
         return top - base <= _EPS_BACKOFF / 2
+
+
+def _point_rows(values, n: int, name: str) -> np.ndarray:
+    """values as an (n, 3) float array, one row per interest point."""
+    rows = np.array(values, dtype=float)
+    if rows.size == 0 == n:
+        return rows.reshape(0, 3)
+    if rows.shape != (n, 3):
+        raise ConfigurationError(
+            f"interest point {name}s must be of shape ({n}, 3) for {n} ids, got {rows.shape}")
+    return rows
 
 
 def _bin_triangles(tris: np.ndarray):
@@ -430,13 +436,14 @@ FACES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
 
 def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES,
-                            id_offset: int = 0) -> list[InterestPoint]:
+                            id_offset: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniformly scatter interest points over selected outer faces of a box.
 
     Sampling is area-weighted across the selected faces, which must be
     distinct and at least one, and fully determined by the seed.  count and
-    seed are non-negative integers.  Normals point outward.  The points take
-    the ids id_offset, id_offset + 1, ... in order.
+    seed are non-negative integers.  Returns the (ids, positions, normals)
+    arrays that Scene takes: the points take the ids id_offset,
+    id_offset + 1, ... in order, and their normals point outward.
     """
     check_value("scatter count", count, "non-negative integer")
     check_value("scatter seed", seed, "non-negative integer")
@@ -469,5 +476,5 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
     # the two free axes, in ascending order, take the two uniform draws
     for j, other in enumerate(((axis == 0).astype(int), 2 - (axis == 2))):
         p[rows, other] = lo[other] + uv[:, j] * ext[other]
-    return [InterestPoint(id_offset + i, tuple(q), chosen[k][2])
-            for i, (q, k) in enumerate(zip(p.tolist(), picks.tolist()))]
+    normals = np.array([c[2] for c in chosen], dtype=float)[picks]
+    return np.arange(id_offset, id_offset + count), p, normals

@@ -3,17 +3,24 @@ import dataclasses
 import hashlib
 import math
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_mesh import centroid_points, prism_triangles
+from test_world import point_arrays
 from uavinspect import cli
-from uavinspect.agents import GimbalLimits, TrackingConfig
+from uavinspect.agents import KINDS, GimbalLimits, TrackingConfig
 from uavinspect.cli import (load_scenario_dict, main, normalize_scenario,
                             parse_scenario, scenario_from_dict)
 from uavinspect.engine import AgentSpec, MissionConfig
-from uavinspect.errors import ConfigurationError
+from uavinspect.errors import INTEGER_RULES, ConfigurationError
+from uavinspect.scene import FACES, Scene
 from uavinspect.sensors import CameraConfig, LidarConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -32,7 +39,7 @@ MINIMAL = {
 
 def write_yaml(tmp_path, payload, name="s.yaml"):
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(payload))
+    path.write_text(yaml.safe_dump(payload, sort_keys=False))
     return str(path)
 
 
@@ -496,9 +503,11 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     # an int no int64 holds ran the whole mission and raised OverflowError scoring it
     ({**MINIMAL, "mission": {"duration": 30.0, "capture_stride": 2 ** 63}}, [],
      "mission capture_stride must be an integer in [1, 2**63), got 9223372036854775808"),
+    # unknown keys of mixed types failed to sort: a traceback and exit status 1
+    ({**MINIMAL, 1: "x", "foo": "y"}, [], "scenario: unknown key(s) ['foo', 1]"),
 ], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
         "repeated-face", "negative-voxel", "quality-floor-above-1", "zero-horizon",
-        "capture-stride-past-int64"])
+        "capture-stride-past-int64", "unknown-keys-of-mixed-types"])
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -570,3 +579,305 @@ def test_main_rejects_a_negative_seed(tmp_path, capsys, scenario, flags, path):
     # numpy's seeding rejected it mid-build, a traceback with exit status 1
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {path} must be non-negative, got -1" in capsys.readouterr().err
+
+
+# --- the per-entry parse, kept as the oracle of the block parse ------------------
+
+def ref_list(node, path):
+    if not isinstance(node, list):
+        raise ConfigurationError(f"{path}: expected a list, got {type(node).__name__}")
+    return node
+
+
+def ref_number(value, path):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def ref_integer(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def ref_optional(parse):
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def ref_count(value, path):
+    count = ref_integer(value, path)
+    if count < 0:
+        raise ConfigurationError(f"{path} must be non-negative, got {count}")
+    return count
+
+
+def ref_one_of(options):
+    def parse(value, path):
+        if value not in options:
+            raise ConfigurationError(f"{path} must be {' or '.join(options)}")
+        return value
+    return parse
+
+
+def ref_triple(item):
+    def parse(value, path):
+        node = ref_list(value, path)
+        if len(node) != 3:
+            raise ConfigurationError(f"{path}: expected 3 components, got {len(node)}")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return parse
+
+
+def ref_each(item, nonempty=False):
+    def parse(value, path):
+        node = ref_list(value, path)
+        if nonempty and not node:
+            raise ConfigurationError(f"{path} must be non-empty")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return parse
+
+
+def ref_record(spec):
+    def parse(node, path):
+        where = path or "scenario"
+        if not isinstance(node, dict):
+            raise ConfigurationError(f"{where}: expected a mapping, got {type(node).__name__}")
+        unknown = set(node) - set(spec)
+        if unknown:
+            raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown, key=repr)}")
+        out = {}
+        for key, (item, default) in spec.items():
+            key_path = f"{path}.{key}" if path else key
+            value = node.get(key)
+            if value is None:
+                if default is dataclasses.MISSING:
+                    raise ConfigurationError(f"{key_path} is required")
+                value = default
+            out[key] = item(value, key_path)
+        return out
+    return parse
+
+
+def ref_section(cls):
+    spec = {}
+    for f in dataclasses.fields(cls):
+        if "rule" not in f.metadata:
+            continue
+        item = ref_integer if f.metadata["rule"] in INTEGER_RULES else ref_number
+        if f.name in cli._DEGREES:
+            spec[f"{f.name}_deg"] = (item, round(math.degrees(f.default), 9))
+        else:
+            spec[f.name] = (ref_optional(item) if f.default is None else item, f.default)
+    return spec
+
+
+def ref_points(value, path):
+    points = ref_each(ref_record({"id": (ref_optional(ref_integer), None),
+                                  "position": (ref_vec3, REQUIRED),
+                                  "normal": (ref_vec3, REQUIRED)}))(value, path)
+    for i, p in enumerate(points):
+        if p["id"] is None:
+            p["id"] = i
+    return points
+
+
+REQUIRED = dataclasses.MISSING
+ref_vec3 = ref_triple(ref_number)
+REF_BOX = {"min": (ref_vec3, REQUIRED), "max": (ref_vec3, REQUIRED)}
+REF_SCENARIO = ref_record({
+    "mission": (ref_record({**ref_section(MissionConfig), "seed": (ref_count, 0)}), {}),
+    "agents": (ref_each(ref_record({"kind": (ref_one_of(KINDS), REQUIRED),
+                                    "start": (ref_vec3, REQUIRED),
+                                    **ref_section(AgentSpec)}), nonempty=True), REQUIRED),
+    "camera": (ref_record(ref_section(CameraConfig)), {}),
+    "lidar": (ref_record(ref_section(LidarConfig)), {}),
+    "gimbal": (ref_record(ref_section(GimbalLimits)), {}),
+    "tracking": (ref_record(ref_section(TrackingConfig)), {}),
+    "scene": (ref_record({
+        "solid_boxes": (ref_each(ref_record(REF_BOX)), []),
+        "triangles": (ref_each(ref_triple(ref_vec3)), []),
+        "inspection_boxes": (ref_each(ref_record(REF_BOX), nonempty=True), REQUIRED),
+        "interest_points": (ref_record({
+            "explicit": (ref_points, []),
+            "scatter": (ref_each(ref_record({
+                **REF_BOX, "count": (ref_count, REQUIRED),
+                "seed": (ref_optional(ref_count), None),
+                "faces": (ref_optional(ref_each(ref_one_of(FACES), nonempty=True)), None)})),
+                []),
+        }), {}),
+    }), {}),
+})
+
+
+def reference_normalize(raw):
+    """normalize_scenario as it parsed every number on its own."""
+    return REF_SCENARIO(raw, "")
+
+
+def outcome(normalize, raw):
+    """(canonical dict, None), or (None, the ConfigurationError's message)."""
+    try:
+        return normalize(copy.deepcopy(raw)), None
+    except ConfigurationError as exc:
+        return None, str(exc)
+
+
+# every kind of numeric block, with ints among the floats
+BLOCKS = {
+    **FULL,
+    "agents": [{"kind": "explorer", "start": [3, 3.0, 3.0]},
+               {"kind": "photographer", "start": [3.0, 12.0, 3]}],
+    "scene": {
+        **FULL["scene"],
+        "triangles": [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                      [[2, 0.0, 0.0], [3.0, 0.0, 0.0], [2.0, 1.0, 0.0]],
+                      [[4.0, 0.0, 0.0], [5.0, 0.0, 0.0], [4.0, 1.0, 0.5]]],
+        "interest_points": {
+            **FULL["scene"]["interest_points"],
+            "explicit": [{"id": 5, "position": [12.0, 15.0, 15.0], "normal": [-1.0, 0.0, 0.0]},
+                         {"position": [18.0, 15, 15.0], "normal": [1.0, 0.0, 0.0]},
+                         {"id": None, "position": [15.0, 12.0, 15.0], "normal": [0, -1, 0]}],
+        },
+    },
+}
+DELETE = object()       # a salt that removes its key
+SALTS = [True, False, None, "1.0", math.nan, math.inf, -math.inf, 10 ** 400,
+         2 ** 1024 - 2 ** 971, 2 ** 1024 - 2 ** 971 + 1, -(2 ** 1024 - 2 ** 971 + 1),
+         sys.float_info.max, 2 ** 53 + 1, 7, -0.0, np.float64(2.5), np.float64(math.nan),
+         np.int64(3), [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [], (1.0, 2.0, 3.0), {"x": 1.0},
+         [[1.0, 2.0, 3.0]] * 3, DELETE]
+
+
+def block_slots(node, path=()):
+    """The paths of every entry under node, node's own first."""
+    yield path
+    entries = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in entries:
+        if isinstance(value, (dict, list)):
+            yield from block_slots(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+SLOTS = [(*root, *rest)
+         for root in (("agents",), ("scene", "solid_boxes"), ("scene", "inspection_boxes"),
+                      ("scene", "triangles"), ("scene", "interest_points", "explicit"))
+         for rest in block_slots(at(BLOCKS, root))]
+SLOTS += [("scene", "interest_points", "explicit", 1, "bogus")]
+
+
+@st.composite
+def salted_scenarios(draw):
+    """BLOCKS with a few entries of its numeric blocks replaced by a salt."""
+    raw = copy.deepcopy(BLOCKS)
+    for _ in range(draw(st.integers(0, 3))):
+        *where, key = draw(st.sampled_from(SLOTS))
+        try:
+            parent = at(raw, where)
+        except (KeyError, IndexError, TypeError):
+            continue                # an earlier salt replaced a node on the way
+        if not (isinstance(parent, dict)
+                or isinstance(parent, list) and isinstance(key, int) and key < len(parent)):
+            continue
+        salt = draw(st.sampled_from(SALTS))
+        if salt is not DELETE:
+            parent[key] = copy.deepcopy(salt)
+        elif isinstance(parent, dict):
+            parent.pop(key, None)
+        else:
+            del parent[key]
+    return raw
+
+
+def dumped(canonical):
+    return yaml.safe_dump(canonical, sort_keys=False)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(raw=salted_scenarios())
+def test_block_parse_equals_the_per_entry_parse(raw):
+    got, error = outcome(normalize_scenario, raw)
+    expected, expected_error = outcome(reference_normalize, raw)
+    assert error == expected_error
+    if expected is not None:
+        assert got == expected
+        assert dumped(got) == dumped(expected)      # ints apart from floats, -0.0 from 0.0
+        again = normalize_scenario(yaml.safe_load(dumped(got)))
+        assert again == got and dumped(again) == dumped(got)
+
+
+@pytest.mark.parametrize("where, salt, message", [
+    (("scene", "triangles", 1, 2, 0), True,
+     "scene.triangles[1][2][0]: expected a finite number, got True"),
+    (("scene", "triangles", 2, 1), [1.0, 2.0],
+     "scene.triangles[2][1]: expected 3 components, got 2"),
+    (("agents", 1, "start", 2), 2 ** 1024 - 2 ** 971 + 1,
+     f"agents[1].start[2]: expected a finite number, got {2 ** 1024 - 2 ** 971 + 1}"),
+    (("scene", "interest_points", "explicit", 2, "normal", 0), np.float64(math.nan),
+     "scene.interest_points.explicit[2].normal[0]: expected a finite number, got "
+     f"{np.float64(math.nan)!r}"),
+    (("scene", "interest_points", "explicit", 1, "id"), np.int64(3),
+     f"scene.interest_points.explicit[1].id: expected an integer, got {np.int64(3)!r}"),
+    (("scene", "interest_points", "explicit", 1, "bogus"), 1.0,
+     "scene.interest_points.explicit[1]: unknown key(s) ['bogus']"),
+    (("scene", "solid_boxes", 0, "max"), (1.0, 2.0, 3.0),
+     "scene.solid_boxes[0].max: expected a list, got tuple"),
+], ids=["bool", "short-vertex", "int-past-the-largest-float", "numpy-nan", "numpy-int-id",
+        "unknown-point-key", "tuple"])
+def test_a_failed_block_names_its_first_bad_entry(where, salt, message):
+    raw = copy.deepcopy(BLOCKS)
+    *parent, key = where
+    at(raw, parent)[key] = salt
+    assert outcome(normalize_scenario, raw) == (None, message)
+
+
+# --- set-up at scale ----------------------------------------------------------------
+
+def large_mesh_scenario(seed=0):
+    """mesh_tower's mission around a finer tower: 96 sides of 64 rings and a
+    fan cap, 12,384 triangles, with 2,000 explicit points at the centroids of
+    triangles drawn by the seed."""
+    tris = prism_triangles((24.0, 24.0), 8.0, 24.0, sides=96, rings=64)
+    picks = np.sort(np.random.default_rng(seed).choice(len(tris), 2000, replace=False))
+    _, positions, normals = centroid_points(tris[picks])
+    return {
+        "mission": {"duration": 50.0, "tick": 0.1, "voxel_size": 6.0, "horizon": 3,
+                    "waypoint_standoff": 12.0, "seed": seed},
+        "agents": [{"kind": "explorer", "start": [9.0, 21.0, 21.0]},
+                   {"kind": "photographer", "start": [9.0, 9.0, 9.0]},
+                   {"kind": "photographer", "start": [39.0, 39.0, 9.0]}],
+        "camera": {"exposure": 0.01, "range": 40.0},
+        "lidar": {"beams": 8, "azimuth_steps": 30},
+        "scene": {
+            "triangles": tris.tolist(),
+            "inspection_boxes": [{"min": [6.0, 6.0, 0.0], "max": [42.0, 42.0, 36.0]}],
+            "interest_points": {"explicit": [
+                {"id": int(i), "position": p, "normal": n}
+                for i, p, n in zip(picks, positions.tolist(), normals.tolist())]},
+        },
+    }
+
+
+def test_a_12384_triangle_scene_sets_up_as_the_per_entry_path_does():
+    raw = large_mesh_scenario()
+    assert len(raw["scene"]["triangles"]) == 12384
+    canonical = normalize_scenario(raw)
+    assert normalize_scenario(canonical) == canonical
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = yaml.dump(canonical, Dumper=dumper)
+    assert normalize_scenario(yaml.load(text, Loader=loader)) == canonical
+    reference = reference_normalize(raw)
+    assert canonical == reference
+
+    _, scene = scenario_from_dict(canonical)
+    explicit = reference["scene"]["interest_points"]["explicit"]
+    expected = Scene(triangles=reference["scene"]["triangles"],
+                     interest_points=point_arrays(
+                         [(p["id"], p["position"], p["normal"]) for p in explicit]))
+    assert scene.num_points == 2000
+    for name in ("triangles", "point_ids", "point_positions", "point_normals"):
+        got, want = getattr(scene, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name

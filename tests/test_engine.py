@@ -12,6 +12,7 @@ import pytest
 from test_agents import (AgentState, GimbalState, reference_point_gimbal,
                          reference_step_dynamics, reference_track_segment)
 from test_mesh import prism_mission
+from test_world import point_arrays
 from uavinspect import cli, engine, sensors
 from uavinspect.agents import GimbalLimits, TrackingConfig
 from uavinspect.comms import agent_pairs
@@ -20,7 +21,7 @@ from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                update_ledger, write_outputs)
 from uavinspect.errors import ConfigurationError, OutOfBoundsError
 from uavinspect.planning import generate_waypoints
-from uavinspect.scene import (InterestPoint, Scene, line_of_sight, scatter_box_face_points,
+from uavinspect.scene import (Scene, line_of_sight, scatter_box_face_points,
                               scene_occupancy)
 from uavinspect.sensors import CameraConfig, LidarConfig, Observations
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, OccupancyMap, VoxelGrid,
@@ -144,8 +145,8 @@ def test_logs_name_points_by_id_when_ids_are_not_rows():
     # the shipped missions number their points 0..n-1, where a row logged in
     # place of its id goes unseen
     scene = small_scene(num_points=10, seed=1)
-    relabelled = [InterestPoint(1000 - 7 * i, p, n) for i, (p, n) in
-                  enumerate(zip(scene.point_positions.tolist(), scene.point_normals.tolist()))]
+    relabelled = (1000 - 7 * np.arange(scene.num_points), scene.point_positions,
+                  scene.point_normals)
     scene = Scene(solid_boxes=scene.solid_boxes, interest_points=relabelled,
                   inspection_boxes=scene.inspection_boxes)
     res = run_mission(small_config(duration=10.0,
@@ -194,8 +195,8 @@ def test_ledger_fold_equals_sequential_reference():
 
 
 def test_heatmap_counts_and_unobserved_points():
-    scene = Scene(interest_points=[InterestPoint(0, (0, 0, 0), (1, 0, 0)),
-                                   InterestPoint(1, (1, 0, 0), (1, 0, 0))])
+    scene = Scene(interest_points=point_arrays([(0, (0, 0, 0), (1, 0, 0)),
+                                                (1, (1, 0, 0), (1, 0, 0))]))
     led = ScoreLedger([0, 1], quality_floor=0.1)
     update_ledger(led, frame(obs(0, 0.5), obs(0, 0.7), obs(0, 0.05)))
     rows = intensity_heatmap(led, scene)

@@ -9,7 +9,7 @@ import pytest
 
 from uavinspect.engine import AgentSpec, MissionConfig, run_mission
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import InterestPoint, Scene, ray_cast_batch, scene_occupancy
+from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, _base_directions
 from uavinspect.world import BoundingBox, VoxelGrid
 
@@ -41,8 +41,7 @@ def centroid_points(tris):
     """One interest point at each triangle's centroid, normal outward."""
     cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     normals = cross / np.linalg.norm(cross, axis=1)[:, None]
-    return [InterestPoint(i, tuple(c.tolist()), tuple(n.tolist()))
-            for i, (c, n) in enumerate(zip(tris.mean(axis=1), normals))]
+    return np.arange(len(tris)), tris.mean(axis=1), normals
 
 
 # --- raycaster against the all-pairs reference -----------------------------------

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from test_engine import bench_workload, shipped
-from test_world import assert_same, extreme_floats, vector_stacks
+from test_world import assert_same, extreme_floats, point_arrays, vector_stacks
 from uavinspect.errors import ConfigurationError
 from uavinspect import scene as scene_module
-from uavinspect.scene import (_EPS_BACKOFF, FACES, InterestPoint, Scene, SightLines, _norm,
+from uavinspect.scene import (_EPS_BACKOFF, FACES, Scene, SightLines, _norm,
                               _slabs, line_of_sight, ray_cast_batch, scatter_box_face_points,
                               scene_occupancy, visible_point_indices)
 from uavinspect.world import BoundingBox, VoxelGrid, _max3, _min3
@@ -278,15 +278,14 @@ def within_range(scene, apex, limit):
 
 
 def test_point_directly_ahead_is_visible():
-    pts = [InterestPoint(0, (5.0, 0.0, 0.0), (-1.0, 0.0, 0.0))]
-    scene = Scene(interest_points=pts)
+    scene = Scene(interest_points=point_arrays([(0, (5.0, 0.0, 0.0), (-1.0, 0.0, 0.0))]))
     viewer, idx = visible_point_indices(scene, [(0, 0, 0)], within_range(scene, (0, 0, 0), 50))
     assert viewer.tolist() == [0]
     assert scene.point_ids[idx].tolist() == [0]
 
 
 def test_point_behind_wall_is_hidden():
-    pts = [InterestPoint(0, (20.0, 0.0, 0.0), (-1.0, 0.0, 0.0))]
+    pts = point_arrays([(0, (20.0, 0.0, 0.0), (-1.0, 0.0, 0.0))])
     scene = Scene(solid_boxes=[BoundingBox((10, -50, -50), (11, 50, 50))],
                   interest_points=pts)
     _, idx = visible_point_indices(scene, [(0, 0, 0)], within_range(scene, (0, 0, 0), 50))
@@ -296,14 +295,14 @@ def test_point_behind_wall_is_hidden():
 def test_cube_far_side_points_are_hidden():
     # points centered on each face of a cube; only the -x face looks at the camera
     cube = BoundingBox((10, -5, -5), (20, 5, 5))
-    faces = [
-        InterestPoint(0, (10.0, 0.0, 0.0), (-1, 0, 0)),
-        InterestPoint(1, (20.0, 0.0, 0.0), (1, 0, 0)),
-        InterestPoint(2, (15.0, -5.0, 0.0), (0, -1, 0)),
-        InterestPoint(3, (15.0, 5.0, 0.0), (0, 1, 0)),
-        InterestPoint(4, (15.0, 0.0, -5.0), (0, 0, -1)),
-        InterestPoint(5, (15.0, 0.0, 5.0), (0, 0, 1)),
-    ]
+    faces = point_arrays([
+        (0, (10.0, 0.0, 0.0), (-1, 0, 0)),
+        (1, (20.0, 0.0, 0.0), (1, 0, 0)),
+        (2, (15.0, -5.0, 0.0), (0, -1, 0)),
+        (3, (15.0, 5.0, 0.0), (0, 1, 0)),
+        (4, (15.0, 0.0, -5.0), (0, 0, -1)),
+        (5, (15.0, 0.0, 5.0), (0, 0, 1)),
+    ])
     scene = Scene(solid_boxes=[cube], interest_points=faces)
     _, idx = visible_point_indices(scene, [(0, 0, 0)], within_range(scene, (0, 0, 0), 100))
     assert scene.point_ids[idx].tolist() == [0]
@@ -311,10 +310,9 @@ def test_cube_far_side_points_are_hidden():
 
 def test_visible_points_subset_and_deterministic():
     rng = np.random.default_rng(29)
-    pts = [InterestPoint(i, tuple(rng.uniform(-10, 10, 3)), tuple(unit(rng.normal(size=3))))
-           for i in range(40)]
+    pts = [(i, rng.uniform(-10, 10, 3), unit(rng.normal(size=3))) for i in range(40)]
     scene = Scene(solid_boxes=[BoundingBox((-3, -3, -3), (3, 3, 3))],
-                  interest_points=pts)
+                  interest_points=point_arrays(pts))
     apex = (8.0, 8.0, 8.0)
     mask = within_range(scene, apex, 15)
     _, a = visible_point_indices(scene, [apex], mask)
@@ -403,8 +401,7 @@ def visibility_cases(draw):
     tilt = draw(st.sampled_from([0.0, 1e-6, 1e-5, 1e-4, 1e-2]))
     normals = [unit(n) + rng.normal(scale=tilt, size=3) for n in normals]
     normals = [np.round(unit(n), 6) for n in normals]
-    points = [InterestPoint(i, tuple(p), tuple(n))
-              for i, (p, n) in enumerate(zip(positions, normals))]
+    points = (np.arange(len(positions)), positions, normals)
     scene = Scene(solid_boxes=boxes, triangles=tris if len(tris) else None,
                   interest_points=points)
 
@@ -449,11 +446,11 @@ def test_every_mesh_tower_point_is_exposed():
 def test_a_point_facing_a_wall_is_not_exposed():
     # the wall's near face is x = 10; a normal tilted by 1e-5 toward +y lifts
     # the face's far edge, 50 m away, 5e-4 above the tangent plane
-    pts = [InterestPoint(0, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
-           InterestPoint(1, (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
-           InterestPoint(2, (10.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
-           InterestPoint(3, (10.0, 0.0, 0.0), (-1.0, 0.9e-5, 0.0)),
-           InterestPoint(4, (10.0, 0.0, 0.0), (-1.0, 1.1e-5, 0.0))]
+    pts = point_arrays([(0, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                        (1, (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+                        (2, (10.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+                        (3, (10.0, 0.0, 0.0), (-1.0, 0.9e-5, 0.0)),
+                        (4, (10.0, 0.0, 0.0), (-1.0, 1.1e-5, 0.0))])
     scene = Scene(solid_boxes=wall_scene().solid_boxes, interest_points=pts)
     assert scene.exposed.tolist() == [False, True, True, True, False]
     assert Scene(interest_points=pts).exposed.all()     # nothing to hide behind
@@ -463,8 +460,7 @@ def test_exposure_does_not_depend_on_the_chunk(monkeypatch):
     # mesh_tower's points against the tower lifted 0.5 m: its cap then rises
     # above the cap's points, and its sides stay in their planes
     _, tower = bench_workload("mesh_tower", 1)
-    points = [InterestPoint(i, tuple(p), tuple(n)) for i, (p, n)
-              in enumerate(zip(tower.point_positions.tolist(), tower.point_normals.tolist()))]
+    points = (tower.point_ids, tower.point_positions, tower.point_normals)
     lifted = tower.triangles + (0.0, 0.0, 0.5)
     expected = reference_exposed(Scene(triangles=lifted, interest_points=points))
     assert 0 < sum(expected) < len(expected)
@@ -476,17 +472,28 @@ def test_exposure_does_not_depend_on_the_chunk(monkeypatch):
 
 def test_zero_normal_rejected():
     with pytest.raises(ConfigurationError):
-        Scene(interest_points=[InterestPoint(0, (0, 0, 0), (0, 0, 0))])
+        Scene(interest_points=point_arrays([(0, (0, 0, 0), (0, 0, 0))]))
 
 
 def test_scene_rejects_duplicate_ids():
     def points(*ids):
-        return [InterestPoint(i, (float(j), 0, 0), (1, 0, 0)) for j, i in enumerate(ids)]
+        return point_arrays([(i, (float(j), 0, 0), (1, 0, 0)) for j, i in enumerate(ids)])
     for ids, repeat in (((0, 1, 1), 1), ((5, 3, 5), 5), ((4, 9, 2, 9, 4), 9)):
         with pytest.raises(ConfigurationError,
                            match=f"interest point ids are not unique: id {repeat} repeats$"):
             Scene(interest_points=points(*ids))
     assert Scene(interest_points=points(7, 3, 5)).point_ids.tolist() == [7, 3, 5]
+
+
+@pytest.mark.parametrize("ids, positions, normals, message", [
+    ([0, 1], [(0, 0, 0)], [(1, 0, 0)] * 2, r"positions must be of shape \(2, 3\) for 2 ids"),
+    ([0], [(0, 0, 0)], [(1, 0, 0)] * 2, r"normals must be of shape \(1, 3\) for 1 ids"),
+    ([0, 1, 2, 3], np.zeros((6, 2)), np.ones((4, 3)), r"got \(6, 2\)"),
+    ([], [(0, 0, 0)], [], r"positions must be of shape \(0, 3\) for 0 ids"),
+], ids=["short-positions", "long-normals", "same-size-other-shape", "points-without-ids"])
+def test_scene_rejects_point_arrays_that_disagree(ids, positions, normals, message):
+    with pytest.raises(ConfigurationError, match=message):
+        Scene(interest_points=(ids, positions, normals))
 
 
 @pytest.mark.parametrize("position, normal, message", [
@@ -497,7 +504,7 @@ def test_scene_rejects_duplicate_ids():
 ], ids=["nan-position", "inf-position", "nan-normal", "inf-normal"])
 def test_scene_rejects_non_finite_points(position, normal, message):
     # a NaN normal came out as [nan, nan, nan], an inf one as [nan, 0, 0]
-    points = [InterestPoint(3, (1.0, 0.0, 0.0), (1, 0, 0)), InterestPoint(7, position, normal)]
+    points = point_arrays([(3, (1.0, 0.0, 0.0), (1, 0, 0)), (7, position, normal)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError, match=message):
@@ -513,7 +520,7 @@ def test_bounding_box_rejects_non_finite_corners(lo, hi):
 
 
 def test_points_outside_inspection_boxes_warn():
-    pts = [InterestPoint(0, (100.0, 0.0, 0.0), (1, 0, 0))]
+    pts = point_arrays([(0, (100.0, 0.0, 0.0), (1, 0, 0))])
     with pytest.warns(UserWarning):
         Scene(interest_points=pts,
               inspection_boxes=[BoundingBox((0, 0, 0), (1, 1, 1))])
@@ -555,11 +562,11 @@ def test_scatter_is_deterministic_and_on_surface():
     box = BoundingBox((0, 0, 0), (10, 10, 10))
     a = scatter_box_face_points(box, 50, seed=42)
     b = scatter_box_face_points(box, 50, seed=42)
-    assert a == b
-    assert len(a) == 50
-    for p in a:
-        pos = np.asarray(p.position)
-        n = np.asarray(p.normal)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    ids, positions, normals = a
+    assert ids.tolist() == list(range(50))
+    assert positions.shape == normals.shape == (50, 3)
+    for pos, n in zip(positions, normals):
         axis = int(np.argmax(np.abs(n)))
         coord = 10.0 if n[axis] > 0 else 0.0
         assert pos[axis] == pytest.approx(coord)
@@ -600,17 +607,16 @@ def scatter_reference(box, count, seed, faces=FACES, id_offset=0):
         p[axis] = coord
         p[other[0]] = lo[other[0]] + uv[i, 0] * ext[other[0]]
         p[other[1]] = lo[other[1]] + uv[i, 1] * ext[other[1]]
-        points.append(InterestPoint(id_offset + i, tuple(p.tolist()), normal))
-    return points
+        points.append((id_offset + i, tuple(p.tolist()), normal))
+    return point_arrays(points)
 
 
-def outside_reference(points, boxes) -> int:
+def outside_reference(positions, boxes) -> int:
     """Points outside every box, each tested against each box on its own;
     a box is closed on both faces."""
     def inside(p, box):
-        p = np.asarray(p, dtype=float)
         return bool(np.all(p >= box.lo) and np.all(p <= box.hi))
-    return sum(not any(inside(p.position, b) for b in boxes) for p in points)
+    return sum(not any(inside(p, b) for b in boxes) for p in positions)
 
 
 @st.composite
@@ -633,7 +639,7 @@ def scatter_scenes(draw):
         # per axis: a face plane, the middle, or just outside
         p = tuple(draw(st.sampled_from([lo, hi, (lo + hi) / 2, lo - 0.5, hi + 0.5]))
                   for lo, hi in zip(b.min_corner, b.max_corner))
-        explicit.append(InterestPoint(i, p, (0.0, 0.0, 1.0)))
+        explicit.append((i, p, (0.0, 0.0, 1.0)))
     return (boxes, scattered, draw(st.integers(0, 60)), draw(st.integers(0, 2**32 - 1)),
             faces, explicit)
 
@@ -644,14 +650,16 @@ def test_array_scatter_and_box_test_equal_the_per_point_loops(case):
     boxes, scattered, count, seed, faces, explicit = case
     got = scatter_box_face_points(scattered, count, seed, faces=faces, id_offset=len(explicit))
     expected = scatter_reference(scattered, count, seed, faces=faces, id_offset=len(explicit))
-    assert got == expected
-    assert repr(got) == repr(expected)              # -0.0 and 0.0 apart, every digit
-    points = explicit + got
+    for a, b in zip(got, expected):                 # ids, positions, normals
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert (a == b).all()
+        assert repr(a.tolist()) == repr(b.tolist())  # -0.0 and 0.0 apart, every digit
+    points = [np.concatenate(column) for column in zip(point_arrays(explicit), got)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         Scene(interest_points=points, inspection_boxes=boxes)
     counts = [int(str(w.message).split()[0]) for w in caught]
-    outside = outside_reference(points, boxes)
+    outside = outside_reference(points[1], boxes)
     assert counts == ([outside] if outside else [])
     assert all("outside every inspection box" in str(w.message) for w in caught)
 
@@ -674,16 +682,16 @@ def test_scatter_rejects_a_bad_argument_by_name(kwargs, message):
 
 def test_scatter_takes_numpy_integers():
     box = BoundingBox((0, 0, 0), (4, 4, 4))
-    assert (scatter_box_face_points(box, np.int64(5), np.uint8(1))
-            == scatter_box_face_points(box, 5, 1))
+    for a, b in zip(scatter_box_face_points(box, np.int64(5), np.uint8(1)),
+                    scatter_box_face_points(box, 5, 1)):
+        assert np.array_equal(a, b)
 
 
 def test_scatter_respects_face_selection():
     box = BoundingBox((0, 0, 0), (4, 4, 4))
-    pts = scatter_box_face_points(box, 30, seed=1, faces=("z+",))
-    for p in pts:
-        assert p.position[2] == pytest.approx(4.0)
-        assert p.normal == (0.0, 0.0, 1.0)
+    _, positions, normals = scatter_box_face_points(box, 30, seed=1, faces=("z+",))
+    assert positions[:, 2].tolist() == [4.0] * 30
+    assert normals.tolist() == [[0.0, 0.0, 1.0]] * 30
 
 
 # --- vector lengths and tiny direction components ------------------------------

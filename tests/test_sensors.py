@@ -7,9 +7,9 @@ from hypothesis import given, settings
 
 from test_agents import AgentState, GimbalState
 from test_scene import awkward_segments
-from test_world import assert_same, vector_stacks
+from test_world import assert_same, point_arrays, vector_stacks
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import (_EPS_LOS, InterestPoint, Scene, line_of_sight, ray_cast_batch,
+from uavinspect.scene import (_EPS_LOS, Scene, line_of_sight, ray_cast_batch,
                               scatter_box_face_points, visible_point_indices)
 from uavinspect.sensors import (CameraConfig, LidarConfig, _blur_batch, _fov_mask,
                                 _resolution_batch, camera_axis, camera_basis, camera_pose,
@@ -194,7 +194,7 @@ def test_resolution_non_increasing_in_depth():
 # --- observe ----------------------------------------------------------------------------
 
 def on_axis_scene(distance, normal=(-1.0, 0.0, 0.0)):
-    return Scene(interest_points=[InterestPoint(0, (distance, 0.0, 0.0), normal)])
+    return Scene(interest_points=point_arrays([(0, (distance, 0.0, 0.0), normal)]))
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ def test_lateral_motion_composes_blur_and_resolution():
 
 def test_point_outside_fov_absent():
     c = cam()
-    scene = Scene(interest_points=[InterestPoint(0, (0.0, 50.0, 0.0), (0.0, -1.0, 0.0))])
+    scene = Scene(interest_points=point_arrays([(0, (0.0, 50.0, 0.0), (0.0, -1.0, 0.0))]))
     assert observe_one(agent(), GimbalState(), scene, c) == []
 
 
@@ -281,7 +281,7 @@ def test_occluded_point_absent():
     c = cam()
     scene = Scene(
         solid_boxes=[BoundingBox((5, -2, -2), (6, 2, 2))],
-        interest_points=[InterestPoint(0, (20.0, 0.0, 0.0), (-1.0, 0.0, 0.0))],
+        interest_points=point_arrays([(0, (20.0, 0.0, 0.0), (-1.0, 0.0, 0.0))]),
     )
     assert observe_one(agent(), GimbalState(), scene, c) == []
 
@@ -292,9 +292,9 @@ def test_observe_subset_of_points_and_deterministic():
     for i in range(60):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        pts.append(InterestPoint(i, tuple(rng.uniform(-30, 30, 3)), tuple(n)))
+        pts.append((i, rng.uniform(-30, 30, 3), n))
     scene = Scene(solid_boxes=[BoundingBox((8, -4, -4), (12, 4, 4))],
-                  interest_points=pts)
+                  interest_points=point_arrays(pts))
     a = agent(vel=(0.4, -0.2, 0.1), yaw=0.3)
     g = GimbalState(inclination=-0.2, azimuth=0.4)
     o1 = observe_one(a, g, scene, cam())
@@ -316,9 +316,9 @@ def test_observe_agrees_with_public_fov_predicate():
     for i in range(50):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        pts.append(InterestPoint(i, tuple(rng.uniform(-25, 25, 3)), tuple(n)))
+        pts.append((i, rng.uniform(-25, 25, 3), n))
     scene = Scene(solid_boxes=[BoundingBox((6, -5, -5), (10, 5, 5))],
-                  interest_points=pts)
+                  interest_points=point_arrays(pts))
     a = agent(pos=(-2.0, 1.0, 0.5), vel=(0.8, -0.3, 0.2), yaw=0.25)
     g = GimbalState(inclination=-0.3, azimuth=0.2)
     c = cam()
@@ -347,14 +347,13 @@ def fleet_scene(rng):
     """Boxes, a triangle wedge, points on the box faces and loose points."""
     boxes = [BoundingBox((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)),
              BoundingBox((9.0, -2.0, -6.0), (11.0, 6.0, 2.0))]
-    pts = scatter_box_face_points(boxes[0], 120, seed=int(rng.integers(1000)))
+    pts = list(zip(*scatter_box_face_points(boxes[0], 120, seed=int(rng.integers(1000)))))
     for i in range(60):
         n = rng.normal(size=3)
-        pts.append(InterestPoint(200 + i, tuple(rng.uniform(-15, 15, 3)),
-                                 tuple(n / np.linalg.norm(n))))
+        pts.append((200 + i, rng.uniform(-15, 15, 3), n / np.linalg.norm(n)))
     wedge = np.array([[(-12.0, -8.0, -3.0), (-12.0, 8.0, -3.0), (-6.0, 0.0, 6.0)],
                       [(-12.0, 8.0, -3.0), (-12.0, -8.0, -3.0), (-14.0, 0.0, 5.0)]])
-    return Scene(solid_boxes=boxes, triangles=wedge, interest_points=pts)
+    return Scene(solid_boxes=boxes, triangles=wedge, interest_points=point_arrays(pts))
 
 
 @pytest.mark.parametrize("n_agents", [1, 3, 6])

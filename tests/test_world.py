@@ -33,6 +33,14 @@ def ray_dirs(origin, hits):
     return np.divide(rel, lengths, out=np.zeros_like(rel), where=lengths > 1e-12)
 
 
+def point_arrays(points):
+    """The (ids, positions, normals) arrays that Scene takes, of a list of
+    (id, position, normal) triples."""
+    ids, positions, normals = zip(*points) if points else ((), (), ())
+    return (np.array(ids, dtype=int), np.array(positions, dtype=float).reshape(-1, 3),
+            np.array(normals, dtype=float).reshape(-1, 3))
+
+
 def make_map(dims, voxel=6.0, origin=(0.0, 0.0, 0.0)):
     grid = VoxelGrid(origin, dims, voxel)
     return OccupancyMap(grid)
