@@ -316,8 +316,8 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     ends), ride in the same cast.
 
     A firing on a map that holds no cell it can change is skipped whole;
-    otherwise only the rays whose box holds such a cell are cast (see
-    FiringGuard).  The rays of every firing and the sight lines go through
+    otherwise only the rays that can reach such a cell are cast (see
+    FiringGuard.can_change).  The rays of every firing and the sight lines go through
     one sweep, and its hits and misses through one map update that takes
     each firing's guard field.  A lone firing updates its row in place;
     two or more update their rows gathered and written back.  A firing

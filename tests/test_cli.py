@@ -881,3 +881,17 @@ def test_a_12384_triangle_scene_sets_up_as_the_per_entry_path_does():
     for name in ("triangles", "point_ids", "point_positions", "point_normals"):
         got, want = getattr(scene, name), getattr(expected, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_libyaml_and_the_pure_python_loader_read_the_same_scenarios():
+    # load_scenario_dict reads with libyaml's CSafeLoader where PyYAML has it;
+    # the pure-Python loader takes 5-10 s on a 2-vCPU VM for the 2.8 MB of
+    # YAML of the 12,384-triangle scene
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    for name in ("desk_box.yaml", "twin_pillars.yaml", "open_field.yaml"):
+        text = (SCENARIOS / name).read_text(encoding="utf-8")
+        raw = yaml.safe_load(text)
+        assert yaml.load(text, Loader=loader) == raw, name
+        assert load_scenario_dict(str(SCENARIOS / name)) == normalize_scenario(raw), name
+    text = yaml.dump(large_mesh_scenario(), Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+    assert yaml.load(text, Loader=loader) == yaml.safe_load(text)

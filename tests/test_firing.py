@@ -1,8 +1,9 @@
 """The LiDAR firing the mission makes, culled, against the firing of every ray.
 
 The mission skips a firing whose map holds no cell it can change and casts
-only the rays whose box holds one, every explorer's firing of a tick in one
-sweep and one map update (engine._fire).  A cell counts only if a ray can
+only the rays whose box holds one and, on a dense firing, whose line meets
+the box of those cells, every explorer's firing of a tick in one sweep and
+one map update (engine._fire).  A cell counts only if a ray can
 change it (world.ReachMask).  The oracles are the unculled firing, every ray
 cast and folded into the map under the same hit rule, and the culled firing
 of one explorer at a time.  They must all leave the same maps after every
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_engine import bench_workload
-from uavinspect import cli, engine
+from uavinspect import cli, engine, world
 from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
 from uavinspect.scene import Scene, line_of_sight, scatter_box_face_points, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions, lidar_sweep
@@ -29,6 +30,13 @@ from uavinspect.world import (_NUDGE, FREE, OCCUPIED, UNKNOWN, BoundingBox, Firi
                               OccupancyMap, VoxelGrid, integrate_points, reach_mask)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def field_keeps(guard, origin, dirs, reach, can_change=FiringGuard.can_change):
+    """FiringGuard.can_change with its box field's cull alone."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(world, "_BOX_CULL_RAYS", math.inf)
+        return can_change(guard, origin, dirs, reach)
 
 
 def reference_fire(occ, truth, position, yaw, scene, lidar, t):
@@ -67,8 +75,15 @@ def checked_run(cfg, scene, monkeypatch, stats):
     """Run a mission, checking every explorer's map against the unculled
     firing after each sense stage, and that the firing changes no cell the
     reach mask masks.  stats counts firings, skipped firings, firings from
-    the flood, rays and the rays cast."""
+    the flood, rays, the rays cast and the rays the guard's box culls."""
     cast = engine.lidar_sweep
+    can_change = FiringGuard.can_change
+
+    def culling(guard, origin, dirs, reach):
+        kept = can_change(guard, origin, dirs, reach)
+        stats["box_culled"] += int(np.count_nonzero(field_keeps(guard, origin, dirs, reach))
+                                   - np.count_nonzero(kept))
+        return kept
 
     def counting(position, scene, lidar, dirs, hit_mask=None, segments=None, clear=None):
         # one sweep casts the firings of several explorers, one origin each;
@@ -104,6 +119,7 @@ def checked_run(cfg, scene, monkeypatch, stats):
         return clear
 
     monkeypatch.setattr(engine, "lidar_sweep", counting)
+    monkeypatch.setattr(FiringGuard, "can_change", culling)
     monkeypatch.setattr(_Mission, "_sense", checked)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")         # mesh_tower maps hold structure free
@@ -129,7 +145,8 @@ def explorer_last(cfg, scene):
 
 
 SHORT_RUNS = {
-    "desk_box": lambda: workload("desk_box", 30),
+    # the guard's box first culls at tick 71
+    "desk_box": lambda: workload("desk_box", 150),
     "desk_box, explorer last": lambda: explorer_last(*workload("desk_box", 30)),
     "fleet_fine": lambda: workload("fleet_fine", 60),
     "mesh_tower": lambda: workload("mesh_tower", 80),
@@ -146,6 +163,8 @@ def test_culled_firings_equal_the_unculled_firing(monkeypatch):
         assert stats["firings"] > 0, name
         assert stats["suppressed"] == stats["reference_suppressed"] == 0, name
         assert stats["in_flood"] == stats["firings"], name
+        if name == "desk_box":
+            assert stats["box_culled"] > 0
         total.update(stats)
     # most rays are culled, and twin_pillars skips most of its firings
     assert 0 < total["cast"] < 0.5 * total["rays"]
@@ -308,6 +327,83 @@ def test_the_cull_in_grid_units_keeps_every_ray_the_cull_in_metres_keeps(firing)
     dirs = lidar_directions(yaw, lidar, t)
     kept = guard.can_change(position, dirs, lidar.range)
     assert kept[reference_can_change(guard, position, dirs, lidar.range)].all()
+
+
+@st.composite
+def dense_firings(draw):
+    """A map known but for a small cluster of changeable cells, on a grid of
+    1-6 m voxels and 3-12 cells a side with solid boxes, and a dense firing
+    at it: a LiDAR pattern, and rays aimed a few hundredths of a voxel
+    inside the cluster cells' corners and edges, some of them with a zero
+    component.  The sensor lies on the grid, on voxel planes or off the
+    grid."""
+    v = draw(st.sampled_from([1.0, 2.5, 4.0, 6.0]))
+    dims = tuple(draw(st.integers(3, 12)) for _ in range(3))
+    grid = VoxelGrid((0.0, 0.0, 0.0), dims, v)
+    scene = Scene(solid_boxes=draw(st.lists(boxes(v, dims), min_size=1, max_size=3)))
+    truth = scene_occupancy(scene, grid)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    # the cluster: UNKNOWN cells, and FREE cells of the structure
+    cells = np.where(truth, OCCUPIED, FREE).astype(np.uint8)
+    centre = rng.integers(0, dims)
+    cluster = np.clip(centre + rng.integers(-1, 2, (draw(st.integers(1, 6)), 3)),
+                      0, np.subtract(dims, 1))
+    for c in map(tuple, cluster):
+        cells[c] = FREE if truth[c] and rng.random() < 0.5 else UNKNOWN
+
+    size = np.multiply(dims, v)
+    position = rng.uniform(0.0, size)
+    place = draw(st.sampled_from(["grid", "plane", "off"]))
+    if place == "plane":
+        snap = rng.random(3) < 0.5
+        snap[rng.integers(3)] = True
+        position = np.where(snap, np.floor(position / v) * v, position)
+    elif place == "off":
+        out = rng.random(3) < 0.5
+        out[rng.integers(3)] = True
+        beyond = rng.uniform(0.1, 2.0, 3) * v
+        position = np.where(out, np.where(rng.random(3) < 0.5, -beyond, size + beyond), position)
+
+    # aim points a hair inside each cluster cell, near its corners and edges
+    inset = np.array([0.01, 0.03, 0.5, 0.97, 0.99])
+    offsets = inset[rng.integers(0, len(inset), (40, 3))]
+    targets = (cluster[rng.integers(0, len(cluster), 40)] + offsets) * v
+    aimed = targets - position
+    zeroed = np.flatnonzero(rng.random(40) < 0.3)
+    aimed[zeroed, rng.integers(0, 3, len(zeroed))] = 0.0   # a zero component
+    aimed = aimed[np.linalg.norm(aimed, axis=1) > 0]
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    lidar = LidarConfig(range=draw(st.floats(5.0, 80.0)),
+                        beams=draw(st.sampled_from([4, 8, 16])),
+                        azimuth_steps=draw(st.sampled_from([30, 90, 180])))
+    pattern = lidar_directions(draw(st.floats(-math.pi, math.pi)), lidar,
+                               draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0))))
+    dirs = np.vstack([pattern, aimed / np.linalg.norm(aimed, axis=1)[:, None], axes])
+    return grid, scene, truth, cells, position, lidar, dirs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(firing=dense_firings())
+def test_a_ray_the_box_culls_changes_nothing(firing):
+    # every ray that the field keeps but the box culls, cast and folded in
+    # unculled, leaves the map as it is; the box runs on firings of any size
+    grid, scene, truth, cells, position, lidar, dirs = firing
+    on_grid = np.all((position >= 0) & (position < np.multiply(grid.dims, grid.voxel_size)))
+    reach = reach_mask(grid, scene.solid_boxes, [position]) if on_grid else None
+    guard = FiringGuard(grid, truth, reach)
+    if guard.at(OccupancyMap(grid, cells), position).field is None:
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(world, "_BOX_CULL_RAYS", 0)
+        kept = guard.can_change(position, dirs, lidar.range)
+    field = field_keeps(guard, position, dirs, lidar.range)
+    assert not np.any(kept & ~field)
+    culled = field & ~kept
+    occ = OccupancyMap(grid, cells.copy())
+    hits, misses = lidar_sweep(position, scene, lidar, dirs[culled])
+    integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, truth)
+    assert np.array_equal(occ.cells, cells)
 
 
 @st.composite
