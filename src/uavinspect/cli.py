@@ -75,16 +75,7 @@ def _one_of(options: tuple[str, ...]):
 
 
 def _each(item, node: list, path: str) -> list:
-    """Each entry of node parsed by ``item`` under the path ``path[i]``.
-
-    A parse does not depend on its path, which only names a failure, so the
-    entries are parsed first without one, and again with theirs only when
-    one fails.
-    """
-    try:
-        return [item(v, "") for v in node]
-    except ConfigurationError:
-        pass
+    """Each entry of node parsed by ``item`` under the path ``path[i]``."""
     return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
 
 

@@ -49,8 +49,7 @@ from .scene import Scene, line_of_sight, scene_occupancy
 from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
                       lidar_sweep, observe)
 from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, _kept, _rows, build_grid,
-                    compute_operational_volume, integrate_points, reach_mask, save_map,
-                    world_to_voxel)
+                    compute_operational_volume, integrate_points, reach_mask, save_map)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
 _BLOCKED_REPLANS = 3            # an agent that replans blocked this often abandons its goal
@@ -379,15 +378,9 @@ class _Mission:
         explorers = [a.kind == EXPLORER for a in cfg.agents]
         routes = mapping_paths(self.volume, self.position[explorers],
                                margin=cfg.voxel_size / 2.0)
-        # every survey goal's cell in one call and one bounds check; a goal
-        # off the grid is named by world_to_voxel
         survey = np.concatenate(routes)
-        cells = self.grid.cells(survey)
-        if not ((cells >= 0) & (cells < self.grid.dims)).all():
-            for p in survey:
-                world_to_voxel(self.grid, p)
         goals = iter([Waypoint(tuple(p), None, tuple(c))
-                      for p, c in zip(survey.tolist(), cells.tolist())])
+                      for p, c in zip(survey.tolist(), self.grid.voxels(survey).tolist())])
 
         self.velocity = np.zeros((n, 3))
         self.yaw = np.zeros(n)
@@ -409,8 +402,8 @@ class _Mission:
         self.guards: list[FiringGuard] = []
         used_voxels = set()
         e_idx = 0
-        for aid, spec in enumerate(cfg.agents):
-            vox = world_to_voxel(self.grid, self.position[aid])
+        starts = map(tuple, self.grid.voxels(self.position).tolist())
+        for aid, (spec, vox) in enumerate(zip(cfg.agents, starts)):
             if vox in used_voxels:
                 raise ConfigurationError(f"agents share start voxel {vox}")
             used_voxels.add(vox)
@@ -743,6 +736,9 @@ class _Mission:
         if self.suppressed_returns:
             warnings.warn(f"{self.suppressed_returns} LiDAR hits fell outside the "
                           f"structure cells and marked nothing")
+        if self.ledger.num_points and not np.any(self.ledger.best_q > 0):
+            warnings.warn(f"the mission scored none of its {self.ledger.num_points} "
+                          f"interest points")
         return MissionResult(
             q_total=inspection_score(self.ledger),
             ledger=self.ledger,

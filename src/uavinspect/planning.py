@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, PlanningError, check_value
-from .world import (FACE_STEPS, FREE, OCCUPIED, BoundingBox, OccupancyMap, Voxel, _length,
-                    _on_grid)
+from .world import FACE_STEPS, FREE, OCCUPIED, BoundingBox, OccupancyMap, Voxel, _length
 
 _FACE_STEPS = np.array(FACE_STEPS)
 
@@ -56,7 +55,7 @@ def mapping_paths(volume: BoundingBox, starts,
             p[band_axis] = lo[band_axis] + (i + 0.5) * band_width
             p[mid_axis] = lo[mid_axis] + ext[mid_axis] / 2.0
         start = np.asarray(starts[i], dtype=float)
-        if np.linalg.norm(start - a) <= np.linalg.norm(start - b):
+        if _length(start - a) <= _length(start - b):
             near, far = a, b
         else:
             near, far = b, a
@@ -92,13 +91,12 @@ def generate_waypoints(occ_map: OccupancyMap, boxes, standoff: float) -> list[Wa
     face = np.tile(np.arange(n_faces), n)
     step = _FACE_STEPS[face]
 
-    dims = np.asarray(grid.dims)
     cells = occ_map.cells
     nb = src + step
-    keep = np.flatnonzero(_on_grid(nb, dims))
+    keep = np.flatnonzero(grid.on_grid(nb))
     keep = keep[cells[tuple(nb[keep].T)] == FREE]
     wp_voxel = grid.cells(center[keep] + step[keep] * standoff)
-    on_grid = _on_grid(wp_voxel, dims)
+    on_grid = grid.on_grid(wp_voxel)
     keep, wp_voxel = keep[on_grid], wp_voxel[on_grid]
     free = cells[tuple(wp_voxel.T)] == FREE
     keep, wp_voxel = keep[free], wp_voxel[free]
@@ -161,15 +159,15 @@ def dijkstra_path(occ_map: OccupancyMap, reserved: set,
     """
     start = tuple(start)
     goal = tuple(goal)
-    cells = occ_map.cells
-    if not occ_map.grid.in_bounds(start):
-        raise PlanningError(f"start voxel {start} is outside grid dims {occ_map.grid.dims}")
+    grid, cells = occ_map.grid, occ_map.cells
+    if not grid.on_grid(np.array(start)):
+        raise PlanningError(f"start voxel {start} is outside grid dims {grid.dims}")
     if cells[start] == OCCUPIED:
         raise PlanningError(f"start voxel {start} is occupied")
     if start in reserved:
         raise PlanningError(f"start voxel {start} is reserved")
-    dims = occ_map.grid.dims
-    if not occ_map.grid.in_bounds(goal):
+    dims = grid.dims
+    if not grid.on_grid(np.array(goal)):
         return []
     if cells[goal] == OCCUPIED or goal in reserved:
         return []

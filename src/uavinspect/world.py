@@ -70,7 +70,9 @@ class BoundingBox:
 class VoxelGrid:
     """Uniform cubic-voxel discretization of an operational volume, and the
     one map between meters and cells: cell i spans grid coordinates
-    [i, i + 1), so a point on a voxel plane lies in the upper cell.
+    [i, i + 1), so a point on a voxel plane lies in the upper cell.  It owns
+    the grid's domain too: on_grid tests cells, and voxels is the checked
+    conversion.
     """
 
     origin: tuple[float, float, float]
@@ -96,9 +98,6 @@ class VoxelGrid:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    def in_bounds(self, voxel) -> bool:
-        return all(0 <= voxel[a] < self.dims[a] for a in range(3))
-
     def coords(self, points) -> np.ndarray:
         """Grid coordinates of points (..., 3) in meters."""
         return (points - self.origin_arr) / self.voxel_size
@@ -115,8 +114,29 @@ class VoxelGrid:
         """The int64 cells (..., 3) of points in meters, on the grid or off it.
         Coordinates are not checked for being finite, which keeps the check
         off the tick path: NaN or ±inf casts to a meaningless cell, with
-        numpy's RuntimeWarning.  world_to_voxel checks."""
+        numpy's RuntimeWarning.  voxels checks."""
         return np.floor(self.coords(points)).astype(np.int64)
+
+    def on_grid(self, cells: np.ndarray) -> np.ndarray:
+        """np.all((cells >= 0) & (cells < dims), axis=-1) of (..., 3) cells,
+        by column.  Grid coordinates work too: a finite one is on the grid
+        iff its floor is, and NaN is on no grid."""
+        nx, ny, nz = self.dims
+        x, y, z = cells[..., 0], cells[..., 1], cells[..., 2]
+        return (x >= 0) & (x < nx) & (y >= 0) & (y < ny) & (z >= 0) & (z < nz)
+
+    def voxels(self, points) -> np.ndarray:
+        """The int64 cells of points (n, 3) or (3,) in meters, each checked:
+        raises OutOfBoundsError naming the first point that is not finite or
+        lies off the grid."""
+        points = np.asarray(points, dtype=float)
+        g = self.coords(points)
+        on_grid = self.on_grid(g)
+        if not on_grid.all():
+            p = points.reshape(-1, 3)[np.argmin(on_grid.reshape(-1))].tolist()
+            raise OutOfBoundsError(f"point {p} is not finite" if not all(map(math.isfinite, p))
+                                   else f"point {p} outside grid")
+        return np.floor(g).astype(np.int64)
 
     def centers(self, cells) -> np.ndarray:
         """The centers of cells (..., 3), in meters."""
@@ -238,7 +258,11 @@ class ReachMask:
 
 def reach_mask(grid: VoxelGrid, boxes, starts) -> ReachMask | None:
     """The ReachMask of solid boxes on the grid, flooded from the start
-    positions; None where no element lies in a box, so every cell counts."""
+    positions; None where no element lies in a box, so every cell counts.
+    Raises OutOfBoundsError for a start that is not finite or lies off the
+    grid."""
+    starts = np.reshape(starts, (-1, 3))
+    cell = grid.voxels(starts)
     dims = np.asarray(grid.dims)
     lo = np.array([b.min_corner for b in boxes], dtype=float).reshape(-1, 3)
     hi = np.array([b.max_corner for b in boxes], dtype=float).reshape(-1, 3)
@@ -251,8 +275,7 @@ def reach_mask(grid: VoxelGrid, boxes, starts) -> ReachMask | None:
         blocked[a:d, b:e, c:f] = True
     if not blocked.any():
         return None
-    starts = np.reshape(starts, (-1, 3))
-    g, cell = grid.coords(starts), grid.cells(starts)
+    g = grid.coords(starts)
     lattice = np.zeros(2 * dims, dtype=bool)
     lattice[tuple((2 * cell + (g != cell)).T)] = True
     lattice = _flood(lattice, ~blocked)
@@ -266,24 +289,6 @@ def reach_mask(grid: VoxelGrid, boxes, starts) -> ReachMask | None:
         cells[pre + (slice(None, -1),)] |= even[pre + (slice(1, None),)] | odd[pre + (slice(1, None),)]
         cells[pre + (slice(1, None),)] |= odd[pre + (slice(None, -1),)]
     return ReachMask(lattice, cells)
-
-
-def world_to_voxel(grid: VoxelGrid, p) -> Voxel:
-    """Voxel index containing point p.  Boundary planes belong to the upper voxel."""
-    p = np.asarray(p, dtype=float)
-    if not all(map(math.isfinite, p.tolist())):
-        raise OutOfBoundsError(f"point {p.tolist()} is not finite")
-    idx = grid.cells(p)
-    if np.any(idx < 0) or np.any(idx >= np.asarray(grid.dims)):
-        raise OutOfBoundsError(f"point {p.tolist()} outside grid")
-    return (int(idx[0]), int(idx[1]), int(idx[2]))
-
-
-def voxel_to_world(grid: VoxelGrid, voxel) -> np.ndarray:
-    """Center of the given voxel, in meters."""
-    if not grid.in_bounds(voxel):
-        raise OutOfBoundsError(f"voxel {tuple(voxel)} outside grid dims {grid.dims}")
-    return grid.centers(voxel)
 
 
 class OccupancyMap:
@@ -356,12 +361,6 @@ def _l1(d: np.ndarray) -> np.ndarray:
     """np.abs(d).sum(axis=1) of (n, 3) int steps."""
     d = np.abs(d)
     return d[:, 0] + d[:, 1] + d[:, 2]
-
-
-def _on_grid(cells: np.ndarray, dims) -> np.ndarray:
-    """np.all((cells >= 0) & (cells < dims), axis=1) of (n, 3) int cells."""
-    x, y, z = cells[:, 0], cells[:, 1], cells[:, 2]
-    return (x >= 0) & (x < dims[0]) & (y >= 0) & (y < dims[1]) & (z >= 0) & (z < dims[2])
 
 
 def _segment_cells(grid: VoxelGrid, origin: np.ndarray, ends: np.ndarray,
@@ -463,7 +462,9 @@ class FiringGuard:
     it is built on the first such cull after a rebuild, since most firings
     never need it.  at() rebuilds both only when the map's cells, the
     sensor's cell or whether the mask applies differ from those they were
-    built for, so every writer of the map is seen.
+    built for, so every writer of the map is seen.  The sensor may lie off
+    the grid, by design: the field is swept from its cell clamped to the
+    grid, and the ray ends are clamped to it.
     """
 
     def __init__(self, grid: VoxelGrid, truth: np.ndarray, reach: ReachMask | None = None):
@@ -580,7 +581,8 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     meets a mesh in a voxel plane from behind can land in the cell beyond,
     and is suppressed, while its ray still frees the cells before it.
     Misses beyond the grid are clipped at its boundary, and a miss whose ray
-    never enters the grid is dropped.
+    never enters the grid is dropped.  A sensor may lie off the grid, by
+    design: its segments keep only the cells on the grid.
     Occupied cells never revert.  The maps are updated in place; returns the
     number of suppressed hits.
 
@@ -617,7 +619,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     reach = np.einsum("nk,nk->n", hits - origin_of(hit_rows), hit_dirs)
     nudged = hits + hit_dirs * np.where(reach > 1e-12, _NUDGE * v, 0.0)[:, None]
     hit_cells = grid.cells(nudged)
-    inside = _on_grid(hit_cells, dims)
+    inside = grid.on_grid(hit_cells)
     if not inside.all():
         nudged, hit_cells = _kept(inside, nudged), _kept(inside, hit_cells)
         hit_rows = rows_where(hit_rows, inside)
@@ -674,9 +676,9 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     if rows is not None:
         # each segment crosses its L1 distance of cells, all in its map row
         rows = np.repeat(rows, _l1(end_cells - _rows(sensor_cells, rows)))
-    if not np.all((sensor_cells >= 0) & (sensor_cells < dims)):
+    if not grid.on_grid(sensor_cells).all():
         # a segment from a sensor off the grid crosses cells off it too
-        on_grid = _on_grid(crossed, dims)
+        on_grid = grid.on_grid(crossed)
         crossed, rows = _kept(on_grid, crossed), rows_where(rows, on_grid)
     freed = np.concatenate([flat(crossed @ strides, rows), end_flat])
     cells[freed] = np.maximum(cells[freed], FREE)

@@ -25,7 +25,7 @@ from uavinspect.scene import (Scene, line_of_sight, scatter_box_face_points,
                               scene_occupancy)
 from uavinspect.sensors import CameraConfig, LidarConfig, Observations
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, OccupancyMap, VoxelGrid,
-                              load_map, voxel_to_world, world_to_voxel)
+                              load_map)
 
 
 def obs(row, q, qb=None, qr=None):
@@ -470,6 +470,8 @@ def test_shipped_scenarios_match_golden_behaviour(shipped_runs, name):
     assert result.digest() == digest
     assert hashlib.sha256("\n".join(result.plan_events).encode()).hexdigest() == plans
     assert result.suppressed_returns == 0       # the hit rule never acts here
+    # a scene with points has some scored, so no mission warns it scored none
+    assert result.ledger.num_points == 0 or result.ledger.best_q.any()
 
 
 # The same for the bench workloads at seed 1; unlike the shipped scenarios,
@@ -498,6 +500,7 @@ def test_bench_workloads_match_golden_behaviour(name):
         result = run_mission(*bench_workload(name, 1))
     # the hit rule never acts on a pinned run
     assert not [w for w in caught if "LiDAR hits" in str(w.message)]
+    assert not [w for w in caught if "scored none" in str(w.message)]
     assert result.suppressed_returns == 0
     digest, plans = WORKLOAD_GOLDEN[name]
     assert result.digest() == digest
@@ -987,6 +990,18 @@ def test_free_structure_cells_warn_and_reach_the_summary(tmp_path):
     assert f"free_structure_cells: {expected}" in lines
 
 
+def test_a_mission_that_scores_no_point_warns():
+    # a camera that reaches no point scores none of them; a scene with no
+    # point has nothing to score, and says nothing
+    cfg = small_config(duration=2.0, camera=CameraConfig(exposure=0.01, range=1.0))
+    with pytest.warns(UserWarning, match="scored none of its 12 interest points"):
+        res = run_mission(cfg, small_scene())
+    assert res.q_total == 0.0 and not res.ledger.best_q.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_mission(cfg, Scene(inspection_boxes=small_scene().inspection_boxes))
+
+
 def _events_of(res, agent):
     return [e.split(" ", 4)[4] for e in res.plan_events
             if e.split()[2:4] == ["agent", str(agent)]]
@@ -1072,11 +1087,11 @@ def test_a_step_into_an_unclaimed_voxel_is_held():
     mission.velocity[a.id] = (mission.grid.voxel_size / 0.1, -0.5, 0.0)
     mission.yaw_rate[a.id] = 0.5
     before, voxel = agent_state(mission, a.id), a.voxel
-    target = voxel_to_world(mission.grid, voxel)
+    target = mission.grid.centers(voxel)
     acc, yaw_acc = reference_track_segment(before, target, mission.cfg.tracking,
                                            reference_desired_yaw(a, before, target))
     stepped = reference_step_dynamics(before, acc, yaw_acc, mission.cfg.tick)
-    assert world_to_voxel(mission.grid, stepped.position) != voxel
+    assert tuple(mission.grid.voxels(stepped.position).tolist()) != voxel
     assert stepped.velocity[1] < 0.0
     mission._act(0)
     after = agent_state(mission, a.id)
@@ -1139,14 +1154,14 @@ class PerAgentAct(_Mission):
                     else:
                         break
 
-            target_pos = voxel_to_world(self.grid, aim)
+            target_pos = self.grid.centers(aim)
             yaw_des = reference_desired_yaw(a, state, target_pos)
             acc, yaw_acc = reference_track_segment(state, target_pos, self.cfg.tracking, yaw_des)
             new_state = reference_step_dynamics(state, acc, yaw_acc, self.cfg.tick)
 
             accepted = True
             try:
-                nv = world_to_voxel(self.grid, new_state.position)
+                nv = tuple(self.grid.voxels(new_state.position).tolist())
             except OutOfBoundsError:
                 accepted = False
             if accepted and not (nv == a.voxel or claims.get(nv) == a.id):

@@ -12,6 +12,7 @@ firing.
 
 import dataclasses
 import math
+import re
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -20,10 +21,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from test_engine import bench_workload
+from test_world import reference_on_grid
 from uavinspect import cli, engine, world
 from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
+from uavinspect.errors import OutOfBoundsError
 from uavinspect.scene import Scene, line_of_sight, scatter_box_face_points, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions, lidar_sweep
 from uavinspect.world import (_NUDGE, FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
@@ -657,3 +661,90 @@ def test_culled_firings_equal_the_unculled_firing_by_hollow_boxes(mission):
     with pytest.MonkeyPatch.context() as monkeypatch:
         checked_run(*mission, monkeypatch, stats)
     assert stats["firings"] == stats["in_flood"] == TICKS
+
+
+# --- the grid's domain ----------------------------------------------------------
+
+def off_grid(dims):
+    """Points off a grid of dims, in grid units: below every face, above
+    every face, and below one face only."""
+    return [(-0.5, -0.5, -0.5), tuple(n + 0.5 for n in dims), (-0.5, 1.5, 1.5)]
+
+
+@pytest.mark.parametrize("start", off_grid((4, 4, 4)) + [(math.nan, math.nan, math.nan)])
+def test_a_reach_mask_start_off_the_grid_is_named(start):
+    # a negative lattice element is a numpy index that wraps to the far
+    # corner's, and one past the lattice an IndexError: the start is named
+    # before either
+    grid = VoxelGrid((0.0, 0.0, 0.0), (4, 4, 4), 1.0)
+    box = BoundingBox((1.0, 1.0, 1.0), (3.0, 3.0, 3.0))
+    assert reach_mask(grid, [box], [(0.5, 0.5, 0.5)]) is not None
+    problem = "outside grid" if all(map(math.isfinite, start)) else "is not finite"
+    with pytest.raises(OutOfBoundsError, match=re.escape(f"point {list(start)} {problem}")):
+        reach_mask(grid, [box], [(0.5, 0.5, 0.5), start])
+
+
+def axis_coordinates(v, n):
+    """A coordinate on a voxel plane (the faces among them), a hair either
+    side of a face, anywhere near the grid of n cells of v, or NaN."""
+    faces = [0.0, n * v]
+    return st.one_of(st.integers(-2, n + 2).map(lambda k: k * v),
+                     st.sampled_from([f + s for f in faces for s in (-1e-9 * v, 1e-9 * v)]
+                                     + [np.nextafter(f, d) for f in faces
+                                        for d in (-math.inf, math.inf)]),
+                     st.floats(-2.0 * v, (n + 2) * v),
+                     st.just(math.nan))
+
+
+@st.composite
+def domain_cases(draw):
+    """A firing on a small grid, points around the grid, and int cells on
+    it and off it."""
+    grid, scene, truth, cells, position, yaw, lidar, t = draw(firings())
+    v, dims = grid.voxel_size, grid.dims
+    points = np.array(draw(st.lists(st.tuples(*(axis_coordinates(v, n) for n in dims)),
+                                    min_size=1, max_size=8)))
+    ints = draw(hnp.arrays(np.int64, st.tuples(st.integers(0, 12), st.just(3)),
+                           elements=st.integers(-3, max(dims) + 2)))
+    return grid, scene, truth, cells, position, yaw, lidar, t, points, ints
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=domain_cases(), dense=st.booleans())
+def test_the_grid_checks_its_domain_and_a_firing_off_it_equals_the_unculled_one(case, dense):
+    grid, scene, truth, cells, position, yaw, lidar, t, points, ints = case
+    # voxels: the floor of each point on the grid, or OutOfBoundsError
+    # naming it; a batch names its first point off the grid
+    ref = np.floor((points - grid.origin_arr) / grid.voxel_size)
+    finite = np.isfinite(points).all(axis=1)
+    on = finite & reference_on_grid(ref, grid.dims)
+    for p, cell, ok, real in zip(points, ref, on, finite):
+        if ok:
+            assert grid.voxels(p).tolist() == cell.astype(np.int64).tolist()
+        else:
+            with pytest.raises(OutOfBoundsError, match="outside grid" if real else "is not finite"):
+                grid.voxels(p)
+    if on.all():
+        assert np.array_equal(grid.voxels(points), ref.astype(np.int64))
+    else:
+        named = re.escape(f"point {points[np.argmin(on)].tolist()} ")
+        with pytest.raises(OutOfBoundsError, match=named):
+            grid.voxels(points)
+    # on_grid: the axis reduction, on int cells and on the points' floors
+    assert np.array_equal(grid.on_grid(ints), reference_on_grid(ints, grid.dims))
+    assert np.array_equal(grid.on_grid(ref[finite].astype(np.int64)), on[finite])
+
+    # a firing from a sensor off the grid, culled by a guard by the field
+    # alone or by the field and the box, leaves the map of the unculled one
+    off = [p for p, ok, real in zip(points, on, finite) if real and not ok][:2]
+    reach = reach_mask(grid, scene.solid_boxes, [position])
+    for sensor in list(np.multiply(off_grid(grid.dims), grid.voxel_size)) + off:
+        expected = OccupancyMap(grid, cells.copy())
+        reference_fire(expected, truth, sensor, yaw, scene, lidar, t)
+        got = OccupancyMap(grid, cells.copy())
+        guard = FiringGuard(grid, truth, reach)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(world, "_BOX_CULL_RAYS", 0 if dense else math.inf)
+            fire_one(got, guard, sensor, yaw, scene, lidar, t)
+        assert not guard.masked
+        assert np.array_equal(got.cells, expected.cells)

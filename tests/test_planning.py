@@ -8,8 +8,7 @@ from uavinspect.errors import ConfigurationError, OutOfBoundsError, PlanningErro
 from uavinspect.planning import (Waypoint, dijkstra_path, drhlp_step,
                                  generate_waypoints, mapping_paths, mtsp_assign)
 from uavinspect.world import (FACE_STEPS, FREE, OCCUPIED, UNKNOWN, BoundingBox,
-                              OccupancyMap, Voxel, VoxelGrid,
-                              voxel_to_world, world_to_voxel)
+                              OccupancyMap, Voxel, VoxelGrid)
 
 
 def free_map(dims, voxel=6.0):
@@ -73,7 +72,7 @@ def big_box():
 def source_voxel(m, w, standoff):
     """The occupied voxel a waypoint inspects: its direction points from the
     waypoint center at that voxel's center, standoff away."""
-    return world_to_voxel(m.grid, np.add(w.position, np.multiply(w.direction, standoff)))
+    return tuple(m.grid.voxels(np.add(w.position, np.multiply(w.direction, standoff))).tolist())
 
 
 def test_isolated_occupied_voxel_yields_six_waypoints():
@@ -180,12 +179,12 @@ def reference_waypoints(occ_map, boxes, standoff):
             normal = np.asarray(step, dtype=float)
             pos = center + normal * standoff
             try:
-                wp_voxel = world_to_voxel(grid, pos)
+                wp_voxel = tuple(grid.voxels(pos).tolist())
             except OutOfBoundsError:
                 continue
             if cells[wp_voxel] != FREE:
                 continue
-            wp_pos = voxel_to_world(grid, wp_voxel)
+            wp_pos = grid.centers(wp_voxel)
             n_hat = center - wp_pos
             norm = np.linalg.norm(n_hat)
             if norm < 1e-12:
@@ -444,7 +443,7 @@ def reference_dijkstra_path(occ_map, reserved, start, goal):
     if start in reserved:
         raise PlanningError(f"start voxel {start} is reserved")
     dims = occ_map.grid.dims
-    if not occ_map.grid.in_bounds(goal):
+    if not all(0 <= goal[a] < dims[a] for a in range(3)):
         return []
     if cells[goal] == OCCUPIED or goal in reserved:
         return []
@@ -516,7 +515,7 @@ def test_dijkstra_paths_equal_heap_reference_random_grids():
         assert got == path_outcome(reference_dijkstra_path, m, reserved, start, goal)
         if isinstance(got, tuple):
             seen["raises"] += 1
-        elif not m.grid.in_bounds(goal):
+        elif not all(0 <= goal[a] < dims[a] for a in range(3)):
             seen["off_grid"] += 1
         elif goal == start:
             seen["same"] += 1

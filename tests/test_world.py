@@ -17,10 +17,10 @@ from uavinspect.planning import drhlp_step, generate_waypoints
 from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
 from uavinspect.sensors import LidarConfig, servo_angle
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
-                              OccupancyMap, VoxelGrid, _kept, _l1, _max3, _min3, _on_grid,
-                              _rows, _segment_cells, build_grid, carve_free,
+                              OccupancyMap, VoxelGrid, _kept, _l1, _max3, _min3, _rows,
+                              _segment_cells, build_grid, carve_free,
                               compute_operational_volume, integrate_points, load_map,
-                              merge_maps, save_map, voxel_to_world, world_to_voxel)
+                              merge_maps, reach_mask, save_map)
 
 STATES = (UNKNOWN, FREE, OCCUPIED)
 
@@ -154,37 +154,39 @@ def test_grid_origin_array_is_built_once_and_read_only():
 
 # --- voxel indexing -------------------------------------------------------
 
-def test_world_to_voxel_basics():
+def test_grid_voxels_basics():
     grid = VoxelGrid((0, 0, 0), (4, 4, 4), 6.0)
-    assert world_to_voxel(grid, (1, 1, 1)) == (0, 0, 0)
-    assert world_to_voxel(grid, (6, 0, 0)) == (1, 0, 0)   # boundary -> upper voxel
-    assert np.allclose(voxel_to_world(grid, (0, 0, 0)), (3, 3, 3))
+    assert grid.voxels((1, 1, 1)).tolist() == [0, 0, 0]
+    assert grid.voxels((6, 0, 0)).tolist() == [1, 0, 0]   # boundary -> upper voxel
+    assert grid.voxels([(1, 1, 1), (6, 0, 0)]).tolist() == [[0, 0, 0], [1, 0, 0]]
+    assert np.allclose(grid.centers((0, 0, 0)), (3, 3, 3))
 
 
-def test_world_to_voxel_out_of_bounds():
+def test_grid_voxels_out_of_bounds():
     grid = VoxelGrid((0, 0, 0), (2, 2, 2), 6.0)
-    with pytest.raises(OutOfBoundsError):
-        world_to_voxel(grid, (-0.01, 0, 0))
-    with pytest.raises(OutOfBoundsError):
-        world_to_voxel(grid, (12.0, 0, 0))
-    with pytest.raises(OutOfBoundsError):
-        voxel_to_world(grid, (2, 0, 0))
+    with pytest.raises(OutOfBoundsError, match=r"point \[-0.01, 0.0, 0.0\] outside grid"):
+        grid.voxels((-0.01, 0, 0))
+    with pytest.raises(OutOfBoundsError, match=r"point \[12.0, 0.0, 0.0\] outside grid"):
+        grid.voxels((12.0, 0, 0))
+    # a batch names its first point off the grid
+    with pytest.raises(OutOfBoundsError, match=r"point \[12.0, 0.0, 0.0\] outside grid"):
+        grid.voxels([(1, 1, 1), (12.0, 0, 0), (-0.01, 0, 0)])
 
 
 @pytest.mark.parametrize("p", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
                                (0.0, 0.0, -math.inf)])
-def test_world_to_voxel_names_a_non_finite_point(p):
+def test_grid_voxels_names_a_non_finite_point(p):
     # under the error::RuntimeWarning filter, so the int64 cast is never reached
     grid = VoxelGrid((0, 0, 0), (2, 2, 2), 6.0)
     with pytest.raises(OutOfBoundsError, match="is not finite"):
-        world_to_voxel(grid, p)
+        grid.voxels(p)
 
 
 def test_voxel_center_roundtrip_is_exact():
     grid = VoxelGrid((-7.0, 3.0, -2.5), (5, 4, 6), 1.7)
     for voxel in itertools.product(range(5), range(4), range(6)):
-        center = voxel_to_world(grid, voxel)
-        assert world_to_voxel(grid, center) == voxel
+        center = grid.centers(voxel)
+        assert tuple(grid.voxels(center).tolist()) == voxel
 
 
 @st.composite
@@ -215,11 +217,11 @@ def test_grid_coords_cells_and_centers(case, cells):
     on_plane = g == np.round(g)
     assert np.array_equal(got[on_plane], g[on_plane])
     for p, cell in zip(points, got.tolist()):
-        if grid.in_bounds(cell):
-            assert world_to_voxel(grid, p) == tuple(cell)
+        if reference_on_grid(np.array([cell]), grid.dims)[0]:
+            assert grid.voxels(p).tolist() == cell
         else:
             with pytest.raises(OutOfBoundsError):
-                world_to_voxel(grid, p)
+                grid.voxels(p)
         assert grid.cells(p).tolist() == cell
     assert np.array_equal(grid.cells(grid.centers(cells)), cells)
 
@@ -233,8 +235,7 @@ def test_grid_coords_cells_and_centers(case, cells):
         [ox + (i + 0.5) * v, oy + (j + 0.5) * v, oz + (k + 0.5) * v]
         for i, j, k in cells.tolist()]
     for cell in cells.tolist():
-        if grid.in_bounds(cell):
-            assert_same(voxel_to_world(grid, cell), o + (np.asarray(cell, dtype=float) + 0.5) * v)
+        assert_same(grid.centers(cell), o + (np.asarray(cell, dtype=float) + 0.5) * v)
 
 
 # --- integration of range hits --------------------------------------------
@@ -918,7 +919,7 @@ def test_carve_free_drops_rays_that_never_enter_the_grid():
 
 
 def test_carve_free_along_the_grid_lower_face():
-    # the plane x = 0 belongs to the cells of index 0, as in world_to_voxel;
+    # the plane x = 0 belongs to the cells of index 0, as in VoxelGrid.cells;
     # the plane x = 4 belongs to no cell of the grid
     for origin, end, freed in (((0.0, 0.5, 0.5), (0.0, 3.5, 0.5), 4),
                                ((0.5, 0.5, 0.5), (0.5, 3.5, 0.5), 4),
@@ -1044,8 +1045,9 @@ def test_min3_and_max3_equal_the_axis_reductions(a):
                         elements=st.one_of(st.integers(-2, 11),
                                            st.sampled_from([-2**63, 2**63 - 1]))))
 def test_on_grid_and_l1_equal_the_axis_reductions(dims, cells):
-    assert np.array_equal(_on_grid(cells, dims), reference_on_grid(cells, dims))
-    assert np.array_equal(_on_grid(cells, np.asarray(dims)), reference_on_grid(cells, dims))
+    grid = VoxelGrid((0.0, 0.0, 0.0), dims, 1.0)
+    assert np.array_equal(grid.on_grid(cells), reference_on_grid(cells, dims))
+    assert np.array_equal(grid.on_grid(cells[None]), reference_on_grid(cells, dims)[None])
     steps = np.clip(cells, -2**40, 2**40)           # traversal steps, far from overflow
     assert np.array_equal(_l1(steps), reference_l1(steps))
 
