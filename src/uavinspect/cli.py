@@ -2,8 +2,9 @@
 
 Scenario files are YAML with seven sections: mission, agents, camera, lidar,
 gimbal, tracking, scene.  One table, ``_SCENARIO``, lists every key with its
-parser and default; a config section's keys are its class's ruled fields,
-whose rules the class checks when it is built.  Unknown keys are rejected; an
+parser and default; a config section's keys are its class's ruled fields.
+Every number is held to a rule of ``errors._RULES``, and a failure names the
+number's dotted path.  Unknown keys are rejected; an
 omitted or null key takes its default, the field default of its config class,
 and a key without a default is required.  Angles in scenario files are
 degrees; internally everything is radians.
@@ -25,7 +26,7 @@ import yaml
 
 from .agents import KINDS, GimbalLimits, TrackingConfig
 from .engine import AgentSpec, MissionConfig, run_mission, write_outputs
-from .errors import INTEGER_RULES, ConfigurationError
+from .errors import _MAX, _RULES, INTEGER_RULES, ConfigurationError, check_value
 from .scene import FACES, Scene, scatter_box_face_points
 from .sensors import CameraConfig, LidarConfig
 from .world import BoundingBox
@@ -39,30 +40,17 @@ def _expect_list(node, path: str) -> list:
     return node
 
 
-def _number(value, path: str) -> float:
-    # NaN compares false, and an int too large for a float compares above the largest
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
+def _ruled(rule: str):
+    """A parser that holds a value to ``rule`` of errors._RULES, naming a
+    failure by the value's dotted path, and gives a plain int for an integer
+    rule or a plain float for any other."""
+    plain = int if rule in INTEGER_RULES else float
+    return lambda value, path: plain(check_value(path, value, rule))
 
 
 def _optional(parse):
     """A parser that keeps None, an unset optional, and parses any other value."""
     return lambda value, path: None if value is None else parse(value, path)
-
-
-def _count(value, path: str) -> int:
-    count = _integer(value, path)
-    if count < 0:
-        raise ConfigurationError(f"{path} must be non-negative, got {count}")
-    return count
 
 
 def _one_of(options: tuple[str, ...]):
@@ -102,13 +90,12 @@ def _list(item, nonempty: bool = False):
 # --- numeric blocks: one check per list of numbers, not one call per number ---
 
 _PLAIN = {float, int}
-_FLOAT_MAX = sys.float_info.max
 
 
 def _floats(entries: list) -> list[float] | None:
-    """The entries as a new list of floats, when _number would take every
-    one; None when any is not a plain float or int, or is not finite, and
-    then _number judges them one by one.
+    """The entries as a new list of floats, when the finite rule would take
+    every one; None when any is not a plain float or int, or is not finite,
+    and then the rule judges them one by one.
 
     One pass reads the entries' types, one converts the ints, one sum tests
     finiteness: a NaN or an inf makes the sum NaN or inf, and so does an
@@ -122,8 +109,8 @@ def _floats(entries: list) -> list[float] | None:
             entries = list(map(float, entries))
         except OverflowError:
             return None
-        # an int just past the largest float converts to it; _number rejects it
-        if entries and not (-_FLOAT_MAX < min(entries) and max(entries) < _FLOAT_MAX):
+        # an int just past the largest float converts to it; the rule rejects it
+        if entries and not (-_MAX < min(entries) and max(entries) < _MAX):
             return None
     else:
         entries = list(entries)
@@ -161,7 +148,7 @@ def _block(fast, slow):
 
 
 _vec3 = _block(lambda value: _floats(value) if type(value) is list and len(value) == 3 else None,
-               _triple(_number))
+               _triple(_ruled("finite")))
 _triangles = _block(lambda value: _vectors(value, depth=2), _list(_triple(_vec3)))
 
 
@@ -202,13 +189,13 @@ _DEGREES = ("fov_h", "fov_v", "inclination_min", "inclination_max", "azimuth_min
 
 def _section(cls) -> dict:
     """Spec entries ``key: (parser, field default)`` of a config class's ruled
-    fields, whose rules the class checks.  A field of _DEGREES is given in
+    fields, each parsed by its rule.  A field of _DEGREES is given in
     degrees, its default rounded so that 60 degrees reads back as 60.0."""
     spec = {}
     for f in dataclasses.fields(cls):
         if "rule" not in f.metadata:
             continue
-        parse = _integer if f.metadata["rule"] in INTEGER_RULES else _number
+        parse = _ruled(f.metadata["rule"])
         if f.name in _DEGREES:
             spec[f"{f.name}_deg"] = (parse, round(math.degrees(f.default), 9))
         else:
@@ -218,22 +205,28 @@ def _section(cls) -> dict:
 
 _BOX = {"min": (_vec3, MISSING), "max": (_vec3, MISSING)}
 _POINT = {"position": (_vec3, MISSING), "normal": (_vec3, MISSING)}
-_SCATTER = {**_BOX, "count": (_count, MISSING), "seed": (_optional(_count), None),
+_UINT = _ruled("non-negative integer")         # a count or a seed
+_SCATTER = {**_BOX, "count": (_UINT, MISSING), "seed": (_optional(_UINT), None),
             "faces": (_optional(_list(_one_of(FACES), nonempty=True)), None)}
-_EXPLICIT = _list(_fields({"id": (_optional(_integer), None), **_POINT}))
+_EXPLICIT = _list(_fields({"id": (_optional(_ruled("integer")), None), **_POINT}))
 _EXPLICIT_KEYS = {"id", *_POINT}
 
 
 def _points_block(node) -> list[dict] | None:
     """The explicit points with every position and every normal checked as
     one block, when each point is a plain dict of known keys with a plain
-    int id or none; None when any entry is not, for _points_each."""
+    int id that fits int64, or none; None when any entry is not, for
+    _points_each."""
     if type(node) is not list or not set(map(type, node)) <= {dict}:
         return None
     if not set(chain.from_iterable(node)) <= _EXPLICIT_KEYS:
         return None
     ids = list(map(dict.get, node, repeat("id")))
     if not set(map(type, ids)) <= {int, type(None)}:
+        return None
+    # the id rule holds for every id if it holds for the least and the most
+    given = [i for i in ids if i is not None]
+    if given and not all(map(_RULES["integer"][1], (min(given), max(given)))):
         return None
     positions = _vectors(list(map(dict.get, node, repeat("position"))))
     normals = _vectors(list(map(dict.get, node, repeat("normal"))))
@@ -259,7 +252,7 @@ _points = _block(_points_block, _points_each)
 _SCENARIO = {
     # waypoint_standoff None means one voxel, resolved by MissionConfig.standoff;
     # seed is the fallback seed of the interest-point scatter, not a config field
-    "mission": (_fields({**_section(MissionConfig), "seed": (_count, 0)}), {}),
+    "mission": (_fields({**_section(MissionConfig), "seed": (_UINT, 0)}), {}),
     "agents": (_list(_fields({"kind": (_one_of(KINDS), MISSING), "start": (_vec3, MISSING),
                               **_section(AgentSpec)}), nonempty=True), MISSING),
     "camera": (_fields(_section(CameraConfig)), {}),

@@ -739,6 +739,15 @@ class _Mission:
         if self.ledger.num_points and not np.any(self.ledger.best_q > 0):
             warnings.warn(f"the mission scored none of its {self.ledger.num_points} "
                           f"interest points")
+        # a photographer enters the inspection stage on hearing a finished
+        # explorer; one that never did, when some explorer finished, heard none
+        if any(a.spec.kind == EXPLORER and a.phase == 2 for a in self.agents):
+            for a in self.agents:
+                if a.spec.kind == PHOTOGRAPHER and a.phase == 1:
+                    self.plan_events.append(f"tick {self.n_ticks} agent {a.id} never entered "
+                                            "inspection stage: heard no finished explorer")
+                    warnings.warn(f"photographer {a.id} never entered the inspection stage: "
+                                  "it heard no explorer that finished its survey")
         return MissionResult(
             q_total=inspection_score(self.ledger),
             ledger=self.ledger,

@@ -3,7 +3,8 @@ config rules.
 
 A config class declares each numeric field's rule once, with ``ruled``, and
 its ``__post_init__`` runs ``check_fields``, so the Python API and a scenario
-file meet the same rule; a failure names ``<section> <field>``.
+file meet the same rule; a failure names ``<section> <field>`` in the API and
+the key's dotted path in a file.
 """
 
 import dataclasses
@@ -13,18 +14,20 @@ import sys
 import numpy as np
 
 _MAX = sys.float_info.max       # NaN, ±inf and an int no float can hold all fail x <= _MAX
+_I64 = 2 ** 63                  # numpy's int64 holds [-_I64, _I64)
 
 # each rule: the numbers it takes, the test such a number must pass, and what
-# a failure says the value must be; a positive integer must fit numpy's int64
+# a failure says the value must be
 _RULES = {
     "finite": (numbers.Real, lambda x: -_MAX <= x <= _MAX, "finite"),
     "positive": (numbers.Real, lambda x: 0 < x <= _MAX, "positive and finite"),
     "non-negative": (numbers.Real, lambda x: 0 <= x <= _MAX, "non-negative and finite"),
     "unit": (numbers.Real, lambda x: 0 <= x <= 1, "within [0, 1]"),
-    "positive integer": (numbers.Integral, lambda x: 0 < x < 2 ** 63, "an integer in [1, 2**63)"),
-    "non-negative integer": (numbers.Integral, lambda x: x >= 0, "a non-negative integer"),
+    "integer": (numbers.Integral, lambda x: -_I64 <= x < _I64, "an integer in [-2**63, 2**63)"),
+    "positive integer": (numbers.Integral, lambda x: 0 < x < _I64, "an integer in [1, 2**63)"),
+    "non-negative integer": (numbers.Integral, lambda x: 0 <= x < _I64, "an integer in [0, 2**63)"),
 }
-INTEGER_RULES = ("positive integer", "non-negative integer")
+INTEGER_RULES = ("integer", "positive integer", "non-negative integer")
 
 
 class ConfigurationError(ValueError):
@@ -55,10 +58,10 @@ def widened(value):
     return float(value) if isinstance(value, np.floating) else value
 
 
-def check_value(what: str, value, rule: str) -> None:
-    """Raise ConfigurationError naming what unless value keeps rule.  A bool is
-    not a number here; a numpy number is, and a numpy float keeps a rule as
-    its float64 value does."""
+def check_value(what: str, value, rule: str):
+    """value, once it keeps rule; else raise ConfigurationError naming what.
+    A bool is not a number here; a numpy number is, and a numpy float keeps a
+    rule as its float64 value does."""
     kind, keeps, must = _RULES[rule]
     # an exact int or float skips the isinstance test against the abc, which
     # costs most of a check; every other type takes it
@@ -68,6 +71,7 @@ def check_value(what: str, value, rule: str) -> None:
         number = not isinstance(value, bool) and isinstance(value, kind)
     if not (number and keeps(widened(value))):
         raise ConfigurationError(f"{what} must be {must}, got {value!r}")
+    return value
 
 
 def check_fields(config, section: str) -> None:

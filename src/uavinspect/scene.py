@@ -51,7 +51,12 @@ class Scene:
         self.inspection_boxes: list[BoundingBox] = list(inspection_boxes or [])
 
         ids, positions, normals = interest_points if interest_points is not None else ((),) * 3
-        self.point_ids = np.array(ids, dtype=int).reshape(-1)
+        try:
+            self.point_ids = np.array(ids, dtype=int).reshape(-1)
+        except OverflowError:
+            for pid in ids:         # name the first id that no int64 holds
+                check_value("interest point id", pid, "integer")
+            raise
         n = len(self.point_ids)
         self.point_positions = _point_rows(positions, n, "position")
         normals = _point_rows(normals, n, "normal")

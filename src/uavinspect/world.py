@@ -80,12 +80,10 @@ class VoxelGrid:
     voxel_size: float
 
     def __post_init__(self):
-        if not (self.voxel_size > 0 and math.isfinite(self.voxel_size)):
-            raise ConfigurationError("voxel size must be positive and finite")
-        if not all(math.isfinite(c) for c in self.origin):
-            raise ConfigurationError(f"grid origin must be finite, got {self.origin}")
-        if any(d < 1 for d in self.dims):
-            raise ConfigurationError(f"grid dims must be positive, got {self.dims}")
+        check_value("grid voxel_size", self.voxel_size, "positive")
+        for axis in range(3):
+            check_value(f"grid origin[{axis}]", self.origin[axis], "finite")
+            check_value(f"grid dims[{axis}]", self.dims[axis], "positive integer")
 
     @cached_property
     def origin_arr(self) -> np.ndarray:

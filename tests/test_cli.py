@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_engine import PROBES, build_config, numeric_fields
 from test_mesh import centroid_points, prism_triangles
 from test_world import point_arrays
 from uavinspect import cli
@@ -19,7 +20,7 @@ from uavinspect.agents import KINDS, GimbalLimits, TrackingConfig
 from uavinspect.cli import (load_scenario_dict, main, normalize_scenario,
                             parse_scenario, scenario_from_dict)
 from uavinspect.engine import AgentSpec, MissionConfig
-from uavinspect.errors import INTEGER_RULES, ConfigurationError
+from uavinspect.errors import INTEGER_RULES, ConfigurationError, check_value
 from uavinspect.scene import FACES, Scene
 from uavinspect.sensors import CameraConfig, LidarConfig
 
@@ -228,6 +229,11 @@ def at(node, where):
     return node
 
 
+def dotted(where):
+    """The dotted path of the node that ``at`` reaches by where."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)[1:]
+
+
 @pytest.mark.parametrize("kind", RECORDS)
 def test_record_rules_name_the_dotted_path(kind):
     where, path, (bad_key, bad_value), required, null = RECORDS[kind]
@@ -253,6 +259,112 @@ def test_record_rules_name_the_dotted_path(kind):
         raw = copy.deepcopy(FULL)
         at(raw, where)[key] = None
         assert at(normalize_scenario(raw), where)[key] == default
+
+
+# each config class's section in a scenario file, and the record a probe sets
+FILE_RECORDS = {"agent": ("agents", 1), "mission": ("mission",), "camera": ("camera",),
+                "lidar": ("lidar",), "gimbal": ("gimbal",), "tracking": ("tracking",)}
+
+
+@pytest.mark.parametrize("section, f", numeric_fields(),
+                         ids=[f"{s}.{f.name}" for s, f in numeric_fields()])
+def test_the_file_takes_a_number_exactly_when_its_class_does(section, f):
+    # a probe breaks a file's key when it breaks the class's field, and the
+    # error names the key's dotted path; a number kept is a plain int or float
+    key = f"{f.name}_deg" if f.name in cli._DEGREES else f.name
+    where = FILE_RECORDS[section]
+    path = dotted(where)
+    plain = int if f.metadata["rule"] in INTEGER_RULES else float
+    for value, _ in PROBES:
+        try:
+            build_config(section, **{f.name: value})
+            error = None
+        except ConfigurationError as exc:
+            error = exc
+        raw = copy.deepcopy(MINIMAL)
+        raw.setdefault(where[0], {})
+        at(raw, where)[key] = value
+        if error is None:
+            kept = at(normalize_scenario(raw), where)[key]
+            assert type(kept) is plain and kept == plain(value), (value, kept)
+        else:
+            rule_text = str(error).split(" must be ", 1)[1]
+            with pytest.raises(ConfigurationError,
+                               match=f"^{re.escape(f'{path}.{key} must be {rule_text}')}$"):
+                normalize_scenario(raw)
+
+
+@pytest.mark.parametrize("where, least", [
+    (("mission", "seed"), 0),
+    (("scene", "interest_points", "scatter", 0, "count"), 0),
+    (("scene", "interest_points", "scatter", 0, "seed"), 0),
+    (("scene", "interest_points", "explicit", 0, "id"), -2 ** 63),
+], ids=["mission-seed", "scatter-count", "scatter-seed", "explicit-id"])
+def test_the_integer_keys_outside_the_config_classes_keep_their_rule(where, least):
+    # 2**70 as an id and 2**64 as a count raised OverflowError building the
+    # scene; only normalize_scenario runs here, so no count in range is scattered
+    *parent, key = where
+    path = dotted(where)
+
+    def normalized(value):
+        raw = copy.deepcopy(FULL)
+        at(raw, parent)[key] = value
+        return at(normalize_scenario(raw), parent)[key]
+
+    rule = "[0, 2**63)" if least == 0 else "[-2**63, 2**63)"
+    for value in (least - 1, 2 ** 63, 2 ** 64, 2 ** 70, np.uint64(2 ** 63), 1.5, 2.0, True, "3"):
+        message = f"{path} must be an integer in {rule}, got {value!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            normalized(value)
+    for value in (least, 2 ** 63 - 1, np.int64(3), np.uint8(2)):
+        kept = normalized(value)
+        assert type(kept) is int and kept == value
+
+
+@pytest.mark.parametrize("value, shown", [(-1, "-1"), (-1.0, "-1.0"), ("fast", "'fast'")])
+def test_a_rule_failure_in_a_list_names_its_entry(tmp_path, capsys, value, shown):
+    # a rule failure read "agent v_max must be ...", naming no agent
+    raw = yaml.safe_load((SCENARIOS / "desk_box.yaml").read_text())
+    raw["agents"][2]["v_max"] = value
+    assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: agents[2].v_max must be positive and finite, got {shown}\n")
+
+
+def test_numpy_scalars_are_taken_as_the_classes_take_them():
+    # each was rejected as "expected an integer" or "expected a finite number"
+    raw = {**copy.deepcopy(MINIMAL), "camera": {"range": np.float32(40.0)},
+           "lidar": {"beams": np.int32(16)}}
+    raw["mission"]["horizon"] = np.int64(3)
+    canonical = normalize_scenario(raw)
+    kept = (canonical["mission"]["horizon"], canonical["camera"]["range"],
+            canonical["lidar"]["beams"])
+    assert [(type(v), v) for v in kept] == [(int, 3), (float, 40.0), (int, 16)]
+    cfg, _ = scenario_from_dict(canonical)
+    assert dataclasses.replace(cfg, horizon=np.int64(3)).horizon == cfg.horizon == 3
+    assert yaml.safe_dump(canonical) == yaml.safe_dump(normalize_scenario(
+        {**MINIMAL, "mission": {"duration": 30.0, "horizon": 3}, "camera": {"range": 40.0},
+         "lidar": {"beams": 16}}))
+
+
+@pytest.mark.parametrize("where, value", [
+    (("interest_points", "explicit", 0, "id"), 2 ** 70),
+    (("interest_points", "scatter", 0, "count"), 2 ** 64),
+], ids=["id", "count"])
+def test_an_integer_no_int64_holds_exits_2(tmp_path, capsys, where, value):
+    # each raised OverflowError building the scene, a traceback and exit status 1
+    raw = copy.deepcopy(FULL)
+    *parent, key = where
+    at(raw["scene"], parent)[key] = value
+    path = dotted(("scene", *where))
+    assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} must be an integer in ") and err.endswith(f"{value}\n")
+    # the explicit points as one block, then entry by entry: a numpy coordinate
+    # sends them down the per-entry parse, which names the same id
+    raw["scene"]["interest_points"]["explicit"][1]["position"][0] = np.float64(18.0)
+    with pytest.raises(ConfigurationError, match=re.escape(err[len("error: "):-1])):
+        normalize_scenario(raw)
 
 
 def test_explicit_point_without_id_takes_its_index():
@@ -461,7 +573,7 @@ def test_main_rejects_a_negative_standoff_before_running(tmp_path, capsys):
     bad = write_yaml(tmp_path, {**MINIMAL, "mission": {"duration": 30.0,
                                                        "waypoint_standoff": -3.0}})
     assert main(["--scenario", bad]) == 2
-    assert "mission waypoint_standoff must be positive" in capsys.readouterr().err
+    assert "mission.waypoint_standoff must be positive" in capsys.readouterr().err
 
 
 def test_main_rejects_negative_limits_before_running(tmp_path, capsys):
@@ -470,7 +582,7 @@ def test_main_rejects_negative_limits_before_running(tmp_path, capsys):
     raw["agents"][0]["v_max"] = -1.0
     raw["tracking"] = {"a_max": -4.0}
     assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
-    assert "error: agent v_max must be positive" in capsys.readouterr().err
+    assert "error: agents[0].v_max must be positive" in capsys.readouterr().err
 
 
 BOX_30 = {"min": [0.0, 0.0, 0.0], "max": [30.0, 30.0, 30.0]}
@@ -496,13 +608,13 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {
         "scatter": [{**BOX_12_18, "count": 5, "faces": ["x-", "x-", "x+"]}]}}},
      [], "face 'x-' is repeated in a scatter rule"),
-    (MINIMAL, ["--voxel-size", "-3"], "mission voxel_size must be positive"),
-    # a flag passes its key's type parse, and the config class holds it to its rule
-    (MINIMAL, ["--quality-floor", "1.5"], "camera quality_floor must be within [0, 1], got 1.5"),
-    (MINIMAL, ["--horizon", "0"], "mission horizon must be an integer in [1, 2**63), got 0"),
+    (MINIMAL, ["--voxel-size", "-3"], "mission.voxel_size must be positive"),
+    # a flag goes through its key's parser, which holds it to its field's rule
+    (MINIMAL, ["--quality-floor", "1.5"], "camera.quality_floor must be within [0, 1], got 1.5"),
+    (MINIMAL, ["--horizon", "0"], "mission.horizon must be an integer in [1, 2**63), got 0"),
     # an int no int64 holds ran the whole mission and raised OverflowError scoring it
     ({**MINIMAL, "mission": {"duration": 30.0, "capture_stride": 2 ** 63}}, [],
-     "mission capture_stride must be an integer in [1, 2**63), got 9223372036854775808"),
+     "mission.capture_stride must be an integer in [1, 2**63), got 9223372036854775808"),
     # unknown keys of mixed types failed to sort: a traceback and exit status 1
     ({**MINIMAL, 1: "x", "foo": "y"}, [], "scenario: unknown key(s) ['foo', 1]"),
 ], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
@@ -525,7 +637,8 @@ def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, fl
 def test_main_rejects_non_finite_numbers(tmp_path, capsys, scenario, flags, path):
     # a flag goes through its key's parser, so it is rejected at the key's path
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
-    assert f"error: {path}: expected a finite number" in capsys.readouterr().err
+    assert re.search(f"error: {re.escape(path)} must be .*, got (nan|inf)$",
+                     capsys.readouterr().err, re.M)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
@@ -533,7 +646,7 @@ def test_a_non_finite_number_is_rejected_at_its_path(value):
     raw = copy.deepcopy(MINIMAL)
     raw["agents"][1]["start"][1] = value
     with pytest.raises(ConfigurationError,
-                       match=re.escape("agents[1].start[1]: expected a finite number")):
+                       match=re.escape("agents[1].start[1] must be finite, got ")):
         normalize_scenario(raw)
     raw["agents"][1]["start"][1] = 10 ** 308        # an int a float can hold
     assert normalize_scenario(raw)["agents"][1]["start"][1] == 1e308
@@ -543,7 +656,7 @@ def test_main_rejects_an_inf_in_the_file(tmp_path, capsys):
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump(MINIMAL) + "camera: {range: .inf}\n")
     assert main(["--scenario", str(path)]) == 2
-    assert "error: camera.range: expected a finite number, got inf" in capsys.readouterr().err
+    assert "error: camera.range must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_main_accepts_all_override_flags(tmp_path):
@@ -578,7 +691,7 @@ SCATTERED = {**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points
 def test_main_rejects_a_negative_seed(tmp_path, capsys, scenario, flags, path):
     # numpy's seeding rejected it mid-build, a traceback with exit status 1
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
-    assert f"error: {path} must be non-negative, got -1" in capsys.readouterr().err
+    assert f"error: {path} must be an integer in [0, 2**63), got -1" in capsys.readouterr().err
 
 
 # --- the per-entry parse, kept as the oracle of the block parse ------------------
@@ -589,28 +702,21 @@ def ref_list(node, path):
     return node
 
 
-def ref_number(value, path):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
+def ref_rule(rule):
+    """A number held to its rule at its path, as a plain int or float."""
+    def parse(value, path):
+        check_value(path, value, rule)
+        return int(value) if rule in INTEGER_RULES else float(value)
+    return parse
 
 
-def ref_integer(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
+ref_number = ref_rule("finite")
+ref_integer = ref_rule("integer")
+ref_count = ref_rule("non-negative integer")
 
 
 def ref_optional(parse):
     return lambda value, path: None if value is None else parse(value, path)
-
-
-def ref_count(value, path):
-    count = ref_integer(value, path)
-    if count < 0:
-        raise ConfigurationError(f"{path} must be non-negative, got {count}")
-    return count
 
 
 def ref_one_of(options):
@@ -665,7 +771,7 @@ def ref_section(cls):
     for f in dataclasses.fields(cls):
         if "rule" not in f.metadata:
             continue
-        item = ref_integer if f.metadata["rule"] in INTEGER_RULES else ref_number
+        item = ref_rule(f.metadata["rule"])
         if f.name in cli._DEGREES:
             spec[f"{f.name}_deg"] = (item, round(math.degrees(f.default), 9))
         else:
@@ -712,7 +818,7 @@ REF_SCENARIO = ref_record({
 
 
 def reference_normalize(raw):
-    """normalize_scenario as it parsed every number on its own."""
+    """normalize_scenario as it parsed every number on its own, by its rule."""
     return REF_SCENARIO(raw, "")
 
 
@@ -746,7 +852,8 @@ DELETE = object()       # a salt that removes its key
 SALTS = [True, False, None, "1.0", math.nan, math.inf, -math.inf, 10 ** 400,
          2 ** 1024 - 2 ** 971, 2 ** 1024 - 2 ** 971 + 1, -(2 ** 1024 - 2 ** 971 + 1),
          sys.float_info.max, 2 ** 53 + 1, 7, -0.0, np.float64(2.5), np.float64(math.nan),
-         np.int64(3), [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [], (1.0, 2.0, 3.0), {"x": 1.0},
+         np.int64(3), np.float32(40.0), np.uint64(2 ** 63), 2 ** 63, 2 ** 63 - 1, -2 ** 63 - 1,
+         2 ** 70, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [], (1.0, 2.0, 3.0), {"x": 1.0},
          [[1.0, 2.0, 3.0]] * 3, DELETE]
 
 
@@ -810,16 +917,16 @@ def test_block_parse_equals_the_per_entry_parse(raw):
 
 @pytest.mark.parametrize("where, salt, message", [
     (("scene", "triangles", 1, 2, 0), True,
-     "scene.triangles[1][2][0]: expected a finite number, got True"),
+     "scene.triangles[1][2][0] must be finite, got True"),
     (("scene", "triangles", 2, 1), [1.0, 2.0],
      "scene.triangles[2][1]: expected 3 components, got 2"),
     (("agents", 1, "start", 2), 2 ** 1024 - 2 ** 971 + 1,
-     f"agents[1].start[2]: expected a finite number, got {2 ** 1024 - 2 ** 971 + 1}"),
+     f"agents[1].start[2] must be finite, got {2 ** 1024 - 2 ** 971 + 1}"),
     (("scene", "interest_points", "explicit", 2, "normal", 0), np.float64(math.nan),
-     "scene.interest_points.explicit[2].normal[0]: expected a finite number, got "
-     f"{np.float64(math.nan)!r}"),
-    (("scene", "interest_points", "explicit", 1, "id"), np.int64(3),
-     f"scene.interest_points.explicit[1].id: expected an integer, got {np.int64(3)!r}"),
+     f"scene.interest_points.explicit[2].normal[0] must be finite, got {np.float64(math.nan)!r}"),
+    (("scene", "interest_points", "explicit", 1, "id"), np.uint64(2 ** 63),
+     "scene.interest_points.explicit[1].id must be an integer in [-2**63, 2**63), got "
+     f"{np.uint64(2 ** 63)!r}"),
     (("scene", "interest_points", "explicit", 1, "bogus"), 1.0,
      "scene.interest_points.explicit[1]: unknown key(s) ['bogus']"),
     (("scene", "solid_boxes", 0, "max"), (1.0, 2.0, 3.0),

@@ -472,6 +472,8 @@ def test_shipped_scenarios_match_golden_behaviour(shipped_runs, name):
     assert result.suppressed_returns == 0       # the hit rule never acts here
     # a scene with points has some scored, so no mission warns it scored none
     assert result.ledger.num_points == 0 or result.ledger.best_q.any()
+    # every agent enters the inspection stage, so no photographer is named
+    assert len(result.phase_change_ticks) == len(_cfg.agents)
 
 
 # The same for the bench workloads at seed 1; unlike the shipped scenarios,
@@ -501,6 +503,7 @@ def test_bench_workloads_match_golden_behaviour(name):
     # the hit rule never acts on a pinned run
     assert not [w for w in caught if "LiDAR hits" in str(w.message)]
     assert not [w for w in caught if "scored none" in str(w.message)]
+    assert not [w for w in caught if "never entered" in str(w.message)]
     assert result.suppressed_returns == 0
     digest, plans = WORKLOAD_GOLDEN[name]
     assert result.digest() == digest
@@ -1000,6 +1003,30 @@ def test_a_mission_that_scores_no_point_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run_mission(cfg, Scene(inspection_boxes=small_scene().inspection_boxes))
+
+
+def test_a_photographer_that_never_hears_a_finished_explorer_is_named():
+    # desk_box with a third photographer inside the hollow cube, whose walls
+    # hide it from every peer: the explorer finishes its survey at tick 419,
+    # the two outside photographers hear it, and the walled-in one held still
+    # for the whole mission, unnamed
+    cfg, scene = shipped("desk_box")
+    cfg = dataclasses.replace(cfg, duration=50.0, agents=(
+        *cfg.agents, AgentSpec("photographer", (24.0, 24.0, 24.0))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_mission(cfg, scene)
+    assert res.phase_change_ticks == {0: 419, 1: 420, 2: 420}
+    assert [str(w.message) for w in caught if "never entered" in str(w.message)] == [
+        "photographer 3 never entered the inspection stage: it heard no explorer that "
+        "finished its survey"]
+    assert res.plan_events[-1] == ("tick 500 agent 3 never entered inspection stage: "
+                                   "heard no finished explorer")
+    # before the explorer finishes, no photographer could have heard it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        res = run_mission(*shortened((cfg, scene), 40.0))
+    assert res.phase_change_ticks == {}
 
 
 def _events_of(res, agent):

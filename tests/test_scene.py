@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -485,6 +486,17 @@ def test_scene_rejects_duplicate_ids():
     assert Scene(interest_points=points(7, 3, 5)).point_ids.tolist() == [7, 3, 5]
 
 
+@pytest.mark.parametrize("pid", [2 ** 63, -2 ** 63 - 1, 2 ** 70, 1e30])
+def test_scene_rejects_an_id_no_int64_holds(pid):
+    # np.array(ids, dtype=int) raised a bare OverflowError
+    message = f"interest point id must be an integer in [-2**63, 2**63), got {pid!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        Scene(interest_points=([3, pid], [(0.0, 0.0, 0.0)] * 2, [(1.0, 0.0, 0.0)] * 2))
+    edges = Scene(interest_points=([2 ** 63 - 1, -2 ** 63], [(0.0, 0.0, 0.0)] * 2,
+                                   [(1.0, 0.0, 0.0)] * 2))
+    assert edges.point_ids.tolist() == [2 ** 63 - 1, -2 ** 63]
+
+
 @pytest.mark.parametrize("ids, positions, normals, message", [
     ([0, 1], [(0, 0, 0)], [(1, 0, 0)] * 2, r"positions must be of shape \(2, 3\) for 2 ids"),
     ([0], [(0, 0, 0)], [(1, 0, 0)] * 2, r"normals must be of shape \(1, 3\) for 1 ids"),
@@ -667,16 +679,18 @@ def test_array_scatter_and_box_test_equal_the_per_point_loops(case):
 @pytest.mark.parametrize("kwargs, message", [
     ({"faces": ()}, "scatter faces must name at least one face"),
     ({"count": 0, "faces": []}, "scatter faces must name at least one face"),
-    ({"count": True}, "scatter count must be a non-negative integer, got True"),
-    ({"count": 2.5}, "scatter count must be a non-negative integer, got 2.5"),
-    ({"count": 2.0}, "scatter count must be a non-negative integer, got 2.0"),
-    ({"seed": -1}, "scatter seed must be a non-negative integer, got -1"),
-    ({"seed": True}, "scatter seed must be a non-negative integer, got True"),
+    ({"count": True}, "scatter count must be an integer in [0, 2**63), got True"),
+    ({"count": 2.5}, "scatter count must be an integer in [0, 2**63), got 2.5"),
+    ({"count": 2.0}, "scatter count must be an integer in [0, 2**63), got 2.0"),
+    # numpy raised OverflowError on a count no int64 holds
+    ({"count": 2 ** 64}, f"scatter count must be an integer in [0, 2**63), got {2 ** 64}"),
+    ({"seed": -1}, "scatter seed must be an integer in [0, 2**63), got -1"),
+    ({"seed": True}, "scatter seed must be an integer in [0, 2**63), got True"),
 ], ids=["no-faces", "no-faces-no-points", "bool-count", "fractional-count", "float-count",
-        "negative-seed", "bool-seed"])
+        "count-past-int64", "negative-seed", "bool-seed"])
 def test_scatter_rejects_a_bad_argument_by_name(kwargs, message):
     box = BoundingBox((0, 0, 0), (4, 4, 4))
-    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         scatter_box_face_points(box, **{"count": 5, "seed": 1, **kwargs})
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -106,6 +107,22 @@ def test_grid_rejects_bad_voxel_size():
 def test_grid_rejects_non_finite_or_non_positive_values(origin, voxel):
     with pytest.raises(ConfigurationError):
         VoxelGrid(origin, (2, 2, 2), voxel)
+
+
+@pytest.mark.parametrize("origin, dims, voxel, message", [
+    # a float dim built, and OccupancyMap on the grid raised TypeError
+    ((0, 0, 0), (2.0, 2, 2), 1.0, "grid dims[0] must be an integer in [1, 2**63), got 2.0"),
+    # a bool dim was taken as 1
+    ((0, 0, 0), (2, True, 2), 1.0, "grid dims[1] must be an integer in [1, 2**63), got True"),
+    ((0, 0, 0), (2, 2, 0), 1.0, "grid dims[2] must be an integer in [1, 2**63), got 0"),
+    ((0, 0, True), (2, 2, 2), 1.0, "grid origin[2] must be finite, got True"),
+    ((0, 0, 0), (2, 2, 2), True, "grid voxel_size must be positive and finite, got True"),
+], ids=["float-dim", "bool-dim", "zero-dim", "bool-origin", "bool-voxel"])
+def test_grid_holds_each_scalar_to_its_rule(origin, dims, voxel, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        VoxelGrid(origin, dims, voxel)
+    grid = VoxelGrid((0, 0, 0), (np.int64(2), 2, 2), 1.0)
+    assert OccupancyMap(grid).cells.shape == (2, 2, 2)
 
 
 def step_dynamics_with_dt(dt):
