@@ -92,7 +92,6 @@ class MissionConfig:
     voxel_size: float = ruled("positive", 6.0)
     horizon: int = ruled("positive integer", 3)
     waypoint_standoff: float | None = ruled("positive", None)     # defaults to one voxel
-    capture_stride: int = ruled("positive integer", 1)
     camera: CameraConfig = CameraConfig()
     lidar: LidarConfig = LidarConfig()
     gimbal: GimbalLimits = GimbalLimits()
@@ -420,13 +419,14 @@ class _Mission:
                 e_idx += 1
             self.agents.append(rt)
 
-        # the pose table: every agent's camera pose at every capture tick, packed
+        # the pose table: every agent's camera pose at every tick, packed
         # as camera_pose packs it, in fleet order, until _score takes it
         self.poses = bytearray()
         self.ledger = ScoreLedger(scene.point_ids, cfg.camera.quality_floor)
         self.score_trace: list[float] = []
         self.observations: ObservationLog | None = None     # made by _score
         self.plan_events: list[str] = []
+        self.planned = False        # whether any regeneration gave waypoints
         self.n_ticks = max(1, int(round(cfg.duration / cfg.tick)))
         self.voxels = np.zeros((self.n_ticks, len(self.agents), 3), dtype=int)  # by _audit
         self.sight = np.zeros((self.n_ticks, len(self.first)), dtype=bool)     # by _exchange
@@ -483,6 +483,7 @@ class _Mission:
             a.barren = a.occ.cells.copy()
             a.sigma = None
             return
+        self.planned = True
         positions = {a.id: self.position[a.id]}
         for j in peers[a.id]:
             if self.agents[j].phase == 2:
@@ -649,9 +650,8 @@ class _Mission:
         return None
 
     def _capture(self, k: int) -> None:
-        if k % self.cfg.capture_stride == 0:
-            self.poses += camera_pose(self.position, self.velocity, self.yaw,
-                                      self.inclination, self.azimuth)
+        self.poses += camera_pose(self.position, self.velocity, self.yaw,
+                                  self.inclination, self.azimuth)
 
     def _observe_distinct(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Observe each distinct pose of the pose table once and take the
@@ -681,11 +681,11 @@ class _Mission:
         return which, [np.frombuffer(c, dtype=np.intp) for c in columns[:2]] + [
             np.frombuffer(c) for c in columns[2:]]
 
-    def _score(self, n_ticks: int) -> None:
+    def _score(self) -> None:
         """Gather the observation log from the rows of the distinct poses,
-        then fold each capture's run of it into the ledger and the score
-        trace in tick order; a tick between captures repeats the last mean.
-        A capture logs its agents' rows in fleet order, then point order."""
+        then fold each tick's capture into the ledger and the score trace in
+        tick order.  A capture logs its agents' rows in fleet order, then point
+        order."""
         which, (counts, *columns) = self._observe_distinct()
         fleet = len(self.agents)
         sizes = counts[which]                   # rows per agent capture, capture by capture
@@ -695,19 +695,13 @@ class _Mission:
         rows = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
         point, q_blur, q_res, q = (c[rows] for c in columns)
         del rows, columns, counts               # the distinct poses' rows go before the fold
-        agent = np.repeat(np.tile(np.arange(fleet, dtype=np.int64), len(which) // fleet), sizes)
-        bounds = np.concatenate(([0], ends[fleet - 1::fleet])).tolist()    # per capture
-        captures = iter(zip(bounds, bounds[1:]))
-        mean = 0.0
-        for k in range(n_ticks):
-            if k % self.cfg.capture_stride == 0:
-                lo, hi = next(captures)
-                update_ledger(self.ledger, Observations(agent[lo:hi], point[lo:hi],
-                                                        q_blur[lo:hi], q_res[lo:hi], q[lo:hi]))
-                mean = self.ledger.mean_best()
-            self.score_trace.append(mean)
-        tick = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64) * self.cfg.capture_stride,
-                         np.diff(bounds))
+        # the table holds the fleet's poses tick by tick, in fleet order
+        tick, agent = np.divmod(np.repeat(np.arange(len(which), dtype=np.int64), sizes), fleet)
+        bounds = np.concatenate(([0], ends[fleet - 1::fleet])).tolist()    # per tick
+        for lo, hi in zip(bounds, bounds[1:]):
+            update_ledger(self.ledger, Observations(agent[lo:hi], point[lo:hi],
+                                                    q_blur[lo:hi], q_res[lo:hi], q[lo:hi]))
+            self.score_trace.append(self.ledger.mean_best())
         point_id = self.scene.point_ids[point].astype(np.int64, copy=False)
         self.observations = ObservationLog(tick, agent, point_id, q_blur, q_res, q)
 
@@ -729,7 +723,7 @@ class _Mission:
             self._act(k)
             self._capture(k)
             self._audit(k)
-        self._score(self.n_ticks)
+        self._score()
         if self.free_structure_cells:
             warnings.warn(f"agent maps held structure cells free "
                           f"{self.free_structure_cells} times (cells x ticks)")
@@ -748,6 +742,13 @@ class _Mission:
                                             "inspection stage: heard no finished explorer")
                     warnings.warn(f"photographer {a.id} never entered the inspection stage: "
                                   "it heard no explorer that finished its survey")
+        # the fleet reached the inspection stage, but no agent's map ever gave
+        # a waypoint, so no epoch was planned
+        if self.scene.num_points and self.phase_change_ticks and not self.planned:
+            self.plan_events.append(f"tick {self.n_ticks} no inspection epoch planned: "
+                                    "no agent's map gave a waypoint")
+            warnings.warn("the fleet entered the inspection stage but planned no epoch: "
+                          "no agent's map gave a waypoint")
         return MissionResult(
             q_total=inspection_score(self.ledger),
             ledger=self.ledger,

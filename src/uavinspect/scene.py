@@ -51,12 +51,7 @@ class Scene:
         self.inspection_boxes: list[BoundingBox] = list(inspection_boxes or [])
 
         ids, positions, normals = interest_points if interest_points is not None else ((),) * 3
-        try:
-            self.point_ids = np.array(ids, dtype=int).reshape(-1)
-        except OverflowError:
-            for pid in ids:         # name the first id that no int64 holds
-                check_value("interest point id", pid, "integer")
-            raise
+        self.point_ids = _point_ids(ids)
         n = len(self.point_ids)
         self.point_positions = _point_rows(positions, n, "position")
         normals = _point_rows(normals, n, "normal")
@@ -134,6 +129,22 @@ class Scene:
         return top - base <= _EPS_BACKOFF / 2
 
 
+def _point_ids(ids) -> np.ndarray:
+    """ids as an int64 array, each held to the "integer" rule: an int64 array,
+    or plain ints that int64 holds, pass whole; any other ids are checked one
+    by one, which names the first that breaks the rule."""
+    if isinstance(ids, np.ndarray) and ids.dtype == np.int64:
+        return ids.reshape(-1)
+    if set(map(type, ids)) <= {int}:
+        try:
+            return np.array(ids, dtype=np.int64)
+        except OverflowError:
+            pass
+    for pid in ids:
+        check_value("interest point id", pid, "integer")
+    return np.array(ids, dtype=np.int64)
+
+
 def _point_rows(values, n: int, name: str) -> np.ndarray:
     """values as an (n, 3) float array, one row per interest point."""
     rows = np.array(values, dtype=float)
@@ -174,7 +185,8 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
     origin: (3,), shared by every ray, or (n, 3), one per ray; dirs: (n, 3)
     with unit directions; max_range: one range for every ray, or (n,), one
     per ray.  Returns (hit mask, distances); distance is inf where nothing
-    was hit within the ray's range.
+    was hit within the ray's range.  It takes any finite origins and indexes
+    no grid.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     origins = np.asarray(origin, dtype=float).reshape(-1, 3)
@@ -307,7 +319,7 @@ class SightLines:
     @classmethod
     def between(cls, starts, ends) -> "SightLines":
         """starts and ends: (n, 3) arrays, or a (3,) point shared by every
-        segment."""
+        segment; any finite points, as no grid is indexed."""
         starts = np.asarray(starts, dtype=float).reshape(-1, 3)
         rel = np.asarray(ends, dtype=float).reshape(-1, 3) - starts
         lengths = _length(rel)
@@ -329,8 +341,9 @@ def line_of_sight(scene: Scene, starts, ends) -> np.ndarray:
     """Mask of the segments from starts to ends that nothing blocks, under
     the rule of SightLines.
 
-    starts and ends: (n, 3) arrays, or a (3,) point shared by every segment.
-    All segments go through one cast.
+    starts and ends: (n, 3) arrays, or a (3,) point shared by every segment;
+    it takes any finite points and indexes no grid.  All segments go through
+    one cast.
     """
     sight = SightLines.between(starts, ends)
     return sight.clear(*ray_cast_batch(scene, sight.starts, sight.dirs, sight.ranges))
@@ -340,10 +353,11 @@ def visible_point_indices(scene: Scene, apexes, candidate_mask) -> tuple[np.ndar
     """(viewer, point) index pairs of interest points that are front-facing
     and unoccluded, in viewer order, then point order.
 
-    apexes: (m, 3) viewpoints; candidate_mask: (m, points) preselects points
-    per viewer (normally the camera frustum test).  Each survivor is checked
-    front-facing (its normal toward the apex) and for a clear segment from
-    the apex to the point backed off along its normal.  A segment to an
+    apexes: (m, 3) viewpoints, any finite points, as no grid is indexed;
+    candidate_mask: (m, points) preselects points per viewer (normally the
+    camera frustum test).  Each survivor is checked front-facing (its normal
+    toward the apex) and for a clear segment from the apex to the point
+    backed off along its normal.  A segment to an
     exposed point (Scene.exposed) from at least _EPS_BACKOFF above its
     tangent plane stays that high, so no primitive meets it short of its
     end plus _EPS_BACKOFF / 2, and it is clear without a cast; the segments
@@ -445,10 +459,11 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
     """Uniformly scatter interest points over selected outer faces of a box.
 
     Sampling is area-weighted across the selected faces, which must be
-    distinct and at least one, and fully determined by the seed.  count and
-    seed are non-negative integers.  Returns the (ids, positions, normals)
-    arrays that Scene takes: the points take the ids id_offset,
-    id_offset + 1, ... in order, and their normals point outward.
+    distinct and at least one, and fully determined by the seed.  The box
+    may have any finite corners, as no grid is indexed.  count and seed are
+    non-negative integers.  Returns the (ids, positions, normals) arrays that
+    Scene takes: the points take the ids id_offset, id_offset + 1, ... in
+    order, and their normals point outward.
     """
     check_value("scatter count", count, "non-negative integer")
     check_value("scatter seed", seed, "non-negative integer")

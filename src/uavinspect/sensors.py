@@ -164,8 +164,8 @@ def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
 def camera_pose(position, velocity, yaw, inclination, azimuth) -> bytes:
     """The fleet's camera inputs, packed as the pose rows of observe, one
     row of 9 doubles per agent: position, velocity, yaw, gimbal inclination
-    and azimuth.  The bytes are a copy: a later edit of the arrays leaves
-    them as they were."""
+    and azimuth, at any finite positions, as no grid is indexed.  The bytes
+    are a copy: a later edit of the arrays leaves them as they were."""
     return np.concatenate((position, velocity, np.array((yaw, inclination, azimuth)).T),
                           axis=1).tobytes()
 
@@ -173,15 +173,15 @@ def camera_pose(position, velocity, yaw, inclination, azimuth) -> bytes:
 def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
     """Score every interest point the camera sees from each pose.
 
-    poses: (n, 9) rows of camera inputs as camera_pose packs them;
-    one agent may appear in several rows.  Visibility requires the view
-    pyramid, a front-facing surface normal, and a clear sight line; the sight
-    lines of all the poses go through one visibility call, and a pose's
-    observations do not depend on which other poses share the call.  The
-    point velocity entering the blur score is the camera-frame image of the
-    (static) point relative to the moving agent.  Observations with zero
-    quality are dropped; the quality floor is applied later by the score
-    ledger, not here.
+    poses: (n, 9) rows of camera inputs as camera_pose packs them, at any
+    finite positions, as no grid is indexed; one agent may appear in several
+    rows.  Visibility requires the view pyramid, a front-facing surface
+    normal, and a clear sight line; the sight lines of all the poses go
+    through one visibility call, and a pose's observations do not depend on
+    which other poses share the call.  The point velocity entering the blur
+    score is the camera-frame image of the (static) point relative to the
+    moving agent.  Observations with zero quality are dropped; the quality
+    floor is applied later by the score ledger, not here.
     """
     poses = np.asarray(poses, dtype=float).reshape(-1, 9)
     if scene.num_points == 0 or not len(poses):
@@ -252,7 +252,8 @@ def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
                 hit_mask: np.ndarray | None = None, segments=None,
                 clear: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cast the given rays of a firing from position, (3,) shared by every
-    ray or (n, 3) one per ray: (hits, endpoints of empty rays).
+    ray or (n, 3) one per ray: (hits, endpoints of empty rays).  It takes
+    any finite positions and indexes no grid.
 
     hits is (n, 2, 3): each hit's point, then the unit direction of its ray,
     which the mapper nudges the hit along.  Rays that see nothing report

@@ -65,7 +65,7 @@ def test_defaults_are_the_documented_table():
     canonical = normalize_scenario(MINIMAL)
     assert canonical["mission"] == {
         "duration": 30.0, "tick": 0.1, "voxel_size": 6.0, "horizon": 3,
-        "waypoint_standoff": None, "capture_stride": 1, "seed": 0}
+        "waypoint_standoff": None, "seed": 0}
     assert canonical["agents"][0] == {"kind": "explorer", "start": [3.0, 3.0, 3.0],
                                       "v_max": None, "omega_max": 1.5}
     assert canonical["camera"] == {
@@ -86,7 +86,7 @@ SECTIONS = {"camera": CameraConfig, "lidar": LidarConfig, "gimbal": GimbalLimits
 # a value other than the default for every scenario key
 NON_DEFAULT = {
     "mission": {"duration": 12.5, "tick": 0.25, "voxel_size": 4.0, "horizon": 5,
-                "waypoint_standoff": 9.0, "capture_stride": 2, "seed": 3},
+                "waypoint_standoff": 9.0, "seed": 3},
     "camera": {"fov_h_deg": 70.0, "fov_v_deg": 50.0, "range": 25.0, "focal": 900.0,
                "pixel_width": 1.5, "exposure": 0.02, "desired_resolution": 0.05,
                "quality_floor": 0.2},
@@ -612,14 +612,17 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     # a flag goes through its key's parser, which holds it to its field's rule
     (MINIMAL, ["--quality-floor", "1.5"], "camera.quality_floor must be within [0, 1], got 1.5"),
     (MINIMAL, ["--horizon", "0"], "mission.horizon must be an integer in [1, 2**63), got 0"),
-    # an int no int64 holds ran the whole mission and raised OverflowError scoring it
-    ({**MINIMAL, "mission": {"duration": 30.0, "capture_stride": 2 ** 63}}, [],
-     "mission.capture_stride must be an integer in [1, 2**63), got 9223372036854775808"),
+    # an int no int64 holds
+    ({**MINIMAL, "mission": {"duration": 30.0, "horizon": 2 ** 63}}, [],
+     "mission.horizon must be an integer in [1, 2**63), got 9223372036854775808"),
     # unknown keys of mixed types failed to sort: a traceback and exit status 1
     ({**MINIMAL, 1: "x", "foo": "y"}, [], "scenario: unknown key(s) ['foo', 1]"),
+    # every tick captures: the capture stride and its key are gone
+    ({**MINIMAL, "mission": {"duration": 30.0, "capture_stride": 2}}, [],
+     "mission: unknown key(s) ['capture_stride']"),
 ], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
         "repeated-face", "negative-voxel", "quality-floor-above-1", "zero-horizon",
-        "capture-stride-past-int64", "unknown-keys-of-mixed-types"])
+        "horizon-past-int64", "unknown-keys-of-mixed-types", "capture-stride-key"])
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err

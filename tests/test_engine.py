@@ -232,13 +232,13 @@ def test_config_rejects_bad_scalars():
         AgentSpec("diver", (0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("field, value", [("capture_stride", 2.0), ("horizon", 2.5),
-                                          ("horizon", True), ("capture_stride", True)])
+@pytest.mark.parametrize("field, value", [("lidar.beams", 2.0), ("horizon", 2.5),
+                                          ("horizon", True), ("lidar.beams", True)])
 def test_config_rejects_non_integer_counts(field, value):
-    # capture_stride=2.0 ran and logged its ticks as floats, horizon=2.5
-    # raised TypeError mid-mission and horizon=True ran as 1
-    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
-        dataclasses.replace(small_config(duration=1.0), **{field: value})
+    # horizon=2.5 raised TypeError mid-mission and horizon=True ran as 1
+    section, name = field.split(".") if "." in field else ("mission", field)
+    with pytest.raises(ConfigurationError, match=f"^{section} {name} must be an integer"):
+        build_config(section, **{name: value})
 
 
 @pytest.mark.parametrize("build, name", [
@@ -275,10 +275,10 @@ def test_config_takes_numpy_floats():
 
 
 def test_config_takes_numpy_integer_counts():
-    cfg = small_config(duration=2.0, capture_stride=2)
-    as_numpy = dataclasses.replace(cfg, horizon=np.int64(3), capture_stride=np.int32(2),
-                                   lidar=LidarConfig(beams=np.int64(8),
-                                                     azimuth_steps=np.int16(90)))
+    cfg = small_config(duration=2.0)
+    as_numpy = dataclasses.replace(cfg, horizon=np.int64(3),
+                                   lidar=LidarConfig(beams=np.int16(8),
+                                                     azimuth_steps=np.int32(90)))
     scene = small_scene()
     assert run_mission(as_numpy, scene).digest() == run_mission(cfg, scene).digest()
 
@@ -480,7 +480,7 @@ def test_shipped_scenarios_match_golden_behaviour(shipped_runs, name):
 # they repeat camera poses (fleet_fine: 2,196 of 3,300 captures).
 WORKLOAD_GOLDEN = {
     "fleet_fine": ("c630bd2a589e120cfa7d5e35d22a55555d89386889d1f09b33a46d295e678ba4",
-                   "6d8743ec0e1cbfde1afc8f65b4f87d04c035cf894e102edd5d2ebdcb4e44e582"),
+                   "91939b7d7a154a82e2c9b61391528ed9a4af5529a042d3586f42a4e952e1d03f"),
     "mesh_tower": ("e8f13c9c75e372897589a173a05353309c2e96a4cd3ccfcdf6a08cca529dec57",
                    "bc35a43eab540e827cdd7e54885969f5b510fa39c5a17bdb50ad0176578e4a0f"),
 }
@@ -551,9 +551,9 @@ def scored_pose_tables(monkeypatch):
     tables = []
     score = _Mission._score
 
-    def kept(self, n_ticks):
+    def kept(self):
         tables.append(bytes(self.poses))
-        score(self, n_ticks)
+        score(self)
 
     monkeypatch.setattr(_Mission, "_score", kept)
     return tables
@@ -579,8 +579,7 @@ def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
 
     def checked(self, k):
         capture(self, k)
-        if k % self.cfg.capture_stride == 0:
-            expected.extend(fleet_rows(self, k))
+        expected.extend(fleet_rows(self, k))
 
     monkeypatch.setattr(_Mission, "_capture", checked)
     calls = observed_calls(monkeypatch)
@@ -623,7 +622,7 @@ def test_each_camera_input_renews_the_rows(change):
     mission._capture(1)
     assert recorded_agents(bytes(mission.poses), 2) == [[0, 1], [1]]
     second = fleet_rows(mission, 1)
-    mission._score(2)
+    mission._score()
     # an in-place edit after a capture leaves that capture's rows as they were
     assert [row for row in mission.observations if row[0] == 0] == first
     before = [row[1:] for row in first if row[1] == a.id]
@@ -642,7 +641,7 @@ def scored_by_hand(monkeypatch, gimbals):
         for k, gimbal in enumerate(gimbals):
             mission.inclination[1], mission.azimuth[1] = gimbal.inclination, gimbal.azimuth
             mission._capture(k)
-        mission._score(len(gimbals))
+        mission._score()
     return [pose for call in calls for pose in call], *missions
 
 
@@ -678,7 +677,7 @@ def test_poses_are_told_apart_by_their_bytes(monkeypatch):
 
 class PerTickScoring(_Mission):
     """The per-tick scorer, the oracle for scoring the captures after the
-    tick loop: each capture tick observes the agents whose pose changed
+    tick loop: each tick observes the agents whose pose changed
     since their last capture, in one call, and folds and logs the fleet's
     rows at once."""
 
@@ -688,23 +687,22 @@ class PerTickScoring(_Mission):
         self.logged = []                                # each capture's log columns
 
     def _capture(self, k):
-        if k % self.cfg.capture_stride == 0:
-            pose = [row.tobytes() for row in fleet_poses(self)]
-            fresh = [a for a in self.agents if pose[a.id] != self.kept[a.id][0]]
-            obs = sensors.observe(np.frombuffer(b"".join(pose[a.id] for a in fresh)).reshape(-1, 9),
-                                  self.scene, self.cfg.camera)
-            for row, a in enumerate(fresh):
-                mine = obs.agent == row
-                self.kept[a.id] = (pose[a.id],
-                                   [np.full(np.count_nonzero(mine), a.id), obs.point[mine],
-                                    obs.q_blur[mine], obs.q_res[mine], obs.q[mine]])
-            obs = Observations(*map(np.concatenate, zip(*(rows for _, rows in self.kept))))
-            self.logged.append((np.full(len(obs), k), obs.agent,
-                                self.scene.point_ids[obs.point], obs.q_blur, obs.q_res, obs.q))
-            update_ledger(self.ledger, obs)
+        pose = [row.tobytes() for row in fleet_poses(self)]
+        fresh = [a for a in self.agents if pose[a.id] != self.kept[a.id][0]]
+        obs = sensors.observe(np.frombuffer(b"".join(pose[a.id] for a in fresh)).reshape(-1, 9),
+                              self.scene, self.cfg.camera)
+        for row, a in enumerate(fresh):
+            mine = obs.agent == row
+            self.kept[a.id] = (pose[a.id],
+                               [np.full(np.count_nonzero(mine), a.id), obs.point[mine],
+                                obs.q_blur[mine], obs.q_res[mine], obs.q[mine]])
+        obs = Observations(*map(np.concatenate, zip(*(rows for _, rows in self.kept))))
+        self.logged.append((np.full(len(obs), k), obs.agent,
+                            self.scene.point_ids[obs.point], obs.q_blur, obs.q_res, obs.q))
+        update_ledger(self.ledger, obs)
         self.score_trace.append(self.ledger.mean_best())
 
-    def _score(self, n_ticks):
+    def _score(self):
         self.observations = engine.ObservationLog(*map(np.concatenate, zip(*self.logged)))
 
 
@@ -720,9 +718,9 @@ def jostled(mission_class):
     return Jostled
 
 
-def shortened(mission, seconds):
+def shortened(mission, seconds, **changes):
     cfg, scene = mission
-    return dataclasses.replace(cfg, duration=seconds), scene
+    return dataclasses.replace(cfg, duration=seconds, **changes), scene
 
 
 def shipped(name):
@@ -737,8 +735,6 @@ ORACLE_MISSIONS = {
        for name in ("desk_box", "mesh_tower", "fleet_fine")},
     **{name: (lambda name=name: shortened(shipped(name), 20.0))
        for name in ("desk_box", "twin_pillars", "open_field")},
-    "stride_2": lambda: (small_config(duration=20.0, capture_stride=2), small_scene()),
-    "stride_3": lambda: (small_config(duration=20.0, capture_stride=3), small_scene()),
     "no_points": lambda: (small_config(duration=10.0),
                           Scene(inspection_boxes=[BoundingBox((6, 6, 6), (36, 36, 36))])),
     # undamped tracking overshoots into voxels no one claimed: moves are held
@@ -1029,6 +1025,28 @@ def test_a_photographer_that_never_hears_a_finished_explorer_is_named():
     assert res.phase_change_ticks == {}
 
 
+@pytest.mark.parametrize("mission, stage_two", [
+    (lambda: bench_workload("fleet_fine", 1), 473),
+    (lambda: shortened(shipped("desk_box"), 65.0, voxel_size=4.0), 615),
+], ids=["fleet_fine", "desk_box_4m"])
+def test_a_fleet_that_plans_no_epoch_says_so(mission, stage_two):
+    # the whole fleet enters the inspection stage, but each standoff cell of
+    # the boxes' faces lies off the grid, so no map gives a waypoint and the
+    # fleet held still, unnamed
+    cfg, scene = mission()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_mission(cfg, scene)
+    assert min(res.phase_change_ticks.values()) == stage_two
+    assert len(res.phase_change_ticks) == len(cfg.agents)
+    assert not [e for e in res.plan_events if " waypoints " in e]
+    assert [str(w.message) for w in caught if "epoch" in str(w.message)] == [
+        "the fleet entered the inspection stage but planned no epoch: no agent's map gave "
+        "a waypoint"]
+    assert res.plan_events[-1] == (f"tick {res.num_ticks} no inspection epoch planned: "
+                                   "no agent's map gave a waypoint")
+
+
 def _events_of(res, agent):
     return [e.split(" ", 4)[4] for e in res.plan_events
             if e.split()[2:4] == ["agent", str(agent)]]
@@ -1059,10 +1077,12 @@ def test_survey_skips_a_sweep_end_inside_structure():
 
 def test_survey_abandons_points_it_cannot_see_a_way_to():
     # a 1 m LiDAR never confirms a neighbouring voxel free, so every step of
-    # the sweep is blocked until the replan budget runs out
-    res = run_mission(small_config(duration=11.0,
-                                   lidar=LidarConfig(range=1.0, beams=8, azimuth_steps=90)),
-                      small_scene())
+    # the sweep is blocked until the replan budget runs out; no map then
+    # gives a waypoint
+    with pytest.warns(UserWarning, match="planned no epoch"):
+        res = run_mission(small_config(duration=11.0,
+                                       lidar=LidarConfig(range=1.0, beams=8, azimuth_steps=90)),
+                          small_scene())
     assert _survey_events(res, 0) == [
         "abandons stalled survey point (0, 3, 3)",
         "abandons stalled survey point (6, 3, 3)",
@@ -1245,7 +1265,8 @@ def test_no_agent_regenerates_on_a_map_that_gave_no_waypoints(monkeypatch):
 
     monkeypatch.setattr(_Mission, "_regenerate", tagged)
     monkeypatch.setattr(engine, "generate_waypoints", recording)
-    run_mission(small_config(duration=60.0, waypoint_standoff=30.0), small_scene())
+    with pytest.warns(UserWarning, match="planned no epoch"):
+        run_mission(small_config(duration=60.0, waypoint_standoff=30.0), small_scene())
     barren = set()
     for agent, cells, count in asked:
         assert (agent, cells) not in barren
@@ -1276,15 +1297,6 @@ def test_regeneration_asks_again_once_the_map_changes(monkeypatch):
     a.occ.cells[...] = np.where(mission.truth, OCCUPIED, FREE)
     mission._regenerate(a, [[], []], 4)
     assert len(asked) == 3 and a.sigma is not None
-
-
-def test_capture_stride_thins_observations():
-    scene = small_scene()
-    res = run_mission(small_config(duration=20.0, capture_stride=4), scene)
-    ticks = {row[0] for row in res.observations}
-    assert ticks, "expected some observations"
-    assert all(k % 4 == 0 for k in ticks)
-    assert len(res.score_trace) == res.num_ticks
 
 
 def test_connectivity_log_matches_visibility():
@@ -1388,7 +1400,7 @@ def test_voxel_trace_reads_and_hashes_as_a_row_list(n, agents):
 def test_digest_hashes_the_logs_as_row_lists(monkeypatch):
     # small chunks split every log of a short mission many times over
     monkeypatch.setattr(engine, "_ROW_CHUNK", 7)
-    res = run_mission(small_config(duration=10.0, capture_stride=2), small_scene())
+    res = run_mission(small_config(duration=10.0), small_scene())
     h = hashlib.sha256()
     for value in (res.q_total, res.score_trace, list(res.observations),
                   list(res.voxel_trace), list(res.connectivity)):

@@ -497,6 +497,28 @@ def test_scene_rejects_an_id_no_int64_holds(pid):
     assert edges.point_ids.tolist() == [2 ** 63 - 1, -2 ** 63]
 
 
+@pytest.mark.parametrize("ids, bad", [
+    ([2.5, 3.7], "2.5"),
+    ([4, True], "True"),
+    (np.array([1, 2 ** 63], dtype=np.uint64), "np.uint64(9223372036854775808)"),
+], ids=["fractional", "bool", "uint64-past-int64"])
+def test_scene_holds_each_id_to_the_integer_rule(ids, bad):
+    # np.array(ids, dtype=int) made these [2, 3], [4, 1] and [1, -2**63]
+    message = f"interest point id must be an integer in [-2**63, 2**63), got {bad}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        Scene(interest_points=(ids, [(0.0, 0.0, 0.0)] * 2, [(1.0, 0.0, 0.0)] * 2))
+
+
+@pytest.mark.parametrize("ids", [np.array([7, -3]), [7, -3]], ids=["int64-array", "plain-ints"])
+def test_scene_takes_int64_ids_whole(monkeypatch, ids):
+    # neither form checks its ids one by one
+    checked = []
+    monkeypatch.setattr(scene_module, "check_value", lambda *args: checked.append(args))
+    scene = Scene(interest_points=(ids, [(0.0, 0.0, 0.0)] * 2, [(1.0, 0.0, 0.0)] * 2))
+    assert scene.point_ids.dtype == np.int64 and scene.point_ids.tolist() == [7, -3]
+    assert checked == []
+
+
 @pytest.mark.parametrize("ids, positions, normals, message", [
     ([0, 1], [(0, 0, 0)], [(1, 0, 0)] * 2, r"positions must be of shape \(2, 3\) for 2 ids"),
     ([0], [(0, 0, 0)], [(1, 0, 0)] * 2, r"normals must be of shape \(1, 3\) for 1 ids"),
