@@ -400,10 +400,8 @@ def main(argv=None) -> int:
         write_outputs(result, args.out)
         log.info("artifacts written to %s", args.out)
 
-    scored = int((result.ledger.best_q > 0).sum())
-    total = result.ledger.num_points
     print(f"inspection score Q = {result.q_total:.4f}")
-    print(f"points scored: {scored}/{total}")
+    print(f"points scored: {result.ledger.scored}/{result.ledger.num_points}")
     print(f"violations: {result.violations} (same-voxel {result.collisions_same_voxel}, "
           f"occupied-entry {result.occupied_entries})")
     print(f"structure cells held free: {result.free_structure_cells} (cells x ticks "

@@ -5,13 +5,13 @@ with the fleet's sight lines cast in the same sweep as the LiDAR rays),
 exchange (map gossip between the agents those sight lines join), plan
 (waypoint generation, assignment, and receding-horizon path steps), act
 (claim-arbitrated motion plus gimbal pointing), capture (every agent's
-camera pose appended, by value, to the pose table), and audit (voxel trace
-plus collision and occupied-entry counts).  Nothing the fleet decides reads
-the score, so the captures are scored after the last tick: each distinct
-pose of the table goes through the camera model once, many poses at a time;
-the observation log gathers every capture's rows from them in one pass, and
-each capture is then folded, in tick order, into the ledger and the score
-trace.
+camera pose copied into the tick's row of the pose table), and audit (voxel
+trace plus collision and occupied-entry counts).  Nothing the fleet decides
+reads the score, so the captures are scored after the last tick: each
+distinct pose of the table goes through the camera model once, many poses at
+a time; the observation log gathers every capture's rows from them in one
+pass, and each capture is then folded, in tick order, into the ledger and the
+score trace.
 
 The fleet's maps are one (n, nx, ny, nz) uint8 array, row i agent i's map;
 each agent's map is a view of its row, bound once, so every write shows in it.
@@ -124,6 +124,11 @@ class ScoreLedger:
     @property
     def num_points(self) -> int:
         return len(self.point_ids)
+
+    @property
+    def scored(self) -> int:
+        """The number of points whose best quality is above 0."""
+        return int(np.count_nonzero(self.best_q > 0.0))
 
     def mean_best(self) -> float:
         if self.num_points == 0:
@@ -419,9 +424,6 @@ class _Mission:
                 e_idx += 1
             self.agents.append(rt)
 
-        # the pose table: every agent's camera pose at every tick, packed
-        # as camera_pose packs it, in fleet order, until _score takes it
-        self.poses = bytearray()
         self.ledger = ScoreLedger(scene.point_ids, cfg.camera.quality_floor)
         self.score_trace: list[float] = []
         self.observations: ObservationLog | None = None     # made by _score
@@ -430,6 +432,8 @@ class _Mission:
         self.n_ticks = max(1, int(round(cfg.duration / cfg.tick)))
         self.voxels = np.zeros((self.n_ticks, len(self.agents), 3), dtype=int)  # by _audit
         self.sight = np.zeros((self.n_ticks, len(self.first)), dtype=bool)     # by _exchange
+        # the fleet's camera pose rows, tick by tick: _capture fills row k before _score reads
+        self.poses = np.empty((self.n_ticks, len(self.agents), 9))
         self.collisions = 0
         self.occupied_entries = 0
         self.free_structure_cells = 0
@@ -650,30 +654,29 @@ class _Mission:
         return None
 
     def _capture(self, k: int) -> None:
-        self.poses += camera_pose(self.position, self.velocity, self.yaw,
-                                  self.inclination, self.azimuth)
+        self.poses[k] = camera_pose(self.position, self.velocity, self.yaw,
+                                    self.inclination, self.azimuth)
 
     def _observe_distinct(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Observe each distinct pose of the pose table once and take the
-        table from the mission.  Returns each captured pose's index among
-        the distinct poses, and the columns count (rows per distinct pose),
-        point, q_blur, q_res and q of the distinct poses' rows.
+        """Observe each distinct pose of the pose table once.  Returns each
+        captured pose's index among the distinct poses, and the columns
+        count (rows per distinct pose), point, q_blur, q_res and q of the
+        distinct poses' rows.
 
         A pose's rows depend on its bytes and the fixed scene alone, not on
         which poses share an observe call, so poses equal byte for byte
         share their rows wherever they fall in the table."""
-        # 9 doubles a pose; the table leaves the mission once it is read, so it
-        # and the log do not peak together
-        distinct, which = np.unique(np.frombuffer(self.poses, dtype="V72"),
-                                    return_inverse=True)
-        self.poses = bytearray()
+        # each pose's bytes as one void value: poses equal byte for byte, and
+        # only they (not 0.0 and -0.0), are one distinct pose
+        pose = np.dtype((np.void, self.poses[0, 0].nbytes))
+        distinct, which = np.unique(self.poses.view(pose).ravel(), return_inverse=True)
         step = max(1, _OBSERVE_PAIRS // max(1, self.scene.num_points))
         # the rows per distinct pose, then the rows' point and scores, packed
         # column by column as each call returns them, so no call's arrays
         # outlive it
         columns = [bytearray() for _ in range(5)]
         for lo in range(0, len(distinct), step):
-            batch = distinct[lo:lo + step].view(float).reshape(-1, 9)
+            batch = distinct[lo:lo + step, None].view(float)       # the poses' rows
             obs = observe(batch, self.scene, self.cfg.camera)
             for column, values in zip(columns, (np.bincount(obs.agent, minlength=len(batch)),
                                                 obs.point, obs.q_blur, obs.q_res, obs.q)):
@@ -730,11 +733,12 @@ class _Mission:
         if self.suppressed_returns:
             warnings.warn(f"{self.suppressed_returns} LiDAR hits fell outside the "
                           f"structure cells and marked nothing")
-        if self.ledger.num_points and not np.any(self.ledger.best_q > 0):
+        if self.ledger.num_points and not self.ledger.scored:
             warnings.warn(f"the mission scored none of its {self.ledger.num_points} "
                           f"interest points")
         # a photographer enters the inspection stage on hearing a finished
-        # explorer; one that never did, when some explorer finished, heard none
+        # explorer; one that never did, when some explorer finished, heard
+        # none, and when none finished, no agent entered it
         if any(a.spec.kind == EXPLORER and a.phase == 2 for a in self.agents):
             for a in self.agents:
                 if a.spec.kind == PHOTOGRAPHER and a.phase == 1:
@@ -742,6 +746,10 @@ class _Mission:
                                             "inspection stage: heard no finished explorer")
                     warnings.warn(f"photographer {a.id} never entered the inspection stage: "
                                   "it heard no explorer that finished its survey")
+        elif self.scene.num_points:
+            self.plan_events.append(f"tick {self.n_ticks} no explorer finished its survey")
+            warnings.warn("no explorer finished its survey, so no agent reached the "
+                          "inspection stage")
         # the fleet reached the inspection stage, but no agent's map ever gave
         # a waypoint, so no epoch was planned
         if self.scene.num_points and self.phase_change_ticks and not self.planned:
@@ -781,16 +789,14 @@ def write_outputs(result: MissionResult, out_dir: str) -> None:
     maps_dir = os.path.join(out_dir, "maps")
     os.makedirs(maps_dir, exist_ok=True)
 
-    coverage = 0.0
-    if result.ledger.num_points:
-        coverage = float(np.count_nonzero(result.ledger.best_q > 0.0)
-                         / result.ledger.num_points)
+    ledger = result.ledger
+    coverage = ledger.scored / ledger.num_points if ledger.num_points else 0.0
     lines = [
         f"inspection_score: {result.q_total!r}",
-        f"interest_points: {result.ledger.num_points}",
-        f"points_scored: {int(np.count_nonzero(result.ledger.best_q > 0.0))}",
+        f"interest_points: {ledger.num_points}",
+        f"points_scored: {ledger.scored}",
         f"coverage_fraction: {coverage!r}",
-        f"mean_final_quality: {result.ledger.mean_best()!r}",
+        f"mean_final_quality: {ledger.mean_best()!r}",
         f"ticks: {result.num_ticks}",
         f"collisions_same_voxel: {result.collisions_same_voxel}",
         f"occupied_entries: {result.occupied_entries}",

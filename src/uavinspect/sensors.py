@@ -161,19 +161,18 @@ def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
     return q
 
 
-def camera_pose(position, velocity, yaw, inclination, azimuth) -> bytes:
-    """The fleet's camera inputs, packed as the pose rows of observe, one
-    row of 9 doubles per agent: position, velocity, yaw, gimbal inclination
-    and azimuth, at any finite positions, as no grid is indexed.  The bytes
-    are a copy: a later edit of the arrays leaves them as they were."""
-    return np.concatenate((position, velocity, np.array((yaw, inclination, azimuth)).T),
-                          axis=1).tobytes()
+def camera_pose(position, velocity, yaw, inclination, azimuth) -> np.ndarray:
+    """The fleet's camera inputs as the (n, 9) pose rows of observe, one
+    row per agent: position, velocity, yaw, gimbal inclination and azimuth,
+    at any finite positions, as no grid is indexed.  The rows are a copy: a
+    later edit of the arrays leaves them as they were."""
+    return np.concatenate((position, velocity, np.array((yaw, inclination, azimuth)).T), axis=1)
 
 
 def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
     """Score every interest point the camera sees from each pose.
 
-    poses: (n, 9) rows of camera inputs as camera_pose packs them, at any
+    poses: (n, 9) rows of camera inputs as camera_pose returns them, at any
     finite positions, as no grid is indexed; one agent may appear in several
     rows.  Visibility requires the view pyramid, a front-facing surface
     normal, and a clear sight line; the sight lines of all the poses go

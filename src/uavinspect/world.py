@@ -573,11 +573,13 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     hit_dirs holds the unit direction of each hit's ray.  Hit points are
     nudged a hair along it before voxelization so that hits landing exactly
     on a voxel boundary register on the surface's side; a hit within 1e-12
-    of the sensor along its ray stays where it is.  Hits outside the grid
-    are dropped.  Given truth, the boolean grid of the structure cells, a
-    hit marks its cell only if it is one: a hit that grazes a face's edge or
-    meets a mesh in a voxel plane from behind can land in the cell beyond,
-    and is suppressed, while its ray still frees the cells before it.
+    of the sensor along its ray stays where it is.  A hit outside the grid
+    marks nothing and is not suppressed: its ray is clipped as a miss's is,
+    and frees the cells it crossed on the grid.  Given truth, the boolean
+    grid of the structure cells, a hit marks its cell only if it is one: a
+    hit that grazes a face's edge or meets a mesh in a voxel plane from
+    behind can land in the cell beyond, and is suppressed, while its ray
+    still frees the cells before it.
     Misses beyond the grid are clipped at its boundary, and a miss whose ray
     never enters the grid is dropped.  A sensor may lie off the grid, by
     design: its segments keep only the cells on the grid.
@@ -618,7 +620,12 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     nudged = hits + hit_dirs * np.where(reach > 1e-12, _NUDGE * v, 0.0)[:, None]
     hit_cells = grid.cells(nudged)
     inside = grid.on_grid(hit_cells)
+    misses = np.asarray(misses, dtype=float).reshape(-1, 3)
     if not inside.all():
+        # a hit off the grid joins the misses, with its row
+        misses = np.vstack([misses, _kept(~inside, nudged)])
+        if miss_rows is not None:
+            miss_rows = np.concatenate([miss_rows, hit_rows[~inside]])
         nudged, hit_cells = _kept(inside, nudged), _kept(inside, hit_cells)
         hit_rows = rows_where(hit_rows, inside)
     hit_index = hit_cells @ strides
@@ -638,7 +645,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     # whole ray if lo <= origin < hi, since boundary planes belong to the
     # upper voxel, and none of it otherwise
     origin = origin_of(miss_rows)
-    rel = np.asarray(misses, dtype=float).reshape(-1, 3) - origin
+    rel = misses - origin
     hi = lo + dims * v
     with np.errstate(divide="ignore", invalid="ignore"):
         t1, t2 = (lo - origin) / rel, (hi - origin) / rel

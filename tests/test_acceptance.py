@@ -6,12 +6,12 @@ runtime.
 import itertools
 import math
 import time
-from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_planning import bfs_hops
 from uavinspect.cli import parse_scenario
 from uavinspect.engine import (AgentSpec, MissionConfig, inspection_score,
                                run_mission, write_outputs)
@@ -99,25 +99,6 @@ def test_sensor_formula_suite():
 
 # --- criterion: shortest-path oracle -------------------------------------------
 
-def bfs_hops(cells, start, goal):
-    dims = cells.shape
-    if cells[goal] == OCCUPIED:
-        return None
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        v, d = queue.popleft()
-        if v == goal:
-            return d
-        for s in ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)):
-            n = (v[0] + s[0], v[1] + s[1], v[2] + s[2])
-            if all(0 <= n[a] < dims[a] for a in range(3)) and n not in seen \
-                    and cells[n] != OCCUPIED:
-                seen.add(n)
-                queue.append((n, d + 1))
-    return None
-
-
 def test_dijkstra_against_bfs_oracle():
     start_t = time.perf_counter()
     rng = np.random.default_rng(103)
@@ -132,7 +113,7 @@ def test_dijkstra_against_bfs_oracle():
         idx = rng.choice(len(free_cells), size=2, replace=False)
         start, goal = free_cells[idx[0]], free_cells[idx[1]]
         path = dijkstra_path(m, set(), start, goal)
-        hops = bfs_hops(m.cells, start, goal)
+        hops = bfs_hops(m, set(), start, goal)
         if hops is None:
             assert path == [], "planner found a path where BFS sees none"
             unreachable += 1

@@ -510,9 +510,10 @@ def test_bench_workloads_match_golden_behaviour(name):
     assert hashlib.sha256("\n".join(result.plan_events).encode()).hexdigest() == plans
 
 
-def facing_mission():
-    """A 10 s survey whose photographer holds still facing the box's x- face."""
-    cfg = small_config(duration=10.0, lidar=LidarConfig(beams=8, azimuth_steps=60),
+def facing_mission(duration=10.0):
+    """A survey, 10 s by default, whose photographer holds still facing the
+    box's x- face."""
+    cfg = small_config(duration=duration, lidar=LidarConfig(beams=8, azimuth_steps=60),
                        agents=(AgentSpec("explorer", (9.0, 21.0, 21.0)),
                                AgentSpec("photographer", (9.0, 15.0, 21.0))))
     return cfg, small_scene(num_points=10, seed=3)
@@ -520,8 +521,8 @@ def facing_mission():
 
 def fleet_poses(mission):
     """The fleet's camera poses, one row of 9 doubles per agent."""
-    return np.frombuffer(sensors.camera_pose(mission.position, mission.velocity, mission.yaw,
-                                             mission.inclination, mission.azimuth)).reshape(-1, 9)
+    return sensors.camera_pose(mission.position, mission.velocity, mission.yaw,
+                               mission.inclination, mission.azimuth)
 
 
 def fleet_rows(mission, k):
@@ -532,27 +533,25 @@ def fleet_rows(mission, k):
                     full.q_blur.tolist(), full.q_res.tolist(), full.q.tolist()))
 
 
-def captured_poses(table, n):
-    """A pose table as bytes: per capture, each of the n agents' poses in fleet order."""
-    rows = [table[i:i + 72] for i in range(0, len(table), 72)]
-    return [rows[i:i + n] for i in range(0, len(rows), n)]
+def captured_poses(table):
+    """A pose table's poses as bytes: per capture, each agent's pose in fleet order."""
+    return [[pose.tobytes() for pose in fleet] for fleet in table]
 
 
-def recorded_agents(table, n):
+def recorded_agents(table):
     """The ids of the agents each capture took a changed pose for."""
-    captures = captured_poses(table, n)
+    captures = captured_poses(table)
     return [[aid for aid, pose in enumerate(fleet) if c == 0 or pose != captures[c - 1][aid]]
             for c, fleet in enumerate(captures)]
 
 
 def scored_pose_tables(monkeypatch):
-    """The pose table, as bytes, of each mission scored from now on; the
-    scoring takes it from the mission."""
+    """A copy of the pose table of each mission scored from now on."""
     tables = []
     score = _Mission._score
 
     def kept(self):
-        tables.append(bytes(self.poses))
+        tables.append(self.poses.copy())
         score(self)
 
     monkeypatch.setattr(_Mission, "_score", kept)
@@ -590,13 +589,12 @@ def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
         res = _Mission(cfg, scene).run()
     assert list(res.observations) == expected
     [table] = tables
-    recorded = recorded_agents(table, len(cfg.agents))
+    recorded = recorded_agents(table)
     assert len(recorded) == res.num_ticks
     assert min(map(len, recorded)) < len(cfg.agents)
     # observe saw each distinct pose once, in a few calls
     seen = [pose for call in calls for pose in call]
-    assert sorted(seen) == sorted({pose for fleet in captured_poses(table, len(cfg.agents))
-                                   for pose in fleet})
+    assert sorted(seen) == sorted({pose for fleet in captured_poses(table) for pose in fleet})
     assert len(seen) <= sum(map(len, recorded)) and len(calls) < res.num_ticks / 10
     reused = [row for row in res.observations if row[1] not in recorded[row[0]]]
     assert reused, "no tick reused an agent's rows"
@@ -608,7 +606,7 @@ def test_reused_rows_equal_a_full_fleet_observe(monkeypatch, mission):
 
 @pytest.mark.parametrize("change", ["position", "velocity", "yaw", "inclination", "azimuth"])
 def test_each_camera_input_renews_the_rows(change):
-    mission = _Mission(*facing_mission())
+    mission = _Mission(*facing_mission(0.2))       # a tick for each capture
     a = mission.agents[1]
     mission._capture(0)
     first = fleet_rows(mission, 0)
@@ -620,7 +618,7 @@ def test_each_camera_input_renews_the_rows(change):
     else:
         mission.velocity[a.id, 1] += 20.0       # fast enough to smear
     mission._capture(1)
-    assert recorded_agents(bytes(mission.poses), 2) == [[0, 1], [1]]
+    assert recorded_agents(mission.poses) == [[0, 1], [1]]
     second = fleet_rows(mission, 1)
     mission._score()
     # an in-place edit after a capture leaves that capture's rows as they were
@@ -632,11 +630,13 @@ def test_each_camera_input_renews_the_rows(change):
 
 
 def scored_by_hand(monkeypatch, gimbals):
-    """The facing mission captured once per photographer gimbal in gimbals,
-    scored after the captures and per tick: (poses observe saw, the
-    mission scored after the captures, the per-tick mission)."""
+    """The facing mission, a tick long per photographer gimbal in gimbals,
+    captured once per gimbal and scored after the captures and per tick:
+    (poses observe saw, the mission scored after the captures, the per-tick
+    mission)."""
     calls = observed_calls(monkeypatch)
-    missions = _Mission(*facing_mission()), PerTickScoring(*facing_mission())
+    duration = len(gimbals) / 10
+    missions = _Mission(*facing_mission(duration)), PerTickScoring(*facing_mission(duration))
     for mission in missions:
         for k, gimbal in enumerate(gimbals):
             mission.inclination[1], mission.azimuth[1] = gimbal.inclination, gimbal.azimuth
@@ -687,15 +687,14 @@ class PerTickScoring(_Mission):
         self.logged = []                                # each capture's log columns
 
     def _capture(self, k):
-        pose = [row.tobytes() for row in fleet_poses(self)]
-        fresh = [a for a in self.agents if pose[a.id] != self.kept[a.id][0]]
-        obs = sensors.observe(np.frombuffer(b"".join(pose[a.id] for a in fresh)).reshape(-1, 9),
-                              self.scene, self.cfg.camera)
-        for row, a in enumerate(fresh):
+        poses = fleet_poses(self)
+        fresh = [a.id for a in self.agents if poses[a.id].tobytes() != self.kept[a.id][0]]
+        obs = sensors.observe(poses[fresh], self.scene, self.cfg.camera)
+        for row, aid in enumerate(fresh):
             mine = obs.agent == row
-            self.kept[a.id] = (pose[a.id],
-                               [np.full(np.count_nonzero(mine), a.id), obs.point[mine],
-                                obs.q_blur[mine], obs.q_res[mine], obs.q[mine]])
+            self.kept[aid] = (poses[aid].tobytes(),
+                              [np.full(np.count_nonzero(mine), aid), obs.point[mine],
+                               obs.q_blur[mine], obs.q_res[mine], obs.q[mine]])
         obs = Observations(*map(np.concatenate, zip(*(rows for _, rows in self.kept))))
         self.logged.append((np.full(len(obs), k), obs.agent,
                             self.scene.point_ids[obs.point], obs.q_blur, obs.q_res, obs.q))
@@ -793,7 +792,7 @@ def test_scoring_equals_per_tick_scoring_at_any_batch_size(monkeypatch, poses_pe
     call_of = {pose: i for i, call in enumerate(calls) for pose in call}
     [table] = tables
     assert any(len({call_of[pose] for pose in fleet}) > 1
-               for fleet in captured_poses(table, len(cfg.agents)))
+               for fleet in captured_poses(table))
 
 
 def solid_cube_scene():
@@ -1018,11 +1017,15 @@ def test_a_photographer_that_never_hears_a_finished_explorer_is_named():
         "finished its survey"]
     assert res.plan_events[-1] == ("tick 500 agent 3 never entered inspection stage: "
                                    "heard no finished explorer")
-    # before the explorer finishes, no photographer could have heard it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)
+    # before the explorer finishes, no photographer could have heard it, and
+    # the mission names only the explorer that did not finish
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         res = run_mission(*shortened((cfg, scene), 40.0))
     assert res.phase_change_ticks == {}
+    assert [str(w.message) for w in caught] == [
+        "no explorer finished its survey, so no agent reached the inspection stage"]
+    assert res.plan_events[-1] == "tick 400 no explorer finished its survey"
 
 
 @pytest.mark.parametrize("mission, stage_two", [

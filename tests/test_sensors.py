@@ -28,12 +28,11 @@ def cam(**kw):
 
 def poses(states, gimbals):
     """The pose rows observe takes for index-aligned states and gimbals."""
-    return np.frombuffer(camera_pose(
-        np.array([s.position for s in states], dtype=float).reshape(-1, 3),
-        np.array([s.velocity for s in states], dtype=float).reshape(-1, 3),
-        np.array([s.yaw for s in states], dtype=float),
-        np.array([g.inclination for g in gimbals], dtype=float),
-        np.array([g.azimuth for g in gimbals], dtype=float))).reshape(-1, 9)
+    return camera_pose(np.array([s.position for s in states], dtype=float).reshape(-1, 3),
+                       np.array([s.velocity for s in states], dtype=float).reshape(-1, 3),
+                       np.array([s.yaw for s in states], dtype=float),
+                       np.array([g.inclination for g in gimbals], dtype=float),
+                       np.array([g.azimuth for g in gimbals], dtype=float))
 
 
 # --- camera frame -------------------------------------------------------------
@@ -413,9 +412,10 @@ def test_camera_pose_is_a_copy():
     pose = camera_pose(position, velocity, yaw, inclination, azimuth)
     position[0, 0] = velocity[0, 0] = yaw[0] = inclination[0] = azimuth[1] = 9.0
     # one row of 9 doubles per agent, in fleet order; -0.0 keeps its sign
-    assert np.frombuffer(pose).tolist() == [1, 2, 3, 4, 5, 6, 0.5, -0.25, 0.125,
-                                            -1, -2, -3, 0, 0, 0, 1.5, 0, 0]
-    assert pose[-8:] == np.float64(-0.0).tobytes()
+    assert pose.dtype == np.float64
+    assert pose.tolist() == [[1, 2, 3, 4, 5, 6, 0.5, -0.25, 0.125],
+                             [-1, -2, -3, 0, 0, 0, 1.5, 0, 0]]
+    assert pose[-1, -1].tobytes() == np.float64(-0.0).tobytes()
 
 
 def reference_ranges(rel):

@@ -316,6 +316,17 @@ def test_hits_outside_grid_are_dropped():
     assert np.count_nonzero(m.cells == OCCUPIED) == 0
 
 
+def test_a_hit_off_the_grid_frees_the_cells_its_ray_crossed_as_a_miss_does():
+    # the hit and its segment were dropped together, so its ray freed none
+    # of the cells it crossed on the grid: [0, 0, 0] against a miss's [1, 1, 1]
+    sensor, far = (0.5, 0.5, 0.5), [(10.0, 0.5, 0.5)]
+    hit, miss = make_map((3, 1, 1), voxel=1.0), make_map((3, 1, 1), voxel=1.0)
+    truth = np.ones((3, 1, 1), dtype=bool)
+    assert integrate_points(hit, sensor, far, ray_dirs(sensor, far), (), truth) == 0
+    integrate_points(miss, sensor, (), (), far)
+    assert hit.cells.ravel().tolist() == miss.cells.ravel().tolist() == [FREE] * 3
+
+
 def test_boundary_hits_attach_to_the_surface_side():
     # wall voxel index 2 spans [12, 18); rays from both sides hit its faces
     m = make_map((8, 1, 1), voxel=6.0, origin=(0, 0, 0))
@@ -599,9 +610,10 @@ def _mark_free(occ_map, cells):
 
 
 def reference_integrate_points(occ_map, sensor_origin, hits):
-    """integrate_points with every ray traversed by the reference loop.
-    Returns the map and, per hit, whether its ray arrived (dropped hits count
-    as arrived)."""
+    """integrate_points with every ray traversed by the reference loop, and
+    the ray of a hit off the grid clipped as reference_carve_free clips a
+    miss's.  Returns the map and, per hit, whether its ray arrived (dropped
+    rays count as arrived)."""
     hits = np.asarray(hits, dtype=float).reshape(-1, 3)
     origin = np.asarray(sensor_origin, dtype=float)
     grid = occ_map.grid
@@ -617,9 +629,10 @@ def reference_integrate_points(occ_map, sensor_origin, hits):
     hit_cells = cells_f[inside]
     crossed, arrived = reference_segment_cells(grid, origin, nudged[inside], hit_cells)
     _mark_free(occ_map, crossed)
+    _, clipped = reference_carve_free(occ_map, origin, nudged[~inside])
     occ_map.cells[hit_cells[:, 0], hit_cells[:, 1], hit_cells[:, 2]] = OCCUPIED
-    all_arrived = np.ones(len(hits), dtype=bool)
-    all_arrived[inside] = arrived
+    all_arrived = np.empty(len(hits), dtype=bool)
+    all_arrived[inside], all_arrived[~inside] = arrived, clipped
     return occ_map, all_arrived
 
 
@@ -876,7 +889,7 @@ def test_an_update_with_no_live_segment_only_marks_its_hits(monkeypatch):
         ends = (np.stack(np.unravel_index(ends[pick], grid.dims), axis=1)
                 + rng.uniform(0.2, 0.8, (40, 3)))
         dirs = np.vstack([ray_dirs(sensors[r], e) for r, e in zip(rows, ends)])
-        # and hits off the grid, which are dropped
+        # and hits off the grid, which mark nothing
         hits = np.vstack([ends[:30], [(-3.0, 1.0, 1.0)]])
         dirs = np.vstack([dirs[:30], ray_dirs(sensors[0], [(-3.0, 1.0, 1.0)])])
         hit_rows, miss_rows = np.append(rows[:30], 0), rows[30:]
