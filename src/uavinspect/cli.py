@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
 import math
 import os
 import sys
+import warnings
 from dataclasses import MISSING
 from itertools import chain, repeat
 
@@ -30,8 +30,6 @@ from .errors import _MAX, _RULES, INTEGER_RULES, ConfigurationError, check_value
 from .scene import FACES, Scene, scatter_box_face_points
 from .sensors import CameraConfig, LidarConfig
 from .world import BoundingBox
-
-log = logging.getLogger("uavinspect")
 
 
 def _expect_list(node, path: str) -> list:
@@ -363,42 +361,42 @@ def main(argv=None) -> int:
     parser.add_argument("--voxel-size", type=float, help="override mission.voxel_size (m)")
     parser.add_argument("--quality-floor", type=float, help="override camera.quality_floor")
     parser.add_argument("--horizon", type=int, help="override mission.horizon (voxels)")
-    parser.add_argument("--log-level", default="info",
-                        choices=["debug", "info", "warning", "error"])
     args = parser.parse_args(argv)
 
-    logging.basicConfig(level=getattr(logging, args.log_level.upper()),
-                        format="%(levelname)s %(name)s: %(message)s")
-    try:
-        canonical = load_scenario_dict(args.scenario)
-        # each override flag is named after its key, and goes through that key's parser
-        for section, key in (("mission", "seed"), ("mission", "duration"),
-                             ("mission", "voxel_size"), ("mission", "horizon"),
-                             ("camera", "quality_floor")):
-            if getattr(args, key) is not None:
-                canonical[section][key] = getattr(args, key)
-        canonical = normalize_scenario(canonical)
-        scatter = canonical["scene"]["interest_points"]["scatter"]
-        if args.seed is not None and all(rule["seed"] is not None for rule in scatter):
-            print(f"warning: --seed {args.seed} changes nothing: no interest-point "
-                  "scatter rule takes its seed from mission.seed", file=sys.stderr)
-        cfg, scene = scenario_from_dict(canonical)
-        if args.out:
-            try:        # an unwritable --out is rejected before the mission runs
-                os.makedirs(args.out, exist_ok=True)
-            except OSError as exc:
-                raise ConfigurationError(f"cannot write to --out {args.out}: {exc}") from exc
-        log.info("running mission: %.1f s simulated, %d agents, %d interest points",
-                 cfg.duration, len(cfg.agents), scene.num_points)
-        # building the mission rejects more: shared or occupied start voxels, bad voxel sizes
-        result = run_mission(cfg, scene)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # every warning of the run prints as one line, with no source path; the
+        # filters stay, so a warning that they make an error still raises
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            canonical = load_scenario_dict(args.scenario)
+            # each override flag is named after its key, and goes through that key's parser
+            for section, key in (("mission", "seed"), ("mission", "duration"),
+                                 ("mission", "voxel_size"), ("mission", "horizon"),
+                                 ("camera", "quality_floor")):
+                if getattr(args, key) is not None:
+                    canonical[section][key] = getattr(args, key)
+            canonical = normalize_scenario(canonical)
+            scatter = canonical["scene"]["interest_points"]["scatter"]
+            if args.seed is not None and all(rule["seed"] is not None for rule in scatter):
+                warnings.warn(f"--seed {args.seed} changes nothing: no interest-point "
+                              "scatter rule takes its seed from mission.seed")
+            cfg, scene = scenario_from_dict(canonical)
+            if args.out:
+                try:        # an unwritable --out is rejected before the mission runs
+                    os.makedirs(args.out, exist_ok=True)
+                except OSError as exc:
+                    raise ConfigurationError(f"cannot write to --out {args.out}: {exc}") from exc
+            print(f"running mission: {cfg.n_ticks} ticks of {cfg.tick:g} s, "
+                  f"{len(cfg.agents)} agents, {scene.num_points} interest points", file=sys.stderr)
+            # building the mission rejects more: shared or occupied start voxels, bad voxel sizes
+            result = run_mission(cfg, scene)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
-    if args.out:
-        write_outputs(result, args.out)
-        log.info("artifacts written to %s", args.out)
+        if args.out:
+            write_outputs(result, args.out)
+            print(f"artifacts written to {args.out}", file=sys.stderr)
 
     print(f"inspection score Q = {result.q_total:.4f}")
     print(f"points scored: {result.ledger.scored}/{result.ledger.num_points}")

@@ -109,6 +109,11 @@ class MissionConfig:
             return self.voxel_size
         return self.waypoint_standoff
 
+    @property
+    def n_ticks(self) -> int:
+        """The number of ticks the mission runs: duration / tick, rounded, at least one."""
+        return max(1, int(round(self.duration / self.tick)))
+
 
 class ScoreLedger:
     """Best observation quality per interest point over all agents and time,
@@ -429,7 +434,7 @@ class _Mission:
         self.observations: ObservationLog | None = None     # made by _score
         self.plan_events: list[str] = []
         self.planned = False        # whether any regeneration gave waypoints
-        self.n_ticks = max(1, int(round(cfg.duration / cfg.tick)))
+        self.n_ticks = cfg.n_ticks
         self.voxels = np.zeros((self.n_ticks, len(self.agents), 3), dtype=int)  # by _audit
         self.sight = np.zeros((self.n_ticks, len(self.first)), dtype=bool)     # by _exchange
         # the fleet's camera pose rows, tick by tick: _capture fills row k before _score reads

@@ -474,7 +474,7 @@ def test_main_runs_and_writes_outputs(tmp_path, capsys):
 def run_desk_box(out, seed):
     """A short desk_box run, whose interest-point scatter follows the seed."""
     code = main(["--scenario", str(SCENARIOS / "desk_box.yaml"), "--out", str(out),
-                 "--duration", "3", "--seed", str(seed), "--log-level", "warning"])
+                 "--duration", "3", "--seed", str(seed)])
     assert code == 0
     return out
 
@@ -518,9 +518,36 @@ def test_twin_pillars_artifacts_match_pinned_bytes(tmp_path):
 def test_main_warns_when_no_scatter_follows_the_seed(tmp_path, capsys):
     code, _ = run_main(tmp_path, "--seed", "5")
     assert code == 0
-    assert "warning: --seed 5 changes nothing" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("warning: --seed 5 changes nothing") == 1
+    # desk_box's scatter follows the seed; its 3 s run prints its own finding
     run_desk_box(tmp_path / "desk", 5)
-    assert "warning" not in capsys.readouterr().err
+    assert "--seed" not in capsys.readouterr().err
+
+
+def test_main_prints_a_mission_finding_as_one_warning_line(capsys):
+    # it printed in Python's format: the engine's path, UserWarning and a source line
+    assert main(["--scenario", str(SCENARIOS / "desk_box.yaml"), "--duration", "20"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "running mission: 200 ticks of 0.1 s, 3 agents, 200 interest points",
+        "warning: no explorer finished its survey, so no agent reached the inspection stage",
+    ]
+
+
+def test_main_prints_the_scene_warning_as_one_warning_line(tmp_path, capsys):
+    scenario = {**MINIMAL, "mission": {"duration": 0.1}, "scene": {
+        "inspection_boxes": [BOX_30], "interest_points": {"explicit": [
+            {"position": [40.0, 40.0, 40.0], "normal": [1.0, 0.0, 0.0]}]}}}
+    assert main(["--scenario", write_yaml(tmp_path, scenario)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: 1 interest point(s) lie outside every inspection box\n" in err
+    assert "UserWarning" not in err and ".py" not in err
+
+
+def test_main_has_no_log_level(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--scenario", str(SCENARIOS / "open_field.yaml"), "--log-level", "warning"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --log-level" in capsys.readouterr().err
 
 
 def test_main_duration_flag_overrides_file(tmp_path):
@@ -668,7 +695,7 @@ def test_main_accepts_all_override_flags(tmp_path):
     code = main(["--scenario", str(SCENARIOS / "open_field.yaml"),
                  "--out", str(out), "--duration", "4", "--seed", "11",
                  "--voxel-size", "12", "--quality-floor", "0.2",
-                 "--horizon", "2", "--log-level", "warning"])
+                 "--horizon", "2"])
     assert code == 0
     dumped = next((out / "maps").glob("agent0_final.vox"))
     assert load_map(dumped).grid.voxel_size == 12.0
