@@ -18,49 +18,30 @@ out as it would for that agent alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields, check_value, ruled, widened
+from .errors import check_value
 from .scene import _norm
 
 EXPLORER = "explorer"
 PHOTOGRAPHER = "photographer"
 KINDS = (EXPLORER, PHOTOGRAPHER)
 
+# PD waypoint-tracking gains, critically damped at unit mass, and the
+# linear-acceleration limit (m/s^2)
+_KP = 1.0
+_KD = 2.2
+_A_MAX = 4.0
 # PD yaw-tracking gains and yaw-acceleration limit (rad/s^2)
 _YAW_KP = 1.0
 _YAW_KD = 2.2
 _ALPHA_MAX = 2.0
-
-
-@dataclass(frozen=True)
-class GimbalLimits:
-    inclination_min: float = ruled("finite", math.radians(-90.0))
-    inclination_max: float = ruled("finite", math.radians(80.0))
-    azimuth_min: float = ruled("finite", math.radians(-90.0))
-    azimuth_max: float = ruled("finite", math.radians(90.0))
-
-    def __post_init__(self):
-        check_fields(self, "gimbal")
-        for angle in ("inclination", "azimuth"):
-            lo, hi = getattr(self, f"{angle}_min"), getattr(self, f"{angle}_max")
-            if not widened(lo) <= widened(hi):
-                raise ConfigurationError(
-                    f"gimbal {angle} limits must have min <= max, got {lo}..{hi}")
-
-
-@dataclass(frozen=True)
-class TrackingConfig:
-    """PD waypoint-tracking gains; critically damped at unit mass by default."""
-
-    kp: float = ruled("non-negative", 1.0)
-    kd: float = ruled("non-negative", 2.2)
-    a_max: float = ruled("positive", 4.0)
-
-    def __post_init__(self):
-        check_fields(self, "tracking")
+# the gimbal's inclination and azimuth stops (rad)
+_INCLINATION_MIN = math.radians(-90.0)
+_INCLINATION_MAX = math.radians(80.0)
+_AZIMUTH_MIN = math.radians(-90.0)
+_AZIMUTH_MAX = math.radians(90.0)
 
 
 def _capped(v: np.ndarray, limits: list[float]) -> np.ndarray:
@@ -101,16 +82,16 @@ def wrap_angle(a: float) -> float:
     return a - math.pi
 
 
-def track_segment(position, velocity, yaw, yaw_rate, target, cfg: TrackingConfig,
+def track_segment(position, velocity, yaw, yaw_rate, target,
                   desired_yaw: list[float | None]) -> tuple[np.ndarray, np.ndarray]:
     """PD acceleration commands toward fixed target points (n, 3), saturated
-    at a_max: (linear accelerations (n, 3), yaw accelerations (n,)).
+    at _A_MAX: (linear accelerations (n, 3), yaw accelerations (n,)).
 
     desired_yaw holds one heading or None per agent.  For a heading, a
     separate PD loop commands yaw acceleration toward it; for None the yaw
     rate is damped to zero.
     """
-    acc = _capped(cfg.kp * (target - position) - cfg.kd * velocity, [cfg.a_max] * len(yaw))
+    acc = _capped(_KP * (target - position) - _KD * velocity, [_A_MAX] * len(yaw))
     yaw_acc = []
     for psi, rate, want in zip(yaw.tolist(), yaw_rate.tolist(), desired_yaw):
         if want is None:
@@ -121,10 +102,9 @@ def track_segment(position, velocity, yaw, yaw_rate, target, cfg: TrackingConfig
     return acc, np.array(yaw_acc)
 
 
-def point_gimbal(yaw, inclination, azimuth, n_hat,
-                 limits: GimbalLimits) -> tuple[np.ndarray, np.ndarray]:
+def point_gimbal(yaw, inclination, azimuth, n_hat) -> tuple[np.ndarray, np.ndarray]:
     """Aim each camera axis along world direction n_hat (n, 3), clamped to
-    the gimbal limits: (inclination, azimuth), new arrays.
+    the gimbal stops: (inclination, azimuth), new arrays.
 
     A direction is rotated into the body frame using the agent's yaw;
     targets outside the mount's envelope snap to the nearest reachable
@@ -141,6 +121,6 @@ def point_gimbal(yaw, inclination, azimuth, n_hat,
         by = -s * x + c * y
         th = math.asin(min(max(z, -1.0), 1.0))
         ph = 0.0 if math.hypot(bx, by) < 1e-12 else math.atan2(by, bx)
-        inclination[i] = min(max(th, limits.inclination_min), limits.inclination_max)
-        azimuth[i] = min(max(ph, limits.azimuth_min), limits.azimuth_max)
+        inclination[i] = min(max(th, _INCLINATION_MIN), _INCLINATION_MAX)
+        azimuth[i] = min(max(ph, _AZIMUTH_MIN), _AZIMUTH_MAX)
     return np.array(inclination), np.array(azimuth)

@@ -1,8 +1,8 @@
 """Scenario loading and the mission command-line entry point.
 
-Scenario files are YAML with seven sections: mission, agents, camera, lidar,
-gimbal, tracking, scene.  One table, ``_SCENARIO``, lists every key with its
-parser and default; a config section's keys are its class's ruled fields.
+Scenario files are YAML with five sections: mission, agents, camera, lidar,
+scene.  One table, ``_SCENARIO``, lists every key with its parser and
+default; a config section's keys are its class's ruled fields.
 Every number is held to a rule of ``errors._RULES``, and a failure names the
 number's dotted path.  Unknown keys are rejected; an
 omitted or null key takes its default, the field default of its config class,
@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import sys
+import traceback
 import warnings
 from dataclasses import MISSING
 from itertools import chain, repeat
@@ -24,7 +25,7 @@ from itertools import chain, repeat
 import numpy as np
 import yaml
 
-from .agents import KINDS, GimbalLimits, TrackingConfig
+from .agents import KINDS
 from .engine import AgentSpec, MissionConfig, run_mission, write_outputs
 from .errors import _MAX, _RULES, INTEGER_RULES, ConfigurationError, check_value
 from .scene import FACES, Scene, scatter_box_face_points
@@ -182,7 +183,7 @@ def _fields(spec: dict):
 
 
 # the radian fields a scenario file gives in degrees, each as its name + "_deg"
-_DEGREES = ("fov_h", "fov_v", "inclination_min", "inclination_max", "azimuth_min", "azimuth_max")
+_DEGREES = ("fov_h", "fov_v")
 
 
 def _section(cls) -> dict:
@@ -255,8 +256,6 @@ _SCENARIO = {
                               **_section(AgentSpec)}), nonempty=True), MISSING),
     "camera": (_fields(_section(CameraConfig)), {}),
     "lidar": (_fields(_section(LidarConfig)), {}),
-    "gimbal": (_fields(_section(GimbalLimits)), {}),
-    "tracking": (_fields(_section(TrackingConfig)), {}),
     "scene": (_fields({
         "solid_boxes": (_list(_fields(_BOX)), []),
         "triangles": (_triangles, []),
@@ -298,9 +297,7 @@ def scenario_from_dict(canonical: dict) -> tuple[MissionConfig, Scene]:
     cfg = _config(MissionConfig, {k: v for k, v in m.items() if k != "seed"},
                   agents=agents,
                   camera=_config(CameraConfig, canonical["camera"]),
-                  lidar=_config(LidarConfig, canonical["lidar"]),
-                  gimbal=_config(GimbalLimits, canonical["gimbal"]),
-                  tracking=_config(TrackingConfig, canonical["tracking"]))
+                  lidar=_config(LidarConfig, canonical["lidar"]))
 
     sc = canonical["scene"]
     solid = [BoundingBox(tuple(b["min"]), tuple(b["max"])) for b in sc["solid_boxes"]]
@@ -390,13 +387,15 @@ def main(argv=None) -> int:
                   f"{len(cfg.agents)} agents, {scene.num_points} interest points", file=sys.stderr)
             # building the mission rejects more: shared or occupied start voxels, bad voxel sizes
             result = run_mission(cfg, scene)
+            if args.out:
+                write_outputs(result, args.out)
+                print(f"artifacts written to {args.out}", file=sys.stderr)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-
-        if args.out:
-            write_outputs(result, args.out)
-            print(f"artifacts written to {args.out}", file=sys.stderr)
+        except Exception:   # a crash: status 1 is kept for a violated invariant
+            traceback.print_exc()
+            return 3
 
     print(f"inspection score Q = {result.q_total:.4f}")
     print(f"points scored: {result.ledger.scored}/{result.ledger.num_points}")

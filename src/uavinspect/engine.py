@@ -40,8 +40,7 @@ from itertools import compress, islice
 
 import numpy as np
 
-from .agents import (EXPLORER, KINDS, PHOTOGRAPHER, GimbalLimits, TrackingConfig,
-                     point_gimbal, step_dynamics, track_segment)
+from .agents import EXPLORER, KINDS, PHOTOGRAPHER, point_gimbal, step_dynamics, track_segment
 from .comms import agent_pairs, discover_neighbors, exchange_and_merge
 from .errors import ConfigurationError, PlanningError, check_fields, check_value, ruled
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
@@ -59,6 +58,10 @@ _OBSERVE_PAIRS = 8192
 # log rows made into tuples at a time wherever a log is read by row; bounds
 # what a reader holds beside the log's arrays
 _ROW_CHUNK = 4096
+# the most bytes a mission's per-tick tables may take, about 1,000 times the
+# 1.1 MB of a 12-agent, 900-tick mission: a duration or tick past it is a slip
+# of the pen, which would otherwise fail in numpy's allocator or exhaust memory
+_MAX_TICK_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -94,14 +97,21 @@ class MissionConfig:
     waypoint_standoff: float | None = ruled("positive", None)     # defaults to one voxel
     camera: CameraConfig = CameraConfig()
     lidar: LidarConfig = LidarConfig()
-    gimbal: GimbalLimits = GimbalLimits()
-    tracking: TrackingConfig = TrackingConfig()
 
     def __post_init__(self):
         check_fields(self, "mission")
         n_e = sum(1 for a in self.agents if a.kind == EXPLORER)
         if n_e not in (1, 2):
             raise ConfigurationError(f"explorer count must be 1 or 2, got {n_e}")
+        # the voxel trace's 3 int64 and the pose table's 9 float64 entries per
+        # agent, and the sight-line mask's one bool per agent pair; the float64
+        # quotient, not n_ticks, so that an infinite one is caught too
+        n = len(self.agents)
+        ticks = float(self.duration) / float(self.tick)
+        if ticks * (96 * n + n * (n - 1) // 2) > _MAX_TICK_BYTES:
+            raise ConfigurationError(
+                f"mission duration {self.duration:g} s at tick {self.tick:g} s is {ticks:.3g} "
+                f"ticks, whose tables would pass {_MAX_TICK_BYTES:,} bytes")
 
     @property
     def standoff(self) -> float:
@@ -396,10 +406,9 @@ class _Mission:
         self.yaw_rate = np.zeros(n)
         self.v_max = np.array([a.speed_limit for a in cfg.agents], dtype=float)
         self.omega_max = np.array([a.omega_max for a in cfg.agents], dtype=float)
-        # the neutral mount, clamped to the limits as every aimed angle is
-        lim = cfg.gimbal
-        self.inclination = np.full(n, min(max(0.0, lim.inclination_min), lim.inclination_max))
-        self.azimuth = np.full(n, min(max(0.0, lim.azimuth_min), lim.azimuth_max))
+        # the neutral mount, which lies within the gimbal's stops
+        self.inclination = np.zeros(n)
+        self.azimuth = np.zeros(n)
         # the agent pairs whose sight lines the sense stage casts each tick
         self.first, self.second = agent_pairs(n)
 
@@ -615,7 +624,7 @@ class _Mission:
                    for a, (x, y, _), (px, py, _) in zip(self.agents, target.tolist(),
                                                         self.position.tolist())]
         acc, yaw_acc = track_segment(self.position, self.velocity, self.yaw, self.yaw_rate,
-                                     target, self.cfg.tracking, desired)
+                                     target, desired)
         position, velocity, self.yaw, self.yaw_rate = step_dynamics(
             self.position, self.velocity, self.yaw, self.yaw_rate, acc, yaw_acc,
             self.v_max, self.omega_max, self.cfg.tick)
@@ -643,8 +652,7 @@ class _Mission:
                  else (math.cos(psi), math.sin(psi), 0.0)
                  for a, psi in zip(self.agents, self.yaw.tolist())]
         self.inclination, self.azimuth = point_gimbal(
-            self.yaw, self.inclination, self.azimuth, np.array(looks, dtype=float),
-            self.cfg.gimbal)
+            self.yaw, self.inclination, self.azimuth, np.array(looks, dtype=float))
 
     def _desired_yaw(self, a: _Runtime, rel: tuple[float, float]) -> float | None:
         """a's heading command; rel is its aim point less its position, in x

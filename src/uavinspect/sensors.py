@@ -32,7 +32,9 @@ from .scene import Scene, SightLines, _cross, _norm, ray_cast_batch, visible_poi
 from .world import _kept, _length, _rows
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
-# LiDAR servo pitch stops, and the beams' elevation spread either side of level
+# LiDAR servo pitch stops and period (s), and the beams' elevation spread
+# either side of level
+_SERVO_PERIOD = 8.0
 _SERVO_MIN = math.radians(-90.0)
 _SERVO_MAX = math.radians(90.0)
 _VERTICAL_APERTURE = math.radians(15.0)
@@ -58,7 +60,6 @@ class LidarConfig:
     range: float = ruled("positive", 50.0)
     beams: int = ruled("positive integer", 16)
     azimuth_steps: int = ruled("positive integer", 360)
-    servo_period: float = ruled("positive", 8.0)
 
     def __post_init__(self):
         check_fields(self, "lidar")
@@ -202,12 +203,12 @@ def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
     return Observations(row[keep], idx[keep], qb[keep], qr[keep], q[keep])
 
 
-def servo_angle(t: float, cfg: LidarConfig) -> float:
+def servo_angle(t: float) -> float:
     """Triangle-wave servo pitch: starts at the lower stop, sweeps to the upper
     stop at half period, and returns."""
     check_value("time", t, "non-negative")
-    half = cfg.servo_period / 2.0
-    s = math.fmod(t, cfg.servo_period)
+    half = _SERVO_PERIOD / 2.0
+    s = math.fmod(t, _SERVO_PERIOD)
     span = _SERVO_MAX - _SERVO_MIN
     if s <= half:
         return _SERVO_MIN + span * (s / half)
@@ -239,7 +240,7 @@ def lidar_directions(yaw: float, cfg: LidarConfig, t: float) -> np.ndarray:
     servo angle.
     """
     base = _base_directions(cfg.beams, cfg.azimuth_steps, _VERTICAL_APERTURE)
-    s = servo_angle(t, cfg)
+    s = servo_angle(t)
     cs, ss = math.cos(s), math.sin(s)
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cs, -ss], [0.0, ss, cs]])
     cy, sy = math.cos(yaw), math.sin(yaw)

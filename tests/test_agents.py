@@ -4,9 +4,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 
-from uavinspect.agents import (_ALPHA_MAX, _YAW_KD, _YAW_KP, GimbalLimits, TrackingConfig,
-                               point_gimbal, step_dynamics, track_segment, wrap_angle)
-from uavinspect.errors import ConfigurationError
+from uavinspect import agents
+from uavinspect.agents import (_A_MAX, _ALPHA_MAX, _AZIMUTH_MAX, _AZIMUTH_MIN, _INCLINATION_MAX,
+                               _INCLINATION_MIN, _KP, _YAW_KD, _YAW_KP, point_gimbal,
+                               step_dynamics, track_segment, wrap_angle)
 
 
 # --- one agent at a time: the oracles for the fleet kernels -----------------------
@@ -34,14 +35,11 @@ class GimbalState:
 
     inclination: float = 0.0
     azimuth: float = 0.0
-    limits: GimbalLimits = GimbalLimits()
 
     def __post_init__(self):
-        lim = self.limits
         object.__setattr__(self, "inclination",
-                           min(max(self.inclination, lim.inclination_min), lim.inclination_max))
-        object.__setattr__(self, "azimuth",
-                           min(max(self.azimuth, lim.azimuth_min), lim.azimuth_max))
+                           min(max(self.inclination, _INCLINATION_MIN), _INCLINATION_MAX))
+        object.__setattr__(self, "azimuth", min(max(self.azimuth, _AZIMUTH_MIN), _AZIMUTH_MAX))
 
 
 def reference_step_dynamics(state, acc, yaw_acc, dt):
@@ -62,13 +60,15 @@ def reference_step_dynamics(state, acc, yaw_acc, dt):
     return AgentState(state.id, pos, yaw, vel, yaw_rate, state.v_max, state.omega_max)
 
 
-def reference_track_segment(state, target, cfg, desired_yaw=None):
-    """track_segment for one agent: (acceleration (3,), yaw acceleration)."""
+def reference_track_segment(state, target, desired_yaw=None):
+    """track_segment for one agent: (acceleration (3,), yaw acceleration).
+    The gains are read from the module at each call, so a test that sets one
+    sets it for the oracle too."""
     target = np.asarray(target, dtype=float)
-    acc = cfg.kp * (target - state.position) - cfg.kd * state.velocity
+    acc = agents._KP * (target - state.position) - agents._KD * state.velocity
     mag = float(np.linalg.norm(acc))
-    if mag > cfg.a_max:
-        acc = acc * (cfg.a_max / mag)
+    if mag > agents._A_MAX:
+        acc = acc * (agents._A_MAX / mag)
 
     if desired_yaw is None:
         yaw_acc = -_YAW_KD * state.yaw_rate
@@ -118,20 +118,19 @@ def step(x, acc, yaw_acc, dt):
     return AgentState(x.id, p[0], float(yaw[0]), v[0], float(rate[0]), x.v_max, x.omega_max)
 
 
-def track(x, target, cfg, desired_yaw=None):
+def track(x, target, desired_yaw=None):
     """track_segment on a fleet of one."""
     p, v, yaw, rate, _, _ = fleet([x])
     acc, yaw_acc = track_segment(p, v, yaw, rate, np.asarray(target, dtype=float).reshape(1, 3),
-                                 cfg, [desired_yaw])
+                                 [desired_yaw])
     return acc[0], float(yaw_acc[0])
 
 
 def aim(gimbal, x, n_hat):
     """point_gimbal on a fleet of one."""
     inc, az = point_gimbal(np.array([x.yaw], dtype=float), np.array([gimbal.inclination]),
-                           np.array([gimbal.azimuth]), np.asarray(n_hat, dtype=float).reshape(1, 3),
-                           gimbal.limits)
-    return GimbalState(float(inc[0]), float(az[0]), gimbal.limits)
+                           np.array([gimbal.azimuth]), np.asarray(n_hat, dtype=float).reshape(1, 3))
+    return GimbalState(float(inc[0]), float(az[0]))
 
 
 def state(pos=(0, 0, 0), vel=(0, 0, 0), yaw=0.0, yaw_rate=0.0,
@@ -204,38 +203,35 @@ def test_dt_must_be_positive():
 # --- tracking -----------------------------------------------------------------
 
 def test_tracking_at_target_commands_nothing():
-    acc, _ = track(state(pos=(5, 5, 5)), (5, 5, 5), TrackingConfig())
+    acc, _ = track(state(pos=(5, 5, 5)), (5, 5, 5))
     assert np.allclose(acc, 0, atol=1e-12)
 
 
 def test_tracking_saturates_toward_distant_target():
-    cfg = TrackingConfig()
-    acc, _ = track(state(), (10, 0, 0), cfg)
-    assert np.linalg.norm(acc) == pytest.approx(cfg.a_max)
-    assert acc[0] == pytest.approx(cfg.a_max)
+    acc, _ = track(state(), (10, 0, 0))
+    assert np.linalg.norm(acc) == pytest.approx(_A_MAX)
+    assert acc[0] == pytest.approx(_A_MAX)
 
 
 def test_tracking_converges_from_any_start_within_50m():
-    cfg = TrackingConfig()
     rng = np.random.default_rng(31)
     target = np.zeros(3)
     for _ in range(10):
         start = rng.uniform(-50, 50, 3)
         x = state(pos=start, v_max=5.0)
         for _ in range(2000):
-            x = step(x, *track(x, target, cfg), 0.1)
+            x = step(x, *track(x, target), 0.1)
             if np.linalg.norm(x.position - target) < 0.1:
                 break
         assert np.linalg.norm(x.position - target) < 0.1
 
 
 def test_tracking_distance_eventually_decreasing():
-    cfg = TrackingConfig()
     x = state(pos=(30, -14, 8), v_max=5.0)
     target = np.zeros(3)
     dists = []
     for _ in range(600):
-        x = step(x, *track(x, target, cfg), 0.1)
+        x = step(x, *track(x, target), 0.1)
         dists.append(float(np.linalg.norm(x.position)))
     # after the initial acceleration the range must shrink monotonically
     tail = dists[50:]
@@ -243,21 +239,19 @@ def test_tracking_distance_eventually_decreasing():
 
 
 def test_tracking_never_overshoots_by_a_voxel():
-    cfg = TrackingConfig()
     x = state(pos=(-6.0, 0, 0), v_max=5.0)
     worst = -math.inf
     for _ in range(400):
-        x = step(x, *track(x, (0.0, 0.0, 0.0), cfg), 0.1)
+        x = step(x, *track(x, (0.0, 0.0, 0.0)), 0.1)
         worst = max(worst, float(x.position[0]))
     assert worst < 6.0
     assert abs(x.position[0]) < 0.05
 
 
 def test_tracking_yaw_toward_heading():
-    cfg = TrackingConfig()
     x = state()
     for _ in range(300):
-        x = step(x, *track(x, (0, 0, 0), cfg, desired_yaw=math.pi / 2), 0.1)
+        x = step(x, *track(x, (0, 0, 0), desired_yaw=math.pi / 2), 0.1)
     assert wrap_angle(x.yaw - math.pi / 2) == pytest.approx(0.0, abs=1e-2)
 
 
@@ -290,13 +284,12 @@ def test_gimbal_accounts_for_yaw():
 
 def test_gimbal_angles_never_leave_limits():
     rng = np.random.default_rng(37)
-    lim = GimbalLimits()
     for _ in range(500):
         n = rng.normal(size=3)
         n = n / np.linalg.norm(n)
-        g = aim(GimbalState(limits=lim), state(yaw=rng.uniform(-4, 4)), n)
-        assert lim.inclination_min - 1e-12 <= g.inclination <= lim.inclination_max + 1e-12
-        assert lim.azimuth_min - 1e-12 <= g.azimuth <= lim.azimuth_max + 1e-12
+        g = aim(GimbalState(), state(yaw=rng.uniform(-4, 4)), n)
+        assert _INCLINATION_MIN - 1e-12 <= g.inclination <= _INCLINATION_MAX + 1e-12
+        assert _AZIMUTH_MIN - 1e-12 <= g.azimuth <= _AZIMUTH_MAX + 1e-12
 
 
 # --- the fleet kernels against the per-agent oracles ------------------------------
@@ -370,11 +363,10 @@ def test_step_dynamics_equals_the_per_agent_reference():
 
 def test_track_segment_equals_the_per_agent_reference():
     rng = np.random.default_rng(102)
-    cfg = TrackingConfig()
     edges = [
         # the command exactly at a_max, and beyond it
-        (state(), (cfg.a_max / cfg.kp, 0.0, 0.0), None),
-        (state(), (0.0, 0.0, -2.0 * cfg.a_max), 0.0),
+        (state(), (_A_MAX / _KP, 0.0, 0.0), None),
+        (state(), (0.0, 0.0, -2.0 * _A_MAX), 0.0),
         # at the target: a zero command, with zeros of both signs
         (state(pos=(1.0, -0.0, 0.0), vel=(-0.0, 0.0, -0.0)), (1.0, 0.0, -0.0), None),
         (state(yaw=-0.0, yaw_rate=-0.0), (-0.0, -0.0, -0.0), -0.0),
@@ -394,9 +386,8 @@ def test_track_segment_equals_the_per_agent_reference():
             targets.append(r[1])
             desired.append(r[2])
         p, vel, yaw, rate, _, _ = fleet(states)
-        acc, yaw_acc = track_segment(p, vel, yaw, rate, np.array(targets, dtype=float), cfg,
-                                     desired)
-        expected = [reference_track_segment(s, t, cfg, d)
+        acc, yaw_acc = track_segment(p, vel, yaw, rate, np.array(targets, dtype=float), desired)
+        expected = [reference_track_segment(s, t, d)
                     for s, t, d in zip(states, targets, desired)]
         assert same_bytes(acc, [a for a, _ in expected]), trial
         assert same_bytes(yaw_acc, [y for _, y in expected]), trial
@@ -404,7 +395,6 @@ def test_track_segment_equals_the_per_agent_reference():
 
 def test_point_gimbal_equals_the_per_agent_reference():
     rng = np.random.default_rng(103)
-    lim = GimbalLimits()
     edges = [
         (state(), GimbalState(), (0.0, 0.0, -1.0)),                         # straight down
         (state(yaw=1.0), GimbalState(0.3, -0.2), (-0.0, 0.0, -2.5)),
@@ -412,8 +402,8 @@ def test_point_gimbal_equals_the_per_agent_reference():
         (state(yaw=0.4), GimbalState(), (-1.0, 0.0, 0.0)),                  # behind: azimuth limit
         (state(yaw=-0.4), GimbalState(), (-1.0, -0.0, 0.0)),
         # angles at their limits, kept by a direction without length
-        (state(), GimbalState(lim.inclination_min, lim.azimuth_max), (0.0, 0.0, 0.0)),
-        (state(), GimbalState(lim.inclination_max, lim.azimuth_min), (1e-13, 0.0, -0.0)),
+        (state(), GimbalState(_INCLINATION_MIN, _AZIMUTH_MAX), (0.0, 0.0, 0.0)),
+        (state(), GimbalState(_INCLINATION_MAX, _AZIMUTH_MIN), (1e-13, 0.0, -0.0)),
         (state(yaw=-0.0), GimbalState(-0.0, -0.0), (1.0, -0.0, 0.0)),      # forward
     ]
     for trial, rows in enumerate(random_fleets(rng, edges)):
@@ -429,35 +419,8 @@ def test_point_gimbal_equals_the_per_agent_reference():
         inc, az = point_gimbal(np.array([s.yaw for s in states]),
                                np.array([g.inclination for g in gimbals]),
                                np.array([g.azimuth for g in gimbals]),
-                               np.array(looks, dtype=float), lim)
+                               np.array(looks, dtype=float))
         expected = [reference_point_gimbal(g, s, n) for s, g, n in zip(states, gimbals, looks)]
         assert same_bytes(inc, [g.inclination for g in expected]), trial
         assert same_bytes(az, [g.azimuth for g in expected]), trial
 
-
-# --- configuration ---------------------------------------------------------------
-
-@pytest.mark.parametrize("fields", [
-    {"kp": -1.0}, {"kp": math.nan}, {"kp": math.inf}, {"kd": -0.1}, {"kd": math.nan},
-    {"kd": math.inf}, {"a_max": -4.0}, {"a_max": 0.0}, {"a_max": math.nan},
-    {"a_max": math.inf},
-])
-def test_tracking_config_rejects_bad_gains(fields):
-    with pytest.raises(ConfigurationError, match="tracking"):
-        TrackingConfig(**fields)
-
-
-@pytest.mark.parametrize("fields", [
-    {"inclination_min": math.nan}, {"inclination_max": math.inf},
-    {"azimuth_min": -math.inf}, {"azimuth_max": math.nan},
-    {"inclination_min": 1.0, "inclination_max": 0.5},
-    {"azimuth_min": 0.1, "azimuth_max": -0.1},
-])
-def test_gimbal_limits_reject_non_finite_or_crossed_limits(fields):
-    with pytest.raises(ConfigurationError, match="gimbal"):
-        GimbalLimits(**fields)
-
-
-def test_gains_of_zero_and_equal_limits_are_accepted():
-    TrackingConfig(kp=0.0, kd=0.0)
-    GimbalLimits(inclination_min=0.0, inclination_max=0.0, azimuth_min=0.3, azimuth_max=0.3)

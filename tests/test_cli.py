@@ -16,7 +16,7 @@ from test_engine import PROBES, build_config, numeric_fields
 from test_mesh import centroid_points, prism_triangles
 from test_world import point_arrays
 from uavinspect import cli
-from uavinspect.agents import KINDS, GimbalLimits, TrackingConfig
+from uavinspect.agents import KINDS
 from uavinspect.cli import (load_scenario_dict, main, normalize_scenario,
                             parse_scenario, scenario_from_dict)
 from uavinspect.engine import AgentSpec, MissionConfig
@@ -53,10 +53,6 @@ def test_minimal_file_gets_documented_defaults(tmp_path):
     assert cfg.camera.fov_v == pytest.approx(math.radians(60.0))
     assert cfg.camera.quality_floor == 0.1
     assert cfg.lidar.range == 50.0
-    assert cfg.lidar.servo_period == 8.0
-    assert cfg.gimbal.inclination_min == pytest.approx(math.radians(-90.0))
-    assert cfg.gimbal.inclination_max == pytest.approx(math.radians(80.0))
-    assert cfg.gimbal.azimuth_max == pytest.approx(math.radians(90.0))
     assert scene.num_points == 0
     assert len(scene.inspection_boxes) == 1
 
@@ -72,16 +68,11 @@ def test_defaults_are_the_documented_table():
         "fov_h_deg": 80.0, "fov_v_deg": 60.0, "range": 30.0, "focal": 1000.0,
         "pixel_width": 1.0, "exposure": 0.05, "desired_resolution": 0.03,
         "quality_floor": 0.1}
-    assert canonical["lidar"] == {"range": 50.0, "beams": 16, "azimuth_steps": 360,
-                                  "servo_period": 8.0}
-    assert canonical["gimbal"] == {"inclination_min_deg": -90.0, "inclination_max_deg": 80.0,
-                                   "azimuth_min_deg": -90.0, "azimuth_max_deg": 90.0}
-    assert canonical["tracking"] == {"kp": 1.0, "kd": 2.2, "a_max": 4.0}
+    assert canonical["lidar"] == {"range": 50.0, "beams": 16, "azimuth_steps": 360}
 
 
 # scenario sections built into a config class, each also a MissionConfig field
-SECTIONS = {"camera": CameraConfig, "lidar": LidarConfig, "gimbal": GimbalLimits,
-            "tracking": TrackingConfig}
+SECTIONS = {"camera": CameraConfig, "lidar": LidarConfig}
 
 # a value other than the default for every scenario key
 NON_DEFAULT = {
@@ -90,10 +81,7 @@ NON_DEFAULT = {
     "camera": {"fov_h_deg": 70.0, "fov_v_deg": 50.0, "range": 25.0, "focal": 900.0,
                "pixel_width": 1.5, "exposure": 0.02, "desired_resolution": 0.05,
                "quality_floor": 0.2},
-    "lidar": {"range": 40.0, "beams": 8, "azimuth_steps": 90, "servo_period": 6.0},
-    "gimbal": {"inclination_min_deg": -80.0, "inclination_max_deg": 70.0,
-               "azimuth_min_deg": -60.0, "azimuth_max_deg": 45.0},
-    "tracking": {"kp": 1.5, "kd": 2.5, "a_max": 3.0},
+    "lidar": {"range": 40.0, "beams": 8, "azimuth_steps": 90},
     "agents": [{"kind": "photographer", "start": [4.0, 5.0, 6.0], "v_max": 3.5,
                 "omega_max": 1.2},
                {"kind": "explorer", "start": [3.0, 3.0, 3.0]}],
@@ -184,7 +172,7 @@ def test_malformed_vectors_rejected(tmp_path):
 FULL = {
     "mission": {"duration": 30.0},
     "agents": [{"kind": "explorer", "start": [3.0, 3.0, 3.0]}],
-    "camera": {}, "lidar": {}, "gimbal": {}, "tracking": {},
+    "camera": {}, "lidar": {},
     "scene": {
         "solid_boxes": [{"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}],
         "triangles": [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
@@ -215,11 +203,8 @@ RECORDS = {
                      "scene.interest_points.scatter[0]", ("seed", True), "count",
                      ("faces", None)),
     "mission": (("mission",), "mission", ("horizon", 2.5), "duration", ("tick", 0.1)),
-    "camera": (("camera",), "camera", ("range", True), None, ("range", 30.0)),
+    "camera": (("camera",), "camera", ("range", True), None, ("fov_h_deg", 80.0)),
     "lidar": (("lidar",), "lidar", ("beams", 8.5), None, ("beams", 16)),
-    "gimbal": (("gimbal",), "gimbal", ("azimuth_max_deg", [90.0]), None,
-               ("azimuth_max_deg", 90.0)),
-    "tracking": (("tracking",), "tracking", ("kp", False), None, ("kp", 1.0)),
 }
 
 
@@ -263,7 +248,7 @@ def test_record_rules_name_the_dotted_path(kind):
 
 # each config class's section in a scenario file, and the record a probe sets
 FILE_RECORDS = {"agent": ("agents", 1), "mission": ("mission",), "camera": ("camera",),
-                "lidar": ("lidar",), "gimbal": ("gimbal",), "tracking": ("tracking",)}
+                "lidar": ("lidar",)}
 
 
 @pytest.mark.parametrize("section, f", numeric_fields(),
@@ -380,8 +365,8 @@ def test_null_omega_max_takes_its_default():
 
 @pytest.mark.parametrize("path, value, kind", [
     ("camera", 0, "mapping"),
-    ("tracking", [], "mapping"),
-    ("gimbal", "", "mapping"),
+    ("mission", [], "mapping"),
+    ("lidar", "", "mapping"),
     ("lidar", False, "mapping"),
     ("scene.triangles", 0, "list"),
     ("scene.interest_points.scatter", "", "list"),
@@ -607,7 +592,6 @@ def test_main_rejects_negative_limits_before_running(tmp_path, capsys):
     # these flew a whole mission with every move clamped and exited 0
     raw = copy.deepcopy(MINIMAL)
     raw["agents"][0]["v_max"] = -1.0
-    raw["tracking"] = {"a_max": -4.0}
     assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
     assert "error: agents[0].v_max must be positive" in capsys.readouterr().err
 
@@ -647,12 +631,46 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     # every tick captures: the capture stride and its key are gone
     ({**MINIMAL, "mission": {"duration": 30.0, "capture_stride": 2}}, [],
      "mission: unknown key(s) ['capture_stride']"),
+    # the gimbal stops, the tracking gains and the servo period are module
+    # constants, which no file sets
+    ({**MINIMAL, "gimbal": {"azimuth_max_deg": 45.0}}, [], "scenario: unknown key(s) ['gimbal']"),
+    ({**MINIMAL, "tracking": {"kd": 0.0}}, [], "scenario: unknown key(s) ['tracking']"),
+    ({**MINIMAL, "lidar": {"servo_period": 6.0}}, [], "lidar: unknown key(s) ['servo_period']"),
 ], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
         "repeated-face", "negative-voxel", "quality-floor-above-1", "zero-horizon",
-        "horizon-past-int64", "unknown-keys-of-mixed-types", "capture-stride-key"])
+        "horizon-past-int64", "unknown-keys-of-mixed-types", "capture-stride-key",
+        "gimbal-section", "tracking-section", "servo-period-key"])
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, flags", [
+    (MINIMAL, ["--duration", "1e12"]),          # 655 TiB of tables
+    (MINIMAL, ["--duration", "1e300"]),         # past numpy's largest dimension
+    (MINIMAL, ["--duration", "1e308"]),         # duration / tick is inf
+    ({**MINIMAL, "mission": {"duration": 30.0, "tick": 1e-9}}, []),
+], ids=["duration-1e12", "duration-1e300", "duration-1e308", "tick-1e-9"])
+def test_main_rejects_tick_tables_too_large_to_allocate(tmp_path, capsys, scenario, flags):
+    # each died in numpy or in int() with a traceback and exit status 1
+    assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert re.fullmatch(r"error: mission duration \S+ s at tick \S+ s is \S+ ticks, .*", line)
+
+
+def test_main_exits_3_with_the_traceback_of_a_crash(monkeypatch, capsys):
+    # status 1 says that an invariant was violated; a crash is not that
+    def crash(cfg, scene):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_mission", crash)
+    assert main(["--scenario", str(SCENARIOS / "open_field.yaml")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("RuntimeError: boom")
 
 
 @pytest.mark.parametrize("scenario, flags, path", [
@@ -829,8 +847,6 @@ REF_SCENARIO = ref_record({
                                     **ref_section(AgentSpec)}), nonempty=True), REQUIRED),
     "camera": (ref_record(ref_section(CameraConfig)), {}),
     "lidar": (ref_record(ref_section(LidarConfig)), {}),
-    "gimbal": (ref_record(ref_section(GimbalLimits)), {}),
-    "tracking": (ref_record(ref_section(TrackingConfig)), {}),
     "scene": (ref_record({
         "solid_boxes": (ref_each(ref_record(REF_BOX)), []),
         "triangles": (ref_each(ref_triple(ref_vec3)), []),

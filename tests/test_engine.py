@@ -13,8 +13,7 @@ from test_agents import (AgentState, GimbalState, reference_point_gimbal,
                          reference_step_dynamics, reference_track_segment)
 from test_mesh import prism_mission
 from test_world import point_arrays
-from uavinspect import cli, engine, sensors
-from uavinspect.agents import GimbalLimits, TrackingConfig
+from uavinspect import agents, cli, engine, sensors
 from uavinspect.comms import agent_pairs
 from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
                                inspection_score, intensity_heatmap, run_mission,
@@ -243,13 +242,8 @@ def test_config_rejects_non_integer_counts(field, value):
 
 @pytest.mark.parametrize("build, name", [
     (lambda: LidarConfig(range=True), "lidar range"),
-    (lambda: LidarConfig(servo_period=True), "lidar servo_period"),
     (lambda: CameraConfig(exposure=True), "camera exposure"),
     (lambda: CameraConfig(quality_floor=True), "camera quality_floor"),
-    (lambda: TrackingConfig(kp=True), "tracking kp"),
-    (lambda: TrackingConfig(a_max=True), "tracking a_max"),
-    (lambda: GimbalLimits(inclination_min=True), "gimbal inclination_min"),
-    (lambda: GimbalLimits(azimuth_max=np.bool_(True)), "gimbal azimuth_max"),
     (lambda: AgentSpec("explorer", (0.0, 0.0, 0.0), v_max=True), "agent v_max"),
     (lambda: AgentSpec("explorer", (True, 0.0, 0.0)), r"agent start\[0\]"),
     (lambda: dataclasses.replace(small_config(), duration=True), "mission duration"),
@@ -267,9 +261,7 @@ def test_config_takes_numpy_floats():
     as_numpy = dataclasses.replace(
         cfg, duration=np.float64(2.0), voxel_size=np.float64(6.0),
         camera=dataclasses.replace(cfg.camera, exposure=np.float64(0.01)),
-        lidar=dataclasses.replace(cfg.lidar, range=np.float64(50.0)),
-        tracking=TrackingConfig(kp=np.float64(1.0)),
-        gimbal=GimbalLimits(inclination_min=np.float64(math.radians(-90.0))))
+        lidar=dataclasses.replace(cfg.lidar, range=np.float64(50.0)))
     scene = small_scene()
     assert run_mission(as_numpy, scene).digest() == run_mission(cfg, scene).digest()
 
@@ -318,10 +310,10 @@ def test_config_rejects_by_name_what_used_to_slip_through(build, name):
 
 
 CONFIG_CLASSES = {"agent": AgentSpec, "mission": MissionConfig, "camera": CameraConfig,
-                  "lidar": LidarConfig, "gimbal": GimbalLimits, "tracking": TrackingConfig}
+                  "lidar": LidarConfig}
 # the annotations, strings in the config modules, of the fields that hold a number
 NUMERIC = ("float", "int", "float | None")
-# the rules of the six classes, and the integer rules among them
+# the rules a config field may carry, and the integer rules among them
 RULES = {"finite", "positive", "non-negative", "unit", "positive integer"}
 INTEGER = {"positive integer"}
 # each probe value and the rules it breaks; None breaks every rule of a field
@@ -356,10 +348,11 @@ def numeric_fields():
 
 def build_config(section, **fields):
     """The section's config class with fields set over a valid base."""
-    # the gimbal's maxima lie above every probe of its minima, so min <= max holds
+    # the mission's tick is the largest float, so that no probe of its
+    # duration asks for tick tables past engine._MAX_TICK_BYTES
     base = {"agent": {"kind": "explorer", "start": (0.0, 0.0, 0.0)},
-            "mission": {"duration": 10.0, "agents": (AgentSpec("explorer", (0.0, 0.0, 0.0)),)},
-            "gimbal": {"inclination_max": sys.float_info.max, "azimuth_max": sys.float_info.max}}
+            "mission": {"duration": 10.0, "tick": sys.float_info.max,
+                        "agents": (AgentSpec("explorer", (0.0, 0.0, 0.0)),)}}
     return CONFIG_CLASSES[section](**{**base.get(section, {}), **fields})
 
 
@@ -736,13 +729,21 @@ ORACLE_MISSIONS = {
        for name in ("desk_box", "twin_pillars", "open_field")},
     "no_points": lambda: (small_config(duration=10.0),
                           Scene(inspection_boxes=[BoundingBox((6, 6, 6), (36, 36, 36))])),
-    # undamped tracking overshoots into voxels no one claimed: moves are held
+    # undamped tracking, which oracle_mission sets, overshoots into voxels
+    # no one claimed: moves are held
     "undamped": lambda: (small_config(
-        duration=30.0, tracking=TrackingConfig(kp=1.0, kd=0.0),
+        duration=30.0,
         agents=(AgentSpec("explorer", (9.0, 21.0, 21.0)), AgentSpec("photographer", (9.0, 9.0, 9.0)),
                 AgentSpec("photographer", (33.0, 9.0, 9.0)),
                 AgentSpec("explorer", (33.0, 33.0, 33.0)))), small_scene()),
 }
+
+
+def oracle_mission(name, monkeypatch):
+    """ORACLE_MISSIONS[name], its tracking undamped for "undamped"."""
+    if name == "undamped":
+        monkeypatch.setattr(agents, "_KD", 0.0)
+    return ORACLE_MISSIONS[name]()
 
 
 def score_both(cfg, scene, variant=lambda mission_class: mission_class):
@@ -763,8 +764,8 @@ def assert_scored_alike(got, expected):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MISSIONS))
-def test_scoring_after_the_loop_equals_per_tick_scoring(name):
-    cfg, scene = ORACLE_MISSIONS[name]()
+def test_scoring_after_the_loop_equals_per_tick_scoring(monkeypatch, name):
+    cfg, scene = oracle_mission(name, monkeypatch)
     _, got, expected = score_both(cfg, scene)
     assert_scored_alike(got, expected)
     assert len(got.score_trace) == got.num_ticks
@@ -1138,7 +1139,7 @@ def test_a_step_into_an_unclaimed_voxel_is_held():
     mission.yaw_rate[a.id] = 0.5
     before, voxel = agent_state(mission, a.id), a.voxel
     target = mission.grid.centers(voxel)
-    acc, yaw_acc = reference_track_segment(before, target, mission.cfg.tracking,
+    acc, yaw_acc = reference_track_segment(before, target,
                                            reference_desired_yaw(a, before, target))
     stepped = reference_step_dynamics(before, acc, yaw_acc, mission.cfg.tick)
     assert tuple(mission.grid.voxels(stepped.position).tolist()) != voxel
@@ -1170,8 +1171,7 @@ class PerAgentAct(_Mission):
         for a in self.agents:
             i = a.id
             state = agent_state(self, i)
-            gimbal = GimbalState(float(self.inclination[i]), float(self.azimuth[i]),
-                                 self.cfg.gimbal)
+            gimbal = GimbalState(float(self.inclination[i]), float(self.azimuth[i]))
             target_voxel = a.voxel
             seg_i = 0
             if seg_i < len(a.segment):
@@ -1206,7 +1206,7 @@ class PerAgentAct(_Mission):
 
             target_pos = self.grid.centers(aim)
             yaw_des = reference_desired_yaw(a, state, target_pos)
-            acc, yaw_acc = reference_track_segment(state, target_pos, self.cfg.tracking, yaw_des)
+            acc, yaw_acc = reference_track_segment(state, target_pos, yaw_des)
             new_state = reference_step_dynamics(state, acc, yaw_acc, self.cfg.tick)
 
             accepted = True
@@ -1240,8 +1240,8 @@ class PerAgentAct(_Mission):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MISSIONS))
-def test_batched_act_equals_the_per_agent_act(name):
-    cfg, scene = ORACLE_MISSIONS[name]()
+def test_batched_act_equals_the_per_agent_act(monkeypatch, name):
+    cfg, scene = oracle_mission(name, monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got, expected = _Mission(cfg, scene).run(), PerAgentAct(cfg, scene).run()

@@ -446,11 +446,10 @@ def test_observe_without_points_or_agents_is_empty():
 
 @pytest.mark.parametrize("fields", [
     {"range": math.nan}, {"range": math.inf}, {"range": -1.0},
-    {"servo_period": math.nan}, {"servo_period": math.inf}, {"servo_period": 0.0},
 ])
 def test_lidar_config_rejects_non_finite_or_non_positive_values(fields):
     # a NaN range used to fail deep in the tick loop
-    with pytest.raises(ConfigurationError, match="lidar range|lidar servo_period"):
+    with pytest.raises(ConfigurationError, match="lidar range"):
         LidarConfig(**fields)
 
 
@@ -472,14 +471,13 @@ def test_camera_config_rejects_non_finite_fields(name, value):
 
 
 def test_servo_triangle_wave():
-    cfg = LidarConfig(servo_period=8.0)
-    assert servo_angle(0.0, cfg) == pytest.approx(math.radians(-90.0))
-    assert servo_angle(2.0, cfg) == pytest.approx(0.0, abs=1e-12)
-    assert servo_angle(4.0, cfg) == pytest.approx(math.radians(90.0))
-    assert servo_angle(6.0, cfg) == pytest.approx(0.0, abs=1e-12)
-    assert servo_angle(8.0, cfg) == pytest.approx(math.radians(-90.0))
+    assert servo_angle(0.0) == pytest.approx(math.radians(-90.0))
+    assert servo_angle(2.0) == pytest.approx(0.0, abs=1e-12)
+    assert servo_angle(4.0) == pytest.approx(math.radians(90.0))
+    assert servo_angle(6.0) == pytest.approx(0.0, abs=1e-12)
+    assert servo_angle(8.0) == pytest.approx(math.radians(-90.0))
     with pytest.raises(ConfigurationError):
-        servo_angle(-1.0, cfg)
+        servo_angle(-1.0)
 
 
 def closed_room(half=10.0, thickness=1.0):
@@ -514,7 +512,7 @@ def test_lidar_inside_closed_room_every_ray_hits():
 
 
 def test_lidar_overhead_slab_needs_servo_pitch():
-    cfg = LidarConfig(range=50.0, beams=5, azimuth_steps=36, servo_period=8.0)
+    cfg = LidarConfig(range=50.0, beams=5, azimuth_steps=36)
     slab = Scene(solid_boxes=[BoundingBox((-1, -1, 5), (1, 1, 6))])
     level = fire(agent(), slab, cfg, t=2.0)[0][:, 0]       # servo at 0 degrees
     pitched = fire(agent(), slab, cfg, t=4.0)[0][:, 0]     # servo at +90 degrees

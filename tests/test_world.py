@@ -16,7 +16,7 @@ from uavinspect.errors import (ConfigurationError, GridMismatchError,
                                OutOfBoundsError)
 from uavinspect.planning import drhlp_step, generate_waypoints
 from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
-from uavinspect.sensors import LidarConfig, servo_angle
+from uavinspect.sensors import servo_angle
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
                               OccupancyMap, VoxelGrid, _kept, _l1, _max3, _min3, _rows,
                               _segment_cells, build_grid, carve_free,
@@ -138,7 +138,7 @@ NUMERIC_ARGUMENTS = {
     "build_grid": lambda x: build_grid(BoundingBox((0, 0, 0), (12, 12, 6)), x),
     "generate_waypoints": lambda x: generate_waypoints(make_map((2, 2, 2)), [], x),
     "step_dynamics": step_dynamics_with_dt,
-    "servo_angle": lambda x: servo_angle(x, LidarConfig()),
+    "servo_angle": servo_angle,
     "drhlp_step": lambda x: drhlp_step((0, 0, 0), [], 0, make_map((2, 2, 2)), set(), x),
 }
 
@@ -149,7 +149,7 @@ NUMERIC_ARGUMENTS = {
 def test_numeric_arguments_reject_what_their_config_rule_rejects(function, value):
     if (function, value) == ("servo_angle", 0):
         # the time's rule is non-negative: 0 is the lower stop
-        assert servo_angle(0, LidarConfig()) == math.radians(-90.0)
+        assert servo_angle(0) == math.radians(-90.0)
         return
     with pytest.raises(ConfigurationError, match="must be"):
         NUMERIC_ARGUMENTS[function](value)
