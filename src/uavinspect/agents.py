@@ -42,6 +42,9 @@ _INCLINATION_MIN = math.radians(-90.0)
 _INCLINATION_MAX = math.radians(80.0)
 _AZIMUTH_MIN = math.radians(-90.0)
 _AZIMUTH_MAX = math.radians(90.0)
+# each kind's speed limit (m/s), and the yaw-rate limit (rad/s)
+_SPEED_LIMIT = {EXPLORER: 4.0, PHOTOGRAPHER: 5.0}
+_OMEGA_MAX = 1.5
 
 
 def _capped(v: np.ndarray, limits: list[float]) -> np.ndarray:

@@ -6,8 +6,7 @@ default; a config section's keys are its class's ruled fields.
 Every number is held to a rule of ``errors._RULES``, and a failure names the
 number's dotted path.  Unknown keys are rejected; an
 omitted or null key takes its default, the field default of its config class,
-and a key without a default is required.  Angles in scenario files are
-degrees; internally everything is radians.
+and a key without a default is required.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import os
 import sys
 import traceback
 import warnings
+from collections.abc import Hashable
 from dataclasses import MISSING
 from itertools import chain, repeat
 
@@ -42,9 +42,31 @@ def _expect_list(node, path: str) -> list:
 def _ruled(rule: str):
     """A parser that holds a value to ``rule`` of errors._RULES, naming a
     failure by the value's dotted path, and gives a plain int for an integer
-    rule or a plain float for any other."""
+    rule or a plain float for any other.  A failure on text with an exponent
+    that float() reads says why YAML read it as text."""
     plain = int if rule in INTEGER_RULES else float
-    return lambda value, path: plain(check_value(path, value, rule))
+
+    def parse(value, path: str):
+        try:
+            return plain(check_value(path, value, rule))
+        except ConfigurationError as exc:
+            if _exponent_text(value):
+                raise ConfigurationError(
+                    f"{exc}: YAML reads an exponent as a float only with a dot and a signed "
+                    "exponent, as in 1.0e-9 or 1.0e+9") from None
+            raise
+    return parse
+
+
+def _exponent_text(value) -> bool:
+    """Whether value is text that float() reads as a number with an exponent."""
+    if type(value) is not str or "e" not in value.lower():
+        return False
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return True
 
 
 def _optional(parse):
@@ -182,22 +204,13 @@ def _fields(spec: dict):
     return lambda node, path: _record(node, spec, path)
 
 
-# the radian fields a scenario file gives in degrees, each as its name + "_deg"
-_DEGREES = ("fov_h", "fov_v")
-
-
 def _section(cls) -> dict:
     """Spec entries ``key: (parser, field default)`` of a config class's ruled
-    fields, each parsed by its rule.  A field of _DEGREES is given in
-    degrees, its default rounded so that 60 degrees reads back as 60.0."""
+    fields, each parsed by its rule."""
     spec = {}
     for f in dataclasses.fields(cls):
-        if "rule" not in f.metadata:
-            continue
-        parse = _ruled(f.metadata["rule"])
-        if f.name in _DEGREES:
-            spec[f"{f.name}_deg"] = (parse, round(math.degrees(f.default), 9))
-        else:
+        if "rule" in f.metadata:
+            parse = _ruled(f.metadata["rule"])
             spec[f.name] = (_optional(parse) if f.default is None else parse, f.default)
     return spec
 
@@ -252,8 +265,8 @@ _SCENARIO = {
     # waypoint_standoff None means one voxel, resolved by MissionConfig.standoff;
     # seed is the fallback seed of the interest-point scatter, not a config field
     "mission": (_fields({**_section(MissionConfig), "seed": (_UINT, 0)}), {}),
-    "agents": (_list(_fields({"kind": (_one_of(KINDS), MISSING), "start": (_vec3, MISSING),
-                              **_section(AgentSpec)}), nonempty=True), MISSING),
+    "agents": (_list(_fields({"kind": (_one_of(KINDS), MISSING), "start": (_vec3, MISSING)}),
+                     nonempty=True), MISSING),
     "camera": (_fields(_section(CameraConfig)), {}),
     "lidar": (_fields(_section(LidarConfig)), {}),
     "scene": (_fields({
@@ -277,27 +290,13 @@ def normalize_scenario(raw: dict) -> dict:
     return _record(raw, _SCENARIO, "")
 
 
-def _config(cls, section: dict, **fields):
-    """A config class built from its canonical section plus the given fields.
-
-    A key ending in ``_deg`` sets its radian field, the inverse of _section.
-    """
-    for key, value in section.items():
-        if key.endswith("_deg"):
-            key, value = key[:-len("_deg")], math.radians(value)
-        fields[key] = value
-    return cls(**fields)
-
-
 def scenario_from_dict(canonical: dict) -> tuple[MissionConfig, Scene]:
     """Build the mission config and ground-truth scene from a canonical dict."""
     m = canonical["mission"]
-    agents = tuple(_config(AgentSpec, {**a, "start": tuple(a["start"])})
-                   for a in canonical["agents"])
-    cfg = _config(MissionConfig, {k: v for k, v in m.items() if k != "seed"},
-                  agents=agents,
-                  camera=_config(CameraConfig, canonical["camera"]),
-                  lidar=_config(LidarConfig, canonical["lidar"]))
+    agents = tuple(AgentSpec(a["kind"], tuple(a["start"])) for a in canonical["agents"])
+    cfg = MissionConfig(**{k: v for k, v in m.items() if k != "seed"}, agents=agents,
+                        camera=CameraConfig(**canonical["camera"]),
+                        lidar=LidarConfig(**canonical["lidar"]))
 
     sc = canonical["scene"]
     solid = [BoundingBox(tuple(b["min"]), tuple(b["max"])) for b in sc["solid_boxes"]]
@@ -326,12 +325,35 @@ def _array(vectors) -> np.ndarray:
     return np.array(list(chain.from_iterable(vectors)), dtype=float).reshape(-1, 3)
 
 
+class _UniqueKeys:
+    """A loader mixin that rejects a key repeated in one mapping, of which
+    YAML would keep the last value and drop the others unsaid."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue        # a merge key: the keys it brings in may be overridden
+            key = self.construct_object(key_node)
+            if isinstance(key, Hashable):       # construct_mapping rejects the others
+                if key in seen:
+                    mark = key_node.start_mark
+                    raise ConfigurationError(f"{mark.name}, line {mark.line + 1}: key {key!r} "
+                                             "repeats a key of its mapping")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+# libyaml's loader where PyYAML was built with it: five times the pure-Python
+# safe_load's speed, and the same safe subset
+class _Loader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    pass
+
+
 def load_scenario_dict(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            # libyaml's loader where PyYAML was built with it: five times the
-            # pure-Python safe_load's speed, and the same safe subset
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            raw = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:

@@ -40,7 +40,9 @@ from itertools import compress, islice
 
 import numpy as np
 
-from .agents import EXPLORER, KINDS, PHOTOGRAPHER, point_gimbal, step_dynamics, track_segment
+from . import sensors
+from .agents import (_OMEGA_MAX, _SPEED_LIMIT, EXPLORER, KINDS, PHOTOGRAPHER, point_gimbal,
+                     step_dynamics, track_segment)
 from .comms import agent_pairs, discover_neighbors, exchange_and_merge
 from .errors import ConfigurationError, PlanningError, check_fields, check_value, ruled
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
@@ -68,8 +70,6 @@ _MAX_TICK_BYTES = 2 ** 30
 class AgentSpec:
     kind: str
     start: tuple[float, float, float]
-    v_max: float | None = ruled("positive", None)      # defaults by kind when None
-    omega_max: float = ruled("positive", 1.5)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -78,13 +78,6 @@ class AgentSpec:
             raise ConfigurationError(f"agent start must be 3 finite coordinates, got {self.start}")
         for axis, c in enumerate(self.start):
             check_value(f"agent start[{axis}]", c, "finite")
-        check_fields(self, "agent")
-
-    @property
-    def speed_limit(self) -> float:
-        if self.v_max is not None:
-            return self.v_max
-        return 4.0 if self.kind == EXPLORER else 5.0
 
 
 @dataclass(frozen=True)
@@ -350,7 +343,7 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
         if guard.at(OccupancyMap(maps.grid, maps.cells[i]), positions[i]).field is None:
             continue
         dirs = lidar_directions(yaws[i], lidar, t)
-        dirs = _kept(guard.can_change(positions[i], dirs, lidar.range), dirs)
+        dirs = _kept(guard.can_change(positions[i], dirs, sensors._LIDAR_RANGE), dirs)
         if len(dirs):
             firing.append(i)
             bundles.append(dirs)
@@ -361,7 +354,7 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     clear = np.empty(len(segments[0]), dtype=bool)
     if len(firing) == 1:
         i = firing[0]
-        hits, misses = lidar_sweep(positions[i], scene, lidar, bundles[0], None, segments, clear)
+        hits, misses = lidar_sweep(positions[i], scene, bundles[0], None, segments, clear)
         suppressed = integrate_points(OccupancyMap(maps.grid, maps.cells[i]), positions[i],
                                       hits[:, 0], hits[:, 1], misses, truth, fields[0])
         return suppressed, clear
@@ -369,7 +362,7 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     origins = _rows(positions, firing)
     rows = np.repeat(np.arange(len(firing)), [len(b) for b in bundles])
     hit = np.empty(len(dirs), dtype=bool)
-    hits, misses = lidar_sweep(_rows(origins, rows), scene, lidar, dirs, hit, segments, clear)
+    hits, misses = lidar_sweep(_rows(origins, rows), scene, dirs, hit, segments, clear)
     gathered = OccupancyMap(maps.grid, maps.cells[firing])
     suppressed = integrate_points(gathered, origins, hits[:, 0], hits[:, 1], misses,
                                   truth, np.array(fields), rows[hit], rows[~hit])
@@ -404,8 +397,8 @@ class _Mission:
         self.velocity = np.zeros((n, 3))
         self.yaw = np.zeros(n)
         self.yaw_rate = np.zeros(n)
-        self.v_max = np.array([a.speed_limit for a in cfg.agents], dtype=float)
-        self.omega_max = np.array([a.omega_max for a in cfg.agents], dtype=float)
+        self.v_max = np.array([_SPEED_LIMIT[a.kind] for a in cfg.agents], dtype=float)
+        self.omega_max = np.full(n, _OMEGA_MAX)
         # the neutral mount, which lies within the gimbal's stops
         self.inclination = np.zeros(n)
         self.azimuth = np.zeros(n)

@@ -5,14 +5,14 @@ two scores in [0, 1]:
 
   blur: how far the point smears across the image during the exposure.  Both
   the point and the point advanced by its camera-frame velocity times the
-  exposure are projected; the score is pixel_width over the larger of the
+  exposure are projected; the score is the pixel width over the larger of the
   horizontal / vertical pixel displacements, capped at 1.
 
   resolution: ground-sample distance against the desired resolution.  The
   point is shifted one meter along the camera x and y axes, both positions are
-  projected, and meters-per-pixel along each axis is pixel_width over the
-  pixel displacement; the score is desired_resolution over the worse of the
-  two, capped at 1.
+  projected, and meters-per-pixel along each axis is the pixel width over the
+  pixel displacement; the score is the desired resolution over the worse of
+  the two, capped at 1.
 
 Projection is the pinhole u = focal * x / z, v = focal * y / z; a point at
 or behind the image plane scores zero on both.  The observation quality is
@@ -27,28 +27,35 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import check_fields, check_value, ruled
+from .errors import ConfigurationError, check_fields, check_value, ruled
 from .scene import Scene, SightLines, _cross, _norm, ray_cast_batch, visible_point_indices
 from .world import _kept, _length, _rows
 
 _ANG_TOL = 1e-12        # keeps the field-of-view boundary closed under float error
-# LiDAR servo pitch stops and period (s), and the beams' elevation spread
-# either side of level
+# the camera's full fields of view (rad), focal length and pixel width (px),
+# and the ground-sample distance of a full resolution score (m/px)
+_FOV_H = math.radians(80.0)
+_FOV_V = math.radians(60.0)
+_FOCAL = 1000.0
+_PIXEL_WIDTH = 1.0
+_DESIRED_RESOLUTION = 0.03
+# LiDAR range (m), servo pitch stops and period (s), and the beams' elevation
+# spread either side of level
+_LIDAR_RANGE = 50.0
 _SERVO_PERIOD = 8.0
 _SERVO_MIN = math.radians(-90.0)
 _SERVO_MAX = math.radians(90.0)
 _VERTICAL_APERTURE = math.radians(15.0)
+# the most rays one firing may cast: a 128-beam sensor at 2,048 azimuth steps,
+# 45 times the default's 5,760.  A firing holds 24 bytes of direction a ray,
+# so 10**10 rays asked numpy for 224 GiB at the first firing
+_MAX_RAYS = 2 ** 18
 
 
 @dataclass(frozen=True)
 class CameraConfig:
-    fov_h: float = ruled("positive", math.radians(80.0))
-    fov_v: float = ruled("positive", math.radians(60.0))
     range: float = ruled("positive", 30.0)
-    focal: float = ruled("positive", 1000.0)
-    pixel_width: float = ruled("positive", 1.0)
     exposure: float = ruled("positive", 0.05)
-    desired_resolution: float = ruled("positive", 0.03)
     quality_floor: float = ruled("unit", 0.1)
 
     def __post_init__(self):
@@ -57,12 +64,16 @@ class CameraConfig:
 
 @dataclass(frozen=True)
 class LidarConfig:
-    range: float = ruled("positive", 50.0)
     beams: int = ruled("positive integer", 16)
     azimuth_steps: int = ruled("positive integer", 360)
 
     def __post_init__(self):
         check_fields(self, "lidar")
+        rays = int(self.beams) * int(self.azimuth_steps)
+        if rays > _MAX_RAYS:
+            raise ConfigurationError(
+                f"lidar beams * azimuth_steps is {self.beams} * {self.azimuth_steps} = "
+                f"{rays:,} rays per firing, past the {_MAX_RAYS:,} that a firing may cast")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +126,8 @@ def _fov_mask(p_cam: np.ndarray, dists: np.ndarray, cfg: CameraConfig) -> np.nda
     z = p_cam[..., 2]
     front = z > 0.0
     with np.errstate(invalid="ignore"):
-        ah = np.abs(np.arctan2(p_cam[..., 0], z)) <= cfg.fov_h / 2.0 + _ANG_TOL
-        av = np.abs(np.arctan2(p_cam[..., 1], z)) <= cfg.fov_v / 2.0 + _ANG_TOL
+        ah = np.abs(np.arctan2(p_cam[..., 0], z)) <= _FOV_H / 2.0 + _ANG_TOL
+        av = np.abs(np.arctan2(p_cam[..., 1], z)) <= _FOV_V / 2.0 + _ANG_TOL
     return front & ah & av & (dists <= cfg.range + _ANG_TOL)
 
 
@@ -129,13 +140,13 @@ def _blur_batch(p_cam: np.ndarray, v_cam: np.ndarray, cfg: CameraConfig) -> np.n
     q = np.zeros(len(p0))
     if ok.any():
         a0, a1 = _kept(ok, p0), _kept(ok, p1)
-        u0 = cfg.focal * a0[:, 0] / a0[:, 2]
-        v0 = cfg.focal * a0[:, 1] / a0[:, 2]
-        u1 = cfg.focal * a1[:, 0] / a1[:, 2]
-        v1 = cfg.focal * a1[:, 1] / a1[:, 2]
+        u0 = _FOCAL * a0[:, 0] / a0[:, 2]
+        v0 = _FOCAL * a0[:, 1] / a0[:, 2]
+        u1 = _FOCAL * a1[:, 0] / a1[:, 2]
+        v1 = _FOCAL * a1[:, 1] / a1[:, 2]
         disp = np.maximum(np.abs(u1 - u0), np.abs(v1 - v0))
         with np.errstate(divide="ignore"):
-            score = np.minimum(cfg.pixel_width / disp, 1.0)
+            score = np.minimum(_PIXEL_WIDTH / disp, 1.0)
         score[disp == 0.0] = 1.0
 
         # a point that slides out of the view pyramid mid-exposure scores zero
@@ -145,20 +156,20 @@ def _blur_batch(p_cam: np.ndarray, v_cam: np.ndarray, cfg: CameraConfig) -> np.n
     return q
 
 
-def _resolution_batch(p_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
+def _resolution_batch(p_cam: np.ndarray) -> np.ndarray:
     z = p_cam[:, 2]
     q = np.zeros(len(p_cam))
     ok = z > _ANG_TOL
     if ok.any():
         p = _kept(ok, p_cam)
         zz = p[:, 2]
-        u3 = cfg.focal * p[:, 0] / zz
-        u4 = cfg.focal * (p[:, 0] + 1.0) / zz
-        v3 = cfg.focal * p[:, 1] / zz
-        v4 = cfg.focal * (p[:, 1] + 1.0) / zz
-        r_horz = cfg.pixel_width / np.abs(u4 - u3)
-        r_vert = cfg.pixel_width / np.abs(v4 - v3)
-        q[ok] = np.minimum(cfg.desired_resolution / np.maximum(r_horz, r_vert), 1.0)
+        u3 = _FOCAL * p[:, 0] / zz
+        u4 = _FOCAL * (p[:, 0] + 1.0) / zz
+        v3 = _FOCAL * p[:, 1] / zz
+        v4 = _FOCAL * (p[:, 1] + 1.0) / zz
+        r_horz = _PIXEL_WIDTH / np.abs(u4 - u3)
+        r_vert = _PIXEL_WIDTH / np.abs(v4 - v3)
+        q[ok] = np.minimum(_DESIRED_RESOLUTION / np.maximum(r_horz, r_vert), 1.0)
     return q
 
 
@@ -197,7 +208,7 @@ def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
     row, idx = visible_point_indices(scene, apexes, candidates)
     p_cam = _rows(p_cam.reshape(-1, 3), row * scene.num_points + idx)
     qb = _blur_batch(p_cam, _rows(v_cam, row), cfg)
-    qr = _resolution_batch(p_cam, cfg)
+    qr = _resolution_batch(p_cam)
     q = qb * qr
     keep = q > 0.0
     return Observations(row[keep], idx[keep], qb[keep], qr[keep], q[keep])
@@ -248,7 +259,7 @@ def lidar_directions(yaw: float, cfg: LidarConfig, t: float) -> np.ndarray:
     return base @ (rz @ rx).T
 
 
-def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
+def lidar_sweep(position, scene: Scene, dirs: np.ndarray,
                 hit_mask: np.ndarray | None = None, segments=None,
                 clear: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cast the given rays of a firing from position, (3,) shared by every
@@ -257,7 +268,7 @@ def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
 
     hits is (n, 2, 3): each hit's point, then the unit direction of its ray,
     which the mapper nudges the hit along.  Rays that see nothing report
-    their maximum-range endpoint so the mapper can clear the corridor they
+    their endpoint at _LIDAR_RANGE so the mapper can clear the corridor they
     crossed.  Both keep the order of the rays; hit_mask, a boolean array of
     one entry per ray, receives which rays hit.  Each ray's result does not
     depend on which other rays are cast.  Noise-free.
@@ -271,13 +282,13 @@ def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
     origin = np.asarray(position, dtype=float).reshape(-1, 3)
     sight = None if segments is None else SightLines.between(*segments)
     if sight is None or not len(sight.dirs):
-        hit, dist = ray_cast_batch(scene, position, dirs, cfg.range)
+        hit, dist = ray_cast_batch(scene, position, dirs, _LIDAR_RANGE)
     else:
         # the firing's rows, then the sight lines'
         origins = np.empty((n + len(sight.dirs), 3))
         origins[:n], origins[n:] = origin, sight.starts
         ranges = np.empty(len(origins))
-        ranges[:n], ranges[n:] = cfg.range, sight.ranges
+        ranges[:n], ranges[n:] = _LIDAR_RANGE, sight.ranges
         hit, dist = ray_cast_batch(scene, origins, np.concatenate((dirs, sight.dirs)), ranges)
         clear[...] = sight.clear(hit[n:], dist[n:])
         hit, dist = hit[:n], dist[:n]
@@ -288,5 +299,6 @@ def lidar_sweep(position, scene: Scene, cfg: LidarConfig, dirs: np.ndarray,
     hits[:, 1] = _kept(hit, dirs)
     hits[:, 0] = ((origin if len(origin) == 1 else _kept(hit, origin))
                   + hits[:, 1] * _kept(hit, dist)[:, None])
-    misses = (origin if len(origin) == 1 else _kept(miss, origin)) + _kept(miss, dirs) * cfg.range
+    misses = ((origin if len(origin) == 1 else _kept(miss, origin))
+              + _kept(miss, dirs) * _LIDAR_RANGE)
     return hits, misses

@@ -37,6 +37,14 @@ _BOX_PAD = 1e-3         # FiringGuard's box cull keeps a line this near its box,
 # bench pairs at seed 1), while desk_box's firings keep hundreds of their
 # 2,880 rays
 _BOX_CULL_RAYS = 256
+# the most cells a grid may hold, in all and along one axis.  Set-up and each
+# tick's map work grow with the cells, and reach_mask's flood with the cells
+# times the longest axis: desk_box set up on a 64-cell cube takes 0.1 s and on
+# a 256 x 32 x 32 grid 0.25 s on a 2-vCPU Xeon VM, where a 0.001 m voxel asked
+# numpy for 42 TiB and a start 1,000 km away flooded for minutes.  The largest
+# grid of the shipped scenarios and bench workloads is 14 cells a side.
+_MAX_CELLS = 2 ** 18
+_MAX_AXIS_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -163,8 +171,14 @@ def compute_operational_volume(boxes, positions, voxel_size: float) -> BoundingB
 def build_grid(volume: BoundingBox, voxel_size: float) -> VoxelGrid:
     """Divide the volume into cubic voxels; dims round up so the volume is covered."""
     check_value("voxel size", voxel_size, "positive")
-    dims = np.ceil((volume.hi - volume.lo - 1e-9) / voxel_size).astype(int)
-    dims = np.maximum(dims, 1)
+    extent = volume.hi - volume.lo
+    dims = np.maximum(np.ceil((extent - 1e-9) / voxel_size), 1.0)
+    if dims.max() > _MAX_AXIS_CELLS or dims.prod() > _MAX_CELLS:
+        raise ConfigurationError(
+            f"mission.voxel_size {voxel_size:g} m divides the operational volume of "
+            f"{' x '.join(f'{e:g}' for e in extent)} m into {' x '.join(f'{d:g}' for d in dims)} "
+            f"cells, past the {_MAX_AXIS_CELLS} a grid may hold along an axis or the "
+            f"{_MAX_CELLS:,} in all")
     return VoxelGrid(tuple(volume.lo.tolist()), tuple(int(d) for d in dims), float(voxel_size))
 
 

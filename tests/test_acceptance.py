@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from test_planning import bfs_hops
+from uavinspect import sensors
 from uavinspect.cli import parse_scenario
 from uavinspect.engine import (AgentSpec, MissionConfig, inspection_score,
                                run_mission, write_outputs)
@@ -50,7 +51,7 @@ def hand_resolution(p, f, c, r_des):
     return min(r_des / max(c / du, c / dv), 1.0)
 
 
-def test_sensor_formula_suite():
+def test_sensor_formula_suite(monkeypatch):
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     cases = 0
@@ -68,21 +69,23 @@ def test_sensor_formula_suite():
         v = tuple(float(c) for c in rng.uniform(-3, 3, 3))
         random_cases.append((p, v, float(rng.uniform(0.01, 0.1)),
                              float(rng.uniform(400, 2000))))
+    # a 170 degree view and a 1e6 m range hold every case's advanced point in view
+    monkeypatch.setattr(sensors, "_FOV_H", math.radians(170))
+    monkeypatch.setattr(sensors, "_FOV_V", math.radians(170))
     for p, v, tau, f in fixed + random_cases:
-        cfg = CameraConfig(focal=f, exposure=tau, fov_h=math.radians(170),
-                           fov_v=math.radians(170), range=1e6,
-                           desired_resolution=0.03)
-        got = _blur_batch(np.array([p]), np.array([v]), cfg)[0]
+        monkeypatch.setattr(sensors, "_FOCAL", f)
+        got = _blur_batch(np.array([p]), np.array([v]), CameraConfig(exposure=tau, range=1e6))[0]
         want = hand_blur(p, v, tau, f, 1.0)
         assert got == pytest.approx(want, abs=1e-9), (p, v, tau, f)
         r_des = float(rng.uniform(0.005, 0.1))
-        cfg2 = CameraConfig(focal=f, desired_resolution=r_des)
-        got_r = _resolution_batch(np.array([p]), cfg2)[0]
+        monkeypatch.setattr(sensors, "_DESIRED_RESOLUTION", r_des)
+        got_r = _resolution_batch(np.array([p]))[0]
         want_r = hand_resolution(p, f, 1.0, r_des)
         assert got_r == pytest.approx(want_r, abs=1e-9)
         cases += 1
     assert cases >= 20
 
+    monkeypatch.undo()              # the sweeps below take the camera as it is
     cfg = CameraConfig()
     speeds = np.linspace(0.0, 15.0, 1000)
     blur = _blur_batch(np.tile([0.4, -0.3, 14.0], (len(speeds), 1)),
@@ -90,7 +93,7 @@ def test_sensor_formula_suite():
     assert all(b <= a + 1e-12 for a, b in zip(blur, blur[1:]))
     depths = np.linspace(0.2, 150.0, 1000)
     res = _resolution_batch(np.column_stack([np.full_like(depths, 0.2),
-                                             np.full_like(depths, 0.1), depths]), cfg).tolist()
+                                             np.full_like(depths, 0.1), depths])).tolist()
     assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
     elapsed = time.perf_counter() - start
     verdict(elapsed < 1.0, "sensor formula suite",

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from test_engine import PROBES, build_config, numeric_fields
 from test_mesh import centroid_points, prism_triangles
 from test_world import point_arrays
-from uavinspect import cli
+from uavinspect import cli, sensors
 from uavinspect.agents import KINDS
 from uavinspect.cli import (load_scenario_dict, main, normalize_scenario,
                             parse_scenario, scenario_from_dict)
@@ -49,10 +50,7 @@ def test_minimal_file_gets_documented_defaults(tmp_path):
     assert cfg.voxel_size == 6.0
     assert cfg.tick == 0.1
     assert cfg.horizon == 3
-    assert cfg.camera.fov_h == pytest.approx(math.radians(80.0))
-    assert cfg.camera.fov_v == pytest.approx(math.radians(60.0))
     assert cfg.camera.quality_floor == 0.1
-    assert cfg.lidar.range == 50.0
     assert scene.num_points == 0
     assert len(scene.inspection_boxes) == 1
 
@@ -62,13 +60,9 @@ def test_defaults_are_the_documented_table():
     assert canonical["mission"] == {
         "duration": 30.0, "tick": 0.1, "voxel_size": 6.0, "horizon": 3,
         "waypoint_standoff": None, "seed": 0}
-    assert canonical["agents"][0] == {"kind": "explorer", "start": [3.0, 3.0, 3.0],
-                                      "v_max": None, "omega_max": 1.5}
-    assert canonical["camera"] == {
-        "fov_h_deg": 80.0, "fov_v_deg": 60.0, "range": 30.0, "focal": 1000.0,
-        "pixel_width": 1.0, "exposure": 0.05, "desired_resolution": 0.03,
-        "quality_floor": 0.1}
-    assert canonical["lidar"] == {"range": 50.0, "beams": 16, "azimuth_steps": 360}
+    assert canonical["agents"][0] == {"kind": "explorer", "start": [3.0, 3.0, 3.0]}
+    assert canonical["camera"] == {"range": 30.0, "exposure": 0.05, "quality_floor": 0.1}
+    assert canonical["lidar"] == {"beams": 16, "azimuth_steps": 360}
 
 
 # scenario sections built into a config class, each also a MissionConfig field
@@ -78,19 +72,11 @@ SECTIONS = {"camera": CameraConfig, "lidar": LidarConfig}
 NON_DEFAULT = {
     "mission": {"duration": 12.5, "tick": 0.25, "voxel_size": 4.0, "horizon": 5,
                 "waypoint_standoff": 9.0, "seed": 3},
-    "camera": {"fov_h_deg": 70.0, "fov_v_deg": 50.0, "range": 25.0, "focal": 900.0,
-               "pixel_width": 1.5, "exposure": 0.02, "desired_resolution": 0.05,
-               "quality_floor": 0.2},
-    "lidar": {"range": 40.0, "beams": 8, "azimuth_steps": 90},
-    "agents": [{"kind": "photographer", "start": [4.0, 5.0, 6.0], "v_max": 3.5,
-                "omega_max": 1.2},
+    "camera": {"range": 25.0, "exposure": 0.02, "quality_floor": 0.2},
+    "lidar": {"beams": 8, "azimuth_steps": 90},
+    "agents": [{"kind": "photographer", "start": [4.0, 5.0, 6.0]},
                {"kind": "explorer", "start": [3.0, 3.0, 3.0]}],
 }
-
-
-def field_of(key):
-    """The config field a scenario key sets: a _deg key sets its radian field."""
-    return key[:-len("_deg")] if key.endswith("_deg") else key
 
 
 def field_names(cls):
@@ -100,7 +86,7 @@ def field_names(cls):
 def test_every_config_field_is_a_scenario_key():
     canonical = normalize_scenario(MINIMAL)
     for name, cls in SECTIONS.items():
-        assert {field_of(k) for k in canonical[name]} == field_names(cls), name
+        assert set(canonical[name]) == field_names(cls), name
     assert set(canonical["agents"][0]) == field_names(AgentSpec)
     # mission.seed seeds the interest-point scatter; it is not a config field
     scalar = field_names(MissionConfig) - {"agents", *SECTIONS}
@@ -122,12 +108,11 @@ def test_every_scenario_key_reaches_its_field():
     for name in SECTIONS:
         built = getattr(cfg, name)
         for key, value in NON_DEFAULT[name].items():
-            want = math.radians(value) if key.endswith("_deg") else value
-            assert getattr(built, field_of(key)) == want, f"{name}.{key}"
+            assert getattr(built, key) == value, f"{name}.{key}"
     for key, value in NON_DEFAULT["mission"].items():
         if key != "seed":
             assert getattr(cfg, key) == value, f"mission.{key}"
-    assert cfg.agents[0] == AgentSpec("photographer", (4.0, 5.0, 6.0), 3.5, 1.2)
+    assert cfg.agents[0] == AgentSpec("photographer", (4.0, 5.0, 6.0))
 
 
 def test_explorer_count_rule_enforced(tmp_path):
@@ -190,7 +175,7 @@ FULL = {
 # rejects, a required key or None, a key whose null takes the given default or
 # None); a triangle is a list, so its keys are vertex indices
 RECORDS = {
-    "agent": (("agents", 0), "agents[0]", ("kind", "pilot"), "start", ("v_max", None)),
+    "agent": (("agents", 0), "agents[0]", ("kind", "pilot"), "start", None),
     "solid-box": (("scene", "solid_boxes", 0), "scene.solid_boxes[0]",
                   ("min", [1.0, 2.0]), "max", None),
     "inspection-box": (("scene", "inspection_boxes", 0), "scene.inspection_boxes[0]",
@@ -203,7 +188,7 @@ RECORDS = {
                      "scene.interest_points.scatter[0]", ("seed", True), "count",
                      ("faces", None)),
     "mission": (("mission",), "mission", ("horizon", 2.5), "duration", ("tick", 0.1)),
-    "camera": (("camera",), "camera", ("range", True), None, ("fov_h_deg", 80.0)),
+    "camera": (("camera",), "camera", ("range", True), None, ("exposure", 0.05)),
     "lidar": (("lidar",), "lidar", ("beams", 8.5), None, ("beams", 16)),
 }
 
@@ -247,16 +232,17 @@ def test_record_rules_name_the_dotted_path(kind):
 
 
 # each config class's section in a scenario file, and the record a probe sets
-FILE_RECORDS = {"agent": ("agents", 1), "mission": ("mission",), "camera": ("camera",),
-                "lidar": ("lidar",)}
+FILE_RECORDS = {"mission": ("mission",), "camera": ("camera",), "lidar": ("lidar",)}
 
 
 @pytest.mark.parametrize("section, f", numeric_fields(),
                          ids=[f"{s}.{f.name}" for s, f in numeric_fields()])
-def test_the_file_takes_a_number_exactly_when_its_class_does(section, f):
+def test_the_file_takes_a_number_exactly_when_its_class_does(monkeypatch, section, f):
     # a probe breaks a file's key when it breaks the class's field, and the
-    # error names the key's dotted path; a number kept is a plain int or float
-    key = f"{f.name}_deg" if f.name in cli._DEGREES else f.name
+    # error names the key's dotted path; a number kept is a plain int or float.
+    # The rays-per-firing cap weighs two keys together, so it is lifted here
+    # and has its own test
+    monkeypatch.setattr(sensors, "_MAX_RAYS", math.inf)
     where = FILE_RECORDS[section]
     path = dotted(where)
     plain = int if f.metadata["rule"] in INTEGER_RULES else float
@@ -268,14 +254,14 @@ def test_the_file_takes_a_number_exactly_when_its_class_does(section, f):
             error = exc
         raw = copy.deepcopy(MINIMAL)
         raw.setdefault(where[0], {})
-        at(raw, where)[key] = value
+        at(raw, where)[f.name] = value
         if error is None:
-            kept = at(normalize_scenario(raw), where)[key]
+            kept = at(normalize_scenario(raw), where)[f.name]
             assert type(kept) is plain and kept == plain(value), (value, kept)
         else:
             rule_text = str(error).split(" must be ", 1)[1]
             with pytest.raises(ConfigurationError,
-                               match=f"^{re.escape(f'{path}.{key} must be {rule_text}')}$"):
+                               match=f"^{re.escape(f'{path}.{f.name} must be {rule_text}')}$"):
                 normalize_scenario(raw)
 
 
@@ -308,12 +294,12 @@ def test_the_integer_keys_outside_the_config_classes_keep_their_rule(where, leas
 
 @pytest.mark.parametrize("value, shown", [(-1, "-1"), (-1.0, "-1.0"), ("fast", "'fast'")])
 def test_a_rule_failure_in_a_list_names_its_entry(tmp_path, capsys, value, shown):
-    # a rule failure read "agent v_max must be ...", naming no agent
+    # the error names the entry by its index in the list
     raw = yaml.safe_load((SCENARIOS / "desk_box.yaml").read_text())
-    raw["agents"][2]["v_max"] = value
+    raw["scene"]["interest_points"]["scatter"][0]["count"] = value
     assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
-    assert (capsys.readouterr().err
-            == f"error: agents[2].v_max must be positive and finite, got {shown}\n")
+    assert (capsys.readouterr().err == "error: scene.interest_points.scatter[0].count must be "
+            f"an integer in [0, 2**63), got {shown}\n")
 
 
 def test_numpy_scalars_are_taken_as_the_classes_take_them():
@@ -355,12 +341,6 @@ def test_an_integer_no_int64_holds_exits_2(tmp_path, capsys, where, value):
 def test_explicit_point_without_id_takes_its_index():
     explicit = normalize_scenario(FULL)["scene"]["interest_points"]["explicit"]
     assert [p["id"] for p in explicit] == [5, 1]
-
-
-def test_null_omega_max_takes_its_default():
-    raw = copy.deepcopy(FULL)
-    raw["agents"][0]["omega_max"] = None
-    assert normalize_scenario(raw)["agents"][0]["omega_max"] == 1.5
 
 
 @pytest.mark.parametrize("path, value, kind", [
@@ -588,14 +568,6 @@ def test_main_rejects_a_negative_standoff_before_running(tmp_path, capsys):
     assert "mission.waypoint_standoff must be positive" in capsys.readouterr().err
 
 
-def test_main_rejects_negative_limits_before_running(tmp_path, capsys):
-    # these flew a whole mission with every move clamped and exited 0
-    raw = copy.deepcopy(MINIMAL)
-    raw["agents"][0]["v_max"] = -1.0
-    assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
-    assert "error: agents[0].v_max must be positive" in capsys.readouterr().err
-
-
 BOX_30 = {"min": [0.0, 0.0, 0.0], "max": [30.0, 30.0, 30.0]}
 BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
 
@@ -643,6 +615,80 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key", [
+    ("agents", "v_max"), ("agents", "omega_max"), ("camera", "fov_h_deg"),
+    ("camera", "fov_v_deg"), ("camera", "focal"), ("camera", "pixel_width"),
+    ("camera", "desired_resolution"), ("lidar", "range"),
+], ids=lambda name: name)
+def test_a_platform_constant_is_no_scenario_key(tmp_path, capsys, where, key):
+    # the speed and yaw-rate limits are constants of agents, the camera's
+    # optics and the LiDAR's range constants of sensors, which no file sets
+    raw = copy.deepcopy(MINIMAL)
+    if where == "agents":
+        raw["agents"][1][key] = 1.0
+        where = "agents[1]"
+    else:
+        raw[where] = {key: 1.0}
+    assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
+    assert capsys.readouterr() == ("", f"error: {where}: unknown key(s) ['{key}']\n")
+
+
+@pytest.mark.parametrize("flags, far, dims", [
+    (["--voxel-size", "0.001"], None, "36002 x 36002 x 36002"),
+    ([], 1e6, "166668 x 8 x 8"),
+], ids=["tiny-voxel", "far-start"])
+def test_main_rejects_a_grid_too_large_to_set_up(tmp_path, capsys, flags, far, dims):
+    # the tiny voxel died in numpy's allocator (42 TiB) with exit status 3, and
+    # the far start flooded the reach mask for minutes
+    raw = yaml.safe_load((SCENARIOS / "desk_box.yaml").read_text())
+    if far is not None:
+        raw["agents"][0]["start"][0] = far
+    start = time.perf_counter()
+    assert main(["--scenario", write_yaml(tmp_path, raw), *flags]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert line.startswith("error: mission.voxel_size ") and f" into {dims} cells, " in line
+
+
+@pytest.mark.parametrize("base", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)],
+                         ids=["pure-python", "libyaml"])
+@pytest.mark.parametrize("text, line, key", [
+    ("mission:\n  duration: 5.0\n  duration: 7.0\n", 3, "'duration'"),
+    ("mission: {duration: 5.0, tick: 0.1, tick: 0.2}\n", 1, "'tick'"),
+    ("agents:\n  - kind: explorer\n    start: [3.0, 3.0, 3.0]\n    kind: photographer\n", 4,
+     "'kind'"),
+    ("camera: {range: 10.0}\ncamera: {range: 20.0}\n", 2, "'camera'"),
+    ("scene:\n  triangles: []\n  solid_boxes: []\n  triangles: []\n", 4, "'triangles'"),
+], ids=["block", "flow", "list-entry", "section", "nested"])
+def test_a_repeated_key_is_rejected_at_its_line(tmp_path, monkeypatch, capsys, base, text,
+                                                line, key):
+    # YAML keeps the last of a repeated key: a second tick silently won
+    monkeypatch.setattr(cli, "_Loader", type("Loader", (cli._UniqueKeys, base), {}))
+    path = tmp_path / "s.yaml"
+    path.write_text(text)
+    assert main(["--scenario", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}, line {line}: key {key} repeats a key of its mapping\n")
+    # a merge key's keys may be overridden, as YAML's merge intends
+    merged = "base: &b {tick: 0.1, duration: 5.0}\nmission: {<<: *b, tick: 0.2}\n"
+    assert yaml.load(merged, Loader=cli._Loader) == yaml.safe_load(merged)
+
+
+@pytest.mark.parametrize("text", ["1e-9", "1.0e9", "1e+9", "1E-9"])
+def test_an_exponent_that_yaml_reads_as_text_is_explained(tmp_path, capsys, text):
+    # YAML 1.1 reads a float only with a dot and a signed exponent; the rule
+    # failure on the text said nothing of why
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(MINIMAL).replace("duration: 30.0",
+                                                     f"duration: 30.0\n  tick: {text}"))
+    assert main(["--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: mission.tick must be positive and finite, got '{text}': YAML reads an exponent "
+        "as a float only with a dot and a signed exponent, as in 1.0e-9 or 1.0e+9\n")
 
 
 @pytest.mark.parametrize("scenario, flags", [
@@ -820,10 +866,7 @@ def ref_section(cls):
         if "rule" not in f.metadata:
             continue
         item = ref_rule(f.metadata["rule"])
-        if f.name in cli._DEGREES:
-            spec[f"{f.name}_deg"] = (item, round(math.degrees(f.default), 9))
-        else:
-            spec[f.name] = (ref_optional(item) if f.default is None else item, f.default)
+        spec[f.name] = (ref_optional(item) if f.default is None else item, f.default)
     return spec
 
 
@@ -843,8 +886,7 @@ REF_BOX = {"min": (ref_vec3, REQUIRED), "max": (ref_vec3, REQUIRED)}
 REF_SCENARIO = ref_record({
     "mission": (ref_record({**ref_section(MissionConfig), "seed": (ref_count, 0)}), {}),
     "agents": (ref_each(ref_record({"kind": (ref_one_of(KINDS), REQUIRED),
-                                    "start": (ref_vec3, REQUIRED),
-                                    **ref_section(AgentSpec)}), nonempty=True), REQUIRED),
+                                    "start": (ref_vec3, REQUIRED)}), nonempty=True), REQUIRED),
     "camera": (ref_record(ref_section(CameraConfig)), {}),
     "lidar": (ref_record(ref_section(LidarConfig)), {}),
     "scene": (ref_record({

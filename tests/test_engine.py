@@ -241,10 +241,8 @@ def test_config_rejects_non_integer_counts(field, value):
 
 
 @pytest.mark.parametrize("build, name", [
-    (lambda: LidarConfig(range=True), "lidar range"),
     (lambda: CameraConfig(exposure=True), "camera exposure"),
     (lambda: CameraConfig(quality_floor=True), "camera quality_floor"),
-    (lambda: AgentSpec("explorer", (0.0, 0.0, 0.0), v_max=True), "agent v_max"),
     (lambda: AgentSpec("explorer", (True, 0.0, 0.0)), r"agent start\[0\]"),
     (lambda: dataclasses.replace(small_config(), duration=True), "mission duration"),
     (lambda: dataclasses.replace(small_config(), voxel_size=True), "mission voxel_size"),
@@ -260,8 +258,8 @@ def test_config_takes_numpy_floats():
     cfg = small_config(duration=2.0)
     as_numpy = dataclasses.replace(
         cfg, duration=np.float64(2.0), voxel_size=np.float64(6.0),
-        camera=dataclasses.replace(cfg.camera, exposure=np.float64(0.01)),
-        lidar=dataclasses.replace(cfg.lidar, range=np.float64(50.0)))
+        camera=dataclasses.replace(cfg.camera, exposure=np.float64(0.01),
+                                   range=np.float64(40.0)))
     scene = small_scene()
     assert run_mission(as_numpy, scene).digest() == run_mission(cfg, scene).digest()
 
@@ -283,21 +281,13 @@ def test_config_rejects_non_finite_scalars(field, value):
         MissionConfig(**{"duration": 10.0, "agents": agents, field: value})
 
 
-@pytest.mark.parametrize("fields", [
-    {"v_max": -1.0}, {"v_max": 0.0}, {"v_max": math.nan}, {"v_max": math.inf},
-    {"omega_max": -1.5}, {"omega_max": 0.0}, {"omega_max": math.nan}, {"omega_max": math.inf},
-    {"start": (0.0, math.nan, 0.0)}, {"start": (math.inf, 0.0, 0.0)}, {"start": (0.0, 0.0)},
-])
-def test_agent_spec_rejects_bad_limits_and_starts(fields):
-    # a negative speed limit let explorers fly with every move clamped, unwarned
-    with pytest.raises(ConfigurationError, match="agent"):
-        AgentSpec(**{"kind": "explorer", "start": (0.0, 0.0, 0.0), **fields})
+@pytest.mark.parametrize("start", [(0.0, math.nan, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0)])
+def test_agent_spec_rejects_a_bad_start(start):
+    with pytest.raises(ConfigurationError, match="agent start"):
+        AgentSpec("explorer", start)
 
 
 @pytest.mark.parametrize("build, name", [
-    # None skipped the check, and np.array([None], dtype=float) flew with a
-    # yaw-rate limit of nan, which never clamps
-    (lambda: AgentSpec("explorer", (0.0, 0.0, 0.0), omega_max=None), "agent omega_max"),
     # math.isfinite raised OverflowError on an int no float can hold
     (lambda: CameraConfig(range=10 ** 400), "camera range"),
     (lambda: AgentSpec("explorer", (10 ** 400, 0.0, 0.0)), r"agent start\[0\]"),
@@ -350,8 +340,7 @@ def build_config(section, **fields):
     """The section's config class with fields set over a valid base."""
     # the mission's tick is the largest float, so that no probe of its
     # duration asks for tick tables past engine._MAX_TICK_BYTES
-    base = {"agent": {"kind": "explorer", "start": (0.0, 0.0, 0.0)},
-            "mission": {"duration": 10.0, "tick": sys.float_info.max,
+    base = {"mission": {"duration": 10.0, "tick": sys.float_info.max,
                         "agents": (AgentSpec("explorer", (0.0, 0.0, 0.0)),)}}
     return CONFIG_CLASSES[section](**{**base.get(section, {}), **fields})
 
@@ -366,7 +355,10 @@ def test_every_numeric_config_field_carries_a_rule():
 
 @pytest.mark.parametrize("section, f", numeric_fields(),
                          ids=[f"{s}.{f.name}" for s, f in numeric_fields()])
-def test_every_numeric_config_field_keeps_its_rule(section, f):
+def test_every_numeric_config_field_keeps_its_rule(monkeypatch, section, f):
+    # the rays-per-firing cap weighs two fields together, so it is lifted
+    # here and has its own test
+    monkeypatch.setattr(sensors, "_MAX_RAYS", math.inf)
     rule = f.metadata["rule"]
     probes = PROBES + [(None, set() if f.default is None else RULES)]
     for value, breaks in probes:
@@ -1079,14 +1071,13 @@ def test_survey_skips_a_sweep_end_inside_structure():
     assert res.violations == 0
 
 
-def test_survey_abandons_points_it_cannot_see_a_way_to():
+def test_survey_abandons_points_it_cannot_see_a_way_to(monkeypatch):
     # a 1 m LiDAR never confirms a neighbouring voxel free, so every step of
     # the sweep is blocked until the replan budget runs out; no map then
     # gives a waypoint
+    monkeypatch.setattr(sensors, "_LIDAR_RANGE", 1.0)
     with pytest.warns(UserWarning, match="planned no epoch"):
-        res = run_mission(small_config(duration=11.0,
-                                       lidar=LidarConfig(range=1.0, beams=8, azimuth_steps=90)),
-                          small_scene())
+        res = run_mission(small_config(duration=11.0), small_scene())
     assert _survey_events(res, 0) == [
         "abandons stalled survey point (0, 3, 3)",
         "abandons stalled survey point (6, 3, 3)",

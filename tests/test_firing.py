@@ -15,6 +15,7 @@ import math
 import re
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from hypothesis.extra import numpy as hnp
 
 from test_engine import bench_workload
 from test_world import reference_on_grid
-from uavinspect import cli, engine, world
+from uavinspect import cli, engine, sensors, world
 from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
 from uavinspect.errors import OutOfBoundsError
 from uavinspect.scene import Scene, line_of_sight, scatter_box_face_points, scene_occupancy
@@ -43,9 +44,18 @@ def field_keeps(guard, origin, dirs, reach, can_change=FiringGuard.can_change):
         return can_change(guard, origin, dirs, reach)
 
 
+@contextmanager
+def lidar_range(reach):
+    """A context in which the LiDAR reaches reach metres: the guard's cull and
+    the sweep both read sensors._LIDAR_RANGE."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sensors, "_LIDAR_RANGE", reach)
+        yield
+
+
 def reference_fire(occ, truth, position, yaw, scene, lidar, t):
     """The unculled firing: every ray cast, the map updated under the hit rule."""
-    hits, misses = lidar_sweep(position, scene, lidar, lidar_directions(yaw, lidar, t))
+    hits, misses = lidar_sweep(position, scene, lidar_directions(yaw, lidar, t))
     return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, truth)
 
 
@@ -54,10 +64,10 @@ def explorer_fire(occ, guard, position, yaw, scene, lidar, t):
     if guard.at(occ, position).field is None:
         return 0
     dirs = lidar_directions(yaw, lidar, t)
-    dirs = dirs[guard.can_change(position, dirs, lidar.range)]
+    dirs = dirs[guard.can_change(position, dirs, sensors._LIDAR_RANGE)]
     if not len(dirs):
         return 0
-    hits, misses = lidar_sweep(position, scene, lidar, dirs)
+    hits, misses = lidar_sweep(position, scene, dirs)
     return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, guard.truth,
                             guard.field)
 
@@ -89,12 +99,12 @@ def checked_run(cfg, scene, monkeypatch, stats):
                                    - np.count_nonzero(kept))
         return kept
 
-    def counting(position, scene, lidar, dirs, hit_mask=None, segments=None, clear=None):
+    def counting(position, scene, dirs, hit_mask=None, segments=None, clear=None):
         # one sweep casts the firings of several explorers, one origin each;
         # the sight lines that ride along are neither rays nor origins of a firing
         stats["cast"] += len(dirs)
         stats["swept"] += len(np.unique(np.reshape(position, (-1, 3)), axis=0))
-        return cast(position, scene, lidar, dirs, hit_mask, segments, clear)
+        return cast(position, scene, dirs, hit_mask, segments, clear)
 
     sense = _Mission._sense
 
@@ -229,7 +239,7 @@ def plane_triangle(draw, v, dims):
 
 @st.composite
 def scenes(draw):
-    """A scene on a small grid, its structure cells and a LiDAR."""
+    """A scene on a small grid, its structure cells, a LiDAR and its range."""
     v = draw(st.sampled_from([2.0, 3.0, 6.0]))
     dims = tuple(draw(st.integers(3, 6)) for _ in range(3))
     grid = VoxelGrid((0.0, 0.0, 0.0), dims, v)
@@ -239,13 +249,13 @@ def scenes(draw):
     # a sensor at a cell centre, so a range in half voxels ends on a voxel plane
     reach = draw(st.one_of(st.integers(1, 2 * max(dims)).map(lambda k: (k + 0.5) * v),
                            st.floats(0.5, 2.0 * max(dims) * v)))
-    lidar = LidarConfig(range=reach, beams=draw(st.sampled_from([1, 2, 5])),
+    lidar = LidarConfig(beams=draw(st.sampled_from([1, 2, 5])),
                         azimuth_steps=draw(st.sampled_from([4, 8, 12, 30])))
-    return grid, scene, scene_occupancy(scene, grid), lidar
+    return grid, scene, scene_occupancy(scene, grid), lidar, reach
 
 
 @st.composite
-def sensors(draw, grid, truth):
+def maps_and_sensors(draw, grid, truth):
     """A partly known map, and a sensor's position and yaw on the grid."""
     # the map: each cell unknown with some chance, else known; structure cells
     # may be known FREE, as a ray crossing part of the cell leaves them
@@ -266,22 +276,23 @@ def sensors(draw, grid, truth):
 @st.composite
 def firings(draw):
     """A scene on a small grid, a partly known map, a sensor and a LiDAR."""
-    grid, scene, truth, lidar = draw(scenes())
-    cells, position, yaw = draw(sensors(grid, truth))
+    grid, scene, truth, lidar, reach = draw(scenes())
+    cells, position, yaw = draw(maps_and_sensors(grid, truth))
     t = draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0)))
-    return grid, scene, truth, cells, position, yaw, lidar, t
+    return grid, scene, truth, cells, position, yaw, lidar, reach, t
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(firing=firings())
 def test_culled_firing_equals_the_unculled_firing_on_random_scenes(firing):
-    grid, scene, truth, cells, position, yaw, lidar, t = firing
+    grid, scene, truth, cells, position, yaw, lidar, lidar_reach, t = firing
     expected = OccupancyMap(grid, cells.copy())
-    suppressed = reference_fire(expected, truth, position, yaw, scene, lidar, t)
     got = OccupancyMap(grid, cells.copy())
     reach = reach_mask(grid, scene.solid_boxes, [position])
     guard = FiringGuard(grid, truth, reach)
-    got_suppressed = fire_one(got, guard, position, yaw, scene, lidar, t)
+    with lidar_range(lidar_reach):
+        suppressed = reference_fire(expected, truth, position, yaw, scene, lidar, t)
+        got_suppressed = fire_one(got, guard, position, yaw, scene, lidar, t)
     assert np.array_equal(got.cells, expected.cells)
     if guard.masked:
         # a sensor in the flood changes no masked cell
@@ -307,8 +318,8 @@ def plane_firings(draw):
     """An axis-aligned firing, one level beam at four azimuths along the
     grid axes, from a sensor with some coordinates on voxel planes, out to a
     range that from a plane or a cell centre ends on a plane."""
-    grid, scene, truth, lidar = draw(scenes())
-    cells, position, _ = draw(sensors(grid, truth))
+    grid, scene, truth, _, _ = draw(scenes())
+    cells, position, _ = draw(maps_and_sensors(grid, truth))
     v = grid.voxel_size
     # a coordinate as drawn, or on the plane below or above it on the grid
     position = np.array([draw(st.sampled_from([p, k * v] + [(k + 1) * v] * (k + 1 < n)))
@@ -316,21 +327,21 @@ def plane_firings(draw):
                                             np.floor(position / v).astype(int).tolist(),
                                             grid.dims)])
     reach = draw(st.integers(1, 4 * max(grid.dims))) * v / 2
-    lidar = dataclasses.replace(lidar, range=reach, beams=1, azimuth_steps=4)
+    lidar = LidarConfig(beams=1, azimuth_steps=4)
     yaw = draw(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]))
-    return grid, scene, truth, cells, position, yaw, lidar, LEVEL
+    return grid, scene, truth, cells, position, yaw, lidar, reach, LEVEL
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(firing=st.one_of(firings(), plane_firings()))
 def test_the_cull_in_grid_units_keeps_every_ray_the_cull_in_metres_keeps(firing):
-    grid, scene, truth, cells, position, yaw, lidar, t = firing
+    grid, scene, truth, cells, position, yaw, lidar, reach, t = firing
     guard = FiringGuard(grid, truth, reach_mask(grid, scene.solid_boxes, [position]))
     if guard.at(OccupancyMap(grid, cells), position).field is None:
         return
     dirs = lidar_directions(yaw, lidar, t)
-    kept = guard.can_change(position, dirs, lidar.range)
-    assert kept[reference_can_change(guard, position, dirs, lidar.range)].all()
+    kept = guard.can_change(position, dirs, reach)
+    assert kept[reference_can_change(guard, position, dirs, reach)].all()
 
 
 @st.composite
@@ -378,13 +389,13 @@ def dense_firings(draw):
     aimed[zeroed, rng.integers(0, 3, len(zeroed))] = 0.0   # a zero component
     aimed = aimed[np.linalg.norm(aimed, axis=1) > 0]
     axes = np.vstack([np.eye(3), -np.eye(3)])
-    lidar = LidarConfig(range=draw(st.floats(5.0, 80.0)),
-                        beams=draw(st.sampled_from([4, 8, 16])),
+    reach = draw(st.floats(5.0, 80.0))
+    lidar = LidarConfig(beams=draw(st.sampled_from([4, 8, 16])),
                         azimuth_steps=draw(st.sampled_from([30, 90, 180])))
     pattern = lidar_directions(draw(st.floats(-math.pi, math.pi)), lidar,
                                draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0))))
     dirs = np.vstack([pattern, aimed / np.linalg.norm(aimed, axis=1)[:, None], axes])
-    return grid, scene, truth, cells, position, lidar, dirs
+    return grid, scene, truth, cells, position, reach, dirs
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -392,7 +403,7 @@ def dense_firings(draw):
 def test_a_ray_the_box_culls_changes_nothing(firing):
     # every ray that the field keeps but the box culls, cast and folded in
     # unculled, leaves the map as it is; the box runs on firings of any size
-    grid, scene, truth, cells, position, lidar, dirs = firing
+    grid, scene, truth, cells, position, lidar_reach, dirs = firing
     on_grid = np.all((position >= 0) & (position < np.multiply(grid.dims, grid.voxel_size)))
     reach = reach_mask(grid, scene.solid_boxes, [position]) if on_grid else None
     guard = FiringGuard(grid, truth, reach)
@@ -400,12 +411,13 @@ def test_a_ray_the_box_culls_changes_nothing(firing):
         return
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(world, "_BOX_CULL_RAYS", 0)
-        kept = guard.can_change(position, dirs, lidar.range)
-    field = field_keeps(guard, position, dirs, lidar.range)
+        kept = guard.can_change(position, dirs, lidar_reach)
+    field = field_keeps(guard, position, dirs, lidar_reach)
     assert not np.any(kept & ~field)
     culled = field & ~kept
     occ = OccupancyMap(grid, cells.copy())
-    hits, misses = lidar_sweep(position, scene, lidar, dirs[culled])
+    with lidar_range(lidar_reach):
+        hits, misses = lidar_sweep(position, scene, dirs[culled])
     integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, truth)
     assert np.array_equal(occ.cells, cells)
 
@@ -413,28 +425,30 @@ def test_a_ray_the_box_culls_changes_nothing(firing):
 @st.composite
 def fleet_firings(draw):
     """A scene and the maps and sensors of two explorers firing at one time."""
-    grid, scene, truth, lidar = draw(scenes())
-    fleet = [draw(sensors(grid, truth)) for _ in range(2)]
+    grid, scene, truth, lidar, reach = draw(scenes())
+    fleet = [draw(maps_and_sensors(grid, truth)) for _ in range(2)]
     t = draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0)))
-    return grid, scene, truth, fleet, lidar, t
+    return grid, scene, truth, fleet, lidar, reach, t
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(firing=fleet_firings())
 def test_fleet_firing_equals_the_explorers_firing_apart(firing):
-    grid, scene, truth, fleet, lidar, t = firing
+    grid, scene, truth, fleet, lidar, lidar_reach, t = firing
     expected = [OccupancyMap(grid, cells.copy()) for cells, _, _ in fleet]
-    suppressed = sum(explorer_fire(occ, FiringGuard(grid, truth), position, yaw, scene, lidar, t)
-                     for occ, (_, position, yaw) in zip(expected, fleet))
     got = OccupancyMap(grid, np.stack([cells for cells, _, _ in fleet]))
     positions = np.array([position for _, position, _ in fleet])
     reach = reach_mask(grid, scene.solid_boxes, positions)
     # the pair's sight line rides in the sweep
     segment = (positions[:1], positions[1:])
-    got_suppressed, clear = engine._fire(got, [0, 1],
-                                         [FiringGuard(grid, truth, reach) for _ in fleet],
-                                         positions, [yaw for _, _, yaw in fleet], scene, lidar, t,
-                                         segment)
+    with lidar_range(lidar_reach):
+        suppressed = sum(explorer_fire(occ, FiringGuard(grid, truth), position, yaw, scene,
+                                       lidar, t)
+                         for occ, (_, position, yaw) in zip(expected, fleet))
+        got_suppressed, clear = engine._fire(got, [0, 1],
+                                             [FiringGuard(grid, truth, reach) for _ in fleet],
+                                             positions, [yaw for _, _, yaw in fleet], scene,
+                                             lidar, t, segment)
     for cells, want in zip(got.cells, expected):
         assert np.array_equal(cells, want.cells)
     assert got_suppressed == suppressed
@@ -466,7 +480,7 @@ def test_a_lone_firing_writes_only_its_own_row():
 
 # --- the two ways a firing can change a known map ---------------------------------
 
-def test_a_hit_at_full_range_on_a_voxel_plane_is_cast():
+def test_a_hit_at_full_range_on_a_voxel_plane_is_cast(monkeypatch):
     # the -x beam ends on the plane x = 6; its nudged hit lies in cell 0,
     # one cell past the cell at full range
     grid = VoxelGrid((0.0, 0.0, 0.0), (4, 1, 1), 2.0)
@@ -474,7 +488,8 @@ def test_a_hit_at_full_range_on_a_voxel_plane_is_cast():
     truth = scene_occupancy(scene, grid)
     cells = np.array([UNKNOWN, FREE, FREE, FREE], dtype=np.uint8).reshape(grid.dims)
     position = np.array([7.0, 1.0, 1.0])
-    lidar = LidarConfig(range=5.0, beams=1, azimuth_steps=2)
+    monkeypatch.setattr(sensors, "_LIDAR_RANGE", 5.0)
+    lidar = LidarConfig(beams=1, azimuth_steps=2)
     expected = OccupancyMap(grid, cells.copy())
     reference_fire(expected, truth, position, 0.0, scene, lidar, LEVEL)
     got = OccupancyMap(grid, cells.copy())
@@ -483,14 +498,15 @@ def test_a_hit_at_full_range_on_a_voxel_plane_is_cast():
     assert np.array_equal(got.cells, expected.cells)
 
 
-def test_a_free_structure_cell_keeps_its_firing():
+def test_a_free_structure_cell_keeps_its_firing(monkeypatch):
     # no cell is unknown, but a hit can still turn the free structure cell
     grid = VoxelGrid((0.0, 0.0, 0.0), (4, 1, 1), 2.0)
     scene = Scene(solid_boxes=[BoundingBox((0.0, 0.0, 0.0), (1.0, 2.0, 2.0))])
     truth = scene_occupancy(scene, grid)
     cells = np.full(grid.dims, FREE, dtype=np.uint8)
     position = np.array([7.0, 1.0, 1.0])
-    lidar = LidarConfig(range=10.0, beams=1, azimuth_steps=2)
+    monkeypatch.setattr(sensors, "_LIDAR_RANGE", 10.0)
+    lidar = LidarConfig(beams=1, azimuth_steps=2)
     got = OccupancyMap(grid, cells.copy())
     fire_one(got, FiringGuard(grid, truth), position, 0.0, scene, lidar, LEVEL)
     assert got.cells[0, 0, 0] == OCCUPIED
@@ -567,7 +583,7 @@ def test_a_sensor_outside_the_flood_is_not_masked():
     assert guard.at(occ, np.array([15.0, 24.0, 24.0])).field is not None
 
 
-def test_a_ray_between_two_boxes_that_share_a_face_is_not_masked():
+def test_a_ray_between_two_boxes_that_share_a_face_is_not_masked(monkeypatch):
     # the +x beam runs in the plane z = 12 that the two boxes share, so it
     # misses both and frees the cells above the plane; cell (3, 1, 2) has
     # no neighbour that either box leaves open
@@ -576,7 +592,8 @@ def test_a_ray_between_two_boxes_that_share_a_face_is_not_masked():
                                BoundingBox((6.0, 0.0, 12.0), (30.0, 24.0, 24.0))])
     truth = scene_occupancy(scene, grid)
     position = np.array([3.0, 9.0, 12.0])
-    lidar = LidarConfig(range=27.0, beams=1, azimuth_steps=4)
+    monkeypatch.setattr(sensors, "_LIDAR_RANGE", 27.0)
+    lidar = LidarConfig(beams=1, azimuth_steps=4)
     cells = np.where(truth, OCCUPIED, FREE).astype(np.uint8)
     cells[3, 1, 2] = UNKNOWN
     expected = OccupancyMap(grid, cells.copy())
@@ -700,19 +717,19 @@ def axis_coordinates(v, n):
 def domain_cases(draw):
     """A firing on a small grid, points around the grid, and int cells on
     it and off it."""
-    grid, scene, truth, cells, position, yaw, lidar, t = draw(firings())
+    grid, scene, truth, cells, position, yaw, lidar, lidar_reach, t = draw(firings())
     v, dims = grid.voxel_size, grid.dims
     points = np.array(draw(st.lists(st.tuples(*(axis_coordinates(v, n) for n in dims)),
                                     min_size=1, max_size=8)))
     ints = draw(hnp.arrays(np.int64, st.tuples(st.integers(0, 12), st.just(3)),
                            elements=st.integers(-3, max(dims) + 2)))
-    return grid, scene, truth, cells, position, yaw, lidar, t, points, ints
+    return grid, scene, truth, cells, position, yaw, lidar, lidar_reach, t, points, ints
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(case=domain_cases(), dense=st.booleans())
 def test_the_grid_checks_its_domain_and_a_firing_off_it_equals_the_unculled_one(case, dense):
-    grid, scene, truth, cells, position, yaw, lidar, t, points, ints = case
+    grid, scene, truth, cells, position, yaw, lidar, lidar_reach, t, points, ints = case
     # voxels: the floor of each point on the grid, or OutOfBoundsError
     # naming it; a batch names its first point off the grid
     ref = np.floor((points - grid.origin_arr) / grid.voxel_size)
@@ -740,10 +757,10 @@ def test_the_grid_checks_its_domain_and_a_firing_off_it_equals_the_unculled_one(
     reach = reach_mask(grid, scene.solid_boxes, [position])
     for sensor in list(np.multiply(off_grid(grid.dims), grid.voxel_size)) + off:
         expected = OccupancyMap(grid, cells.copy())
-        reference_fire(expected, truth, sensor, yaw, scene, lidar, t)
         got = OccupancyMap(grid, cells.copy())
         guard = FiringGuard(grid, truth, reach)
-        with pytest.MonkeyPatch.context() as monkeypatch:
+        with lidar_range(lidar_reach), pytest.MonkeyPatch.context() as monkeypatch:
+            reference_fire(expected, truth, sensor, yaw, scene, lidar, t)
             monkeypatch.setattr(world, "_BOX_CULL_RAYS", 0 if dense else math.inf)
             fire_one(got, guard, sensor, yaw, scene, lidar, t)
         assert not guard.masked

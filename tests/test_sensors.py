@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from test_agents import AgentState, GimbalState
 from test_scene import awkward_segments
 from test_world import assert_same, point_arrays, vector_stacks
+from uavinspect import sensors
 from uavinspect.errors import ConfigurationError
 from uavinspect.scene import (_EPS_LOS, Scene, line_of_sight, ray_cast_batch,
                               scatter_box_face_points, visible_point_indices)
@@ -105,7 +106,7 @@ def test_fov_rejects_point_beyond_range():
 
 
 def test_fov_boundary_is_closed():
-    c = cam(fov_h=math.radians(80), fov_v=math.radians(60))
+    c = cam()                       # an 80 x 60 degree field of view
     z = 10.0
     off = math.tan(math.radians(40.0)) * z
     off_v = math.tan(math.radians(30.0)) * z
@@ -126,13 +127,13 @@ def test_blur_static_point_is_perfect():
 
 
 def test_blur_ten_pixel_smear():
-    c = cam(exposure=0.1, focal=1000.0)
+    c = cam(exposure=0.1)           # a 1000 px focal length
     q = _blur_batch(np.array([[0.0, 0.0, 10.0]]), np.array([[1.0, 0.0, 0.0]]), c)
     assert q.tolist() == pytest.approx([0.1], abs=1e-12)
 
 
 def test_blur_subpixel_motion_caps_at_one():
-    c = cam(exposure=0.1, focal=1000.0)
+    c = cam(exposure=0.1)
     q = _blur_batch(np.array([[0.0, 0.0, 10.0]]), np.array([[0.05, 0.0, 0.0]]), c)
     assert q.tolist() == [1.0]
 
@@ -144,8 +145,8 @@ def test_blur_crossing_image_plane_scores_zero():
 
 
 def test_blur_leaving_frustum_scores_zero():
-    c = cam(exposure=0.1, fov_h=math.radians(80))
-    # starts just inside the horizontal edge, races outward
+    c = cam(exposure=0.1)
+    # starts just inside the 40 degree horizontal edge, races outward
     z = 5.0
     x = math.tan(math.radians(39.9)) * z
     q = _blur_batch(np.array([[x, 0.0, z]]), np.array([[50.0, 0.0, 0.0]]), c)
@@ -164,28 +165,26 @@ def test_blur_non_increasing_in_speed():
 
 # --- resolution -----------------------------------------------------------------------
 
-def test_resolution_examples():
-    c = cam(focal=1000.0, desired_resolution=0.04)
-    q = _resolution_batch(np.array([[0.0, 0.0, 20.0], [0.0, 0.0, 80.0]]), c)
+def test_resolution_examples(monkeypatch):
+    monkeypatch.setattr(sensors, "_DESIRED_RESOLUTION", 0.04)
+    q = _resolution_batch(np.array([[0.0, 0.0, 20.0], [0.0, 0.0, 80.0]]))
     assert q[0] == 1.0                                      # 0.02 m/px, capped
     assert q[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_resolution_near_zero_depth_caps_at_one():
-    c = cam(desired_resolution=0.04)
-    assert _resolution_batch(np.array([[0.0, 0.0, 1e-6]]), c).tolist() == [1.0]
+    assert _resolution_batch(np.array([[0.0, 0.0, 1e-6]])).tolist() == [1.0]
 
 
 def test_resolution_behind_plane_scores_zero():
-    q = _resolution_batch(np.array([[1.0, 1.0, -3.0], [1.0, 1.0, 0.0]]), cam())
+    q = _resolution_batch(np.array([[1.0, 1.0, -3.0], [1.0, 1.0, 0.0]]))
     assert q.tolist() == [0.0, 0.0]
 
 
 def test_resolution_non_increasing_in_depth():
-    c = cam()
     depths = np.linspace(0.5, 120, 1000)
     p_cam = np.column_stack([np.full_like(depths, 0.3), np.full_like(depths, -0.1), depths])
-    scores = _resolution_batch(p_cam, c).tolist()
+    scores = _resolution_batch(p_cam).tolist()
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
     assert all(0.0 <= s <= 1.0 for s in scores)
 
@@ -237,7 +236,7 @@ def reference_observe(a, gimbal, scene, cfg):
         return []
     v_cam = -(a.velocity @ basis)
     qb = _blur_batch(p_cam[idx], v_cam, cfg)
-    qr = _resolution_batch(p_cam[idx], cfg)
+    qr = _resolution_batch(p_cam[idx])
     q = qb * qr
     return [Observation(int(scene.point_ids[i]), float(qb[j]), float(qr[j]), float(q[j]))
             for j, i in enumerate(idx) if q[j] > 0.0]
@@ -253,7 +252,7 @@ def observe_one(a, gimbal, scene, cfg):
 
 
 def test_hovering_agent_perfect_observation():
-    c = cam(focal=1000.0, desired_resolution=0.04)
+    c = cam()                       # 0.02 m/px at 20 m, finer than the 0.03 desired
     obs = observe_one(agent(), GimbalState(), on_axis_scene(20.0), c)
     assert len(obs) == 1
     assert obs[0].point_id == 0
@@ -262,10 +261,10 @@ def test_hovering_agent_perfect_observation():
 
 
 def test_lateral_motion_composes_blur_and_resolution():
-    c = cam(exposure=0.1, focal=1000.0, desired_resolution=0.04)
+    c = cam(exposure=0.1)
     obs = observe_one(agent(vel=(0, 1.0, 0)), GimbalState(), on_axis_scene(10.0), c)
     assert len(obs) == 1
-    expected_res = _resolution_batch(np.array([[0.0, 0.0, 10.0]]), c)[0]
+    expected_res = _resolution_batch(np.array([[0.0, 0.0, 10.0]]))[0]
     assert obs[0].q_blur == pytest.approx(0.1, abs=1e-12)
     assert obs[0].q == pytest.approx(0.1 * expected_res, abs=1e-12)
 
@@ -331,7 +330,7 @@ def test_observe_agrees_with_public_fov_predicate():
     for i in visible:
         p_cam = (rel[i] @ basis)[None, :]
         qb = _blur_batch(p_cam, v_cam[None, :], c)[0]
-        qr = _resolution_batch(p_cam, c)[0]
+        qr = _resolution_batch(p_cam)[0]
         if qb * qr > 0.0:
             expected[int(scene.point_ids[i])] = (qb, qr)
 
@@ -445,12 +444,21 @@ def test_observe_without_points_or_agents_is_empty():
 # --- servo and lidar ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("fields", [
-    {"range": math.nan}, {"range": math.inf}, {"range": -1.0},
+    {"beams": math.nan}, {"azimuth_steps": math.inf}, {"beams": -1},
 ])
 def test_lidar_config_rejects_non_finite_or_non_positive_values(fields):
-    # a NaN range used to fail deep in the tick loop
-    with pytest.raises(ConfigurationError, match="lidar range"):
+    (name, _), = fields.items()
+    with pytest.raises(ConfigurationError, match=f"lidar {name} must be"):
         LidarConfig(**fields)
+
+
+def test_lidar_config_rejects_more_rays_per_firing_than_the_cap():
+    # 10**10 rays passed set-up, then the first firing asked for 224 GiB
+    assert LidarConfig(beams=128, azimuth_steps=2048).beams == 128     # the cap, 2**18 rays
+    for beams, steps in ((128, 2049), (100000, 100000), (np.int32(100000), np.int32(100000))):
+        with pytest.raises(ConfigurationError,
+                           match=r"^lidar beams \* azimuth_steps is .* rays per firing"):
+            LidarConfig(beams=beams, azimuth_steps=steps)
 
 
 @pytest.mark.parametrize("fields", [{"beams": 2.0}, {"azimuth_steps": 10.5}, {"beams": True},
@@ -462,8 +470,7 @@ def test_lidar_config_rejects_counts_that_are_not_positive_integers(fields):
         LidarConfig(**fields)
 
 
-@pytest.mark.parametrize("name", ["fov_h", "fov_v", "range", "focal", "pixel_width",
-                                  "exposure", "desired_resolution", "quality_floor"])
+@pytest.mark.parametrize("name", ["range", "exposure", "quality_floor"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_camera_config_rejects_non_finite_fields(name, value):
     with pytest.raises(ConfigurationError, match=name):
@@ -491,7 +498,7 @@ def closed_room(half=10.0, thickness=1.0):
 
 
 def fire(a, scene, cfg, t):
-    return lidar_sweep(a.position, scene, cfg, lidar_directions(a.yaw, cfg, t))
+    return lidar_sweep(a.position, scene, lidar_directions(a.yaw, cfg, t))
 
 
 def test_lidar_empty_scene_returns_empty_cloud():
@@ -501,7 +508,7 @@ def test_lidar_empty_scene_returns_empty_cloud():
 
 
 def test_lidar_inside_closed_room_every_ray_hits():
-    cfg = LidarConfig(range=50.0, beams=6, azimuth_steps=36)
+    cfg = LidarConfig(beams=6, azimuth_steps=36)
     pts = fire(agent(), closed_room(10.0), cfg, t=1.7)[0][:, 0]
     assert len(pts) == cfg.beams * cfg.azimuth_steps
     dists = np.linalg.norm(pts, axis=1)
@@ -512,7 +519,7 @@ def test_lidar_inside_closed_room_every_ray_hits():
 
 
 def test_lidar_overhead_slab_needs_servo_pitch():
-    cfg = LidarConfig(range=50.0, beams=5, azimuth_steps=36)
+    cfg = LidarConfig(beams=5, azimuth_steps=36)
     slab = Scene(solid_boxes=[BoundingBox((-1, -1, 5), (1, 1, 6))])
     level = fire(agent(), slab, cfg, t=2.0)[0][:, 0]       # servo at 0 degrees
     pitched = fire(agent(), slab, cfg, t=4.0)[0][:, 0]     # servo at +90 degrees
@@ -521,37 +528,40 @@ def test_lidar_overhead_slab_needs_servo_pitch():
     assert np.all(pitched[:, 2] >= 5.0 - 1e-9)
 
 
-def test_lidar_hits_within_range_limit():
-    cfg = LidarConfig(range=9.0, beams=4, azimuth_steps=24)
+def test_lidar_hits_within_range_limit(monkeypatch):
+    monkeypatch.setattr(sensors, "_LIDAR_RANGE", 9.0)
+    cfg = LidarConfig(beams=4, azimuth_steps=24)
     pts = fire(agent(), closed_room(10.0), cfg, t=0.0)[0][:, 0]
     assert np.all(np.linalg.norm(pts, axis=1) <= 9.0 + 1e-9)
 
 
-def test_lidar_rays_cast_apart_equal_the_whole_firing():
+def test_lidar_rays_cast_apart_equal_the_whole_firing(monkeypatch):
     # the mission casts only some rays of a firing; each must come out as in
     # the whole firing, bit for bit
-    cfg = LidarConfig(range=30.0, beams=7, azimuth_steps=40)
+    monkeypatch.setattr(sensors, "_LIDAR_RANGE", 30.0)
+    cfg = LidarConfig(beams=7, azimuth_steps=40)
     a = agent(pos=(1.5, -2.0, 0.5), yaw=0.7)
     tris = [[(-8, -8, 6), (8, -8, 6), (0, 9, 7)], [(12, -5, -5), (12, 5, -5), (13, 0, 6)]]
     scene = Scene(solid_boxes=closed_room(10.0).solid_boxes[:3], triangles=tris)
     rng = np.random.default_rng(3)
     for t in (0.0, 1.3, 5.9):
         dirs = lidar_directions(a.yaw, cfg, t)
-        hits, misses = lidar_sweep(a.position, scene, cfg, dirs)
-        hit, dist = ray_cast_batch(scene, a.position, dirs, cfg.range)
+        hits, misses = lidar_sweep(a.position, scene, dirs)
+        hit, dist = ray_cast_batch(scene, a.position, dirs, 30.0)
         assert np.array_equal(hits[:, 1], dirs[hit])        # each hit carries its ray
         assert np.array_equal(hits[:, 0], a.position + dirs[hit] * dist[hit, None])
         for keep in (rng.random(len(dirs)) < 0.3, np.arange(len(dirs)) % 5 == 0):
-            part_hits, part_misses = lidar_sweep(a.position, scene, cfg, dirs[keep])
+            part_hits, part_misses = lidar_sweep(a.position, scene, dirs[keep])
             assert np.array_equal(part_hits, hits[keep[hit]])
             assert np.array_equal(part_misses, misses[keep[~hit]])
 
 
-def test_lidar_sweep_with_one_origin_per_ray_equals_the_sweeps_apart():
+def test_lidar_sweep_with_one_origin_per_ray_equals_the_sweeps_apart(monkeypatch):
     # the firings of several explorers in one sweep: each ray keeps its own
     # origin, and hits and misses come out in ray order, bit for bit as the
     # explorers' own sweeps give them; the mask says which rays hit
-    cfg = LidarConfig(range=30.0, beams=5, azimuth_steps=24)
+    monkeypatch.setattr(sensors, "_LIDAR_RANGE", 30.0)
+    cfg = LidarConfig(beams=5, azimuth_steps=24)
     tris = [[(-8, -8, 6), (8, -8, 6), (0, 9, 7)], [(12, -5, -5), (12, 5, -5), (13, 0, 6)]]
     scene = Scene(solid_boxes=closed_room(10.0).solid_boxes[:3], triangles=tris)
     fleet = [agent(pos=(1.5, -2.0, 0.5), yaw=0.7), agent(pos=(-4.0, 3.0, -1.0), yaw=-2.1),
@@ -560,23 +570,24 @@ def test_lidar_sweep_with_one_origin_per_ray_equals_the_sweeps_apart():
     for t in (0.0, 1.3, 5.9):
         bundles = [lidar_directions(a.yaw, cfg, t) for a in fleet]
         bundles = [d[rng.random(len(d)) < 0.6] for d in bundles]
-        apart = [lidar_sweep(a.position, scene, cfg, d) for a, d in zip(fleet, bundles)]
+        apart = [lidar_sweep(a.position, scene, d) for a, d in zip(fleet, bundles)]
         rows = np.repeat(np.arange(len(fleet)), [len(d) for d in bundles])
         origins = np.array([a.position for a in fleet])[rows]
         hit = np.empty(len(rows), dtype=bool)
-        hits, misses = lidar_sweep(origins, scene, cfg, np.vstack(bundles), hit)
+        hits, misses = lidar_sweep(origins, scene, np.vstack(bundles), hit)
         assert np.array_equal(hits, np.vstack([h for h, _ in apart]))
         assert np.array_equal(misses, np.vstack([m for _, m in apart]))
         assert np.array_equal(hit, np.concatenate(
-            [ray_cast_batch(scene, a.position, d, cfg.range)[0] for a, d in zip(fleet, bundles)]))
+            [ray_cast_batch(scene, a.position, d, 30.0)[0] for a, d in zip(fleet, bundles)]))
         assert 0 < np.count_nonzero(hit) < len(hit)
 
 
-def test_sight_lines_in_a_sweep_equal_line_of_sight_alone():
+def test_sight_lines_in_a_sweep_equal_line_of_sight_alone(monkeypatch):
     # sight lines cast as rows after a firing's rays keep line_of_sight's
     # mask, each from its own start, and leave the firing's hits and misses
     # as the firing alone gives them, from a shared origin or one per ray
-    cfg = LidarConfig(range=30.0, beams=5, azimuth_steps=24)
+    monkeypatch.setattr(sensors, "_LIDAR_RANGE", 30.0)
+    cfg = LidarConfig(beams=5, azimuth_steps=24)
     tris = [[(-8, -8, 6), (8, -8, 6), (0, 9, 7)], [(12, -5, -5), (12, 5, -5), (13, 0, 6)]]
     wall = BoundingBox((5.0, -3.0, -3.0), (6.0, 3.0, 3.0))
     scene = Scene(solid_boxes=closed_room(10.0).solid_boxes[:3] + [wall], triangles=tris)
@@ -592,9 +603,9 @@ def test_sight_lines_in_a_sweep_equal_line_of_sight_alone():
     assert 0 < np.count_nonzero(expected) < len(expected)
     dirs = lidar_directions(0.7, cfg, 1.3)
     for origin in (np.array([1.5, -2.0, 0.5]), rng.uniform(-9.0, 9.0, (len(dirs), 3))):
-        alone_hits, alone_misses = lidar_sweep(origin, scene, cfg, dirs)
+        alone_hits, alone_misses = lidar_sweep(origin, scene, dirs)
         hit, clear = np.empty(len(dirs), dtype=bool), np.empty(len(starts), dtype=bool)
-        hits, misses = lidar_sweep(origin, scene, cfg, dirs, hit, (starts, ends), clear)
+        hits, misses = lidar_sweep(origin, scene, dirs, hit, (starts, ends), clear)
         assert np.array_equal(clear, expected)
         assert np.array_equal(hits, alone_hits) and np.array_equal(misses, alone_misses)
         assert len(hits) == np.count_nonzero(hit)

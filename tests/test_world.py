@@ -88,6 +88,20 @@ def test_grid_dims_round_up():
     assert build_grid(vol, 6.0).dims == (3, 2, 1)
 
 
+@pytest.mark.parametrize("dims", [(64, 64, 64), (256, 32, 32), (1, 1, 256), (65, 64, 64),
+                                  (257, 1, 1), (256, 32, 33)])
+def test_grid_holds_at_most_its_cells(dims):
+    # a 0.001 m voxel asked numpy for 42 TiB, and a start 1,000 km away
+    # flooded the reach mask for minutes
+    vol = BoundingBox((0, 0, 0), tuple(2.0 * n for n in dims))
+    if max(dims) <= 256 and math.prod(dims) <= 2 ** 18:
+        assert build_grid(vol, 2.0).dims == dims
+    else:
+        with pytest.raises(ConfigurationError, match=r"^mission\.voxel_size 2 m divides the "
+                           rf"operational volume of .* into {' x '.join(map(str, dims))} cells, "):
+            build_grid(vol, 2.0)
+
+
 def test_grid_rejects_bad_voxel_size():
     vol = BoundingBox((0, 0, 0), (12, 12, 6))
     with pytest.raises(ConfigurationError):
