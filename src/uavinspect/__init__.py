@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .engine import (AgentSpec, MissionConfig, MissionResult, ScoreLedger,
-                     inspection_score, intensity_heatmap, run_mission,
+from .engine import (AgentSpec, MissionConfig, MissionResult, ScoreLedger, run_mission,
                      update_ledger, write_outputs)
 from .scene import Scene
 from .world import BoundingBox, OccupancyMap, VoxelGrid
@@ -11,6 +10,5 @@ from .world import BoundingBox, OccupancyMap, VoxelGrid
 __all__ = [
     "AgentSpec", "BoundingBox", "MissionConfig", "MissionResult",
     "OccupancyMap", "Scene", "ScoreLedger", "VoxelGrid",
-    "inspection_score", "intensity_heatmap", "run_mission", "update_ledger",
-    "write_outputs",
+    "run_mission", "update_ledger", "write_outputs",
 ]

@@ -26,11 +26,11 @@ import numpy as np
 import yaml
 
 from .agents import KINDS
-from .engine import AgentSpec, MissionConfig, run_mission, write_outputs
+from .engine import AgentSpec, MissionConfig, _Mission, write_outputs
 from .errors import _MAX, _RULES, INTEGER_RULES, ConfigurationError, check_value
 from .scene import FACES, Scene, scatter_box_face_points
 from .sensors import CameraConfig, LidarConfig
-from .world import BoundingBox
+from .world import _MAX_POINTS, BoundingBox
 
 
 def _expect_list(node, path: str) -> list:
@@ -302,16 +302,23 @@ def scenario_from_dict(canonical: dict) -> tuple[MissionConfig, Scene]:
     solid = [BoundingBox(tuple(b["min"]), tuple(b["max"])) for b in sc["solid_boxes"]]
     inspection = [BoundingBox(tuple(b["min"]), tuple(b["max"]))
                   for b in sc["inspection_boxes"]]
-    explicit = sc["interest_points"]["explicit"]
+    explicit, scatter = sc["interest_points"]["explicit"], sc["interest_points"]["scatter"]
+    total = len(explicit) + sum(rule["count"] for rule in scatter)
+    if total > _MAX_POINTS:
+        raise ConfigurationError(f"scene.interest_points: {total:,} points, explicit and "
+                                 f"scattered, past the {_MAX_POINTS:,} a scene may hold")
     parts = [(np.array([p["id"] for p in explicit], dtype=int),
               _array(p["position"] for p in explicit),
               _array(p["normal"] for p in explicit))]
     count = len(explicit)
-    for rule in sc["interest_points"]["scatter"]:
+    for i, rule in enumerate(scatter):
         seed = rule["seed"] if rule["seed"] is not None else m["seed"]
-        box = BoundingBox(tuple(rule["min"]), tuple(rule["max"]))
-        parts.append(scatter_box_face_points(box, rule["count"], seed,
-                                             faces=rule["faces"] or FACES, id_offset=count))
+        try:
+            box = BoundingBox(tuple(rule["min"]), tuple(rule["max"]))
+            parts.append(scatter_box_face_points(box, rule["count"], seed,
+                                                 faces=rule["faces"] or FACES, id_offset=count))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"scene.interest_points.scatter[{i}]: {exc}") from None
         count += rule["count"]
     scene = Scene(solid_boxes=solid,
                   triangles=_array(chain.from_iterable(sc["triangles"])).reshape(-1, 3, 3),
@@ -405,10 +412,12 @@ def main(argv=None) -> int:
                     os.makedirs(args.out, exist_ok=True)
                 except OSError as exc:
                     raise ConfigurationError(f"cannot write to --out {args.out}: {exc}") from exc
+            # building the mission rejects more: shared or occupied start voxels, a grid
+            # too large; only a mission that set-up accepts is announced
+            mission = _Mission(cfg, scene)
             print(f"running mission: {cfg.n_ticks} ticks of {cfg.tick:g} s, "
                   f"{len(cfg.agents)} agents, {scene.num_points} interest points", file=sys.stderr)
-            # building the mission rejects more: shared or occupied start voxels, bad voxel sizes
-            result = run_mission(cfg, scene)
+            result = mission.run()
             if args.out:
                 write_outputs(result, args.out)
                 print(f"artifacts written to {args.out}", file=sys.stderr)

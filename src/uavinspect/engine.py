@@ -47,10 +47,10 @@ from .comms import agent_pairs, discover_neighbors, exchange_and_merge
 from .errors import ConfigurationError, PlanningError, check_fields, check_value, ruled
 from .planning import Waypoint, drhlp_step, generate_waypoints, mapping_paths, mtsp_assign
 from .scene import Scene, line_of_sight, scene_occupancy
-from .sensors import (CameraConfig, LidarConfig, Observations, camera_pose, lidar_directions,
-                      lidar_sweep, observe)
-from .world import (FREE, UNKNOWN, FiringGuard, OccupancyMap, _kept, _rows, build_grid,
-                    compute_operational_volume, integrate_points, reach_mask, save_map)
+from .sensors import CameraConfig, LidarConfig, camera_pose, lidar_directions, lidar_sweep, observe
+from .world import (_MAX_AGENTS, FREE, UNKNOWN, FiringGuard, OccupancyMap, _kept, _rows,
+                    build_grid, compute_operational_volume, integrate_points, reach_mask,
+                    save_map)
 
 _BLOCKED_REPLAN_TICKS = 12      # an agent blocked from its next voxel this long replans
 _BLOCKED_REPLANS = 3            # an agent that replans blocked this often abandons its goal
@@ -93,6 +93,9 @@ class MissionConfig:
 
     def __post_init__(self):
         check_fields(self, "mission")
+        if len(self.agents) > _MAX_AGENTS:
+            raise ConfigurationError(f"agents: {len(self.agents)} agents, past the "
+                                     f"{_MAX_AGENTS} a fleet may hold")
         n_e = sum(1 for a in self.agents if a.kind == EXPLORER)
         if n_e not in (1, 2):
             raise ConfigurationError(f"explorer count must be 1 or 2, got {n_e}")
@@ -144,34 +147,14 @@ class ScoreLedger:
         return float(self.best_q.mean())
 
 
-def update_ledger(ledger: ScoreLedger, observations: Observations) -> ScoreLedger:
-    """Fold a batch of observations into the ledger row by row: only
-    qualities strictly above the floor count, and a point's best is the
-    highest of them."""
-    counted = observations.q > ledger.floor
-    rows = observations.point[counted]
+def update_ledger(ledger: ScoreLedger, point: np.ndarray, q: np.ndarray) -> None:
+    """Fold a batch of observations, given as their point rows and qualities,
+    into the ledger: only qualities strictly above the floor count, and a
+    point's best is the highest of them."""
+    counted = q > ledger.floor
+    rows = point[counted]
     ledger.counts += np.bincount(rows, minlength=ledger.num_points)
-    np.maximum.at(ledger.best_q, rows, observations.q[counted])
-    return ledger
-
-
-def inspection_score(ledger: ScoreLedger) -> float:
-    """Sum over interest points of the best quality any agent ever achieved.
-
-    Uses exact summation so the result is independent of accumulation order
-    and reproducible from the raw observation log.
-    """
-    return math.fsum(ledger.best_q.tolist())
-
-
-def intensity_heatmap(ledger: ScoreLedger, scene: Scene) -> list[tuple]:
-    """Per-point inspection intensity: (id, x, y, z, count, best_q) records."""
-    out = []
-    for i, pid in enumerate(ledger.point_ids):
-        x, y, z = scene.point_positions[i]
-        out.append((int(pid), float(x), float(y), float(z),
-                    int(ledger.counts[i]), float(ledger.best_q[i])))
-    return out
+    np.maximum.at(ledger.best_q, rows, q[counted])
 
 
 class _Log:
@@ -260,9 +243,9 @@ class ConnectivityLog(_Log):
 
 @dataclass
 class MissionResult:
-    q_total: float
     ledger: ScoreLedger
-    score_trace: list[float]
+    scene: Scene                         # the scene the mission ran on
+    score_trace: list[float]             # one entry per tick
     observations: ObservationLog         # rows (tick, agent, point_id, q_blur, q_res, q)
     connectivity: ConnectivityLog        # rows (tick, ((i, j), ...))
     plan_events: list[str]
@@ -275,8 +258,17 @@ class MissionResult:
     phase_change_ticks: dict[int, int]
     final_maps: dict[int, OccupancyMap]
     phase_maps: dict[int, OccupancyMap]
-    heatmap: list[tuple]
-    num_ticks: int
+
+    @property
+    def q_total(self) -> float:
+        """Sum over interest points of the best quality any agent ever
+        achieved; exact summation, so the result is independent of
+        accumulation order and reproducible from the raw observation log."""
+        return math.fsum(self.ledger.best_q.tolist())
+
+    @property
+    def num_ticks(self) -> int:
+        return len(self.score_trace)
 
     @property
     def violations(self) -> int:
@@ -684,7 +676,7 @@ class _Mission:
         for lo in range(0, len(distinct), step):
             batch = distinct[lo:lo + step, None].view(float)       # the poses' rows
             obs = observe(batch, self.scene, self.cfg.camera)
-            for column, values in zip(columns, (np.bincount(obs.agent, minlength=len(batch)),
+            for column, values in zip(columns, (np.bincount(obs.pose, minlength=len(batch)),
                                                 obs.point, obs.q_blur, obs.q_res, obs.q)):
                 column += values.data
         return which, [np.frombuffer(c, dtype=np.intp) for c in columns[:2]] + [
@@ -708,8 +700,7 @@ class _Mission:
         tick, agent = np.divmod(np.repeat(np.arange(len(which), dtype=np.int64), sizes), fleet)
         bounds = np.concatenate(([0], ends[fleet - 1::fleet])).tolist()    # per tick
         for lo, hi in zip(bounds, bounds[1:]):
-            update_ledger(self.ledger, Observations(agent[lo:hi], point[lo:hi],
-                                                    q_blur[lo:hi], q_res[lo:hi], q[lo:hi]))
+            update_ledger(self.ledger, point[lo:hi], q[lo:hi])
             self.score_trace.append(self.ledger.mean_best())
         point_id = self.scene.point_ids[point].astype(np.int64, copy=False)
         self.observations = ObservationLog(tick, agent, point_id, q_blur, q_res, q)
@@ -764,8 +755,8 @@ class _Mission:
             warnings.warn("the fleet entered the inspection stage but planned no epoch: "
                           "no agent's map gave a waypoint")
         return MissionResult(
-            q_total=inspection_score(self.ledger),
             ledger=self.ledger,
+            scene=self.scene,
             score_trace=self.score_trace,
             observations=self.observations,
             connectivity=ConnectivityLog(self.first, self.second, self.sight),
@@ -779,8 +770,6 @@ class _Mission:
             phase_change_ticks=self.phase_change_ticks,
             final_maps={a.id: a.occ for a in self.agents},
             phase_maps=self.phase_maps,
-            heatmap=intensity_heatmap(self.ledger, self.scene),
-            num_ticks=self.n_ticks,
         )
 
 
@@ -826,7 +815,9 @@ def write_outputs(result: MissionResult, out_dir: str) -> None:
 
     with open(os.path.join(out_dir, "heatmap.csv"), "w") as fh:
         fh.write("point_id,x,y,z,count,best_q\n")
-        for pid, x, y, z, count, best in result.heatmap:
+        for pid, (x, y, z), count, best in zip(ledger.point_ids.tolist(),
+                                               result.scene.point_positions.tolist(),
+                                               ledger.counts.tolist(), ledger.best_q.tolist()):
             fh.write(f"{pid},{x!r},{y!r},{z!r},{count},{best!r}\n")
 
     with open(os.path.join(out_dir, "connectivity.csv"), "w") as fh:

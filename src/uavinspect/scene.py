@@ -7,6 +7,7 @@ checks share identical intersection semantics.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +19,13 @@ from .world import BoundingBox, VoxelGrid, _kept, _length, _max3, _min3, _rows, 
 
 _EPS_T = 1e-9           # minimum hit distance, rejects self-intersection at the origin
 _EPS_BARY = 1e-12       # barycentric slack, keeps triangle edges closed
+# how far from the origin a triangle's vertices may lie, in metres.
+# Moller-Trumbore's distance is a triple product of vertex differences over a
+# determinant as small as _EPS_BARY, about 1e13 * C**3 at coordinates of size
+# C, so C must stay below about 1e98 for it to be finite; a vertex at the
+# largest float overflowed the broad phase's bins and the voxelization's axis
+# tests
+_MAX_TRIANGLE_COORD = 1e90
 _EPS_LOS = 1e-6         # slack when comparing a hit distance against segment length
 _EPS_BACKOFF = 1e-3     # interest points are lifted off their surface by this much
 _BINS = 4               # triangle bins per axis of the mesh's bounding box
@@ -48,6 +56,10 @@ class Scene:
         if tris.size and not np.all(np.isfinite(tris)):
             raise ConfigurationError("triangle geometry contains non-finite vertices")
         self.triangles = tris.reshape(-1, 3, 3)
+        far = np.flatnonzero((np.abs(self.triangles) > _MAX_TRIANGLE_COORD).any(axis=(1, 2)))
+        if len(far):
+            raise ConfigurationError(f"triangle {far[0]} has a vertex past "
+                                     f"{_MAX_TRIANGLE_COORD:g} m from the origin")
         self.inspection_boxes: list[BoundingBox] = list(inspection_boxes or [])
 
         ids, positions, normals = interest_points if interest_points is not None else ((),) * 3
@@ -66,9 +78,14 @@ class Scene:
                 raise ConfigurationError(
                     f"interest point {self.point_ids[bad[0]]} has a non-finite {name}")
         if len(normals):
-            norms = _length(normals)
+            with np.errstate(over="ignore"):   # a length past the float range is inf
+                norms = _length(normals)
             if np.any(norms < 1e-12):
                 raise ConfigurationError("interest point with zero-length normal")
+            long = np.flatnonzero(norms == math.inf)
+            if len(long):
+                raise ConfigurationError(f"interest point {self.point_ids[long[0]]} has a "
+                                         "normal too long to normalize")
             normals = normals / norms[:, None]
         self.point_normals = normals
 
@@ -435,8 +452,8 @@ def scene_occupancy(scene: Scene, grid: VoxelGrid) -> np.ndarray:
     if not len(tris):
         return occ
     # every triangle against each cell of its bounding range
-    t_lo = np.maximum(np.floor(grid.coords(tris.min(axis=1)) - 1e-9).astype(int), 0)
-    t_hi = np.minimum(np.floor(grid.coords(tris.max(axis=1)) + 1e-9).astype(int) + 1, dims)
+    t_lo = np.maximum(np.floor(grid.near_coords(tris.min(axis=1)) - 1e-9).astype(int), 0)
+    t_hi = np.minimum(np.floor(grid.near_coords(tris.max(axis=1)) + 1e-9).astype(int) + 1, dims)
     ext = np.maximum(t_hi - t_lo, 0)
     counts = ext.prod(axis=1)
     tri = np.repeat(np.arange(len(tris)), counts)
@@ -460,7 +477,8 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
 
     Sampling is area-weighted across the selected faces, which must be
     distinct and at least one, and fully determined by the seed.  The box
-    may have any finite corners, as no grid is indexed.  count and seed are
+    may have any finite corners, as no grid is indexed, while the faces'
+    total area is positive and finite.  count and seed are
     non-negative integers.  Returns the (ids, positions, normals) arrays that
     Scene takes: the points take the ids id_offset, id_offset + 1, ... in
     order, and their normals point outward.
@@ -470,7 +488,8 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
     if not len(faces):
         raise ConfigurationError("scatter faces must name at least one face")
     lo, hi = box.lo, box.hi
-    ext = hi - lo
+    # in Python floats, which overflow to inf without numpy's warning
+    ext = [float(h) - float(l) for l, h in zip(box.min_corner, box.max_corner)]
     face_defs = {
         "x-": (0, lo[0], (-1.0, 0.0, 0.0), ext[1] * ext[2]),
         "x+": (0, hi[0], (1.0, 0.0, 0.0), ext[1] * ext[2]),
@@ -485,7 +504,13 @@ def scatter_box_face_points(box: BoundingBox, count: int, seed: int, faces=FACES
         if f in faces[:k]:
             raise ConfigurationError(f"face {f!r} is repeated in a scatter rule")
     chosen = [face_defs[f] for f in faces]
+    total = sum(c[3] for c in chosen)
+    if not 0.0 < total < math.inf:
+        raise ConfigurationError(f"scatter faces {list(faces)} of box {box.min_corner}.."
+                                 f"{box.max_corner} have area {total!r}, which must be "
+                                 "positive and finite")
     areas = np.array([c[3] for c in chosen], dtype=float)
+    ext = np.array(ext)
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(chosen), size=count, p=areas / areas.sum())
     uv = rng.random((count, 2))

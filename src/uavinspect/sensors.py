@@ -80,11 +80,10 @@ class LidarConfig:
 class Observations:
     """Camera observations, index-aligned arrays in pose order, then point
     order; len() counts the observations.  observe names an observation's
-    agent by the row of its pose in the poses it was given, and its point
-    by its row in the scene's point arrays; the caller maps pose rows to
-    agent ids."""
+    pose by its row in the poses it was given, and its point by its row in
+    the scene's point arrays."""
 
-    agent: np.ndarray           # pose rows, or agent ids once mapped
+    pose: np.ndarray            # rows of the poses given
     point: np.ndarray           # scene rows
     q_blur: np.ndarray
     q_res: np.ndarray
@@ -133,26 +132,29 @@ def _fov_mask(p_cam: np.ndarray, dists: np.ndarray, cfg: CameraConfig) -> np.nda
 
 def _blur_batch(p_cam: np.ndarray, v_cam: np.ndarray, cfg: CameraConfig) -> np.ndarray:
     p0 = p_cam
-    p1 = p_cam + v_cam * cfg.exposure
-    z0, z1 = p0[:, 2], p1[:, 2]
-    ok = (z0 > _ANG_TOL) & (z1 > _ANG_TOL)
+    # a shutter so long that the point's smeared position passes the float
+    # range takes it out of the view pyramid's range too (an inf or NaN
+    # distance fails the range test), and the frame scores zero
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p1 = p_cam + v_cam * cfg.exposure
+        z0, z1 = p0[:, 2], p1[:, 2]
+        ok = (z0 > _ANG_TOL) & (z1 > _ANG_TOL)
 
-    q = np.zeros(len(p0))
-    if ok.any():
-        a0, a1 = _kept(ok, p0), _kept(ok, p1)
-        u0 = _FOCAL * a0[:, 0] / a0[:, 2]
-        v0 = _FOCAL * a0[:, 1] / a0[:, 2]
-        u1 = _FOCAL * a1[:, 0] / a1[:, 2]
-        v1 = _FOCAL * a1[:, 1] / a1[:, 2]
-        disp = np.maximum(np.abs(u1 - u0), np.abs(v1 - v0))
-        with np.errstate(divide="ignore"):
+        q = np.zeros(len(p0))
+        if ok.any():
+            a0, a1 = _kept(ok, p0), _kept(ok, p1)
+            u0 = _FOCAL * a0[:, 0] / a0[:, 2]
+            v0 = _FOCAL * a0[:, 1] / a0[:, 2]
+            u1 = _FOCAL * a1[:, 0] / a1[:, 2]
+            v1 = _FOCAL * a1[:, 1] / a1[:, 2]
+            disp = np.maximum(np.abs(u1 - u0), np.abs(v1 - v0))
             score = np.minimum(_PIXEL_WIDTH / disp, 1.0)
-        score[disp == 0.0] = 1.0
+            score[disp == 0.0] = 1.0
 
-        # a point that slides out of the view pyramid mid-exposure scores zero
-        inside = _fov_mask(a1, _length(a1), cfg)
-        score[~inside] = 0.0
-        q[ok] = score
+            # a point that slides out of the view pyramid mid-exposure scores zero
+            inside = _fov_mask(a1, _length(a1), cfg)
+            score[~inside] = 0.0
+            q[ok] = score
     return q
 
 
@@ -202,9 +204,12 @@ def observe(poses, scene: Scene, cfg: CameraConfig) -> Observations:
     velocities = np.ascontiguousarray(poses[:, None, 3:6])
     bases = camera_basis(np.array([camera_axis(*p) for p in poses[:, 6:].tolist()]))
     v_cam = -(velocities @ bases)[:, 0]
-    rel = scene.point_positions[None, :, :] - apexes[:, None, :]
-    p_cam = rel @ bases                                         # (poses, points, 3)
-    candidates = _fov_mask(p_cam, _length(rel), cfg)
+    # a point so far that its offset, camera coordinates or distance pass the
+    # float range is out of range, and the mask drops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = scene.point_positions[None, :, :] - apexes[:, None, :]
+        p_cam = rel @ bases                                     # (poses, points, 3)
+        candidates = _fov_mask(p_cam, _length(rel), cfg)
     row, idx = visible_point_indices(scene, apexes, candidates)
     p_cam = _rows(p_cam.reshape(-1, 3), row * scene.num_points + idx)
     qb = _blur_batch(p_cam, _rows(v_cam, row), cfg)

@@ -14,8 +14,7 @@ import pytest
 from test_planning import bfs_hops
 from uavinspect import sensors
 from uavinspect.cli import parse_scenario
-from uavinspect.engine import (AgentSpec, MissionConfig, inspection_score,
-                               run_mission, write_outputs)
+from uavinspect.engine import AgentSpec, MissionConfig, run_mission, write_outputs
 from uavinspect.planning import dijkstra_path, mtsp_assign, Waypoint
 from uavinspect.scene import Scene, scatter_box_face_points, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, _blur_batch, _resolution_batch
@@ -191,7 +190,6 @@ def test_score_equals_log_replay():
                 best[pid] = max(best[pid], q)
         replay_q = math.fsum(best[int(p)] for p in res.ledger.point_ids)
         assert res.q_total == replay_q, f"seed {seed}"
-        assert inspection_score(res.ledger) == replay_q
         for i, p in enumerate(res.ledger.point_ids):
             assert res.ledger.counts[i] == counts[int(p)]
         if replay_q > 0:

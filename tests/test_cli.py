@@ -1,22 +1,25 @@
 import copy
 import dataclasses
 import hashlib
+import io
 import math
 import re
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_engine import PROBES, build_config, numeric_fields
 from test_mesh import centroid_points, prism_triangles
 from test_world import point_arrays
-from uavinspect import cli, sensors
+from uavinspect import cli, engine, sensors, world
 from uavinspect.agents import KINDS
 from uavinspect.cli import (load_scenario_dict, main, normalize_scenario,
                             parse_scenario, scenario_from_dict)
@@ -550,10 +553,10 @@ def test_main_reports_an_unreadable_scenario(tmp_path, capsys, kind):
 
 def test_main_rejects_an_unwritable_out_before_running(tmp_path, capsys, monkeypatch):
     # an --out naming a file failed only after the whole mission had run
-    def never(cfg, scene):
+    def never(mission):
         raise AssertionError("the mission ran")
 
-    monkeypatch.setattr(cli, "run_mission", never)
+    monkeypatch.setattr(engine._Mission, "run", never)
     taken = tmp_path / "taken"
     taken.write_text("")
     code = main(["--scenario", str(SCENARIOS / "open_field.yaml"), "--out", str(taken)])
@@ -590,7 +593,7 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
      [], "interest point ids are not unique: id 1 repeats"),
     ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {
         "scatter": [{**BOX_12_18, "count": 5, "faces": ["x-", "x-", "x+"]}]}}},
-     [], "face 'x-' is repeated in a scatter rule"),
+     [], "scene.interest_points.scatter[0]: face 'x-' is repeated in a scatter rule"),
     (MINIMAL, ["--voxel-size", "-3"], "mission.voxel_size must be positive"),
     # a flag goes through its key's parser, which holds it to its field's rule
     (MINIMAL, ["--quality-floor", "1.5"], "camera.quality_floor must be within [0, 1], got 1.5"),
@@ -654,6 +657,67 @@ def test_main_rejects_a_grid_too_large_to_set_up(tmp_path, capsys, flags, far, d
     assert line.startswith("error: mission.voxel_size ") and f" into {dims} cells, " in line
 
 
+@pytest.mark.parametrize("flags, start, message", [
+    (["--voxel-size", "0.001"], None, "mission.voxel_size 0.001 m divides "),
+    ([], [10.0, 13.0, 10.0], "agents share start voxel (1, 2, 1)"),
+], ids=["tiny-voxel", "shared-start"])
+def test_a_mission_that_set_up_rejects_is_not_announced(tmp_path, capsys, flags, start, message):
+    # the progress line printed before set-up ran, and then the error line
+    raw = yaml.safe_load((SCENARIOS / "desk_box.yaml").read_text())
+    if start is not None:
+        raw["agents"][2]["start"] = start       # the first photographer's voxel
+    assert main(["--scenario", write_yaml(tmp_path, raw), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
+def fleet(n):
+    """An explorer and n - 1 photographers, each in a voxel of its own of
+    desk_box's grid, outside its cube."""
+    starts = [[6.0 * i + 3.0, 6.0 * j + 3.0, 6.0 * k + 3.0]
+              for i in (0, 1, 6, 7) for j in range(8) for k in range(8)][:n]
+    return [{"kind": "photographer" if a else "explorer", "start": s}
+            for a, s in enumerate(starts)]
+
+
+def desk_box_with(where, value):
+    raw = yaml.safe_load((SCENARIOS / "desk_box.yaml").read_text())
+    *parent, key = where
+    at(raw, parent)[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("agents",), fleet(world._MAX_AGENTS + 1),
+     f"agents: {world._MAX_AGENTS + 1} agents, past the {world._MAX_AGENTS} a fleet may hold"),
+    (("scene", "interest_points", "scatter", 0, "count"), 2 ** 53 + 1,
+     f"scene.interest_points: {2 ** 53 + 1:,} points, explicit and scattered, past the "
+     f"{world._MAX_POINTS:,} a scene may hold"),
+    (("scene", "interest_points", "scatter", 0, "max", 0), sys.float_info.max,
+     "scene.interest_points.scatter[0]: scatter faces ['x-', 'x+', 'y-', 'y+', 'z-', 'z+'] "
+     "of box (12.0, 12.0, 12.0)..(1.7976931348623157e+308, 36.0, 36.0) have area inf, which "
+     "must be positive and finite"),
+], ids=["fleet", "scatter-count", "scatter-corner"])
+def test_main_rejects_a_mission_past_its_sizes(tmp_path, capsys, where, value, message):
+    # the count asked numpy for 64 PiB, and the corner made the face draw's
+    # probabilities NaN: each a crash with exit status 3
+    path = write_yaml(tmp_path, desk_box_with(where, value))
+    start = time.perf_counter()
+    assert main(["--scenario", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_mission_at_its_sizes_sets_up():
+    raw = desk_box_with(("agents",), fleet(world._MAX_AGENTS))
+    raw["scene"]["interest_points"]["scatter"][0]["count"] = world._MAX_POINTS
+    cfg, scene = scenario_from_dict(normalize_scenario(raw))
+    assert len(cfg.agents) == world._MAX_AGENTS and scene.num_points == world._MAX_POINTS
+    engine._Mission(cfg, scene)
+
+
 @pytest.mark.parametrize("base", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)],
                          ids=["pure-python", "libyaml"])
 @pytest.mark.parametrize("text, line, key", [
@@ -708,10 +772,10 @@ def test_main_rejects_tick_tables_too_large_to_allocate(tmp_path, capsys, scenar
 
 def test_main_exits_3_with_the_traceback_of_a_crash(monkeypatch, capsys):
     # status 1 says that an invariant was violated; a crash is not that
-    def crash(cfg, scene):
+    def crash(mission):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "run_mission", crash)
+    monkeypatch.setattr(engine._Mission, "run", crash)
     assert main(["--scenario", str(SCENARIOS / "open_field.yaml")]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -963,26 +1027,38 @@ SLOTS = [(*root, *rest)
 SLOTS += [("scene", "interest_points", "explicit", 1, "bogus")]
 
 
+def salt_holder(raw, slot):
+    """The node of raw that holds slot's last key, or None when an earlier
+    salt replaced a node on the way or took the entry away."""
+    *where, key = slot
+    try:
+        parent = at(raw, where)
+    except (KeyError, IndexError, TypeError):
+        return None
+    if not (isinstance(parent, dict)
+            or isinstance(parent, list) and isinstance(key, int) and key < len(parent)):
+        return None
+    return parent
+
+
+def put_salt(parent, key, salt):
+    if salt is not DELETE:
+        parent[key] = copy.deepcopy(salt)
+    elif isinstance(parent, dict):
+        parent.pop(key, None)
+    else:
+        del parent[key]
+
+
 @st.composite
 def salted_scenarios(draw):
     """BLOCKS with a few entries of its numeric blocks replaced by a salt."""
     raw = copy.deepcopy(BLOCKS)
     for _ in range(draw(st.integers(0, 3))):
-        *where, key = draw(st.sampled_from(SLOTS))
-        try:
-            parent = at(raw, where)
-        except (KeyError, IndexError, TypeError):
-            continue                # an earlier salt replaced a node on the way
-        if not (isinstance(parent, dict)
-                or isinstance(parent, list) and isinstance(key, int) and key < len(parent)):
-            continue
-        salt = draw(st.sampled_from(SALTS))
-        if salt is not DELETE:
-            parent[key] = copy.deepcopy(salt)
-        elif isinstance(parent, dict):
-            parent.pop(key, None)
-        else:
-            del parent[key]
+        slot = draw(st.sampled_from(SLOTS))
+        parent = salt_holder(raw, slot)
+        if parent is not None:
+            put_salt(parent, slot[-1], draw(st.sampled_from(SALTS)))
     return raw
 
 
@@ -1026,6 +1102,106 @@ def test_a_failed_block_names_its_first_bad_entry(where, salt, message):
     *parent, key = where
     at(raw, parent)[key] = salt
     assert outcome(normalize_scenario, raw) == (None, message)
+
+
+# --- the front door: salted whole scenarios through main --------------------------
+
+def front_scenario():
+    """FULL with a photographer beside its explorer, ids apart from the
+    scatter's and every key of every section given, run for 1 s."""
+    raw = copy.deepcopy(FULL)
+    raw["mission"]["duration"] = 1.0
+    raw["agents"] = MINIMAL["agents"]
+    raw["scene"]["interest_points"]["explicit"][0]["id"] = 9
+    return normalize_scenario(raw)
+
+
+FRONT = front_scenario()
+FRONT_SLOTS = list(block_slots(FRONT))[1:]
+SCATTER = ("scene", "interest_points", "scatter", 0)
+
+
+def flag_texts(flag, kind):
+    """The texts of the salts that argparse reads by kind for flag, whose
+    others it rejects with its usage; a duration flag takes none that runs
+    past 1 s."""
+    texts = []
+    for salt in SALTS:
+        try:
+            value = kind(str(salt))
+        except ValueError:
+            continue
+        if not (flag == "--duration" and 1.0 < value < 1e6):
+            texts.append(str(salt))
+    return texts
+
+
+FLAG_SALTS = [(flag, text) for flag, kind in (("--seed", int), ("--duration", float),
+                                              ("--voxel-size", float),
+                                              ("--quality-floor", float), ("--horizon", int))
+              for text in flag_texts(flag, kind)]
+
+
+def run_salted(edits, flags):
+    """main on FRONT with each (slot, salt) of edits put in its file and
+    flags given after --duration 1: (status, stdout, stderr)."""
+    raw = copy.deepcopy(FRONT)
+    for slot, salt in edits:
+        parent = salt_holder(raw, slot)
+        if parent is not None:
+            # a file holds no numpy scalar: YAML reads it as the plain number
+            put_salt(parent, slot[-1], salt.item() if isinstance(salt, np.generic) else salt)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "salted.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(["--scenario", str(path), "--duration", "1",
+                           *(f"{flag}={text}" for flag, text in flags)])
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(FRONT_SLOTS), st.sampled_from(SALTS)),
+                      max_size=3),
+       flags=st.lists(st.sampled_from(FLAG_SALTS), max_size=2))
+# a scatter count of 2**53 + 1 asked numpy for 64 PiB, and one of 2**63 - 1
+# for an array too big, each a crash with exit status 3
+@example(edits=[(SCATTER + ("count",), 2 ** 53 + 1)], flags=[])
+@example(edits=[(SCATTER + ("count",), 2 ** 63 - 1)], flags=[])
+# a scatter corner at the largest float made a face's area inf, and the draw
+# of the faces by area raised "Probabilities contain NaN" (exit status 3)
+@example(edits=[(SCATTER + ("max", 0), sys.float_info.max)], flags=[])
+@example(edits=[(SCATTER + ("max", 1), 2 ** 1024 - 2 ** 971)], flags=[])
+@example(edits=[(SCATTER + ("max", 2), sys.float_info.max)], flags=[])
+# each overflowed in numpy, whose RuntimeWarning pytest makes an error: the
+# operational volume's extent, a point's distance and camera coordinates, a
+# normal's length, a triangle's bin, and a frame's blur
+@example(edits=[], flags=[("--voxel-size", repr(sys.float_info.max))])
+@example(edits=[(("scene", "interest_points", "explicit", 0, "position", 2),
+                 sys.float_info.max)], flags=[])
+@example(edits=[(("scene", "interest_points", "explicit", 1, "normal", 0),
+                 sys.float_info.max)], flags=[])
+@example(edits=[(("scene", "triangles", 0, 1, 1), sys.float_info.max)], flags=[])
+@example(edits=[(("camera", "exposure"), sys.float_info.max)], flags=[])
+def test_every_salted_scenario_ends_in_a_stated_status(edits, flags):
+    # 0 for a clean run, 1 for violations, 2 for a rejected input; 3, a
+    # crash, is what this test looks for, and pytest makes a RuntimeWarning
+    # one; stderr holds one line per error, warning or mission run
+    status, out, err = run_salted(edits, flags)
+    lines = err.splitlines()
+    assert status in (0, 1, 2), err
+    assert all(line.startswith(("error: ", "warning: ", "running mission: "))
+               for line in lines), err
+    errors = [line for line in lines if line.startswith("error: ")]
+    if status == 2:
+        # a rejected mission is not announced
+        assert len(errors) == 1 and lines[-1] == errors[0], err
+        assert not any(line.startswith("running mission: ") for line in lines), err
+    else:
+        assert not errors, err
+        violations = re.search(r"^violations: (\d+) ", out, re.M)
+        assert violations and (int(violations.group(1)) > 0) == (status == 1), out
 
 
 # --- set-up at scale ----------------------------------------------------------------

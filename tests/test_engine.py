@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import math
@@ -15,14 +16,13 @@ from test_mesh import prism_mission
 from test_world import point_arrays
 from uavinspect import agents, cli, engine, sensors
 from uavinspect.comms import agent_pairs
-from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission,
-                               inspection_score, intensity_heatmap, run_mission,
+from uavinspect.engine import (AgentSpec, MissionConfig, ScoreLedger, _Mission, run_mission,
                                update_ledger, write_outputs)
 from uavinspect.errors import ConfigurationError, OutOfBoundsError
 from uavinspect.planning import generate_waypoints
 from uavinspect.scene import (Scene, line_of_sight, scatter_box_face_points,
                               scene_occupancy)
-from uavinspect.sensors import CameraConfig, LidarConfig, Observations
+from uavinspect.sensors import CameraConfig, LidarConfig
 from uavinspect.world import (FREE, OCCUPIED, UNKNOWN, BoundingBox, OccupancyMap, VoxelGrid,
                               load_map)
 
@@ -35,11 +35,10 @@ def obs(row, q, qb=None, qr=None):
 
 
 def frame(*observations):
-    """A batch of observations, all by agent 0, in the given order."""
-    rows = np.array([o[1:] for o in observations], dtype=float).reshape(-1, 3)
-    return Observations(np.zeros(len(rows), dtype=int),
-                        np.array([o[0] for o in observations], dtype=int),
-                        rows[:, 0], rows[:, 1], rows[:, 2])
+    """A batch of observations in the given order, as update_ledger takes
+    it: the point rows and the qualities."""
+    return (np.array([o[0] for o in observations], dtype=int),
+            np.array([o[3] for o in observations], dtype=float))
 
 
 def reference_update_ledger(ledger, observations):
@@ -76,32 +75,32 @@ def small_config(duration=60.0, **kw):
 
 def test_ledger_keeps_the_best_quality():
     led = ScoreLedger([0, 1], quality_floor=0.1)
-    update_ledger(led, frame(obs(0, 0.5)))
-    update_ledger(led, frame(obs(0, 0.3)))
+    update_ledger(led, *frame(obs(0, 0.5)))
+    update_ledger(led, *frame(obs(0, 0.3)))
     assert led.best_q[0] == 0.5
     assert led.counts[0] == 2
 
 
 def test_ledger_takes_max_over_agents_within_a_tick():
     led = ScoreLedger([0], quality_floor=0.1)
-    update_ledger(led, frame(obs(0, 0.5), obs(0, 0.8)))
+    update_ledger(led, *frame(obs(0, 0.5), obs(0, 0.8)))
     assert led.best_q[0] == 0.8
 
 
 def test_ledger_floor_is_strict():
     led = ScoreLedger([0], quality_floor=0.3)
-    update_ledger(led, frame(obs(0, 0.3)))
+    update_ledger(led, *frame(obs(0, 0.3)))
     assert led.best_q[0] == 0.0
     assert led.counts[0] == 0
-    update_ledger(led, frame(obs(0, 0.300001)))
+    update_ledger(led, *frame(obs(0, 0.300001)))
     assert led.counts[0] == 1
 
 
 def test_ledger_tracks_component_scores_of_best_frame():
     led = ScoreLedger([0], quality_floor=0.0)
-    update_ledger(led, frame(obs(0, 0.4, qb=0.8, qr=0.5)))
-    update_ledger(led, frame(obs(0, 0.6, qb=0.6, qr=1.0)))
-    update_ledger(led, frame(obs(0, 0.5, qb=0.5, qr=1.0)))
+    update_ledger(led, *frame(obs(0, 0.4, qb=0.8, qr=0.5)))
+    update_ledger(led, *frame(obs(0, 0.6, qb=0.6, qr=1.0)))
+    update_ledger(led, *frame(obs(0, 0.5, qb=0.5, qr=1.0)))
     assert led.best_q[0] == 0.6
 
 
@@ -110,15 +109,27 @@ def test_ledger_rejects_unknown_point():
     led = ScoreLedger([0, 1], quality_floor=0.1)
     for row in (2, 7, -1):
         with pytest.raises(ValueError):
-            update_ledger(led, frame(obs(row, 0.5)))
+            update_ledger(led, *frame(obs(row, 0.5)))
     assert led.counts.tolist() == [0, 0] and led.best_q.tolist() == [0.0, 0.0]
+
+
+@functools.cache
+def one_tick_record():
+    """The record of a one-tick mission on a scene with no interest points,
+    which warns of nothing."""
+    return run_mission(small_config(duration=0.1), small_scene(num_points=0))
+
+
+def record(ledger, scene=None):
+    """A mission record that holds ledger and scene in place of its own."""
+    return dataclasses.replace(one_tick_record(), ledger=ledger, scene=scene or Scene())
 
 
 def test_inspection_score_sums_best():
     led = ScoreLedger([0, 1, 2], quality_floor=0.0)
-    update_ledger(led, frame(obs(0, 1.0), obs(1, 0.5)))
-    assert inspection_score(led) == pytest.approx(1.5)
-    assert inspection_score(ScoreLedger([], 0.1)) == 0.0
+    update_ledger(led, *frame(obs(0, 1.0), obs(1, 0.5)))
+    assert record(led).q_total == pytest.approx(1.5)
+    assert record(ScoreLedger([], 0.1)).q_total == 0.0
 
 
 def test_score_matches_log_replay_on_random_streams():
@@ -134,10 +145,10 @@ def test_score_matches_log_replay_on_random_streams():
                 q = float(rng.uniform(0, 1))
                 batch.append(obs(int(row), q))
                 log.append((int(row), q))
-            update_ledger(led, frame(*batch))
+            update_ledger(led, *frame(*batch))
         best = [max([q for p, q in log if p == pid and q > floor], default=0.0)
                 for pid in range(n)]
-        assert inspection_score(led) == math.fsum(best)
+        assert record(led).q_total == math.fsum(best)
 
 
 def test_logs_name_points_by_id_when_ids_are_not_rows():
@@ -159,15 +170,15 @@ def test_logs_name_points_by_id_when_ids_are_not_rows():
             best[pid] = max(best[pid], q)
     assert res.q_total > 0.0
     assert math.fsum(best[p] for p in ids) == res.q_total
-    assert [row[0] for row in res.heatmap] == ids
+    assert res.ledger.point_ids.tolist() == ids
 
 
 def test_ledger_tie_goes_to_the_first_observation():
     led = ScoreLedger([0], quality_floor=0.1)
-    update_ledger(led, frame(obs(0, 0.5, qb=0.5, qr=1.0), obs(0, 0.5, qb=1.0, qr=0.5)))
+    update_ledger(led, *frame(obs(0, 0.5, qb=0.5, qr=1.0), obs(0, 0.5, qb=1.0, qr=0.5)))
     assert (led.best_q[0], led.counts[0]) == (0.5, 2)
     # an equal quality in a later batch leaves the best as it is
-    update_ledger(led, frame(obs(0, 0.5, qb=1.0, qr=0.5)))
+    update_ledger(led, *frame(obs(0, 0.5, qb=1.0, qr=0.5)))
     assert (led.best_q[0], led.counts[0]) == (0.5, 3)
 
 
@@ -187,20 +198,20 @@ def test_ledger_fold_equals_sequential_reference():
             batch = [(int(p), float(b), float(r), float(x))
                      for p, b, r, x in zip(rng.integers(0, n, size), rng.random(size),
                                            rng.random(size), q)]
-            update_ledger(led, frame(*batch))
+            update_ledger(led, *frame(*batch))
             reference_update_ledger(ref, batch)
             for field in ("best_q", "counts"):
                 assert np.array_equal(getattr(led, field), getattr(ref, field)), field
 
 
-def test_heatmap_counts_and_unobserved_points():
+def test_heatmap_counts_and_unobserved_points(tmp_path):
     scene = Scene(interest_points=point_arrays([(0, (0, 0, 0), (1, 0, 0)),
                                                 (1, (1, 0, 0), (1, 0, 0))]))
     led = ScoreLedger([0, 1], quality_floor=0.1)
-    update_ledger(led, frame(obs(0, 0.5), obs(0, 0.7), obs(0, 0.05)))
-    rows = intensity_heatmap(led, scene)
-    assert rows[0][:1] == (0,) and rows[0][4] == 2 and rows[0][5] == 0.7
-    assert rows[1][4] == 0 and rows[1][5] == 0.0
+    update_ledger(led, *frame(obs(0, 0.5), obs(0, 0.7), obs(0, 0.05)))
+    write_outputs(record(led, scene), str(tmp_path))
+    assert (tmp_path / "heatmap.csv").read_text().splitlines() == [
+        "point_id,x,y,z,count,best_q", "0,0.0,0.0,0.0,2,0.7", "1,1.0,0.0,0.0,0,0.0"]
 
 
 # --- config validation -----------------------------------------------------------
@@ -513,7 +524,7 @@ def fleet_poses(mission):
 def fleet_rows(mission, k):
     """The log rows of tick k from one observe call on the whole fleet."""
     full = sensors.observe(fleet_poses(mission), mission.scene, mission.cfg.camera)
-    return list(zip([k] * len(full), full.agent.tolist(),
+    return list(zip([k] * len(full), full.pose.tolist(),
                     mission.scene.point_ids[full.point].tolist(),
                     full.q_blur.tolist(), full.q_res.tolist(), full.q.tolist()))
 
@@ -676,14 +687,15 @@ class PerTickScoring(_Mission):
         fresh = [a.id for a in self.agents if poses[a.id].tobytes() != self.kept[a.id][0]]
         obs = sensors.observe(poses[fresh], self.scene, self.cfg.camera)
         for row, aid in enumerate(fresh):
-            mine = obs.agent == row
+            mine = obs.pose == row
             self.kept[aid] = (poses[aid].tobytes(),
                               [np.full(np.count_nonzero(mine), aid), obs.point[mine],
                                obs.q_blur[mine], obs.q_res[mine], obs.q[mine]])
-        obs = Observations(*map(np.concatenate, zip(*(rows for _, rows in self.kept))))
-        self.logged.append((np.full(len(obs), k), obs.agent,
-                            self.scene.point_ids[obs.point], obs.q_blur, obs.q_res, obs.q))
-        update_ledger(self.ledger, obs)
+        agent, point, q_blur, q_res, q = map(np.concatenate,
+                                             zip(*(rows for _, rows in self.kept)))
+        self.logged.append((np.full(len(q), k), agent, self.scene.point_ids[point],
+                            q_blur, q_res, q))
+        update_ledger(self.ledger, point, q)
         self.score_trace.append(self.ledger.mean_best())
 
     def _score(self):
@@ -1417,9 +1429,6 @@ def test_mission_record_holds_typed_columns():
     pairs = len(cfg.agents) * (len(cfg.agents) - 1) // 2
     assert res.connectivity.clear.dtype == bool
     assert res.connectivity.clear.shape == (res.num_ticks, pairs)
-    # the heatmap keeps its rows: one per interest point, however long the mission
     for f in dataclasses.fields(res):
         value = getattr(res, f.name)
-        if f.name != "heatmap":
-            assert not (isinstance(value, list) and any(isinstance(v, tuple) for v in value)), \
-                f.name
+        assert not (isinstance(value, list) and any(isinstance(v, tuple) for v in value)), f.name

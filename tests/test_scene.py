@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from test_engine import bench_workload, shipped
 from test_world import assert_same, extreme_floats, point_arrays, vector_stacks
 from uavinspect.errors import ConfigurationError
+from uavinspect import engine
 from uavinspect import scene as scene_module
 from uavinspect.scene import (_EPS_BACKOFF, FACES, Scene, SightLines, _norm,
                               _slabs, line_of_sight, ray_cast_batch, scatter_box_face_points,
@@ -590,6 +593,59 @@ def test_triangle_voxelization_matches_sampling():
     assert occ[:, :, 2].sum() == occ.sum()
 
 
+def test_a_triangle_past_the_arithmetic_range_is_rejected():
+    # a vertex at the largest float overflowed the broad phase's bins
+    limit = scene_module._MAX_TRIANGLE_COORD
+    Scene(triangles=[[(0.0, 0.0, 0.0), (limit, 0.0, 0.0), (0.0, -limit, 0.0)]])
+    for far in (sys.float_info.max, -2 * limit):
+        with pytest.raises(ConfigurationError, match=r"^triangle 1 has a vertex past 1e\+90 m "):
+            Scene(triangles=[[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+                             [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, far)]])
+
+
+def test_a_normal_too_long_to_normalize_is_rejected():
+    # its squared length overflowed, with numpy's RuntimeWarning
+    with pytest.raises(ConfigurationError, match="^interest point 7 has a normal too long"):
+        Scene(interest_points=point_arrays([(3, (0, 0, 0), (1e150, 0, 0)),
+                                            (7, (0, 0, 0), (sys.float_info.max, 1e200, 0))]))
+
+
+def test_geometry_past_the_grid_keeps_its_cells_on_the_grid():
+    # grid coordinates were cast to int before they were clipped: a box or a
+    # triangle past int64's range lost cells, with numpy's "invalid value
+    # encountered in cast"
+    grid = VoxelGrid((0, 0, 0), (8, 8, 8), 6.0)
+    big = sys.float_info.max
+    beyond = np.zeros(grid.dims, dtype=bool)
+    beyond[5:, 2:6, 2:6] = True
+    for far in (big, 1e30, 60.0):
+        scene = Scene(solid_boxes=[BoundingBox((30, 12, 12), (far, 36, 36))])
+        assert np.array_equal(scene_occupancy(scene, grid), beyond), far
+    scene = Scene(solid_boxes=[BoundingBox((-big, 12, 12), (18, 36, 36))])
+    assert np.array_equal(scene_occupancy(scene, grid), beyond[::-1])
+    scene = Scene(triangles=[[(30, 15, 15), (1e30, 15, 15), (1e30, 20, 15)]])
+    assert np.argwhere(scene_occupancy(scene, grid)).tolist() == [[5, 2, 2], [6, 2, 2], [7, 2, 2]]
+
+
+def test_a_wall_past_the_grid_keeps_its_structure_cells():
+    # desk_box with its x+ wall stretched to the largest float held 52
+    # structure cells, not 56, and suppressed the LiDAR's hits on the cells
+    # it lost
+    cfg, scene = shipped("desk_box")
+    boxes = list(scene.solid_boxes)
+    boxes[1] = BoundingBox((30.0, 12.0, 12.0), (sys.float_info.max, 36.0, 36.0))
+    stretched = Scene(solid_boxes=boxes, inspection_boxes=scene.inspection_boxes,
+                      interest_points=(scene.point_ids, scene.point_positions,
+                                       scene.point_normals))
+    mission = engine._Mission(dataclasses.replace(cfg, duration=3.0), stretched)
+    on_grid = np.zeros(mission.grid.dims, dtype=bool)
+    on_grid[5:, 2:6, 2:6] = True
+    assert mission.truth[on_grid].all()
+    assert np.count_nonzero(mission.truth) == 56 + 2 * 16
+    with pytest.warns(UserWarning, match="no explorer finished its survey"):
+        assert mission.run().suppressed_returns == 0
+
+
 # --- face scattering ----------------------------------------------------------
 
 def test_scatter_is_deterministic_and_on_surface():
@@ -613,6 +669,28 @@ def test_scatter_rejects_a_repeated_face():
     box = BoundingBox((0, 0, 0), (4, 4, 4))
     with pytest.raises(ConfigurationError, match="face 'x-' is repeated in a scatter rule"):
         scatter_box_face_points(box, 3000, seed=1, faces=("x-", "x-", "x+"))
+
+
+@pytest.mark.parametrize("corner, faces, area", [
+    ((sys.float_info.max, 4.0, 4.0), FACES, "inf"),
+    ((4.0, 1e300, 1e300), ("x-", "x+"), "inf"),
+    ((1e-200, 1e-200, 4.0), ("z-", "z+"), "0.0"),
+], ids=["largest-float", "product-past-the-range", "product-below-the-range"])
+def test_scatter_rejects_faces_whose_area_is_not_positive_and_finite(corner, faces, area):
+    # an area of inf made the face draw's probabilities NaN, and rng.choice
+    # raised; one of 0 divided by 0
+    box = BoundingBox((0.0, 0.0, 0.0), corner)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"have area {area}, which must be positive and finite")):
+        scatter_box_face_points(box, 5, seed=1, faces=faces)
+
+
+def test_scatter_on_a_finite_face_of_a_box_past_the_float_range():
+    # the x faces' area is finite though the box's x extent is not
+    box = BoundingBox((-sys.float_info.max, 0.0, 0.0), (sys.float_info.max, 4.0, 4.0))
+    _, positions, _ = scatter_box_face_points(box, 20, seed=1, faces=("x-", "x+"))
+    assert np.isfinite(positions).all()
+    assert set(np.abs(positions[:, 0]).tolist()) == {sys.float_info.max}
 
 
 def scatter_reference(box, count, seed, faces=FACES, id_offset=0):

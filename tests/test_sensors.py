@@ -153,6 +153,16 @@ def test_blur_leaving_frustum_scores_zero():
     assert q.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("exposure", [1e200, 1.7976931348623157e+308])
+def test_blur_of_a_shutter_past_the_float_range_scores_zero(exposure):
+    # the smear overflowed, with numpy's RuntimeWarning; a still point keeps
+    # its perfect score
+    c = cam(exposure=exposure)
+    p_cam = np.array([[0.0, 0.0, 10.0], [0.0, 0.0, 10.0], [1.0, 0.0, 10.0]])
+    v_cam = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert _blur_batch(p_cam, v_cam, c).tolist() == [0.0, 1.0, 0.0]
+
+
 def test_blur_non_increasing_in_speed():
     c = cam()
     speeds = np.linspace(0, 12, 1000)
@@ -245,7 +255,7 @@ def reference_observe(a, gimbal, scene, cfg):
 def observe_one(a, gimbal, scene, cfg):
     """observe for a fleet of one, as Observation rows."""
     obs = observe(poses([a], [gimbal]), scene, cfg)
-    assert obs.agent.tolist() == [0] * len(obs)
+    assert obs.pose.tolist() == [0] * len(obs)
     return [Observation(*row) for row in zip(
         scene.point_ids[obs.point].tolist(), obs.q_blur.tolist(), obs.q_res.tolist(),
         obs.q.tolist())]
@@ -373,7 +383,7 @@ def test_fleet_observe_equals_per_agent_reference(n_agents):
         expected = [(row, o) for row, (s, g) in enumerate(zip(states, gimbals))
                     for o in reference_observe(s, g, scene, c)]
         assert len(got) == len(expected)
-        assert got.agent.tolist() == [row for row, _ in expected]
+        assert got.pose.tolist() == [row for row, _ in expected]
         assert scene.point_ids[got.point].tolist() == [o.point_id for _, o in expected]
         assert got.q_blur.tolist() == [o.q_blur for _, o in expected]
         assert got.q_res.tolist() == [o.q_res for _, o in expected]
@@ -398,7 +408,7 @@ def test_one_agent_at_many_poses_in_one_call():
     gimbals.insert(2, gimbals[0])
     got = observe(poses(states, gimbals), scene, c)
     by_row = [[] for _ in states]
-    for row, i, qb, qr, q in zip(got.agent.tolist(), got.point.tolist(), got.q_blur.tolist(),
+    for row, i, qb, qr, q in zip(got.pose.tolist(), got.point.tolist(), got.q_blur.tolist(),
                                  got.q_res.tolist(), got.q.tolist()):
         by_row[row].append(Observation(int(scene.point_ids[i]), qb, qr, q))
     assert by_row == [observe_one(s, g, scene, c) for s, g in zip(states, gimbals)]
