@@ -385,7 +385,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override mission.seed")
     parser.add_argument("--duration", type=float, help="override mission.duration (s)")
     parser.add_argument("--voxel-size", type=float, help="override mission.voxel_size (m)")
-    parser.add_argument("--quality-floor", type=float, help="override camera.quality_floor")
     parser.add_argument("--horizon", type=int, help="override mission.horizon (voxels)")
     args = parser.parse_args(argv)
 
@@ -396,11 +395,9 @@ def main(argv=None) -> int:
         try:
             canonical = load_scenario_dict(args.scenario)
             # each override flag is named after its key, and goes through that key's parser
-            for section, key in (("mission", "seed"), ("mission", "duration"),
-                                 ("mission", "voxel_size"), ("mission", "horizon"),
-                                 ("camera", "quality_floor")):
+            for key in ("seed", "duration", "voxel_size", "horizon"):
                 if getattr(args, key) is not None:
-                    canonical[section][key] = getattr(args, key)
+                    canonical["mission"][key] = getattr(args, key)
             canonical = normalize_scenario(canonical)
             scatter = canonical["scene"]["interest_points"]["scatter"]
             if args.seed is not None and all(rule["seed"] is not None for rule in scatter):

@@ -121,13 +121,17 @@ class MissionConfig:
         return max(1, int(round(self.duration / self.tick)))
 
 
+# a capture scoring at or below it is too blurred or coarse to count as observed
+_QUALITY_FLOOR = 0.1
+
+
 class ScoreLedger:
     """Best observation quality per interest point over all agents and time,
     one row per point in the scene's order."""
+    floor = _QUALITY_FLOOR
 
-    def __init__(self, point_ids, quality_floor: float):
+    def __init__(self, point_ids):
         self.point_ids = np.asarray(point_ids, dtype=int)
-        self.floor = float(quality_floor)
         n = len(self.point_ids)
         self.best_q = np.zeros(n)
         self.counts = np.zeros(n, dtype=int)
@@ -375,6 +379,14 @@ class _Mission:
         self.volume = compute_operational_volume(scene.inspection_boxes, self.position,
                                                  cfg.voxel_size)
         self.grid = build_grid(self.volume, cfg.voxel_size)
+        # a move is accepted only into the agent's own voxel or the one it
+        # claimed, so a tick that carries the fastest agent a voxel or more
+        # refuses its moves
+        speed = max(_SPEED_LIMIT[a.kind] for a in cfg.agents)
+        if not float(cfg.tick) * speed < cfg.voxel_size:
+            raise ConfigurationError(
+                f"mission.tick {cfg.tick:g} s lets an agent at {speed:g} m/s cross a "
+                f"{cfg.voxel_size:g} m voxel in one tick")
         self.truth = scene_occupancy(scene, self.grid)
         self.structure = np.flatnonzero(self.truth)
         # the cells a LiDAR ray can change, flooded from the agents' starts
@@ -423,7 +435,7 @@ class _Mission:
                 e_idx += 1
             self.agents.append(rt)
 
-        self.ledger = ScoreLedger(scene.point_ids, cfg.camera.quality_floor)
+        self.ledger = ScoreLedger(scene.point_ids)
         self.score_trace: list[float] = []
         self.observations: ObservationLog | None = None     # made by _score
         self.plan_events: list[str] = []
@@ -705,6 +717,17 @@ class _Mission:
         point_id = self.scene.point_ids[point].astype(np.int64, copy=False)
         self.observations = ObservationLog(tick, agent, point_id, q_blur, q_res, q)
 
+    def _nearest(self) -> float:
+        """The least distance from any capture's position to any interest
+        point, over the pose table a chunk of captures at a time."""
+        captures = self.poses[..., :3].reshape(-1, 3)
+        points = self.scene.point_positions
+        step = max(1, _OBSERVE_PAIRS // len(points))
+        with np.errstate(over="ignore"):        # a point at the largest float is inf away
+            least = min(float(((captures[lo:lo + step, None] - points) ** 2).sum(-1).min())
+                        for lo in range(0, len(captures), step))
+        return math.sqrt(least)
+
     def _audit(self, k: int) -> None:
         voxels = [a.voxel for a in self.agents]
         self.voxels[k] = voxels
@@ -732,7 +755,8 @@ class _Mission:
                           f"structure cells and marked nothing")
         if self.ledger.num_points and not self.ledger.scored:
             warnings.warn(f"the mission scored none of its {self.ledger.num_points} "
-                          f"interest points")
+                          f"interest points: the nearest capture was {self._nearest():.3g} m "
+                          f"from one, against camera.range {self.cfg.camera.range:g} m")
         # a photographer enters the inspection stage on hearing a finished
         # explorer; one that never did, when some explorer finished, heard
         # none, and when none finished, no agent entered it

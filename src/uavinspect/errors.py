@@ -22,7 +22,6 @@ _RULES = {
     "finite": (numbers.Real, lambda x: -_MAX <= x <= _MAX, "finite"),
     "positive": (numbers.Real, lambda x: 0 < x <= _MAX, "positive and finite"),
     "non-negative": (numbers.Real, lambda x: 0 <= x <= _MAX, "non-negative and finite"),
-    "unit": (numbers.Real, lambda x: 0 <= x <= 1, "within [0, 1]"),
     "integer": (numbers.Integral, lambda x: -_I64 <= x < _I64, "an integer in [-2**63, 2**63)"),
     "positive integer": (numbers.Integral, lambda x: 0 < x < _I64, "an integer in [1, 2**63)"),
     "non-negative integer": (numbers.Integral, lambda x: 0 <= x < _I64, "an integer in [0, 2**63)"),

@@ -147,16 +147,11 @@ class Scene:
 
 
 def _point_ids(ids) -> np.ndarray:
-    """ids as an int64 array, each held to the "integer" rule: an int64 array,
-    or plain ints that int64 holds, pass whole; any other ids are checked one
-    by one, which names the first that breaks the rule."""
+    """ids as an int64 array, each held to the "integer" rule: an int64 array
+    passes whole; any other ids are checked one by one, which names the first
+    that breaks the rule."""
     if isinstance(ids, np.ndarray) and ids.dtype == np.int64:
         return ids.reshape(-1)
-    if set(map(type, ids)) <= {int}:
-        try:
-            return np.array(ids, dtype=np.int64)
-        except OverflowError:
-            pass
     for pid in ids:
         check_value("interest point id", pid, "integer")
     return np.array(ids, dtype=np.int64)
@@ -385,8 +380,6 @@ def visible_point_indices(scene: Scene, apexes, candidate_mask) -> tuple[np.ndar
     point, normal = _rows(scene.point_positions, idx), _rows(scene.point_normals, idx)
     height = np.einsum("nk,nk->n", normal, apex - point)
     facing = height > 0.0
-    if not facing.any():
-        return viewer[facing], idx[facing]
     cast = facing & ~(_rows(scene.exposed, idx) & (height >= _EPS_BACKOFF))
     clear = facing & ~cast
     clear[cast] = line_of_sight(scene, _kept(cast, apex),

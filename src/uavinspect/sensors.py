@@ -56,7 +56,6 @@ _MAX_RAYS = 2 ** 18
 class CameraConfig:
     range: float = ruled("positive", 30.0)
     exposure: float = ruled("positive", 0.05)
-    quality_floor: float = ruled("unit", 0.1)
 
     def __post_init__(self):
         check_fields(self, "camera")

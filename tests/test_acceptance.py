@@ -226,7 +226,7 @@ def test_desk_scale_mission(desk_run):
     monotone = all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
     assert monotone, "average quality trace decreased"
 
-    floor = cfg.camera.quality_floor
+    floor = result.ledger.floor
     covered = float((result.ledger.best_q > floor).mean())
     assert covered >= 0.85, f"coverage {covered:.3f} below 0.85 floor"
     assert wall < 120.0, f"wall clock {wall:.1f}s over budget"

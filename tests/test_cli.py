@@ -53,7 +53,6 @@ def test_minimal_file_gets_documented_defaults(tmp_path):
     assert cfg.voxel_size == 6.0
     assert cfg.tick == 0.1
     assert cfg.horizon == 3
-    assert cfg.camera.quality_floor == 0.1
     assert scene.num_points == 0
     assert len(scene.inspection_boxes) == 1
 
@@ -64,7 +63,7 @@ def test_defaults_are_the_documented_table():
         "duration": 30.0, "tick": 0.1, "voxel_size": 6.0, "horizon": 3,
         "waypoint_standoff": None, "seed": 0}
     assert canonical["agents"][0] == {"kind": "explorer", "start": [3.0, 3.0, 3.0]}
-    assert canonical["camera"] == {"range": 30.0, "exposure": 0.05, "quality_floor": 0.1}
+    assert canonical["camera"] == {"range": 30.0, "exposure": 0.05}
     assert canonical["lidar"] == {"beams": 16, "azimuth_steps": 360}
 
 
@@ -75,7 +74,7 @@ SECTIONS = {"camera": CameraConfig, "lidar": LidarConfig}
 NON_DEFAULT = {
     "mission": {"duration": 12.5, "tick": 0.25, "voxel_size": 4.0, "horizon": 5,
                 "waypoint_standoff": 9.0, "seed": 3},
-    "camera": {"range": 25.0, "exposure": 0.02, "quality_floor": 0.2},
+    "camera": {"range": 25.0, "exposure": 0.02},
     "lidar": {"beams": 8, "azimuth_steps": 90},
     "agents": [{"kind": "photographer", "start": [4.0, 5.0, 6.0]},
                {"kind": "explorer", "start": [3.0, 3.0, 3.0]}],
@@ -518,6 +517,30 @@ def test_main_has_no_log_level(capsys):
     assert "unrecognized arguments: --log-level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tick", [1.2, 1.5, 1e20])
+def test_main_rejects_a_tick_that_carries_an_agent_across_a_voxel(tmp_path, capsys, tick):
+    # desk_box's photographers fly at up to 5 m/s on 6 m voxels.  A move
+    # into a voxel nobody claimed is refused: at 1.2 s a tick, some moves
+    # were refused, at 1.5 s 58 of them, and at 1e20 s the dynamics
+    # overflowed, each run with exit status 0 and no word of it
+    raw = yaml.safe_load((SCENARIOS / "desk_box.yaml").read_text())
+    raw["mission"]["tick"] = tick
+    assert main(["--scenario", write_yaml(tmp_path, raw)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: mission.tick {tick:g} s lets an agent at 5 m/s cross a 6 m voxel "
+                   "in one tick\n")
+
+
+@pytest.mark.parametrize("value", ["1.5", "nan"])
+def test_main_has_no_quality_floor_option(capsys, value):
+    # the quality floor is engine._QUALITY_FLOOR, which no flag sets
+    with pytest.raises(SystemExit) as exited:
+        main(["--scenario", str(SCENARIOS / "open_field.yaml"), "--quality-floor", value])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --quality-floor" in capsys.readouterr().err
+
+
 def test_main_duration_flag_overrides_file(tmp_path):
     _, out = run_main(tmp_path)
     text = (out / "mission_result.txt").read_text()
@@ -596,7 +619,6 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
      [], "scene.interest_points.scatter[0]: face 'x-' is repeated in a scatter rule"),
     (MINIMAL, ["--voxel-size", "-3"], "mission.voxel_size must be positive"),
     # a flag goes through its key's parser, which holds it to its field's rule
-    (MINIMAL, ["--quality-floor", "1.5"], "camera.quality_floor must be within [0, 1], got 1.5"),
     (MINIMAL, ["--horizon", "0"], "mission.horizon must be an integer in [1, 2**63), got 0"),
     # an int no int64 holds
     ({**MINIMAL, "mission": {"duration": 30.0, "horizon": 2 ** 63}}, [],
@@ -611,10 +633,13 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     ({**MINIMAL, "gimbal": {"azimuth_max_deg": 45.0}}, [], "scenario: unknown key(s) ['gimbal']"),
     ({**MINIMAL, "tracking": {"kd": 0.0}}, [], "scenario: unknown key(s) ['tracking']"),
     ({**MINIMAL, "lidar": {"servo_period": 6.0}}, [], "lidar: unknown key(s) ['servo_period']"),
+    # the quality floor is the score ledger's constant
+    ({**MINIMAL, "camera": {"quality_floor": 0.2}}, [], "camera: unknown key(s) ['quality_floor']"),
 ], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
-        "repeated-face", "negative-voxel", "quality-floor-above-1", "zero-horizon",
+        "repeated-face", "negative-voxel", "zero-horizon",
         "horizon-past-int64", "unknown-keys-of-mixed-types", "capture-stride-key",
-        "gimbal-section", "tracking-section", "servo-period-key"])
+        "gimbal-section", "tracking-section", "servo-period-key",
+        "quality-floor-key"])
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -787,10 +812,9 @@ def test_main_exits_3_with_the_traceback_of_a_crash(monkeypatch, capsys):
     (MINIMAL, ["--duration", "nan"], "mission.duration"),
     (MINIMAL, ["--duration", "inf"], "mission.duration"),
     (MINIMAL, ["--voxel-size", "inf"], "mission.voxel_size"),
-    (MINIMAL, ["--quality-floor", "nan"], "camera.quality_floor"),
     ({**MINIMAL, "mission": {"duration": 30.0, "tick": math.nan}}, [], "mission.tick"),
     ({**MINIMAL, "camera": {"range": math.inf}}, [], "camera.range"),
-], ids=["duration-nan", "duration-inf", "voxel-size-inf", "quality-floor-nan", "tick-nan",
+], ids=["duration-nan", "duration-inf", "voxel-size-inf", "tick-nan",
         "range-inf"])
 def test_main_rejects_non_finite_numbers(tmp_path, capsys, scenario, flags, path):
     # a flag goes through its key's parser, so it is rejected at the key's path
@@ -822,8 +846,7 @@ def test_main_accepts_all_override_flags(tmp_path):
     out = tmp_path / "out"
     code = main(["--scenario", str(SCENARIOS / "open_field.yaml"),
                  "--out", str(out), "--duration", "4", "--seed", "11",
-                 "--voxel-size", "12", "--quality-floor", "0.2",
-                 "--horizon", "2"])
+                 "--voxel-size", "12", "--horizon", "2"])
     assert code == 0
     dumped = next((out / "maps").glob("agent0_final.vox"))
     assert load_map(dumped).grid.voxel_size == 12.0
@@ -1137,8 +1160,7 @@ def flag_texts(flag, kind):
 
 
 FLAG_SALTS = [(flag, text) for flag, kind in (("--seed", int), ("--duration", float),
-                                              ("--voxel-size", float),
-                                              ("--quality-floor", float), ("--horizon", int))
+                                              ("--voxel-size", float), ("--horizon", int))
               for text in flag_texts(flag, kind)]
 
 

@@ -74,7 +74,7 @@ def small_config(duration=60.0, **kw):
 # --- ledger -------------------------------------------------------------------
 
 def test_ledger_keeps_the_best_quality():
-    led = ScoreLedger([0, 1], quality_floor=0.1)
+    led = ScoreLedger([0, 1])
     update_ledger(led, *frame(obs(0, 0.5)))
     update_ledger(led, *frame(obs(0, 0.3)))
     assert led.best_q[0] == 0.5
@@ -82,13 +82,14 @@ def test_ledger_keeps_the_best_quality():
 
 
 def test_ledger_takes_max_over_agents_within_a_tick():
-    led = ScoreLedger([0], quality_floor=0.1)
+    led = ScoreLedger([0])
     update_ledger(led, *frame(obs(0, 0.5), obs(0, 0.8)))
     assert led.best_q[0] == 0.8
 
 
 def test_ledger_floor_is_strict():
-    led = ScoreLedger([0], quality_floor=0.3)
+    led = ScoreLedger([0])
+    led.floor = 0.3
     update_ledger(led, *frame(obs(0, 0.3)))
     assert led.best_q[0] == 0.0
     assert led.counts[0] == 0
@@ -97,7 +98,8 @@ def test_ledger_floor_is_strict():
 
 
 def test_ledger_tracks_component_scores_of_best_frame():
-    led = ScoreLedger([0], quality_floor=0.0)
+    led = ScoreLedger([0])
+    led.floor = 0.0
     update_ledger(led, *frame(obs(0, 0.4, qb=0.8, qr=0.5)))
     update_ledger(led, *frame(obs(0, 0.6, qb=0.6, qr=1.0)))
     update_ledger(led, *frame(obs(0, 0.5, qb=0.5, qr=1.0)))
@@ -106,7 +108,7 @@ def test_ledger_tracks_component_scores_of_best_frame():
 
 def test_ledger_rejects_unknown_point():
     # a row outside the scene's points
-    led = ScoreLedger([0, 1], quality_floor=0.1)
+    led = ScoreLedger([0, 1])
     for row in (2, 7, -1):
         with pytest.raises(ValueError):
             update_ledger(led, *frame(obs(row, 0.5)))
@@ -126,10 +128,11 @@ def record(ledger, scene=None):
 
 
 def test_inspection_score_sums_best():
-    led = ScoreLedger([0, 1, 2], quality_floor=0.0)
+    led = ScoreLedger([0, 1, 2])
+    led.floor = 0.0
     update_ledger(led, *frame(obs(0, 1.0), obs(1, 0.5)))
     assert record(led).q_total == pytest.approx(1.5)
-    assert record(ScoreLedger([], 0.1)).q_total == 0.0
+    assert record(ScoreLedger([])).q_total == 0.0
 
 
 def test_score_matches_log_replay_on_random_streams():
@@ -137,7 +140,8 @@ def test_score_matches_log_replay_on_random_streams():
     for _ in range(20):
         n = int(rng.integers(1, 15))
         floor = float(rng.uniform(0, 0.4))
-        led = ScoreLedger(range(n), quality_floor=floor)
+        led = ScoreLedger(range(n))
+        led.floor = floor
         log = []
         for _ in range(40):
             batch = []
@@ -174,7 +178,7 @@ def test_logs_name_points_by_id_when_ids_are_not_rows():
 
 
 def test_ledger_tie_goes_to_the_first_observation():
-    led = ScoreLedger([0], quality_floor=0.1)
+    led = ScoreLedger([0])
     update_ledger(led, *frame(obs(0, 0.5, qb=0.5, qr=1.0), obs(0, 0.5, qb=1.0, qr=0.5)))
     assert (led.best_q[0], led.counts[0]) == (0.5, 2)
     # an equal quality in a later batch leaves the best as it is
@@ -189,8 +193,8 @@ def test_ledger_fold_equals_sequential_reference():
         n = int(rng.integers(1, 12))
         ids = rng.permutation(np.arange(0, 5 * n, 5))       # labels only: batches hold rows
         floor = float(rng.choice(levels[:4]))
-        led = ScoreLedger(ids, quality_floor=floor)
-        ref = ScoreLedger(ids, quality_floor=floor)
+        led, ref = ScoreLedger(ids), ScoreLedger(ids)
+        led.floor = ref.floor = floor
         for _ in range(20):
             size = int(rng.integers(0, 3 * n))
             q = rng.choice(levels, size) if trial % 2 else rng.uniform(0, 1, size)
@@ -207,7 +211,7 @@ def test_ledger_fold_equals_sequential_reference():
 def test_heatmap_counts_and_unobserved_points(tmp_path):
     scene = Scene(interest_points=point_arrays([(0, (0, 0, 0), (1, 0, 0)),
                                                 (1, (1, 0, 0), (1, 0, 0))]))
-    led = ScoreLedger([0, 1], quality_floor=0.1)
+    led = ScoreLedger([0, 1])
     update_ledger(led, *frame(obs(0, 0.5), obs(0, 0.7), obs(0, 0.05)))
     write_outputs(record(led, scene), str(tmp_path))
     assert (tmp_path / "heatmap.csv").read_text().splitlines() == [
@@ -253,7 +257,6 @@ def test_config_rejects_non_integer_counts(field, value):
 
 @pytest.mark.parametrize("build, name", [
     (lambda: CameraConfig(exposure=True), "camera exposure"),
-    (lambda: CameraConfig(quality_floor=True), "camera quality_floor"),
     (lambda: AgentSpec("explorer", (True, 0.0, 0.0)), r"agent start\[0\]"),
     (lambda: dataclasses.replace(small_config(), duration=True), "mission duration"),
     (lambda: dataclasses.replace(small_config(), voxel_size=True), "mission voxel_size"),
@@ -315,30 +318,30 @@ CONFIG_CLASSES = {"agent": AgentSpec, "mission": MissionConfig, "camera": Camera
 # the annotations, strings in the config modules, of the fields that hold a number
 NUMERIC = ("float", "int", "float | None")
 # the rules a config field may carry, and the integer rules among them
-RULES = {"finite", "positive", "non-negative", "unit", "positive integer"}
+RULES = {"finite", "positive", "non-negative", "positive integer"}
 INTEGER = {"positive integer"}
 # each probe value and the rules it breaks; None breaks every rule of a field
 # whose default is not None, and none of a field whose default is None
 PROBES = [
     (True, RULES), (math.nan, RULES), (math.inf, RULES), (-math.inf, RULES),
     (10 ** 400, RULES),                 # an int no float and no int64 can hold
-    (2 ** 63, {"unit", "positive integer"}), (2 ** 63 - 1, {"unit"}),    # int64's edge
+    (2 ** 63, {"positive integer"}), (2 ** 63 - 1, set()),    # int64's edge
     (0, {"positive", "positive integer"}), (1, set()),
     (-1.0, RULES - {"finite"}), (0.5, INTEGER),
     # numpy scalars: not exact ints or floats, so check_value tests them
     # against the numbers abcs, with the verdicts of their Python values
     (np.bool_(True), RULES), (np.float64(math.nan), RULES), (np.float64(math.inf), RULES),
-    (np.float64(-math.inf), RULES), (np.uint64(2 ** 63), {"unit", "positive integer"}),
-    (np.int64(2 ** 63 - 1), {"unit"}), (np.int64(0), {"positive", "positive integer"}),
+    (np.float64(-math.inf), RULES), (np.uint64(2 ** 63), {"positive integer"}),
+    (np.int64(2 ** 63 - 1), set()), (np.int64(0), {"positive", "positive integer"}),
     (np.int32(1), set()), (np.float64(-1.0), RULES - {"finite"}), (np.float64(0.5), INTEGER),
     # every float width: each keeps a rule as its float64 value does, where a
     # float16 or float32 compared with the float64 maximum would cast it to inf
     *[(width(value), RULES) for width in (np.float16, np.float32, np.float64)
       for value in (math.inf, -math.inf, math.nan)],
-    *[(np.finfo(width).max, {"unit"} | INTEGER) for width in (np.float16, np.float32, np.float64)],
-    (sys.float_info.max, {"unit"} | INTEGER),
+    *[(np.finfo(width).max, INTEGER) for width in (np.float16, np.float32, np.float64)],
+    (sys.float_info.max, INTEGER),
     (-10 ** 400, RULES),                # past every float's range, on both sides
-    (np.uint64(2 ** 64 - 1), {"unit", "positive integer"}), (np.int32(70000), {"unit"}),
+    (np.uint64(2 ** 64 - 1), {"positive integer"}), (np.int32(70000), set()),
 ]
 
 
@@ -378,6 +381,18 @@ def test_every_numeric_config_field_keeps_its_rule(monkeypatch, section, f):
                 build_config(section, **{f.name: value})
         else:
             assert getattr(build_config(section, **{f.name: value}), f.name) is value
+
+
+@pytest.mark.parametrize("kinds, tick, speed", [(("explorer",), 1.5, 4),
+                                                (("explorer", "photographer"), 1.2, 5)])
+def test_a_tick_that_carries_the_fastest_agent_a_voxel_is_rejected(kinds, tick, speed):
+    # the fleet's fastest kind covers a 6 m voxel a tick; a shorter tick passes
+    agents = tuple(AgentSpec(kind, (9.0 + 12.0 * i, 9.0, 9.0)) for i, kind in enumerate(kinds))
+    cfg = MissionConfig(duration=5.0, tick=tick, agents=agents)
+    with pytest.raises(ConfigurationError, match=f"^mission.tick {tick:g} s lets an agent at "
+                       f"{speed} m/s cross a 6 m voxel in one tick$"):
+        _Mission(cfg, small_scene())
+    _Mission(dataclasses.replace(cfg, tick=tick * 0.99), small_scene())
 
 
 def test_agents_sharing_a_start_voxel_rejected():
@@ -904,7 +919,8 @@ def test_exchange_merges_snapshots_of_the_fleet_maps():
     from test_comms import CHAIN_POSITIONS, chain_scene     # a cycle at module level
     scene = Scene(solid_boxes=chain_scene().solid_boxes,
                   inspection_boxes=[BoundingBox((1.0, -5.0, -1.0), (5.2, 5.0, 2.0))])
-    cfg = MissionConfig(duration=1.0, voxel_size=0.5, agents=(
+    # a 0.05 s tick keeps a photographer's step under the 0.5 m voxel
+    cfg = MissionConfig(duration=1.0, tick=0.05, voxel_size=0.5, agents=(
         AgentSpec("explorer", CHAIN_POSITIONS[0]),
         *(AgentSpec("photographer", p) for p in CHAIN_POSITIONS[1:3])))
     mission = _Mission(cfg, scene)
@@ -997,12 +1013,35 @@ def test_a_mission_that_scores_no_point_warns():
     # a camera that reaches no point scores none of them; a scene with no
     # point has nothing to score, and says nothing
     cfg = small_config(duration=2.0, camera=CameraConfig(exposure=0.01, range=1.0))
-    with pytest.warns(UserWarning, match="scored none of its 12 interest points"):
+    with pytest.warns(UserWarning, match="^the mission scored none of its 12 interest points: "
+                      r"the nearest capture was 9\.11 m from one, against camera\.range 1 m$"):
         res = run_mission(cfg, small_scene())
     assert res.q_total == 0.0 and not res.ledger.best_q.any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run_mission(cfg, Scene(inspection_boxes=small_scene().inspection_boxes))
+
+
+def test_a_camera_short_of_every_point_names_the_nearest_capture():
+    # desk_box with a 1 m camera: the fleet flies its whole mission, and no
+    # capture comes within 2.43 m of a point
+    cfg, scene = shipped("desk_box")
+    cfg = dataclasses.replace(cfg, camera=dataclasses.replace(cfg.camera, range=1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_mission(cfg, scene)
+    assert res.ledger.scored == 0 and res.violations == 0
+    assert [str(w.message) for w in caught] == [
+        "the mission scored none of its 200 interest points: the nearest capture was "
+        "2.43 m from one, against camera.range 1 m"]
+
+
+def test_a_tick_under_a_voxel_a_step_refuses_no_move():
+    # desk_box's photographers fly at up to 5 m/s on 6 m voxels: a 1 s tick
+    # carries one 5 m a step, under a voxel, and it enters each voxel it claims
+    cfg, scene = shipped("desk_box")
+    res = run_mission(dataclasses.replace(cfg, tick=1.0), scene)
+    assert res.num_ticks == 120 and res.clamp_events == 0 and res.violations == 0
 
 
 def test_a_photographer_that_never_hears_a_finished_explorer_is_named():

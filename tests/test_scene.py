@@ -512,14 +512,23 @@ def test_scene_holds_each_id_to_the_integer_rule(ids, bad):
         Scene(interest_points=(ids, [(0.0, 0.0, 0.0)] * 2, [(1.0, 0.0, 0.0)] * 2))
 
 
-@pytest.mark.parametrize("ids", [np.array([7, -3]), [7, -3]], ids=["int64-array", "plain-ints"])
+@pytest.mark.parametrize("ids", [np.array([7, -3])], ids=["int64-array"])
 def test_scene_takes_int64_ids_whole(monkeypatch, ids):
-    # neither form checks its ids one by one
+    # an int64 array, as the scenario parser gives, is not checked id by id
     checked = []
     monkeypatch.setattr(scene_module, "check_value", lambda *args: checked.append(args))
     scene = Scene(interest_points=(ids, [(0.0, 0.0, 0.0)] * 2, [(1.0, 0.0, 0.0)] * 2))
     assert scene.point_ids.dtype == np.int64 and scene.point_ids.tolist() == [7, -3]
     assert checked == []
+
+
+def test_scene_checks_plain_int_ids_one_by_one(monkeypatch):
+    # a list of plain ints takes the per-id check and gives the same array
+    checked = []
+    monkeypatch.setattr(scene_module, "check_value", lambda *args: checked.append(args))
+    scene = Scene(interest_points=([7, -3], [(0.0, 0.0, 0.0)] * 2, [(1.0, 0.0, 0.0)] * 2))
+    assert scene.point_ids.dtype == np.int64 and scene.point_ids.tolist() == [7, -3]
+    assert checked == [("interest point id", 7, "integer"), ("interest point id", -3, "integer")]
 
 
 @pytest.mark.parametrize("ids, positions, normals, message", [

@@ -480,7 +480,7 @@ def test_lidar_config_rejects_counts_that_are_not_positive_integers(fields):
         LidarConfig(**fields)
 
 
-@pytest.mark.parametrize("name", ["range", "exposure", "quality_floor"])
+@pytest.mark.parametrize("name", ["range", "exposure"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_camera_config_rejects_non_finite_fields(name, value):
     with pytest.raises(ConfigurationError, match=name):
