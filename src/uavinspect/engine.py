@@ -165,12 +165,6 @@ class _Log:
     """A per-tick log held as arrays and read as row tuples, _ROW_CHUNK rows
     at a time; a subclass gives len() and the rows of a slice."""
 
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def _rows(self, lo: int, hi: int) -> list[tuple]:
-        raise NotImplementedError
-
     def chunks(self):
         for lo in range(0, len(self), _ROW_CHUNK):
             yield self._rows(lo, min(lo + _ROW_CHUNK, len(self)))

@@ -199,19 +199,23 @@ def test_score_equals_log_replay():
 
 # --- criterion: safety audit ------------------------------------------------------------
 
+def recount_violations(result, scene):
+    """The same-voxel collisions and occupied entries of a run, recounted
+    from its voxel trace and the scene's truth on its grid."""
+    truth = scene_occupancy(scene, result.final_maps[0].grid)
+    same_voxel = 0
+    occupied_entries = 0
+    for _tick, row in result.voxel_trace:
+        voxels = [v for _aid, v in row]
+        same_voxel += len(voxels) - len(set(voxels))
+        occupied_entries += sum(1 for v in voxels if truth[v])
+    return same_voxel, occupied_entries
+
+
 def test_safety_over_shipped_scenarios(shipped_runs):
     details = []
     for name, (cfg, scene, result, _wall) in shipped_runs.items():
-        grid = result.final_maps[0].grid
-        truth = scene_occupancy(scene, grid)
-        same_voxel = 0
-        occupied_entries = 0
-        for _tick, row in result.voxel_trace:
-            voxels = [v for _aid, v in row]
-            same_voxel += len(voxels) - len(set(voxels))
-            occupied_entries += sum(1 for v in voxels if truth[v])
-        assert same_voxel == 0, name
-        assert occupied_entries == 0, name
+        assert recount_violations(result, scene) == (0, 0), name
         assert result.collisions_same_voxel == 0
         assert result.occupied_entries == 0
         details.append(f"{name}: {len(result.voxel_trace)} ticks clean")

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -16,6 +18,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import recount_violations
 from test_engine import PROBES, build_config, numeric_fields
 from test_mesh import centroid_points, prism_triangles
 from test_world import point_arrays
@@ -617,11 +620,20 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {
         "scatter": [{**BOX_12_18, "count": 5, "faces": ["x-", "x-", "x+"]}]}}},
      [], "scene.interest_points.scatter[0]: face 'x-' is repeated in a scatter rule"),
+    ({**MINIMAL, "scene": {"inspection_boxes": [BOX_30], "interest_points": {
+        "scatter": [{**BOX_12_18, "count": 5, "faces": []}]}}},
+     [], "scene.interest_points.scatter[0].faces must be non-empty"),
+    # a rule failure in a list names its entry by its dotted path
+    ({**MINIMAL, "agents": [MINIMAL["agents"][0],
+                            {"kind": "photographer", "start": [3.0, math.nan, 3.0]}]},
+     [], "agents[1].start[1] must be finite, got nan"),
     (MINIMAL, ["--voxel-size", "-3"], "mission.voxel_size must be positive"),
     # a flag goes through its key's parser, which holds it to its field's rule
     (MINIMAL, ["--horizon", "0"], "mission.horizon must be an integer in [1, 2**63), got 0"),
-    # an int no int64 holds
+    # an int no int64 holds, in the file and as a flag
     ({**MINIMAL, "mission": {"duration": 30.0, "horizon": 2 ** 63}}, [],
+     "mission.horizon must be an integer in [1, 2**63), got 9223372036854775808"),
+    (MINIMAL, ["--horizon", str(2 ** 63)],
      "mission.horizon must be an integer in [1, 2**63), got 9223372036854775808"),
     # unknown keys of mixed types failed to sort: a traceback and exit status 1
     ({**MINIMAL, 1: "x", "foo": "y"}, [], "scenario: unknown key(s) ['foo', 1]"),
@@ -636,9 +648,9 @@ BOX_12_18 = {"min": [12.0, 12.0, 12.0], "max": [18.0, 18.0, 18.0]}
     # the quality floor is the score ledger's constant
     ({**MINIMAL, "camera": {"quality_floor": 0.2}}, [], "camera: unknown key(s) ['quality_floor']"),
 ], ids=["shared-start", "start-in-structure", "duplicate-ids", "explicit-id-meets-scatter-id",
-        "repeated-face", "negative-voxel", "zero-horizon",
-        "horizon-past-int64", "unknown-keys-of-mixed-types", "capture-stride-key",
-        "gimbal-section", "tracking-section", "servo-period-key",
+        "repeated-face", "no-faces", "non-finite-start", "negative-voxel", "zero-horizon",
+        "horizon-past-int64", "horizon-flag-past-int64", "unknown-keys-of-mixed-types",
+        "capture-stride-key", "gimbal-section", "tracking-section", "servo-period-key",
         "quality-floor-key"])
 def test_main_reports_missions_the_engine_rejects(tmp_path, capsys, scenario, flags, message):
     assert main(["--scenario", write_yaml(tmp_path, scenario), *flags]) == 2
@@ -755,8 +767,10 @@ def test_a_mission_at_its_sizes_sets_up():
 ], ids=["block", "flow", "list-entry", "section", "nested"])
 def test_a_repeated_key_is_rejected_at_its_line(tmp_path, monkeypatch, capsys, base, text,
                                                 line, key):
-    # YAML keeps the last of a repeated key: a second tick silently won
-    monkeypatch.setattr(cli, "_Loader", type("Loader", (cli._UniqueKeys, base), {}))
+    # YAML keeps the last of a repeated key: a second tick silently won.  The
+    # base that load_scenario_dict's own loader reads with is left unpatched
+    if base not in cli._Loader.__mro__:
+        monkeypatch.setattr(cli, "_Loader", type("Loader", (cli._UniqueKeys, base), {}))
     path = tmp_path / "s.yaml"
     path.write_text(text)
     assert main(["--scenario", str(path)]) == 2
@@ -792,7 +806,9 @@ def test_main_rejects_tick_tables_too_large_to_allocate(tmp_path, capsys, scenar
     out, err = capsys.readouterr()
     assert out == ""
     [line] = err.splitlines()
-    assert re.fullmatch(r"error: mission duration \S+ s at tick \S+ s is \S+ ticks, .*", line)
+    duration = float(flags[1]) if flags else scenario["mission"]["duration"]
+    assert re.fullmatch(rf"error: mission duration {re.escape(f'{duration:g}')} s at tick \S+ s "
+                        r"is \S+ ticks, .*", line)
 
 
 def test_main_exits_3_with_the_traceback_of_a_crash(monkeypatch, capsys):
@@ -806,6 +822,61 @@ def test_main_exits_3_with_the_traceback_of_a_crash(monkeypatch, capsys):
     assert out == ""
     assert "Traceback (most recent call last)" in err
     assert err.rstrip().endswith("RuntimeError: boom")
+
+
+@pytest.mark.parametrize("kind", ["same-voxel", "occupied-entry"])
+def test_a_forced_violation_is_counted_written_and_exits_1(tmp_path, monkeypatch, capsys, kind):
+    # every other count of a violation is 0 on a run that has none, so an
+    # audit that added 0 to a counter passed them all
+    audit = engine._Mission._audit
+
+    def forced(mission, k):
+        if k == 5:
+            if kind == "same-voxel":
+                mission.agents[1].voxel = mission.agents[0].voxel
+            else:
+                mission.agents[0].voxel = tuple(np.argwhere(mission.truth)[0].tolist())
+        audit(mission, k)
+
+    monkeypatch.setattr(engine._Mission, "_audit", forced)
+    path = str(SCENARIOS / "twin_pillars.yaml")
+    cfg, scene = parse_scenario(path)
+    with pytest.warns(UserWarning, match="no explorer finished its survey"):
+        result = engine.run_mission(dataclasses.replace(cfg, duration=1.0), scene)
+    same_voxel, occupied = recount_violations(result, scene)
+    counts = (result.collisions_same_voxel, result.occupied_entries)
+    assert counts == (same_voxel, occupied)
+    forced_count, other = counts if kind == "same-voxel" else counts[::-1]
+    assert forced_count > 0 and other == 0
+    assert result.violations == same_voxel + occupied
+    engine.write_outputs(result, str(tmp_path))
+    written = (tmp_path / "mission_result.txt").read_text().splitlines()
+    assert {f"collisions_same_voxel: {same_voxel}", f"occupied_entries: {occupied}"} <= set(written)
+    assert main(["--scenario", path, "--duration", "1"]) == 1
+    assert (f"violations: {same_voxel + occupied} (same-voxel {same_voxel}, "
+            f"occupied-entry {occupied})\n") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, flags, error", [
+    ("open_field.yaml", ["--duration", "5"], None),
+    ("open_field.yaml", ["--duration", "5", "--horizon", "0"], r"error: mission\.horizon .*\n"),
+    ("missing.yaml", [], r"error: cannot read .*missing\.yaml: .*\n"),
+], ids=["clean-run", "rejected-mission", "unreadable-scenario"])
+def test_the_entry_point_exits_with_the_status_main_returns(name, flags, error):
+    # every other test calls main(); only a process shows the status a shell gets
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "uavinspect.cli",
+                           "--scenario", str(SCENARIOS / name), *flags],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == (0 if error is None else 2)
+    assert all(line.startswith(("error:", "warning:", "running mission:", "artifacts written to"))
+               for line in done.stderr.splitlines()), done.stderr
+    if error is None:
+        assert "violations: 0 " in done.stdout
+    else:
+        assert done.stdout == "" and re.fullmatch(error, done.stderr), done.stderr
 
 
 @pytest.mark.parametrize("scenario, flags, path", [
