@@ -316,7 +316,8 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     that can change its map.  The tick's sight lines, segments as (starts,
     ends), ride in the same cast.
 
-    A firing on a map that holds no cell it can change is skipped whole;
+    A firing on a map that holds no cell it can change is skipped whole, and
+    so is one whose cells an occluder's shadow holds (FiringGuard.hides);
     otherwise only the rays that can reach such a cell are cast (see
     FiringGuard.can_change).  The rays of every firing and the sight lines go through
     one sweep, and its hits and misses through one map update that takes
@@ -330,7 +331,8 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     """
     firing, bundles, fields = [], [], []
     for i, guard in zip(explorer_rows, guards):
-        if guard.at(OccupancyMap(maps.grid, maps.cells[i]), positions[i]).field is None:
+        guard.at(OccupancyMap(maps.grid, maps.cells[i]), positions[i])
+        if guard.field is None or guard.hides(positions[i]):
             continue
         dirs = lidar_directions(yaws[i], lidar, t)
         dirs = _kept(guard.can_change(positions[i], dirs, sensors._LIDAR_RANGE), dirs)

@@ -1,13 +1,15 @@
 """The LiDAR firing the mission makes, culled, against the firing of every ray.
 
-The mission skips a firing whose map holds no cell it can change and casts
-only the rays whose box holds one and, on a dense firing, whose line meets
-the box of those cells, every explorer's firing of a tick in one sweep and
-one map update (engine._fire).  A cell counts only if a ray can
-change it (world.ReachMask).  The oracles are the unculled firing, every ray
-cast and folded into the map under the same hit rule, and the culled firing
-of one explorer at a time.  They must all leave the same maps after every
-firing.
+The mission skips a firing whose map holds no cell it can change, or whose
+cells one occluder's shadow holds, and casts only the rays whose box holds
+one and, on a dense firing, whose line meets the box of those cells, every
+explorer's firing of a tick in one sweep and one map update (engine._fire).
+A cell counts only if a ray can change it (world.ReachMask).  The oracles
+are the unculled firing, every ray cast and folded into the map under the
+same hit rule, and the culled firing of one explorer at a time.  They must
+all leave the same maps after every firing.  The shadow test has one more
+oracle, reference_hides, which tests the segments to every corner of every
+changeable cell against each occluder.
 """
 
 import dataclasses
@@ -31,8 +33,8 @@ from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
 from uavinspect.errors import OutOfBoundsError
 from uavinspect.scene import Scene, line_of_sight, scatter_box_face_points, scene_occupancy
 from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions, lidar_sweep
-from uavinspect.world import (_NUDGE, FREE, OCCUPIED, UNKNOWN, BoundingBox, FiringGuard,
-                              OccupancyMap, VoxelGrid, integrate_points, reach_mask)
+from uavinspect.world import (_BOX_PAD, _NUDGE, FREE, OCCUPIED, UNKNOWN, BoundingBox,
+                              FiringGuard, OccupancyMap, VoxelGrid, integrate_points, reach_mask)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -89,9 +91,17 @@ def checked_run(cfg, scene, monkeypatch, stats):
     """Run a mission, checking every explorer's map against the unculled
     firing after each sense stage, and that the firing changes no cell the
     reach mask masks.  stats counts firings, skipped firings, firings from
-    the flood, rays, the rays cast and the rays the guard's box culls."""
+    the flood, rays, the rays cast, the rays the guard's box culls and the
+    firings a shadow hides, and the ticks on which a shadow hides every
+    firing or hides one beside a firing that is cast."""
     cast = engine.lidar_sweep
     can_change = FiringGuard.can_change
+    hides = FiringGuard.hides
+
+    def hiding(guard, origin):
+        hidden = hides(guard, origin)
+        stats["hidden"] += hidden
+        return hidden
 
     def culling(guard, origin, dirs, reach):
         kept = can_change(guard, origin, dirs, reach)
@@ -125,15 +135,21 @@ def checked_run(cfg, scene, monkeypatch, stats):
                 expected[a.id] = occ
                 stats["firings"] += 1
                 stats["rays"] += self.cfg.lidar.beams * self.cfg.lidar.azimuth_steps
-        swept = stats["swept"]
+        swept, hidden = stats["swept"], stats["hidden"]
         clear = sense(self, k, t)
-        stats["skipped"] += len(expected) - (stats["swept"] - swept)
+        swept, hidden = stats["swept"] - swept, stats["hidden"] - hidden
+        stats["skipped"] += len(expected) - swept
+        if hidden == len(expected):
+            stats["all hidden"] += 1
+        elif hidden and swept:
+            stats["hidden beside a firing"] += 1
         for aid, occ in expected.items():
             assert np.array_equal(self.agents[aid].occ.cells, occ.cells), (k, aid)
         return clear
 
     monkeypatch.setattr(engine, "lidar_sweep", counting)
     monkeypatch.setattr(FiringGuard, "can_change", culling)
+    monkeypatch.setattr(FiringGuard, "hides", hiding)
     monkeypatch.setattr(_Mission, "_sense", checked)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")         # mesh_tower maps hold structure free
@@ -159,10 +175,13 @@ def explorer_last(cfg, scene):
 
 
 SHORT_RUNS = {
-    # the guard's box first culls at tick 71
+    # the guard's box first culls at tick 71, and a shadow first hides a
+    # firing at tick 72
     "desk_box": lambda: workload("desk_box", 150),
     "desk_box, explorer last": lambda: explorer_last(*workload("desk_box", 30)),
-    "fleet_fine": lambda: workload("fleet_fine", 60),
+    # a shadow first hides one of the two explorers' firings at tick 162,
+    # and both at tick 280
+    "fleet_fine": lambda: workload("fleet_fine", 300),
     "mesh_tower": lambda: workload("mesh_tower", 80),
     "twin_pillars.yaml": lambda: shipped("twin_pillars", 60),
     "open_field.yaml": lambda: shipped("open_field", 40),
@@ -179,6 +198,10 @@ def test_culled_firings_equal_the_unculled_firing(monkeypatch):
         assert stats["in_flood"] == stats["firings"], name
         if name == "desk_box":
             assert stats["box_culled"] > 0
+            assert stats["hidden"] > 0
+        if name == "fleet_fine":
+            assert stats["hidden beside a firing"] > 0
+            assert stats["all hidden"] > 0
         total.update(stats)
     # most rays are culled, and twin_pillars skips most of its firings
     assert 0 < total["cast"] < 0.5 * total["rays"]
@@ -565,9 +588,15 @@ def test_a_desk_box_map_known_outside_the_cavity_is_dead():
 
 
 def test_a_triangle_only_scene_masks_nothing():
+    # no mask, so no occluder: a guard never hides a firing, even on a steady map
     mission = _Mission(*workload("mesh_tower", 1))
     assert not mission.scene.solid_boxes
     assert mission.reach is None
+    guard = FiringGuard(mission.grid, mission.truth, mission.reach)
+    position = mission.position[0]
+    for _ in range(2):
+        assert guard.at(mission.agents[0].occ, position).field is not None
+    assert guard.steady and not guard.hides(position)
 
 
 def test_a_sensor_outside_the_flood_is_not_masked():
@@ -678,6 +707,153 @@ def test_culled_firings_equal_the_unculled_firing_by_hollow_boxes(mission):
     with pytest.MonkeyPatch.context() as monkeypatch:
         checked_run(*mission, monkeypatch, stats)
     assert stats["firings"] == stats["in_flood"] == TICKS
+
+
+# --- the shadows of occluders ------------------------------------------------------
+
+@pytest.mark.parametrize("build, boxes", [
+    (lambda: workload("desk_box", 1), [((2, 2, 2), (6, 6, 6))]),
+    (lambda: workload("fleet_fine", 1), [((3, 3, 3), (11, 11, 11))]),
+    (lambda: shipped("twin_pillars", 1), [((2, 2, 1), (3, 3, 4)), ((5, 5, 1), (6, 6, 4))]),
+], ids=["desk_box", "fleet_fine", "twin_pillars"])
+def test_the_occluders_fuse_the_solid_boxes_with_the_cells_they_seal(build, boxes):
+    # the desk cube's six walls and its cavity are one box; each pillar is its own
+    mission = _Mission(*build())
+    assert mission.reach.occluders == tuple(
+        (tuple(a + _BOX_PAD for a in lo), tuple(b - _BOX_PAD for b in hi)) for lo, hi in boxes)
+
+
+CORNERS = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+
+
+def in_shadow(g, box, cells):
+    """Per cell (n, 3), whether the segments from the point g to the 8
+    corners of the cell grown by _BOX_PAD all pass through the open box,
+    all in grid units: the slab test, with division."""
+    lo, hi = np.asarray(box, dtype=float)
+    corners = cells[:, None, :] + 0.5 + CORNERS * (0.5 + _BOX_PAD)       # (n, 8, 3)
+    d = corners - g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s, t = (lo - g) / d, (hi - g) / d
+    enter, leave = np.minimum(s, t), np.maximum(s, t)
+    still = d == 0.0
+    inside = (lo < g) & (g < hi)
+    enter = np.where(still, np.where(inside, -np.inf, np.inf), enter).max(axis=-1)
+    leave = np.where(still, np.where(inside, np.inf, -np.inf), leave).min(axis=-1)
+    return ((np.maximum(enter, 0.0) < np.minimum(leave, 1.0))).all(axis=1)
+
+
+def reference_hides(guard, origin):
+    """FiringGuard.hides by brute force: for a sensor in the flood, the
+    segments from it to the 8 corners of every changeable cell grown by
+    _BOX_PAD pass through one occluder, which by the convexity of a shadow
+    puts every point of those cells in it."""
+    if not guard.masked:
+        return False
+    g = guard.grid.coords(np.asarray(origin, dtype=float))
+    cells = np.argwhere(guard.changeable)
+    return any(in_shadow(g, box, cells).all() for box in guard.reach.occluders)
+
+
+@st.composite
+def hollow_box(draw, v, dims):
+    """The six walls of a hollow box on the grid, each face on a voxel plane or off it."""
+    wall = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    cavity = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    lo = [draw(st.one_of(st.integers(0, int(n - 2 * wall - cavity)),
+                         st.floats(0.0, n - 2 * wall - cavity))) for n in dims]
+    hi = [a + 2 * wall + cavity for a in lo]
+    walls = []
+    for axis in range(3):
+        for face in ((lo[axis], lo[axis] + wall), (hi[axis] - wall, hi[axis])):
+            a, b = list(lo), list(hi)
+            a[axis], b[axis] = face
+            walls.append(BoundingBox(tuple(x * v for x in a), tuple(x * v for x in b)))
+    return walls, tuple((a + wall + cavity / 2) * v for a in lo)
+
+
+@st.composite
+def shadow_cases(draw):
+    """Solid boxes on a small grid, a hollow box among them or not, the
+    start the flood runs from, two sensors, the seed of a map, and a
+    firing's yaw and time.  A sensor is the start, a point anywhere on the
+    grid (in a box, maybe), the hollow box's centre or a point off the grid."""
+    v = draw(st.sampled_from([1.0, 3.0, 6.0]))
+    dims = tuple(draw(st.integers(5, 9)) for _ in range(3))
+    grid = VoxelGrid((0.0, 0.0, 0.0), dims, v)
+    solid = draw(st.lists(boxes(v, dims), max_size=2))
+    centre = None
+    if not solid or draw(st.booleans()):
+        walls, centre = draw(hollow_box(v, dims))
+        solid += walls
+    start = np.array([draw(st.floats(0.0, n * v, exclude_max=True)) for n in dims])
+
+    def sensor():
+        kind = draw(st.sampled_from(["start", "start", "grid", "centre", "off"]))
+        if kind == "start" or (kind == "centre" and centre is None):
+            return start
+        if kind == "centre":
+            return np.array(centre)
+        point = np.array([draw(st.floats(0.0, n * v, exclude_max=True)) for n in dims])
+        if kind == "off":
+            axis = draw(st.integers(0, 2))
+            point[axis] = draw(st.sampled_from([-0.5, dims[axis] + 0.5])) * v
+        return point
+
+    sensors = [sensor(), sensor()]
+    yaw = draw(st.floats(-math.pi, math.pi))
+    t = draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0)))
+    return grid, Scene(solid_boxes=solid), start, sensors, draw(st.integers(0, 2**32 - 1)), yaw, t
+
+
+def test_a_shadow_hides_only_a_firing_that_changes_nothing():
+    # the changeable cells are some that one occluder shadows from the first
+    # sensor, and perhaps a cell on the shadow's rim or anywhere; each sensor
+    # fires on the map made steady, the second with the first's witness
+    seen = Counter()
+    lidar = LidarConfig(beams=8, azimuth_steps=60)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=shadow_cases())
+    def check(case):
+        grid, scene, start, sensors, seed, yaw, t = case
+        reach = reach_mask(grid, scene.solid_boxes, [start])
+        if reach is None:
+            return
+        truth = scene_occupancy(scene, grid)
+        rng = np.random.default_rng(seed)
+        cells = np.where(truth, OCCUPIED, FREE).astype(np.uint8)
+        every = np.argwhere(np.ones(grid.dims, dtype=bool))
+        chosen = every[rng.integers(len(every), size=int(rng.random() < 0.1))]
+        if reach.occluders:
+            box = reach.occluders[rng.integers(len(reach.occluders))]
+            shadowed = every[in_shadow(grid.coords(sensors[0]), box, every)]
+            # the rim: cells beside the shadow but not in it, where a shadow
+            # reckoned too large would claim a cell
+            near = np.abs(every[:, None] - shadowed[None]).max(axis=-1).min(axis=1, initial=2)
+            rim = every[near == 1]
+            on_rim = rng.integers(len(rim), size=int(len(rim) and rng.random() < 0.25))
+            chosen = np.vstack([chosen, shadowed[rng.random(len(shadowed)) < 0.5], rim[on_rim]])
+        cells[tuple(chosen.T)] = UNKNOWN
+        guard = FiringGuard(grid, truth, reach)
+        guard.at(OccupancyMap(grid, cells), sensors[0])
+        for sensor in sensors:
+            occ = OccupancyMap(grid, cells.copy())
+            if guard.at(occ, sensor).field is None:
+                continue
+            assert guard.steady
+            hidden = guard.hides(sensor)
+            seen["examples"] += 1
+            seen["hidden"] += hidden
+            if not guard.masked:
+                assert not hidden
+            if hidden:
+                assert reference_hides(guard, sensor)
+                reference_fire(occ, truth, sensor, yaw, scene, lidar, t)
+                assert np.array_equal(occ.cells, cells)
+
+    check()
+    assert seen["hidden"] > 0.25 * seen["examples"], seen
 
 
 # --- the grid's domain ----------------------------------------------------------
