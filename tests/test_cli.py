@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import recount_violations
-from test_engine import PROBES, build_config, numeric_fields
+from test_engine import PROBES, assert_findings, build_config, numeric_fields
 from test_mesh import centroid_points, prism_triangles
 from test_world import point_arrays
 from uavinspect import cli, engine, sensors, world
@@ -1324,14 +1325,20 @@ def large_mesh_scenario(seed=0):
     }
 
 
-def test_a_12384_triangle_scene_sets_up_as_the_per_entry_path_does():
+@pytest.fixture(scope="module")
+def large_mesh():
+    """large_mesh_scenario(), its canonical dict and that dict's 2.8 MB of
+    YAML, dumped once: a dump takes 1-1.5 s on a 2-vCPU VM."""
     raw = large_mesh_scenario()
-    assert len(raw["scene"]["triangles"]) == 12384
     canonical = normalize_scenario(raw)
+    return raw, canonical, yaml.dump(canonical, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+
+
+def test_a_12384_triangle_scene_sets_up_as_the_per_entry_path_does(large_mesh):
+    raw, canonical, text = large_mesh
+    assert len(raw["scene"]["triangles"]) == 12384
     assert normalize_scenario(canonical) == canonical
-    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    text = yaml.dump(canonical, Dumper=dumper)
     assert normalize_scenario(yaml.load(text, Loader=loader)) == canonical
     reference = reference_normalize(raw)
     assert canonical == reference
@@ -1347,15 +1354,26 @@ def test_a_12384_triangle_scene_sets_up_as_the_per_entry_path_does():
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-def test_libyaml_and_the_pure_python_loader_read_the_same_scenarios():
-    # load_scenario_dict reads with libyaml's CSafeLoader where PyYAML has it;
-    # the pure-Python loader takes 5-10 s on a 2-vCPU VM for the 2.8 MB of
-    # YAML of the 12,384-triangle scene
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def test_a_12384_triangle_scene_runs_a_tick(large_mesh):
+    _, canonical, _ = large_mesh
+    cfg, scene = scenario_from_dict({**canonical,
+                                     "mission": {**canonical["mission"], "duration": 0.1}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = engine._Mission(cfg, scene).run()
+    assert_findings(caught, "agent maps held structure cells free 8 times",
+                    "no explorer finished its survey")
+    assert result.num_ticks == 1 and result.violations == 0
+
+
+def test_libyaml_and_the_pure_python_loader_read_the_same_scenarios(large_mesh):
+    # load_scenario_dict reads with cli._Loader, libyaml's CSafeLoader where
+    # PyYAML has it; the pure-Python loader takes 5-10 s on a 2-vCPU VM for
+    # the 2.8 MB of YAML of the 12,384-triangle scene
     for name in ("desk_box.yaml", "twin_pillars.yaml", "open_field.yaml"):
         text = (SCENARIOS / name).read_text(encoding="utf-8")
         raw = yaml.safe_load(text)
-        assert yaml.load(text, Loader=loader) == raw, name
+        assert yaml.load(text, Loader=cli._Loader) == raw, name
         assert load_scenario_dict(str(SCENARIOS / name)) == normalize_scenario(raw), name
-    text = yaml.dump(large_mesh_scenario(), Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
-    assert yaml.load(text, Loader=loader) == yaml.safe_load(text)
+    text = large_mesh[2]
+    assert yaml.load(text, Loader=cli._Loader) == yaml.safe_load(text)

@@ -497,28 +497,90 @@ WORKLOAD_GOLDEN = {
 }
 
 
-def bench_workload(name, seed):
-    """A bench workload's config and scene, built as bench/run.py builds it."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+@functools.cache
+def bench_module(name):
+    """bench/<name>.py, loaded by path, as bench/run.py imports it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return cli.scenario_from_dict(cli.normalize_scenario(module.WORKLOADS[name](seed)))
+    return module
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOAD_GOLDEN))
+def bench_workload(name, seed):
+    """A bench workload's config and scene, built as bench/run.py builds it."""
+    raw = bench_module("workloads").WORKLOADS[name](seed)
+    return cli.scenario_from_dict(cli.normalize_scenario(raw))
+
+
+def assert_findings(caught, *expected):
+    """The warnings a run raised are the known findings, in order, each
+    given by the start of its message."""
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == len(expected), messages
+    assert all(map(str.startswith, messages, expected)), messages
+
+
+def linked_agent_ticks(connectivity):
+    """The agent-ticks at which an agent has a peer in the connectivity log.
+    Only an agent with a peer merges, so the gossip merges at most this often."""
+    return sum(len({agent for edge in edges for agent in edge}) for _, edges in connectivity)
+
+
+# The whole mission's work that the LiDAR culls and the gossip fix, per
+# bench workload: (sweeps at most, cast rays at most, useful merges at
+# least), measured at seed 1 under bench/tracing.py's Tracer, as
+# `bench/run.py --trace 1` reports them.  A change that lowers a count
+# tightens its number here in the same change; none is ever loosened.
+WORK_BOUNDS = {
+    "desk_box": (440, 293_125, 193),
+    "fleet_fine": (357, 61_337, 1),
+    "mesh_tower": (226, 17_731, 98),
+}
+
+# The findings each run raises: fleet_fine's idle fleet (ROADMAP item 4)
+# and mesh_tower's maps that hold structure free (item 6).
+WORKLOAD_FINDINGS = {
+    "desk_box": (),
+    "fleet_fine": ("the fleet entered the inspection stage but planned no epoch",),
+    "mesh_tower": ("agent maps held structure cells free",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_BOUNDS))
 def test_bench_workloads_match_golden_behaviour(name):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")          # mesh_tower maps hold structure free
-        result = run_mission(*bench_workload(name, 1))
-    # the hit rule never acts on a pinned run
-    assert not [w for w in caught if "LiDAR hits" in str(w.message)]
-    assert not [w for w in caught if "scored none" in str(w.message)]
-    assert not [w for w in caught if "never entered" in str(w.message)]
-    assert result.suppressed_returns == 0
-    digest, plans = WORKLOAD_GOLDEN[name]
+    """Each bench workload at seed 1, traced after set-up: its pinned digest
+    and plan hash, its findings, and WORK_BOUNDS.  The other bounds are read
+    from the run itself: only an agent with a peer merges; the sight lines
+    ride in the sweep, so line_of_sight runs only on the ticks without one
+    and for the camera; and each sweep makes at most one map update."""
+    mission = _Mission(*bench_workload(name, 1))
+    tracer = bench_module("tracing").Tracer().install()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = mission.run()
+    finally:
+        tracer.restore()
+    assert_findings(caught, *WORKLOAD_FINDINGS[name])
+    assert result.suppressed_returns == 0       # the hit rule never acts on a pinned run
+    # desk_box at seed 1 is the shipped scenario, whose digest bench/run.py checks too
+    assert bench_module("workloads").DESK_BOX_DIGEST == GOLDEN["desk_box"][0]
+    digest, plans = {**WORKLOAD_GOLDEN, "desk_box": GOLDEN["desk_box"]}[name]
     assert result.digest() == digest
     assert hashlib.sha256("\n".join(result.plan_events).encode()).hexdigest() == plans
+
+    calls, counts = tracer.calls, tracer.counts
+    sweeps = calls["sensors.lidar_sweep"]
+    most_sweeps, most_rays, least_useful = WORK_BOUNDS[name]
+    assert 0 < sweeps <= most_sweeps
+    assert counts["scene.ray_cast_batch.rays"] <= most_rays
+    assert counts["comms.merges_useful"] >= least_useful
+    assert calls["world.merge_maps"] <= linked_agent_ticks(result.connectivity)
+    assert calls["scene.line_of_sight"] <= (result.num_ticks - sweeps
+                                            + calls["scene.visible_point_indices"])
+    assert 0 < calls["world.integrate_points"] <= sweeps
+    assert counts["world.cells_learned"] > 0
 
 
 def facing_mission(duration=10.0):
