@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import compress, islice
@@ -319,15 +320,14 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     A firing on a map that holds no cell it can change is skipped whole, and
     so is one whose cells an occluder's shadow holds (FiringGuard.hides);
     otherwise only the rays that can reach such a cell are cast (see
-    FiringGuard.can_change).  The rays of every firing and the sight lines go through
-    one sweep, and its hits and misses through one map update that takes
-    each firing's guard field.  A lone firing updates its row in place;
-    two or more update their rows gathered and written back.  A firing
-    changes only its own map, so each map ends as if its firing alone had
-    cast every ray.  A lone firing casts from its one shared origin when no
-    sight line rides along; on a tick with no firing the sight lines are
-    cast alone, by line_of_sight.  Returns the number of hits of the cast
-    rays that the hit rule suppressed, and which sight lines nothing blocks.
+    FiringGuard.can_change).  The rays of every firing, one origin per ray,
+    and the sight lines go through one sweep, and its hits and misses
+    through one map update of the firing rows, gathered and written back,
+    that takes each firing's guard field.  A firing changes only its own
+    map, so each map ends as if its firing alone had cast every ray.  On a
+    tick with no firing the sight lines are cast alone, by line_of_sight.
+    Returns the number of hits of the cast rays that the hit rule
+    suppressed, and which sight lines nothing blocks.
     """
     firing, bundles, fields = [], [], []
     for i, guard in zip(explorer_rows, guards):
@@ -342,14 +342,7 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
             fields.append(guard.field)
     if not firing:
         return 0, line_of_sight(scene, *segments)
-    truth = guards[0].truth
     clear = np.empty(len(segments[0]), dtype=bool)
-    if len(firing) == 1:
-        i = firing[0]
-        hits, misses = lidar_sweep(positions[i], scene, bundles[0], None, segments, clear)
-        suppressed = integrate_points(OccupancyMap(maps.grid, maps.cells[i]), positions[i],
-                                      hits[:, 0], hits[:, 1], misses, truth, fields[0])
-        return suppressed, clear
     dirs = np.concatenate(bundles)
     origins = _rows(positions, firing)
     rows = np.repeat(np.arange(len(firing)), [len(b) for b in bundles])
@@ -357,7 +350,7 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     hits, misses = lidar_sweep(_rows(origins, rows), scene, dirs, hit, segments, clear)
     gathered = OccupancyMap(maps.grid, maps.cells[firing])
     suppressed = integrate_points(gathered, origins, hits[:, 0], hits[:, 1], misses,
-                                  truth, np.array(fields), rows[hit], rows[~hit])
+                                  guards[0].truth, np.array(fields), rows[hit], rows[~hit])
     maps.cells[firing] = gathered.cells
     return suppressed, clear
 
@@ -803,6 +796,13 @@ def write_outputs(result: MissionResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     maps_dir = os.path.join(out_dir, "maps")
     os.makedirs(maps_dir, exist_ok=True)
+    dumps = {f"agent{aid}_{stage}.vox": occ
+             for stage, maps in (("stage2", result.phase_maps), ("final", result.final_maps))
+             for aid, occ in sorted(maps.items())}
+    for entry in os.scandir(maps_dir):      # the map dumps of an earlier run into out_dir
+        if (entry.name not in dumps and entry.is_file()
+                and re.fullmatch(r"agent(0|[1-9][0-9]*)_(stage2|final)\.vox", entry.name)):
+            os.remove(entry.path)
 
     ledger = result.ledger
     coverage = ledger.scored / ledger.num_points if ledger.num_points else 0.0
@@ -848,7 +848,5 @@ def write_outputs(result: MissionResult, out_dir: str) -> None:
     with open(os.path.join(out_dir, "plans.log"), "w") as fh:
         fh.write("\n".join(result.plan_events) + ("\n" if result.plan_events else ""))
 
-    for aid, occ in sorted(result.phase_maps.items()):
-        save_map(occ, os.path.join(maps_dir, f"agent{aid}_stage2.vox"))
-    for aid, occ in sorted(result.final_maps.items()):
-        save_map(occ, os.path.join(maps_dir, f"agent{aid}_final.vox"))
+    for name, occ in dumps.items():
+        save_map(occ, os.path.join(maps_dir, name))

@@ -33,9 +33,10 @@ _NUDGE = 1e-6           # a hit moves this share of a voxel along its ray before
 _BOX_PAD = 1e-3         # FiringGuard's box cull keeps a line this near its box, in voxels
 # FiringGuard's box cull runs on a firing its field leaves this many rays: on
 # fleet_fine's 240-ray firings its ten numpy calls cost more than the rays
-# it culls (cast rays 83,928 -> 71,333, mission_s +4.7 %, slower in 4 of 5
-# bench pairs at seed 1), while desk_box's firings keep hundreds of their
-# 2,880 rays
+# it culls (cast rays 61,337 -> 56,276, mission_s +3.2 %, slower in 9 of 10
+# bench pairs at seed 1; mesh_tower's falls 2.6 %), while desk_box's firings
+# keep hundreds of their 2,880 rays, and without the cull cast 392,257 rays
+# instead of 293,125 (mission_s +3.1 %, slower in 10 of 10)
 _BOX_CULL_RAYS = 256
 # the most cells a grid may hold, in all and along one axis.  Set-up and each
 # tick's map work grow with the cells, and reach_mask's flood with the cells
@@ -812,7 +813,7 @@ def integrate_points(occ_map: OccupancyMap, sensor_origin, hits, hit_dirs,
     strides = np.array([dims[1] * dims[2], dims[2], 1])
     cells = occ_map.cells.reshape(-1)                   # a view: maps are C-contiguous
     origins = np.asarray(sensor_origin, dtype=float).reshape(-1, 3)
-    if len(origins) == 1:
+    if len(origins) == 1:       # rows kept, desk_box's tick_p95_ms reads +3.1 % (10 of 10 pairs)
         hit_rows = miss_rows = None
 
     # a row array per hit, miss or segment, or None for a lone map

@@ -1368,12 +1368,22 @@ def test_a_12384_triangle_scene_runs_a_tick(large_mesh):
 
 def test_libyaml_and_the_pure_python_loader_read_the_same_scenarios(large_mesh):
     # load_scenario_dict reads with cli._Loader, libyaml's CSafeLoader where
-    # PyYAML has it; the pure-Python loader takes 5-10 s on a 2-vCPU VM for
-    # the 2.8 MB of YAML of the 12,384-triangle scene
+    # PyYAML has it, under the repeated-key check, which reads the whole
+    # 2.8 MB of YAML of the 12,384-triangle scene.  Both loaders build values
+    # through one SafeConstructor and differ in their scanners alone, so the
+    # pure-Python one, 5-10 s on that YAML on a 2-vCPU VM, reads a slice of
+    # the scene that holds the same kinds of values
     for name in ("desk_box.yaml", "twin_pillars.yaml", "open_field.yaml"):
         text = (SCENARIOS / name).read_text(encoding="utf-8")
         raw = yaml.safe_load(text)
         assert yaml.load(text, Loader=cli._Loader) == raw, name
         assert load_scenario_dict(str(SCENARIOS / name)) == normalize_scenario(raw), name
-    text = large_mesh[2]
-    assert yaml.load(text, Loader=cli._Loader) == yaml.safe_load(text)
+    _, canonical, text = large_mesh
+    assert yaml.load(text, Loader=cli._Loader) == canonical
+    scene = canonical["scene"]
+    part = {**canonical, "scene": {
+        **scene, "triangles": scene["triangles"][:300],
+        "interest_points": {**scene["interest_points"],
+                            "explicit": scene["interest_points"]["explicit"][:300]}}}
+    text = yaml.safe_dump(part)
+    assert yaml.load(text, Loader=cli._Loader) == yaml.safe_load(text) == part

@@ -218,6 +218,30 @@ def test_heatmap_counts_and_unobserved_points(tmp_path):
         "point_id,x,y,z,count,best_q", "0,0.0,0.0,0.0,2,0.7", "1,1.0,0.0,0.0,0,0.0"]
 
 
+def test_a_reused_out_dir_holds_only_this_runs_map_files(tmp_path):
+    # maps/ kept an earlier three-agent run's agent2_final.vox, on another grid
+    second = one_tick_record()
+    wide = OccupancyMap(VoxelGrid((0.0, 0.0, 0.0), (9, 9, 9), 1.0))
+    first = dataclasses.replace(second, final_maps=dict.fromkeys(range(3), wide),
+                                phase_maps={1: wide, 2: wide})
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    write_outputs(first, str(reused))
+    foreign = ["agent02_final.vox", "agent2_final.vox.bak", "notes.txt"]
+    for name in foreign:
+        (reused / "maps" / name).write_text(name)
+    write_outputs(second, str(reused))
+    write_outputs(second, str(fresh))
+    written = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    assert [p.name for p in written if p.parent.name == "maps"] == [
+        "agent0_final.vox", "agent1_final.vox"]
+    assert sorted(p.relative_to(reused) for p in reused.rglob("*") if p.is_file()) == sorted(
+        written + [Path("maps", name) for name in foreign])
+    for rel in written:
+        assert (reused / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+    for name in foreign:
+        assert (reused / "maps" / name).read_text() == name
+
+
 # --- config validation -----------------------------------------------------------
 
 def test_config_rejects_bad_explorer_counts():

@@ -447,35 +447,56 @@ def test_a_ray_the_box_culls_changes_nothing(firing):
 
 @st.composite
 def fleet_firings(draw):
-    """A scene and the maps and sensors of two explorers firing at one time."""
+    """A scene and the maps and sensors of two explorers firing at one time,
+    one of whose maps may hold nothing to change: its structure cells
+    OCCUPIED, the rest FREE."""
     grid, scene, truth, lidar, reach = draw(scenes())
     fleet = [draw(maps_and_sensors(grid, truth)) for _ in range(2)]
+    done = draw(st.sampled_from([None, None, None, 0, 1]))
+    if done is not None:
+        fleet[done] = (np.where(truth, OCCUPIED, FREE).astype(np.uint8), *fleet[done][1:])
     t = draw(st.one_of(st.just(LEVEL), st.floats(0.0, 8.0)))
     return grid, scene, truth, fleet, lidar, reach, t
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(firing=fleet_firings())
-def test_fleet_firing_equals_the_explorers_firing_apart(firing):
-    grid, scene, truth, fleet, lidar, lidar_reach, t = firing
-    expected = [OccupancyMap(grid, cells.copy()) for cells, _, _ in fleet]
-    got = OccupancyMap(grid, np.stack([cells for cells, _, _ in fleet]))
-    positions = np.array([position for _, position, _ in fleet])
-    reach = reach_mask(grid, scene.solid_boxes, positions)
-    # the pair's sight line rides in the sweep
-    segment = (positions[:1], positions[1:])
-    with lidar_range(lidar_reach):
-        suppressed = sum(explorer_fire(occ, FiringGuard(grid, truth), position, yaw, scene,
-                                       lidar, t)
-                         for occ, (_, position, yaw) in zip(expected, fleet))
-        got_suppressed, clear = engine._fire(got, [0, 1],
-                                             [FiringGuard(grid, truth, reach) for _ in fleet],
-                                             positions, [yaw for _, _, yaw in fleet], scene,
-                                             lidar, t, segment)
-    for cells, want in zip(got.cells, expected):
-        assert np.array_equal(cells, want.cells)
-    assert got_suppressed == suppressed
-    assert clear.tolist() == line_of_sight(scene, *segment).tolist()
+def test_fleet_firing_equals_the_explorers_firing_apart(monkeypatch):
+    # the examples are counted by how many of the two explorers fire: where
+    # one does, the firing a mission makes for a lone explorer, here with the
+    # pair's sight line riding along
+    seen = Counter()
+    update = engine.integrate_points
+
+    def counting(occ_map, *args, **kwargs):
+        seen[len(occ_map.cells)] += 1
+        return update(occ_map, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "integrate_points", counting)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(firing=fleet_firings())
+    def check(firing):
+        grid, scene, truth, fleet, lidar, lidar_reach, t = firing
+        expected = [OccupancyMap(grid, cells.copy()) for cells, _, _ in fleet]
+        got = OccupancyMap(grid, np.stack([cells for cells, _, _ in fleet]))
+        positions = np.array([position for _, position, _ in fleet])
+        reach = reach_mask(grid, scene.solid_boxes, positions)
+        # the pair's sight line rides in the sweep
+        segment = (positions[:1], positions[1:])
+        with lidar_range(lidar_reach):
+            suppressed = sum(explorer_fire(occ, FiringGuard(grid, truth), position, yaw, scene,
+                                           lidar, t)
+                             for occ, (_, position, yaw) in zip(expected, fleet))
+            got_suppressed, clear = engine._fire(got, [0, 1],
+                                                 [FiringGuard(grid, truth, reach) for _ in fleet],
+                                                 positions, [yaw for _, _, yaw in fleet], scene,
+                                                 lidar, t, segment)
+        for cells, want in zip(got.cells, expected):
+            assert np.array_equal(cells, want.cells)
+        assert got_suppressed == suppressed
+        assert clear.tolist() == line_of_sight(scene, *segment).tolist()
+
+    check()
+    assert seen[1] >= 20 and seen[2] >= 20, seen
 
 
 def test_a_lone_firing_writes_only_its_own_row():
