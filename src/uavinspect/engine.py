@@ -320,12 +320,14 @@ def _fire(maps: OccupancyMap, explorer_rows: list[int], guards: list[FiringGuard
     A firing on a map that holds no cell it can change is skipped whole, and
     so is one whose cells an occluder's shadow holds (FiringGuard.hides);
     otherwise only the rays that can reach such a cell are cast (see
-    FiringGuard.can_change).  The rays of every firing, one origin per ray,
-    and the sight lines go through one sweep, and its hits and misses
-    through one map update of the firing rows, gathered and written back,
-    that takes each firing's guard field.  A firing changes only its own
-    map, so each map ends as if its firing alone had cast every ray.  On a
-    tick with no firing the sight lines are cast alone, by line_of_sight.
+    FiringGuard.can_change).  The rays of every firing go through one sweep,
+    which takes each ray's origin, a mask for its hits, and the tick's sight
+    lines, zero or more, with a mask for which nothing blocks; its hits and
+    misses go through one map update of the firing rows, gathered and
+    written back, that takes each firing's guard field.  A firing changes
+    only its own map, so each map ends as if its firing alone had cast every
+    ray.  On a tick with no firing the sight lines are cast alone, by
+    line_of_sight.
     Returns the number of hits of the cast rays that the hit rule
     suppressed, and which sight lines nothing blocks.
     """

@@ -190,27 +190,23 @@ def _bin_triangles(tris: np.ndarray):
     return bin_lo, bin_hi, np.append(firsts, len(tris)), order
 
 
-def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
+def ray_cast_batch(scene: Scene, origins, dirs: np.ndarray,
                    max_range) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-hit distances for a bundle of rays.
+    """Nearest-hit distances for a bundle of rays, each with its own origin
+    and range.
 
-    origin: (3,), shared by every ray, or (n, 3), one per ray; dirs: (n, 3)
-    with unit directions; max_range: one range for every ray, or (n,), one
-    per ray.  Returns (hit mask, distances); distance is inf where nothing
-    was hit within the ray's range.  It takes any finite origins and indexes
-    no grid.
+    origins and dirs: (n, 3), the dirs unit directions; max_range: (n,).
+    Returns (hit mask, distances); distance is inf where nothing was hit
+    within the ray's range.  It takes any finite origins and indexes no
+    grid.
     """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    origins = np.asarray(origin, dtype=float).reshape(-1, 3)
-    if len(origins) not in (1, len(dirs)):
-        raise ConfigurationError(
-            f"{len(origins)} ray origins for {len(dirs)} rays; give one or one per ray")
+    origins = np.asarray(origins, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
     max_range = np.asarray(max_range, dtype=float)
-    if max_range.shape not in ((), (len(dirs),)):
+    if dirs.shape[1:] != (3,) or origins.shape != dirs.shape or max_range.shape != dirs.shape[:1]:
         raise ConfigurationError(
-            f"max_range of shape {max_range.shape} for {len(dirs)} rays; give one or one per ray")
-    if max_range.ndim == 0:
-        max_range = np.full(len(dirs), max_range)
+            f"ray origins {origins.shape}, directions {dirs.shape} and ranges "
+            f"{max_range.shape}; give (n, 3), (n, 3) and (n,), one row per ray")
     best = np.full(len(dirs), np.inf)
     # signed inf where a component is 0, or so small that its reciprocal overflows
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -227,9 +223,8 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
     if len(scene.triangles):
         for c in range(0, len(dirs), _RAY_CHUNK):
             rows = slice(c, c + _RAY_CHUNK)
-            o = origins if len(origins) == 1 else origins[rows]
-            ray, tri = _candidate_pairs(scene, o, inv_t[:, rows], max_range[rows])
-            ray, t = _moller_trumbore(scene, o, dirs[rows], ray, tri, max_range[rows])
+            ray, tri = _candidate_pairs(scene, origins[rows], inv_t[:, rows], max_range[rows])
+            ray, t = _moller_trumbore(scene, origins[rows], dirs[rows], ray, tri, max_range[rows])
             np.minimum.at(best[rows], ray, t)                   # a view: writes into best
 
     hit = best <= max_range
@@ -239,8 +234,8 @@ def ray_cast_batch(scene: Scene, origin, dirs: np.ndarray,
 def _slabs(lo, hi, origins, inv_t):
     """Entry and exit distances, (boxes, rays), of rays through boxes.
 
-    lo, hi: (boxes, 3) corners; origins: (1, 3), shared by every ray, or
-    (rays, 3); inv_t: (3, rays), the reciprocal ray directions by axis.
+    lo, hi: (boxes, 3) corners; origins: (rays, 3); inv_t: (3, rays), the
+    reciprocal ray directions by axis.
     A ray parallel to an axis whose origin lies in a box face gives
     0 * inf = NaN on that axis, and both distances come out NaN.  A
     direction component so small that a distance overflows gives the same
@@ -277,16 +272,15 @@ def _candidate_pairs(scene: Scene, origins, inv_t, max_range):
 def _moller_trumbore(scene: Scene, origins, dirs, ray, tri, max_range):
     """Hits (ray index, distance) among candidate pairs, Moller-Trumbore.
 
-    origins: (1, 3), shared by every ray, or (rays, 3).  A pair whose ray is
-    parallel to the triangle's plane divides by 1 instead of by its
-    near-zero determinant, and is dropped.  max_range: (rays,).
+    origins: (rays, 3).  A pair whose ray is parallel to the triangle's
+    plane divides by 1 instead of by its near-zero determinant, and is
+    dropped.  max_range: (rays,).
     """
     # both crosses in one call: d x e2, then s x e1
     left = np.empty((2, len(ray), 3))
     d, s = left
     dirs.take(ray, axis=0, out=d)
-    np.subtract(origins if len(origins) == 1 else _rows(origins, ray),
-                _rows(scene._tri_v0, tri), out=s)
+    np.subtract(_rows(origins, ray), _rows(scene._tri_v0, tri), out=s)
     right = scene._tri_edges.take(tri, axis=1)
     e2, e1 = right
     h, q = _cross(left, right)
@@ -324,16 +318,19 @@ class SightLines:
     as far as its length plus 1.  Geometry within _EPS_LOS of a segment's far
     end does not block it, and a segment of zero length is clear."""
 
-    starts: np.ndarray          # (n, 3), or (1, 3) shared by every segment
+    starts: np.ndarray          # (n, 3)
     dirs: np.ndarray            # (n, 3) unit directions; 0 for a zero-length segment
     lengths: np.ndarray         # (n,)
 
     @classmethod
     def between(cls, starts, ends) -> "SightLines":
-        """starts and ends: (n, 3) arrays, or a (3,) point shared by every
-        segment; any finite points, as no grid is indexed."""
-        starts = np.asarray(starts, dtype=float).reshape(-1, 3)
-        rel = np.asarray(ends, dtype=float).reshape(-1, 3) - starts
+        """starts and ends: (n, 3) arrays, one row per segment; any finite
+        points, as no grid is indexed."""
+        starts, ends = np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)
+        if starts.shape[1:] != (3,) or ends.shape != starts.shape:
+            raise ConfigurationError(f"sight lines from starts {starts.shape} to ends "
+                                     f"{ends.shape}; give (n, 3) each, one row per segment")
+        rel = ends - starts
         lengths = _length(rel)
         safe = np.where(lengths > 1e-12, lengths, 1.0)
         return cls(starts, rel / safe[:, None], lengths)
@@ -353,9 +350,8 @@ def line_of_sight(scene: Scene, starts, ends) -> np.ndarray:
     """Mask of the segments from starts to ends that nothing blocks, under
     the rule of SightLines.
 
-    starts and ends: (n, 3) arrays, or a (3,) point shared by every segment;
-    it takes any finite points and indexes no grid.  All segments go through
-    one cast.
+    starts and ends: (n, 3) arrays, one row per segment; it takes any
+    finite points and indexes no grid.  All segments go through one cast.
     """
     sight = SightLines.between(starts, ends)
     return sight.clear(*ray_cast_batch(scene, sight.starts, sight.dirs, sight.ranges))

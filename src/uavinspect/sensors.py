@@ -263,46 +263,38 @@ def lidar_directions(yaw: float, cfg: LidarConfig, t: float) -> np.ndarray:
     return base @ (rz @ rx).T
 
 
-def lidar_sweep(position, scene: Scene, dirs: np.ndarray,
-                hit_mask: np.ndarray | None = None, segments=None,
-                clear: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Cast the given rays of a firing from position, (3,) shared by every
-    ray or (n, 3) one per ray: (hits, endpoints of empty rays).  It takes
-    any finite positions and indexes no grid.
+def lidar_sweep(origins, scene: Scene, dirs: np.ndarray, hit_mask: np.ndarray, segments,
+                clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cast the rays of a firing, origins and dirs (n, 3), one origin per
+    ray, and the sight lines segments, (starts, ends) of (m, 3) each with
+    m >= 0, in one cast: the firing's rows, then the sight lines', these
+    under the rule of scene.SightLines.  It takes any finite origins and
+    indexes no grid.
 
-    hits is (n, 2, 3): each hit's point, then the unit direction of its ray,
-    which the mapper nudges the hit along.  Rays that see nothing report
-    their endpoint at _LIDAR_RANGE so the mapper can clear the corridor they
-    crossed.  Both keep the order of the rays; hit_mask, a boolean array of
-    one entry per ray, receives which rays hit.  Each ray's result does not
-    depend on which other rays are cast.  Noise-free.
-
-    segments, (starts, ends) of sight lines, rides in the same cast as rows
-    after the firing's rays, under the rule of scene.SightLines; clear, a
-    boolean array of one entry per segment, receives line_of_sight's mask
-    of them.  With segments to cast, every row has its own origin.
+    Returns (hits, endpoints of empty rays).  hits is (k, 2, 3): each hit's
+    point, then the unit direction of its ray, which the mapper nudges the
+    hit along.  Rays that see nothing report their endpoint at _LIDAR_RANGE
+    so the mapper can clear the corridor they crossed.  Both keep the order
+    of the rays; hit_mask, a boolean array of one entry per ray, receives
+    which rays hit, and clear, one entry per segment, line_of_sight's mask
+    of the segments.  Each ray's result does not depend on which other rays
+    are cast.  Noise-free.
     """
+    origins = np.asarray(origins, dtype=float)
+    if origins.shape != np.shape(dirs):
+        raise ConfigurationError(f"firing origins {origins.shape} for directions "
+                                 f"{np.shape(dirs)}; give one origin per ray")
     n = len(dirs)
-    origin = np.asarray(position, dtype=float).reshape(-1, 3)
-    sight = None if segments is None else SightLines.between(*segments)
-    if sight is None or not len(sight.dirs):
-        hit, dist = ray_cast_batch(scene, position, dirs, _LIDAR_RANGE)
-    else:
-        # the firing's rows, then the sight lines'
-        origins = np.empty((n + len(sight.dirs), 3))
-        origins[:n], origins[n:] = origin, sight.starts
-        ranges = np.empty(len(origins))
-        ranges[:n], ranges[n:] = _LIDAR_RANGE, sight.ranges
-        hit, dist = ray_cast_batch(scene, origins, np.concatenate((dirs, sight.dirs)), ranges)
-        clear[...] = sight.clear(hit[n:], dist[n:])
-        hit, dist = hit[:n], dist[:n]
-    if hit_mask is not None:
-        hit_mask[...] = hit
+    sight = SightLines.between(*segments)
+    hit, dist = ray_cast_batch(scene, np.concatenate((origins, sight.starts)),
+                               np.concatenate((dirs, sight.dirs)),
+                               np.concatenate((np.full(n, _LIDAR_RANGE), sight.ranges)))
+    clear[...] = sight.clear(hit[n:], dist[n:])
+    hit, dist = hit[:n], dist[:n]
+    hit_mask[...] = hit
     miss = ~hit
     hits = np.empty((np.count_nonzero(hit), 2, 3))
     hits[:, 1] = _kept(hit, dirs)
-    hits[:, 0] = ((origin if len(origin) == 1 else _kept(hit, origin))
-                  + hits[:, 1] * _kept(hit, dist)[:, None])
-    misses = ((origin if len(origin) == 1 else _kept(miss, origin))
-              + _kept(miss, dirs) * _LIDAR_RANGE)
+    hits[:, 0] = _kept(hit, origins) + hits[:, 1] * _kept(hit, dist)[:, None]
+    misses = _kept(miss, origins) + _kept(miss, dirs) * _LIDAR_RANGE
     return hits, misses

@@ -27,12 +27,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from test_engine import bench_workload
+from test_sensors import NO_SIGHT_LINES, sweep_from
 from test_world import reference_on_grid
 from uavinspect import cli, engine, sensors, world
 from uavinspect.engine import AgentSpec, MissionConfig, _Mission, run_mission
 from uavinspect.errors import OutOfBoundsError
 from uavinspect.scene import Scene, line_of_sight, scatter_box_face_points, scene_occupancy
-from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions, lidar_sweep
+from uavinspect.sensors import CameraConfig, LidarConfig, lidar_directions
 from uavinspect.world import (_BOX_PAD, _NUDGE, FREE, OCCUPIED, UNKNOWN, BoundingBox,
                               FiringGuard, OccupancyMap, VoxelGrid, integrate_points, reach_mask)
 
@@ -57,7 +58,7 @@ def lidar_range(reach):
 
 def reference_fire(occ, truth, position, yaw, scene, lidar, t):
     """The unculled firing: every ray cast, the map updated under the hit rule."""
-    hits, misses = lidar_sweep(position, scene, lidar_directions(yaw, lidar, t))
+    hits, misses = sweep_from(position, scene, lidar_directions(yaw, lidar, t))
     return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, truth)
 
 
@@ -69,12 +70,9 @@ def explorer_fire(occ, guard, position, yaw, scene, lidar, t):
     dirs = dirs[guard.can_change(position, dirs, sensors._LIDAR_RANGE)]
     if not len(dirs):
         return 0
-    hits, misses = lidar_sweep(position, scene, dirs)
+    hits, misses = sweep_from(position, scene, dirs)
     return integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, guard.truth,
                             guard.field)
-
-
-NO_SIGHT_LINES = (np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def fire_one(occ, guard, position, yaw, scene, lidar, t):
@@ -109,12 +107,12 @@ def checked_run(cfg, scene, monkeypatch, stats):
                                    - np.count_nonzero(kept))
         return kept
 
-    def counting(position, scene, dirs, hit_mask=None, segments=None, clear=None):
+    def counting(origins, scene, dirs, hit_mask, segments, clear):
         # one sweep casts the firings of several explorers, one origin each;
         # the sight lines that ride along are neither rays nor origins of a firing
         stats["cast"] += len(dirs)
-        stats["swept"] += len(np.unique(np.reshape(position, (-1, 3)), axis=0))
-        return cast(position, scene, dirs, hit_mask, segments, clear)
+        stats["swept"] += len(np.unique(origins, axis=0))
+        return cast(origins, scene, dirs, hit_mask, segments, clear)
 
     sense = _Mission._sense
 
@@ -174,11 +172,18 @@ def explorer_last(cfg, scene):
     return dataclasses.replace(cfg, agents=cfg.agents[::-1]), scene
 
 
+def lone_explorer(cfg, scene):
+    """The mission with its first agent alone: a fleet with no agent pair,
+    whose firings cast no sight line."""
+    return dataclasses.replace(cfg, agents=cfg.agents[:1]), scene
+
+
 SHORT_RUNS = {
     # the guard's box first culls at tick 71, and a shadow first hides a
     # firing at tick 72
     "desk_box": lambda: workload("desk_box", 150),
     "desk_box, explorer last": lambda: explorer_last(*workload("desk_box", 30)),
+    "desk_box, lone explorer": lambda: lone_explorer(*workload("desk_box", 100)),
     # a shadow first hides one of the two explorers' firings at tick 162,
     # and both at tick 280
     "fleet_fine": lambda: workload("fleet_fine", 300),
@@ -440,7 +445,7 @@ def test_a_ray_the_box_culls_changes_nothing(firing):
     culled = field & ~kept
     occ = OccupancyMap(grid, cells.copy())
     with lidar_range(lidar_reach):
-        hits, misses = lidar_sweep(position, scene, dirs[culled])
+        hits, misses = sweep_from(position, scene, dirs[culled])
     integrate_points(occ, position, hits[:, 0], hits[:, 1], misses, truth)
     assert np.array_equal(occ.cells, cells)
 

@@ -1,6 +1,7 @@
 """Triangle-mesh scenes: raycaster exactness, voxelization and a golden mission."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,9 +10,17 @@ import pytest
 
 from uavinspect.engine import AgentSpec, MissionConfig, run_mission
 from uavinspect.errors import ConfigurationError
-from uavinspect.scene import Scene, ray_cast_batch, scene_occupancy
-from uavinspect.sensors import CameraConfig, LidarConfig, _base_directions
+from uavinspect.scene import Scene, line_of_sight, ray_cast_batch, scene_occupancy
+from uavinspect.sensors import CameraConfig, LidarConfig, _base_directions, lidar_sweep
 from uavinspect.world import BoundingBox, VoxelGrid
+
+
+def per_ray(origin, dirs, max_range):
+    """Rays along dirs from one origin (3,) to one range, in the form that
+    ray_cast_batch takes: (origins, dirs, ranges), one origin and one range
+    per ray."""
+    dirs = np.asarray(dirs, dtype=float)
+    return np.tile(origin, (len(dirs), 1)), dirs, np.full(len(dirs), max_range)
 
 
 def prism_triangles(center, radius, height, sides, rings):
@@ -100,7 +109,7 @@ def awkward_directions(rng, count):
 
 
 def assert_matches_dense(scene, origin, dirs, max_range):
-    hit, dist = ray_cast_batch(scene, origin, dirs, max_range)
+    hit, dist = ray_cast_batch(scene, *per_ray(origin, dirs, max_range))
     ref_hit, ref_dist = dense_ray_cast(scene, origin, dirs, max_range)
     assert np.array_equal(hit, ref_hit)
     assert np.array_equal(dist, ref_dist)      # == on every distance, inf included
@@ -193,10 +202,11 @@ def test_multi_origin_cast_equals_one_call_per_origin():
         for max_range in (3.0, 30.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                hit, dist = ray_cast_batch(scene, each[perm], dirs[perm], max_range)
+                hit, dist = ray_cast_batch(scene, each[perm], dirs[perm],
+                                           np.full(len(dirs), max_range))
                 row = 0
                 for o, d in zip(origins, bundles):
-                    ref_hit, ref_dist = ray_cast_batch(scene, o, d, max_range)
+                    ref_hit, ref_dist = ray_cast_batch(scene, *per_ray(o, d, max_range))
                     rows = np.argsort(perm)[row:row + len(d)]
                     assert np.array_equal(hit[rows], ref_hit)
                     assert np.array_equal(dist[rows], ref_dist)
@@ -204,7 +214,7 @@ def test_multi_origin_cast_equals_one_call_per_origin():
             assert hit.any() and not hit.all()
 
 
-def test_per_ray_range_equals_one_scalar_call_per_ray():
+def test_per_ray_range_equals_one_call_per_ray():
     rng = np.random.default_rng(35)
     tower = prism_triangles((0.0, 0.0), 4.0, 8.0, sides=8, rings=3)
     boxes = [BoundingBox((-10.0, -10.0, -2.0), (-6.0, -4.0, 3.0)),
@@ -212,11 +222,13 @@ def test_per_ray_range_equals_one_scalar_call_per_ray():
     scene = Scene(solid_boxes=boxes, triangles=tower)
     dirs = awkward_directions(rng, 150)                 # over 512 rays: several rounds
     ranges = rng.uniform(0.0, 25.0, len(dirs))
-    for origins in (rng.uniform(-12, 12, 3), rng.uniform(-12, 12, (len(dirs), 3))):
+    # one origin for every ray, then one per ray
+    for origins in (np.tile(rng.uniform(-12, 12, 3), (len(dirs), 1)),
+                    rng.uniform(-12, 12, (len(dirs), 3))):
         hit, dist = ray_cast_batch(scene, origins, dirs, ranges)
-        each = np.broadcast_to(origins, dirs.shape)
         for i in range(len(dirs)):
-            (ref_hit,), (ref_dist,) = ray_cast_batch(scene, each[i], dirs[i:i + 1], ranges[i])
+            (ref_hit,), (ref_dist,) = ray_cast_batch(scene, origins[i:i + 1], dirs[i:i + 1],
+                                                     ranges[i:i + 1])
             assert hit[i] == ref_hit and dist[i] == ref_dist
         assert hit.any() and not hit.all()
     with pytest.raises(ConfigurationError):
@@ -224,8 +236,21 @@ def test_per_ray_range_equals_one_scalar_call_per_ray():
 
 
 def test_cast_rejects_a_mismatched_origin_count():
-    with pytest.raises(ConfigurationError):
-        ray_cast_batch(Scene(), np.zeros((2, 3)), np.eye(3), 10.0)
+    # a cast takes one origin and one range per ray: one shared by every ray
+    # raises, naming the shapes it got, rather than broadcasting
+    ranges = np.full(3, 10.0)
+    for origins, max_range in ((np.zeros((2, 3)), ranges), (np.zeros(3), ranges),
+                               (np.zeros((1, 3)), ranges), (np.zeros((3, 3)), 10.0)):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"ray origins {origins.shape}, directions (3, 3) and ranges "
+                f"{np.shape(max_range)}")):
+            ray_cast_batch(Scene(), origins, np.eye(3), max_range)
+    with pytest.raises(ConfigurationError, match=re.escape("starts (1, 3) to ends (3, 3)")):
+        line_of_sight(Scene(), np.zeros((1, 3)), np.eye(3))
+    for position in (np.zeros(3), np.zeros((1, 3))):
+        with pytest.raises(ConfigurationError, match=re.escape(f"origins {position.shape}")):
+            lidar_sweep(position, Scene(), np.eye(3), np.empty(3, dtype=bool),
+                        (np.zeros((0, 3)), np.zeros((0, 3))), np.empty(0, dtype=bool))
 
 
 def test_parallel_and_in_plane_rays_raise_no_warning():
@@ -233,8 +258,8 @@ def test_parallel_and_in_plane_rays_raise_no_warning():
     scene = Scene(triangles=tri, solid_boxes=[BoundingBox((10, 0, 0), (11, 1, 1))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        above = ray_cast_batch(scene, (-1.0, 1.0, 1.0), [(1.0, 0.0, 0.0)], 50.0)
-        inside = ray_cast_batch(scene, (-1.0, 1.0, 0.0), [(1.0, 0.0, 0.0)], 50.0)
+        above = ray_cast_batch(scene, *per_ray((-1.0, 1.0, 1.0), [(1.0, 0.0, 0.0)], 50.0))
+        inside = ray_cast_batch(scene, *per_ray((-1.0, 1.0, 0.0), [(1.0, 0.0, 0.0)], 50.0))
     assert not above[0][0] and not inside[0][0]
 
 
@@ -244,9 +269,10 @@ def test_one_firing_on_a_thousand_triangles_stays_under_32_mib():
     scene = Scene(triangles=tris)
     dirs = _base_directions(16, 180, math.radians(15.0))
     assert len(dirs) == 2880
+    rays = per_ray((9.0, 9.0, 9.0), dirs, 40.0)
     tracemalloc.start()
     try:
-        hit, _ = ray_cast_batch(scene, (9.0, 9.0, 9.0), dirs, 40.0)
+        hit, _ = ray_cast_batch(scene, *rays)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

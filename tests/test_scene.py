@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from test_engine import bench_workload, shipped
+from test_mesh import per_ray
 from test_world import assert_same, extreme_floats, point_arrays, vector_stacks
 from uavinspect.errors import ConfigurationError
 from uavinspect import engine
@@ -83,13 +84,13 @@ def brute_force_distance(scene, origin, direction, max_range):
 # --- ray casting ------------------------------------------------------------
 
 def test_ray_hits_wall_at_distance_10():
-    hit, dist = ray_cast_batch(wall_scene(), (0, 0, 0), [(1, 0, 0)], 50.0)
+    hit, dist = ray_cast_batch(wall_scene(), *per_ray((0, 0, 0), [(1, 0, 0)], 50.0))
     assert hit.tolist() == [True]
     assert dist[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_ray_beyond_range_misses():
-    hit, dist = ray_cast_batch(wall_scene(), (0, 0, 0), [(1, 0, 0)], 5.0)
+    hit, dist = ray_cast_batch(wall_scene(), *per_ray((0, 0, 0), [(1, 0, 0)], 5.0))
     assert hit.tolist() == [False]
     assert dist[0] == math.inf
 
@@ -106,7 +107,7 @@ def test_ray_cast_against_brute_force_oracle():
         origin = rng.uniform(-15, 15, 3)
         d = unit(rng.normal(size=3))
         expected = brute_force_distance(scene, origin, d, 40.0)
-        (hit,), (dist,) = ray_cast_batch(scene, origin, [d], 40.0)
+        (hit,), (dist,) = ray_cast_batch(scene, *per_ray(origin, [d], 40.0))
         if expected is None:
             assert not hit
         else:
@@ -122,8 +123,8 @@ def test_ray_distance_never_exceeds_max_range_and_is_subset_monotone():
     for _ in range(200):
         origin = rng.uniform(-4, 1, 3) * np.array([1, 1, 1])
         d = unit(rng.normal(size=3))
-        (a_hit,), (a_dist,) = ray_cast_batch(small, origin, [d], 20.0)
-        (b_hit,), (b_dist,) = ray_cast_batch(bigger, origin, [d], 20.0)
+        (a_hit,), (a_dist,) = ray_cast_batch(small, *per_ray(origin, [d], 20.0))
+        (b_hit,), (b_dist,) = ray_cast_batch(bigger, *per_ray(origin, [d], 20.0))
         if a_hit:
             assert a_dist <= 20.0 + 1e-12
             assert b_hit and b_dist <= a_dist + 1e-12
@@ -182,7 +183,8 @@ def test_box_slabs_equal_the_rays_by_boxes_reference():
         origins, dirs = face_rays(scene, rng, 300)
         with np.errstate(divide="ignore"):
             inv = 1.0 / dirs
-        for o in (origins[:1], origins):                 # shared, then one per ray
+        # one origin for every ray, then one per ray
+        for o in (np.tile(origins[:1], (len(origins), 1)), origins):
             rel = o[:, None]
             ref_tn, ref_tf = reference_slabs(scene._box_lo - rel, scene._box_hi - rel, inv)
             tn, tf = _slabs(scene._box_lo, scene._box_hi, o, np.ascontiguousarray(inv.T))
@@ -190,7 +192,7 @@ def test_box_slabs_equal_the_rays_by_boxes_reference():
             assert np.array_equal(tf, ref_tf.T, equal_nan=True)
             nans += np.count_nonzero(np.isnan(tn))
             for max_range in (2.0, 30.0):
-                hit, dist = ray_cast_batch(scene, o, dirs, max_range)
+                hit, dist = ray_cast_batch(scene, o, dirs, np.full(len(dirs), max_range))
                 ref_hit, ref_dist = reference_box_cast(scene, o, dirs, max_range)
                 assert np.array_equal(hit, ref_hit) and np.array_equal(dist, ref_dist)
     assert nans > 100                                    # rays along box faces
@@ -230,7 +232,7 @@ def reference_line_of_sight(scene, a, b):
     if length < 1e-12:
         return True
     d = (b - a) / length
-    hit, dist = ray_cast_batch(scene, a, d[None, :], length)
+    hit, dist = ray_cast_batch(scene, *per_ray(a, d[None, :], length))
     return not (hit[0] and dist[0] < length - 1e-6)
 
 
@@ -846,7 +848,8 @@ def reference_lengths(rel):
 def test_sight_line_lengths_equal_the_axis_norm(ends):
     ends = ends.reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert_same(SightLines.between(np.zeros(3), ends).lengths, reference_lengths(ends))
+        assert_same(SightLines.between(np.zeros(ends.shape), ends).lengths,
+                    reference_lengths(ends))
 
 
 def reference_vertex_min(v):
@@ -884,10 +887,10 @@ def test_a_subnormal_direction_component_casts_as_zero(scene_of):
     assert np.count_nonzero(tiny != dirs) > 1000
     hits = 0
     for start in [a.start for a in cfg.agents]:
-        expected = ray_cast_batch(scene, start, dirs, 50.0)
+        expected = ray_cast_batch(scene, *per_ray(start, dirs, 50.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = ray_cast_batch(scene, start, tiny, 50.0)
+            got = ray_cast_batch(scene, *per_ray(start, tiny, 50.0))
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
         hits += np.count_nonzero(got[0])
@@ -906,10 +909,10 @@ def test_a_tiny_direction_component_overflows_quietly():
     dirs[np.all(dirs == 0.0, axis=1), 2] = -1.0
     dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     tiny = np.where(dirs == 0.0, 2.2250738585072014e-308, dirs)
-    expected = ray_cast_batch(scene, start, dirs, 50.0)
+    expected = ray_cast_batch(scene, *per_ray(start, dirs, 50.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ray_cast_batch(scene, start, tiny, 50.0)
+        got = ray_cast_batch(scene, *per_ray(start, tiny, 50.0))
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     assert np.count_nonzero(got[0]) > 500

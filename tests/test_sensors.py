@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_agents import AgentState, GimbalState
+from test_mesh import per_ray
 from test_scene import awkward_segments
 from test_world import assert_same, point_arrays, vector_stacks
 from uavinspect import sensors
@@ -228,8 +229,8 @@ def reference_visible(scene, apex, candidate_mask):
     rel = scene.point_positions[idx] + scene.point_normals[idx] * 1e-3 - apex
     lengths = np.linalg.norm(rel, axis=1)
     safe = np.where(lengths > 1e-12, lengths, 1.0)
-    hit, dist = ray_cast_batch(scene, apex, rel / safe[:, None],
-                               float(lengths.max(initial=0.0)) + 1.0)
+    hit, dist = ray_cast_batch(scene, *per_ray(apex, rel / safe[:, None],
+                                               float(lengths.max(initial=0.0)) + 1.0))
     return idx[~(hit & (dist < lengths - 1e-6))]
 
 
@@ -507,8 +508,19 @@ def closed_room(half=10.0, thickness=1.0):
     ])
 
 
+NO_SIGHT_LINES = (np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+def sweep_from(position, scene, dirs):
+    """lidar_sweep of rays that share one origin, position (3,), with no
+    sight line riding along: (hits, misses)."""
+    origins, dirs, _ = per_ray(position, dirs, sensors._LIDAR_RANGE)
+    return lidar_sweep(origins, scene, dirs, np.empty(len(dirs), dtype=bool), NO_SIGHT_LINES,
+                       np.empty(0, dtype=bool))
+
+
 def fire(a, scene, cfg, t):
-    return lidar_sweep(a.position, scene, lidar_directions(a.yaw, cfg, t))
+    return sweep_from(a.position, scene, lidar_directions(a.yaw, cfg, t))
 
 
 def test_lidar_empty_scene_returns_empty_cloud():
@@ -556,12 +568,12 @@ def test_lidar_rays_cast_apart_equal_the_whole_firing(monkeypatch):
     rng = np.random.default_rng(3)
     for t in (0.0, 1.3, 5.9):
         dirs = lidar_directions(a.yaw, cfg, t)
-        hits, misses = lidar_sweep(a.position, scene, dirs)
-        hit, dist = ray_cast_batch(scene, a.position, dirs, 30.0)
+        hits, misses = sweep_from(a.position, scene, dirs)
+        hit, dist = ray_cast_batch(scene, *per_ray(a.position, dirs, 30.0))
         assert np.array_equal(hits[:, 1], dirs[hit])        # each hit carries its ray
         assert np.array_equal(hits[:, 0], a.position + dirs[hit] * dist[hit, None])
         for keep in (rng.random(len(dirs)) < 0.3, np.arange(len(dirs)) % 5 == 0):
-            part_hits, part_misses = lidar_sweep(a.position, scene, dirs[keep])
+            part_hits, part_misses = sweep_from(a.position, scene, dirs[keep])
             assert np.array_equal(part_hits, hits[keep[hit]])
             assert np.array_equal(part_misses, misses[keep[~hit]])
 
@@ -580,22 +592,25 @@ def test_lidar_sweep_with_one_origin_per_ray_equals_the_sweeps_apart(monkeypatch
     for t in (0.0, 1.3, 5.9):
         bundles = [lidar_directions(a.yaw, cfg, t) for a in fleet]
         bundles = [d[rng.random(len(d)) < 0.6] for d in bundles]
-        apart = [lidar_sweep(a.position, scene, d) for a, d in zip(fleet, bundles)]
+        apart = [sweep_from(a.position, scene, d) for a, d in zip(fleet, bundles)]
         rows = np.repeat(np.arange(len(fleet)), [len(d) for d in bundles])
         origins = np.array([a.position for a in fleet])[rows]
         hit = np.empty(len(rows), dtype=bool)
-        hits, misses = lidar_sweep(origins, scene, np.vstack(bundles), hit)
+        hits, misses = lidar_sweep(origins, scene, np.vstack(bundles), hit, NO_SIGHT_LINES,
+                                   np.empty(0, dtype=bool))
         assert np.array_equal(hits, np.vstack([h for h, _ in apart]))
         assert np.array_equal(misses, np.vstack([m for _, m in apart]))
         assert np.array_equal(hit, np.concatenate(
-            [ray_cast_batch(scene, a.position, d, 30.0)[0] for a, d in zip(fleet, bundles)]))
+            [ray_cast_batch(scene, *per_ray(a.position, d, 30.0))[0]
+             for a, d in zip(fleet, bundles)]))
         assert 0 < np.count_nonzero(hit) < len(hit)
 
 
 def test_sight_lines_in_a_sweep_equal_line_of_sight_alone(monkeypatch):
     # sight lines cast as rows after a firing's rays keep line_of_sight's
     # mask, each from its own start, and leave the firing's hits and misses
-    # as the firing alone gives them, from a shared origin or one per ray
+    # as the firing alone gives them, from one origin for every ray or one
+    # per ray
     monkeypatch.setattr(sensors, "_LIDAR_RANGE", 30.0)
     cfg = LidarConfig(beams=5, azimuth_steps=24)
     tris = [[(-8, -8, 6), (8, -8, 6), (0, 9, 7)], [(12, -5, -5), (12, 5, -5), (13, 0, 6)]]
@@ -612,8 +627,10 @@ def test_sight_lines_in_a_sweep_equal_line_of_sight_alone(monkeypatch):
     expected = line_of_sight(scene, starts, ends)
     assert 0 < np.count_nonzero(expected) < len(expected)
     dirs = lidar_directions(0.7, cfg, 1.3)
-    for origin in (np.array([1.5, -2.0, 0.5]), rng.uniform(-9.0, 9.0, (len(dirs), 3))):
-        alone_hits, alone_misses = lidar_sweep(origin, scene, dirs)
+    for origin in (np.tile([1.5, -2.0, 0.5], (len(dirs), 1)),
+                   rng.uniform(-9.0, 9.0, (len(dirs), 3))):
+        alone_hits, alone_misses = lidar_sweep(origin, scene, dirs, np.empty(len(dirs), dtype=bool),
+                                               NO_SIGHT_LINES, np.empty(0, dtype=bool))
         hit, clear = np.empty(len(dirs), dtype=bool), np.empty(len(starts), dtype=bool)
         hits, misses = lidar_sweep(origin, scene, dirs, hit, (starts, ends), clear)
         assert np.array_equal(clear, expected)

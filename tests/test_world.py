@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from test_mesh import per_ray
 from uavinspect import world
 from uavinspect.agents import step_dynamics
 from uavinspect.errors import (ConfigurationError, GridMismatchError,
@@ -369,7 +370,7 @@ def cast_and_integrate(scene, grid, origin, target):
     origin = np.asarray(origin, dtype=float)
     d = np.asarray(target, dtype=float) - origin
     d /= np.linalg.norm(d)
-    hit, dist = ray_cast_batch(scene, origin, d[None], 50.0)
+    hit, dist = ray_cast_batch(scene, *per_ray(origin, d[None], 50.0))
     assert hit[0]
     truth = scene_occupancy(scene, grid)
     m = OccupancyMap(grid)
